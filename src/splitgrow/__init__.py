@@ -1,16 +1,17 @@
 """Vertex-splitting random trees.
 
 Growth simulation (planar-tree and urn engines), limiting degree densities
-(fixed-point iteration and direct linear solve), exact closed forms for the
-solvable families, and the two-colour recolour-and-split variant.
+(direct solve of the stationary system, with the fixed-point iteration as
+its oracle), exact closed forms for the solvable families, and the
+two-colour recolour-and-split variant.
 """
 
 __version__ = "0.1.0"
 
 from .errors import (DegeneracyError, InvalidDegreeError, InvalidParameterError,
                      NoConvergenceError, NonPositiveError, RankDeficientError,
-                     ReductionInvalidError, RegimeError, SplitgrowError,
-                     UnknownTailError)
+                     ReductionInvalidError, RegimeError, SingularSystemError,
+                     SplitgrowError, UnknownTailError)
 from .weights import (LinearTail, PartitionWeights, Regime, SplittingWeights,
                       WeightModel, classify_regime, derive_splitting_weights,
                       make_alpha_class, make_grafting, make_preferential,

@@ -35,23 +35,39 @@ __all__ = ["main", "parse_weight_expr"]
 def parse_weight_expr(expr: str) -> SplittingWeights:
     """Linear weight expressions like ``i``, ``2*i+1``, ``i-0.5`` or ``1``."""
     t = expr.replace(" ", "")
-    if "i" not in t:
-        return SplittingWeights(0.0, float(t))
-    head, _, rest = t.partition("i")
-    if head in ("", "+"):
-        a = 1.0
-    elif head == "-":
-        a = -1.0
-    else:
-        a = float(head[:-1] if head.endswith("*") else head)
-    b = float(rest) if rest else 0.0
+    try:
+        if "i" not in t:
+            return SplittingWeights(0.0, float(t))
+        head, _, rest = t.partition("i")
+        if head in ("", "+"):
+            a = 1.0
+        elif head == "-":
+            a = -1.0
+        else:
+            a = float(head[:-1] if head.endswith("*") else head)
+        b = float(rest) if rest else 0.0
+    except ValueError:
+        raise InvalidParameterError(
+            f"cannot parse weight expression {expr!r}; expected a*i+b, "
+            "e.g. 'i', '2*i+1' or '1'") from None
     return SplittingWeights(a, b)
+
+
+def _read_json(path: str) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InvalidParameterError(f"cannot read {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidParameterError(f"{path} must hold a JSON object")
+    return doc
 
 
 def _model_spec_from_flags(args) -> dict | None:
     if args.table:
-        doc = json.loads(Path(args.table).read_text())
-        return {"family": "table", "d_max": doc["d_max"], "entries": doc["entries"]}
+        doc = _read_json(args.table)
+        return {"family": "table", "d_max": doc.get("d_max"),
+                "entries": doc.get("entries")}
     if not args.family:
         return None
     spec: dict = {"family": args.family}
@@ -66,7 +82,7 @@ def _model_spec_from_flags(args) -> dict | None:
 
 
 def _load_config(args) -> ExperimentConfig:
-    doc = json.loads(Path(args.config).read_text()) if args.config else {}
+    doc = _read_json(args.config) if args.config else {}
     spec = _model_spec_from_flags(args)
     if spec:
         doc["model"] = spec
@@ -248,8 +264,9 @@ def cmd_compare(args) -> int:
         return rc
     t0 = time.monotonic()
     report = compare(cfg)
-    model = build_model(cfg.model)
-    sol = _solve_model(model, cfg, "auto")
+    sol = report.solution
+    if sol is None:
+        sol = _solve_model(build_model(cfg.model), cfg, "auto")
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.csv", "w") as fh:

@@ -23,6 +23,11 @@ class NoConvergenceError(SplitgrowError):
     """Iteration hit the step budget before reaching the tolerance."""
 
 
+class SingularSystemError(SplitgrowError):
+    """The truncated fixed-point system ``(I - M) a = c`` is singular, or its
+    direct solve produced non-finite densities."""
+
+
 class RankDeficientError(SplitgrowError):
     """The stationary system has rank below d_max - 1; the bounded-degree
     solve cannot single out a density vector."""

@@ -45,25 +45,35 @@ TWO_COLOUR_FAMILIES = {"rna", "two-colour-uniform", "two-colour-grafting"}
 
 
 def build_model(spec: dict):
-    """Model from a config mapping: ``{"family": ..., <parameters>}``."""
+    """Model from a config mapping: ``{"family": ..., <parameters>}``.
+
+    A missing or malformed parameter raises InvalidParameterError."""
     fam = spec.get("family")
-    if fam == "preferential":
-        return make_preferential(SplittingWeights(float(spec.get("a", 1.0)),
-                                                  float(spec.get("b", 0.0))))
-    if fam == "uniform":
-        return make_uniform(float(spec.get("x", 0.0)))
-    if fam == "grafting":
-        return make_grafting(float(spec["alpha"]), float(spec["gamma"]))
-    if fam == "table":
-        return make_table(int(spec["d_max"]),
-                          [(int(i), int(j), float(w)) for i, j, w in spec["entries"]])
-    if fam == "rna":
-        return make_rna()
-    if fam == "two-colour-uniform":
-        return make_two_colour_uniform(float(spec["a"]), float(spec["b"]))
-    if fam == "two-colour-grafting":
-        return make_two_colour_grafting(float(spec["a"]), float(spec["b"]),
-                                        float(spec.get("alpha0", 0.5)))
+    try:
+        if fam == "preferential":
+            return make_preferential(SplittingWeights(float(spec.get("a", 1.0)),
+                                                      float(spec.get("b", 0.0))))
+        if fam == "uniform":
+            return make_uniform(float(spec.get("x", 0.0)))
+        if fam == "grafting":
+            return make_grafting(float(spec["alpha"]), float(spec["gamma"]))
+        if fam == "table":
+            return make_table(int(spec["d_max"]),
+                              [(int(i), int(j), float(w)) for i, j, w in spec["entries"]])
+        if fam == "rna":
+            return make_rna()
+        if fam == "two-colour-uniform":
+            return make_two_colour_uniform(float(spec["a"]), float(spec["b"]))
+        if fam == "two-colour-grafting":
+            return make_two_colour_grafting(float(spec["a"]), float(spec["b"]),
+                                            float(spec.get("alpha0", 0.5)))
+    except InvalidParameterError:
+        raise
+    except KeyError as exc:
+        raise InvalidParameterError(
+            f"family {fam!r} needs parameter {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"bad parameters for family {fam!r}: {exc}") from None
     raise InvalidParameterError(f"unknown family {fam!r}")
 
 
@@ -97,18 +107,38 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Config from a mapping; also checks ``SPLITGROW_THREADS`` so a bad
+        value is refused at load rather than when the replicas start."""
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+        cfg = cls(**d)
+        reps = cfg.replicas
+        if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
+            raise InvalidParameterError(f"replicas must be an integer >= 1, got {reps!r}")
+        _thread_cap()
+        return cfg
+
+
+def _thread_cap() -> int:
+    """SPLITGROW_THREADS if set, else the machine's core count."""
+    env = os.environ.get("SPLITGROW_THREADS")
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvalidParameterError(
+            f"SPLITGROW_THREADS must be an integer >= 1, got {env!r}")
+    return cap
 
 
 def worker_count(replicas: int) -> int:
     """Worker cap: SPLITGROW_THREADS if set, else the machine's core count."""
-    env = os.environ.get("SPLITGROW_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, replicas))
+    return max(1, min(_thread_cap(), replicas))
 
 
 def _simulate_replica(payload):
@@ -217,6 +247,9 @@ class ExperimentReport:
     k_check: int
     z_crit: float
     runtime_s: float = 0.0            # never serialised; byte-stable outputs
+    # the analytic solution object behind the rows when it is the model's
+    # own (two-colour reduction); never serialised
+    solution: Optional[object] = None
 
     def violations(self) -> list[DegreeRow]:
         return [r for r in self.rows
@@ -270,7 +303,11 @@ def _stack(counts_list: list[np.ndarray], width: int) -> np.ndarray:
 
 def compare(cfg: ExperimentConfig, k_report: int = 16) -> ExperimentReport:
     """Run the replicated experiment and join it against the analytic
-    densities; the report's ``ok`` drives the CLI exit code."""
+    densities; the report's ``ok`` drives the CLI exit code.  Fewer than two
+    replicas give zero standard errors and hence no test, so are refused."""
+    if cfg.replicas < 2:
+        raise InvalidParameterError(
+            f"compare needs at least 2 replicas for standard errors, got {cfg.replicas}")
     start = time.monotonic()
     model = build_model(cfg.model)
     ref_model = build_model(cfg.reference_model) if cfg.reference_model else model
@@ -291,9 +328,12 @@ def compare(cfg: ExperimentConfig, k_report: int = 16) -> ExperimentReport:
     if cfg.force_unsupported:
         checks.append(("forced_unsupported", "true"))
 
+    solution = None
     if results[0]["kind"] == "two-colour":
         sol, method = analytic_reference(ref_model, cfg.K, cfg.tol, k_report,
                                          cfg.force_unsupported)
+        if not cfg.reference_model:
+            solution = sol
         white = _stack([r["white"] for r in results], k_report) / cfg.t_final
         black = _stack([r["black"] for r in results], k_report) / cfg.t_final
         for colour, emp, ana in (("white", white, sol.e_white),
@@ -326,4 +366,4 @@ def compare(cfg: ExperimentConfig, k_report: int = 16) -> ExperimentReport:
                             digest=cfg.digest, replicas=cfg.replicas,
                             t_final=cfg.t_final, engine=cfg.engine,
                             k_check=cfg.k_check, z_crit=cfg.z_crit,
-                            runtime_s=time.monotonic() - start)
+                            runtime_s=time.monotonic() - start, solution=solution)

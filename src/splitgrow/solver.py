@@ -2,25 +2,29 @@
 
 Two routes are provided:
 
-* ``fixed_point_densities`` runs the from-below iteration
+* ``fixed_point_densities`` finds the minimal solution of the fixed-point
+  system ``a = M a + c``,
 
-      a_1  <- (s + sum_{i>=2} (i*w[1,i+1] - s) * a_i) / (w_2 + s)
-      a_k  <- (sum_{i>=k-1} i*w[k,i-k+2] * a_i) / (w_2 + w_k),    k >= 2
+      a_1  = (s + sum_{i>=2} (i*w[1,i+1] - s) * a_i) / (w_2 + s)
+      a_k  = (sum_{i>=k-1} i*w[k,i-k+2] * a_i) / (w_2 + w_k),    k >= 2
 
-  started from the zero vector, with ``s = inf {i*w[1,i+1]}``.  For
-  unbounded models whose tail is two-banded with linear band masses
-  (``i*w[1,i+1] = pg*i+qg``, ``i*w[2,i] = ph*i+qh`` beyond some degree),
-  the sums over ``i > K`` are closed exactly: beyond the truncation the
-  stationary equations collapse to the two-term recursion
-  ``a_i = a_{i-1} * g(i-1) / (w_2 + g(i))``, whose ratio products are Gamma
-  ratios, and the telescoping identity
+  with ``s = inf {i*w[1,i+1]}``.  For unbounded models whose tail is
+  two-banded with linear band masses (``i*w[1,i+1] = pg*i+qg``,
+  ``i*w[2,i] = ph*i+qh`` beyond some degree), the sums over ``i > K`` are
+  closed exactly: beyond the truncation the stationary equations collapse to
+  the two-term recursion ``a_i = a_{i-1} * g(i-1) / (w_2 + g(i))``, whose
+  ratio products are Gamma ratios, and the telescoping identity
 
       sum_{i>=N} Gamma(i+u)/Gamma(i+w) = Gamma(N+u) / ((w-1-u)*Gamma(N+w-1))
 
   turns every required tail sum into a closed expression.  The truncated
   system then has the *exact* restriction of the infinite solution as its
   fixed point, which is what lets power-law families meet tight tolerances
-  at moderate K.
+  at moderate K.  By default the K x K system ``(I - M) a = c`` is solved
+  directly with one LAPACK call.  With ``record_iterates=True`` it is
+  instead reached by the from-below iteration ``a <- M a + c`` started from
+  the zero vector, the constructive route to the minimal solution; the
+  iteration serves as the oracle the direct solve is checked against.
 
 * ``solve_finite`` solves the bounded-degree stationary system directly,
   replacing one redundant row by the normalisation ``sum a = 1``.
@@ -32,6 +36,9 @@ the coefficient ``-s`` at the top degree, the early iterates overshoot
 (``a_1^{(1)} = s/(w_2+s)`` may exceed the limit) and convergence is not
 monotone; the fixed point is still the normalised solution provided the
 splitting weights are linear in the degree.
+
+The update matrix ``B[k-1, i-1] = i*w[k, i-k+2]`` is assembled once per
+(model, K) and shared by the solve and its residual report.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (InvalidParameterError, NoConvergenceError, NonPositiveError,
-                     RankDeficientError, RegimeError)
+                     RankDeficientError, RegimeError, SingularSystemError)
 from .weights import LinearTail, Regime, WeightModel, classify_regime
 
 __all__ = [
@@ -138,15 +145,32 @@ def _tail_closure(tail: LinearTail, w2: float, K: int) -> Optional[_TailClosure]
     return _TailClosure(Q0=geo, Q0m=q0m, Qg=qg * geo, Qh=ph * q0m + qh * geo)
 
 
-def _band_sums(model: WeightModel, K: int):
-    """Dense update matrix rows: B[k-1, i-1] = i * w[k, i-k+2] for i >= k-1."""
+def _band_sums(model: WeightModel, K: int) -> np.ndarray:
+    """Dense update matrix rows: B[k-1, i-1] = i * w[k, i-k+2] for i >= k-1.
+
+    Column i holds the children of a degree-i split.  From the start of a
+    declared ``LinearTail`` on, an unbounded model's only children are
+    (1, i+1) and (2, i), so those columns are four bands filled from ``g``
+    and ``h``; the other columns, and column 1 (where (2, 1) is (1, 2)
+    reversed), are summed pair by pair.
+    """
     pw = model.partition
+    tail = pw.tail if model.d_max is None else None
+    banded_from = max(tail.start, 2) if tail is not None else K + 1
     B = np.zeros((K, K))
-    for k in range(1, K + 1):
-        for i in range(max(k - 1, 1), K + 1):
+    for i in range(1, min(banded_from, K + 1)):
+        for k in range(1, min(i + 1, K) + 1):
             c = pw(k, i - k + 2)
             if c:
                 B[k - 1, i - 1] = i * c
+    if banded_from <= K:
+        cols = np.arange(banded_from, K + 1)
+        g = tail.g(cols.astype(float))
+        h = tail.h(cols.astype(float))
+        B[0, cols - 1] = g                          # (1, i+1)
+        B[cols[:-1], cols[:-1] - 1] = g[:-1]        # (i+1, 1), rows up to K
+        B[1, cols - 1] = h                          # (2, i)
+        B[cols - 1, cols - 1] += h                  # (i, 2); B[1, 1] = 2*w[2, 2] = 2*h(2)
     return B
 
 
@@ -171,15 +195,19 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
                           max_iter: int = 1_000_000, record_iterates: bool = False,
                           force_unsupported: bool = False,
                           adaptive: bool = False) -> DensitySolution:
-    """Minimal solution of the stationary system by monotone-style iteration.
+    """Minimal solution of the stationary system ``a = M a + c``.
 
     Parameters
     ----------
     model : WeightModel
     K : truncation; overridden by ``d_max`` when the model is bounded.
-    tol : sup-norm step at which iteration stops.
+    tol : sup-norm step at which the iteration stops; also the drift bound
+        of ``adaptive``.
     max_iter : iteration budget (NoConvergenceError beyond it).
-    record_iterates : keep the full iterate history (for diagnostics/tests).
+    record_iterates : reach the fixed point by the from-below iteration and
+        keep the full iterate history (for diagnostics/tests).  Otherwise
+        ``(I - M) a = c`` is solved directly, ``iterations`` is 0 and
+        ``tol``/``max_iter`` bound nothing but ``adaptive``.
     force_unsupported : outside the guaranteed regime (``s <= 0``), fall back
         to a truncated linear solve and flag the result as unsupported.
     adaptive : double K until the first half of the vector moves by < tol.
@@ -246,45 +274,65 @@ def _fixed_point_once(model, K, tol, max_iter, record_iterates, regime, s):
         if K >= 2:
             M[1, K - 1] += clo.Qh / (w2 + wk[1])
 
-    a = np.zeros(K)
-    history = [a.copy()] if record_iterates else None
-    monotone_violation = 0.0
-    last_step = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        a_new = M @ a + c
-        neg = float(np.min(a_new - a))
-        if neg < -monotone_violation:
-            monotone_violation = -neg
-        last_step = float(np.max(np.abs(a_new - a)))
-        a = a_new
-        if history is not None:
-            history.append(a.copy())
-        if last_step < tol:
-            break
+    if record_iterates:
+        a, history, last_step = _iterate(M, c, tol, max_iter)
+        monotone_violation = max(0.0, -float(np.min(np.diff(history, axis=0))))
     else:
-        raise NoConvergenceError(
-            f"no convergence after {max_iter} iterations (last step {last_step:.3e})")
+        a, history, last_step = _solve_direct(M, c), None, 0.0
+        # the minimal solution is nonnegative
+        monotone_violation = max(0.0, -float(a.min()))
 
-    res = _residual_report(model, a, K, clo)
+    res = _residual_report(model, a, K, clo, B)
     return DensitySolution(
         densities=a, K=K, method="fixed-point", regime=regime, s=s,
-        iterations=it, last_step=last_step, residuals=res,
+        iterations=0 if history is None else len(history) - 1,
+        last_step=last_step, residuals=res,
         monotone_ok=monotone_violation <= 1e-15,
         monotone_violation=monotone_violation,
         warnings=warnings,
-        iterates=np.array(history) if history is not None else None)
+        iterates=history)
 
 
-# -- direct solve -----------------------------------------------------------------
+def _iterate(M, c, tol, max_iter):
+    """From-below iteration ``a <- M a + c`` from zero; returns the last
+    iterate, the stacked history (zero vector first) and the last step."""
+    a = np.zeros(len(c))
+    history = [a]
+    last_step = math.inf
+    for _ in range(max_iter):
+        a_new = M @ a + c
+        last_step = float(np.max(np.abs(a_new - a)))
+        a = a_new
+        history.append(a)
+        if last_step < tol:
+            return a, np.array(history), last_step
+    raise NoConvergenceError(
+        f"no convergence after {max_iter} iterations (last step {last_step:.3e})")
 
 
-def _stationary_matrix(model: WeightModel, K: int) -> np.ndarray:
+def _solve_direct(M, c):
+    """Solve ``(I - M) a = c`` with one LAPACK call, overwriting M by I - M."""
+    np.negative(M, out=M)
+    M[np.diag_indices_from(M)] += 1.0
+    try:
+        a = np.linalg.solve(M, c)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(
+            f"I - M is singular at K = {len(c)} ({exc}); no unique fixed point") from None
+    if not np.all(np.isfinite(a)):
+        raise SingularSystemError(
+            f"direct solve at K = {len(c)} gave non-finite densities")
+    return a
+
+
+# -- bounded and forced linear solves -------------------------------------------
+
+
+def _stationary_matrix(model: WeightModel, B: np.ndarray) -> np.ndarray:
     """Rows of ``a_k*(w_2+w_k) - sum_i i*w[k,i-k+2]*a_i = 0``."""
-    B = _band_sums(model, K)
-    wk = model.splitting_weights(K)
+    K = len(B)
     A = B.copy()
-    A[np.diag_indices(K)] -= model.w2 + wk
+    A[np.diag_indices(K)] -= model.w2 + model.splitting_weights(K)
     return A
 
 
@@ -297,7 +345,8 @@ def solve_finite(model: WeightModel, tol: float = 1e-12) -> DensitySolution:
     if D is None:
         raise InvalidParameterError("solve_finite needs a bounded model")
     regime, s = classify_regime(model)
-    A = _stationary_matrix(model, D)
+    B = _band_sums(model, D)
+    A = _stationary_matrix(model, B)
     rank = np.linalg.matrix_rank(A)
     if rank < D - 1:
         raise RankDeficientError(
@@ -330,7 +379,7 @@ def solve_finite(model: WeightModel, tol: float = 1e-12) -> DensitySolution:
     if abs(moment - 2.0) > 1e-8:
         warnings.append(f"sum k*rho = {moment:.12g} deviates from 2; "
                         "weights are likely inconsistent")
-    res = _residual_report(model, rho, D, None)
+    res = _residual_report(model, rho, D, None, B)
     return DensitySolution(densities=rho, K=D, method="linear", regime=regime, s=s,
                            residuals=res, warnings=warnings)
 
@@ -339,12 +388,13 @@ def _truncated_stationary_solve(model: WeightModel, K: int, regime, s) -> Densit
     """Forced fallback outside the guaranteed regime: truncate the stationary
     system at K, replace the last (most tail-damaged) row by the
     normalisation.  No census-limit claim attaches to the result."""
-    A = _stationary_matrix(model, K)
+    B = _band_sums(model, K)
+    A = _stationary_matrix(model, B)
     A[K - 1, :] = 1.0
     b = np.zeros(K)
     b[K - 1] = 1.0
     rho = np.linalg.lstsq(A, b, rcond=None)[0]
-    res = _residual_report(model, rho, K, None)
+    res = _residual_report(model, rho, K, None, B)
     return DensitySolution(
         densities=rho, K=K, method="linear-truncated", regime=regime, s=s,
         residuals=res, unsupported=True,
@@ -356,9 +406,13 @@ def _truncated_stationary_solve(model: WeightModel, K: int, regime, s) -> Densit
 
 
 def _residual_report(model: WeightModel, a: np.ndarray, K: int,
-                     clo: Optional[_TailClosure]) -> ResidualReport:
+                     clo: Optional[_TailClosure],
+                     B: Optional[np.ndarray] = None) -> ResidualReport:
+    """Residuals of ``a``; ``B`` is the model's update matrix at K, built
+    here when the caller has none."""
     wk = model.splitting_weights(K)
-    B = _band_sums(model, K)
+    if B is None:
+        B = _band_sums(model, K)
     gains = B @ a
     if clo is not None and K >= 2:
         aK = a[K - 1]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ReductionInvalidError
 from .growth import FenwickSampler
-from .solver import DensitySolution, fixed_point_densities
+from .solver import DensitySolution, _band_sums, fixed_point_densities
 from .weights import PartitionWeights, SplittingWeights, WeightModel, LinearTail
 
 __all__ = [
@@ -329,23 +329,17 @@ class TwoColourSolution:
                    float(np.max(np.abs(self.residual_colour))))
 
 
-def _two_colour_residuals(m2: TwoColourModel, e_w: np.ndarray, e_b: np.ndarray):
+def _two_colour_residuals(m2: TwoColourModel, e_w: np.ndarray, e_b: np.ndarray,
+                          B: np.ndarray):
+    """Residuals of both equation families; ``B`` is the white update matrix
+    ``_band_sums(m2.white, K)``, so the selection gains are ``B @ e_w``."""
     K = len(e_w)
     ks = np.arange(1, K + 1, dtype=float)
     w_w = m2.white.splitting(ks)
     w_b = m2.black(ks)
     w2b_half = m2.w_black(2) / 2.0
     w2w_third = m2.w_white(2) / 3.0
-    pw = m2.white.partition
-    gains = np.zeros(K)
-    for k in range(1, K + 1):
-        acc = 0.0
-        for i in range(max(k - 1, 1), K + 1):
-            cij = pw(k, i - k + 2)
-            if cij:
-                acc += i * cij * e_w[i - 1]
-        gains[k - 1] = acc
-    res_sel = (w_b + w2b_half) * e_b - gains
+    res_sel = (w_b + w2b_half) * e_b - B @ e_w
     res_col = (w_w + w2w_third) * e_w - w_b * e_b
     colour_dev = abs(float((3.0 * e_w + 2.0 * e_b).sum()) - 1.0)
     weight_dev = abs(float((w_w * e_w + w_b * e_b).sum()) - w2b_half)
@@ -373,40 +367,38 @@ def solve_two_colour(model2: TwoColourModel, K: int = 512, tol: float = 1e-13,
         e_b = lam * u
         e_w = ratio * e_b
         warnings = list(one.warnings)
+        B = _band_sums(model2.white, Ke)
     elif method == "direct":
-        e_w, e_b = _direct_two_colour(model2, K)
         Ke = K
+        B = _band_sums(model2.white, K)
+        e_w, e_b = _direct_two_colour(model2, B)
         one = None
         warnings = ["direct truncated solve; no constructive convergence guarantee"]
     else:
         raise InvalidParameterError(f"unknown method {method!r}")
 
-    res_sel, res_col, cdev, wdev = _two_colour_residuals(model2, e_w, e_b)
+    res_sel, res_col, cdev, wdev = _two_colour_residuals(model2, e_w, e_b, B)
     return TwoColourSolution(e_white=e_w, e_black=e_b, K=Ke, method=method,
                              residual_selection=res_sel, residual_colour=res_col,
                              colour_sum_dev=cdev, weight_sum_dev=wdev,
                              one_colour=one, warnings=warnings)
 
 
-def _direct_two_colour(m2: TwoColourModel, K: int):
+def _direct_two_colour(m2: TwoColourModel, B: np.ndarray):
     """Truncated linear solve of the two equation families; the unknown vector
     is [e_black, e_white] and the most tail-damaged selection row is replaced
-    by the colour normalisation."""
+    by the colour normalisation.  ``B`` is the white update matrix at K."""
+    K = len(B)
     ks = np.arange(1, K + 1, dtype=float)
     w_w = m2.white.splitting(ks)
     w_b = m2.black(ks)
-    pw = m2.white.partition
+    d = np.arange(K)
     A = np.zeros((2 * K, 2 * K))
     b = np.zeros(2 * K)
-    for k in range(1, K + 1):                     # selection family
-        A[k - 1, k - 1] = w_b[k - 1] + m2.w_black(2) / 2.0
-        for i in range(max(k - 1, 1), K + 1):
-            cij = pw(k, i - k + 2)
-            if cij:
-                A[k - 1, K + i - 1] -= i * cij
-    for k in range(1, K + 1):                     # colour-exchange family
-        A[K + k - 1, K + k - 1] = w_w[k - 1] + m2.w_white(2) / 3.0
-        A[K + k - 1, k - 1] = -w_b[k - 1]
+    A[d, d] = w_b + m2.w_black(2) / 2.0           # selection family
+    A[:K, K:] = -B
+    A[K + d, K + d] = w_w + m2.w_white(2) / 3.0   # colour-exchange family
+    A[K + d, d] = -w_b
     A[K - 1, :] = np.concatenate([np.full(K, 2.0), np.full(K, 3.0)])
     b[K - 1] = 1.0
     z = np.linalg.lstsq(A, b, rcond=None)[0]

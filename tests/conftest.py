@@ -1,5 +1,6 @@
 """Shared builders for randomised test models."""
 
+import numpy as np
 import pytest
 
 from splitgrow import (PartitionWeights, SplittingWeights,
@@ -13,6 +14,12 @@ def dmax3():
     """Bounded instance with derived splitting weights (1, 2, 3) and
     stationary densities (1/4, 1/2, 1/4), both solvable by hand."""
     return make_table(3, DMAX3_ENTRIES)
+
+
+def singular_band_sums(model, K):
+    """Stand-in for the solver's update matrix whose rows k >= 2 give
+    M[k, k] = 1, so I - M is singular."""
+    return np.diag(model.w2 + model.splitting_weights(K))
 
 
 def random_linear_table(rng, d_max, a=None, b=None):

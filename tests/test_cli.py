@@ -1,11 +1,16 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+import splitgrow.cli
+import splitgrow.experiment
+import splitgrow.solver
+from splitgrow import InvalidParameterError
 from splitgrow.cli import main, parse_weight_expr
 from splitgrow.experiment import ExperimentConfig, worker_count
-from conftest import DMAX3_ENTRIES
+from conftest import DMAX3_ENTRIES, singular_band_sums
 
 E2 = math.e ** 2
 
@@ -19,6 +24,11 @@ class TestParseWeightExpr:
     def test_forms(self, expr, a, b):
         sw = parse_weight_expr(expr)
         assert (sw.a, sw.b) == (a, b)
+
+    @pytest.mark.parametrize("expr", ["i*2", "", "2*i+", "x"])
+    def test_unparsable_raises(self, expr):
+        with pytest.raises(InvalidParameterError, match="weight expression"):
+            parse_weight_expr(expr)
 
 
 def dmax3_table_file(tmp_path):
@@ -170,6 +180,39 @@ class TestCompare:
         rc = main(["compare", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_two_colour_solves_once(self, tmp_path, monkeypatch):
+        # compare reuses the reduction solution behind report.csv for
+        # solution.json, whose bytes match a plain solve of the model
+        calls = []
+        real = splitgrow.cli.solve_two_colour
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(splitgrow.cli, "solve_two_colour", counting)
+        monkeypatch.setattr(splitgrow.experiment, "solve_two_colour", counting)
+        rc = main(["compare", "--family", "rna", "--seed", "5", "--replicas", "2",
+                   "--t-final", "300", "--k-check", "1", "--z-crit", "1e9",
+                   "--K", "64", "--out", str(tmp_path / "c")])
+        assert rc == 0 and len(calls) == 1
+        assert main(["solve", "--family", "rna", "--K", "64",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert (tmp_path / "c/solution.json").read_bytes() \
+            == (tmp_path / "s/solution.json").read_bytes()
+
+    def test_two_colour_report_bytes_pinned(self, tmp_path, monkeypatch):
+        # the analytic column comes from the direct reduction solve; any
+        # change to these bytes must be explained in CHANGES.md
+        monkeypatch.setenv("SPLITGROW_THREADS", "1")
+        rc = main(["compare", "--family", "rna", "--seed", "31", "--replicas", "2",
+                   "--t-final", "3000", "--k-check", "3", "--K", "64",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+        assert digest == ("629f4a48b087b88ac2e512b77bd7acb5"
+                          "2d1b62443320672cfedf49495e07d2d1")
+
     def test_two_colour_report_includes_cross_check(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["compare", "--family", "rna", "--seed", "31",
@@ -179,6 +222,63 @@ class TestCompare:
         text = (out / "report.csv").read_text()
         assert "# check_colour_sum_vs_one_colour_max_dev" in text
         assert "white" in text and "black" in text
+
+
+class TestBadInput:
+    """Bad flags, config and environment end in an ``error:`` line and exit
+    code 2, never a traceback or a vacuous PASS."""
+
+    def run(self, argv, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "error:" in err and "Traceback" not in err
+        return err
+
+    def test_compare_single_replica_refused(self, tmp_path, capsys):
+        # one replica has zero standard errors: every z would be inf
+        err = self.run(["compare", "--family", "preferential", "--w", "i",
+                        "--replicas", "1", "--t-final", "200",
+                        "--out", str(tmp_path / "o")], capsys)
+        assert "2 replicas" in err
+        assert not (tmp_path / "o/report.csv").exists()
+
+    def test_zero_replicas_refused(self, tmp_path, capsys):
+        err = self.run(["simulate", "--family", "preferential", "--w", "i",
+                        "--replicas", "0", "--t-final", "200",
+                        "--out", str(tmp_path / "o")], capsys)
+        assert "replicas" in err
+
+    def test_bad_thread_env_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPLITGROW_THREADS", "abc")
+        err = self.run(["simulate", "--family", "preferential", "--w", "i",
+                        "--replicas", "2", "--t-final", "200",
+                        "--out", str(tmp_path / "o")], capsys)
+        assert "SPLITGROW_THREADS" in err
+
+    def test_unparsable_weight_refused(self, capsys):
+        err = self.run(["solve", "--family", "preferential", "--w", "i*2",
+                        "--K", "16"], capsys)
+        assert "i*2" in err
+
+    @pytest.mark.parametrize("config,flags", [
+        ("{not json", []),
+        (None, ["--config", "missing.json"]),
+        (None, ["--family", "grafting", "--gamma", "0.5"]),
+        ('{"model": {"family": "grafting", "alpha": "x", "gamma": 1}}', []),
+    ], ids=["bad-json", "missing-file", "missing-parameter", "bad-parameter"])
+    def test_bad_config_refused(self, tmp_path, capsys, monkeypatch, config, flags):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            flags = ["--config", "cfg.json"]
+        self.run(["solve", *flags, "--K", "16"], capsys)
+
+    def test_singular_solve_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(splitgrow.solver, "_band_sums", singular_band_sums)
+        err = self.run(["solve", "--family", "preferential", "--w", "i",
+                        "--K", "16"], capsys)
+        assert "singular" in err
 
 
 class TestValidate:
@@ -216,3 +316,14 @@ class TestConfigPlumbing:
         assert worker_count(32) == 1
         monkeypatch.setenv("SPLITGROW_THREADS", "4")
         assert worker_count(2) == 2
+        for bad in ("abc", "0", "-1", "2.5"):
+            monkeypatch.setenv("SPLITGROW_THREADS", bad)
+            with pytest.raises(InvalidParameterError):
+                worker_count(2)
+            with pytest.raises(InvalidParameterError, match="SPLITGROW_THREADS"):
+                ExperimentConfig.from_dict({"model": {"family": "rna"}})
+
+    def test_replicas_validated_at_load(self):
+        for bad in (0, -3, 2.5, "4", True):
+            with pytest.raises(InvalidParameterError):
+                ExperimentConfig.from_dict({"model": {"family": "rna"}, "replicas": bad})

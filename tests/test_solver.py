@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splitgrow.solver
 from splitgrow import (InvalidParameterError, NoConvergenceError,
                        PartitionWeights, RankDeficientError, Regime, RegimeError,
-                       SplittingWeights, WeightModel, constant_weight_density,
-                       fixed_point_densities, make_grafting, make_preferential,
+                       SingularSystemError, SplittingWeights, WeightModel,
+                       constant_weight_density, fixed_point_densities,
+                       make_alpha_class, make_grafting, make_preferential,
                        make_table, make_uniform, residuals, solve_finite)
 from splitgrow import pref_attachment_densities
-from conftest import random_case3_model, random_linear_table
+from splitgrow.solver import _band_sums, _solve_direct
+from conftest import (DMAX3_ENTRIES, random_case3_model, random_linear_table,
+                      singular_band_sums)
 
 
 def pref_i():
@@ -45,7 +49,8 @@ class TestFixedPoint:
 
     def test_monotone_for_unbounded_families(self):
         for m in (pref_i(), make_uniform(0.0), make_grafting(0.5, 0.5)):
-            sol = fixed_point_densities(m, K=128, tol=1e-12)
+            sol = fixed_point_densities(m, K=128, tol=1e-12, record_iterates=True)
+            assert sol.iterations > 0
             assert sol.monotone_ok, m.family
 
     def test_bounded_table_overshoots_then_settles(self, dmax3):
@@ -98,7 +103,8 @@ class TestFixedPoint:
 
     def test_no_convergence_raises(self):
         with pytest.raises(NoConvergenceError):
-            fixed_point_densities(pref_i(), K=64, tol=1e-15, max_iter=3)
+            fixed_point_densities(pref_i(), K=64, tol=1e-15, max_iter=3,
+                                  record_iterates=True)
 
     def test_nonlinear_table_warns(self):
         m = make_table(3, [(1, 2, 1.0), (1, 3, 0.5), (2, 2, 1.0), (2, 3, 1.3)])
@@ -201,3 +207,76 @@ class TestMonotoneConstruction:
         diffs = np.diff(sol.iterates, axis=0)
         assert diffs.min() >= -1e-15
         assert sol.monotone_ok
+
+
+class TestDirectSolve:
+    """The default path solves (I - M) a = c in one call; the from-below
+    iteration (record_iterates=True) is its oracle."""
+
+    @pytest.mark.parametrize("model", [
+        pref_i(), make_uniform(0.0), make_grafting(0.5, 0.5),
+        make_table(3, DMAX3_ENTRIES)], ids=["pref", "uniform", "grafting", "dmax3"])
+    def test_direct_matches_iteration(self, model):
+        direct = fixed_point_densities(model, K=256, tol=1e-14)
+        iterated = fixed_point_densities(model, K=256, tol=1e-14,
+                                         record_iterates=True, max_iter=300_000)
+        assert direct.iterations == 0 and iterated.iterations > 0
+        assert np.max(np.abs(direct.densities - iterated.densities)) <= 1e-10
+        assert direct.residuals.max_abs <= 1e-13
+        assert direct.monotone_ok
+
+    @pytest.mark.parametrize("model", [
+        make_preferential(SplittingWeights(1.0, 0.0)),
+        make_preferential(SplittingWeights(1.0, 0.5)),
+        make_grafting(0.0, 0.5), make_grafting(0.5, 0.5), make_grafting(0.5, 1.0),
+        make_grafting(1.0, 1.0), make_grafting(0.3, 0.7),
+        make_alpha_class(SplittingWeights(1.0, 1.0), [0.8, 0.6, 0.5], M=3,
+                         head=PartitionWeights(
+                             lambda i, j: {(1, 2): 2.0, (1, 3): 1.0,
+                                           (2, 2): 1.0}.get((i, j), 0.0))),
+    ], ids=["pref-b0", "pref-b0.5", "graft-0-0.5", "graft-0.5-0.5", "graft-0.5-1",
+            "graft-1-1", "graft-0.3-0.7", "alpha-head"])
+    def test_banded_tail_matches_scalar_loop(self, model):
+        # the same weights without tail metadata take the pair-by-pair loop
+        plain = WeightModel(PartitionWeights(model.partition), model.splitting)
+        assert model.partition.tail is not None and plain.partition.tail is None
+        for K in (2, 3, 7, 128):
+            banded = _band_sums(model, K)
+            scalar = _band_sums(plain, K)
+            scale = np.max(np.abs(scalar))
+            assert np.max(np.abs(banded - scalar)) <= 1e-14 * scale, K
+            assert np.array_equal(banded != 0, scalar != 0), K
+
+    def test_band_matrix_built_once(self, monkeypatch):
+        calls = []
+        real = splitgrow.solver._band_sums
+
+        def counting(model, K):
+            calls.append(K)
+            return real(model, K)
+
+        monkeypatch.setattr(splitgrow.solver, "_band_sums", counting)
+        for m in (pref_i(), make_uniform(0.0), make_grafting(0.5, 0.5)):
+            calls.clear()
+            sol = fixed_point_densities(m, K=64)
+            assert calls == [64], m.family
+            assert sol.iterations == 0 and sol.last_step == 0.0
+
+    def test_singular_system_raises(self, monkeypatch):
+        monkeypatch.setattr(splitgrow.solver, "_band_sums", singular_band_sums)
+        with pytest.raises(SingularSystemError, match="singular"):
+            fixed_point_densities(pref_i(), K=16)
+
+    def test_non_finite_solution_raises(self):
+        with pytest.raises(SingularSystemError, match="non-finite"):
+            # I - M = 2^-52, so a = 1e300 * 2^52 overflows
+            _solve_direct(np.array([[1.0 - 2.0 ** -52]]), np.array([1e300]))
+
+    def test_negative_density_fails_monotone_check(self):
+        # weights 1, 2, 9 are not linear in the degree: the fixed point
+        # exists but is not a density, (1/3, -1/15, -1/15)
+        m = make_table(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 3.0)])
+        sol = fixed_point_densities(m)
+        assert sol.densities == pytest.approx([1 / 3, -1 / 15, -1 / 15], abs=1e-12)
+        assert not sol.monotone_ok
+        assert sol.monotone_violation == pytest.approx(1 / 15)
