@@ -61,6 +61,6 @@ print(f"\ntrajectory snapshots at t = {[s.t for s in snaps]}")
 print("fraction of leaves n_1/t over time:",
       [f"{s.counts[0] / s.t:.4f}" for s in snaps], "-> 2/3")
 buf = io.StringIO()
-write_census_csv(buf, snaps[-1:])
+write_census_csv(buf, [snaps[-1:]])
 print("last snapshot as CSV rows:")
 print("\n".join(buf.getvalue().splitlines()[:6]), "...")

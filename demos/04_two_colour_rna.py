@@ -57,7 +57,8 @@ state = TwoColourState.single_edge(model)
 rng = np.random.default_rng(4)
 for _ in range(50_000):
     state.step(rng)
-t, white, black = state.census()
+snap = state.census()
+t, white, black = snap.t, snap.counts[0::2], snap.counts[1::2]
 print(f"\nsimulated to t = {t}: colour identity deviation = "
       f"{state.colour_identity_deviation()}, weight deviations = "
       f"{tuple(f'{d:.1e}' for d in state.weight_deviation())}")

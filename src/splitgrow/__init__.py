@@ -16,10 +16,9 @@ from .weights import (LinearTail, PartitionWeights, Regime, SplittingWeights,
                       WeightModel, classify_regime, derive_splitting_weights,
                       make_alpha_class, make_grafting, make_preferential,
                       make_table, make_uniform, validate_model)
-from .growth import (CensusSnapshot, FenwickSampler, OrderedTree, SplitEvent,
-                     UrnState, apply_split_tree, apply_split_urn,
-                     read_census_binary, run, sample_split_sizes, sample_vertex,
-                     write_census_binary, write_census_csv)
+from .growth import (CensusSnapshot, OrderedTree, SplitEvent, UrnState,
+                     read_census_binary, run, sample_class, write_census_binary,
+                     write_census_csv)
 from .solver import (DensitySolution, ResidualReport, fixed_point_densities,
                      residuals, solve_finite)
 from .closed_forms import (ClosedForm, bessel_i, closed_form_for,
@@ -32,8 +31,7 @@ from .closed_forms import (ClosedForm, bessel_i, closed_form_for,
 from .twocolour import (TwoColourEvent, TwoColourModel, TwoColourSolution,
                         TwoColourState, densities_from_e, make_rna,
                         make_two_colour_grafting, make_two_colour_uniform,
-                        reduce_to_one_colour, rna_closed_form, solve_two_colour,
-                        step_two_colour)
+                        reduce_to_one_colour, rna_closed_form, solve_two_colour)
 from .experiment import (DegreeRow, ExperimentConfig, ExperimentReport,
                          analytic_reference, build_model, compare,
                          run_replicated)

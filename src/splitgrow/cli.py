@@ -23,7 +23,7 @@ from . import __version__
 from .errors import InvalidParameterError, SplitgrowError
 from .experiment import (ExperimentConfig, build_model, compare,
                          is_two_colour_spec, run_replicated)
-from .growth import CensusSnapshot, write_census_binary
+from .growth import CensusSnapshot, write_census_binary, write_census_csv
 from .solver import DensitySolution, fixed_point_densities, solve_finite
 from .twocolour import TwoColourModel, TwoColourSolution, densities_from_e, \
     reduce_to_one_colour, solve_two_colour
@@ -219,30 +219,13 @@ def cmd_simulate(args) -> int:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     two = results[0]["kind"] == "two-colour"
+    trajectories = [res["snapshots"]
+                    or [CensusSnapshot(res["t"], res["counts"], float("nan"))]
+                    for res in results]
     with open(out / "census.csv", "w") as fh:
-        if two:
-            fh.write("replica,t,k,n_white,n_black\n")
-            for rep, res in enumerate(results):
-                snaps = res["snapshots"] or [(res["t"], res["white"], res["black"])]
-                for t, white, black in snaps:
-                    for d0 in range(max(len(white), len(black))):
-                        nw = int(white[d0]) if d0 < len(white) else 0
-                        nb = int(black[d0]) if d0 < len(black) else 0
-                        if nw or nb:
-                            fh.write(f"{rep},{t},{d0 + 1},{nw},{nb}\n")
-        else:
-            fh.write("replica,t,k,n\n")
-            for rep, res in enumerate(results):
-                snaps = res["snapshots"] or [
-                    CensusSnapshot(res["t"], res["counts"], float("nan"))]
-                for snap in snaps:
-                    for d0, n in enumerate(snap.counts):
-                        if n:
-                            fh.write(f"{rep},{snap.t},{d0 + 1},{n}\n")
+        write_census_csv(fh, trajectories, two_colour=two)
     if args.binary and not two:
-        for rep, res in enumerate(results):
-            snaps = res["snapshots"] or [
-                CensusSnapshot(res["t"], res["counts"], float("nan"))]
+        for rep, snaps in enumerate(trajectories):
             write_census_binary(out / f"census_{rep}.bin", snaps)
     _write_json(out / "manifest.json", _manifest(cfg, time.monotonic() - t0))
     worst = {}
@@ -273,12 +256,14 @@ def cmd_compare(args) -> int:
         report.write_csv(fh)
     _write_json(out / "solution.json", _solution_doc(sol))
     _write_json(out / "manifest.json", _manifest(cfg, time.monotonic() - t0))
-    bad = report.violations()
+    bad, failed = report.violations(), report.failed_checks()
     worst = max((abs(r.z) for r in report.rows if np.isfinite(r.z)), default=0.0)
-    status = "PASS" if not bad else f"FAIL ({len(bad)} degrees beyond z={cfg.z_crit})"
+    status = "PASS" if report.ok else (
+        f"FAIL ({len(bad)} degrees beyond z={cfg.z_crit}; "
+        f"failed checks: {', '.join(failed) or 'none'})")
     print(f"compare {status}: max |z| = {worst:.2f} over k <= {cfg.k_check}; "
           f"report in {out}", file=sys.stderr)
-    return 0 if not bad else 1
+    return 0 if report.ok else 1
 
 
 def cmd_validate(args) -> int:

@@ -16,9 +16,11 @@ decisions produces identical censuses, which is the invariant the
 correctness tests pin down; degree statistics do not depend on which
 contiguous arc is chosen.
 
-Each step costs O(log n) sampling (Fenwick prefix sums) plus O(deg) tree
-surgery.  States are confined to one worker at a time; the weight model is
-shared read-only.
+Both draw from the degree census: ``sample_class`` picks a degree class with
+probability ``n_d * w_d / W_t`` by an upward scan over the classes, which is
+short because the selection mass sits at low degree; the tree then picks a
+uniform member of that class.  A tree step adds O(deg) surgery.  States are
+confined to one worker at a time; the weight model is shared read-only.
 """
 
 from __future__ import annotations
@@ -33,15 +35,11 @@ from .errors import DegeneracyError, InvalidParameterError
 from .weights import WeightModel
 
 __all__ = [
-    "FenwickSampler",
+    "sample_class",
     "SplitEvent",
     "CensusSnapshot",
     "OrderedTree",
     "UrnState",
-    "sample_vertex",
-    "sample_split_sizes",
-    "apply_split_tree",
-    "apply_split_urn",
     "run",
     "write_census_csv",
     "write_census_binary",
@@ -49,88 +47,29 @@ __all__ = [
 ]
 
 
-class FenwickSampler:
-    """Dynamic discrete distribution over indices 0..n-1.
+def sample_class(rng, counts: list[int], weights: list[float],
+                 total: float) -> tuple[int, float]:
+    """Class ``c`` drawn with probability ``counts[c] * weights[c] / total``,
+    and the leftover of the draw inside that class, in
+    ``[0, counts[c] * weights[c])``.
 
-    ``set`` is O(log n); ``sample`` inverts the cumulative sum in O(log n).
-    The running total accumulates float rounding of order 1e-16 per update;
-    ``recomputed_total`` gives the exact sum for consistency checks.
+    ``total`` is the engine's running total weight.  It may differ from the
+    exact sum in the last bits, so a draw can fall past the last class; it
+    then goes to the last class with positive weight.  A zero-weight class
+    is never returned.
     """
-
-    def __init__(self, capacity: int = 16):
-        n = 1
-        while n < capacity:
-            n <<= 1
-        self._n = n
-        self._tree = [0.0] * (n + 1)
-        self._w = [0.0] * n
-        self._total = 0.0
-
-    def __len__(self):
-        return self._n
-
-    @property
-    def total(self) -> float:
-        return self._total
-
-    def recomputed_total(self) -> float:
-        return sum(self._w)
-
-    def weight(self, i: int) -> float:
-        return self._w[i]
-
-    def set(self, i: int, w: float) -> None:
-        if w < 0:
-            raise InvalidParameterError(f"negative weight {w!r}")
-        if i >= self._n:
-            self._grow(i + 1)
-        d = w - self._w[i]
-        if d == 0.0:
-            return
-        self._w[i] = w
-        self._total += d
-        j = i + 1
-        tree = self._tree
-        n = self._n
-        while j <= n:
-            tree[j] += d
-            j += j & (-j)
-
-    def _grow(self, need: int) -> None:
-        n = self._n
-        while n < need:
-            n <<= 1
-        w = self._w + [0.0] * (n - self._n)
-        tree = [0.0] * (n + 1)
-        for i, wi in enumerate(w):
-            if wi:
-                j = i + 1
-                while j <= n:
-                    tree[j] += wi
-                    j += j & (-j)
-        self._n, self._w, self._tree = n, w, tree
-
-    def sample(self, rng) -> int:
-        """Index drawn with probability weight/total."""
-        t = self._total
-        if t <= 0.0:
-            raise DegeneracyError("total sampling weight is not positive")
-        x = rng.random() * t
-        pos = 0
-        bit = self._n
-        tree = self._tree
-        while bit:
-            nxt = pos + bit
-            if nxt <= self._n and tree[nxt] <= x:
-                x -= tree[nxt]
-                pos = nxt
-            bit >>= 1
-        pos = min(pos, self._n - 1)
-        # float rounding can park x on a range boundary; never return a
-        # zero-weight slot
-        while pos > 0 and self._w[pos] == 0.0:
-            pos -= 1
-        return pos
+    if not total > 0.0:
+        raise DegeneracyError("total sampling weight is not positive")
+    x = rng.random() * total
+    for c, n in enumerate(counts):
+        m = n * weights[c]
+        if x < m:
+            return c, x
+        x -= m
+    for c in range(len(counts) - 1, -1, -1):
+        if counts[c] * weights[c] > 0.0:
+            return c, 0.0
+    raise DegeneracyError("no class has positive sampling weight")
 
 
 @dataclass(frozen=True)
@@ -148,7 +87,9 @@ class SplitEvent:
 @dataclass
 class CensusSnapshot:
     t: int
-    counts: np.ndarray            # counts[d-1] = number of degree-d vertices
+    # counts[d-1] = number of degree-d vertices; two-colour snapshots
+    # interleave the colours: white d at 2(d-1), black d at 2(d-1)+1
+    counts: np.ndarray
     total_weight: float
 
     def identity_deviations(self) -> tuple[int, int]:
@@ -168,9 +109,28 @@ class _CensusMixin:
 
     def _census_init(self, counts: Iterable[int]) -> None:
         self.counts: list[int] = list(counts)
+        # _weights[d-1] = w_d, the per-ball weight of each census class
+        self._weights: list[float] = [self.model.w(d + 1)
+                                      for d in range(len(self.counts))]
         self.t = int(sum(self.counts))
-        self.total_weight = float(sum(n * self.model.w(d + 1)
-                                      for d, n in enumerate(self.counts) if n))
+        self.total_weight = float(sum(n * w for n, w in zip(self.counts, self._weights)
+                                      if n))
+
+    def _grow(self, d: int) -> None:
+        """Extend the census and its class weights up to degree ``d``."""
+        while len(self.counts) < d:
+            self.counts.append(0)
+            self._weights.append(self.model.w(len(self.counts)))
+
+    def _census_split(self, i: int, k: int, ell: int) -> None:
+        """One degree-``i`` vertex replaced by two of degrees ``k``, ``ell``."""
+        self._grow(max(k, ell))
+        self.counts[i - 1] -= 1
+        self.counts[k - 1] += 1
+        self.counts[ell - 1] += 1
+        self.t += 1
+        w = self.model.w
+        self.total_weight += w(k) + w(ell) - w(i)
 
     def census(self) -> CensusSnapshot:
         return CensusSnapshot(self.t, np.array(self.counts, dtype=np.int64),
@@ -207,8 +167,6 @@ class OrderedTree(_CensusMixin):
                 counts.append(0)
             counts[d - 1] += 1
         self._census_init(counts)
-        cap = max(len(adjacency), 16)
-        self._sampler = FenwickSampler(cap)
         self._members: list[list[int]] = [[] for _ in counts]
         self._pos: dict[int, int] = {}
         for v, nb in enumerate(adjacency):
@@ -242,12 +200,9 @@ class OrderedTree(_CensusMixin):
     def _enter(self, v: int, d: int) -> None:
         while len(self._members) < d:
             self._members.append([])
-        while len(self.counts) < d:
-            self.counts.append(0)
         bucket = self._members[d - 1]
         self._pos[v] = len(bucket)
         bucket.append(v)
-        self._sampler.set(v, self.model.w(d))
 
     def _leave(self, v: int, d: int) -> None:
         bucket = self._members[d - 1]
@@ -256,7 +211,6 @@ class OrderedTree(_CensusMixin):
         if last != v:
             bucket[p] = last
             self._pos[last] = p
-        self._sampler.set(v, 0.0)
 
     def _new_id(self) -> int:
         if self._free:
@@ -298,8 +252,13 @@ class OrderedTree(_CensusMixin):
     # -- dynamics ------------------------------------------------------------
 
     def sample_vertex(self, rng) -> int:
-        """Vertex drawn with probability w_deg(v) / total weight."""
-        return self._sampler.sample(rng)
+        """Vertex drawn with probability w_deg(v) / total weight: a degree
+        class by its census weight, then a uniform member of that class
+        read from the same draw's leftover."""
+        c, x = sample_class(rng, self.counts, self._weights, self.total_weight)
+        bucket = self._members[c]
+        # rounding of x / w_c can reach the bucket size
+        return bucket[min(int(x / self._weights[c]), len(bucket) - 1)]
 
     def split_vertex(self, v: int, k: int, rng) -> SplitEvent:
         """Replace ``v`` (degree ``i``) by adjacent ``v'``, ``v''`` of degrees
@@ -331,13 +290,7 @@ class OrderedTree(_CensusMixin):
             a[a.index(v)] = v2
         self._enter(v1, k)
         self._enter(v2, ell)
-
-        self.counts[i - 1] -= 1
-        self.counts[k - 1] += 1
-        self.counts[ell - 1] += 1
-        self.t += 1
-        w = self.model.w
-        self.total_weight += w(k) + w(ell) - w(i)
+        self._census_split(i, k, ell)
         return SplitEvent(self.t, i, (k, ell), p)
 
     def step(self, rng) -> SplitEvent:
@@ -366,35 +319,20 @@ class UrnState(_CensusMixin):
         if model.d_max is not None and len(self.counts) > model.d_max:
             if any(self.counts[model.d_max:]):
                 raise InvalidParameterError("initial census exceeds d_max")
-        self._sampler = FenwickSampler(max(len(self.counts), 16))
-        for d0, n in enumerate(self.counts):
-            if n:
-                self._sampler.set(d0, n * model.w(d0 + 1))
 
     @classmethod
     def single_edge(cls, model: WeightModel) -> "UrnState":
         return cls(model, [2])
 
-    def _bump(self, d: int, delta: int) -> None:
-        while len(self.counts) < d:
-            self.counts.append(0)
-        self.counts[d - 1] += delta
-        self._sampler.set(d - 1, self.counts[d - 1] * self.model.w(d))
-
     def sample_degree(self, rng) -> int:
         """Degree class drawn with probability w_d * n_d / total weight."""
-        return self._sampler.sample(rng) + 1
+        return sample_class(rng, self.counts, self._weights, self.total_weight)[0] + 1
 
     def apply_split(self, i: int, k: int) -> SplitEvent:
         if self.counts[i - 1] < 1:
             raise InvalidParameterError(f"no ball in urn {i}")
         ell = i + 2 - k
-        self._bump(i, -1)
-        self._bump(k, +1)
-        self._bump(ell, +1)
-        self.t += 1
-        w = self.model.w
-        self.total_weight += w(k) + w(ell) - w(i)
+        self._census_split(i, k, ell)
         return SplitEvent(self.t, i, (k, ell))
 
     def step(self, rng) -> SplitEvent:
@@ -403,32 +341,10 @@ class UrnState(_CensusMixin):
         return self.apply_split(i, k)
 
 
-# -- operation wrappers -------------------------------------------------------
-
-
-def sample_vertex(state, rng):
-    """Tree engine: vertex id; urn engine: degree class."""
-    if isinstance(state, OrderedTree):
-        return state.sample_vertex(rng)
-    return state.sample_degree(rng)
-
-
-def sample_split_sizes(i: int, model: WeightModel, rng) -> int:
-    """First child degree ``k``; the ordered pair ``(k, i+2-k)`` is drawn with
-    probability ``(i/2) * w[k, i+2-k] / w_i``."""
-    return model.sample_split(i, rng)
-
-
-def apply_split_tree(tree: OrderedTree, v: int, k: int, rng) -> SplitEvent:
-    return tree.split_vertex(v, k, rng)
-
-
-def apply_split_urn(urn: UrnState, i: int, k: int) -> SplitEvent:
-    return urn.apply_split(i, k)
-
-
 def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnapshot]:
-    """Grow until ``t_final`` vertices, returning census snapshots.
+    """Grow until the clock ``state.t`` reaches ``t_final`` (the vertex count
+    of a one-colour engine, the event clock of a two-colour one), returning
+    census snapshots.
 
     ``thin=m`` records every m-th step (plus initial and final states);
     ``thin=None`` records only the final state.  Deterministic given the
@@ -452,17 +368,23 @@ def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnap
 # -- trajectory serialisation ---------------------------------------------------
 
 
-def write_census_csv(fh, snapshots: list[CensusSnapshot],
-                     replica: Optional[int] = None) -> None:
-    """Rows ``t,k,n`` (prefixed by a replica column when given); zero counts
-    are omitted."""
-    head = "replica,t,k,n" if replica is not None else "t,k,n"
-    fh.write(head + "\n")
-    prefix = f"{replica}," if replica is not None else ""
-    for snap in snapshots:
-        for d0, n in enumerate(snap.counts):
-            if n:
-                fh.write(f"{prefix}{snap.t},{d0 + 1},{n}\n")
+def write_census_csv(fh, trajectories: list[list[CensusSnapshot]],
+                     two_colour: bool = False) -> None:
+    """Rows ``replica,t,k,n`` (``replica,t,k,n_white,n_black`` for
+    two-colour snapshots), where ``trajectories[r]`` holds replica ``r``'s
+    snapshots; degrees with no vertex are omitted."""
+    fh.write("replica,t,k,n_white,n_black\n" if two_colour else "replica,t,k,n\n")
+    for rep, snaps in enumerate(trajectories):
+        for snap in snaps:
+            counts = snap.counts.tolist()
+            if two_colour:
+                for d0, (nw, nb) in enumerate(zip(counts[0::2], counts[1::2])):
+                    if nw or nb:
+                        fh.write(f"{rep},{snap.t},{d0 + 1},{nw},{nb}\n")
+            else:
+                for d0, n in enumerate(counts):
+                    if n:
+                        fh.write(f"{rep},{snap.t},{d0 + 1},{n}\n")
 
 
 _REC_HEAD = struct.Struct("<QI")

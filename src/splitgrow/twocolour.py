@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameterError, ReductionInvalidError
-from .growth import FenwickSampler
+from .growth import CensusSnapshot, sample_class
 from .solver import DensitySolution, _band_sums, fixed_point_densities
 from .weights import PartitionWeights, SplittingWeights, WeightModel, LinearTail
 
@@ -43,7 +43,6 @@ __all__ = [
     "make_rna",
     "make_two_colour_uniform",
     "make_two_colour_grafting",
-    "step_two_colour",
     "reduce_to_one_colour",
     "solve_two_colour",
     "densities_from_e",
@@ -169,30 +168,31 @@ class TwoColourEvent:
 
 
 class TwoColourState:
-    """Per-degree census of both colours plus the event clock."""
+    """Per-degree census of both colours plus the event clock.
+
+    ``counts`` interleaves the colours, white degree ``d`` at ``2(d-1)`` and
+    black degree ``d`` at ``2(d-1)+1``; ``_weights`` holds each slot's
+    per-vertex weight, so one class scan selects colour and degree at once.
+    """
 
     def __init__(self, model: TwoColourModel,
                  white: Optional[list[int]] = None,
                  black: Optional[list[int]] = None,
                  t: Optional[int] = None):
         self.model = model
-        self.white_counts: list[int] = list(white or [])
-        self.black_counts: list[int] = list(black or [])
+        white, black = list(white or []), list(black or [])
+        self.counts: list[int] = []
+        self._weights: list[float] = []
+        self._grow(max(len(white), len(black)))
+        self.counts[0:2 * len(white):2] = white
+        self.counts[1:2 * len(black):2] = black
         if t is None:
             # default clock: a fresh process started from a single edge has
             # t = vertex count = 2; general states must pass t explicitly
-            t = sum(self.white_counts) + sum(self.black_counts)
+            t = sum(self.counts)
         self.t = int(t)
-        self.total_weight = float(
-            sum(n * model.w_white(d + 1) for d, n in enumerate(self.white_counts) if n)
-            + sum(n * model.w_black(d + 1) for d, n in enumerate(self.black_counts) if n))
-        self._sampler = FenwickSampler(16)
-        for d0, n in enumerate(self.white_counts):
-            if n:
-                self._sampler.set(2 * d0, n * model.w_white(d0 + 1))
-        for d0, n in enumerate(self.black_counts):
-            if n:
-                self._sampler.set(2 * d0 + 1, n * model.w_black(d0 + 1))
+        self.total_weight = float(sum(n * w for n, w in zip(self.counts, self._weights)
+                                      if n))
 
     @classmethod
     def single_edge(cls, model: TwoColourModel) -> "TwoColourState":
@@ -201,36 +201,30 @@ class TwoColourState:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _bump_white(self, d: int, delta: int) -> None:
-        while len(self.white_counts) < d:
-            self.white_counts.append(0)
-        self.white_counts[d - 1] += delta
-        self._sampler.set(2 * (d - 1),
-                          self.white_counts[d - 1] * self.model.w_white(d))
-
-    def _bump_black(self, d: int, delta: int) -> None:
-        while len(self.black_counts) < d:
-            self.black_counts.append(0)
-        self.black_counts[d - 1] += delta
-        self._sampler.set(2 * (d - 1) + 1,
-                          self.black_counts[d - 1] * self.model.w_black(d))
+    def _grow(self, d: int) -> None:
+        """Extend both colours' census slots up to degree ``d``."""
+        m = self.model
+        while len(self.counts) < 2 * d:
+            k = len(self.counts) // 2 + 1
+            self.counts += [0, 0]
+            self._weights += [m.w_white(k), m.w_black(k)]
 
     def step(self, rng) -> TwoColourEvent:
-        idx = self._sampler.sample(rng)
+        idx, _ = sample_class(rng, self.counts, self._weights, self.total_weight)
         d = idx // 2 + 1
         m = self.model
+        counts = self.counts
+        counts[idx] -= 1
+        self.t += 1
         if idx % 2 == 1:                     # black vertex: recolour to white
-            self._bump_black(d, -1)
-            self._bump_white(d, +1)
-            self.t += 1
+            counts[idx - 1] += 1
             self.total_weight += m.w_white(d) - m.w_black(d)
             return TwoColourEvent(self.t, "recolour", d)
         k = m.white.sample_split(d, rng)      # white vertex: split into blacks
         ell = d + 2 - k
-        self._bump_white(d, -1)
-        self._bump_black(k, +1)
-        self._bump_black(ell, +1)
-        self.t += 1
+        self._grow(max(k, ell))
+        counts[2 * k - 1] += 1
+        counts[2 * ell - 1] += 1
         self.total_weight += m.w_black(k) + m.w_black(ell) - m.w_white(d)
         return TwoColourEvent(self.t, "split", d, (k, ell))
 
@@ -238,31 +232,24 @@ class TwoColourState:
 
     def colour_identity_deviation(self) -> int:
         """``sum(3*n_white + 2*n_black) - (t + 2)``; exactly zero."""
-        tot = 3 * sum(self.white_counts) + 2 * sum(self.black_counts)
+        tot = 3 * sum(self.counts[0::2]) + 2 * sum(self.counts[1::2])
         return tot - (self.t + 2)
 
     def weight_deviation(self) -> tuple[float, float]:
         """(relative drift vs recomputation, relative deviation from the
         closed form ``(a-b)*t + b``)."""
         m = self.model
-        exact = (sum(n * m.w_white(d + 1) for d, n in enumerate(self.white_counts) if n)
-                 + sum(n * m.w_black(d + 1) for d, n in enumerate(self.black_counts) if n))
+        exact = sum(n * w for n, w in zip(self.counts, self._weights) if n)
         closed = m.weight_growth_rate * self.t + m.b
         scale = max(abs(exact), 1.0)
         return (abs(self.total_weight - exact) / scale,
                 abs(self.total_weight - closed) / scale)
 
-    def census(self) -> tuple[int, np.ndarray, np.ndarray]:
-        k = max(len(self.white_counts), len(self.black_counts), 1)
-        w = np.zeros(k, dtype=np.int64)
-        bl = np.zeros(k, dtype=np.int64)
-        w[:len(self.white_counts)] = self.white_counts
-        bl[:len(self.black_counts)] = self.black_counts
-        return self.t, w, bl
-
-
-def step_two_colour(state: TwoColourState, rng) -> TwoColourEvent:
-    return state.step(rng)
+    def census(self) -> CensusSnapshot:
+        """Snapshot whose ``counts`` interleave the colours as ``counts``
+        does; ``counts[0::2]`` is white, ``counts[1::2]`` black."""
+        return CensusSnapshot(self.t, np.array(self.counts, dtype=np.int64),
+                              self.total_weight)
 
 
 # -- solving ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import splitgrow.experiment
 import splitgrow.solver
 from splitgrow import InvalidParameterError
 from splitgrow.cli import main, parse_weight_expr
-from splitgrow.experiment import ExperimentConfig, worker_count
+from splitgrow.experiment import ExperimentConfig, ExperimentReport, worker_count
 from conftest import DMAX3_ENTRIES, singular_band_sums
 
 E2 = math.e ** 2
@@ -146,6 +146,31 @@ class TestSimulate:
             t_seen = t
         assert tot == t_seen + 2
 
+    def test_two_colour_thinned_snapshots(self, tmp_path):
+        # one snapshot per t, the initial state included, as for one colour
+        out = tmp_path / "out"
+        rc = main(["simulate", "--family", "rna", "--seed", "11", "--replicas", "2",
+                   "--t-final", "302", "--thin", "100", "--out", str(out)])
+        assert rc == 0
+        keys = [tuple(map(int, line.split(",")[:3]))
+                for line in (out / "census.csv").read_text().splitlines()[1:]]
+        assert len(keys) == len(set(keys))
+        for rep in (0, 1):
+            assert sorted({t for r, t, _ in keys if r == rep}) == [2, 102, 202, 302]
+
+    @pytest.mark.parametrize("flags,digest", [
+        (["--family", "preferential", "--w", "i", "--engine", "tree", "--seed", "5",
+          "--t-final", "2000", "--thin", "500"],
+         "24da1fadfe3594eed37bb9b8dc4723ed33dc12e08763e7ce25acb4ac0581aeb0"),
+        (["--family", "rna", "--seed", "11", "--t-final", "302", "--thin", "100"],
+         "06a396abce2c027e136b7dc81edae3aa8e6b02d79a989e5b173595c553c2be01"),
+    ], ids=["tree", "two-colour"])
+    def test_census_bytes_pinned(self, tmp_path, flags, digest):
+        # any change to these bytes must be explained in CHANGES.md
+        rc = main(["simulate", *flags, "--replicas", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        assert hashlib.sha256((tmp_path / "census.csv").read_bytes()).hexdigest() == digest
+
 
 class TestCompare:
     def test_preferential_baseline_passes(self, tmp_path):
@@ -213,6 +238,48 @@ class TestCompare:
         assert digest == ("629f4a48b087b88ac2e512b77bd7acb5"
                           "2d1b62443320672cfedf49495e07d2d1")
 
+    def test_urn_report_bytes_pinned(self, tmp_path):
+        # pinned before the class-scan sampler replaced the Fenwick tree: the
+        # scan inverts the same CDF in the same class order from the same draw
+        rc = main(["compare", "--family", "preferential", "--w", "i", "--seed", "2025",
+                   "--replicas", "4", "--t-final", "5000", "--k-check", "4",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+        assert digest == ("2b350f33a1ce412cdf9113268f75d5b1"
+                          "174693405536035c4218e59d0d5678ba")
+
+    def test_failed_invariant_check_fails(self, tmp_path, monkeypatch, capsys):
+        # a broken census identity fails compare even when every z passes
+        monkeypatch.setenv("SPLITGROW_THREADS", "1")
+        real = splitgrow.experiment._simulate_replica
+
+        def broken(payload):
+            res = real(payload)
+            res["checks"]["census_sum_dev"] = 1
+            return res
+
+        monkeypatch.setattr(splitgrow.experiment, "_simulate_replica", broken)
+        rc = main(["compare", "--family", "preferential", "--w", "i", "--seed", "3",
+                   "--replicas", "2", "--t-final", "300", "--z-crit", "1e9",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "failed checks: census_sum_dev" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,bad,good", [
+        ("census_sum_dev", "1", "0"), ("census_moment_dev", "2", "0"),
+        ("colour_identity_dev", "1", "0"), ("weight_rel_drift", "1e-6", "1e-12"),
+        ("weight_closed_form_rel_dev", "nan", "0"),
+        ("colour_sum_vs_one_colour_max_dev", "1e-7", "1e-12"),
+    ])
+    def test_report_ok_honours_checks(self, name, bad, good):
+        def report(val):
+            return ExperimentReport(rows=[], checks=[(name, val)], seed=0, digest="",
+                                    replicas=2, t_final=10, engine="urn",
+                                    k_check=1, z_crit=5.0)
+        assert report(good).ok
+        assert not report(bad).ok and report(bad).failed_checks() == [name]
+
     def test_two_colour_report_includes_cross_check(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["compare", "--family", "rna", "--seed", "31",
@@ -273,6 +340,21 @@ class TestBadInput:
             (tmp_path / "cfg.json").write_text(config)
             flags = ["--config", "cfg.json"]
         self.run(["solve", *flags, "--K", "16"], capsys)
+
+    @pytest.mark.parametrize("key,value", [
+        ("engine", "foo"), ("engine", "tree"), ("t_final", "abc"), ("t_final", 1),
+        ("K", "x"), ("K", 1), ("thin", -1), ("thin", 2.5), ("k_check", "q"),
+        ("seed", "s"), ("tol", "abc"), ("z_crit", 0),
+    ])
+    def test_bad_config_value_refused(self, tmp_path, capsys, key, value):
+        # "engine": "tree" with a two-colour family; the rest with any model
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"family": "rna"}, "replicas": 2,
+                                   "t_final": 100, key: value}))
+        err = self.run(["compare", "--config", str(cfg),
+                        "--out", str(tmp_path / "o")], capsys)
+        assert key in err
+        assert not (tmp_path / "o").exists()
 
     def test_singular_solve_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(splitgrow.solver, "_band_sums", singular_band_sums)

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from splitgrow import (DegeneracyError, FenwickSampler, InvalidParameterError,
-                       OrderedTree, SplittingWeights, UrnState, apply_split_tree,
-                       apply_split_urn, make_grafting, make_preferential,
-                       make_table, make_uniform, read_census_binary, run,
-                       sample_split_sizes, sample_vertex, write_census_binary,
+from splitgrow import (CensusSnapshot, DegeneracyError, InvalidParameterError,
+                       OrderedTree, SplittingWeights, UrnState, make_grafting,
+                       make_preferential, make_table, make_uniform,
+                       read_census_binary, run, sample_class, write_census_binary,
                        write_census_csv)
 from conftest import DMAX3_ENTRIES
 
@@ -27,46 +26,67 @@ def chi_square_ok(observed, probs, alpha=1e-3):
     return p > alpha
 
 
-class TestFenwickSampler:
-    def test_set_get_total(self):
-        f = FenwickSampler(4)
-        f.set(0, 1.5)
-        f.set(3, 2.5)
-        f.set(9, 1.0)          # forces growth
-        assert f.weight(3) == 2.5
-        assert f.total == pytest.approx(5.0)
-        assert f.recomputed_total() == pytest.approx(f.total)
-        f.set(3, 0.0)
-        assert f.total == pytest.approx(2.5)
+class TestSampleClass:
+    def test_weights_grow_with_counts(self):
+        # the class weights stay aligned with the census as it grows, and the
+        # running total matches the exact sum the scan walks over
+        model = make_grafting(0.3, 0.7)
+        urn = UrnState.single_edge(model)
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            urn.step(rng)
+        assert len(urn._weights) == len(urn.counts) > 2
+        assert urn._weights == [model.w(d) for d in range(1, len(urn.counts) + 1)]
+        exact = sum(n * w for n, w in zip(urn.counts, urn._weights))
+        assert urn.total_weight == pytest.approx(exact, rel=1e-12)
 
     def test_zero_total_raises(self):
-        f = FenwickSampler(4)
+        rng = np.random.default_rng(0)
         with pytest.raises(DegeneracyError):
-            f.sample(np.random.default_rng(0))
+            sample_class(rng, [0, 0], [1.0, 2.0], 0.0)
+        # a total left over by rounding while no class has weight
+        with pytest.raises(DegeneracyError):
+            sample_class(rng, [0, 3], [1.0, 0.0], 1e-16)
 
     def test_frequencies_match_weights(self):
-        weights = np.array([0.0, 2.0, 4.0, 2.0, 2.0])
-        f = FenwickSampler(8)
-        for i, w in enumerate(weights):
-            f.set(i, w)
+        # class 0 has members but zero weight, so it is never drawn
+        counts = [3, 2, 1, 1, 2]
+        weights = [0.0, 1.0, 4.0, 2.0, 1.0]
+        mass = np.array(counts) * np.array(weights)
         rng = np.random.default_rng(123)
-        counts = np.zeros(5)
+        hits = np.zeros(5)
         n = 200_000
         for _ in range(n):
-            counts[f.sample(rng)] += 1
-        assert counts[0] == 0
-        assert chi_square_ok(counts[1:], weights[1:] / weights.sum())
+            c, x = sample_class(rng, counts, weights, float(mass.sum()))
+            assert 0.0 <= x < mass[c]
+            hits[c] += 1
+        assert hits[0] == 0
+        assert chi_square_ok(hits[1:], mass[1:] / mass.sum())
 
     def test_dynamic_update_frequencies(self):
-        f = FenwickSampler(4)
-        f.set(0, 1.0)
-        f.set(1, 3.0)
-        f.set(1, 1.0)          # shrink back: both equally likely now
+        # the scan reads the engine's lists as they stand at each draw
+        counts, weights = [1, 3], [1.0, 1.0]
+        counts[1] = 1          # shrink back: both equally likely now
         rng = np.random.default_rng(7)
-        counts = np.zeros(2)
+        hits = np.zeros(2)
         for _ in range(100_000):
-            counts[f.sample(rng)] += 1
-        assert chi_square_ok(counts, np.array([0.5, 0.5]))
+            hits[sample_class(rng, counts, weights, 2.0)[0]] += 1
+        assert chi_square_ok(hits, np.array([0.5, 0.5]))
+
+    def test_end_of_scan_guard(self):
+        # a running total a few ulps above the exact sum lets the draw pass
+        # every class; the guard returns the last class with positive
+        # weight, never a trailing empty or zero-weight one
+        class Top:
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        counts = [0, 2, 0, 1, 5, 0]
+        weights = [1.0, 1.0, 1.0, 3.0, 0.0, 7.0]
+        exact = 5.0
+        assert sample_class(Top(), counts, weights, exact)[0] == 3
+        c, x = sample_class(Top(), counts, weights, exact * (1 + 4e-16))
+        assert (c, x) == (3, 0.0)
 
 
 class TestSampleVertex:
@@ -75,7 +95,7 @@ class TestSampleVertex:
         tree = OrderedTree.single_edge(pref_i())
         rng = np.random.default_rng(11)
         n = 1_000_000
-        hits = sum(sample_vertex(tree, rng) for _ in range(n))
+        hits = sum(tree.sample_vertex(rng) for _ in range(n))
         se = math.sqrt(n * 0.25)
         assert abs(hits - n / 2) <= 4 * se
 
@@ -87,7 +107,7 @@ class TestSampleVertex:
         assert urn.total_weight == pytest.approx(urn.expected_weight())
         rng = np.random.default_rng(5)
         n = 200_000
-        hits = sum(sample_vertex(urn, rng) == 2 for _ in range(n))
+        hits = sum(urn.sample_degree(rng) == 2 for _ in range(n))
         assert abs(hits - n / 2) <= 4 * math.sqrt(n * 0.25)
 
     def test_tree_degree_weighted(self):
@@ -112,7 +132,7 @@ class TestSampleSplitSizes:
         counts = np.zeros(6)
         n = 120_000
         for _ in range(n):
-            counts[sample_split_sizes(5, m, rng) - 1] += 1
+            counts[m.sample_split(5, rng) - 1] += 1
         assert chi_square_ok(counts, np.full(6, 1 / 6))
 
     def test_preferential_only_leaf_pairs(self):
@@ -135,7 +155,7 @@ class TestTreeSplits:
         # splitting a degree-1 vertex with k = 1 keeps n_1 and adds one
         # degree-2 vertex
         tree = OrderedTree.single_edge(pref_i())
-        ev = apply_split_tree(tree, 0, 1, np.random.default_rng(0))
+        ev = tree.split_vertex(0, 1, np.random.default_rng(0))
         assert ev.child_degrees == (1, 2)
         assert tree.counts[:2] == [2, 1]
         assert tree.t == 3 and tree.is_tree()
@@ -145,7 +165,7 @@ class TestTreeSplits:
         m = make_uniform(0.0)
         tree = OrderedTree.from_edges(m, [(0, i) for i in range(1, 6)])
         assert tree.degree(0) == 5
-        ev = apply_split_tree(tree, 0, 3, np.random.default_rng(1))
+        ev = tree.split_vertex(0, 3, np.random.default_rng(1))
         assert ev.parent_degree == 5 and ev.child_degrees == (3, 4)
         assert sorted(len(tree.neighbours(v)) for v in tree.vertices()
                       if len(tree.neighbours(v)) > 1) == [3, 4]
@@ -157,7 +177,7 @@ class TestTreeSplits:
         m = make_uniform(0.0)
         for seed in range(8):
             tree = OrderedTree.from_edges(m, [(0, i) for i in range(1, 6)])
-            ev = apply_split_tree(tree, 0, 3, np.random.default_rng(seed))
+            ev = tree.split_vertex(0, 3, np.random.default_rng(seed))
             child = next(v for v in tree.vertices()
                          if len(tree.neighbours(v)) == 3)
             arc = [u for u in tree.neighbours(child) if u <= 5]
@@ -199,23 +219,23 @@ class TestTreeSplits:
                 assert tree.neighbours(u).count(v) == 1
 
     def test_sampler_total_stays_consistent(self):
-        # incremental Fenwick totals must track the exact weight sum through
-        # thousands of updates
+        # the running total the sampler scales its draw by must track the
+        # exact weight sum through thousands of updates
         tree = OrderedTree.single_edge(make_grafting(0.3, 0.7))
         rng = np.random.default_rng(29)
         for _ in range(5000):
             tree.step(rng)
-        f = tree._sampler
-        assert abs(f.total - f.recomputed_total()) <= 1e-9 * f.recomputed_total()
+        assert tree.census_deviations()[2] <= 1e-9
+        assert sum(len(b) for b in tree._members) == tree.t
 
 
 class TestUrnSplits:
     def test_hand_updates(self):
         # 4-star census: 4 leaves and one degree-4 hub
         urn = UrnState(pref_i(), [4, 0, 0, 1])
-        apply_split_urn(urn, 1, 1)
+        urn.apply_split(1, 1)
         assert urn.counts[:2] == [4, 1]          # n_1 unchanged net, n_2 + 1
-        apply_split_urn(urn, 4, 3)
+        urn.apply_split(4, 3)
         assert urn.counts[2] == 2 and urn.counts[3] == 0   # n_4 - 1, n_3 + 2
         assert urn.census_deviations()[:2] == (0, 0)
 
@@ -267,11 +287,18 @@ class TestSerialisation:
     def test_csv_rows(self):
         snaps = run(UrnState.single_edge(pref_i()), 50, np.random.default_rng(3), thin=25)
         buf = io.StringIO()
-        write_census_csv(buf, snaps, replica=4)
+        write_census_csv(buf, [snaps[:1], snaps])
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "replica,t,k,n"
-        parts = lines[1].split(",")
-        assert parts[0] == "4" and parts[1] == "2"
+        assert lines[:3] == ["replica,t,k,n", "0,2,1,2", "1,2,1,2"]
+        assert lines[-1].startswith("1,50,")
+
+    def test_two_colour_csv_rows(self):
+        # interleaved counts: white 1, black 1, white 2, black 2, white 3, ...
+        snap = CensusSnapshot(9, np.array([1, 2, 0, 0, 0, 3]), float("nan"))
+        buf = io.StringIO()
+        write_census_csv(buf, [[snap]], two_colour=True)
+        assert buf.getvalue().splitlines() == [
+            "replica,t,k,n_white,n_black", "0,9,1,1,2", "0,9,3,0,3"]
 
     def test_binary_roundtrip(self, tmp_path):
         snaps = run(UrnState.single_edge(pref_i()), 500, np.random.default_rng(8), thin=100)

@@ -6,8 +6,7 @@ import pytest
 from splitgrow import (InvalidParameterError, TwoColourState, densities_from_e,
                        fixed_point_densities, make_rna, make_two_colour_grafting,
                        make_two_colour_uniform, make_uniform, reduce_to_one_colour,
-                       rna_closed_form, solve_two_colour, step_two_colour,
-                       uniform_density)
+                       rna_closed_form, solve_two_colour, uniform_density)
 
 E2 = math.e ** 2
 
@@ -37,7 +36,8 @@ class TestState:
     def test_initial_edge(self):
         m = make_rna()
         st = TwoColourState.single_edge(m)
-        assert st.t == 2 and st.black_counts == [2] and st.white_counts == [0]
+        snap = st.census()
+        assert snap.t == 2 and snap.counts.tolist() == [0, 2]   # white 1, black 1
         assert st.total_weight == pytest.approx(2.0)   # 2 * w_black(1) = (a-b)t + b
         assert st.colour_identity_deviation() == 0     # 2*2 = 2 + 2
 
@@ -45,9 +45,10 @@ class TestState:
         # only blacks exist, so the first event recolours one of them
         m = make_rna()
         st = TwoColourState.single_edge(m)
-        ev = step_two_colour(st, np.random.default_rng(0))
+        ev = st.step(np.random.default_rng(0))
         assert ev.kind == "recolour"
-        assert st.black_counts == [1] and st.white_counts == [1] and st.t == 3
+        snap = st.census()
+        assert snap.t == 3 and snap.counts.tolist() == [1, 1]
 
     @pytest.mark.parametrize("model", [make_rna(),
                                        make_two_colour_grafting(1.0, 0.5, 0.5)],
