@@ -58,7 +58,7 @@ rng = np.random.default_rng(4)
 for _ in range(50_000):
     state.step(rng)
 snap = state.census()
-t, white, black = snap.t, snap.counts[0::2], snap.counts[1::2]
+t, white, black = snap.t, snap.white, snap.black
 print(f"\nsimulated to t = {t}: colour identity deviation = "
       f"{state.colour_identity_deviation()}, weight deviations = "
       f"{tuple(f'{d:.1e}' for d in state.weight_deviation())}")

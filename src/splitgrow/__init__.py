@@ -16,8 +16,8 @@ from .weights import (LinearTail, PartitionWeights, Regime, SplittingWeights,
                       WeightModel, classify_regime, derive_splitting_weights,
                       make_alpha_class, make_grafting, make_preferential,
                       make_table, make_uniform, validate_model)
-from .growth import (CensusSnapshot, OrderedTree, SplitEvent, UrnState,
-                     read_census_binary, run, sample_class, write_census_binary,
+from .growth import (CensusSnapshot, ClassSampler, OrderedTree, SplitEvent,
+                     UrnState, read_census_binary, run, write_census_binary,
                      write_census_csv)
 from .solver import (DensitySolution, ResidualReport, fixed_point_densities,
                      residuals, solve_finite)
@@ -28,8 +28,8 @@ from .closed_forms import (ClosedForm, bessel_i, closed_form_for,
                            pref_attachment_density, pref_attachment_gamma_form,
                            uniform_densities, uniform_density,
                            uniform_norm_constant)
-from .twocolour import (TwoColourEvent, TwoColourModel, TwoColourSolution,
-                        TwoColourState, densities_from_e, make_rna,
+from .twocolour import (TwoColourEvent, TwoColourModel, TwoColourSnapshot,
+                        TwoColourSolution, TwoColourState, densities_from_e, make_rna,
                         make_two_colour_grafting, make_two_colour_uniform,
                         reduce_to_one_colour, rna_closed_form, solve_two_colour)
 from .experiment import (DegreeRow, ExperimentConfig, ExperimentReport,

@@ -23,7 +23,7 @@ from . import __version__
 from .errors import InvalidParameterError, SplitgrowError
 from .experiment import (ExperimentConfig, build_model, compare,
                          is_two_colour_spec, run_replicated)
-from .growth import CensusSnapshot, write_census_binary, write_census_csv
+from .growth import write_census_binary, write_census_csv
 from .solver import DensitySolution, fixed_point_densities, solve_finite
 from .twocolour import TwoColourModel, TwoColourSolution, densities_from_e, \
     reduce_to_one_colour, solve_two_colour
@@ -218,13 +218,10 @@ def cmd_simulate(args) -> int:
     results = run_replicated(cfg)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    two = results[0]["kind"] == "two-colour"
-    trajectories = [res["snapshots"]
-                    or [CensusSnapshot(res["t"], res["counts"], float("nan"))]
-                    for res in results]
+    trajectories = [res["snapshots"] for res in results]
     with open(out / "census.csv", "w") as fh:
-        write_census_csv(fh, trajectories, two_colour=two)
-    if args.binary and not two:
+        write_census_csv(fh, trajectories)
+    if args.binary and results[0]["kind"] != "two-colour":
         for rep, snaps in enumerate(trajectories):
             write_census_binary(out / f"census_{rep}.bin", snaps)
     _write_json(out / "manifest.json", _manifest(cfg, time.monotonic() - t0))

@@ -181,9 +181,7 @@ def _simulate_replica(payload):
                   "census_moment_dev": abs(moment_dev),
                   "weight_rel_drift": drift,
                   "weight_closed_form_rel_dev": wclosed}
-    final = snaps[-1]
-    return {"kind": kind, "t": final.t, "counts": final.counts,
-            "snapshots": snaps if thin else None, "checks": checks}
+    return {"kind": kind, "t": snaps[-1].t, "snapshots": snaps, "checks": checks}
 
 
 def run_replicated(cfg: ExperimentConfig) -> list[dict]:
@@ -350,13 +348,14 @@ def compare(cfg: ExperimentConfig, k_report: int = 16) -> ExperimentReport:
         checks.append(("forced_unsupported", "true"))
 
     solution = None
+    finals = [r["snapshots"][-1] for r in results]
     if results[0]["kind"] == "two-colour":
         sol, method = analytic_reference(ref_model, cfg.K, cfg.tol, k_report,
                                          cfg.force_unsupported)
         if not cfg.reference_model:
             solution = sol
-        white = _stack([r["counts"][0::2] for r in results], k_report) / cfg.t_final
-        black = _stack([r["counts"][1::2] for r in results], k_report) / cfg.t_final
+        white = _stack([f.white for f in finals], k_report) / cfg.t_final
+        black = _stack([f.black for f in finals], k_report) / cfg.t_final
         for colour, emp, ana in (("white", white, sol.e_white),
                                  ("black", black, sol.e_black)):
             ana_v = np.zeros(k_report)
@@ -376,7 +375,7 @@ def compare(cfg: ExperimentConfig, k_report: int = 16) -> ExperimentReport:
     else:
         analytic, method = analytic_reference(ref_model, cfg.K, cfg.tol, k_report,
                                               cfg.force_unsupported)
-        emp = _stack([r["counts"] for r in results], k_report) / cfg.t_final
+        emp = _stack([f.counts for f in finals], k_report) / cfg.t_final
         mean, se = _mean_se(emp)
         z = _z_scores(mean, se, analytic)
         rows.extend(DegreeRow("", k + 1, method, float(analytic[k]),

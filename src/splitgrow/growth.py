@@ -16,18 +16,19 @@ decisions produces identical censuses, which is the invariant the
 correctness tests pin down; degree statistics do not depend on which
 contiguous arc is chosen.
 
-Both draw from the degree census: ``sample_class`` picks a degree class with
-probability ``n_d * w_d / W_t`` by an upward scan over the classes, which is
-short because the selection mass sits at low degree; the tree then picks a
-uniform member of that class.  A tree step adds O(deg) surgery.  States are
-confined to one worker at a time; the weight model is shared read-only.
+Both draw from the degree census: a ``ClassSampler`` picks a degree class
+with probability ``n_d * w_d / W_t`` in O(log K) over K degree classes, and
+the tree then picks a uniform member of that class from the same draw.  A
+tree step adds O(deg) surgery.  States are confined to one worker at a time;
+the weight model is shared read-only.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import DegeneracyError, InvalidParameterError
 from .weights import WeightModel
 
 __all__ = [
-    "sample_class",
+    "ClassSampler",
     "SplitEvent",
     "CensusSnapshot",
     "OrderedTree",
@@ -47,29 +48,86 @@ __all__ = [
 ]
 
 
-def sample_class(rng, counts: list[int], weights: list[float],
-                 total: float) -> tuple[int, float]:
-    """Class ``c`` drawn with probability ``counts[c] * weights[c] / total``,
-    and the leftover of the draw inside that class, in
-    ``[0, counts[c] * weights[c])``.
+class ClassSampler:
+    """Census classes drawn with probability ``counts[c] * weights[c] / W``.
 
-    ``total`` is the engine's running total weight.  It may differ from the
-    exact sum in the last bits, so a draw can fall past the last class; it
-    then goes to the last class with positive weight.  A zero-weight class
-    is never returned.
+    ``counts[c]`` members of class ``c`` weigh ``weights[c] = weight_of(c)``
+    each.  A Fenwick tree over the class masses finds the class of a draw in
+    O(log K) for K classes, so a heavy-tailed census with thousands of
+    occupied degrees costs no more per draw than a light one.  Engines change
+    ``counts`` only through ``add``.
     """
-    if not total > 0.0:
-        raise DegeneracyError("total sampling weight is not positive")
-    x = rng.random() * total
-    for c, n in enumerate(counts):
-        m = n * weights[c]
-        if x < m:
-            return c, x
-        x -= m
-    for c in range(len(counts) - 1, -1, -1):
-        if counts[c] * weights[c] > 0.0:
-            return c, 0.0
-    raise DegeneracyError("no class has positive sampling weight")
+
+    def __init__(self, weight_of: Callable[[int], float], counts: Iterable[int] = ()):
+        self._weight_of = weight_of
+        self.counts: list[int] = []
+        self.weights: list[float] = []
+        self._mass: list[float] = []           # counts[c] * weights[c]
+        self._tree = [0.0] * 17                # 1-based; capacity a power of two
+        for c, n in enumerate(counts):
+            self.add(c, n)
+
+    def add(self, c: int, dn: int) -> None:
+        """Change the member count of class ``c`` by ``dn``, creating the
+        classes up to ``c`` as needed."""
+        counts = self.counts
+        while len(counts) <= c:
+            self.weights.append(self._weight_of(len(counts)))
+            counts.append(0)
+            self._mass.append(0.0)
+        counts[c] += dn
+        tree = self._tree
+        n = len(tree) - 1
+        if c >= n:
+            while n <= c:
+                n <<= 1
+            tree = self._tree = [0.0] * (n + 1)
+            for i, mi in enumerate(self._mass):
+                j = i + 1
+                while mi and j <= n:
+                    tree[j] += mi
+                    j += j & (-j)
+        m = counts[c] * self.weights[c]
+        d = m - self._mass[c]
+        if d == 0.0:
+            return
+        self._mass[c] = m
+        j = c + 1
+        while j <= n:
+            tree[j] += d
+            j += j & (-j)
+
+    def sample(self, rng, total: float) -> tuple[int, float]:
+        """A class and the leftover of the draw inside it, in
+        ``[0, counts[c] * weights[c])``.
+
+        ``total`` is the engine's running total weight.  It may differ from
+        the exact sum in the last bits, so a draw can fall past the last
+        class; it then goes to the last class with positive weight.  A
+        zero-weight class is never returned.
+        """
+        if not total > 0.0:
+            raise DegeneracyError("total sampling weight is not positive")
+        x = rng.random() * total
+        tree = self._tree
+        n = len(tree) - 1
+        pos = 0
+        bit = n
+        while bit:
+            nxt = pos + bit
+            if nxt <= n and tree[nxt] <= x:
+                x -= tree[nxt]
+                pos = nxt
+            bit >>= 1
+        mass = self._mass
+        if pos < len(mass) and mass[pos] > 0.0:
+            return pos, x
+        # rounding parked the draw past the end or on an empty class
+        top = min(pos, len(mass) - 1)
+        for c in chain(range(top, -1, -1), range(top + 1, len(mass))):
+            if mass[c] > 0.0:
+                return c, 0.0
+        raise DegeneracyError("no class has positive sampling weight")
 
 
 @dataclass(frozen=True)
@@ -87,10 +145,10 @@ class SplitEvent:
 @dataclass
 class CensusSnapshot:
     t: int
-    # counts[d-1] = number of degree-d vertices; two-colour snapshots
-    # interleave the colours: white d at 2(d-1), black d at 2(d-1)+1
-    counts: np.ndarray
+    counts: np.ndarray          # counts[d-1] = number of degree-d vertices
     total_weight: float
+
+    CSV_COLUMNS = "n"
 
     def identity_deviations(self) -> tuple[int, int]:
         """(sum n - t, sum k*n - (2t-2)); both are exactly zero for any
@@ -98,6 +156,11 @@ class CensusSnapshot:
         n = self.counts
         ks = np.arange(1, len(n) + 1)
         return int(n.sum()) - self.t, int((ks * n).sum()) - (2 * self.t - 2)
+
+    def csv_rows(self, prefix: str) -> str:
+        """``prefix`` + ``k,n`` lines for the degrees with a vertex."""
+        return "".join(f"{prefix}{k},{n}\n"
+                       for k, n in enumerate(self.counts.tolist(), 1) if n)
 
 
 class _CensusMixin:
@@ -108,26 +171,20 @@ class _CensusMixin:
     total_weight: float
 
     def _census_init(self, counts: Iterable[int]) -> None:
-        self.counts: list[int] = list(counts)
-        # _weights[d-1] = w_d, the per-ball weight of each census class
-        self._weights: list[float] = [self.model.w(d + 1)
-                                      for d in range(len(self.counts))]
+        w = self.model.w
+        # class d-1 holds the degree-d vertices, each of weight w_d
+        self._classes = ClassSampler(lambda c: w(c + 1), counts)
+        self.counts = self._classes.counts      # changed only through _classes
         self.t = int(sum(self.counts))
-        self.total_weight = float(sum(n * w for n, w in zip(self.counts, self._weights)
-                                      if n))
-
-    def _grow(self, d: int) -> None:
-        """Extend the census and its class weights up to degree ``d``."""
-        while len(self.counts) < d:
-            self.counts.append(0)
-            self._weights.append(self.model.w(len(self.counts)))
+        self.total_weight = float(sum(n * wd for n, wd in
+                                      zip(self.counts, self._classes.weights) if n))
 
     def _census_split(self, i: int, k: int, ell: int) -> None:
         """One degree-``i`` vertex replaced by two of degrees ``k``, ``ell``."""
-        self._grow(max(k, ell))
-        self.counts[i - 1] -= 1
-        self.counts[k - 1] += 1
-        self.counts[ell - 1] += 1
+        add = self._classes.add
+        add(i - 1, -1)
+        add(k - 1, 1)
+        add(ell - 1, 1)
         self.t += 1
         w = self.model.w
         self.total_weight += w(k) + w(ell) - w(i)
@@ -255,10 +312,10 @@ class OrderedTree(_CensusMixin):
         """Vertex drawn with probability w_deg(v) / total weight: a degree
         class by its census weight, then a uniform member of that class
         read from the same draw's leftover."""
-        c, x = sample_class(rng, self.counts, self._weights, self.total_weight)
+        c, x = self._classes.sample(rng, self.total_weight)
         bucket = self._members[c]
         # rounding of x / w_c can reach the bucket size
-        return bucket[min(int(x / self._weights[c]), len(bucket) - 1)]
+        return bucket[min(int(x / self._classes.weights[c]), len(bucket) - 1)]
 
     def split_vertex(self, v: int, k: int, rng) -> SplitEvent:
         """Replace ``v`` (degree ``i``) by adjacent ``v'``, ``v''`` of degrees
@@ -326,7 +383,7 @@ class UrnState(_CensusMixin):
 
     def sample_degree(self, rng) -> int:
         """Degree class drawn with probability w_d * n_d / total weight."""
-        return sample_class(rng, self.counts, self._weights, self.total_weight)[0] + 1
+        return self._classes.sample(rng, self.total_weight)[0] + 1
 
     def apply_split(self, i: int, k: int) -> SplitEvent:
         if self.counts[i - 1] < 1:
@@ -368,23 +425,17 @@ def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnap
 # -- trajectory serialisation ---------------------------------------------------
 
 
-def write_census_csv(fh, trajectories: list[list[CensusSnapshot]],
-                     two_colour: bool = False) -> None:
-    """Rows ``replica,t,k,n`` (``replica,t,k,n_white,n_black`` for
-    two-colour snapshots), where ``trajectories[r]`` holds replica ``r``'s
-    snapshots; degrees with no vertex are omitted."""
-    fh.write("replica,t,k,n_white,n_black\n" if two_colour else "replica,t,k,n\n")
+def write_census_csv(fh, trajectories: list[list[CensusSnapshot]]) -> None:
+    """Rows ``replica,t,k`` followed by the snapshots' count columns (``n``,
+    or ``n_white,n_black`` for two-colour snapshots), where
+    ``trajectories[r]`` holds replica ``r``'s snapshots; degrees with no
+    vertex are omitted."""
+    columns = next((snap.CSV_COLUMNS for snaps in trajectories for snap in snaps),
+                   CensusSnapshot.CSV_COLUMNS)
+    fh.write(f"replica,t,k,{columns}\n")
     for rep, snaps in enumerate(trajectories):
         for snap in snaps:
-            counts = snap.counts.tolist()
-            if two_colour:
-                for d0, (nw, nb) in enumerate(zip(counts[0::2], counts[1::2])):
-                    if nw or nb:
-                        fh.write(f"{rep},{snap.t},{d0 + 1},{nw},{nb}\n")
-            else:
-                for d0, n in enumerate(counts):
-                    if n:
-                        fh.write(f"{rep},{snap.t},{d0 + 1},{n}\n")
+            fh.write(snap.csv_rows(f"{rep},{snap.t},"))
 
 
 _REC_HEAD = struct.Struct("<QI")

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameterError, ReductionInvalidError
-from .growth import CensusSnapshot, sample_class
+from .growth import CensusSnapshot, ClassSampler
 from .solver import DensitySolution, _band_sums, fixed_point_densities
 from .weights import PartitionWeights, SplittingWeights, WeightModel, LinearTail
 
@@ -39,6 +39,7 @@ __all__ = [
     "TwoColourModel",
     "TwoColourEvent",
     "TwoColourState",
+    "TwoColourSnapshot",
     "TwoColourSolution",
     "make_rna",
     "make_two_colour_uniform",
@@ -167,12 +168,37 @@ class TwoColourEvent:
     child_degrees: Optional[tuple[int, int]] = None
 
 
+@dataclass
+class TwoColourSnapshot(CensusSnapshot):
+    """Census at event time ``t``: ``counts`` is the degree census of all
+    vertices, which ``white`` and ``black`` split by colour."""
+
+    white: np.ndarray
+    black: np.ndarray
+
+    CSV_COLUMNS = "n_white,n_black"
+
+    def identity_deviations(self) -> tuple[int, int]:
+        """(sum(3*n_white + 2*n_black) - (t+2), sum k*n - (2V-2)) with ``V``
+        the vertex count; both are exactly zero for any reachable state."""
+        ks = np.arange(1, len(self.counts) + 1)
+        colour = int(3 * self.white.sum() + 2 * self.black.sum()) - (self.t + 2)
+        return colour, int((ks * self.counts).sum()) - (2 * int(self.counts.sum()) - 2)
+
+    def csv_rows(self, prefix: str) -> str:
+        """``prefix`` + ``k,n_white,n_black`` lines for the degrees with a
+        vertex."""
+        return "".join(f"{prefix}{k},{nw},{nb}\n" for k, (nw, nb)
+                       in enumerate(zip(self.white.tolist(), self.black.tolist()), 1)
+                       if nw or nb)
+
+
 class TwoColourState:
     """Per-degree census of both colours plus the event clock.
 
-    ``counts`` interleaves the colours, white degree ``d`` at ``2(d-1)`` and
-    black degree ``d`` at ``2(d-1)+1``; ``_weights`` holds each slot's
-    per-vertex weight, so one class scan selects colour and degree at once.
+    One ``ClassSampler`` holds both colours, white degree ``d`` in class
+    ``2(d-1)`` and black degree ``d`` in class ``2(d-1)+1``, so one draw
+    selects colour and degree at once.
     """
 
     def __init__(self, model: TwoColourModel,
@@ -181,50 +207,43 @@ class TwoColourState:
                  t: Optional[int] = None):
         self.model = model
         white, black = list(white or []), list(black or [])
-        self.counts: list[int] = []
-        self._weights: list[float] = []
-        self._grow(max(len(white), len(black)))
-        self.counts[0:2 * len(white):2] = white
-        self.counts[1:2 * len(black):2] = black
+        slots = [0] * (2 * max(len(white), len(black)))
+        slots[0:2 * len(white):2] = white
+        slots[1:2 * len(black):2] = black
+        self._classes = ClassSampler(self._class_weight, slots)
+        self.counts = self._classes.counts      # changed only through _classes
         if t is None:
             # default clock: a fresh process started from a single edge has
             # t = vertex count = 2; general states must pass t explicitly
             t = sum(self.counts)
         self.t = int(t)
-        self.total_weight = float(sum(n * w for n, w in zip(self.counts, self._weights)
-                                      if n))
+        self.total_weight = float(sum(n * w for n, w in
+                                      zip(self.counts, self._classes.weights) if n))
 
     @classmethod
     def single_edge(cls, model: TwoColourModel) -> "TwoColourState":
         """Single edge, both endpoints black, at t = 2."""
         return cls(model, white=[0], black=[2], t=2)
 
-    # -- bookkeeping ------------------------------------------------------
-
-    def _grow(self, d: int) -> None:
-        """Extend both colours' census slots up to degree ``d``."""
-        m = self.model
-        while len(self.counts) < 2 * d:
-            k = len(self.counts) // 2 + 1
-            self.counts += [0, 0]
-            self._weights += [m.w_white(k), m.w_black(k)]
+    def _class_weight(self, c: int) -> float:
+        d = c // 2 + 1
+        return self.model.w_black(d) if c % 2 else self.model.w_white(d)
 
     def step(self, rng) -> TwoColourEvent:
-        idx, _ = sample_class(rng, self.counts, self._weights, self.total_weight)
+        idx = self._classes.sample(rng, self.total_weight)[0]
         d = idx // 2 + 1
         m = self.model
-        counts = self.counts
-        counts[idx] -= 1
+        add = self._classes.add
+        add(idx, -1)
         self.t += 1
         if idx % 2 == 1:                     # black vertex: recolour to white
-            counts[idx - 1] += 1
+            add(idx - 1, 1)
             self.total_weight += m.w_white(d) - m.w_black(d)
             return TwoColourEvent(self.t, "recolour", d)
         k = m.white.sample_split(d, rng)      # white vertex: split into blacks
         ell = d + 2 - k
-        self._grow(max(k, ell))
-        counts[2 * k - 1] += 1
-        counts[2 * ell - 1] += 1
+        add(2 * k - 1, 1)
+        add(2 * ell - 1, 1)
         self.total_weight += m.w_black(k) + m.w_black(ell) - m.w_white(d)
         return TwoColourEvent(self.t, "split", d, (k, ell))
 
@@ -239,17 +258,17 @@ class TwoColourState:
         """(relative drift vs recomputation, relative deviation from the
         closed form ``(a-b)*t + b``)."""
         m = self.model
-        exact = sum(n * w for n, w in zip(self.counts, self._weights) if n)
+        exact = sum(n * w for n, w in zip(self.counts, self._classes.weights) if n)
         closed = m.weight_growth_rate * self.t + m.b
         scale = max(abs(exact), 1.0)
         return (abs(self.total_weight - exact) / scale,
                 abs(self.total_weight - closed) / scale)
 
-    def census(self) -> CensusSnapshot:
-        """Snapshot whose ``counts`` interleave the colours as ``counts``
-        does; ``counts[0::2]`` is white, ``counts[1::2]`` black."""
-        return CensusSnapshot(self.t, np.array(self.counts, dtype=np.int64),
-                              self.total_weight)
+    def census(self) -> TwoColourSnapshot:
+        slots = np.array(self.counts, dtype=np.int64)
+        white, black = slots[0::2], slots[1::2]
+        return TwoColourSnapshot(self.t, white + black, self.total_weight,
+                                 white, black)
 
 
 # -- solving ----------------------------------------------------------------------

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from splitgrow import (CensusSnapshot, DegeneracyError, InvalidParameterError,
+from splitgrow import (ClassSampler, DegeneracyError, InvalidParameterError,
                        OrderedTree, SplittingWeights, UrnState, make_grafting,
                        make_preferential, make_table, make_uniform,
-                       read_census_binary, run, sample_class, write_census_binary,
+                       read_census_binary, run, write_census_binary,
                        write_census_csv)
+from splitgrow.twocolour import TwoColourSnapshot
 from conftest import DMAX3_ENTRIES
 
 
@@ -26,54 +27,62 @@ def chi_square_ok(observed, probs, alpha=1e-3):
     return p > alpha
 
 
-class TestSampleClass:
+class TestClassSampler:
     def test_weights_grow_with_counts(self):
         # the class weights stay aligned with the census as it grows, and the
-        # running total matches the exact sum the scan walks over
+        # running total matches the exact sum of the class masses
         model = make_grafting(0.3, 0.7)
         urn = UrnState.single_edge(model)
         rng = np.random.default_rng(4)
         for _ in range(300):
             urn.step(rng)
-        assert len(urn._weights) == len(urn.counts) > 2
-        assert urn._weights == [model.w(d) for d in range(1, len(urn.counts) + 1)]
-        exact = sum(n * w for n, w in zip(urn.counts, urn._weights))
+        weights = urn._classes.weights
+        assert len(weights) == len(urn.counts) > 2
+        assert weights == [model.w(d) for d in range(1, len(urn.counts) + 1)]
+        exact = sum(n * w for n, w in zip(urn.counts, weights))
         assert urn.total_weight == pytest.approx(exact, rel=1e-12)
 
     def test_zero_total_raises(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DegeneracyError):
-            sample_class(rng, [0, 0], [1.0, 2.0], 0.0)
+            ClassSampler([1.0, 2.0].__getitem__, [0, 0]).sample(rng, 0.0)
         # a total left over by rounding while no class has weight
         with pytest.raises(DegeneracyError):
-            sample_class(rng, [0, 3], [1.0, 0.0], 1e-16)
+            ClassSampler([1.0, 0.0].__getitem__, [0, 3]).sample(rng, 1e-16)
 
     def test_frequencies_match_weights(self):
-        # class 0 has members but zero weight, so it is never drawn
-        counts = [3, 2, 1, 1, 2]
-        weights = [0.0, 1.0, 4.0, 2.0, 1.0]
+        # class 0 has members but zero weight, so it is never drawn; classes
+        # past the first sixteen make the tree grow while it is filled
+        weights = [0.0, 1.0, 4.0, 2.0, 1.0] + [0.5] * 20
+        counts = [3, 2, 1, 1, 2] + [0] * 19 + [4]
         mass = np.array(counts) * np.array(weights)
+        sampler = ClassSampler(weights.__getitem__, counts)
         rng = np.random.default_rng(123)
-        hits = np.zeros(5)
+        hits = np.zeros(len(counts))
         n = 200_000
         for _ in range(n):
-            c, x = sample_class(rng, counts, weights, float(mass.sum()))
+            c, x = sampler.sample(rng, float(mass.sum()))
             assert 0.0 <= x < mass[c]
             hits[c] += 1
-        assert hits[0] == 0
-        assert chi_square_ok(hits[1:], mass[1:] / mass.sum())
+        assert not hits[mass == 0].any()
+        keep = mass > 0
+        assert chi_square_ok(hits[keep], mass[keep] / mass.sum())
 
     def test_dynamic_update_frequencies(self):
-        # the scan reads the engine's lists as they stand at each draw
-        counts, weights = [1, 3], [1.0, 1.0]
-        counts[1] = 1          # shrink back: both equally likely now
+        # census (n_1, n_2) = (2, 1) with w_i = i; splitting a leaf into
+        # degrees (2, 1) gives (n_1, n_2) = (2, 2), so P(degree 2) moves
+        # from 2/4 to 4/6 between the draws
+        urn = UrnState(pref_i(), [2, 1])
         rng = np.random.default_rng(7)
-        hits = np.zeros(2)
-        for _ in range(100_000):
-            hits[sample_class(rng, counts, weights, 2.0)[0]] += 1
-        assert chi_square_ok(hits, np.array([0.5, 0.5]))
+        n = 100_000
+        before = sum(urn.sample_degree(rng) == 2 for _ in range(n))
+        urn.apply_split(1, 2)
+        assert urn.counts[:2] == [2, 2]
+        after = sum(urn.sample_degree(rng) == 2 for _ in range(n))
+        assert chi_square_ok(np.array([n - before, before]), np.array([0.5, 0.5]))
+        assert chi_square_ok(np.array([n - after, after]), np.array([1 / 3, 2 / 3]))
 
-    def test_end_of_scan_guard(self):
+    def test_end_of_draw_guard(self):
         # a running total a few ulps above the exact sum lets the draw pass
         # every class; the guard returns the last class with positive
         # weight, never a trailing empty or zero-weight one
@@ -81,12 +90,11 @@ class TestSampleClass:
             def random(self):
                 return 1.0 - 2.0 ** -53
 
-        counts = [0, 2, 0, 1, 5, 0]
         weights = [1.0, 1.0, 1.0, 3.0, 0.0, 7.0]
+        sampler = ClassSampler(weights.__getitem__, [0, 2, 0, 1, 5, 0])
         exact = 5.0
-        assert sample_class(Top(), counts, weights, exact)[0] == 3
-        c, x = sample_class(Top(), counts, weights, exact * (1 + 4e-16))
-        assert (c, x) == (3, 0.0)
+        assert sampler.sample(Top(), exact)[0] == 3
+        assert sampler.sample(Top(), exact * (1 + 4e-16)) == (3, 0.0)
 
 
 class TestSampleVertex:
@@ -293,10 +301,11 @@ class TestSerialisation:
         assert lines[-1].startswith("1,50,")
 
     def test_two_colour_csv_rows(self):
-        # interleaved counts: white 1, black 1, white 2, black 2, white 3, ...
-        snap = CensusSnapshot(9, np.array([1, 2, 0, 0, 0, 3]), float("nan"))
+        # the header follows the snapshots: two-colour ones carry both colours
+        white, black = np.array([1, 0, 0]), np.array([2, 0, 3])
+        snap = TwoColourSnapshot(9, white + black, float("nan"), white, black)
         buf = io.StringIO()
-        write_census_csv(buf, [[snap]], two_colour=True)
+        write_census_csv(buf, [[snap]])
         assert buf.getvalue().splitlines() == [
             "replica,t,k,n_white,n_black", "0,9,1,1,2", "0,9,3,0,3"]
 

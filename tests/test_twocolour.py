@@ -37,7 +37,8 @@ class TestState:
         m = make_rna()
         st = TwoColourState.single_edge(m)
         snap = st.census()
-        assert snap.t == 2 and snap.counts.tolist() == [0, 2]   # white 1, black 1
+        assert snap.t == 2 and snap.counts.tolist() == [2]
+        assert snap.white.tolist() == [0] and snap.black.tolist() == [2]
         assert st.total_weight == pytest.approx(2.0)   # 2 * w_black(1) = (a-b)t + b
         assert st.colour_identity_deviation() == 0     # 2*2 = 2 + 2
 
@@ -48,7 +49,8 @@ class TestState:
         ev = st.step(np.random.default_rng(0))
         assert ev.kind == "recolour"
         snap = st.census()
-        assert snap.t == 3 and snap.counts.tolist() == [1, 1]
+        assert snap.t == 3 and snap.counts.tolist() == [2]
+        assert snap.white.tolist() == [1] and snap.black.tolist() == [1]
 
     @pytest.mark.parametrize("model", [make_rna(),
                                        make_two_colour_grafting(1.0, 0.5, 0.5)],
@@ -61,6 +63,9 @@ class TestState:
             assert st.colour_identity_deviation() == 0
             drift, closed = st.weight_deviation()
             assert drift <= 1e-9 and closed <= 1e-9
+        snap = st.census()
+        assert snap.identity_deviations() == (0, 0)
+        assert (snap.counts == snap.white + snap.black).all()
 
 
 class TestClosedForms:
