@@ -211,6 +211,10 @@ def _print_validation(model, rep) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    if args.binary and is_two_colour_spec(cfg.model):
+        raise InvalidParameterError(
+            "--binary writes one-colour census dumps; the census_<r>.bin format "
+            "cannot carry the colours of a two-colour model")
     rc = _validate_or_abort(cfg)
     if rc:
         return rc
@@ -221,7 +225,7 @@ def cmd_simulate(args) -> int:
     trajectories = [res["snapshots"] for res in results]
     with open(out / "census.csv", "w") as fh:
         write_census_csv(fh, trajectories)
-    if args.binary and results[0]["kind"] != "two-colour":
+    if args.binary:
         for rep, snaps in enumerate(trajectories):
             write_census_binary(out / f"census_{rep}.bin", snaps)
     _write_json(out / "manifest.json", _manifest(cfg, time.monotonic() - t0))
@@ -323,7 +327,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("simulate", help="replicated growth trajectories")
     _add_common(p, sim=True)
     p.add_argument("--binary", action="store_true",
-                   help="also write per-replica binary census dumps")
+                   help="also write per-replica binary census dumps "
+                        "(one-colour models only)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("compare", help="simulation vs analytic, with z-scores")

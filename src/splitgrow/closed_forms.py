@@ -94,12 +94,16 @@ def pref_attachment_gamma_form(sw: SplittingWeights, k: int) -> float:
     return (2 + x) * math.exp(lg) / (k + x)
 
 
+def _pref_tail_constant(x: float) -> float:
+    """``C(x) = (2+x)*Gamma(2x+3)/Gamma(x+1)``."""
+    return (2 + x) * math.exp(math.lgamma(2 * x + 3) - math.lgamma(x + 1))
+
+
 def pref_attachment_asymptote(sw: SplittingWeights, k: int) -> float:
     """Leading tail behaviour ``C(x) * k^(-3-x)`` with
     ``C(x) = (2+x)*Gamma(2x+3)/Gamma(x+1)``."""
     x = sw.offset
-    c = (2 + x) * math.exp(math.lgamma(2 * x + 3) - math.lgamma(x + 1))
-    return c * float(k) ** (-3.0 - x)
+    return _pref_tail_constant(x) * float(k) ** (-3.0 - x)
 
 
 # -- uniform partitioning weights ----------------------------------------------
@@ -109,7 +113,11 @@ def uniform_norm_constant(x: float) -> float:
     """Normalisation constant ``C(x) = e*sqrt(pi)*2^(-3/2-x)*I_{1/2+x}(1)/(2+x)``."""
     if not x > -1:
         raise InvalidParameterError(f"needs x > -1, got {x}")
-    return math.e * math.sqrt(math.pi) * 2.0 ** (-1.5 - x) * bessel_i(0.5 + x, 1.0) / (2 + x)
+    c = math.e * math.sqrt(math.pi) * 2.0 ** (-1.5 - x) * bessel_i(0.5 + x, 1.0) / (2 + x)
+    if not c > 0:
+        raise InvalidParameterError(
+            f"uniform normalisation constant underflows to 0 at x = {x:g}")
+    return c
 
 
 def uniform_density(x: float, k: int) -> float:
@@ -167,6 +175,14 @@ def grafting_densities(alpha: float, gamma: float, k_max: int) -> np.ndarray:
     return np.array([grafting_density(alpha, gamma, k) for k in range(1, k_max + 1)])
 
 
+def _grafting_tail_constant(alpha: float, gamma: float) -> float:
+    """Constant ``C`` of the power-law tail ``C * k^(-(2-gamma)/(1-gamma))``
+    for ``gamma < 1``."""
+    u = (1.0 - alpha) / (1.0 - gamma)
+    return gamma * math.exp(math.lgamma((3.0 - alpha - gamma) / (1.0 - gamma)) - math.lgamma(u)) \
+        / ((1.0 + gamma - alpha) * (2.0 - alpha))
+
+
 def grafting_asymptote(alpha: float, gamma: float, k: int) -> float:
     """Tail form: ``C * k^(-(2-gamma)/(1-gamma))`` for ``gamma < 1``, the
     geometric law with rate ``(1-alpha)/(2-alpha)`` for ``gamma = 1``."""
@@ -174,10 +190,8 @@ def grafting_asymptote(alpha: float, gamma: float, k: int) -> float:
     if gamma == 1.0:
         r = (1.0 - alpha) / (2.0 - alpha)
         return r ** (k - 2) / (2.0 - alpha) ** 2
-    u = (1.0 - alpha) / (1.0 - gamma)
-    c = gamma * math.exp(math.lgamma((3.0 - alpha - gamma) / (1.0 - gamma)) - math.lgamma(u)) \
-        / ((1.0 + gamma - alpha) * (2.0 - alpha))
-    return c * float(k) ** (-(2.0 - gamma) / (1.0 - gamma))
+    return (_grafting_tail_constant(alpha, gamma)
+            * float(k) ** (-(2.0 - gamma) / (1.0 - gamma)))
 
 
 def constant_weight_density(k: int) -> float:
@@ -235,10 +249,9 @@ def closed_form_for(model: WeightModel) -> Optional[ClosedForm]:
             return ClosedForm(fam, model.params,
                               lambda k: pref_attachment_density(sw, k), rate=rate)
         x = sw.offset
-        c = (2 + x) * math.exp(math.lgamma(2 * x + 3) - math.lgamma(x + 1))
         return ClosedForm(fam, model.params,
                           lambda k: pref_attachment_density(sw, k),
-                          exponent=-3.0 - x, constant=c)
+                          exponent=-3.0 - x, constant=_pref_tail_constant(x))
     if fam == "uniform":
         x = model.params["x"]
         return ClosedForm(fam, model.params, lambda k: uniform_density(x, k),
@@ -251,10 +264,8 @@ def closed_form_for(model: WeightModel) -> Optional[ClosedForm]:
             return ClosedForm(fam, model.params,
                               lambda k: grafting_density(al, ga, k),
                               rate=(1.0 - al) / (2.0 - al))
-        u = (1.0 - al) / (1.0 - ga)
-        c = ga * math.exp(math.lgamma((3.0 - al - ga) / (1.0 - ga)) - math.lgamma(u)) \
-            / ((1.0 + ga - al) * (2.0 - al))
         return ClosedForm(fam, model.params,
                           lambda k: grafting_density(al, ga, k),
-                          exponent=-(2.0 - ga) / (1.0 - ga), constant=c)
+                          exponent=-(2.0 - ga) / (1.0 - ga),
+                          constant=_grafting_tail_constant(al, ga))
     return None

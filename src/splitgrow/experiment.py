@@ -41,7 +41,8 @@ __all__ = [
     "compare",
 ]
 
-TWO_COLOUR_FAMILIES = {"rna", "two-colour-uniform", "two-colour-grafting"}
+# a tuple, not a set: membership of an unhashable family value is False
+TWO_COLOUR_FAMILIES = ("rna", "two-colour-uniform", "two-colour-grafting")
 
 
 def build_model(spec: dict):
@@ -72,7 +73,7 @@ def build_model(spec: dict):
     except KeyError as exc:
         raise InvalidParameterError(
             f"family {fam!r} needs parameter {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(f"bad parameters for family {fam!r}: {exc}") from None
     raise InvalidParameterError(f"unknown family {fam!r}")
 
@@ -114,6 +115,14 @@ class ExperimentConfig:
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**d)
+        if not isinstance(cfg.model, dict):
+            raise InvalidParameterError(f"model must be a JSON object, got {cfg.model!r}")
+        if cfg.reference_model is not None and not isinstance(cfg.reference_model, dict):
+            raise InvalidParameterError(
+                f"reference_model must be a JSON object, got {cfg.reference_model!r}")
+        if not isinstance(cfg.force_unsupported, bool):
+            raise InvalidParameterError(
+                f"force_unsupported must be true or false, got {cfg.force_unsupported!r}")
         for name, low in (("replicas", 1), ("t_final", 2), ("K", 2), ("thin", 0),
                           ("k_check", 1), ("seed", 0)):
             val = getattr(cfg, name)

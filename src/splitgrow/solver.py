@@ -38,7 +38,10 @@ monotone; the fixed point is still the normalised solution provided the
 splitting weights are linear in the degree.
 
 The update matrix ``B[k-1, i-1] = i*w[k, i-k+2]`` is assembled once per
-(model, K) and shared by the solve and its residual report.
+(model, K) and shared by the solve and its residual report.  Its column
+``i`` is one call ``pw(k, i-k+2)`` with ``k`` an integer array, so every
+model's partitioning weights must follow the array contract of
+``PartitionWeights``.
 """
 
 from __future__ import annotations
@@ -152,17 +155,21 @@ def _band_sums(model: WeightModel, K: int) -> np.ndarray:
     declared ``LinearTail`` on, an unbounded model's only children are
     (1, i+1) and (2, i), so those columns are four bands filled from ``g``
     and ``h``; the other columns, and column 1 (where (2, 1) is (1, 2)
-    reversed), are summed pair by pair.
+    reversed), are read with one array call to the partitioning weights
+    each.  The matrix is filled column by column, so no K x K temporary is
+    made besides ``B`` itself.  Each column is read over all K rows (below
+    the band the second index is < 1 and the weight 0), so all temporaries
+    have one length: with one length per column, numpy's cache of small
+    freed buffers kept chunks of many sizes that split the freed matrices
+    of an earlier solve and raised peak memory by one matrix.
     """
     pw = model.partition
     tail = pw.tail if model.d_max is None else None
     banded_from = max(tail.start, 2) if tail is not None else K + 1
     B = np.zeros((K, K))
+    k = np.arange(1, K + 1)
     for i in range(1, min(banded_from, K + 1)):
-        for k in range(1, min(i + 1, K) + 1):
-            c = pw(k, i - k + 2)
-            if c:
-                B[k - 1, i - 1] = i * c
+        B[:, i - 1] = i * pw(k, i - k + 2)
     if banded_from <= K:
         cols = np.arange(banded_from, K + 1)
         g = tail.g(cols.astype(float))

@@ -108,9 +108,8 @@ def make_two_colour_uniform(a: float, b: float) -> TwoColourModel:
 
     def fn(i, j):
         d = i + j - 2
-        if d < 1:
-            return 0.0
-        return 2.0 * (c * d + a) / (d * (d + 1))
+        dd = np.maximum(d, 1)
+        return np.where(d >= 1, 2.0 * (c * dd + a) / (dd * (dd + 1)), 0.0)
 
     pw = PartitionWeights(fn, d_max=None, tail=None)
     return TwoColourModel(a, b, pw, family="two-colour-uniform",
@@ -137,19 +136,13 @@ def make_two_colour_grafting(a: float, b: float, alpha0: float) -> TwoColourMode
     if pg < 0 or 2 * pg + a <= 0:
         raise InvalidParameterError("leaf mass of white splits must stay positive")
 
-    def fn(i, j):
+    def fn(i, j):  # i <= j, so i == 1 is the pair (1, d+1) and i == 2 is (2, d)
         d = i + j - 2
-        if d < 1:
-            return 0.0
-        if d == 1:
-            return ww(1) if i == 1 else 0.0
-        g = pg * d + a
-        if i == 1 and j == d + 1:
-            return g / d
-        if i == 2 and j == d:
-            h = alpha0 * d / 2.0
-            return h if d == 2 else h / d
-        return 0.0
+        dd = np.maximum(d, 1)
+        h = alpha0 * dd / 2.0
+        w = np.where(i == 1, (pg * dd + a) / dd,
+                     np.where(i == 2, np.where(d == 2, h, h / dd), 0.0))
+        return np.where(d < 1, 0.0, np.where(d == 1, ww(1), w))
 
     tail = LinearTail(start=2, pg=pg, qg=a, ph=alpha0 / 2.0, qh=0.0)
     pw = PartitionWeights(fn, d_max=None, tail=tail)
@@ -284,17 +277,16 @@ def reduce_to_one_colour(model2: TwoColourModel) -> WeightModel:
 
     def fn(i, j):
         d = i + j - 2
-        if d < 1:
-            return 0.0
+        dd = np.maximum(d, 1)
         base = white_pw(i, j)
-        if base == 0.0:
-            return 0.0
-        ww = w_white(d)
-        if ww == 0.0:
+        ww = w_white(dd)
+        mass = (d >= 1) & (base != 0.0)
+        zero = mass & (ww == 0.0)
+        if np.any(zero):
             raise ZeroDivisionError(
-                f"white splitting weight vanishes at degree {d} where "
-                "partition mass exists")
-        return w_black(d) / ww * base
+                f"white splitting weight vanishes at degree {int(d[zero][0])} "
+                "where partition mass exists")
+        return np.where(mass, w_black(dd) / np.where(ww == 0.0, 1.0, ww) * base, 0.0)
 
     c = model2.black.a
     limit = None

@@ -116,33 +116,54 @@ class LinearTail:
 class PartitionWeights:
     """Symmetric nonnegative partitioning weights with optional degree bound.
 
+    ``pw(i, j)`` takes integer scalars or numpy integer arrays, broadcast
+    together, and returns a float for scalars and a float array otherwise.
+    One call reads a whole split-degree class, e.g. the children of a
+    degree-``i`` split are ``pw(k, i + 2 - k)`` with ``k = np.arange(1, i + 2)``.
+
     Parameters
     ----------
     fn : callable
-        ``fn(i, j) -> float`` for ``i <= j``; symmetry and out-of-range
-        zeroing are applied by the wrapper.
+        ``fn(i, j) -> array``, evaluated elementwise on integer arrays of one
+        shape with ``1 <= i <= j`` (and ``j <= d_max`` when bounded); it
+        returns a float array of that shape.  Symmetry and out-of-range
+        zeroing are applied by the wrapper.  A ``fn`` that fails on arrays
+        with TypeError, ValueError or IndexError, or returns another shape,
+        is refused at construction.
     d_max : int or None
         Finite degree bound; any index beyond it maps to weight zero.
     tail : LinearTail or None
         Two-banded tail description for unbounded families, when available.
     """
 
-    def __init__(self, fn: Callable[[int, int], float], d_max: Optional[int] = None,
-                 tail: Optional[LinearTail] = None):
+    def __init__(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 d_max: Optional[int] = None, tail: Optional[LinearTail] = None):
         if d_max is not None and d_max < 2:
             raise InvalidParameterError("d_max must be at least 2")
         self._fn = fn
         self.d_max = d_max
         self.tail = tail
+        # probe on the pairs of degrees <= 2, which every d_max admits
+        i, j = np.arange(1, 3)[:, None], np.arange(1, 3)
+        try:
+            shape = np.shape(fn(np.minimum(i, j), np.maximum(i, j)))
+        except (TypeError, ValueError, IndexError) as exc:
+            raise InvalidParameterError(
+                "partition weight fn(i, j) must accept integer numpy arrays "
+                f"and return a float array of their broadcast shape: {exc!r}") from None
+        if shape != (2, 2):
+            raise InvalidParameterError(
+                "partition weight fn(i, j) must return a float array of the "
+                f"broadcast shape of its integer array arguments, got shape {shape}")
 
-    def __call__(self, i: int, j: int) -> float:
-        if i < 1 or j < 1:
-            return 0.0
-        if self.d_max is not None and (i > self.d_max or j > self.d_max):
-            return 0.0
-        if i > j:
-            i, j = j, i
-        return float(self._fn(i, j))
+    def __call__(self, i, j):
+        i, j = np.asarray(i), np.asarray(j)
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        ok = lo >= 1
+        if self.d_max is not None:
+            ok &= hi <= self.d_max
+        w = np.where(ok, self._fn(np.where(ok, lo, 1), np.where(ok, hi, 1)), 0.0)
+        return float(w) if w.ndim == 0 else w
 
     @classmethod
     def from_table(cls, d_max: int, entries: Iterable[tuple[int, int, float]]) -> "PartitionWeights":
@@ -165,7 +186,10 @@ class PartitionWeights:
             if key in table and table[key] != w:
                 raise InvalidParameterError(f"conflicting entries for pair {key}")
             table[key] = w
-        return cls(lambda i, j: table.get((i, j), 0.0), d_max=d_max)
+        dense = np.zeros((d_max + 1, d_max + 1))
+        for (i, j), w in table.items():
+            dense[i, j] = dense[j, i] = w
+        return cls(lambda i, j: dense[i, j], d_max=d_max)
 
 
 def derive_splitting_weights(pw: PartitionWeights, i_max: int) -> np.ndarray:
@@ -177,7 +201,8 @@ def derive_splitting_weights(pw: PartitionWeights, i_max: int) -> np.ndarray:
         raise InvalidParameterError("i_max must be >= 1")
     out = np.empty(i_max)
     for i in range(1, i_max + 1):
-        out[i - 1] = (i / 2.0) * math.fsum(pw(j, i + 2 - j) for j in range(1, i + 2))
+        k = np.arange(1, i + 2)
+        out[i - 1] = (i / 2.0) * math.fsum(pw(k, i + 2 - k))
     return out
 
 
@@ -213,7 +238,7 @@ class WeightModel:
         self._derived_cache: dict[int, float] = {
             i + 1: float(v) for i, v in enumerate(derived)}
         self._leaf_mass_limit = leaf_mass_limit
-        self._split_cache: dict[int, tuple[list[float], float]] = {}
+        self._split_cache: dict[int, tuple[list[int], list[float], float]] = {}
         self._regime: Optional[tuple[Regime, float]] = None
 
     # -- basic accessors ---------------------------------------------------
@@ -229,8 +254,8 @@ class WeightModel:
             return self.splitting(i)
         got = self._derived_cache.get(i)
         if got is None:
-            got = (i / 2.0) * math.fsum(self.partition(j, i + 2 - j)
-                                        for j in range(1, i + 2))
+            k = np.arange(1, i + 2)
+            got = (i / 2.0) * math.fsum(self.partition(k, i + 2 - k))
             self._derived_cache[i] = got
         return got
 
@@ -275,39 +300,42 @@ class WeightModel:
 
     # -- split-size law ----------------------------------------------------
 
-    def split_distribution(self, i: int) -> tuple[list[float], float]:
-        """Cumulative weights of the ordered child-degree pairs of a
-        degree-``i`` split.
+    def _split_column(self, i: int) -> np.ndarray:
+        """``(i/2) * w[k, i+2-k]`` for ``k = 1..i+1``: the weight of the
+        ordered child-degree pair ``(k, i+2-k)`` of a degree-``i`` split."""
+        if i < 1:
+            raise InvalidDegreeError(f"degree must be >= 1, got {i}")
+        k = np.arange(1, i + 2)
+        return (i / 2.0) * self.partition(k, i + 2 - k)
 
-        Entry ``k-1`` accumulates ``(i/2) * w[k, i+2-k]`` for ``k = 1..i+1``;
-        the pair ``(k, i+2-k)`` has probability ``(i/2) * w[k, i+2-k] / w_i``.
-        """
+    def split_distribution(self, i: int) -> tuple[list[int], list[float], float]:
+        """Support and cumulative weights of the child-degree pairs of a
+        degree-``i`` split: the first child degrees ``k`` with positive
+        weight, the running sums of ``(i/2) * w[k, i+2-k]`` over ``k = 1..i+1``
+        at those ``k``, and the total ``w_i``.  Only the support is cached,
+        so a preferential split of any degree holds two entries."""
         got = self._split_cache.get(i)
         if got is not None:
             return got
-        if i < 1:
-            raise InvalidDegreeError(f"degree must be >= 1, got {i}")
-        cum: list[float] = []
-        total = 0.0
-        half_i = i / 2.0
-        for k in range(1, i + 2):
-            total += half_i * self.partition(k, i + 2 - k)
-            cum.append(total)
-        self._split_cache[i] = (cum, total)
-        return cum, total
+        col = self._split_column(i)
+        pos = col > 0
+        cum = np.cumsum(col)                # left to right, like a running sum
+        got = (np.flatnonzero(pos) + 1).tolist(), cum[pos].tolist(), float(cum[-1])
+        self._split_cache[i] = got
+        return got
 
     def split_probabilities(self, i: int) -> np.ndarray:
-        cum, total = self.split_distribution(i)
+        total = self.split_distribution(i)[2]
         if total <= 0:
             raise InvalidDegreeError(f"degree {i} has no admissible split")
-        return np.diff(np.concatenate([[0.0], cum])) / total
+        return self._split_column(i) / total
 
     def sample_split(self, i: int, rng) -> int:
         """Draw the first child degree ``k`` of a degree-``i`` split."""
-        cum, total = self.split_distribution(i)
+        ks, cum, total = self.split_distribution(i)
         if total <= 0:
             raise InvalidDegreeError(f"degree {i} has no admissible split")
-        return bisect.bisect_right(cum, rng.random() * total) + 1
+        return ks[bisect.bisect_right(cum, rng.random() * total)]
 
     def __repr__(self):
         bound = self.d_max if self.d_max is not None else "inf"
@@ -365,11 +393,13 @@ def validate_model(m: WeightModel, tol: float = 1e-9, i_max: int = 200) -> Valid
         top = ConditionReport(None, "unbounded model; not applicable")
     else:
         D = m.d_max
-        bad = [k for k in range(2, D + 1) if m.partition(1, k) <= 0]
+        ks = np.arange(2, D + 1)
+        bad = ks[m.partition(1, ks) <= 0].tolist()
         reach = ConditionReport(not bad,
                                 "w[1,k] > 0 for all 2 <= k <= d_max" if not bad
                                 else f"w[1,k] = 0 for k in {bad}")
-        idx = [i for i in range(2, D) if m.partition(i, D + 2 - i) > 0]
+        ks = np.arange(2, D)
+        idx = ks[m.partition(ks, D + 2 - ks) > 0].tolist()
         top = ConditionReport(bool(idx),
                               f"w[i, d_max+2-i] > 0 for i in {idx}" if idx
                               else "no i in 2..d_max-1 with w[i, d_max+2-i] > 0")
@@ -387,14 +417,10 @@ def classify_regime(m: WeightModel, i_scan: int = 4096,
     (unrecognised family without a declared tail and no ``limit`` hint) an
     UnknownTailError is raised rather than extrapolating.
     """
+    i = np.arange(1, m.d_max if m.d_max is not None else i_scan + 1)
+    s_scan = float(np.min(i * m.partition(1, i + 1)))
     if m.d_max is not None:
-        hi = m.d_max - 1
-        masses = [m.leaf_mass(i) for i in range(1, hi + 1)]
-        s = min(masses) if masses else 0.0
-        return Regime.CASE_I, float(s)
-
-    masses = [m.leaf_mass(i) for i in range(1, i_scan + 1)]
-    s_scan = min(masses)
+        return Regime.CASE_I, s_scan
     if s_scan == 0.0:
         return Regime.CASE_I, 0.0
     tail_limit = limit if limit is not None else m.leaf_mass_limit
@@ -434,10 +460,8 @@ def make_preferential(sw: SplittingWeights) -> WeightModel:
     _check_splitting_valid(sw, None)
 
     def fn(i, j):  # i <= j guaranteed by the wrapper
-        if i != 1 or j < 2:
-            return 0.0
-        d = j - 1
-        return sw(d) / d
+        d = np.maximum(j - 1, 1)
+        return np.where((i == 1) & (j >= 2), sw(d) / d, 0.0)
 
     tail = LinearTail(start=1, pg=sw.a, qg=sw.b)
     pw = PartitionWeights(fn, d_max=None, tail=tail)
@@ -447,15 +471,14 @@ def make_preferential(sw: SplittingWeights) -> WeightModel:
 def make_uniform(x: float) -> WeightModel:
     """Uniform partitioning: a degree-``k`` split picks each ordered child
     pair with the same probability; ``w_i = i + x`` with ``x > -1``."""
-    if not x > -1:
-        raise InvalidParameterError(f"uniform family needs x > -1, got {x}")
+    if not (x > -1 and math.isfinite(x)):
+        raise InvalidParameterError(f"uniform family needs a finite x > -1, got {x}")
     sw = SplittingWeights(1.0, float(x))
 
     def fn(i, j):
         d = i + j - 2
-        if d < 1:
-            return 0.0
-        return 2.0 * (d + x) / (d * (d + 1))
+        dd = np.maximum(d, 1)
+        return np.where(d >= 1, 2.0 * (dd + x) / (dd * (dd + 1)), 0.0)
 
     # i * w[1, i+1] = 2(i+x)/(i+1) is monotone with limit 2
     pw = PartitionWeights(fn, d_max=None, tail=None)
@@ -463,30 +486,25 @@ def make_uniform(x: float) -> WeightModel:
                        leaf_mass_limit=2.0)
 
 
-def _two_banded_fn(sw: SplittingWeights, alpha_of: Callable[[int], float],
+def _two_banded_fn(sw: SplittingWeights, alpha_of: Callable[[np.ndarray], np.ndarray],
                    start: int, head: Optional[PartitionWeights]):
     """Partitioning accessor with head table below ``start`` and the
     two-banded split law ``i*w[1,i+1] = alpha_i*w_i``, ``i*w[2,i] = (1-alpha_i)*w_i``
-    from ``start`` on (diagonal pair (2,2) not halved)."""
+    from ``start`` on (diagonal pair (2,2) not halved).  ``alpha_of`` is
+    evaluated on arrays of degrees ``>= start`` only."""
 
-    def fn(i, j):  # i <= j
+    def fn(i, j):  # i <= j, so i == 1 is the pair (1, d+1) and i == 2 is (2, d)
         d = i + j - 2
-        if d < 1:
-            return 0.0
-        if d < start:
-            if head is not None:
-                return head(i, j)
-            if d == 1 and i == 1:      # forced: w[1,2] = w_1
-                return sw(1)
-            return 0.0
-        al = alpha_of(d)
-        if i == 1 and j == d + 1:
-            return al * sw(d) / d
-        if i == 2 and j == d:
-            if d == 2:
-                return (1.0 - al) * sw(2)
-            return (1.0 - al) * sw(d) / d
-        return 0.0
+        if head is not None:
+            low = head(i, j)
+        else:                          # forced: w[1,2] = w_1
+            low = np.where(d == 1, sw(1), 0.0)
+        dt = np.maximum(d, start)
+        al, w = alpha_of(dt), sw(dt)
+        high = np.where(i == 1, al * w / dt,
+                        np.where(i == 2, np.where(dt == 2, (1.0 - al) * w,
+                                                  (1.0 - al) * w / dt), 0.0))
+        return np.where(d < 1, 0.0, np.where(d < start, low, high))
 
     return fn
 
@@ -498,9 +516,11 @@ def make_alpha_class(sw: SplittingWeights, alpha, M: int = 2,
 
     ``alpha`` is a sequence of values in (0, 1] for degrees ``M, M+1, ...``
     (the final value extends to all larger degrees) or a callable; a callable
-    carries no tail metadata, so regime classification then needs an explicit
-    limit hint.  ``head`` supplies the partitioning weights of split degrees
-    below ``M``; for ``M == 2`` it may be omitted and ``w[1,2] = w_1`` is used.
+    maps an integer array of degrees ``>= M`` to the array of their values,
+    and carries no tail metadata, so regime classification then needs an
+    explicit limit hint.  ``head`` supplies the partitioning weights of split
+    degrees below ``M``; for ``M == 2`` it may be omitted and ``w[1,2] = w_1``
+    is used.
     """
     if M < 2:
         raise InvalidParameterError("M must be >= 2")
@@ -519,8 +539,8 @@ def make_alpha_class(sw: SplittingWeights, alpha, M: int = 2,
             if not 0.0 < v <= 1.0:
                 raise InvalidParameterError(f"alpha values must lie in (0, 1], got {v}")
 
-        def alpha_of(i, _seq=seq, _M=M):
-            return _seq[min(i - _M, len(_seq) - 1)]
+        def alpha_of(i, _seq=np.array(seq), _M=M):
+            return _seq[np.minimum(i - _M, len(_seq) - 1)]
 
         const_from = M + len(seq) - 1
         al = seq[-1]

@@ -16,6 +16,16 @@ def dmax3():
     return make_table(3, DMAX3_ENTRIES)
 
 
+def constant_uniform_partition(b=1.0):
+    """Uniform partitioning for constant splitting weights ``w_i = b``:
+    ``w[i, j] = 2b / (d (d+1))`` with ``d = i + j - 2``."""
+    def fn(i, j):
+        d = np.maximum(i + j - 2, 1)
+        return np.where(i + j - 2 >= 1, 2.0 * b / (d * (d + 1)), 0.0)
+
+    return PartitionWeights(fn)
+
+
 def singular_band_sums(model, K):
     """Stand-in for the solver's update matrix whose rows k >= 2 give
     M[k, k] = 1, so I - M is singular."""
@@ -69,9 +79,8 @@ def random_case3_model(rng):
             for (i, j) in pairs:
                 entries[(i, j)] = float(rng.uniform(0.05, 3.0))
             entries[(1, d + 1)] = float(rng.uniform(0.1, 3.0))
-        raw_pw = PartitionWeights(lambda i, j: entries.get((min(i, j), max(i, j)), 0.0))
+        raw_pw = PartitionWeights.from_table(M, [(i, j, w) for (i, j), w in entries.items()])
         raw = derive_splitting_weights(raw_pw, M - 1)
-        scaled = {key: w * sw(key[0] + key[1] - 2) / raw[key[0] + key[1] - 3]
-                  for key, w in entries.items()}
-        head = PartitionWeights(lambda i, j: scaled.get((min(i, j), max(i, j)), 0.0))
+        head = PartitionWeights.from_table(
+            M, [(i, j, w * sw(i + j - 2) / raw[i + j - 3]) for (i, j), w in entries.items()])
     return make_alpha_class(sw, alphas, M=M, head=head)

@@ -356,6 +356,15 @@ class TestBadInput:
         assert key in err
         assert not (tmp_path / "o").exists()
 
+    def test_two_colour_binary_refused(self, tmp_path, capsys, monkeypatch):
+        # census_<r>.bin has no colour field; refused before any replica runs
+        monkeypatch.setattr(splitgrow.cli, "run_replicated", None)
+        err = self.run(["simulate", "--family", "rna", "--replicas", "1",
+                        "--t-final", "100", "--binary",
+                        "--out", str(tmp_path / "o")], capsys)
+        assert "--binary" in err
+        assert not (tmp_path / "o").exists()
+
     def test_singular_solve_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(splitgrow.solver, "_band_sums", singular_band_sums)
         err = self.run(["solve", "--family", "preferential", "--w", "i",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,19 @@ from splitgrow import (InvalidParameterError, NoConvergenceError,
                        make_table, make_uniform, residuals, solve_finite)
 from splitgrow import pref_attachment_densities
 from splitgrow.solver import _band_sums, _solve_direct
-from conftest import (DMAX3_ENTRIES, random_case3_model, random_linear_table,
-                      singular_band_sums)
+from splitgrow.twocolour import make_rna, make_two_colour_uniform, reduce_to_one_colour
+from conftest import (DMAX3_ENTRIES, constant_uniform_partition, random_case3_model,
+                      random_linear_table, singular_band_sums)
+
+
+def band_sums_reference(model, K):
+    """The update matrix summed pair by pair with scalar weight calls."""
+    pw = model.partition
+    B = np.zeros((K, K))
+    for i in range(1, K + 1):
+        for k in range(1, min(i + 1, K) + 1):
+            B[k - 1, i - 1] = i * pw(k, i - k + 2)
+    return B
 
 
 def pref_i():
@@ -20,9 +33,8 @@ def pref_i():
 
 
 def constant_uniform():
-    pw = PartitionWeights(lambda i, j: 2.0 / ((i + j - 2) * (i + j - 1))
-                          if i + j - 2 >= 1 else 0.0)
-    return WeightModel(pw, SplittingWeights(0.0, 1.0), leaf_mass_limit=0.0)
+    return WeightModel(constant_uniform_partition(), SplittingWeights(0.0, 1.0),
+                       leaf_mass_limit=0.0)
 
 
 class TestFixedPoint:
@@ -231,13 +243,12 @@ class TestDirectSolve:
         make_grafting(0.0, 0.5), make_grafting(0.5, 0.5), make_grafting(0.5, 1.0),
         make_grafting(1.0, 1.0), make_grafting(0.3, 0.7),
         make_alpha_class(SplittingWeights(1.0, 1.0), [0.8, 0.6, 0.5], M=3,
-                         head=PartitionWeights(
-                             lambda i, j: {(1, 2): 2.0, (1, 3): 1.0,
-                                           (2, 2): 1.0}.get((i, j), 0.0))),
+                         head=PartitionWeights.from_table(
+                             3, [(1, 2, 2.0), (1, 3, 1.0), (2, 2, 1.0)])),
     ], ids=["pref-b0", "pref-b0.5", "graft-0-0.5", "graft-0.5-0.5", "graft-0.5-1",
             "graft-1-1", "graft-0.3-0.7", "alpha-head"])
     def test_banded_tail_matches_scalar_loop(self, model):
-        # the same weights without tail metadata take the pair-by-pair loop
+        # the same weights without tail metadata take the column loop
         plain = WeightModel(PartitionWeights(model.partition), model.splitting)
         assert model.partition.tail is not None and plain.partition.tail is None
         for K in (2, 3, 7, 128):
@@ -246,6 +257,27 @@ class TestDirectSolve:
             scale = np.max(np.abs(scalar))
             assert np.max(np.abs(banded - scalar)) <= 1e-14 * scale, K
             assert np.array_equal(banded != 0, scalar != 0), K
+
+    @pytest.mark.parametrize("K", [64, 257])
+    @pytest.mark.parametrize("model", [
+        make_uniform(0.0), make_uniform(-0.5), reduce_to_one_colour(make_rna()),
+        make_two_colour_uniform(1.0, 0.3).white, make_table(3, DMAX3_ENTRIES),
+    ], ids=["uniform-0", "uniform-0.5", "rna-reduced", "two-colour-uniform-white",
+            "dmax3"])
+    def test_columns_match_pair_loop(self, model, K):
+        assert _band_sums(model, K).tobytes() == band_sums_reference(model, K).tobytes()
+
+    def test_band_matrix_memory_is_the_matrix(self):
+        # column by column: the peak stays near the 8 MB matrix itself,
+        # where one K x K index grid would need several such temporaries
+        model = make_uniform(0.0)
+        tracemalloc.start()
+        try:
+            B = _band_sums(model, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * B.nbytes
 
     def test_band_matrix_built_once(self, monkeypatch):
         calls = []

@@ -112,10 +112,10 @@ class TestReduction:
         import splitgrow.twocolour as tc
         stub = _Stub()
         stub.white = tc.WeightModel(
-            tc.PartitionWeights(lambda i, j: 1.0 if (i, j) == (1, 2) else 0.0),
+            tc.PartitionWeights.from_table(2, [(1, 2, 1.0)]),
             tc.SplittingWeights(0.0, 1.0))
-        stub.w_white = lambda d: float(d - 1)     # vanishes at the degree-1 class
-        stub.w_black = lambda d: float(d)
+        stub.w_white = lambda d: d - 1.0          # vanishes at the degree-1 class
+        stub.w_black = lambda d: d * 1.0
         stub.black = tc.SplittingWeights(1.0, 0.0)
         stub.a, stub.b, stub.family = 1.0, 0.0, "stub"
         with pytest.raises(ZeroDivisionError):

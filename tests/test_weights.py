@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,16 +9,16 @@ from splitgrow import (InvalidParameterError, PartitionWeights, Regime,
                        classify_regime, derive_splitting_weights, make_alpha_class,
                        make_grafting, make_preferential, make_table, make_uniform,
                        validate_model)
-from conftest import DMAX3_ENTRIES, random_linear_table
+from splitgrow.twocolour import (make_rna, make_two_colour_grafting,
+                                 make_two_colour_uniform, reduce_to_one_colour)
+from conftest import DMAX3_ENTRIES, constant_uniform_partition, random_linear_table
 
 
 def constant_uniform_model(b=1.0):
     """Constant splitting weights w_i = b under uniform partitioning; the
     leaf mass 2b/(i+1) decays to zero."""
-    pw = PartitionWeights(lambda i, j: 2.0 * b / ((i + j - 2) * (i + j - 1))
-                          if i + j - 2 >= 1 else 0.0)
-    return WeightModel(pw, SplittingWeights(0.0, b), family="custom",
-                       leaf_mass_limit=0.0)
+    return WeightModel(constant_uniform_partition(b), SplittingWeights(0.0, b),
+                       family="custom", leaf_mass_limit=0.0)
 
 
 class TestDeriveSplittingWeights:
@@ -93,9 +95,7 @@ class TestClassifyRegime:
             classify_regime(m)
 
     def test_explicit_limit_hint(self):
-        pw = PartitionWeights(lambda i, j: 2.0 / ((i + j - 2) * (i + j - 1))
-                              if i + j - 2 >= 1 else 0.0)
-        m = WeightModel(pw, SplittingWeights(0.0, 1.0))
+        m = WeightModel(constant_uniform_partition(), SplittingWeights(0.0, 1.0))
         regime, s = classify_regime(m, limit=0.0)
         assert regime is Regime.CASE_II and s == 0.0
 
@@ -192,3 +192,72 @@ class TestInvariants:
         for _ in range(10):
             m = random_linear_table(rng, int(rng.integers(2, 8)))
             assert validate_model(m, i_max=m.d_max).linearity.ok
+
+
+def contract_models():
+    """Every built-in partition family, one instance each."""
+    head = PartitionWeights.from_table(3, [(1, 2, 2.0), (1, 3, 1.0), (2, 2, 1.0)])
+    return {
+        "preferential": make_preferential(SplittingWeights(1.0, -0.9)),
+        "uniform": make_uniform(0.0),
+        "grafting": make_grafting(0.5, 0.5),
+        "alpha-head": make_alpha_class(SplittingWeights(1.0, 1.0), [0.8, 0.6, 0.5],
+                                       M=3, head=head),
+        "table": make_table(3, DMAX3_ENTRIES),
+        "two-colour-uniform-white": make_two_colour_uniform(1.0, 0.3).white,
+        "two-colour-grafting-white": make_two_colour_grafting(1.0, 0.5, 0.5).white,
+        "rna-reduced": reduce_to_one_colour(make_rna()),
+    }
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("name", list(contract_models()))
+    def test_array_call_equals_scalar_calls(self, name):
+        pw = contract_models()[name].partition
+        i, j = np.meshgrid(np.arange(0, 67), np.arange(0, 67), indexing="ij")
+        keep = i + j <= 66
+        i, j = i[keep], j[keep]
+        scalar = np.array([pw(int(a), int(b)) for a, b in zip(i, j)])
+        arr = pw(i, j)
+        assert arr.dtype == np.float64 and arr.shape == i.shape
+        assert arr.tobytes() == scalar.tobytes()
+        assert isinstance(pw(2, 3), float)
+
+    @pytest.mark.parametrize("fn", [
+        lambda i, j: 1.0 if i == 1 else 0.0,                   # scalar branch
+        lambda i, j: {(1, 2): 1.0}.get((i, j), 0.0),            # dict lookup
+        lambda i, j: 1.0,                                      # wrong shape
+    ], ids=["branch", "dict", "shape"])
+    def test_scalar_only_fn_refused(self, fn):
+        with pytest.raises(InvalidParameterError, match="array"):
+            PartitionWeights(fn)
+
+    def test_out_of_range_masked(self):
+        pw = make_table(3, DMAX3_ENTRIES).partition
+        got = pw(np.array([0, 1, 1, 3, 4, -1]), np.array([2, 3, 4, 2, 1, 5]))
+        assert got.tolist() == [0.0, 0.5, 0.0, 1.0, 0.0, 0.0]
+
+    def test_split_cache_holds_support_only(self):
+        m = make_preferential(SplittingWeights(1.0, -0.9))
+        k = m.sample_split(2000, np.random.default_rng(0))
+        ks, cum, total = m._split_cache[2000]
+        assert ks == [1, 2001] and len(cum) == 2 and k in ks
+        assert total == pytest.approx(m.w(2000))
+
+    @pytest.mark.parametrize("name", ["grafting", "alpha-head", "table", "uniform"])
+    def test_support_draw_matches_full_cumulative(self, name):
+        # bisecting the full running sums (zero-weight pairs repeat the
+        # previous value) picks the same child degree as the support alone
+        m = contract_models()[name]
+        rng = np.random.default_rng(5)
+        for i in range(1, (m.d_max or 12) + 1):
+            full, total = [], 0.0
+            for k in range(1, i + 2):
+                total += (i / 2.0) * m.partition(k, i + 2 - k)
+                full.append(total)
+            ks, cum, got_total = m.split_distribution(i)
+            assert got_total == total
+            assert len(ks) == np.count_nonzero(m.split_probabilities(i))
+            for u in rng.random(50):
+                assert ks[bisect.bisect_right(cum, u * total)] == \
+                    bisect.bisect_right(full, u * total) + 1
