@@ -39,23 +39,34 @@ __all__ = [
 
 
 def bessel_i(nu: float, z: float) -> float:
-    """Modified Bessel function of the first kind, by its power series.
+    """Modified Bessel function of the first kind ``I_nu(z)``, the exponential
+    of the log-space power series ``_log_bessel_i``; ``nu >= 0``, ``0 < z <= 4``."""
+    return math.exp(_log_bessel_i(nu, z))
 
-    Terms ``(z/2)^(2m+nu) / (m! * Gamma(m+nu+1))`` are accumulated until one
-    falls below 1e-18 of the running sum.  Intended range: ``nu >= 0`` and
-    ``0 < z <= 4``.
+
+def _log_bessel_i(nu: float, z: float) -> float:
+    """``log I_nu(z)`` by the power series, summed in log space so that large
+    orders, whose ``I_nu(1)`` underflows, stay representable.
+
+    Terms ``(z/2)^(2m+nu) / (m! * Gamma(m+nu+1))`` are taken relative to the
+    first and accumulated until one falls below 1e-18 of the running sum.
+    Intended range: ``nu >= 0`` and ``0 < z <= 4``.
     """
     if nu < 0 or z <= 0:
         raise InvalidParameterError(f"series valid for nu >= 0, z > 0; got nu={nu}, z={z}")
     log_half_z = math.log(z / 2.0)
+
+    def log_term(m):
+        return (2 * m + nu) * log_half_z - math.lgamma(m + 1) - math.lgamma(m + nu + 1)
+
+    first = log_term(0)
     total = 0.0
     for m in range(200):
-        term = math.exp((2 * m + nu) * log_half_z
-                        - math.lgamma(m + 1) - math.lgamma(m + nu + 1))
+        term = math.exp(log_term(m) - first)
         total += term
         if term < 1e-18 * total:
             break
-    return total
+    return first + math.log(total)
 
 
 # -- attachment-only (preferential) weights -----------------------------------
@@ -109,11 +120,25 @@ def pref_attachment_asymptote(sw: SplittingWeights, k: int) -> float:
 # -- uniform partitioning weights ----------------------------------------------
 
 
+# The log-space terms of the uniform closed form grow like x log x, so their
+# rounding costs about x log x ulps of relative accuracy: 6e-10 at x = 1e5.
+_UNIFORM_X_MAX = 1e5
+
+
+def _uniform_log_norm(x: float) -> float:
+    """``log C(x)`` with ``C(x) = e*sqrt(pi)*2^(-3/2-x)*I_{1/2+x}(1)/(2+x)``
+    for ``-1 < x <= _UNIFORM_X_MAX``; ``C`` itself underflows from about
+    x = 150."""
+    if not -1 < x <= _UNIFORM_X_MAX:
+        raise InvalidParameterError(
+            f"uniform closed form needs -1 < x <= {_UNIFORM_X_MAX:g}, got {x}")
+    return (1.0 + 0.5 * math.log(math.pi) - (1.5 + x) * math.log(2.0)
+            + _log_bessel_i(0.5 + x, 1.0) - math.log(2 + x))
+
+
 def uniform_norm_constant(x: float) -> float:
     """Normalisation constant ``C(x) = e*sqrt(pi)*2^(-3/2-x)*I_{1/2+x}(1)/(2+x)``."""
-    if not x > -1:
-        raise InvalidParameterError(f"needs x > -1, got {x}")
-    c = math.e * math.sqrt(math.pi) * 2.0 ** (-1.5 - x) * bessel_i(0.5 + x, 1.0) / (2 + x)
+    c = math.exp(_uniform_log_norm(x))
     if not c > 0:
         raise InvalidParameterError(
             f"uniform normalisation constant underflows to 0 at x = {x:g}")
@@ -123,18 +148,25 @@ def uniform_norm_constant(x: float) -> float:
 def uniform_density(x: float, k: int) -> float:
     """Limiting density of the uniform-partitioning family,
 
-        a_k = (1/C(x)) * 2^(k-1) * Gamma(k+x) / (Gamma(k) * Gamma(k+3+2x)) * (k+1+2x).
+        a_k = (1/C(x)) * 2^(k-1) * Gamma(k+x) / (Gamma(k) * Gamma(k+3+2x)) * (k+1+2x),
+
+    evaluated as one exponential of a log-space ratio.
     """
+    return _uniform_density(x, k, _uniform_log_norm(x))
+
+
+def _uniform_density(x: float, k: int, log_c: float) -> float:
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    C = uniform_norm_constant(x)
     lg = ((k - 1) * math.log(2.0) + math.lgamma(k + x)
           - math.lgamma(k) - math.lgamma(k + 3 + 2 * x))
-    return math.exp(lg) * (k + 1 + 2 * x) / C
+    return math.exp(lg - log_c) * (k + 1 + 2 * x)
 
 
 def uniform_densities(x: float, k_max: int) -> np.ndarray:
-    return np.array([uniform_density(x, k) for k in range(1, k_max + 1)])
+    """``a_1 .. a_{k_max}`` with the normalisation evaluated once."""
+    log_c = _uniform_log_norm(x)
+    return np.array([_uniform_density(x, k, log_c) for k in range(1, k_max + 1)])
 
 
 # -- attachment and grafting ----------------------------------------------------
@@ -254,7 +286,10 @@ def closed_form_for(model: WeightModel) -> Optional[ClosedForm]:
                           exponent=-3.0 - x, constant=_pref_tail_constant(x))
     if fam == "uniform":
         x = model.params["x"]
-        return ClosedForm(fam, model.params, lambda k: uniform_density(x, k),
+        if x > _UNIFORM_X_MAX:
+            return None
+        log_c = _uniform_log_norm(x)
+        return ClosedForm(fam, model.params, lambda k: _uniform_density(x, k, log_c),
                           note="super-exponential tail")
     if fam == "grafting":
         al, ga = model.params["alpha"], model.params["gamma"]

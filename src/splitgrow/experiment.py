@@ -26,8 +26,8 @@ from .solver import fixed_point_densities, solve_finite
 from .twocolour import (TwoColourModel, TwoColourState, densities_from_e,
                         make_rna, make_two_colour_grafting, make_two_colour_uniform,
                         solve_two_colour)
-from .weights import SplittingWeights, make_grafting, make_preferential, \
-    make_table, make_uniform
+from .weights import MAX_DEGREE, SplittingWeights, make_grafting, \
+    make_preferential, make_table, make_uniform
 
 __all__ = [
     "ExperimentConfig",
@@ -129,6 +129,8 @@ class ExperimentConfig:
             if isinstance(val, bool) or not isinstance(val, int) or val < low:
                 raise InvalidParameterError(
                     f"{name} must be an integer >= {low}, got {val!r}")
+        if cfg.K > MAX_DEGREE:
+            raise InvalidParameterError(f"K must be at most {MAX_DEGREE}, got {cfg.K}")
         for name in ("tol", "z_crit"):
             val = getattr(cfg, name)
             if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:

@@ -21,18 +21,26 @@ with probability ``n_d * w_d / W_t`` in O(log K) over K degree classes, and
 the tree then picks a uniform member of that class from the same draw.  A
 tree step adds O(deg) surgery.  States are confined to one worker at a time;
 the weight model is shared read-only.
+
+``run`` grows ``UrnState`` and ``twocolour.TwoColourState`` through one
+census kernel, ``_census_kernel``: it draws its uniforms in blocks, inlines
+the sampler and allocates no events, and it leaves the census, the running
+total and the generator exactly as the same number of ``step`` calls would.
+``step`` stays the event-returning reference.  ``OrderedTree`` grows
+through ``step``.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DegeneracyError, InvalidParameterError
+from .errors import DegeneracyError, InvalidDegreeError, InvalidParameterError
 from .weights import WeightModel
 
 __all__ = [
@@ -122,11 +130,17 @@ class ClassSampler:
         mass = self._mass
         if pos < len(mass) and mass[pos] > 0.0:
             return pos, x
-        # rounding parked the draw past the end or on an empty class
+        return self._nearest_positive(pos), 0.0
+
+    def _nearest_positive(self, pos: int) -> int:
+        """Where a draw that rounding parked at ``pos``, past the last class
+        or on an empty one, goes: the nearest class with positive mass at or
+        below ``pos``, else above it."""
+        mass = self._mass
         top = min(pos, len(mass) - 1)
         for c in chain(range(top, -1, -1), range(top + 1, len(mass))):
             if mass[c] > 0.0:
-                return c, 0.0
+                return c
         raise DegeneracyError("no class has positive sampling weight")
 
 
@@ -381,6 +395,10 @@ class UrnState(_CensusMixin):
     def single_edge(cls, model: WeightModel) -> "UrnState":
         return cls(model, [2])
 
+    def _layout(self) -> tuple[WeightModel, int]:
+        """Split-size model and class stride for ``_census_kernel``."""
+        return self.model, 1
+
     def sample_degree(self, rng) -> int:
         """Degree class drawn with probability w_d * n_d / total weight."""
         return self._classes.sample(rng, self.total_weight)[0] + 1
@@ -406,20 +424,128 @@ def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnap
     ``thin=m`` records every m-th step (plus initial and final states);
     ``thin=None`` records only the final state.  Deterministic given the
     state, the model and the generator state.
+
+    ``UrnState`` and ``TwoColourState`` grow through ``_census_kernel``,
+    which draws its uniforms in blocks and allocates no events; the census,
+    the running total and the generator end exactly as after the same number
+    of ``state.step`` calls.  ``OrderedTree`` takes its ``step`` path.
     """
     if t_final < state.t:
         raise InvalidParameterError(f"t_final = {t_final} < current t = {state.t}")
+    advance = _census_kernel if hasattr(state, "_layout") else _step_until
     snaps: list[CensusSnapshot] = []
     if thin:
         snaps.append(state.census())
-    steps = 0
-    while state.t < t_final:
-        state.step(rng)
-        steps += 1
-        if thin and steps % thin == 0 and state.t < t_final:
-            snaps.append(state.census())
-    snaps.append(state.census())
+    # every step advances the clock by one, so snapshots fall every thin ticks
+    for stop in chain(range(state.t + thin, t_final, thin) if thin else (), (t_final,)):
+        advance(state, stop, rng)
+        snaps.append(state.census())
     return snaps
+
+
+def _step_until(state, t_stop: int, rng) -> None:
+    while state.t < t_stop:
+        state.step(rng)
+
+
+_BLOCK = 4096           # uniforms drawn per generator call by the census kernel
+
+
+def _census_kernel(state, t_stop: int, rng) -> None:
+    """Advance a census engine to ``state.t == t_stop``: ``state.step`` with
+    the ``ClassSampler`` inlined, block uniforms and no events.
+
+    The engine's ``_layout()`` gives the split-size model and the stride
+    ``s`` of its classes.  One colour (``s = 1``): class ``c`` is degree
+    ``c + 1``.  Two colours (``s = 2``): an odd class is a black vertex and
+    recolours into class ``c - 1``; an even class is a white vertex of degree
+    ``c // 2 + 1``.  A split of degree ``d`` into ``k`` and ``d + 2 - k`` adds
+    one member to classes ``s*k - 1`` and ``s*(d + 2 - k) - 1``.
+
+    The draws, the order of the count and mass updates and the float
+    operations on the running total are those of ``state.step``, so the
+    outcome is bit-identical.  At most ``t_stop - t`` uniforms are drawn at
+    a time, and every event uses at least one, so the generator is never
+    drawn ahead of the scalar path.
+    """
+    split_model, stride = state._layout()
+    recolour = stride - 1                   # class bit of a recolouring vertex
+    sampler = state._classes
+    counts, weights, mass = sampler.counts, sampler.weights, sampler._mass
+    tree = sampler._tree
+    n = len(tree) - 1
+    cached_law = split_model._split_cache.get
+    split_law = split_model.split_distribution
+    us: list[float] = []                    # the block's unused uniforms, reversed
+    ncls = len(counts)
+    t, total = state.t, state.total_weight
+    try:
+        while t < t_stop:
+            if not total > 0.0:
+                raise DegeneracyError("total sampling weight is not positive")
+            if not us:
+                us = rng.random(min(_BLOCK, t_stop - t)).tolist()
+                us.reverse()
+            x = us.pop() * total
+            # Fenwick descent; n is a power of two, so only the first level
+            # can look past the last class
+            if tree[n] <= x:
+                c = n
+            else:
+                c, bit = 0, n >> 1
+                while bit:
+                    nxt = c + bit
+                    if tree[nxt] <= x:
+                        x -= tree[nxt]
+                        c = nxt
+                    bit >>= 1
+            if c >= ncls or not mass[c] > 0.0:
+                c = sampler._nearest_positive(c)
+            if c & recolour:
+                kids: tuple[int, ...] = (c - 1,)
+            else:
+                d = c // stride + 1
+                ks, cum, wsum = cached_law(d) or split_law(d)
+                if wsum <= 0:
+                    raise InvalidDegreeError(f"degree {d} has no admissible split")
+                if not us:
+                    us = rng.random(min(_BLOCK, t_stop - t)).tolist()
+                    us.reverse()
+                k = ks[bisect_right(cum, us.pop() * wsum)]
+                kids = (stride * k - 1, stride * (d + 2 - k) - 1)
+            # ClassSampler.add(c, -1), then add(kid, 1) for each kid
+            counts[c] -= 1
+            m = counts[c] * weights[c]
+            dm = m - mass[c]
+            if dm != 0.0:
+                mass[c] = m
+                j = c + 1
+                while j <= n:
+                    tree[j] += dm
+                    j += j & -j
+            for kc in kids:
+                if kc >= ncls:                  # a new class; the tree may grow
+                    sampler.add(kc, 1)
+                    tree = sampler._tree
+                    n = len(tree) - 1
+                    ncls = len(counts)
+                    continue
+                counts[kc] += 1
+                m = counts[kc] * weights[kc]
+                dm = m - mass[kc]
+                if dm != 0.0:
+                    mass[kc] = m
+                    j = kc + 1
+                    while j <= n:
+                        tree[j] += dm
+                        j += j & -j
+            if c & recolour:
+                total += weights[c - 1] - weights[c]
+            else:
+                total += weights[kids[0]] + weights[kids[1]] - weights[c]
+            t += 1
+    finally:
+        state.t, state.total_weight = t, total
 
 
 # -- trajectory serialisation ---------------------------------------------------

@@ -218,6 +218,10 @@ class TwoColourState:
         """Single edge, both endpoints black, at t = 2."""
         return cls(model, white=[0], black=[2], t=2)
 
+    def _layout(self) -> tuple[WeightModel, int]:
+        """Split-size model and class stride for ``growth._census_kernel``."""
+        return self.model.white, 2
+
     def _class_weight(self, c: int) -> float:
         d = c // 2 + 1
         return self.model.w_black(d) if c % 2 else self.model.w_white(d)

@@ -26,7 +26,12 @@ import numpy as np
 
 from .errors import InvalidDegreeError, InvalidParameterError, UnknownTailError
 
+# Largest table d_max and solver truncation K accepted from a config: the
+# dense (d_max+1)^2 table and the K x K system each take 512 MiB at 8192.
+MAX_DEGREE = 8192
+
 __all__ = [
+    "MAX_DEGREE",
     "Regime",
     "SplittingWeights",
     "LinearTail",
@@ -169,8 +174,12 @@ class PartitionWeights:
     def from_table(cls, d_max: int, entries: Iterable[tuple[int, int, float]]) -> "PartitionWeights":
         """Build a bounded-degree table from ``(i, j, weight)`` triples.
 
-        Entries are symmetrised; omitted pairs are zero.
+        Entries are symmetrised; omitted pairs are zero.  ``d_max`` is at
+        most ``MAX_DEGREE``.
         """
+        if d_max > MAX_DEGREE:
+            raise InvalidParameterError(
+                f"d_max must be at most {MAX_DEGREE}, got {d_max}")
         table: dict[tuple[int, int], float] = {}
         for i, j, w in entries:
             i, j = int(i), int(j)

@@ -10,6 +10,7 @@ import splitgrow.solver
 from splitgrow import InvalidParameterError
 from splitgrow.cli import main, parse_weight_expr
 from splitgrow.experiment import ExperimentConfig, ExperimentReport, worker_count
+from splitgrow.weights import MAX_DEGREE
 from conftest import DMAX3_ENTRIES, singular_band_sums
 
 E2 = math.e ** 2
@@ -249,6 +250,26 @@ class TestCompare:
         assert digest == ("2b350f33a1ce412cdf9113268f75d5b1"
                           "174693405536035c4218e59d0d5678ba")
 
+    def test_uniform_report_bytes_pinned(self, tmp_path, monkeypatch):
+        # the analytic column is the log-space closed form; the empirical
+        # columns kept their bytes when it replaced the linear-space one
+        monkeypatch.setenv("SPLITGROW_THREADS", "1")
+        rc = main(["compare", "--family", "uniform", "--x", "0", "--seed", "7",
+                   "--replicas", "2", "--t-final", "2000", "--k-check", "3",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+        assert digest == ("7f5ad3a3a1b4f6bc19f581711aafa0f3"
+                          "c3dcd2fdd7489a4b13ee8d29142e3b38")
+
+    def test_uniform_large_x_compares(self, tmp_path):
+        # the normalisation constant underflows at x = 200; its log does not
+        rc = main(["compare", "--family", "uniform", "--x", "200", "--seed", "3",
+                   "--replicas", "2", "--t-final", "300", "--k-check", "1",
+                   "--z-crit", "1e9", "--out", str(tmp_path)])
+        assert rc == 0
+        assert ",1,closed-form,0.3683350198" in (tmp_path / "report.csv").read_text()
+
     def test_failed_invariant_check_fails(self, tmp_path, monkeypatch, capsys):
         # a broken census identity fails compare even when every z passes
         monkeypatch.setenv("SPLITGROW_THREADS", "1")
@@ -355,6 +376,22 @@ class TestBadInput:
                         "--out", str(tmp_path / "o")], capsys)
         assert key in err
         assert not (tmp_path / "o").exists()
+
+    def test_oversized_K_refused(self, capsys):
+        # a dense K x K solve at K = 1e6 would ask for terabytes
+        err = self.run(["solve", "--family", "preferential", "--w", "i",
+                        "--K", "1000000"], capsys)
+        assert "K must be at most 8192" in err
+        assert ExperimentConfig.from_dict({"model": {"family": "rna"},
+                                           "K": MAX_DEGREE}).K == MAX_DEGREE
+
+    def test_oversized_table_refused(self, tmp_path, capsys):
+        # the dense (d_max+1)^2 table is refused before it is allocated
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"d_max": MAX_DEGREE + 1,
+                                    "entries": [list(e) for e in DMAX3_ENTRIES]}))
+        err = self.run(["solve", "--table", str(path)], capsys)
+        assert "d_max must be at most 8192" in err
 
     def test_two_colour_binary_refused(self, tmp_path, capsys, monkeypatch):
         # census_<r>.bin has no colour field; refused before any replica runs

@@ -114,6 +114,22 @@ class TestUniform:
         sums = np.cumsum(d)
         assert (np.diff(sums) >= 0).all() and sums[-1] <= 1 + 1e-12
 
+    @pytest.mark.parametrize("x", [100.0, 200.0, 500.0])
+    def test_large_x_matches_solver(self, x):
+        # C(x) underflows from about x = 150; its logarithm does not
+        exact = uniform_densities(x, 16)
+        solved = fixed_point_densities(make_uniform(x), K=256).densities[:16]
+        assert np.max(np.abs(exact / solved - 1.0)) <= 1e-10
+        assert np.array_equal(closed_form_for(make_uniform(x)).densities(16), exact)
+
+    def test_x_beyond_accuracy_bound(self):
+        with pytest.raises(InvalidParameterError, match="underflows"):
+            uniform_norm_constant(200.0)
+        with pytest.raises(InvalidParameterError, match="closed form"):
+            uniform_density(2e5, 1)
+        # compare then falls back to the solver
+        assert closed_form_for(make_uniform(2e5)) is None
+
 
 class TestGrafting:
     def test_alpha0_gamma1(self):

@@ -10,7 +10,8 @@ from splitgrow import (ClassSampler, DegeneracyError, InvalidParameterError,
                        make_preferential, make_table, make_uniform,
                        read_census_binary, run, write_census_binary,
                        write_census_csv)
-from splitgrow.twocolour import TwoColourSnapshot
+from splitgrow.twocolour import (TwoColourSnapshot, TwoColourState, make_rna,
+                                 make_two_colour_grafting)
 from conftest import DMAX3_ENTRIES
 
 
@@ -289,6 +290,97 @@ class TestRun:
         state = UrnState(pref_i(), [2, 1])
         with pytest.raises(InvalidParameterError):
             run(state, 2, np.random.default_rng(0))
+
+
+KERNEL_ENGINES = {
+    "pref-i": lambda: UrnState.single_edge(pref_i()),
+    "pref-i-0.9": lambda: UrnState.single_edge(
+        make_preferential(SplittingWeights(1.0, -0.9))),
+    "uniform": lambda: UrnState.single_edge(make_uniform(0.0)),
+    "dmax3": lambda: UrnState.single_edge(make_table(3, DMAX3_ENTRIES)),
+    "rna": lambda: TwoColourState.single_edge(make_rna()),
+    "two-colour-grafting": lambda: TwoColourState.single_edge(
+        make_two_colour_grafting(1.0, 0.5, 0.5)),
+}
+
+
+def stepped(state, t_final, rng, thin=None):
+    """The reference for ``run``: one ``state.step`` per event."""
+    snaps = [state.census()] if thin else []
+    steps = 0
+    while state.t < t_final:
+        state.step(rng)
+        steps += 1
+        if thin and steps % thin == 0 and state.t < t_final:
+            snaps.append(state.census())
+    snaps.append(state.census())
+    return snaps
+
+
+def same_snapshots(a, b):
+    return len(a) == len(b) and all(
+        s.t == r.t and s.counts.tolist() == r.counts.tolist()
+        and s.total_weight.hex() == r.total_weight.hex() for s, r in zip(a, b))
+
+
+class TestCensusKernel:
+    """``run`` hands urn and two-colour states to the block-drawn kernel,
+    which must leave the census, the running total's bits and the generator
+    exactly where ``state.step`` leaves them."""
+
+    @pytest.mark.parametrize("thin", [None, 37])
+    @pytest.mark.parametrize("name", sorted(KERNEL_ENGINES))
+    def test_matches_step_reference(self, name, thin):
+        make = KERNEL_ENGINES[name]
+        kernel, ref = make(), make()
+        rng_k, rng_r = np.random.default_rng(5), np.random.default_rng(5)
+        snaps_k = run(kernel, 3000, rng_k, thin=thin)
+        snaps_r = stepped(ref, 3000, rng_r, thin=thin)
+        assert kernel.counts == ref.counts
+        assert kernel.total_weight.hex() == ref.total_weight.hex()
+        assert rng_k.bit_generator.state == rng_r.bit_generator.state
+        assert same_snapshots(snaps_k, snaps_r)
+        if name == "pref-i-0.9":
+            assert len(kernel.counts) > 16        # the tree grew inside the kernel
+
+    @pytest.mark.parametrize("name", ["pref-i", "rna"])
+    def test_blocks_longer_than_a_call(self, name):
+        # run(T1) then run(T2) draws exactly what one run(T2) draws, so no
+        # uniform is drawn ahead across calls or block boundaries
+        make = KERNEL_ENGINES[name]
+        split, whole = make(), make()
+        rng_s, rng_w = np.random.default_rng(9), np.random.default_rng(9)
+        run(split, 4100, rng_s)
+        run(split, 9000, rng_s)
+        run(whole, 9000, rng_w)
+        assert split.counts == whole.counts
+        assert split.total_weight.hex() == whole.total_weight.hex()
+        assert rng_s.bit_generator.state == rng_w.bit_generator.state
+
+    def test_end_of_draw_guard(self):
+        # w_1 = 0 makes the leaves a zero-weight class; degrees 5 and 6 are
+        # empty.  A total a few ulps high sends a draw of u ~ 1 past every
+        # class, and a draw of u = 0 passes the zero-weight and empty classes
+        # below degree 3; both must end on a class with positive weight (the
+        # hub of degree 4 and of degree 3), as in state.step.
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, size=None):
+                return self.u if size is None else np.full(size, self.u)
+
+        model = make_preferential(SplittingWeights(1.0, -1.0))
+        for u, chosen in ((1.0 - 2.0 ** -53, 4), (0.0, 3)):
+            kernel, ref = UrnState(model, [3, 0, 1, 1, 0, 0]), \
+                UrnState(model, [3, 0, 1, 1, 0, 0])
+            exact = kernel.total_weight
+            kernel.total_weight = ref.total_weight = exact * (1 + 4e-16)
+            run(kernel, kernel.t + 1, Fixed(u))
+            ev = ref.step(Fixed(u))
+            assert ev.parent_degree == chosen
+            assert kernel.counts == ref.counts and min(kernel.counts) >= 0
+            assert kernel.counts[chosen - 1] == 0
 
 
 class TestSerialisation:
