@@ -53,9 +53,19 @@ def parse_weight_expr(expr: str) -> SplittingWeights:
     return SplittingWeights(a, b)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refusing a key given twice (json keeps the last)."""
+    doc = {}
+    for key, val in pairs:
+        if key in doc:
+            raise InvalidParameterError(f"duplicate key {key!r}")
+        doc[key] = val
+    return doc
+
+
 def _read_json(path: str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise InvalidParameterError(f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):

@@ -45,11 +45,32 @@ __all__ = [
 TWO_COLOUR_FAMILIES = ("rna", "two-colour-uniform", "two-colour-grafting")
 
 
+# the parameters each family takes besides "family"; any other key is refused
+FAMILY_PARAMETERS = {
+    "preferential": ("a", "b"),
+    "uniform": ("x",),
+    "grafting": ("alpha", "gamma"),
+    "table": ("d_max", "entries"),
+    "rna": (),
+    "two-colour-uniform": ("a", "b"),
+    "two-colour-grafting": ("a", "b", "alpha0"),
+}
+
+
 def build_model(spec: dict):
     """Model from a config mapping: ``{"family": ..., <parameters>}``.
 
-    A missing or malformed parameter raises InvalidParameterError."""
+    An unknown family, a key the family does not take, or a missing or
+    malformed parameter raises InvalidParameterError."""
     fam = spec.get("family")
+    if not isinstance(fam, str) or fam not in FAMILY_PARAMETERS:
+        raise InvalidParameterError(f"unknown family {fam!r}")
+    params = FAMILY_PARAMETERS[fam]
+    unknown = sorted(map(str, set(spec) - {"family", *params}))
+    if unknown:
+        raise InvalidParameterError(
+            f"family {fam!r} takes no parameter {', '.join(map(repr, unknown))}; "
+            f"its parameters are {', '.join(map(repr, params)) or 'none'}")
     try:
         if fam == "preferential":
             return make_preferential(SplittingWeights(float(spec.get("a", 1.0)),
@@ -65,9 +86,8 @@ def build_model(spec: dict):
             return make_rna()
         if fam == "two-colour-uniform":
             return make_two_colour_uniform(float(spec["a"]), float(spec["b"]))
-        if fam == "two-colour-grafting":
-            return make_two_colour_grafting(float(spec["a"]), float(spec["b"]),
-                                            float(spec.get("alpha0", 0.5)))
+        return make_two_colour_grafting(float(spec["a"]), float(spec["b"]),
+                                        float(spec.get("alpha0", 0.5)))
     except InvalidParameterError:
         raise
     except KeyError as exc:
@@ -75,7 +95,6 @@ def build_model(spec: dict):
             f"family {fam!r} needs parameter {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(f"bad parameters for family {fam!r}: {exc}") from None
-    raise InvalidParameterError(f"unknown family {fam!r}")
 
 
 def is_two_colour_spec(spec: dict) -> bool:

@@ -3,7 +3,7 @@
 Two law-equivalent engines are provided:
 
 * ``OrderedTree`` maintains the full planar tree (cyclically ordered
-  adjacency per vertex) and performs the structural split: a chosen vertex
+  half-edges per vertex) and performs the structural split: a chosen vertex
   ``v`` of degree ``i`` is replaced by an adjacent pair ``v', v''`` of
   degrees ``k`` and ``i+2-k``, the incident edges being divided into two
   contiguous arcs of the cyclic order.
@@ -16,23 +16,26 @@ decisions produces identical censuses, which is the invariant the
 correctness tests pin down; degree statistics do not depend on which
 contiguous arc is chosen.
 
-Both draw from the degree census: a ``ClassSampler`` picks a degree class
-with probability ``n_d * w_d / W_t`` in O(log K) over K degree classes, and
-the tree then picks a uniform member of that class from the same draw.  A
-tree step adds O(deg) surgery.  States are confined to one worker at a time;
-the weight model is shared read-only.
+The engines sample independently, so their agreement in law tests one
+sampler against the other.  ``UrnState`` (and ``twocolour.TwoColourState``)
+draw from a ``ClassSampler``, a Fenwick tree that picks a census class with
+probability ``n_d * w_d / W_t`` in O(log K).  ``OrderedTree`` draws a
+vertex from a weight envelope ``A + B*d >= w_d`` in O(1) expected time: a
+uniform vertex or the owner of a uniform half-edge, kept with probability
+``w_d / (A + B*d)``.  Its split costs O(1) plus the shorter arc.  States
+are confined to one worker at a time; the weight model is shared read-only.
 
-``run`` grows ``UrnState`` and ``twocolour.TwoColourState`` through one
-census kernel, ``_census_kernel``: it draws its uniforms in blocks, inlines
-the sampler and allocates no events, and it leaves the census, the running
-total and the generator exactly as the same number of ``step`` calls would.
-``step`` stays the event-returning reference.  ``OrderedTree`` grows
-through ``step``.
+``run`` grows trees through ``_tree_kernel`` and census engines through
+``_census_kernel``.  Both draw their uniforms in blocks, inline the sampler
+and allocate no events, and each leaves the state, the running total and
+the generator exactly as the same number of ``step`` calls would.  ``step``
+stays the event-returning reference.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -178,30 +181,13 @@ class CensusSnapshot:
 
 
 class _CensusMixin:
-    """Census bookkeeping shared by both engines."""
+    """Census read-outs shared by the one-colour engines; ``counts[d-1]``
+    is the number of degree-``d`` vertices."""
 
     model: WeightModel
     t: int
     total_weight: float
-
-    def _census_init(self, counts: Iterable[int]) -> None:
-        w = self.model.w
-        # class d-1 holds the degree-d vertices, each of weight w_d
-        self._classes = ClassSampler(lambda c: w(c + 1), counts)
-        self.counts = self._classes.counts      # changed only through _classes
-        self.t = int(sum(self.counts))
-        self.total_weight = float(sum(n * wd for n, wd in
-                                      zip(self.counts, self._classes.weights) if n))
-
-    def _census_split(self, i: int, k: int, ell: int) -> None:
-        """One degree-``i`` vertex replaced by two of degrees ``k``, ``ell``."""
-        add = self._classes.add
-        add(i - 1, -1)
-        add(k - 1, 1)
-        add(ell - 1, 1)
-        self.t += 1
-        w = self.model.w
-        self.total_weight += w(k) + w(ell) - w(i)
+    counts: list[int]
 
     def census(self) -> CensusSnapshot:
         return CensusSnapshot(self.t, np.array(self.counts, dtype=np.int64),
@@ -222,33 +208,92 @@ class _CensusMixin:
         return self.model.w2 * self.t - 2.0 * self.model.splitting.a
 
 
-class OrderedTree(_CensusMixin):
-    """Planar tree engine with tombstoned vertex slots and id reuse."""
+def _envelope(model: WeightModel) -> tuple[float, float, bool]:
+    """``(A, B, exact)`` with ``A + B*d >= w_d`` for every degree ``d`` the
+    model can reach; ``exact`` when the bound is ``w_d`` itself."""
+    if model.d_max is not None:
+        top = float(np.max(model.splitting_weights(model.d_max)))
+        return max(top, 0.0), 0.0, False
+    if not model._trust_linear:
+        raise InvalidParameterError(
+            "the tree engine needs linear splitting weights w_i = a*i + b "
+            "for an unbounded model")
+    a, b = float(model.splitting.a), float(model.splitting.b)
+    return max(b, 0.0), a, b >= 0.0
 
-    def __init__(self, model: WeightModel, adjacency: list[Optional[list[int]]]):
+
+class OrderedTree(_CensusMixin):
+    """Planar tree engine on half-edges.
+
+    Vertex ids are ``0 .. t-1``.  Edge ``e`` is the half-edge pair ``2e``,
+    ``2e + 1``: ``_ends[h]`` owns half-edge ``h``, whose twin is ``h ^ 1``,
+    and ``_adj[v]`` lists ``v``'s half-edges in cyclic order.  In a split the
+    child with the longer arc keeps the parent's id and list, cut in place;
+    the shorter arc's half-edges pass to the new vertex ``t``.  A step thus
+    costs O(1) plus the shorter arc, which for a preferential split is empty.
+
+    Vertices are drawn from the envelope ``A + B*d >= w_d`` (Batagelj and
+    Brandes, PRE 71 (2005) 036113): a draw below ``A*t`` of
+    ``A*t + B*(2t-2)`` picks a uniform vertex, one above it the owner of a
+    uniform half-edge, so vertex ``v`` is proposed with probability
+    proportional to ``A + B*deg(v)`` and kept with probability
+    ``w_deg(v) / (A + B*deg(v))``.  Linear weights ``w_d = a*d + b`` of an
+    unbounded model take ``B = a``, ``A = max(b, 0)``, which is exact for
+    ``b >= 0``; a bounded table takes ``A = max w_d``, ``B = 0``.  The degree
+    buckets serve ``apply_to_degree``.
+
+    ``adjacency[v]`` lists the neighbours of vertex ``v`` in cyclic order;
+    the lists must describe a tree on ``0 .. n-1``.
+    """
+
+    def __init__(self, model: WeightModel, adjacency: list[list[int]]):
         self.model = model
-        self._adj = adjacency
-        self._free: list[int] = [v for v, nb in enumerate(adjacency) if nb is None]
-        counts: list[int] = []
-        for nb in adjacency:
-            if nb is None:
-                continue
-            d = len(nb)
-            while len(counts) < d:
-                counts.append(0)
-            counts[d - 1] += 1
-        self._census_init(counts)
-        self._members: list[list[int]] = [[] for _ in counts]
-        self._pos: dict[int, int] = {}
-        for v, nb in enumerate(adjacency):
-            if nb is None:
-                continue
-            self._enter(v, len(nb))
-        if model.d_max is not None:
-            top = max((len(nb) for nb in adjacency if nb is not None), default=0)
-            if top > model.d_max:
+        n = len(adjacency)
+        ends = array("i")
+        adj: list[array] = []
+        waiting: dict[tuple[int, int], int] = {}   # (owner, other) -> half-edge
+        for v, nbrs in enumerate(adjacency):
+            if not nbrs:
                 raise InvalidParameterError(
-                    f"initial tree has degree {top} > d_max = {model.d_max}")
+                    f"vertex {v} has no edge; vertex ids must be 0..{n - 1} with no gap")
+            hs = array("i")
+            for u in nbrs:
+                if not isinstance(u, (int, np.integer)) or not 0 <= u < n or u == v:
+                    raise InvalidParameterError(f"vertex {v} has invalid neighbour {u!r}")
+                u = int(u)
+                h = waiting.pop((v, u), None)
+                if h is None:
+                    if (u, v) in waiting:
+                        raise InvalidParameterError(f"vertices {v} and {u} share two edges")
+                    h = len(ends)
+                    ends.extend((v, u))
+                    waiting[(u, v)] = h + 1
+                hs.append(h)
+            adj.append(hs)
+        if waiting:
+            (u, v), _ = waiting.popitem()
+            raise InvalidParameterError(f"vertex {v} lists {u}, but {u} does not list {v}")
+        self._adj, self._ends, self.t = adj, ends, n
+        if not self.is_tree():
+            raise InvalidParameterError(
+                "initial edges do not form a tree: they hold a cycle or are disconnected")
+        top = max(len(hs) for hs in adj)
+        if model.d_max is not None and top > model.d_max:
+            raise InvalidParameterError(
+                f"initial tree has degree {top} > d_max = {model.d_max}")
+        self._envelope = _envelope(model)
+        self.counts: list[int] = []
+        self._members: list[list[int]] = []     # the degree-d vertices at d-1
+        self._w: list[float] = []               # w_d at d-1
+        self._add_degrees(top)
+        self._pos = array("i")                  # v's index in its bucket
+        for v, hs in enumerate(adj):
+            d = len(hs)
+            self.counts[d - 1] += 1
+            bucket = self._members[d - 1]
+            self._pos.append(len(bucket))
+            bucket.append(v)
+        self.total_weight = float(sum(n * wd for n, wd in zip(self.counts, self._w) if n))
 
     # -- construction ------------------------------------------------------
 
@@ -258,111 +303,146 @@ class OrderedTree(_CensusMixin):
 
     @classmethod
     def from_edges(cls, model: WeightModel, edges: Iterable[tuple[int, int]]) -> "OrderedTree":
-        """Build from an edge list; cyclic order is edge-insertion order."""
+        """Build from an edge list on vertices ``0 .. n-1``; cyclic order is
+        edge-insertion order."""
         adj: dict[int, list[int]] = {}
         for u, v in edges:
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
-        n = max(adj) + 1
-        return cls(model, [adj.get(v) for v in range(n)])
+        return cls(model, [adj.get(v) for v in range(len(adj))])
 
-    # -- bookkeeping ---------------------------------------------------------
-
-    def _enter(self, v: int, d: int) -> None:
-        while len(self._members) < d:
+    def _add_degrees(self, top: int) -> None:
+        """Census classes for the degrees up to ``top``."""
+        while len(self.counts) < top:
+            self.counts.append(0)
             self._members.append([])
-        bucket = self._members[d - 1]
-        self._pos[v] = len(bucket)
-        bucket.append(v)
-
-    def _leave(self, v: int, d: int) -> None:
-        bucket = self._members[d - 1]
-        p = self._pos.pop(v)
-        last = bucket.pop()
-        if last != v:
-            bucket[p] = last
-            self._pos[last] = p
-
-    def _new_id(self) -> int:
-        if self._free:
-            return self._free.pop()
-        self._adj.append(None)
-        return len(self._adj) - 1
+            self._w.append(self.model.w(len(self.counts)))
 
     # -- queries ---------------------------------------------------------------
 
     def degree(self, v: int) -> int:
-        nb = self._adj[v]
-        if nb is None:
-            raise InvalidParameterError(f"vertex {v} is not live")
-        return len(nb)
+        if not 0 <= v < self.t:
+            raise InvalidParameterError(f"no vertex {v}")
+        return len(self._adj[v])
 
     def neighbours(self, v: int) -> list[int]:
-        return list(self._adj[v])
+        ends = self._ends
+        return [ends[h ^ 1] for h in self._adj[v]]
 
-    def vertices(self):
-        return (v for v, nb in enumerate(self._adj) if nb is not None)
+    def vertices(self) -> range:
+        return range(self.t)
 
     def is_tree(self) -> bool:
-        """Connectivity and acyclicity check (on demand; O(t))."""
-        live = [v for v, nb in enumerate(self._adj) if nb is not None]
-        if not live:
+        """Half-edge consistency, edge count and connectivity (on demand;
+        O(t))."""
+        adj, ends, n = self._adj, self._ends, self.t
+        if n < 2 or len(adj) != n or len(ends) != 2 * (n - 1):
             return False
-        seen = {live[0]}
-        stack = [live[0]]
-        nedges = 0
+        listed = sorted(h for hs in adj for h in hs)
+        if listed != list(range(len(ends))):
+            return False
+        if any(ends[h] != v for v, hs in enumerate(adj) for h in hs):
+            return False
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
         while stack:
-            v = stack.pop()
-            nedges += len(self._adj[v])
-            for u in self._adj[v]:
-                if u not in seen:
-                    seen.add(u)
+            for h in adj[stack.pop()]:
+                u = ends[h ^ 1]
+                if not seen[u]:
+                    seen[u] = True
                     stack.append(u)
-        return len(seen) == len(live) and nedges == 2 * (len(live) - 1)
+        return all(seen)
 
     # -- dynamics ------------------------------------------------------------
 
     def sample_vertex(self, rng) -> int:
-        """Vertex drawn with probability w_deg(v) / total weight: a degree
-        class by its census weight, then a uniform member of that class
-        read from the same draw's leftover."""
-        c, x = self._classes.sample(rng, self.total_weight)
-        bucket = self._members[c]
-        # rounding of x / w_c can reach the bucket size
-        return bucket[min(int(x / self._classes.weights[c]), len(bucket) - 1)]
+        """Vertex drawn with probability w_deg(v) / total weight, by the
+        envelope: a proposal from one uniform, then, unless the envelope is
+        exact, an acceptance test from the next."""
+        if not self.total_weight > 0.0:
+            raise DegeneracyError("total sampling weight is not positive")
+        A, B, exact = self._envelope
+        t, adj, ends = self.t, self._adj, self._ends
+        at = A * t
+        span = at + B * (2 * t - 2)
+        while True:
+            x = rng.random() * span
+            # rounding of the scaled draw can reach t or 2t - 2
+            if x < at:
+                v = min(int(x / A), t - 1)
+            else:
+                v = ends[min(int((x - at) / B), 2 * t - 3)]
+            if exact:
+                return v
+            d = len(adj[v])
+            if rng.random() * (A + B * d) < self._w[d - 1]:
+                return v
 
     def split_vertex(self, v: int, k: int, rng) -> SplitEvent:
-        """Replace ``v`` (degree ``i``) by adjacent ``v'``, ``v''`` of degrees
-        ``k`` and ``i+2-k``; the first child takes a contiguous arc of
-        ``k-1`` edges starting at a uniformly chosen cyclic position."""
-        nb = self._adj[v]
-        i = len(nb)
+        """Replace ``v`` (degree ``i``) by adjacent vertices of degrees ``k``
+        and ``i+2-k``; the first child takes a contiguous arc of ``k-1``
+        edges starting at the cyclic position ``int(u*i)`` for a uniform
+        ``u``."""
+        i = len(self._adj[v])
         if not 1 <= k <= i + 1:
             raise InvalidParameterError(f"child degree {k} out of range for degree {i}")
         ell = i + 2 - k
-        if self.model.d_max is not None:
-            assert max(k, ell) <= self.model.d_max, "split exceeds degree bound"
-        p = int(rng.integers(i)) if i > 1 else 0
-        arc1 = [nb[(p + m) % i] for m in range(k - 1)]
-        arc2 = [nb[(p + k - 1 + m) % i] for m in range(i - k + 1)]
-
-        self._leave(v, i)
-        self._adj[v] = None
-        self._free.append(v)
-        v1 = self._new_id()
-        v2 = self._new_id()
-        self._adj[v1] = arc1 + [v2]
-        self._adj[v2] = arc2 + [v1]
-        for u in arc1:
-            a = self._adj[u]
-            a[a.index(v)] = v1
-        for u in arc2:
-            a = self._adj[u]
-            a[a.index(v)] = v2
-        self._enter(v1, k)
-        self._enter(v2, ell)
-        self._census_split(i, k, ell)
+        if self.model.d_max is not None and max(k, ell) > self.model.d_max:
+            raise InvalidParameterError(
+                f"split into degrees {k}, {ell} exceeds d_max = {self.model.d_max}")
+        p = int(rng.random() * i)
+        self._split(v, i, k, p)
         return SplitEvent(self.t, i, (k, ell), p)
+
+    def _split(self, v: int, i: int, k: int, p: int) -> None:
+        """The surgery and bookkeeping of ``split_vertex`` with arc start
+        ``p``."""
+        adj, ends, t = self._adj, self._ends, self.t
+        ell = i + 2 - k
+        if k <= ell:                    # the first arc, k-1 edges, moves
+            q, moving, dv, dt = p, k - 1, ell, k
+        else:                           # the second arc, ell-1 edges, moves
+            q, moving, dv, dt = (p + k - 1) % i, ell - 1, k, ell
+        nb = adj[v]
+        hv = len(ends)                  # v's half of the new edge; t gets hv + 1
+        wrap = q + moving - i
+        if wrap <= 0:
+            moved = nb[q:q + moving]
+            del nb[q:q + moving]
+            nb.insert(q, hv)
+        else:
+            moved = nb[q:] + nb[:wrap]
+            del nb[q:]
+            del nb[:wrap]
+            nb.append(hv)
+        for h in moved:
+            ends[h] = t
+        moved.append(hv + 1)
+        adj.append(moved)
+        ends.extend((v, t))
+
+        counts, members, pos = self.counts, self._members, self._pos
+        if dv > len(counts) or dt > len(counts):
+            self._add_degrees(max(dv, dt))
+        counts[i - 1] -= 1
+        counts[dv - 1] += 1
+        counts[dt - 1] += 1
+        if dv != i:
+            bucket = members[i - 1]
+            last = bucket.pop()
+            if last != v:
+                pos[last] = pos[v]
+                bucket[pos[v]] = last
+            bucket = members[dv - 1]
+            pos[v] = len(bucket)
+            bucket.append(v)
+        bucket = members[dt - 1]
+        pos.append(len(bucket))
+        bucket.append(t)
+        w = self._w
+        self.total_weight += w[k - 1] + w[ell - 1] - w[i - 1]
+        self.t = t + 1
 
     def step(self, rng) -> SplitEvent:
         v = self.sample_vertex(rng)
@@ -372,9 +452,9 @@ class OrderedTree(_CensusMixin):
     def apply_to_degree(self, i: int, k: int, rng) -> SplitEvent:
         """Split a uniformly chosen vertex of degree ``i`` (replay interface;
         the census evolution does not depend on which one)."""
+        if not 1 <= i <= len(self._members) or not self._members[i - 1]:
+            raise InvalidParameterError(f"no vertex of degree {i}")
         bucket = self._members[i - 1]
-        if not bucket:
-            raise InvalidParameterError(f"no live vertex of degree {i}")
         v = bucket[int(rng.integers(len(bucket)))]
         return self.split_vertex(v, k, rng)
 
@@ -384,7 +464,13 @@ class UrnState(_CensusMixin):
 
     def __init__(self, model: WeightModel, counts: Iterable[int]):
         self.model = model
-        self._census_init(counts)
+        w = model.w
+        # class d-1 holds the degree-d balls, each of weight w_d
+        self._classes = ClassSampler(lambda c: w(c + 1), counts)
+        self.counts = self._classes.counts      # changed only through _classes
+        self.t = int(sum(self.counts))
+        self.total_weight = float(sum(n * wd for n, wd in
+                                      zip(self.counts, self._classes.weights) if n))
         if self.t < 1:
             raise InvalidParameterError("initial census is empty")
         if model.d_max is not None and len(self.counts) > model.d_max:
@@ -407,7 +493,13 @@ class UrnState(_CensusMixin):
         if self.counts[i - 1] < 1:
             raise InvalidParameterError(f"no ball in urn {i}")
         ell = i + 2 - k
-        self._census_split(i, k, ell)
+        add = self._classes.add
+        add(i - 1, -1)
+        add(k - 1, 1)
+        add(ell - 1, 1)
+        self.t += 1
+        w = self.model.w
+        self.total_weight += w(k) + w(ell) - w(i)
         return SplitEvent(self.t, i, (k, ell))
 
     def step(self, rng) -> SplitEvent:
@@ -425,14 +517,15 @@ def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnap
     ``thin=None`` records only the final state.  Deterministic given the
     state, the model and the generator state.
 
-    ``UrnState`` and ``TwoColourState`` grow through ``_census_kernel``,
-    which draws its uniforms in blocks and allocates no events; the census,
-    the running total and the generator end exactly as after the same number
-    of ``state.step`` calls.  ``OrderedTree`` takes its ``step`` path.
+    ``OrderedTree`` grows through ``_tree_kernel``, ``UrnState`` and
+    ``TwoColourState`` through ``_census_kernel``.  Both draw their uniforms
+    in blocks and allocate no events, and each leaves the state, the running
+    total and the generator exactly as the same number of ``state.step``
+    calls would.
     """
     if t_final < state.t:
         raise InvalidParameterError(f"t_final = {t_final} < current t = {state.t}")
-    advance = _census_kernel if hasattr(state, "_layout") else _step_until
+    advance = _tree_kernel if isinstance(state, OrderedTree) else _census_kernel
     snaps: list[CensusSnapshot] = []
     if thin:
         snaps.append(state.census())
@@ -443,12 +536,57 @@ def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnap
     return snaps
 
 
-def _step_until(state, t_stop: int, rng) -> None:
-    while state.t < t_stop:
-        state.step(rng)
+_BLOCK = 4096           # most uniforms drawn per generator call by the kernels
 
 
-_BLOCK = 4096           # uniforms drawn per generator call by the census kernel
+def _tree_kernel(tree: OrderedTree, t_stop: int, rng) -> None:
+    """Advance a tree to ``tree.t == t_stop``: ``tree.step`` with the
+    envelope sampler inlined, block uniforms and no events.
+
+    A step draws, in ``step``'s order, a proposal and (for an inexact
+    envelope) an acceptance uniform per attempt, then the split size and the
+    arc start, so it uses at least ``per`` = 3 or 4 uniforms.  A block is
+    drawn only when fewer than ``per`` are left, and holds at most
+    ``per * (t_stop - t)`` with the leftovers, so the generator is never
+    drawn ahead of the scalar path.
+    """
+    A, B, exact = tree._envelope
+    per = 3 if exact else 4
+    adj, ends, w = tree._adj, tree._ends, tree._w
+    cached_law = tree.model._split_cache.get
+    split_law = tree.model.split_distribution
+    split = tree._split
+    us: list[float] = []                    # the block's unused uniforms, reversed
+    t = tree.t
+    while t < t_stop:
+        if not tree.total_weight > 0.0:
+            raise DegeneracyError("total sampling weight is not positive")
+        at = A * t
+        span = at + B * (2 * t - 2)
+        while True:
+            if len(us) < per:
+                fresh = rng.random(min(_BLOCK, per * (t_stop - t) - len(us))).tolist()
+                fresh.reverse()
+                us = fresh + us
+            x = us.pop() * span
+            if x < at:
+                v = int(x / A)
+                if v >= t:
+                    v = t - 1
+            else:
+                h = int((x - at) / B)
+                if h > 2 * t - 3:
+                    h = 2 * t - 3
+                v = ends[h]
+            i = len(adj[v])
+            if exact or us.pop() * (A + B * i) < w[i - 1]:
+                break
+        ks, cum, wsum = cached_law(i) or split_law(i)
+        if wsum <= 0:
+            raise InvalidDegreeError(f"degree {i} has no admissible split")
+        k = ks[bisect_right(cum, us.pop() * wsum)]
+        split(v, i, k, int(us.pop() * i))
+        t += 1
 
 
 def _census_kernel(state, t_stop: int, rng) -> None:

@@ -162,7 +162,7 @@ class TestSimulate:
     @pytest.mark.parametrize("flags,digest", [
         (["--family", "preferential", "--w", "i", "--engine", "tree", "--seed", "5",
           "--t-final", "2000", "--thin", "500"],
-         "24da1fadfe3594eed37bb9b8dc4723ed33dc12e08763e7ce25acb4ac0581aeb0"),
+         "befa8cf68fca3aadb5c222307bbffcc5ffff10e61c363b77328dcc461033ce1d"),
         (["--family", "rna", "--seed", "11", "--t-final", "302", "--thin", "100"],
          "06a396abce2c027e136b7dc81edae3aa8e6b02d79a989e5b173595c553c2be01"),
     ], ids=["tree", "two-colour"])
@@ -195,6 +195,18 @@ class TestCompare:
             == (tmp_path / "b/report.csv").read_bytes()
         assert (tmp_path / "a/solution.json").read_bytes() \
             == (tmp_path / "b/solution.json").read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--family", "preferential", "--w", "i-0.9"],
+                                       ["--table"]],
+                             ids=["rejection-pref-i-0.9", "bounded-dmax3"])
+    def test_tree_engine_passes(self, tmp_path, flags):
+        # the tree's envelope sampler on its two inexact paths, rejection for
+        # b < 0 and the bounded table, against the analytic densities
+        if flags == ["--table"]:
+            flags = ["--table", str(dmax3_table_file(tmp_path))]
+        rc = main(["compare", *flags, "--engine", "tree", "--seed", "61",
+                   "--replicas", "32", "--t-final", "5000", "--out", str(tmp_path / "o")])
+        assert rc == 0
 
     def test_mismatched_reference_fails(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -361,6 +373,48 @@ class TestBadInput:
             (tmp_path / "cfg.json").write_text(config)
             flags = ["--config", "cfg.json"]
         self.run(["solve", *flags, "--K", "16"], capsys)
+
+    @pytest.mark.parametrize("model", [
+        {"family": "preferential", "a": 1.0, "b": -0.9, "w": "i-0.9"},
+        {"family": "uniform", "x": 0.0, "a": 1.0},
+        {"family": "grafting", "alpha": 0.5, "gamma": 0.5, "beta": 1},
+        {"family": "table", "d_max": 3, "entries": DMAX3_ENTRIES, "x": 0},
+        {"family": "rna", "a": 1.0},
+        {"family": "two-colour-uniform", "a": 1.0, "b": 0.0, "alpha0": 0.5},
+        {"family": "two-colour-grafting", "a": 1.0, "b": 0.5, "alpha0": 0.5, "x": 1},
+    ], ids=lambda m: m["family"])
+    def test_unknown_model_key_refused(self, tmp_path, capsys, model):
+        # a key the family does not take would otherwise be ignored, and the
+        # run would report another model's densities with exit 0
+        cfg = tmp_path / "cfg.json"
+        for doc in ({"model": model}, {"model": {"family": "preferential"},
+                                       "reference_model": model, "replicas": 2,
+                                       "t_final": 100}):
+            cfg.write_text(json.dumps(doc))
+            command = "compare" if "reference_model" in doc else "solve"
+            err = self.run([command, "--config", str(cfg), "--K", "16",
+                            "--out", str(tmp_path / "o")], capsys)
+            assert "takes no parameter" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_weight_flag_for_uniform_refused(self, capsys):
+        # --w sets a and b, which the uniform family (w_i = i + x) does not take
+        err = self.run(["solve", "--family", "uniform", "--w", "i-0.5", "--K", "16"], capsys)
+        assert "'a', 'b'" in err
+
+    def test_duplicate_config_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"model": {"family": "preferential", "b": 0.0, "b": -0.9}}')
+        err = self.run(["solve", "--config", str(cfg), "--K", "16"], capsys)
+        assert "duplicate key 'b'" in err
+
+    def test_degenerate_tree_refused(self, tmp_path, capsys):
+        # w_i = i - 1 gives a single edge total weight 0: the tree's
+        # rejection sampler must refuse, not loop
+        err = self.run(["simulate", "--family", "preferential", "--w", "i-1",
+                        "--engine", "tree", "--replicas", "1", "--t-final", "100",
+                        "--out", str(tmp_path / "o")], capsys)
+        assert "not positive" in err
 
     @pytest.mark.parametrize("key,value", [
         ("engine", "foo"), ("engine", "tree"), ("t_final", "abc"), ("t_final", 1),

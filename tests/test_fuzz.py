@@ -1,5 +1,6 @@
 """Config fuzzing: any config document given to ``solve``, ``simulate`` or
-``compare`` ends in exit code 0, 1 or 2, never in a traceback."""
+``compare`` ends in exit code 0, 1 or 2, never in a traceback, and a model
+key that its family does not take ends in exit code 2."""
 
 import contextlib
 import io
@@ -22,7 +23,14 @@ MODELS = [
     {"family": "two-colour-uniform", "a": 1.0, "b": 0.0},
     {"family": "two-colour-grafting", "a": 1.0, "b": 0.5, "alpha0": 0.5},
 ]
-MODEL_KEYS = ("family", "a", "b", "x", "alpha", "gamma", "alpha0", "d_max", "entries")
+# the keys each family takes besides "family"
+PARAMETERS = {
+    "preferential": {"a", "b"}, "uniform": {"x"}, "grafting": {"alpha", "gamma"},
+    "table": {"d_max", "entries"}, "rna": set(), "two-colour-uniform": {"a", "b"},
+    "two-colour-grafting": {"a", "b", "alpha0"},
+}
+MODEL_KEYS = ("family", "a", "b", "x", "alpha", "gamma", "alpha0", "d_max", "entries",
+              "w", "bogus")
 
 # small valid values; t_final, replicas and K are always set, since their
 # defaults make a full-size run
@@ -87,3 +95,7 @@ def test_config_never_crashes(command, config):
             rc = main([command, "--config", path, "--out", os.path.join(tmp, "o")])
     assert rc in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    model = config["model"]
+    if isinstance(model, dict) and isinstance(model.get("family"), str) \
+            and set(model) - {"family"} - PARAMETERS.get(model["family"], set(model)):
+        assert rc == 2, err.getvalue()

@@ -6,7 +6,8 @@ import pytest
 import scipy.stats
 
 from splitgrow import (ClassSampler, DegeneracyError, InvalidParameterError,
-                       OrderedTree, SplittingWeights, UrnState, make_grafting,
+                       OrderedTree, PartitionWeights, SplittingWeights, UrnState,
+                       WeightModel, make_grafting,
                        make_preferential, make_table, make_uniform,
                        read_census_binary, run, write_census_binary,
                        write_census_csv)
@@ -130,6 +131,32 @@ class TestSampleVertex:
             counts[tree.sample_vertex(rng)] += 1
         assert chi_square_ok(counts, np.array([1, 2, 2, 1]) / 6.0)
 
+    @pytest.mark.parametrize("model,weights", [
+        (make_preferential(SplittingWeights(1.0, -0.9)), [0.1, 2.1, 0.1, 1.1, 0.1]),
+        (make_table(3, DMAX3_ENTRIES), [1.0, 3.0, 1.0, 2.0, 1.0]),
+    ], ids=["rejection-pref-i-0.9", "bounded-dmax3"])
+    def test_tree_envelope_paths(self, model, weights):
+        # degrees (1, 3, 1, 2, 1).  w_i = i - 0.9 proposes a vertex by its
+        # degree and keeps it with probability w_d / d; the dmax3 table
+        # (w_d = 1, 2, 3) proposes uniformly and keeps with probability w_d / 3
+        tree = OrderedTree.from_edges(model, [(0, 1), (1, 2), (1, 3), (3, 4)])
+        assert [model.w(tree.degree(v)) for v in tree.vertices()] == pytest.approx(weights)
+        rng = np.random.default_rng(19)
+        counts = np.zeros(5)
+        n = 120_000
+        for _ in range(n):
+            counts[tree.sample_vertex(rng)] += 1
+        assert chi_square_ok(counts, np.array(weights) / sum(weights))
+
+    def test_zero_total_raises(self):
+        # w_i = i - 1 gives both ends of a single edge weight 0: no vertex can
+        # be drawn, so step and run refuse rather than reject forever
+        model = make_preferential(SplittingWeights(1.0, -1.0))
+        with pytest.raises(DegeneracyError):
+            OrderedTree.single_edge(model).step(np.random.default_rng(0))
+        with pytest.raises(DegeneracyError):
+            run(OrderedTree.single_edge(model), 10, np.random.default_rng(0))
+
 
 class TestSampleSplitSizes:
     def test_uniform_degree5_all_pairs_equal(self):
@@ -189,7 +216,7 @@ class TestTreeSplits:
             ev = tree.split_vertex(0, 3, np.random.default_rng(seed))
             child = next(v for v in tree.vertices()
                          if len(tree.neighbours(v)) == 3)
-            arc = [u for u in tree.neighbours(child) if u <= 5]
+            arc = [u for u in tree.neighbours(child) if 1 <= u <= 5]
             start = (ev.arrangement + 1)
             expect = [(ev.arrangement + m_) % 5 + 1 for m_ in range(2)]
             assert arc == expect
@@ -236,6 +263,37 @@ class TestTreeSplits:
             tree.step(rng)
         assert tree.census_deviations()[2] <= 1e-9
         assert sum(len(b) for b in tree._members) == tree.t
+
+
+class TestTreeConstruction:
+    def test_half_edges(self):
+        # compact ids; each half-edge's twin is owned by the neighbour
+        tree = OrderedTree.from_edges(pref_i(), [(0, 1), (1, 2), (1, 3)])
+        assert list(tree.vertices()) == [0, 1, 2, 3]
+        assert tree.neighbours(1) == [0, 2, 3]
+        assert tree.counts == [3, 0, 1] and tree.is_tree()
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 2)], [(0, 1), (1, 2), (2, 0)], [(0, 1), (2, 3)],
+        [(0, 1), (1, 2), (2, 0), (3, 4)], [(0, 1), (0, 1)], [(0, 0)], [],
+    ], ids=["gapped-ids", "cycle", "disconnected", "cycle-and-edge", "double-edge",
+            "loop", "empty"])
+    def test_bad_edge_list_refused(self, edges):
+        with pytest.raises(InvalidParameterError):
+            OrderedTree.from_edges(pref_i(), edges)
+
+    @pytest.mark.parametrize("adjacency", [
+        [[1], [0], None], [[1], [0, 2], [0]], [[1], [0], [5]], [[1], [0, 0]],
+    ], ids=["tombstone", "one-sided", "out-of-range", "repeated-neighbour"])
+    def test_bad_adjacency_refused(self, adjacency):
+        with pytest.raises(InvalidParameterError):
+            OrderedTree(pref_i(), adjacency)
+
+    def test_unbounded_nonlinear_weights_refused(self):
+        # w[i, j] = 1 gives w_i = i(i+1)/2: no envelope A + B*i bounds it
+        pw = PartitionWeights(lambda i, j: np.ones(np.broadcast(i, j).shape))
+        with pytest.raises(InvalidParameterError, match="linear"):
+            OrderedTree.single_edge(WeightModel(pw))
 
 
 class TestUrnSplits:
@@ -301,6 +359,12 @@ KERNEL_ENGINES = {
     "rna": lambda: TwoColourState.single_edge(make_rna()),
     "two-colour-grafting": lambda: TwoColourState.single_edge(
         make_two_colour_grafting(1.0, 0.5, 0.5)),
+    "tree-pref-i": lambda: OrderedTree.single_edge(pref_i()),
+    "tree-pref-i-0.9": lambda: OrderedTree.single_edge(
+        make_preferential(SplittingWeights(1.0, -0.9))),
+    "tree-uniform": lambda: OrderedTree.single_edge(make_uniform(0.0)),
+    "tree-grafting": lambda: OrderedTree.single_edge(make_grafting(0.5, 0.5)),
+    "tree-dmax3": lambda: OrderedTree.single_edge(make_table(3, DMAX3_ENTRIES)),
 }
 
 
@@ -317,6 +381,14 @@ def stepped(state, t_final, rng, thin=None):
     return snaps
 
 
+def same_tree(a, b):
+    """Same half-edge structure and degree buckets; true for census engines."""
+    if not isinstance(a, OrderedTree):
+        return True
+    return (a._adj == b._adj and a._ends == b._ends and a._members == b._members
+            and a._pos == b._pos and a.is_tree())
+
+
 def same_snapshots(a, b):
     return len(a) == len(b) and all(
         s.t == r.t and s.counts.tolist() == r.counts.tolist()
@@ -324,9 +396,9 @@ def same_snapshots(a, b):
 
 
 class TestCensusKernel:
-    """``run`` hands urn and two-colour states to the block-drawn kernel,
-    which must leave the census, the running total's bits and the generator
-    exactly where ``state.step`` leaves them."""
+    """``run`` hands trees to ``_tree_kernel`` and urn and two-colour states
+    to ``_census_kernel``; both must leave the state, the running total's
+    bits and the generator exactly where ``state.step`` leaves them."""
 
     @pytest.mark.parametrize("thin", [None, 37])
     @pytest.mark.parametrize("name", sorted(KERNEL_ENGINES))
@@ -340,10 +412,12 @@ class TestCensusKernel:
         assert kernel.total_weight.hex() == ref.total_weight.hex()
         assert rng_k.bit_generator.state == rng_r.bit_generator.state
         assert same_snapshots(snaps_k, snaps_r)
+        assert same_tree(kernel, ref)
         if name == "pref-i-0.9":
             assert len(kernel.counts) > 16        # the tree grew inside the kernel
 
-    @pytest.mark.parametrize("name", ["pref-i", "rna"])
+    @pytest.mark.parametrize("name", ["pref-i", "rna", "tree-pref-i", "tree-pref-i-0.9",
+                                      "tree-grafting", "tree-dmax3"])
     def test_blocks_longer_than_a_call(self, name):
         # run(T1) then run(T2) draws exactly what one run(T2) draws, so no
         # uniform is drawn ahead across calls or block boundaries
@@ -356,6 +430,36 @@ class TestCensusKernel:
         assert split.counts == whole.counts
         assert split.total_weight.hex() == whole.total_weight.hex()
         assert rng_s.bit_generator.state == rng_w.bit_generator.state
+        assert same_tree(split, whole)
+
+    def test_tree_end_of_draw_clamp(self):
+        # the top draw u = 1 - 2**-53 times the envelope total rounds to
+        # vertex index t for a table with A = 0.3 at t = 11 (uniform branch)
+        # and to half-edge 2t - 2 for w_i = 1.1*i at t = 8 (half-edge
+        # branch); both must go to the last index, vertex t - 1 of a path,
+        # in step and in run alike.  Later draws are 0, which accepts.
+        class Scripted:
+            def __init__(self, u):
+                self.us = [u]
+
+            def random(self, size=None):
+                out = self.us + [0.0] * ((size or 1) - len(self.us))
+                self.us = []
+                return out[0] if size is None else np.array(out[:size])
+
+        top = 1.0 - 2.0 ** -53
+        table = make_table(3, [(i, j, 0.1 * w) for i, j, w in DMAX3_ENTRIES])
+        for model, t in ((table, 11), (make_preferential(SplittingWeights(1.1, 0.0)), 8)):
+            kernel, ref = (OrderedTree.from_edges(model, [(v, v + 1) for v in range(t - 1)])
+                           for _ in range(2))
+            A, B, _ = kernel._envelope
+            at = A * t
+            x = top * (at + B * (2 * t - 2))
+            assert (int(x / A) == t) if x < at else (int((x - at) / B) == 2 * t - 2)
+            ev = ref.step(Scripted(top))
+            run(kernel, t + 1, Scripted(top))
+            assert ev.parent_degree == 1 and ref.degree(t - 1) == 2
+            assert same_tree(kernel, ref) and kernel.counts == ref.counts
 
     def test_end_of_draw_guard(self):
         # w_1 = 0 makes the leaves a zero-weight class; degrees 5 and 6 are
