@@ -82,6 +82,9 @@ def _model_spec_from_flags(args) -> dict | None:
         return None
     spec: dict = {"family": args.family}
     if args.w is not None:
+        if is_two_colour_spec(spec):      # a, b there are not w_i = a*i + b
+            raise InvalidParameterError(
+                f"--w does not apply to family {args.family!r}; use --a and --b")
         sw = parse_weight_expr(args.w)
         spec.update(a=sw.a, b=sw.b)
     for key in ("x", "alpha", "gamma", "alpha0", "a", "b"):
@@ -169,9 +172,15 @@ def _solution_doc(sol) -> dict:
 
 
 def _solve_model(model, cfg: ExperimentConfig, method: str):
-    if isinstance(model, TwoColourModel):
-        m = method if method in ("reduction", "direct") else "reduction"
-        return solve_two_colour(model, K=cfg.K, tol=cfg.tol, method=m,
+    two_colour = isinstance(model, TwoColourModel)
+    methods = ("reduction", "direct") if two_colour else ("fixed-point", "linear")
+    if method not in ("auto", *methods):
+        raise InvalidParameterError(
+            f"--method {method} does not apply to family {model.family!r}, "
+            f"which is solved by 'auto', {methods[0]!r} or {methods[1]!r}")
+    if two_colour:
+        return solve_two_colour(model, K=cfg.K, tol=cfg.tol,
+                                method="reduction" if method == "auto" else method,
                                 force_unsupported=cfg.force_unsupported)
     if method == "linear" or (method == "auto" and model.d_max is not None):
         return solve_finite(model)

@@ -24,13 +24,15 @@ class NoConvergenceError(SplitgrowError):
 
 
 class SingularSystemError(SplitgrowError):
-    """The truncated fixed-point system ``(I - M) a = c`` is singular, or its
-    direct solve produced non-finite densities."""
+    """A solver's Hessenberg elimination met a zero pivot or gave non-finite
+    values, or a stationary system normalised in row 0 is singular because
+    degree-1 vertices never split."""
 
 
 class RankDeficientError(SplitgrowError):
-    """The stationary system has rank below d_max - 1; the bounded-degree
-    solve cannot single out a density vector."""
+    """The stationary system of a bounded model, normalised by ``sum rho = 1``
+    in row 0, is singular (its other rows have rank below d_max - 1): the
+    bounded-degree solve cannot single out a density vector."""
 
 
 class NonPositiveError(SplitgrowError):

@@ -21,13 +21,20 @@ Two routes are provided:
   system then has the *exact* restriction of the infinite solution as its
   fixed point, which is what lets power-law families meet tight tolerances
   at moderate K.  By default the K x K system ``(I - M) a = c`` is solved
-  directly with one LAPACK call.  With ``record_iterates=True`` it is
-  instead reached by the from-below iteration ``a <- M a + c`` started from
-  the zero vector, the constructive route to the minimal solution; the
-  iteration serves as the oracle the direct solve is checked against.
+  directly.  With ``record_iterates=True`` it is instead reached by the
+  from-below iteration ``a <- M a + c`` started from the zero vector, the
+  constructive route to the minimal solution; the iteration serves as the
+  oracle the direct solve is checked against.
 
-* ``solve_finite`` solves the bounded-degree stationary system directly,
-  replacing one redundant row by the normalisation ``sum a = 1``.
+* ``solve_finite`` solves the bounded-degree stationary system with its
+  first row replaced by ``sum a = 1``; so does the forced solve outside the
+  guaranteed regime (``s <= 0``), truncated at K.
+
+A degree-k vertex only feeds degrees up to k+1, so all these matrices are
+upper Hessenberg, with the leaf-split masses ``(k-1)*w[k,1]`` on the
+subdiagonal.  ``_hessenberg_solve`` solves each of them, and the
+interleaved two-colour system, in O(K^2): partial pivoting only ever swaps
+adjacent rows (Golub & Van Loan, *Matrix Computations*, Hessenberg LU).
 
 The iterates of the from-below scheme are nondecreasing whenever every
 update coefficient is nonnegative, i.e. for unbounded models (all band
@@ -200,24 +207,21 @@ def _closure_for(model: WeightModel, K: int):
 
 def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
                           max_iter: int = 1_000_000, record_iterates: bool = False,
-                          force_unsupported: bool = False,
-                          adaptive: bool = False) -> DensitySolution:
+                          force_unsupported: bool = False) -> DensitySolution:
     """Minimal solution of the stationary system ``a = M a + c``.
 
     Parameters
     ----------
     model : WeightModel
     K : truncation; overridden by ``d_max`` when the model is bounded.
-    tol : sup-norm step at which the iteration stops; also the drift bound
-        of ``adaptive``.
+    tol : sup-norm step at which the iteration stops.
     max_iter : iteration budget (NoConvergenceError beyond it).
     record_iterates : reach the fixed point by the from-below iteration and
         keep the full iterate history (for diagnostics/tests).  Otherwise
         ``(I - M) a = c`` is solved directly, ``iterations`` is 0 and
-        ``tol``/``max_iter`` bound nothing but ``adaptive``.
+        ``tol``/``max_iter`` bound nothing.
     force_unsupported : outside the guaranteed regime (``s <= 0``), fall back
         to a truncated linear solve and flag the result as unsupported.
-    adaptive : double K until the first half of the vector moves by < tol.
 
     Returns the densities with residual diagnostics; the result of an
     unbounded model is the monotone-limit (minimal) solution.
@@ -230,28 +234,15 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
             raise RegimeError(
                 f"regime {regime.value} with s = {s:g}: no convergence guarantee; "
                 "pass force_unsupported=True for a truncated linear solve")
-        sol = _truncated_stationary_solve(model, K, regime, s)
-        return sol
+        # no census-limit claim attaches to the normalised solve at K
+        B = _band_sums(model, K)
+        a = _stationary_solve(model, B)
+        return DensitySolution(
+            densities=a, K=K, method="linear-truncated", regime=regime, s=s,
+            residuals=_residual_report(model, a, K, None, B), unsupported=True,
+            warnings=["forced solve outside the guaranteed regime; "
+                      "no almost-sure census limit is claimed"])
 
-    if adaptive and model.d_max is None:
-        sol = _fixed_point_once(model, K, tol, max_iter, record_iterates, regime, s)
-        while K <= 4096:
-            bigger = _fixed_point_once(model, 2 * K, tol, max_iter,
-                                       record_iterates, regime, s)
-            drift = float(np.max(np.abs(bigger.densities[:K // 2]
-                                        - sol.densities[:K // 2])))
-            if drift < tol:
-                bigger.warnings.append(f"adaptive: stable at K={K} (drift {drift:.2e})")
-                return bigger
-            K *= 2
-            sol = bigger
-        sol.warnings.append("adaptive: K ceiling reached")
-        return sol
-
-    return _fixed_point_once(model, K, tol, max_iter, record_iterates, regime, s)
-
-
-def _fixed_point_once(model, K, tol, max_iter, record_iterates, regime, s):
     warnings: list[str] = []
     if model.d_max is not None and K != model.d_max:
         K = model.d_max
@@ -285,7 +276,10 @@ def _fixed_point_once(model, K, tol, max_iter, record_iterates, regime, s):
         a, history, last_step = _iterate(M, c, tol, max_iter)
         monotone_violation = max(0.0, -float(np.min(np.diff(history, axis=0))))
     else:
-        a, history, last_step = _solve_direct(M, c), None, 0.0
+        np.negative(M, out=M)               # M becomes I - M
+        M[np.diag_indices(K)] += 1.0
+        a = _hessenberg_solve(M, c, f"I - M at K = {K}")
+        history, last_step = None, 0.0
         # the minimal solution is nonnegative
         monotone_violation = max(0.0, -float(a.min()))
 
@@ -317,65 +311,70 @@ def _iterate(M, c, tol, max_iter):
         f"no convergence after {max_iter} iterations (last step {last_step:.3e})")
 
 
-def _solve_direct(M, c):
-    """Solve ``(I - M) a = c`` with one LAPACK call, overwriting M by I - M."""
-    np.negative(M, out=M)
-    M[np.diag_indices_from(M)] += 1.0
-    try:
-        a = np.linalg.solve(M, c)
-    except np.linalg.LinAlgError as exc:
+def _hessenberg_solve(H: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve ``H x = rhs`` for upper Hessenberg ``H``, overwriting both:
+    top-down elimination with adjacent-row pivoting, then back-substitution.
+    ``what`` names the system in the SingularSystemError raised on a zero
+    pivot or a non-finite solution."""
+    K = len(rhs)
+    for j in range(K - 1):
+        if abs(H[j + 1, j]) > abs(H[j, j]):
+            H[[j, j + 1], j:] = H[[j + 1, j], j:]
+            rhs[[j, j + 1]] = rhs[[j + 1, j]]
+        if H[j + 1, j]:                      # the pivot is then nonzero too
+            f = H[j + 1, j] / H[j, j]
+            H[j + 1, j + 1:] -= f * H[j, j + 1:]
+            rhs[j + 1] -= f * rhs[j]
+    zero = np.flatnonzero(np.diagonal(H) == 0.0)
+    if len(zero):
         raise SingularSystemError(
-            f"I - M is singular at K = {len(c)} ({exc}); no unique fixed point") from None
-    if not np.all(np.isfinite(a)):
-        raise SingularSystemError(
-            f"direct solve at K = {len(c)} gave non-finite densities")
-    return a
+            f"{what} is singular (zero pivot in column {zero[0] + 1})")
+    x = np.empty(K)
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        for j in range(K - 1, -1, -1):
+            x[j] = (rhs[j] - H[j, j + 1:] @ x[j + 1:]) / H[j, j]
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError(f"{what} gave a non-finite solution")
+    return x
 
 
 # -- bounded and forced linear solves -------------------------------------------
 
 
-def _stationary_matrix(model: WeightModel, B: np.ndarray) -> np.ndarray:
-    """Rows of ``a_k*(w_2+w_k) - sum_i i*w[k,i-k+2]*a_i = 0``."""
+def _stationary_solve(model: WeightModel, B: np.ndarray) -> np.ndarray:
+    """Solve ``a_k*(w_2+w_k) = sum_i i*w[k,i-k+2]*a_i`` at K = len(B), row 0
+    replaced by ``sum a = 1``.  With linear weights the rows weighted by
+    ``w_k`` sum to zero, so row 0 is redundant unless degree-1 vertices never
+    split (``B[1, 0] = 0``); rows 1..K-1 are then dependent, which rounding
+    can hide, so that case raises SingularSystemError by name."""
     K = len(B)
+    if B[1, 0] == 0.0:
+        raise SingularSystemError(
+            "degree-1 vertices never split, so no degree above 1 is reachable")
     A = B.copy()
     A[np.diag_indices(K)] -= model.w2 + model.splitting_weights(K)
-    return A
+    A[0, :] = 1.0
+    rhs = np.zeros(K)
+    rhs[0] = 1.0
+    return _hessenberg_solve(A, rhs, f"the normalised stationary system at K = {K}")
 
 
 def solve_finite(model: WeightModel, tol: float = 1e-12) -> DensitySolution:
-    """Direct solution for a bounded model: the stationary system has rank
-    ``d_max - 1`` when every degree is leaf-reachable, and the normalisation
-    ``sum rho = 1`` fixes the remaining constant.  ``sum k*rho = 2`` is
-    verified afterwards rather than imposed."""
+    """Direct solution for a bounded model: with linear weights the
+    stationary system has rank ``d_max - 1``, and ``sum rho = 1`` in place of
+    row 0 fixes the remaining constant (RankDeficientError if it does not).
+    ``sum k*rho = 2`` is verified afterwards rather than imposed."""
     D = model.d_max
     if D is None:
         raise InvalidParameterError("solve_finite needs a bounded model")
     regime, s = classify_regime(model)
     B = _band_sums(model, D)
-    A = _stationary_matrix(model, B)
-    rank = np.linalg.matrix_rank(A)
-    if rank < D - 1:
+    try:
+        rho = _stationary_solve(model, B)
+    except SingularSystemError as exc:
         raise RankDeficientError(
-            f"stationary system has rank {rank} < d_max-1 = {D - 1}; "
-            "some degree below the bound is unreachable")
-
-    # Replace the most redundant row by the normalisation; try the last row
-    # first and fall back to the best-conditioned choice.
-    rows = [D - 1] + list(range(D - 1))
-    best = None
-    for r in rows:
-        Ar = A.copy()
-        Ar[r, :] = 1.0
-        b = np.zeros(D)
-        b[r] = 1.0
-        cond = np.linalg.cond(Ar)
-        if best is None or cond < best[0]:
-            best = (cond, Ar, b, r)
-        if cond < 1e12:
-            break
-    _, Ar, b, _ = best
-    rho = np.linalg.solve(Ar, b)
+            f"stationary system without row 0 has rank < d_max-1 = {D - 1} ({exc}); "
+            "some degree below the bound is unreachable") from None
 
     warnings = []
     if np.any(rho < -tol):
@@ -389,24 +388,6 @@ def solve_finite(model: WeightModel, tol: float = 1e-12) -> DensitySolution:
     res = _residual_report(model, rho, D, None, B)
     return DensitySolution(densities=rho, K=D, method="linear", regime=regime, s=s,
                            residuals=res, warnings=warnings)
-
-
-def _truncated_stationary_solve(model: WeightModel, K: int, regime, s) -> DensitySolution:
-    """Forced fallback outside the guaranteed regime: truncate the stationary
-    system at K, replace the last (most tail-damaged) row by the
-    normalisation.  No census-limit claim attaches to the result."""
-    B = _band_sums(model, K)
-    A = _stationary_matrix(model, B)
-    A[K - 1, :] = 1.0
-    b = np.zeros(K)
-    b[K - 1] = 1.0
-    rho = np.linalg.lstsq(A, b, rcond=None)[0]
-    res = _residual_report(model, rho, K, None, B)
-    return DensitySolution(
-        densities=rho, K=K, method="linear-truncated", regime=regime, s=s,
-        residuals=res, unsupported=True,
-        warnings=["forced solve outside the guaranteed regime; "
-                  "no almost-sure census limit is claimed"])
 
 
 # -- residuals ---------------------------------------------------------------------

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, ReductionInvalidError
 from .growth import CensusSnapshot, ClassSampler
-from .solver import DensitySolution, _band_sums, fixed_point_densities
+from .solver import (DensitySolution, _band_sums, _hessenberg_solve,
+                     fixed_point_densities)
 from .weights import PartitionWeights, SplittingWeights, WeightModel, LinearTail
 
 __all__ = [
@@ -387,24 +388,28 @@ def solve_two_colour(model2: TwoColourModel, K: int = 512, tol: float = 1e-13,
 
 
 def _direct_two_colour(m2: TwoColourModel, B: np.ndarray):
-    """Truncated linear solve of the two equation families; the unknown vector
-    is [e_black, e_white] and the most tail-damaged selection row is replaced
-    by the colour normalisation.  ``B`` is the white update matrix at K."""
+    """Truncated linear solve of the two equation families; ``B`` is the
+    white update matrix at K.
+
+    The unknowns are interleaved as ``[e_b1, e_w1, e_b2, e_w2, ...]`` and the
+    rows as ``[sel_1, col_1, sel_2, col_2, ...]``, with the first selection
+    row replaced by the colour normalisation: the selection row of degree k
+    reaches back to ``e_w(k-1)`` only, so the matrix is upper Hessenberg."""
     K = len(B)
     ks = np.arange(1, K + 1, dtype=float)
     w_w = m2.white.splitting(ks)
     w_b = m2.black(ks)
-    d = np.arange(K)
+    d = np.arange(0, 2 * K, 2)
     A = np.zeros((2 * K, 2 * K))
-    b = np.zeros(2 * K)
-    A[d, d] = w_b + m2.w_black(2) / 2.0           # selection family
-    A[:K, K:] = -B
-    A[K + d, K + d] = w_w + m2.w_white(2) / 3.0   # colour-exchange family
-    A[K + d, d] = -w_b
-    A[K - 1, :] = np.concatenate([np.full(K, 2.0), np.full(K, 3.0)])
-    b[K - 1] = 1.0
-    z = np.linalg.lstsq(A, b, rcond=None)[0]
-    return z[K:], z[:K]
+    A[d, d] = w_b + m2.w_black(2) / 2.0               # selection family
+    A[0::2, 1::2] = -B
+    A[d + 1, d + 1] = w_w + m2.w_white(2) / 3.0       # colour-exchange family
+    A[d + 1, d] = -w_b
+    A[0, :] = np.tile([2.0, 3.0], K)
+    rhs = np.zeros(2 * K)
+    rhs[0] = 1.0
+    z = _hessenberg_solve(A, rhs, f"the two-colour system at K = {K}")
+    return z[1::2], z[0::2]
 
 
 def densities_from_e(sol: TwoColourSolution) -> tuple[np.ndarray, np.ndarray]:

@@ -32,13 +32,15 @@ def singular_band_sums(model, K):
     return np.diag(model.w2 + model.splitting_weights(K))
 
 
-def random_linear_table(rng, d_max, a=None, b=None):
+def random_linear_table(rng, d_max, a=None, b=None, leaf_drop=0.0):
     """Random bounded table whose derived splitting weights are exactly
     a*i + b: draw a sparsity pattern, then rescale every split-degree class
     (the classes partition the entries) to the target weight.
 
-    Guarantees every degree is leaf-reachable and (for d_max > 2) that the
-    top degree can split.
+    Guarantees that the top degree can split (for d_max > 2) and, with
+    ``leaf_drop = 0``, that every degree is leaf-reachable.  Otherwise each
+    leaf split (1, k), k >= 3, is dropped with probability ``leaf_drop`` and
+    its class keeps the pair (2, k-1) instead.
     """
     if a is None:
         a = float(rng.uniform(0.0, 2.0))
@@ -51,7 +53,11 @@ def random_linear_table(rng, d_max, a=None, b=None):
                 continue
             entries[(i, j)] = 0.0 if rng.random() < 0.35 else float(rng.uniform(0.05, 4.0))
     for k in range(2, d_max + 1):
-        entries[(1, k)] = float(rng.uniform(0.05, 4.0))
+        if leaf_drop and k > 2 and rng.random() < leaf_drop:
+            entries[(1, k)] = 0.0
+            entries[(2, k - 1)] = float(rng.uniform(0.05, 4.0))
+        else:
+            entries[(1, k)] = float(rng.uniform(0.05, 4.0))
     # keep the top degree splittable so no class has zero total mass
     entries[(2, d_max)] = float(rng.uniform(0.05, 4.0))
     raw = derive_splitting_weights(

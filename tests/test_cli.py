@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,8 +252,8 @@ class TestCompare:
                    "--out", str(tmp_path)])
         assert rc == 0
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-        assert digest == ("629f4a48b087b88ac2e512b77bd7acb5"
-                          "2d1b62443320672cfedf49495e07d2d1")
+        assert digest == ("1b04753db866d67a188449014c31bba9"
+                          "eedb80e8a3a88142a41ac362b8afa296")
 
     def test_urn_report_bytes_pinned(self, tmp_path):
         # pinned before the class-scan sampler replaced the Fenwick tree: the
@@ -402,6 +406,22 @@ class TestBadInput:
         err = self.run(["solve", "--family", "uniform", "--w", "i-0.5", "--K", "16"], capsys)
         assert "'a', 'b'" in err
 
+    def test_weight_flag_for_two_colour_refused(self, capsys):
+        # a two-colour family's a and b fix w_white and w_black; --w would
+        # have run a = 2, b = 1 under the name w_i = 2i + 1
+        err = self.run(["solve", "--family", "two-colour-uniform", "--w", "2*i+1",
+                        "--K", "32"], capsys)
+        assert "--w" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--family", "rna", "--method", "linear"],
+        ["--family", "preferential", "--w", "i", "--method", "direct"],
+    ], ids=["linear-on-two-colour", "direct-on-one-colour"])
+    def test_inapplicable_method_refused(self, capsys, flags):
+        # these used to solve silently by reduction and by fixed point
+        err = self.run(["solve", *flags, "--K", "16"], capsys)
+        assert "does not apply" in err
+
     def test_duplicate_config_key_refused(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"model": {"family": "preferential", "b": 0.0, "b": -0.9}}')
@@ -509,3 +529,16 @@ class TestConfigPlumbing:
         for bad in (0, -3, 2.5, "4", True):
             with pytest.raises(InvalidParameterError):
                 ExperimentConfig.from_dict({"model": {"family": "rna"}, "replicas": bad})
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # importing scipy.linalg alone takes about 0.3 s, more than a command's
+    # whole start-up; the solvers need nothing from it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    code = "import sys, splitgrow, splitgrow.cli; sys.exit('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "scipy.linalg was imported"

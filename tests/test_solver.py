@@ -12,7 +12,7 @@ from splitgrow import (InvalidParameterError, NoConvergenceError,
                        make_alpha_class, make_grafting, make_preferential,
                        make_table, make_uniform, residuals, solve_finite)
 from splitgrow import pref_attachment_densities
-from splitgrow.solver import _band_sums, _solve_direct
+from splitgrow.solver import _band_sums, _hessenberg_solve
 from splitgrow.twocolour import make_rna, make_two_colour_uniform, reduce_to_one_colour
 from conftest import (DMAX3_ENTRIES, constant_uniform_partition, random_case3_model,
                       random_linear_table, singular_band_sums)
@@ -96,11 +96,6 @@ class TestFixedPoint:
         v = fixed_point_densities(make_uniform(0.0), K=128, tol=1e-13).densities
         assert np.max(np.abs(u[:32] - v[:32])) <= 1e-12
 
-    def test_adaptive_mode(self):
-        sol = fixed_point_densities(make_uniform(0.5), K=64, tol=1e-12, adaptive=True)
-        assert any("adaptive" in w for w in sol.warnings)
-        assert sol.sum_a == pytest.approx(1.0, abs=1e-9)
-
     def test_case2_raises_without_override(self):
         with pytest.raises(RegimeError):
             fixed_point_densities(constant_uniform(), K=64)
@@ -112,6 +107,12 @@ class TestFixedPoint:
         assert sol.unsupported and sol.method == "linear-truncated"
         expect = np.array([constant_weight_density(k) for k in range(1, 21)])
         assert np.max(np.abs(sol.densities[:20] - expect)) <= 1e-10
+
+    def test_forced_singular_system_raises(self, monkeypatch):
+        # lstsq used to return a minimum-norm vector for a singular system
+        monkeypatch.setattr(splitgrow.solver, "_band_sums", singular_band_sums)
+        with pytest.raises(SingularSystemError):
+            fixed_point_densities(constant_uniform(), K=16, force_unsupported=True)
 
     def test_no_convergence_raises(self):
         with pytest.raises(NoConvergenceError):
@@ -151,6 +152,33 @@ class TestSolveFinite:
         m = make_table(3, [(1, 2, 1.0)])
         with pytest.raises(RankDeficientError):
             solve_finite(m)
+
+    def test_degree_one_never_splitting_raises(self):
+        # the stationary matrix has rank d_max - 1 = 1, and replacing its last
+        # row by the normalisation gave the vacuous (0, 1); with the
+        # normalisation in row 0 the remaining row is zero
+        with pytest.raises(RankDeficientError, match="never split"):
+            solve_finite(make_table(2, [(2, 2, 1.0)]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d_max=st.integers(2, 8),
+           leaf_drop=st.sampled_from([0.0, 0.5, 1.0]), stuck=st.booleans())
+    def test_refusal_matches_rank_oracle(self, seed, d_max, leaf_drop, stuck):
+        # oracle: the rank of the stationary matrix, and the former solve
+        # with the last row replaced by the normalisation; tables whose
+        # degree-1 vertices never split (b = -a) are refused at any rank
+        rng = np.random.default_rng(seed)
+        a = float(rng.uniform(0.1, 2.0))
+        m = random_linear_table(rng, d_max, a=a, b=-a if stuck else None,
+                                leaf_drop=leaf_drop)
+        A = _band_sums(m, d_max) - np.diag(m.w2 + m.splitting_weights(d_max))
+        if stuck or np.linalg.matrix_rank(A) < d_max - 1:
+            with pytest.raises(RankDeficientError):
+                solve_finite(m)
+            return
+        A[-1, :] = 1.0
+        former = np.linalg.solve(A, np.eye(d_max)[-1])
+        assert np.max(np.abs(solve_finite(m).densities - former)) <= 1e-12
 
     def test_unbounded_model_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -301,8 +329,21 @@ class TestDirectSolve:
 
     def test_non_finite_solution_raises(self):
         with pytest.raises(SingularSystemError, match="non-finite"):
-            # I - M = 2^-52, so a = 1e300 * 2^52 overflows
-            _solve_direct(np.array([[1.0 - 2.0 ** -52]]), np.array([1e300]))
+            # H = 2^-52, so x = 1e300 * 2^52 overflows
+            _hessenberg_solve(np.array([[2.0 ** -52]]), np.array([1e300]), "H")
+
+    @pytest.mark.parametrize("K", [1, 2, 5, 40])
+    def test_hessenberg_solve_matches_lapack(self, K):
+        # random Hessenberg matrices with tiny diagonals: without the row
+        # swaps the multipliers reach 1e10 and the error about 1e-6 here; a
+        # general LU solve is the reference
+        rng = np.random.default_rng(K)
+        H = np.triu(rng.normal(size=(K, K)), -1)
+        H[np.diag_indices(K)] *= 1e-10
+        rhs = rng.normal(size=K)
+        expect = np.linalg.solve(H, rhs)
+        x = _hessenberg_solve(H.copy(), rhs.copy(), "H")
+        assert np.max(np.abs(x - expect)) <= 1e-10 * max(1.0, np.max(np.abs(expect)))
 
     def test_negative_density_fails_monotone_check(self):
         # weights 1, 2, 9 are not linear in the degree: the fixed point

@@ -173,9 +173,13 @@ class TestSolve:
         sol = solve_two_colour(model, K=512, tol=1e-13)
         assert sol.max_residual <= 1e-8
 
-    def test_direct_method_agrees(self):
-        a = solve_two_colour(make_rna(), K=64, method="reduction")
-        d = solve_two_colour(make_rna(), K=64, method="direct")
+    @pytest.mark.parametrize("model", [
+        make_rna(), make_two_colour_grafting(1.0, 0.0, 0.5),
+        make_two_colour_grafting(1.0, 0.5, 0.5), make_two_colour_uniform(2.0, 0.5),
+    ], ids=["rna", "grafting-1-0-0.5", "grafting-1-0.5-0.5", "uniform-2-0.5"])
+    def test_direct_method_agrees(self, model):
+        a = solve_two_colour(model, K=64, method="reduction")
+        d = solve_two_colour(model, K=64, method="direct")
         assert np.max(np.abs(a.e_white[:30] - d.e_white[:30])) <= 1e-9
         assert np.max(np.abs(a.e_black[:30] - d.e_black[:30])) <= 1e-9
 
