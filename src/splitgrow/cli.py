@@ -22,11 +22,11 @@ import scipy
 from . import __version__
 from .errors import InvalidParameterError, SplitgrowError
 from .experiment import (ExperimentConfig, build_model, compare,
-                         is_two_colour_spec, run_replicated)
+                         is_two_colour_spec, run_replicated, solve_model)
 from .growth import write_census_binary, write_census_csv
-from .solver import DensitySolution, fixed_point_densities, solve_finite
+from .solver import DensitySolution
 from .twocolour import TwoColourModel, TwoColourSolution, densities_from_e, \
-    reduce_to_one_colour, solve_two_colour
+    reduce_to_one_colour
 from .weights import SplittingWeights, classify_regime, validate_model
 
 __all__ = ["main", "parse_weight_expr"]
@@ -160,10 +160,10 @@ def _solution_doc(sol) -> dict:
         "last_step": sol.last_step,
         "sum_a": sol.sum_a,
         "sum_ka": sol.sum_ka,
-        "max_residual": sol.residuals.max_abs if sol.residuals else None,
-        "sum_dev": sol.residuals.sum_dev if sol.residuals else None,
-        "moment_dev": sol.residuals.moment_dev if sol.residuals else None,
-        "tail_mass": sol.residuals.tail_mass if sol.residuals else None,
+        "max_residual": sol.residuals.max_abs,
+        "sum_dev": sol.residuals.sum_dev,
+        "moment_dev": sol.residuals.moment_dev,
+        "tail_mass": sol.residuals.tail_mass,
         "monotone_ok": sol.monotone_ok,
         "unsupported": sol.unsupported,
         "warnings": sol.warnings,
@@ -171,29 +171,10 @@ def _solution_doc(sol) -> dict:
     }
 
 
-def _solve_model(model, cfg: ExperimentConfig, method: str):
-    two_colour = isinstance(model, TwoColourModel)
-    methods = ("reduction", "direct") if two_colour else ("fixed-point", "linear")
-    if method not in ("auto", *methods):
-        raise InvalidParameterError(
-            f"--method {method} does not apply to family {model.family!r}, "
-            f"which is solved by 'auto', {methods[0]!r} or {methods[1]!r}")
-    if two_colour:
-        return solve_two_colour(model, K=cfg.K, tol=cfg.tol,
-                                method="reduction" if method == "auto" else method,
-                                force_unsupported=cfg.force_unsupported)
-    if method == "linear" or (method == "auto" and model.d_max is not None):
-        return solve_finite(model)
-    return fixed_point_densities(model, K=cfg.K, tol=cfg.tol,
-                                 force_unsupported=cfg.force_unsupported)
-
-
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     t0 = time.monotonic()
-    model = build_model(cfg.model)
-    sol = _solve_model(model, cfg, args.method)
-    doc = _solution_doc(sol)
+    doc = _solution_doc(solve_model(build_model(cfg.model), cfg))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -267,14 +248,11 @@ def cmd_compare(args) -> int:
         return rc
     t0 = time.monotonic()
     report = compare(cfg)
-    sol = report.solution
-    if sol is None:
-        sol = _solve_model(build_model(cfg.model), cfg, "auto")
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.csv", "w") as fh:
         report.write_csv(fh)
-    _write_json(out / "solution.json", _solution_doc(sol))
+    _write_json(out / "solution.json", _solution_doc(report.solution))
     _write_json(out / "manifest.json", _manifest(cfg, time.monotonic() - t0))
     bad, failed = report.violations(), report.failed_checks()
     worst = max((abs(r.z) for r in report.rows if np.isfinite(r.z)), default=0.0)
@@ -339,8 +317,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("solve", help="analytic degree densities")
     _add_common(p, sim=False)
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "fixed-point", "linear", "reduction", "direct"))
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("simulate", help="replicated growth trajectories")

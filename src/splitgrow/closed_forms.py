@@ -246,7 +246,8 @@ class ClosedForm:
     """Exact density evaluator for a recognised family, with its tail law.
 
     ``exponent``/``constant`` describe a power-law tail ``constant * k^exponent``;
-    ``rate`` a geometric tail.  Exactly one descriptor family is populated.
+    ``rate`` a geometric tail.  At most one descriptor family is populated
+    (none for the super-exponential uniform tail).
     """
 
     family: str
@@ -255,20 +256,12 @@ class ClosedForm:
     exponent: Optional[float] = None
     constant: Optional[float] = None
     rate: Optional[float] = None
-    note: str = ""
 
     def __call__(self, k: int) -> float:
         return self._eval(k)
 
     def densities(self, k_max: int) -> np.ndarray:
         return np.array([self._eval(k) for k in range(1, k_max + 1)])
-
-    def asymptote(self, k: int) -> float:
-        if self.exponent is not None:
-            return self.constant * float(k) ** self.exponent
-        if self.rate is not None:
-            return self._eval(max(k, 2))
-        raise InvalidParameterError(f"no asymptotic descriptor for {self.family}")
 
 
 def closed_form_for(model: WeightModel) -> Optional[ClosedForm]:
@@ -289,8 +282,7 @@ def closed_form_for(model: WeightModel) -> Optional[ClosedForm]:
         if x > _UNIFORM_X_MAX:
             return None
         log_c = _uniform_log_norm(x)
-        return ClosedForm(fam, model.params, lambda k: _uniform_density(x, k, log_c),
-                          note="super-exponential tail")
+        return ClosedForm(fam, model.params, lambda k: _uniform_density(x, k, log_c))
     if fam == "grafting":
         al, ga = model.params["alpha"], model.params["gamma"]
         if al >= 1.0 or ga == 0.0:

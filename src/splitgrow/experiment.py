@@ -37,6 +37,7 @@ __all__ = [
     "is_two_colour_spec",
     "worker_count",
     "run_replicated",
+    "solve_model",
     "analytic_reference",
     "compare",
 ]
@@ -230,28 +231,32 @@ def run_replicated(cfg: ExperimentConfig) -> list[dict]:
 # -- analytic side -----------------------------------------------------------
 
 
-def analytic_reference(model, K: int, tol: float, k_report: int,
-                       force_unsupported: bool = False):
-    """Best analytic densities for the model: closed form when the family has
-    one, the direct linear solve for bounded models, the fixed-point
-    iteration otherwise.  Two-colour models return the reduction solution."""
+def solve_model(model, cfg: ExperimentConfig):
+    """The model's one solve, chosen from the model alone: the reduction for
+    two-colour models, the normalised linear solve for bounded one-colour
+    models, the fixed point for the others."""
     if isinstance(model, TwoColourModel):
-        sol = solve_two_colour(model, K=K, tol=tol,
-                               force_unsupported=force_unsupported)
-        return sol, "reduction"
-    cf = closed_form_for(model)
+        return solve_two_colour(model, K=cfg.K, tol=cfg.tol,
+                                force_unsupported=cfg.force_unsupported)
+    if model.d_max is not None:
+        return solve_finite(model)
+    return fixed_point_densities(model, K=cfg.K, tol=cfg.tol,
+                                 force_unsupported=cfg.force_unsupported)
+
+
+def analytic_reference(model, cfg: ExperimentConfig, k_report: int, solution=None):
+    """The report's analytic column and its method label: the family's
+    closed form when it has one, else ``solution``, the model's own solve
+    (made here when not given).  Two-colour models return the solution."""
+    cf = None if isinstance(model, TwoColourModel) else closed_form_for(model)
     if cf is not None:
         return cf.densities(k_report), "closed-form"
-    if model.d_max is not None:
-        sol = solve_finite(model)
-        dens = np.zeros(k_report)
-        dens[:min(k_report, sol.K)] = sol.densities[:k_report]
-        return dens, "linear"
-    sol = fixed_point_densities(model, K=K, tol=tol,
-                                force_unsupported=force_unsupported)
+    sol = solution if solution is not None else solve_model(model, cfg)
+    if isinstance(model, TwoColourModel):
+        return sol, "reduction"
     dens = np.zeros(k_report)
     dens[:min(k_report, sol.K)] = sol.densities[:k_report]
-    return dens, "fixed-point"
+    return dens, "linear" if model.d_max is not None else "fixed-point"
 
 
 # -- report -------------------------------------------------------------------
@@ -280,8 +285,8 @@ class ExperimentReport:
     k_check: int
     z_crit: float
     runtime_s: float = 0.0            # never serialised; byte-stable outputs
-    # the analytic solution object behind the rows when it is the model's
-    # own (two-colour reduction); never serialised
+    # the one solve of the config's model (not of reference_model), which
+    # the CLI writes to solution.json; never serialised here
     solution: Optional[object] = None
 
     def violations(self) -> list[DegreeRow]:
@@ -359,7 +364,10 @@ def compare(cfg: ExperimentConfig, k_report: int = 16) -> ExperimentReport:
             f"compare needs at least 2 replicas for standard errors, got {cfg.replicas}")
     start = time.monotonic()
     model = build_model(cfg.model)
-    ref_model = build_model(cfg.reference_model) if cfg.reference_model else model
+    solution = solve_model(model, cfg)
+    ref_model, ref_solution = model, solution
+    if cfg.reference_model:
+        ref_model, ref_solution = build_model(cfg.reference_model), None
     results = run_replicated(cfg)
     rows: list[DegreeRow] = []
     checks: list[tuple[str, str]] = []
@@ -377,13 +385,9 @@ def compare(cfg: ExperimentConfig, k_report: int = 16) -> ExperimentReport:
     if cfg.force_unsupported:
         checks.append(("forced_unsupported", "true"))
 
-    solution = None
     finals = [r["snapshots"][-1] for r in results]
     if results[0]["kind"] == "two-colour":
-        sol, method = analytic_reference(ref_model, cfg.K, cfg.tol, k_report,
-                                         cfg.force_unsupported)
-        if not cfg.reference_model:
-            solution = sol
+        sol, method = analytic_reference(ref_model, cfg, k_report, ref_solution)
         white = _stack([f.white for f in finals], k_report) / cfg.t_final
         black = _stack([f.black for f in finals], k_report) / cfg.t_final
         for colour, emp, ana in (("white", white, sol.e_white),
@@ -396,15 +400,12 @@ def compare(cfg: ExperimentConfig, k_report: int = 16) -> ExperimentReport:
                                   float(mean[k]), float(se[k]), float(z[k]))
                         for k in range(k_report))
         # vertex-normalised colour sum against the reduced one-colour model
-        if sol.one_colour is not None:
-            rho_w, rho_b = densities_from_e(sol)
-            upto = min(cfg.k_check, len(rho_w))
-            cross = np.max(np.abs((rho_w + rho_b)[:upto]
-                                  - sol.one_colour.densities[:upto]))
-            checks.append(("colour_sum_vs_one_colour_max_dev", fmt(float(cross))))
+        rho_w, rho_b = densities_from_e(sol)
+        upto = min(cfg.k_check, len(rho_w))
+        cross = np.max(np.abs((rho_w + rho_b)[:upto] - sol.one_colour.densities[:upto]))
+        checks.append(("colour_sum_vs_one_colour_max_dev", fmt(float(cross))))
     else:
-        analytic, method = analytic_reference(ref_model, cfg.K, cfg.tol, k_report,
-                                              cfg.force_unsupported)
+        analytic, method = analytic_reference(ref_model, cfg, k_report, ref_solution)
         emp = _stack([f.counts for f in finals], k_report) / cfg.t_final
         mean, se = _mean_se(emp)
         z = _z_scores(mean, se, analytic)

@@ -39,6 +39,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -716,13 +717,23 @@ def write_census_binary(path, snapshots: list[CensusSnapshot]) -> None:
 
 
 def read_census_binary(path) -> list[CensusSnapshot]:
+    """Snapshots of a ``write_census_binary`` dump.  A file that ends inside
+    a record raises InvalidParameterError naming the record's byte offset."""
+    raw = Path(path).read_bytes()
     out: list[CensusSnapshot] = []
-    with open(path, "rb") as fh:
-        while True:
-            head = fh.read(_REC_HEAD.size)
-            if not head:
-                break
-            t, k = _REC_HEAD.unpack(head)
-            counts = np.frombuffer(fh.read(8 * k), dtype="<u8").astype(np.int64)
-            out.append(CensusSnapshot(t, counts, float("nan")))
+    pos = 0
+    while pos < len(raw):
+        if pos + _REC_HEAD.size > len(raw):
+            raise InvalidParameterError(
+                f"{path}: truncated record header at byte {pos} "
+                f"(file ends at byte {len(raw)})")
+        t, k = _REC_HEAD.unpack_from(raw, pos)
+        body = pos + _REC_HEAD.size
+        if body + 8 * k > len(raw):
+            raise InvalidParameterError(
+                f"{path}: record at byte {pos} holds {k} counts up to byte "
+                f"{body + 8 * k}, but the file ends at byte {len(raw)}")
+        counts = np.frombuffer(raw, dtype="<u8", count=k, offset=body)
+        out.append(CensusSnapshot(t, counts.astype(np.int64), float("nan")))
+        pos = body + 8 * k
     return out

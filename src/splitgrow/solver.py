@@ -32,9 +32,12 @@ Two routes are provided:
 
 A degree-k vertex only feeds degrees up to k+1, so all these matrices are
 upper Hessenberg, with the leaf-split masses ``(k-1)*w[k,1]`` on the
-subdiagonal.  ``_hessenberg_solve`` solves each of them, and the
-interleaved two-colour system, in O(K^2): partial pivoting only ever swaps
-adjacent rows (Golub & Van Loan, *Matrix Computations*, Hessenberg LU).
+subdiagonal.  ``_hessenberg_solve`` solves each of them in O(K^2): partial
+pivoting only ever swaps adjacent rows (Golub & Van Loan, *Matrix
+Computations*, Hessenberg LU).  Which route a model takes is decided in one
+place, ``experiment.solve_model``: ``solve_finite`` for bounded models, the
+fixed point for the others; two-colour models reach the fixed point through
+``twocolour.solve_two_colour``.
 
 The iterates of the from-below scheme are nondecreasing whenever every
 update coefficient is nonnegative, i.e. for unbounded models (all band
@@ -95,9 +98,9 @@ class DensitySolution:
     method: str
     regime: Regime
     s: float
+    residuals: ResidualReport
     iterations: int = 0
     last_step: float = 0.0
-    residuals: Optional[ResidualReport] = None
     monotone_ok: bool = True
     monotone_violation: float = 0.0
     unsupported: bool = False
@@ -381,11 +384,10 @@ def solve_finite(model: WeightModel, tol: float = 1e-12) -> DensitySolution:
         raise NonPositiveError(f"negative density: min rho = {rho.min():.3e}")
     if np.any(rho <= 0):
         warnings.append("some densities are zero (degenerate table)")
-    moment = float((np.arange(1, D + 1) * rho).sum())
-    if abs(moment - 2.0) > 1e-8:
-        warnings.append(f"sum k*rho = {moment:.12g} deviates from 2; "
-                        "weights are likely inconsistent")
     res = _residual_report(model, rho, D, None, B)
+    if res.moment_dev > 1e-8:
+        warnings.append(f"sum k*rho deviates from 2 by {res.moment_dev:.12g}; "
+                        "weights are likely inconsistent")
     return DensitySolution(densities=rho, K=D, method="linear", regime=regime, s=s,
                            residuals=res, warnings=warnings)
 

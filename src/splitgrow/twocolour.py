@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ReductionInvalidError
 from .growth import CensusSnapshot, ClassSampler
-from .solver import (DensitySolution, _band_sums, _hessenberg_solve,
-                     fixed_point_densities)
+from .solver import DensitySolution, _band_sums, fixed_point_densities
 from .weights import PartitionWeights, SplittingWeights, WeightModel, LinearTail
 
 __all__ = [
@@ -275,7 +274,9 @@ class TwoColourState:
 def reduce_to_one_colour(model2: TwoColourModel) -> WeightModel:
     """One-colour model with the same summed densities: splitting weights
     ``w_black``, partitioning weights scaled by ``w_black/w_white`` on each
-    split-degree class."""
+    split-degree class.  The reduced weights carry no ``LinearTail``, even
+    where the white partition has one, so their solve truncates with a zero
+    tail."""
     white_pw = model2.white.partition
     w_white = model2.w_white
     w_black = model2.w_black
@@ -318,13 +319,13 @@ class TwoColourSolution:
     e_white: np.ndarray
     e_black: np.ndarray
     K: int
-    method: str
     residual_selection: np.ndarray      # family: (w_b + w2_b/2) e_b = sum i w_w[k,.] e_w
     residual_colour: np.ndarray         # family: (w_w + w2_w/3) e_w = w_b e_b
     colour_sum_dev: float               # |sum(3 e_w + 2 e_b) - 1|
     weight_sum_dev: float               # |sum(w_w e_w + w_b e_b) - w2_b/2|
-    one_colour: Optional[DensitySolution] = None
+    one_colour: DensitySolution         # the reduced model's solution
     warnings: list[str] = field(default_factory=list)
+    method = "reduction"                # the solve every two-colour model gets
 
     @property
     def max_residual(self) -> float:
@@ -350,66 +351,34 @@ def _two_colour_residuals(m2: TwoColourModel, e_w: np.ndarray, e_b: np.ndarray,
 
 
 def solve_two_colour(model2: TwoColourModel, K: int = 512, tol: float = 1e-13,
-                     max_iter: int = 1_000_000, method: str = "reduction",
+                     max_iter: int = 1_000_000,
                      force_unsupported: bool = False) -> TwoColourSolution:
-    """Limiting per-degree counts over the event clock.
+    """Limiting per-degree counts over the event clock: the reduced
+    one-colour model's fixed point, split at each degree by the colour ratio
+    ``e_white/e_black = w_black/(w_white + w2_white/3)`` and rescaled so that
+    ``sum(3*e_white + 2*e_black) = 1``.
 
-    ``method="reduction"`` (default) solves the reduced one-colour model and
-    splits each density by the per-degree colour ratio; ``method="direct"``
-    solves the truncated two-family linear system instead.
+    Substituting that ratio into the selection family turns the truncated
+    two-colour system into the reduced one-colour system up to a row
+    scaling (because ``w_white - w_black = a - b = w2_black/2``), so solving
+    the reduced model solves the truncated two-colour system.  ``tol`` and
+    ``max_iter`` pass to ``fixed_point_densities``.
     """
-    if method == "reduction":
-        red = reduce_to_one_colour(model2)
-        one = fixed_point_densities(red, K=K, tol=tol, max_iter=max_iter,
-                                    force_unsupported=force_unsupported)
-        Ke = one.K
-        ks = np.arange(1, Ke + 1, dtype=float)
-        ratio = model2.black(ks) / (model2.white.splitting(ks) + model2.w_white(2) / 3.0)
-        u = one.densities / (1.0 + ratio)
-        lam = 1.0 / float((u * (2.0 + 3.0 * ratio)).sum())
-        e_b = lam * u
-        e_w = ratio * e_b
-        warnings = list(one.warnings)
-        B = _band_sums(model2.white, Ke)
-    elif method == "direct":
-        Ke = K
-        B = _band_sums(model2.white, K)
-        e_w, e_b = _direct_two_colour(model2, B)
-        one = None
-        warnings = ["direct truncated solve; no constructive convergence guarantee"]
-    else:
-        raise InvalidParameterError(f"unknown method {method!r}")
-
-    res_sel, res_col, cdev, wdev = _two_colour_residuals(model2, e_w, e_b, B)
-    return TwoColourSolution(e_white=e_w, e_black=e_b, K=Ke, method=method,
+    red = reduce_to_one_colour(model2)
+    one = fixed_point_densities(red, K=K, tol=tol, max_iter=max_iter,
+                                force_unsupported=force_unsupported)
+    ks = np.arange(1, one.K + 1, dtype=float)
+    ratio = model2.black(ks) / (model2.white.splitting(ks) + model2.w_white(2) / 3.0)
+    u = one.densities / (1.0 + ratio)
+    lam = 1.0 / float((u * (2.0 + 3.0 * ratio)).sum())
+    e_b = lam * u
+    e_w = ratio * e_b
+    res_sel, res_col, cdev, wdev = _two_colour_residuals(
+        model2, e_w, e_b, _band_sums(model2.white, one.K))
+    return TwoColourSolution(e_white=e_w, e_black=e_b, K=one.K,
                              residual_selection=res_sel, residual_colour=res_col,
                              colour_sum_dev=cdev, weight_sum_dev=wdev,
-                             one_colour=one, warnings=warnings)
-
-
-def _direct_two_colour(m2: TwoColourModel, B: np.ndarray):
-    """Truncated linear solve of the two equation families; ``B`` is the
-    white update matrix at K.
-
-    The unknowns are interleaved as ``[e_b1, e_w1, e_b2, e_w2, ...]`` and the
-    rows as ``[sel_1, col_1, sel_2, col_2, ...]``, with the first selection
-    row replaced by the colour normalisation: the selection row of degree k
-    reaches back to ``e_w(k-1)`` only, so the matrix is upper Hessenberg."""
-    K = len(B)
-    ks = np.arange(1, K + 1, dtype=float)
-    w_w = m2.white.splitting(ks)
-    w_b = m2.black(ks)
-    d = np.arange(0, 2 * K, 2)
-    A = np.zeros((2 * K, 2 * K))
-    A[d, d] = w_b + m2.w_black(2) / 2.0               # selection family
-    A[0::2, 1::2] = -B
-    A[d + 1, d + 1] = w_w + m2.w_white(2) / 3.0       # colour-exchange family
-    A[d + 1, d] = -w_b
-    A[0, :] = np.tile([2.0, 3.0], K)
-    rhs = np.zeros(2 * K)
-    rhs[0] = 1.0
-    z = _hessenberg_solve(A, rhs, f"the two-colour system at K = {K}")
-    return z[1::2], z[0::2]
+                             one_colour=one, warnings=list(one.warnings))
 
 
 def densities_from_e(sol: TwoColourSolution) -> tuple[np.ndarray, np.ndarray]:

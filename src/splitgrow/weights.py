@@ -248,7 +248,6 @@ class WeightModel:
             i + 1: float(v) for i, v in enumerate(derived)}
         self._leaf_mass_limit = leaf_mass_limit
         self._split_cache: dict[int, tuple[list[int], list[float], float]] = {}
-        self._regime: Optional[tuple[Regime, float]] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -292,20 +291,6 @@ class WeightModel:
         if self.partition.tail is not None:
             return self.partition.tail.g_limit
         return None
-
-    @property
-    def regime(self) -> Regime:
-        return self._classify()[0]
-
-    @property
-    def s(self) -> float:
-        """``inf { i * w[1, i+1] : 1 <= i < d_max }``."""
-        return self._classify()[1]
-
-    def _classify(self) -> tuple[Regime, float]:
-        if self._regime is None:
-            self._regime = classify_regime(self)
-        return self._regime
 
     # -- split-size law ----------------------------------------------------
 

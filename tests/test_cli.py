@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import splitgrow
 import splitgrow.cli
 import splitgrow.experiment
 import splitgrow.solver
+import splitgrow.twocolour
 from splitgrow import InvalidParameterError
 from splitgrow.cli import main, parse_weight_expr
 from splitgrow.experiment import ExperimentConfig, ExperimentReport, worker_count
@@ -222,26 +224,58 @@ class TestCompare:
         rc = main(["compare", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert rc == 1
 
-    def test_two_colour_solves_once(self, tmp_path, monkeypatch):
-        # compare reuses the reduction solution behind report.csv for
-        # solution.json, whose bytes match a plain solve of the model
-        calls = []
-        real = splitgrow.cli.solve_two_colour
+    @pytest.mark.parametrize("flags", [
+        ["--family", "rna"], ["--table"], ["--family", "preferential", "--w", "i"],
+    ], ids=["rna", "table", "preferential"])
+    def test_compare_solves_once(self, tmp_path, monkeypatch, flags):
+        # compare solves the model once, and solution.json holds that solve
+        # with the bytes of a plain solve; only outermost calls count, so
+        # the reduction's inner fixed point is not a second solve
+        if flags == ["--table"]:
+            flags = ["--table", str(dmax3_table_file(tmp_path))]
+        calls, depth = [], [0]
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                if not depth[0]:
+                    calls.append(real.__name__)
+                depth[0] += 1
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
 
-        monkeypatch.setattr(splitgrow.cli, "solve_two_colour", counting)
-        monkeypatch.setattr(splitgrow.experiment, "solve_two_colour", counting)
-        rc = main(["compare", "--family", "rna", "--seed", "5", "--replicas", "2",
+        solvers = {"solve_finite": splitgrow.solver.solve_finite,
+                   "fixed_point_densities": splitgrow.solver.fixed_point_densities,
+                   "solve_two_colour": splitgrow.twocolour.solve_two_colour}
+        for mod in (splitgrow, splitgrow.cli, splitgrow.experiment,
+                    splitgrow.solver, splitgrow.twocolour):
+            for name, real in solvers.items():
+                monkeypatch.setattr(mod, name, counting(real), raising=False)
+        monkeypatch.setenv("SPLITGROW_THREADS", "1")
+        rc = main(["compare", *flags, "--seed", "5", "--replicas", "2",
                    "--t-final", "300", "--k-check", "1", "--z-crit", "1e9",
                    "--K", "64", "--out", str(tmp_path / "c")])
-        assert rc == 0 and len(calls) == 1
-        assert main(["solve", "--family", "rna", "--K", "64",
-                     "--out", str(tmp_path / "s")]) == 0
+        assert rc == 0 and len(calls) == 1, calls
+        assert main(["solve", *flags, "--K", "64", "--out", str(tmp_path / "s")]) == 0
         assert (tmp_path / "c/solution.json").read_bytes() \
             == (tmp_path / "s/solution.json").read_bytes()
+
+    def test_benchmark_spans_recorded(self, tmp_path, monkeypatch):
+        # the benchmark's tracer rebinds the solver names that cli and
+        # experiment call; a solve that bypasses those globals loses its span
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from tracing import Tracer
+        monkeypatch.setenv("SPLITGROW_THREADS", "1")
+        tracer = Tracer()
+        with tracer.installed():
+            assert main(["solve", "--family", "uniform", "--x", "0", "--K", "64"]) == 0
+            assert main(["compare", "--family", "rna", "--replicas", "2",
+                         "--t-final", "300", "--z-crit", "1e9",
+                         "--out", str(tmp_path)]) == 0
+        names = {span["name"] for span in tracer.spans}
+        assert {"solver.fixed_point_densities", "twocolour.solve_two_colour"} <= names
 
     def test_two_colour_report_bytes_pinned(self, tmp_path, monkeypatch):
         # the analytic column comes from the direct reduction solve; any
@@ -413,14 +447,12 @@ class TestBadInput:
                         "--K", "32"], capsys)
         assert "--w" in err
 
-    @pytest.mark.parametrize("flags", [
-        ["--family", "rna", "--method", "linear"],
-        ["--family", "preferential", "--w", "i", "--method", "direct"],
-    ], ids=["linear-on-two-colour", "direct-on-one-colour"])
-    def test_inapplicable_method_refused(self, capsys, flags):
-        # these used to solve silently by reduction and by fixed point
-        err = self.run(["solve", *flags, "--K", "16"], capsys)
-        assert "does not apply" in err
+    def test_method_flag_removed(self, capsys):
+        # every model has one solve, so solve takes no --method
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--family", "rna", "--method", "direct"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_duplicate_config_key_refused(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from splitgrow import (ClassSampler, DegeneracyError, InvalidParameterError,
-                       OrderedTree, PartitionWeights, SplittingWeights, UrnState,
-                       WeightModel, make_grafting,
+from splitgrow import (CensusSnapshot, ClassSampler, DegeneracyError,
+                       InvalidParameterError, OrderedTree, PartitionWeights,
+                       SplittingWeights, UrnState, WeightModel, make_grafting,
                        make_preferential, make_table, make_uniform,
                        read_census_binary, run, write_census_binary,
                        write_census_csv)
@@ -513,6 +513,23 @@ class TestSerialisation:
         assert len(back) == len(snaps)
         for s, t in zip(snaps, back):
             assert s.t == t.t and (s.counts == t.counts).all()
+
+    @pytest.mark.parametrize("cut,match", [
+        (8, "record at byte 44 holds 4 counts up to byte 88"),
+        (3, "record at byte 44 holds 4 counts up to byte 88"),
+        (40, "truncated record header at byte 44"),
+    ], ids=["short-by-a-count", "short-inside-a-count", "inside-a-header"])
+    def test_binary_truncation_refused(self, tmp_path, cut, match):
+        # two 4-degree snapshots, 44 bytes each; a short file must not read
+        # as a shorter last snapshot or fail with a bare numpy/struct error
+        snap = CensusSnapshot(5, np.array([6, 4, 1, 1]), float("nan"))
+        path = tmp_path / "two.bin"
+        write_census_binary(path, [snap, snap])
+        raw = path.read_bytes()
+        assert len(raw) == 88
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(InvalidParameterError, match=match):
+            read_census_binary(path)
 
     def test_binary_layout(self, tmp_path):
         # u64 t, u32 K, then K u64 counts, all little endian

@@ -115,7 +115,7 @@ class TestConstructors:
 
     def test_table_constructor(self, dmax3):
         assert dmax3.d_max == 3
-        assert dmax3.regime is Regime.CASE_I
+        assert classify_regime(dmax3)[0] is Regime.CASE_I
         assert dmax3.w(2) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
