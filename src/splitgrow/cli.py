@@ -21,7 +21,7 @@ import scipy
 
 from . import __version__
 from .errors import InvalidParameterError, SplitgrowError
-from .experiment import (ExperimentConfig, build_model, compare,
+from .experiment import (ExperimentConfig, build_model, compare, growth_counters,
                          is_two_colour_spec, run_replicated, solve_model)
 from .growth import write_census_binary, write_census_csv
 from .solver import DensitySolution
@@ -113,8 +113,11 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
-def _manifest(cfg: ExperimentConfig, runtime_s: float) -> dict:
-    return {
+def _manifest(cfg: ExperimentConfig, runtime_s: float,
+              growth: dict | None = None) -> dict:
+    """Run facts that are not byte-stable: wall time and, for runs that
+    grow replicas, the growth counters of ``experiment.growth_counters``."""
+    doc = {
         "seed": cfg.seed,
         "config_digest": cfg.digest,
         "config": cfg.to_dict(),
@@ -126,6 +129,9 @@ def _manifest(cfg: ExperimentConfig, runtime_s: float) -> dict:
         },
         "runtime_s": runtime_s,
     }
+    if growth is not None:
+        doc["growth"] = growth
+    return doc
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -228,7 +234,8 @@ def cmd_simulate(args) -> int:
     if args.binary:
         for rep, snaps in enumerate(trajectories):
             write_census_binary(out / f"census_{rep}.bin", snaps)
-    _write_json(out / "manifest.json", _manifest(cfg, time.monotonic() - t0))
+    _write_json(out / "manifest.json",
+                _manifest(cfg, time.monotonic() - t0, growth_counters(results)))
     worst = {}
     for res in results:
         for k, v in res["checks"].items():
@@ -253,7 +260,8 @@ def cmd_compare(args) -> int:
     with open(out / "report.csv", "w") as fh:
         report.write_csv(fh)
     _write_json(out / "solution.json", _solution_doc(report.solution))
-    _write_json(out / "manifest.json", _manifest(cfg, time.monotonic() - t0))
+    _write_json(out / "manifest.json",
+                _manifest(cfg, time.monotonic() - t0, report.growth))
     bad, failed = report.violations(), report.failed_checks()
     worst = max((abs(r.z) for r in report.rows if np.isfinite(r.z)), default=0.0)
     status = "PASS" if report.ok else (

@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .closed_forms import closed_form_for
 from .errors import InvalidParameterError
-from .growth import OrderedTree, UrnState, run
+from .growth import OrderedTree, UrnState, run, run_batch
 from .solver import fixed_point_densities, solve_finite
 from .twocolour import (TwoColourModel, TwoColourState, densities_from_e,
                         make_rna, make_two_colour_grafting, make_two_colour_uniform,
@@ -37,6 +36,7 @@ __all__ = [
     "is_two_colour_spec",
     "worker_count",
     "run_replicated",
+    "growth_counters",
     "solve_model",
     "analytic_reference",
     "compare",
@@ -185,16 +185,9 @@ def worker_count(replicas: int) -> int:
 
 
 def _simulate_replica(payload):
-    spec, engine, t_final, thin, child_seed = payload
-    model = build_model(spec)
-    rng = np.random.default_rng(child_seed)
-    if isinstance(model, TwoColourModel):
-        state = TwoColourState.single_edge(model)
-    elif engine == "tree":
-        state = OrderedTree.single_edge(model)
-    else:
-        state = UrnState.single_edge(model)
-    snaps = run(state, t_final, rng, thin=thin or None)
+    """One grown replica's result: its snapshots, its invariant checks and
+    its growth counters."""
+    model, state, snaps, growth = payload
     if isinstance(state, TwoColourState):
         kind = "two-colour"
         wdrift, wclosed = state.weight_deviation()
@@ -212,20 +205,69 @@ def _simulate_replica(payload):
                   "census_moment_dev": abs(moment_dev),
                   "weight_rel_drift": drift,
                   "weight_closed_form_rel_dev": wclosed}
-    return {"kind": kind, "t": snaps[-1].t, "snapshots": snaps, "checks": checks}
+    occupied = np.flatnonzero(snaps[-1].counts)
+    growth["max_degree"] = int(occupied[-1]) + 1 if len(occupied) else 0
+    return {"kind": kind, "t": snaps[-1].t, "snapshots": snaps, "checks": checks,
+            "growth": growth}
+
+
+def _simulate_block(payload):
+    """Replicas ``first ..`` of one worker, grown from their child seeds:
+    census engines in one ``run_batch`` call, trees one ``run`` each (one
+    tree alive at a time).  The block's first result also carries the
+    batch's ``rounds`` (None for trees) and ``growth_s``."""
+    spec, engine, t_final, thin, first, seeds = payload
+    model = build_model(spec)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    start = time.perf_counter()
+    events = t_final - 2                    # every replica starts from one edge
+    if engine == "tree" and not isinstance(model, TwoColourModel):
+        results, rounds = [], None
+        for rng in rngs:
+            tree = OrderedTree.single_edge(model)
+            snaps = run(tree, t_final, rng, thin=thin or None)
+            results.append(_simulate_replica(
+                (model, tree, snaps, {"events": events, "events_drawn": events})))
+    else:
+        make = (TwoColourState if isinstance(model, TwoColourModel) else UrnState).single_edge
+        states = [make(model) for _ in seeds]
+        trajectories, stats = run_batch(states, t_final, rngs, thin=thin or None)
+        rounds = stats["rounds"]
+        results = [_simulate_replica((model, s, snaps, {"events": events, "events_drawn": d}))
+                   for s, snaps, d in zip(states, trajectories, stats["events_drawn"])]
+    results[0]["batch"] = {"first": first, "replicas": len(seeds), "rounds": rounds,
+                           "growth_s": time.perf_counter() - start}
+    return results
 
 
 def run_replicated(cfg: ExperimentConfig) -> list[dict]:
     """All replicas, merged in replica-index order (deterministic given the
-    config); each carries its final census and invariant checks."""
+    config); each carries its final census, invariant checks and growth
+    counters.  Each worker grows one contiguous block of replicas; a
+    replica's stream is its own child seed, so the outcome does not depend
+    on the number of workers."""
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)
-    payloads = [(cfg.model, cfg.engine, cfg.t_final, cfg.thin, child)
-                for child in children]
     w = worker_count(cfg.replicas)
+    cuts = [cfg.replicas * i // w for i in range(w + 1)]
+    payloads = [(cfg.model, cfg.engine, cfg.t_final, cfg.thin, lo, children[lo:hi])
+                for lo, hi in zip(cuts, cuts[1:])]
     if w <= 1:
-        return [_simulate_replica(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(_simulate_replica, payloads))
+        blocks = [_simulate_block(p) for p in payloads]
+    else:
+        # imported here: the module costs a noticeable share of import time
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=w) as pool:
+            blocks = list(pool.map(_simulate_block, payloads))
+    return [res for block in blocks for res in block]
+
+
+def growth_counters(results: list[dict]) -> dict:
+    """The growth counters of ``run_replicated`` results, for
+    ``manifest.json``: per replica ``events`` kept, ``events_drawn`` and
+    ``max_degree``; per batch its ``first`` replica, ``replicas``,
+    ``rounds`` and ``growth_s``."""
+    return {"replicas": [res["growth"] for res in results],
+            "batches": [res["batch"] for res in results if "batch" in res]}
 
 
 # -- analytic side -----------------------------------------------------------
@@ -288,6 +330,7 @@ class ExperimentReport:
     # the one solve of the config's model (not of reference_model), which
     # the CLI writes to solution.json; never serialised here
     solution: Optional[object] = None
+    growth: Optional[dict] = None     # growth_counters, for manifest.json only
 
     def violations(self) -> list[DegreeRow]:
         return [r for r in self.rows
@@ -417,4 +460,5 @@ def compare(cfg: ExperimentConfig, k_report: int = 16) -> ExperimentReport:
                             digest=cfg.digest, replicas=cfg.replicas,
                             t_final=cfg.t_final, engine=cfg.engine,
                             k_check=cfg.k_check, z_crit=cfg.z_crit,
-                            runtime_s=time.monotonic() - start, solution=solution)
+                            runtime_s=time.monotonic() - start, solution=solution,
+                            growth=growth_counters(results))

@@ -17,24 +17,33 @@ correctness tests pin down; degree statistics do not depend on which
 contiguous arc is chosen.
 
 The engines sample independently, so their agreement in law tests one
-sampler against the other.  ``UrnState`` (and ``twocolour.TwoColourState``)
-draw from a ``ClassSampler``, a Fenwick tree that picks a census class with
-probability ``n_d * w_d / W_t`` in O(log K).  ``OrderedTree`` draws a
-vertex from a weight envelope ``A + B*d >= w_d`` in O(1) expected time: a
-uniform vertex or the owner of a uniform half-edge, kept with probability
-``w_d / (A + B*d)``.  Its split costs O(1) plus the shorter arc.  States
-are confined to one worker at a time; the weight model is shared read-only.
+sampler against the other.  ``UrnState.step`` (and
+``twocolour.TwoColourState.step``) draw from a ``ClassSampler``, a Fenwick
+tree that picks a census class with probability ``n_d * w_d / W_t`` in
+O(log K).  ``OrderedTree`` draws a vertex from a weight envelope
+``A + B*d >= w_d`` in O(1) expected time: a uniform vertex or the owner of
+a uniform half-edge, kept with probability ``w_d / (A + B*d)``.  Its split
+costs O(1) plus the shorter arc.  States are confined to one worker at a
+time; the weight model is shared read-only.
 
-``run`` grows trees through ``_tree_kernel`` and census engines through
-``_census_kernel``.  Both draw their uniforms in blocks, inline the sampler
-and allocate no events, and each leaves the state, the running total and
-the generator exactly as the same number of ``step`` calls would.  ``step``
-stays the event-returning reference.
+``run`` grows trees through ``_tree_kernel``, which draws its uniforms in
+blocks and leaves the tree, the running total and the generator exactly as
+the same number of ``step`` calls would.  Census engines grow through
+``run_batch``, the continuous-time embedding of the urn: a split never
+changes another vertex's degree, so every vertex splits after its own
+exponential clock of rate ``w_d``, and the order in which the clocks ring
+is the urn's sequence of draws (Athreya and Karlin, Ann. Math. Statist. 39
+(1968) 1801-1817; Janson, Stoch. Proc. Appl. 110 (2004) 177-245).  Its
+vertices are independent, so numpy expands them a generation at a time.
+It has the law of ``step`` but other draws: for census engines ``step`` is
+the reference in law, not bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -54,6 +63,7 @@ __all__ = [
     "OrderedTree",
     "UrnState",
     "run",
+    "run_batch",
     "write_census_csv",
     "write_census_binary",
     "read_census_binary",
@@ -108,6 +118,25 @@ class ClassSampler:
         while j <= n:
             tree[j] += d
             j += j & (-j)
+
+    def reset(self, counts: list[int], weights: list[float]) -> None:
+        """Set the counts of classes ``0 .. len(counts)-1`` at once, in O(K);
+        ``weights`` holds ``weight_of(c)`` for at least as many classes, so
+        new classes need no calls.  ``counts`` may not drop a class."""
+        n_old = len(self.counts)
+        self.counts[:] = counts
+        self.weights[n_old:] = weights[n_old:len(counts)]
+        self._mass = [n * w for n, w in zip(self.counts, self.weights)]
+        n = len(self._tree) - 1
+        while n < len(counts):
+            n <<= 1
+        tree = [0.0] * (n + 1)
+        tree[1:len(counts) + 1] = self._mass
+        for i in range(1, n + 1):
+            j = i + (i & -i)
+            if j <= n:
+                tree[j] += tree[i]
+        self._tree = tree
 
     def sample(self, rng, total: float) -> tuple[int, float]:
         """A class and the leftover of the draw inside it, in
@@ -177,8 +206,9 @@ class CensusSnapshot:
 
     def csv_rows(self, prefix: str) -> str:
         """``prefix`` + ``k,n`` lines for the degrees with a vertex."""
-        return "".join(f"{prefix}{k},{n}\n"
-                       for k, n in enumerate(self.counts.tolist(), 1) if n)
+        occupied = np.flatnonzero(self.counts)
+        return "".join(f"{prefix}{k},{n}\n" for k, n in
+                       zip((occupied + 1).tolist(), self.counts[occupied].tolist()))
 
 
 class _CensusMixin:
@@ -191,8 +221,12 @@ class _CensusMixin:
     counts: list[int]
 
     def census(self) -> CensusSnapshot:
-        return CensusSnapshot(self.t, np.array(self.counts, dtype=np.int64),
+        return self._snapshot(self.t, np.array(self.counts, dtype=np.int64),
                               self.total_weight)
+
+    @staticmethod
+    def _snapshot(t: int, counts: np.ndarray, total_weight: float) -> CensusSnapshot:
+        return CensusSnapshot(t, counts, total_weight)
 
     def census_deviations(self) -> tuple[int, int, float]:
         """Integer census identities plus the relative drift of the running
@@ -482,9 +516,10 @@ class UrnState(_CensusMixin):
     def single_edge(cls, model: WeightModel) -> "UrnState":
         return cls(model, [2])
 
-    def _layout(self) -> tuple[WeightModel, int]:
-        """Split-size model and class stride for ``_census_kernel``."""
-        return self.model, 1
+    def _layout(self) -> tuple[WeightModel, int, float]:
+        """Split-size model, class stride and the total weight's gain per
+        event (exact for linear weights) for ``run_batch``."""
+        return self.model, 1, self.model.w2
 
     def sample_degree(self, rng) -> int:
         """Degree class drawn with probability w_d * n_d / total weight."""
@@ -518,26 +553,27 @@ def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnap
     ``thin=None`` records only the final state.  Deterministic given the
     state, the model and the generator state.
 
-    ``OrderedTree`` grows through ``_tree_kernel``, ``UrnState`` and
-    ``TwoColourState`` through ``_census_kernel``.  Both draw their uniforms
-    in blocks and allocate no events, and each leaves the state, the running
-    total and the generator exactly as the same number of ``state.step``
-    calls would.
+    ``OrderedTree`` grows through ``_tree_kernel``, which draws its
+    uniforms in blocks and leaves the tree, the running total and the
+    generator exactly as the same number of ``tree.step`` calls would.
+    ``UrnState`` and ``TwoColourState`` grow through ``run_batch`` as a
+    batch of one: the same law as ``state.step``, from other draws.
     """
     if t_final < state.t:
         raise InvalidParameterError(f"t_final = {t_final} < current t = {state.t}")
-    advance = _tree_kernel if isinstance(state, OrderedTree) else _census_kernel
+    if not isinstance(state, OrderedTree):
+        return run_batch([state], t_final, [rng], thin)[0][0]
     snaps: list[CensusSnapshot] = []
     if thin:
         snaps.append(state.census())
     # every step advances the clock by one, so snapshots fall every thin ticks
     for stop in chain(range(state.t + thin, t_final, thin) if thin else (), (t_final,)):
-        advance(state, stop, rng)
+        _tree_kernel(state, stop, rng)
         snaps.append(state.census())
     return snaps
 
 
-_BLOCK = 4096           # most uniforms drawn per generator call by the kernels
+_BLOCK = 4096           # most uniforms drawn per generator call by the tree kernel
 
 
 def _tree_kernel(tree: OrderedTree, t_stop: int, rng) -> None:
@@ -590,101 +626,326 @@ def _tree_kernel(tree: OrderedTree, t_stop: int, rng) -> None:
         t += 1
 
 
-def _census_kernel(state, t_stop: int, rng) -> None:
-    """Advance a census engine to ``state.t == t_stop``: ``state.step`` with
-    the ``ClassSampler`` inlined, block uniforms and no events.
+# the most events one replica draws at a time; a replica that needs more
+# grows in legs, which is exact because the process is Markov
+_EVENT_BUDGET = 1 << 16
+# generations smaller than this expand one individual at a time
+_SMALL = 64
 
-    The engine's ``_layout()`` gives the split-size model and the stride
-    ``s`` of its classes.  One colour (``s = 1``): class ``c`` is degree
-    ``c + 1``.  Two colours (``s = 2``): an odd class is a black vertex and
-    recolours into class ``c - 1``; an even class is a white vertex of degree
-    ``c // 2 + 1``.  A split of degree ``d`` into ``k`` and ``d + 2 - k`` adds
-    one member to classes ``s*k - 1`` and ``s*(d + 2 - k) - 1``.
 
-    The draws, the order of the count and mass updates and the float
-    operations on the running total are those of ``state.step``, so the
-    outcome is bit-identical.  At most ``t_stop - t`` uniforms are drawn at
-    a time, and every event uses at least one, so the generator is never
-    drawn ahead of the scalar path.
+class _ClassLaws:
+    """Death rates and split laws of the census classes ``0 .. n-1`` of one
+    layout, extended as the classes are reached.
+
+    A class with its stride bit clear splits (every class for one colour,
+    the white classes for two).  Its law is the run ``keys[lo:hi]``,
+    ``ks[lo:hi]`` of first child degrees with ``keys = c + cum / w_d``, so a
+    search for ``c + u`` in the flat keys draws the child degree of any
+    class, and one ``searchsorted`` draws those of many.  A splitting class
+    of positive weight with an empty run has no admissible split.  The
+    tables are Python lists, with numpy copies made on demand.
     """
-    split_model, stride = state._layout()
-    recolour = stride - 1                   # class bit of a recolouring vertex
-    sampler = state._classes
-    counts, weights, mass = sampler.counts, sampler.weights, sampler._mass
-    tree = sampler._tree
-    n = len(tree) - 1
-    cached_law = split_model._split_cache.get
-    split_law = split_model.split_distribution
-    us: list[float] = []                    # the block's unused uniforms, reversed
-    ncls = len(counts)
-    t, total = state.t, state.total_weight
-    try:
-        while t < t_stop:
-            if not total > 0.0:
-                raise DegeneracyError("total sampling weight is not positive")
-            if not us:
-                us = rng.random(min(_BLOCK, t_stop - t)).tolist()
-                us.reverse()
-            x = us.pop() * total
-            # Fenwick descent; n is a power of two, so only the first level
-            # can look past the last class
-            if tree[n] <= x:
-                c = n
+
+    def __init__(self, state):
+        self.owner = state.model
+        self.split_model, self.stride, self.gain = state._layout()
+        self._weight_of = state._classes._weight_of
+        self.w: list[float] = []
+        self.inv_w: list[float] = []            # 1 / w_c; 0 for a class that never dies
+        self.lo: list[int] = []
+        self.hi: list[int] = []
+        self.keys: list[float] = []
+        self.ks: list[int] = []
+        self._arrays = [np.zeros(1), np.empty(0), np.empty(0, np.int64),
+                        np.empty(0, np.int64), np.empty(0), np.full(1, -1, np.int64)]
+        self._synced = 0, 0                     # classes and keys in the arrays
+
+    def cover(self, n: int) -> None:
+        """Tables for every class below ``n``."""
+        while len(self.w) < n:
+            c = len(self.w)
+            wc = float(self._weight_of(c))
+            self.w.append(wc)
+            self.inv_w.append(1.0 / wc if wc > 0 else 0.0)
+            self.lo.append(len(self.keys))
+            if wc > 0 and not c % self.stride:
+                ks, cum, wsum = self.split_model.split_distribution(c // self.stride + 1)
+                if wsum > 0:
+                    self.keys.extend(c + x / wsum for x in cum)
+                    self.ks.extend(ks)
+            self.hi.append(len(self.keys))
+
+    def arrays(self) -> list[np.ndarray]:
+        """``w, inv_w, lo, hi, keys, ks`` as arrays; ``w`` ends in a weight 0
+        and ``ks`` in a degree -1, which index -1, "no class", reads."""
+        nc, nk = self._synced
+        if nc < len(self.w):
+            w, inv_w, lo, hi, keys, ks = self._arrays
+            self._arrays = [np.concatenate((w[:-1], self.w[nc:], [0.0])),
+                            np.concatenate((inv_w, self.inv_w[nc:])),
+                            np.concatenate((lo, np.array(self.lo[nc:], np.int64))),
+                            np.concatenate((hi, np.array(self.hi[nc:], np.int64))),
+                            np.concatenate((keys, np.array(self.keys[nk:], float))),
+                            np.concatenate((ks[:-1], np.array(self.ks[nk:] + [-1], np.int64)))]
+            self._synced = len(self.w), len(self.keys)
+        return self._arrays
+
+    def kids(self, c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Child classes of events of class ``c`` with first child degree
+        ``k``: a split (``k >= 1``) has two, a recolour (``k = 0``) one and a
+        split with no admissible law (``k = -1``) none; a missing child is
+        -1."""
+        s = self.stride
+        k1 = np.where(k > 0, s * k - 1, np.where(k == 0, c - 1, -1))
+        k2 = np.where(k > 0, s * (c // s + 3 - k) - 1, -1)
+        return k1, k2
+
+
+class _Growth:
+    """One replica's next ``need`` events, as the continuous-time branching
+    process that embeds the urn.
+
+    Every member of the census is an individual of its class ``c``; it dies
+    after an exponential time of rate ``w_c`` and leaves the children of a
+    split (or the recoloured vertex).  The individuals born before the
+    horizon are expanded one generation at a time: each draws its death
+    time and, if that falls before the horizon, is an event whose children
+    form the next generation; the others are parked with their death time.
+    When no generation is left but the events are too few, the horizon
+    moves on and the parked individuals that die before it are released.
+    The first ``need`` events in time order are the urn's next events.
+
+    A generation of ``m`` individuals draws ``rng.random((2, m))``: the
+    death uniforms, then the split uniforms; released individuals draw one
+    split uniform each, in time order.  Below ``_SMALL`` individuals a
+    generation is expanded in Python, else with numpy.  The two agree up to
+    the last bit of a logarithm, which changes the outcome only when two
+    times fall within an ulp or two, so the outcome depends on the
+    generator alone.
+    """
+
+    def __init__(self, laws: _ClassLaws, state, need: int, rng):
+        if not state.total_weight > 0.0:
+            raise DegeneracyError("total sampling weight is not positive")
+        self.laws, self.need, self.rng = laws, need, rng
+        self.w0 = self.weight = state.total_weight   # the weight at the horizon
+        self.drawn = self.rounds = 0
+        self.horizon = 0.0
+        self.events: list[tuple] = []           # (time, class, k) arrays
+        self.parked: list[tuple] = []           # (death, class) arrays
+        self._small = [], [], [], [], []        # time, class, k; death, class
+        laws.cover(len(state.counts))
+        c = np.repeat(np.arange(len(state.counts)), state.counts)
+        c = c[laws.arrays()[0][c] > 0]
+        self.frontier = np.zeros(len(c)), c
+        self.horizon = self._next_horizon()
+
+    def _next_horizon(self) -> float:
+        """A horizon at which the expected event count reaches a goal: eight
+        times the effective population ``W / g`` while that is small
+        against the events needed, else the events needed plus one standard
+        deviation.  The total weight ``W`` grows by ``g`` per event (exactly,
+        for linear weights), so the count is a linear birth process whose
+        spread over the rest of the run is about ``need / sqrt(W / g)``.
+        The rule only sets how much work is wasted, never the law."""
+        n, need, w = self.drawn, self.need, max(self.weight, 1e-300)
+        g = (w - self.w0) / n if n >= 16 else self.laws.gain
+        if not g > 1e-12 * w:
+            return self.horizon + (need - n + 2.0 * math.sqrt(need) + 2.0) / w
+        pop = w / g
+        goal = min(need + need / math.sqrt(pop) + 2.0, n + 7.0 * pop + 16.0)
+        return self.horizon + math.log1p(g * (goal - n) / w) / g
+
+    def _flush(self) -> None:
+        """Move the events and parked individuals of Python-expanded
+        generations into the arrays, keeping the events in causal order."""
+        t, c, k, dead, parked_c = self._small
+        if t:
+            self.events.append((np.array(t), np.array(c, np.int32), np.array(k, np.int32)))
+        if dead:
+            self.parked.append((np.array(dead), np.array(parked_c, np.int64)))
+        for part in self._small:
+            part.clear()
+
+    def _record(self, t: np.ndarray, c: np.ndarray, u: np.ndarray):
+        """Events of classes ``c`` at times ``t`` with split uniforms ``u``;
+        returns their children that can die."""
+        self._flush()
+        laws = self.laws
+        _, _, lo, hi, keys, ks = laws.arrays()
+        a, b = lo[c], hi[c]
+        pos = np.minimum(np.maximum(np.searchsorted(keys, c + u, side="right"), a), b - 1)
+        k = np.where(b > a, ks[pos], -1)
+        if laws.stride > 1:
+            k = np.where(c % laws.stride == 0, k, 0)
+        k1, k2 = laws.kids(c, k)
+        laws.cover(int(max(k1.max(), k2.max())) + 1)
+        w = laws.arrays()[0]
+        self.weight += float((w[k1] + w[k2] - w[c]).sum())
+        self.drawn += len(c)
+        self.events.append((t, c.astype(np.int32), k.astype(np.int32)))
+        kids = np.stack((k1, k2), axis=1).ravel()
+        live = w[kids] > 0
+        return np.repeat(t, 2)[live], kids[live]
+
+    def _expand(self, birth: np.ndarray, c: np.ndarray):
+        u = self.rng.random((2, len(c)))
+        death = birth - np.log1p(-u[0]) * self.laws.arrays()[1][c]
+        ev = death < self.horizon
+        if not ev.all():
+            self.parked.append((death[~ev], c[~ev]))
+        if not ev.any():
+            return [], []
+        return self._record(death[ev], c[ev], u[1][ev])
+
+    def _expand_small(self, birth: list[float], c: list[int]):
+        """``_expand`` one individual at a time."""
+        laws = self.laws
+        w, inv_w, lo, hi, keys, ks, s = (laws.w, laws.inv_w, laws.lo, laws.hi,
+                                         laws.keys, laws.ks, laws.stride)
+        ev_t, ev_c, ev_k, dead, parked_c = self._small
+        m, horizon = len(c), self.horizon
+        u = self.rng.random(2 * m).tolist()
+        births, kids, events, gain = [], [], 0, 0.0
+        for i in range(m):
+            ci = c[i]
+            t = birth[i] - math.log1p(-u[i]) * inv_w[ci]
+            if not t < horizon:
+                dead.append(t)
+                parked_c.append(ci)
+                continue
+            if ci % s:                          # a black vertex recolours
+                k, pair = 0, (ci - 1,)
+            elif lo[ci] == hi[ci]:
+                k, pair = -1, ()
             else:
-                c, bit = 0, n >> 1
-                while bit:
-                    nxt = c + bit
-                    if tree[nxt] <= x:
-                        x -= tree[nxt]
-                        c = nxt
-                    bit >>= 1
-            if c >= ncls or not mass[c] > 0.0:
-                c = sampler._nearest_positive(c)
-            if c & recolour:
-                kids: tuple[int, ...] = (c - 1,)
-            else:
-                d = c // stride + 1
-                ks, cum, wsum = cached_law(d) or split_law(d)
-                if wsum <= 0:
-                    raise InvalidDegreeError(f"degree {d} has no admissible split")
-                if not us:
-                    us = rng.random(min(_BLOCK, t_stop - t)).tolist()
-                    us.reverse()
-                k = ks[bisect_right(cum, us.pop() * wsum)]
-                kids = (stride * k - 1, stride * (d + 2 - k) - 1)
-            # ClassSampler.add(c, -1), then add(kid, 1) for each kid
-            counts[c] -= 1
-            m = counts[c] * weights[c]
-            dm = m - mass[c]
-            if dm != 0.0:
-                mass[c] = m
-                j = c + 1
-                while j <= n:
-                    tree[j] += dm
-                    j += j & -j
-            for kc in kids:
-                if kc >= ncls:                  # a new class; the tree may grow
-                    sampler.add(kc, 1)
-                    tree = sampler._tree
-                    n = len(tree) - 1
-                    ncls = len(counts)
-                    continue
-                counts[kc] += 1
-                m = counts[kc] * weights[kc]
-                dm = m - mass[kc]
-                if dm != 0.0:
-                    mass[kc] = m
-                    j = kc + 1
-                    while j <= n:
-                        tree[j] += dm
-                        j += j & -j
-            if c & recolour:
-                total += weights[c - 1] - weights[c]
-            else:
-                total += weights[kids[0]] + weights[kids[1]] - weights[c]
-            t += 1
-    finally:
-        state.t, state.total_weight = t, total
+                j = bisect_right(keys, ci + u[m + i], lo[ci], hi[ci])
+                k = ks[min(j, hi[ci] - 1)]
+                pair = (s * k - 1, s * (ci // s + 3 - k) - 1)
+            ev_t.append(t)
+            ev_c.append(ci)
+            ev_k.append(k)
+            events += 1
+            gain -= w[ci]
+            for kc in pair:
+                if kc >= len(w):
+                    laws.cover(kc + 1)
+                gain += w[kc]
+                if w[kc] > 0:
+                    births.append(t)
+                    kids.append(kc)
+        self.drawn += events
+        self.weight += gain
+        return births, kids
+
+    def grow(self) -> tuple[np.ndarray, np.ndarray]:
+        """The classes and first child degrees of the next ``need`` events,
+        in time order."""
+        birth, c = self.frontier
+        while True:
+            if len(c):
+                self.rounds += 1
+                if len(c) >= _SMALL:
+                    birth, c = self._expand(np.asarray(birth), np.asarray(c))
+                elif isinstance(c, np.ndarray):
+                    birth, c = self._expand_small(birth.tolist(), c.tolist())
+                else:
+                    birth, c = self._expand_small(birth, c)
+                continue
+            self._flush()
+            if self.drawn >= self.need:
+                break
+            if not self.parked:
+                raise DegeneracyError(
+                    "total sampling weight is not positive: no vertex can split "
+                    f"after {self.drawn} of {self.need} events")
+            death, c = (np.concatenate(a) for a in zip(*self.parked))
+            # past the first parked death, so every move releases an event
+            self.horizon = max(self._next_horizon(), np.nextafter(death.min(), np.inf))
+            ev = death < self.horizon
+            self.parked = [(death[~ev], c[~ev])] if not ev.all() else []
+            # released in time order, which does not depend on the expansions
+            first = np.argsort(death[ev])
+            birth, c = self._record(death[ev][first], c[ev][first],
+                                    self.rng.random(len(first)))
+        t, c, k = (np.concatenate(a) for a in zip(*self.events))
+        first = np.argsort(t, kind="stable")[:self.need]
+        return c[first].astype(np.int64), k[first].astype(np.int64)
+
+
+def _apply(laws: _ClassLaws, state, c: np.ndarray, k: np.ndarray,
+           marks: list[int]) -> list[CensusSnapshot]:
+    """Apply events ``(c, k)``, in time order, to ``state`` and return its
+    snapshots after ``marks[j]`` of them.  The running total adds each
+    event's weight change in turn, as ``step`` does."""
+    bad = k < 0
+    if bad.any():
+        d = int(c[bad][0]) // laws.stride + 1
+        raise InvalidDegreeError(f"degree {d} has no admissible split")
+    k1, k2 = laws.kids(c, k)
+    w = laws.arrays()[0]
+    totals = np.cumsum(np.concatenate(([state.total_weight], w[k1] + w[k2] - w[c])))
+    top = np.maximum(k1, k2)
+    counts = np.array(state.counts, dtype=np.int64)
+    snaps, done = [], 0
+    for j, m in enumerate(marks + [len(c)]):
+        if m > done:
+            size = max(len(counts), int(top[done:m].max()) + 1)
+            second = k2[done:m]
+            counts = (np.pad(counts, (0, size - len(counts)))
+                      + np.bincount(k1[done:m], minlength=size)
+                      + np.bincount(second[second >= 0], minlength=size)
+                      - np.bincount(c[done:m], minlength=size))
+            done = m
+        if j < len(marks):
+            snaps.append(state._snapshot(state.t + m, counts, float(totals[m])))
+    state._classes.reset(counts.tolist(), laws.w)
+    state.t += len(c)
+    state.total_weight = float(totals[-1])
+    return snaps
+
+
+def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
+    """Grow census engines (``UrnState``, ``TwoColourState``) to the clock
+    ``t_final``, state ``r`` from ``rngs[r]`` alone.
+
+    Returns each state's snapshots, as ``run`` records them, and the
+    batch's counters: per state the ``events_drawn``, which are the events
+    kept plus those drawn past the last kept one, and for the batch the
+    ``rounds`` (generations expanded) and ``growth_s``.
+
+    Each state grows as the branching process of ``_Growth``: the law of
+    ``state.step``, from other draws.  A state's outcome depends on its
+    generator alone, not on the other states.  A state draws at most
+    ``_EVENT_BUDGET`` events at a time; one that needs more grows in legs.
+    """
+    for s in states:
+        if t_final < s.t:
+            raise InvalidParameterError(f"t_final = {t_final} < current t = {s.t}")
+    start = time.perf_counter()
+    laws = None
+    trajectories, drawn, rounds = [], [], 0
+    for s, rng in zip(states, rngs):
+        if laws is None or s.model is not laws.owner:
+            laws = _ClassLaws(s)
+        # the clocks to record, as run() records them
+        pending = list(chain((s.t,) if thin else (),
+                             range(s.t + thin, t_final, thin) if thin else (),
+                             (t_final,)))
+        snaps, n = [], 0
+        while s.t < t_final:
+            growth = _Growth(laws, s, min(t_final - s.t, _EVENT_BUDGET), rng)
+            c, k = growth.grow()
+            rounds += growth.rounds
+            n += growth.drawn
+            end = s.t + len(c)
+            marks = [m - s.t for m in pending if m <= end]
+            del pending[:len(marks)]
+            snaps += _apply(laws, s, c, k, marks)
+        trajectories.append(snaps + [s.census() for _ in pending])
+        drawn.append(n)
+    return trajectories, {"events_drawn": drawn, "rounds": rounds,
+                          "growth_s": time.perf_counter() - start}
 
 
 # -- trajectory serialisation ---------------------------------------------------

@@ -181,9 +181,10 @@ class TwoColourSnapshot(CensusSnapshot):
     def csv_rows(self, prefix: str) -> str:
         """``prefix`` + ``k,n_white,n_black`` lines for the degrees with a
         vertex."""
-        return "".join(f"{prefix}{k},{nw},{nb}\n" for k, (nw, nb)
-                       in enumerate(zip(self.white.tolist(), self.black.tolist()), 1)
-                       if nw or nb)
+        occupied = np.flatnonzero(self.counts)
+        return "".join(f"{prefix}{k},{nw},{nb}\n" for k, nw, nb in
+                       zip((occupied + 1).tolist(), self.white[occupied].tolist(),
+                           self.black[occupied].tolist()))
 
 
 class TwoColourState:
@@ -218,9 +219,10 @@ class TwoColourState:
         """Single edge, both endpoints black, at t = 2."""
         return cls(model, white=[0], black=[2], t=2)
 
-    def _layout(self) -> tuple[WeightModel, int]:
-        """Split-size model and class stride for ``growth._census_kernel``."""
-        return self.model.white, 2
+    def _layout(self) -> tuple[WeightModel, int, float]:
+        """Split-size model, class stride and the total weight's gain per
+        event for ``growth.run_batch``."""
+        return self.model.white, 2, self.model.weight_growth_rate
 
     def _class_weight(self, c: int) -> float:
         d = c // 2 + 1
@@ -262,10 +264,15 @@ class TwoColourState:
                 abs(self.total_weight - closed) / scale)
 
     def census(self) -> TwoColourSnapshot:
-        slots = np.array(self.counts, dtype=np.int64)
+        return self._snapshot(self.t, np.array(self.counts, dtype=np.int64),
+                              self.total_weight)
+
+    @staticmethod
+    def _snapshot(t: int, slots: np.ndarray, total_weight: float) -> TwoColourSnapshot:
+        """Snapshot of the class counts ``slots`` (white degree ``d`` at
+        ``2(d-1)``, black at ``2(d-1)+1``)."""
         white, black = slots[0::2], slots[1::2]
-        return TwoColourSnapshot(self.t, white + black, self.total_weight,
-                                 white, black)
+        return TwoColourSnapshot(t, white + black, total_weight, white, black)
 
 
 # -- solving ----------------------------------------------------------------------

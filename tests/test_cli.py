@@ -165,12 +165,36 @@ class TestSimulate:
         for rep in (0, 1):
             assert sorted({t for r, t, _ in keys if r == rep}) == [2, 102, 202, 302]
 
+    @pytest.mark.parametrize("engine", ["urn", "tree"])
+    def test_manifest_growth_counters(self, tmp_path, monkeypatch, engine):
+        # per replica the events kept, the events drawn (the branching
+        # engine draws past the last kept one) and the largest degree; per
+        # batch the rounds (none for trees) and the growth time
+        monkeypatch.setenv("SPLITGROW_THREADS", "2")
+        rc = main(["simulate", "--family", "preferential", "--w", "i", "--engine", engine,
+                   "--seed", "3", "--replicas", "3", "--t-final", "800",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        growth = json.loads((tmp_path / "manifest.json").read_text())["growth"]
+        assert len(growth["replicas"]) == 3
+        for rep in growth["replicas"]:
+            assert rep["events"] == 800 - 2
+            assert rep["events_drawn"] >= rep["events"]
+            assert 2 <= rep["max_degree"] < 800
+        assert [b["first"] for b in growth["batches"]] == [0, 1]
+        assert sum(b["replicas"] for b in growth["batches"]) == 3
+        for batch in growth["batches"]:
+            assert batch["growth_s"] >= 0
+            assert (batch["rounds"] > 0) if engine == "urn" else batch["rounds"] is None
+        if engine == "urn":
+            assert any(r["events_drawn"] > r["events"] for r in growth["replicas"])
+
     @pytest.mark.parametrize("flags,digest", [
         (["--family", "preferential", "--w", "i", "--engine", "tree", "--seed", "5",
           "--t-final", "2000", "--thin", "500"],
          "befa8cf68fca3aadb5c222307bbffcc5ffff10e61c363b77328dcc461033ce1d"),
         (["--family", "rna", "--seed", "11", "--t-final", "302", "--thin", "100"],
-         "06a396abce2c027e136b7dc81edae3aa8e6b02d79a989e5b173595c553c2be01"),
+         "09d8e011377d35e05543c081e2b47113cf94612a2eb967c70f2d67a274c5f850"),
     ], ids=["tree", "two-colour"])
     def test_census_bytes_pinned(self, tmp_path, flags, digest):
         # any change to these bytes must be explained in CHANGES.md
@@ -277,6 +301,23 @@ class TestCompare:
         names = {span["name"] for span in tracer.spans}
         assert {"solver.fixed_point_densities", "twocolour.solve_two_colour"} <= names
 
+    @pytest.mark.parametrize("flags", [["--family", "preferential", "--w", "i"],
+                                       ["--family", "rna"]], ids=["preferential", "rna"])
+    def test_report_bytes_independent_of_workers(self, tmp_path, monkeypatch, flags):
+        # each worker grows a contiguous block of replicas, each replica
+        # from its own child seed, so the worker count cannot change the
+        # bytes; the z gate is off because only the bytes are compared
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SPLITGROW_THREADS", threads)
+            out = tmp_path / threads
+            assert main(["compare", *flags, "--seed", "17", "--replicas", "5",
+                         "--t-final", "2000", "--z-crit", "1e9", "--out", str(out)]) == 0
+            reports.append((out / "report.csv").read_bytes())
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert len(manifest["growth"]["batches"]) == int(threads)
+        assert reports[0] == reports[1]
+
     def test_two_colour_report_bytes_pinned(self, tmp_path, monkeypatch):
         # the analytic column comes from the direct reduction solve; any
         # change to these bytes must be explained in CHANGES.md
@@ -286,31 +327,34 @@ class TestCompare:
                    "--out", str(tmp_path)])
         assert rc == 0
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-        assert digest == ("1b04753db866d67a188449014c31bba9"
-                          "eedb80e8a3a88142a41ac362b8afa296")
+        assert digest == ("1fb1c190f540f9ae172d462cacd07390"
+                          "d613a6d5949de8e0c5b0b2c772bb7dfe")
 
     def test_urn_report_bytes_pinned(self, tmp_path):
-        # pinned before the class-scan sampler replaced the Fenwick tree: the
-        # scan inverts the same CDF in the same class order from the same draw
+        # pinned for the branching-process engine; the worker count must not
+        # change these bytes, so this runs with the default count
         rc = main(["compare", "--family", "preferential", "--w", "i", "--seed", "2025",
                    "--replicas", "4", "--t-final", "5000", "--k-check", "4",
                    "--out", str(tmp_path)])
         assert rc == 0
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-        assert digest == ("2b350f33a1ce412cdf9113268f75d5b1"
-                          "174693405536035c4218e59d0d5678ba")
+        assert digest == ("85dc24e9685be337927060af47e995bf"
+                          "b2f0c00c2a1dacfb829becca702c8e30")
 
     def test_uniform_report_bytes_pinned(self, tmp_path, monkeypatch):
         # the analytic column is the log-space closed form; the empirical
-        # columns kept their bytes when it replaced the linear-space one
+        # columns come from the branching-process engine.  With two replicas
+        # each z is Student-t with one degree of freedom, beyond 5 in one
+        # row of eight; at this seed k = 2 is (its two replicas nearly
+        # agree), so compare writes the report and exits 1
         monkeypatch.setenv("SPLITGROW_THREADS", "1")
         rc = main(["compare", "--family", "uniform", "--x", "0", "--seed", "7",
                    "--replicas", "2", "--t-final", "2000", "--k-check", "3",
                    "--out", str(tmp_path)])
-        assert rc == 0
+        assert rc == 1
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-        assert digest == ("7f5ad3a3a1b4f6bc19f581711aafa0f3"
-                          "c3dcd2fdd7489a4b13ee8d29142e3b38")
+        assert digest == ("c22611d5c5b23c2db857d1bad91aaa7c"
+                          "a806f7cfd46f15ca1e1be65f4264ece4")
 
     def test_uniform_large_x_compares(self, tmp_path):
         # the normalisation constant underflows at x = 200; its log does not
@@ -352,9 +396,12 @@ class TestCompare:
         assert not report(bad).ok and report(bad).failed_checks() == [name]
 
     def test_two_colour_report_includes_cross_check(self, tmp_path):
+        # 32 replicas, as in the acceptance criteria: with 6 each z is
+        # Student-t with 5 degrees of freedom and one of the six rows passes
+        # |z| = 5 in about one seed in forty
         out = tmp_path / "out"
         rc = main(["compare", "--family", "rna", "--seed", "31",
-                   "--replicas", "6", "--t-final", "15000", "--k-check", "3",
+                   "--replicas", "32", "--t-final", "15000", "--k-check", "3",
                    "--out", str(out)])
         assert rc == 0
         text = (out / "report.csv").read_text()
@@ -574,3 +621,17 @@ def test_import_leaves_scipy_linalg_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr or "scipy.linalg was imported"
+
+
+def test_import_leaves_process_pool_unloaded():
+    # concurrent.futures.process (with multiprocessing) costs 16-19 ms of
+    # the package import; only runs with more than one worker need it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    code = ("import sys, splitgrow, splitgrow.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "concurrent.futures.process was imported"

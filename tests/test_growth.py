@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import splitgrow.growth as growth
 from splitgrow import (CensusSnapshot, ClassSampler, DegeneracyError,
-                       InvalidParameterError, OrderedTree, PartitionWeights,
-                       SplittingWeights, UrnState, WeightModel, make_grafting,
-                       make_preferential, make_table, make_uniform,
-                       read_census_binary, run, write_census_binary,
+                       InvalidDegreeError, InvalidParameterError, OrderedTree,
+                       PartitionWeights, SplittingWeights, UrnState, WeightModel,
+                       make_grafting, make_preferential, make_table, make_uniform,
+                       read_census_binary, run, run_batch, write_census_binary,
                        write_census_csv)
 from splitgrow.twocolour import (TwoColourSnapshot, TwoColourState, make_rna,
                                  make_two_colour_grafting)
@@ -83,6 +84,26 @@ class TestClassSampler:
         after = sum(urn.sample_degree(rng) == 2 for _ in range(n))
         assert chi_square_ok(np.array([n - before, before]), np.array([0.5, 0.5]))
         assert chi_square_ok(np.array([n - after, after]), np.array([1 / 3, 2 / 3]))
+
+    def test_reset_matches_adds(self):
+        # reset sets every count at once and rebuilds the tree in O(K); it
+        # must draw exactly as a sampler built class by class
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        weights = [0.0, 1.0, 4.0, 2.0] + [0.5] * 30
+        counts = [3, 2, 1, 1] + [2] * 30
+        built = ClassSampler(weights.__getitem__, counts)
+        reset = ClassSampler(weights.__getitem__, [1, 1])
+        reset.reset(counts, weights)
+        assert (reset.counts, reset.weights) == (built.counts, built.weights)
+        total = float(np.dot(counts, weights))
+        for u in np.linspace(0.0, 1.0 - 2.0 ** -53, 101):
+            assert reset.sample(Fixed(u), total)[0] == built.sample(Fixed(u), total)[0]
 
     def test_end_of_draw_guard(self):
         # a running total a few ulps above the exact sum lets the draw pass
@@ -350,21 +371,28 @@ class TestRun:
             run(state, 2, np.random.default_rng(0))
 
 
+# one model per family, shared by every state built from it, so that each
+# split-size law is computed once
+_PREF_I = pref_i()
+_PREF_09 = make_preferential(SplittingWeights(1.0, -0.9))
+_UNIFORM = make_uniform(0.0)
+_DMAX3 = make_table(3, DMAX3_ENTRIES)
+_RNA = make_rna()
+_TC_GRAFTING = make_two_colour_grafting(1.0, 0.5, 0.5)
+_GRAFTING = make_grafting(0.5, 0.5)
+
 KERNEL_ENGINES = {
-    "pref-i": lambda: UrnState.single_edge(pref_i()),
-    "pref-i-0.9": lambda: UrnState.single_edge(
-        make_preferential(SplittingWeights(1.0, -0.9))),
-    "uniform": lambda: UrnState.single_edge(make_uniform(0.0)),
-    "dmax3": lambda: UrnState.single_edge(make_table(3, DMAX3_ENTRIES)),
-    "rna": lambda: TwoColourState.single_edge(make_rna()),
-    "two-colour-grafting": lambda: TwoColourState.single_edge(
-        make_two_colour_grafting(1.0, 0.5, 0.5)),
-    "tree-pref-i": lambda: OrderedTree.single_edge(pref_i()),
-    "tree-pref-i-0.9": lambda: OrderedTree.single_edge(
-        make_preferential(SplittingWeights(1.0, -0.9))),
-    "tree-uniform": lambda: OrderedTree.single_edge(make_uniform(0.0)),
-    "tree-grafting": lambda: OrderedTree.single_edge(make_grafting(0.5, 0.5)),
-    "tree-dmax3": lambda: OrderedTree.single_edge(make_table(3, DMAX3_ENTRIES)),
+    "pref-i": lambda: UrnState.single_edge(_PREF_I),
+    "pref-i-0.9": lambda: UrnState.single_edge(_PREF_09),
+    "uniform": lambda: UrnState.single_edge(_UNIFORM),
+    "dmax3": lambda: UrnState.single_edge(_DMAX3),
+    "rna": lambda: TwoColourState.single_edge(_RNA),
+    "two-colour-grafting": lambda: TwoColourState.single_edge(_TC_GRAFTING),
+    "tree-pref-i": lambda: OrderedTree.single_edge(_PREF_I),
+    "tree-pref-i-0.9": lambda: OrderedTree.single_edge(_PREF_09),
+    "tree-uniform": lambda: OrderedTree.single_edge(_UNIFORM),
+    "tree-grafting": lambda: OrderedTree.single_edge(_GRAFTING),
+    "tree-dmax3": lambda: OrderedTree.single_edge(_DMAX3),
 }
 
 
@@ -395,15 +423,73 @@ def same_snapshots(a, b):
         and s.total_weight.hex() == r.total_weight.hex() for s, r in zip(a, b))
 
 
+LAW_T = 1500
+LAW_SEEDS = range(32)
+LAW_REF_SEEDS = range(1000, 1032)
+_STEPPED_LAWS: dict = {}
+
+
+def final_densities(snaps):
+    """``n_k / t`` for k <= 8, one row per final snapshot; white then black
+    for two-colour snapshots."""
+    rows = []
+    for snap in snaps:
+        parts = (snap.white, snap.black) if isinstance(snap, TwoColourSnapshot) \
+            else (snap.counts,)
+        row = np.zeros(8 * len(parts))
+        for j, part in enumerate(parts):
+            n = min(8, len(part))
+            row[8 * j:8 * j + n] = part[:n]
+        rows.append(row / snap.t)
+    return np.array(rows)
+
+
+def law_z(a, b):
+    """Two-sample z-scores of the column means of two replica sets; a
+    column equal and constant in both scores 0."""
+    se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+    diff = a.mean(axis=0) - b.mean(axis=0)
+    return np.where(se > 0, diff / np.where(se > 0, se, 1.0),
+                    np.where(diff == 0, 0.0, np.inf))
+
+
+def stepped_law(name):
+    """``final_densities`` of stepped references of a census engine at
+    ``LAW_T``, one per seed of ``LAW_REF_SEEDS``, computed once."""
+    if name not in _STEPPED_LAWS:
+        refs = []
+        for seed in LAW_REF_SEEDS:
+            ref = KERNEL_ENGINES[name]()
+            stepped(ref, LAW_T, np.random.default_rng(seed))
+            refs.append(ref.census())
+        _STEPPED_LAWS[name] = final_densities(refs)
+    return _STEPPED_LAWS[name]
+
+
 class TestCensusKernel:
-    """``run`` hands trees to ``_tree_kernel`` and urn and two-colour states
-    to ``_census_kernel``; both must leave the state, the running total's
-    bits and the generator exactly where ``state.step`` leaves them."""
+    """``run`` hands trees to ``_tree_kernel``, which must leave the tree,
+    the running total's bits and the generator exactly where ``tree.step``
+    leaves them.  Urn and two-colour states go to ``run_batch``, which
+    draws differently from ``state.step`` but must have its law and keep
+    the census identities exactly."""
 
     @pytest.mark.parametrize("thin", [None, 37])
     @pytest.mark.parametrize("name", sorted(KERNEL_ENGINES))
     def test_matches_step_reference(self, name, thin):
         make = KERNEL_ENGINES[name]
+        if not name.startswith("tree-"):
+            # census engines: the same law as the stepped references, and
+            # snapshots at the same clocks with exact identities
+            states = [make() for _ in LAW_SEEDS]
+            trajectories, _ = run_batch(states, LAW_T, [np.random.default_rng(s)
+                                                        for s in LAW_SEEDS], thin=thin)
+            ref = stepped(make(), LAW_T, np.random.default_rng(5), thin=thin)
+            for snaps in trajectories:
+                assert [s.t for s in snaps] == [r.t for r in ref]
+                assert all(s.identity_deviations() == (0, 0) for s in snaps)
+            z = law_z(final_densities([s.census() for s in states]), stepped_law(name))
+            assert np.max(np.abs(z)) <= 5.0, z
+            return
         kernel, ref = make(), make()
         rng_k, rng_r = np.random.default_rng(5), np.random.default_rng(5)
         snaps_k = run(kernel, 3000, rng_k, thin=thin)
@@ -413,11 +499,81 @@ class TestCensusKernel:
         assert rng_k.bit_generator.state == rng_r.bit_generator.state
         assert same_snapshots(snaps_k, snaps_r)
         assert same_tree(kernel, ref)
-        if name == "pref-i-0.9":
-            assert len(kernel.counts) > 16        # the tree grew inside the kernel
 
-    @pytest.mark.parametrize("name", ["pref-i", "rna", "tree-pref-i", "tree-pref-i-0.9",
-                                      "tree-grafting", "tree-dmax3"])
+    def test_shifted_reference_fails(self):
+        # negative control: the engine's w = i against stepped references of
+        # w = i + 0.3 at the same sizes must fail the agreement test
+        states = [KERNEL_ENGINES["pref-i"]() for _ in LAW_SEEDS]
+        run_batch(states, LAW_T, [np.random.default_rng(s) for s in LAW_SEEDS])
+        shifted = make_preferential(SplittingWeights(1.0, 0.3))
+        refs = []
+        for seed in LAW_REF_SEEDS:
+            ref = UrnState.single_edge(shifted)
+            stepped(ref, LAW_T, np.random.default_rng(seed))
+            refs.append(ref.census())
+        z = law_z(final_densities([s.census() for s in states]), final_densities(refs))
+        assert np.max(np.abs(z)) > 5.0, z
+
+    @pytest.mark.parametrize("name", ["pref-i", "rna"])
+    def test_step_after_run_keeps_identities(self, name):
+        # run leaves the counts, the clock, the running total and the class
+        # sampler consistent, so step continues from them
+        state = KERNEL_ENGINES[name]()
+        run(state, 600, np.random.default_rng(9), thin=50)
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            state.step(rng)
+            snap = state.census()
+            assert snap.identity_deviations() == (0, 0)
+            exact = float(np.dot(state.counts, state._classes.weights))
+            assert state.total_weight == pytest.approx(exact, rel=1e-12)
+        assert state.t == 900
+
+    def test_zero_weight_class_never_splits(self):
+        # w_i = i - 1: a leaf has weight 0, so every event splits a vertex of
+        # degree >= 2 into a leaf and a vertex one degree up, and the leaf
+        # count grows by exactly one per event
+        state = UrnState(make_preferential(SplittingWeights(1.0, -1.0)), [2, 1])
+        snaps = run(state, 400, np.random.default_rng(2), thin=1)
+        assert [s.counts[0] for s in snaps] == list(range(2, 400))
+
+    def test_only_zero_weight_classes_raise(self):
+        # no vertex with positive weight: at the start (a single edge with
+        # w_1 = 0), or after one event (a table whose degree-2 vertices
+        # split into a leaf and a degree-3 vertex, both of weight 0)
+        with pytest.raises(DegeneracyError, match="not positive"):
+            run(UrnState.single_edge(make_preferential(SplittingWeights(1.0, -1.0))),
+                100, np.random.default_rng(0))
+        table = make_table(3, [(1, 3, 0.5)])
+        assert [table.w(d) for d in (1, 2, 3)] == [0.0, 1.0, 0.0]
+        with pytest.raises(DegeneracyError, match="after 1 of 7 events"):
+            run(UrnState(table, [2, 1]), 10, np.random.default_rng(0))
+
+    def test_degree_without_split_raises(self):
+        # w_3 = 3 > 0, but the table has no pair for a degree-3 split
+        pw = PartitionWeights.from_table(3, [(1, 2, 1.0), (1, 3, 0.5), (2, 2, 1.0)])
+        model = WeightModel(pw, SplittingWeights(1.0, 0.0))
+        with pytest.raises(InvalidDegreeError, match="degree 3"):
+            run(UrnState.single_edge(model), 200, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", ["pref-i-0.9", "two-colour-grafting"])
+    def test_batch_independence(self, name, monkeypatch):
+        # a replica's census depends on its generator alone: grown alone or
+        # inside a batch of 8, and in legs of a budget far below its events
+        make = KERNEL_ENGINES[name]
+        states = [make() for _ in range(8)]
+        together, _ = run_batch(states, 1500, [np.random.default_rng(s) for s in range(8)],
+                                thin=100)
+        for r in (0, 5):
+            alone = run(make(), 1500, np.random.default_rng(r), thin=100)
+            assert same_snapshots(alone, together[r])
+        monkeypatch.setattr(growth, "_EVENT_BUDGET", 200)
+        legs = run(make(), 1500, np.random.default_rng(0), thin=100)
+        assert [s.t for s in legs] == [s.t for s in together[0]]
+        assert all(s.identity_deviations() == (0, 0) for s in legs)
+
+    @pytest.mark.parametrize("name", ["tree-pref-i", "tree-pref-i-0.9", "tree-grafting",
+                                      "tree-dmax3"])
     def test_blocks_longer_than_a_call(self, name):
         # run(T1) then run(T2) draws exactly what one run(T2) draws, so no
         # uniform is drawn ahead across calls or block boundaries
@@ -460,31 +616,6 @@ class TestCensusKernel:
             run(kernel, t + 1, Scripted(top))
             assert ev.parent_degree == 1 and ref.degree(t - 1) == 2
             assert same_tree(kernel, ref) and kernel.counts == ref.counts
-
-    def test_end_of_draw_guard(self):
-        # w_1 = 0 makes the leaves a zero-weight class; degrees 5 and 6 are
-        # empty.  A total a few ulps high sends a draw of u ~ 1 past every
-        # class, and a draw of u = 0 passes the zero-weight and empty classes
-        # below degree 3; both must end on a class with positive weight (the
-        # hub of degree 4 and of degree 3), as in state.step.
-        class Fixed:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self, size=None):
-                return self.u if size is None else np.full(size, self.u)
-
-        model = make_preferential(SplittingWeights(1.0, -1.0))
-        for u, chosen in ((1.0 - 2.0 ** -53, 4), (0.0, 3)):
-            kernel, ref = UrnState(model, [3, 0, 1, 1, 0, 0]), \
-                UrnState(model, [3, 0, 1, 1, 0, 0])
-            exact = kernel.total_weight
-            kernel.total_weight = ref.total_weight = exact * (1 + 4e-16)
-            run(kernel, kernel.t + 1, Fixed(u))
-            ev = ref.step(Fixed(u))
-            assert ev.parent_degree == chosen
-            assert kernel.counts == ref.counts and min(kernel.counts) >= 0
-            assert kernel.counts[chosen - 1] == 0
 
 
 class TestSerialisation:
