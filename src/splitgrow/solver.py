@@ -48,17 +48,23 @@ monotone; the fixed point is still the normalised solution provided the
 splitting weights are linear in the degree.
 
 The update matrix ``B[k-1, i-1] = i*w[k, i-k+2]`` is assembled once per
-(model, K) and shared by the solve and its residual report.  Its column
-``i`` is one call ``pw(k, i-k+2)`` with ``k`` an integer array, so every
-model's partitioning weights must follow the array contract of
-``PartitionWeights``.
+(model, K) as an ``UpdateMatrix`` and shared by the solve and its residual
+report.  Its columns below the start of a declared ``LinearTail`` form a
+dense head, read from the partitioning weights in blocks of columns, so
+every model's partitioning weights must follow the array contract of
+``PartitionWeights``.  The columns from the tail's start on hold four
+bands, stored as the vectors ``g`` and ``h``.  Every row below the head is
+then bidiagonal, so those rows are eliminated in closed form (one
+cumulative product) and folded into the head's last column; only the head
+goes through ``_hessenberg_solve``.  A tail family costs O(K) time and
+memory; the others keep the dense O(K^2) solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -68,7 +74,9 @@ from .weights import LinearTail, Regime, WeightModel, classify_regime
 
 __all__ = [
     "ResidualReport",
+    "TailClosureFact",
     "DensitySolution",
+    "UpdateMatrix",
     "fixed_point_densities",
     "solve_finite",
     "residuals",
@@ -91,6 +99,19 @@ class ResidualReport:
         return float(np.max(np.abs(self.per_k))) if len(self.per_k) else 0.0
 
 
+class TailClosureFact(NamedTuple):
+    """How a solve treated the degrees beyond its truncation.
+
+    ``kind`` is ``"gamma"`` (Gamma-ratio tail sums, ``pg > 0``),
+    ``"geometric"`` (``pg = 0 < qg``), ``"zero"`` (the tail carries no mass)
+    or ``"none"``, with ``reason`` saying why; ``head_size`` is the order of
+    the dense Hessenberg elimination, K when every column is dense."""
+
+    kind: str
+    head_size: int
+    reason: str = ""
+
+
 @dataclass
 class DensitySolution:
     densities: np.ndarray
@@ -106,6 +127,7 @@ class DensitySolution:
     unsupported: bool = False
     warnings: list[str] = field(default_factory=list)
     iterates: Optional[np.ndarray] = None
+    closure: Optional[TailClosureFact] = None
 
     @property
     def sum_a(self) -> float:
@@ -133,79 +155,165 @@ class _TailClosure:
     Q0m: float
     Qg: float
     Qh: float
+    kind: str
 
 
-def _tail_closure(tail: LinearTail, w2: float, K: int) -> Optional[_TailClosure]:
+def _tail_closure(tail: LinearTail, w2: float, K: int):
+    """The closure at K, or None with the reason there is none."""
     if K < max(tail.start, 2):
-        return None
+        return None, "K below the tail start"
     pg, qg, ph, qh = tail.pg, tail.qg, tail.ph, tail.qh
     if pg < 0 or tail.g(K + 1) < 0:
-        return None
+        return None, "negative leaf mass beyond K"
     if pg > 0:
         u = qg / pg
         v = (qg + w2) / pg
         if v - u <= 1:          # sum i*a_i would diverge; no valid closure
-            return None
+            return None, "sum k*a_k diverges"
         con = (K + u) / (v - u)
         lin = (K + u) * (K + 1 + u) / (v - u - 1)
         return _TailClosure(Q0=con, Q0m=lin - u * con, Qg=pg * lin,
-                            Qh=ph * lin + (qh - ph * u) * con)
+                            Qh=ph * lin + (qh - ph * u) * con, kind="gamma"), ""
     if qg == 0:
-        return _TailClosure(0.0, 0.0, 0.0, 0.0)
+        return _TailClosure(0.0, 0.0, 0.0, 0.0, kind="zero"), ""
     r = qg / (w2 + qg)
     geo = r / (1.0 - r)                      # = qg / w2
     q0m = K * geo + geo / (1.0 - r)
-    return _TailClosure(Q0=geo, Q0m=q0m, Qg=qg * geo, Qh=ph * q0m + qh * geo)
+    return _TailClosure(Q0=geo, Q0m=q0m, Qg=qg * geo, Qh=ph * q0m + qh * geo,
+                        kind="geometric"), ""
 
 
-def _band_sums(model: WeightModel, K: int) -> np.ndarray:
-    """Dense update matrix rows: B[k-1, i-1] = i * w[k, i-k+2] for i >= k-1.
+# -- the update matrix ------------------------------------------------------------
 
-    Column i holds the children of a degree-i split.  From the start of a
-    declared ``LinearTail`` on, an unbounded model's only children are
-    (1, i+1) and (2, i), so those columns are four bands filled from ``g``
-    and ``h``; the other columns, and column 1 (where (2, 1) is (1, 2)
-    reversed), are read with one array call to the partitioning weights
-    each.  The matrix is filled column by column, so no K x K temporary is
-    made besides ``B`` itself.  Each column is read over all K rows (below
-    the band the second index is < 1 and the weight 0), so all temporaries
-    have one length: with one length per column, numpy's cache of small
-    freed buffers kept chunks of many sizes that split the freed matrices
-    of an earlier solve and raised peak memory by one matrix.
+# head columns read per partition-weight call: wider blocks were no faster,
+# and their larger temporaries raised the peak memory of repeated solves
+# (by 1 MB at K = 1024 with 64 columns, 2 MB with 128)
+_BLOCK = 32
+
+
+class UpdateMatrix:
+    """The K x K update matrix ``B[k-1, i-1] = i*w[k, i-k+2]`` by structure.
+
+    Column i holds the children of a degree-i split.  ``head`` holds the
+    first n columns densely, rows ``k <= min(n+1, K)`` (the band ends at
+    k = i+1).  From the start of a declared ``LinearTail`` on, an unbounded
+    model's only children are (1, i+1) and (2, i), so columns ``i > n`` hold
+    four bands: ``g(i)`` in row 1 and on the subdiagonal (row i+1), ``h(i)``
+    in row 2 and on the diagonal (row i).  ``g`` and ``h`` hold those
+    masses for ``i = n+1..K``; they are empty when every column is dense.
     """
+
+    __slots__ = ("head", "g", "h")
+
+    def __init__(self, head: np.ndarray, g: np.ndarray, h: np.ndarray):
+        self.head, self.g, self.h = head, g, h
+
+    @property
+    def K(self) -> int:
+        return self.head.shape[1] + len(self.g)
+
+    @property
+    def head_size(self) -> int:
+        """Order m of the head system ``B[:m, :m]``; rows m..K-1 are
+        bidiagonal."""
+        return self.head.shape[0]
+
+    def square_head(self) -> np.ndarray:
+        """``B[:m, :m]``: the dense columns and, when there is a tail, its
+        first column.  It is ``head`` itself when every column is dense."""
+        m, n = self.head.shape
+        if m == n:
+            return self.head
+        H = np.zeros((m, m))
+        H[:, :n] = self.head
+        H[0, n] = self.g[0]
+        H[1, n] = self.h[0]
+        H[n, n] += self.h[0]        # B[1, 1] = 2*w[2, 2] = 2*h(2) when n = 1
+        return H
+
+    def tail_products(self, diag: np.ndarray) -> np.ndarray:
+        """``a_j / a_{m-1}`` for j = m..K-1 in a system whose rows r >= m
+        read ``B[r, r-1]*a_{r-1} + (B[r, r] - diag[r])*a_r = 0``."""
+        m = self.head_size
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.cumprod(self.g[:-1] / (diag[m:] - self.h[1:]))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        m, n = self.head.shape
+        if n == self.K:
+            return self.head @ x
+        y = np.zeros(self.K)
+        y[:m] = self.head @ x[:n]
+        xt = x[n:]
+        y[n:] += self.h * xt                # (i, 2)
+        y[n + 1:] += self.g[:-1] * xt[:-1]  # (i+1, 1)
+        y[0] += self.g @ xt                 # (1, i+1)
+        y[1] += self.h @ xt                 # (2, i)
+        return y
+
+    def to_dense(self) -> np.ndarray:
+        K = self.K
+        m, n = self.head.shape
+        B = np.zeros((K, K))
+        B[:m, :n] = self.head
+        j = np.arange(n, K)
+        B[0, j] = self.g
+        B[j[:-1] + 1, j[:-1]] = self.g[:-1]
+        B[1, j] = self.h
+        B[j, j] += self.h
+        return B
+
+
+def _update_matrix(model: WeightModel, K: int) -> UpdateMatrix:
+    """The model's update matrix at K.  The dense columns are read from the
+    partitioning weights ``_BLOCK`` columns per call, each block over the
+    rows of its band (k <= i+1) only; the tail columns are evaluated from
+    ``g`` and ``h``.  Column 1 (where (2, 1) is (1, 2) reversed) is always
+    dense."""
     pw = model.partition
     tail = pw.tail if model.d_max is None else None
-    banded_from = max(tail.start, 2) if tail is not None else K + 1
-    B = np.zeros((K, K))
-    k = np.arange(1, K + 1)
-    for i in range(1, min(banded_from, K + 1)):
-        B[:, i - 1] = i * pw(k, i - k + 2)
-    if banded_from <= K:
-        cols = np.arange(banded_from, K + 1)
-        g = tail.g(cols.astype(float))
-        h = tail.h(cols.astype(float))
-        B[0, cols - 1] = g                          # (1, i+1)
-        B[cols[:-1], cols[:-1] - 1] = g[:-1]        # (i+1, 1), rows up to K
-        B[1, cols - 1] = h                          # (2, i)
-        B[cols - 1, cols - 1] += h                  # (i, 2); B[1, 1] = 2*w[2, 2] = 2*h(2)
-    return B
+    n = min(max(tail.start, 2) - 1, K) if tail is not None else K
+    head = np.zeros((min(n + 1, K), n))
+    for lo in range(1, n + 1, _BLOCK):
+        hi = min(lo + _BLOCK, n + 1)                # columns lo..hi-1
+        i = np.arange(lo, hi)
+        k = np.arange(1, min(hi, K) + 1)[:, None]   # rows k <= i+1 <= hi
+        head[:len(k), lo - 1:hi - 1] = i * pw(k, i - k + 2)
+    cols = np.arange(n + 1, K + 1, dtype=float)
+    if tail is None:
+        return UpdateMatrix(head, cols, cols)      # both empty
+    return UpdateMatrix(head, tail.g(cols), tail.h(cols))
 
 
 def _closure_for(model: WeightModel, K: int):
-    notes = []
-    clo = None
-    if model.d_max is None:
-        tail = model.partition.tail
-        if tail is not None:
-            clo = _tail_closure(tail, model.w2, K)
-            if clo is None:
-                notes.append("tail closure unavailable; zero-tail truncation used")
-        elif model.family == "uniform":
-            notes.append("super-exponential tail; zero-tail truncation used")
-        else:
-            notes.append("unbounded model without tail metadata; "
-                         "zero-tail truncation may bias low degrees")
-    return clo, notes
+    """The tail closure at K (or None), the warnings it brings and, when
+    there is none, the reason."""
+    if model.d_max is not None:
+        return None, [], "bounded model"
+    tail = model.partition.tail
+    if tail is not None:
+        clo, reason = _tail_closure(tail, model.w2, K)
+        if clo is None:
+            return None, ["tail closure unavailable; zero-tail truncation used"], reason
+        return clo, [], ""
+    if model.family == "uniform":
+        note = "super-exponential tail; zero-tail truncation used"
+        return None, [note], note
+    return None, ["unbounded model without tail metadata; "
+                  "zero-tail truncation may bias low degrees"], "no tail metadata"
+
+
+def _solve_folded(H: np.ndarray, rhs: np.ndarray, P: np.ndarray, what: str) -> np.ndarray:
+    """Solve the head system ``H x = rhs`` (overwriting both), then extend
+    by the tail rows: ``a_j = x[-1] * P[j-m]``."""
+    x = _hessenberg_solve(H, rhs, what)
+    if not len(P):
+        return x
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        a = np.concatenate([x, x[-1] * P])
+    if not np.all(np.isfinite(a)):
+        raise SingularSystemError(f"{what} gave a non-finite solution")
+    return a
 
 
 def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
@@ -238,13 +346,15 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
                 f"regime {regime.value} with s = {s:g}: no convergence guarantee; "
                 "pass force_unsupported=True for a truncated linear solve")
         # no census-limit claim attaches to the normalised solve at K
-        B = _band_sums(model, K)
+        B = _update_matrix(model, K)
         a = _stationary_solve(model, B)
         return DensitySolution(
             densities=a, K=K, method="linear-truncated", regime=regime, s=s,
             residuals=_residual_report(model, a, K, None, B), unsupported=True,
             warnings=["forced solve outside the guaranteed regime; "
-                      "no almost-sure census limit is claimed"])
+                      "no almost-sure census limit is claimed"],
+            closure=TailClosureFact("none", B.head_size,
+                                    "forced solve truncates with a zero tail"))
 
     warnings: list[str] = []
     if model.d_max is not None and K != model.d_max:
@@ -256,32 +366,41 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
 
     w2 = model.w2
     wk = model.splitting_weights(K)
-    B = _band_sums(model, K)
-    clo, notes = _closure_for(model, K)
+    B = _update_matrix(model, K)
+    clo, notes, reason = _closure_for(model, K)
     warnings.extend(notes)
 
     denom = np.concatenate([[w2 + s], w2 + wk[1:]])
     if np.any(denom <= 0):
         raise RegimeError("nonpositive update denominator (w_2 + w_k <= 0)")
 
-    M = B / denom[:, None]
-    # first row uses the shifted coefficients (i*w[1,i+1] - s), i >= 2
-    M[0, :] = (B[0, :] - s) / (w2 + s)
-    M[0, 0] = 0.0
-    c = np.zeros(K)
-    c[0] = s / (w2 + s)
-    if clo is not None:
-        M[0, K - 1] += (clo.Qg - s * clo.Q0) / (w2 + s)
-        if K >= 2:
-            M[1, K - 1] += clo.Qh / (w2 + wk[1])
-
     if record_iterates:
-        a, history, last_step = _iterate(M, c, tol, max_iter)
+        a, history, last_step = _iterate(_update_step(B, denom, s, clo), K, tol, max_iter)
         monotone_violation = max(0.0, -float(np.min(np.diff(history, axis=0))))
     else:
+        m = B.head_size
+        Bh = B.square_head()
+        M = Bh / denom[:m, None]
+        # first row uses the shifted coefficients (i*w[1,i+1] - s), i >= 2
+        M[0, :] = (Bh[0, :] - s) / (w2 + s)
+        M[0, 0] = 0.0
+        c = np.zeros(m)
+        c[0] = s / (w2 + s)
+        # rows 0 and 1 reach every tail column and the closure; fold them
+        # into column m-1 through the tail rows' a_j = a_{m-1} * P
+        P = B.tail_products(denom)
+        if len(P) or clo is not None:
+            last = P[-1] if len(P) else 1.0
+            fold0 = (B.g[1:] - s) @ P
+            fold1 = B.h[1:] @ P
+            if clo is not None:
+                fold0 += (clo.Qg - s * clo.Q0) * last
+                fold1 += clo.Qh * last
+            M[0, m - 1] += fold0 / (w2 + s)
+            M[1, m - 1] += fold1 / (w2 + wk[1])
         np.negative(M, out=M)               # M becomes I - M
-        M[np.diag_indices(K)] += 1.0
-        a = _hessenberg_solve(M, c, f"I - M at K = {K}")
+        M[np.diag_indices(m)] += 1.0
+        a = _solve_folded(M, c, P, f"I - M at K = {K}")
         history, last_step = None, 0.0
         # the minimal solution is nonnegative
         monotone_violation = max(0.0, -float(a.min()))
@@ -294,17 +413,36 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
         monotone_ok=monotone_violation <= 1e-15,
         monotone_violation=monotone_violation,
         warnings=warnings,
-        iterates=history)
+        iterates=history,
+        closure=TailClosureFact(clo.kind if clo else "none", B.head_size, reason))
 
 
-def _iterate(M, c, tol, max_iter):
-    """From-below iteration ``a <- M a + c`` from zero; returns the last
+def _update_step(B: UpdateMatrix, denom: np.ndarray, s: float,
+                 clo: Optional[_TailClosure]):
+    """The map ``a -> M a + c`` of the fixed-point system, without forming M."""
+    row0 = np.concatenate([B.head[0], B.g]) - s
+    row0[0] = 0.0
+    w2s = denom[0]
+
+    def step(a):
+        y = (B @ a) / denom
+        y[0] = row0 @ a / w2s + s / w2s
+        if clo is not None:
+            y[0] += (clo.Qg - s * clo.Q0) * a[-1] / w2s
+            y[1] += clo.Qh * a[-1] / denom[1]
+        return y
+
+    return step
+
+
+def _iterate(step, K, tol, max_iter):
+    """From-below iteration ``a <- step(a)`` from zero; returns the last
     iterate, the stacked history (zero vector first) and the last step."""
-    a = np.zeros(len(c))
+    a = np.zeros(K)
     history = [a]
     last_step = math.inf
     for _ in range(max_iter):
-        a_new = M @ a + c
+        a_new = step(a)
         last_step = float(np.max(np.abs(a_new - a)))
         a = a_new
         history.append(a)
@@ -344,22 +482,27 @@ def _hessenberg_solve(H: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 # -- bounded and forced linear solves -------------------------------------------
 
 
-def _stationary_solve(model: WeightModel, B: np.ndarray) -> np.ndarray:
-    """Solve ``a_k*(w_2+w_k) = sum_i i*w[k,i-k+2]*a_i`` at K = len(B), row 0
+def _stationary_solve(model: WeightModel, B: UpdateMatrix) -> np.ndarray:
+    """Solve ``a_k*(w_2+w_k) = sum_i i*w[k,i-k+2]*a_i`` at K = B.K, row 0
     replaced by ``sum a = 1``.  With linear weights the rows weighted by
     ``w_k`` sum to zero, so row 0 is redundant unless degree-1 vertices never
     split (``B[1, 0] = 0``); rows 1..K-1 are then dependent, which rounding
     can hide, so that case raises SingularSystemError by name."""
-    K = len(B)
-    if B[1, 0] == 0.0:
+    K, m = B.K, B.head_size
+    if B.head[1, 0] == 0.0:
         raise SingularSystemError(
             "degree-1 vertices never split, so no degree above 1 is reachable")
-    A = B.copy()
-    A[np.diag_indices(K)] -= model.w2 + model.splitting_weights(K)
+    diag = model.w2 + model.splitting_weights(K)
+    A = B.square_head().copy()
+    A[np.diag_indices(m)] -= diag[:m]
     A[0, :] = 1.0
-    rhs = np.zeros(K)
+    rhs = np.zeros(m)
     rhs[0] = 1.0
-    return _hessenberg_solve(A, rhs, f"the normalised stationary system at K = {K}")
+    P = B.tail_products(diag)
+    if len(P):                              # fold the tail columns, as above
+        A[0, m - 1] += P.sum()
+        A[1, m - 1] += B.h[1:] @ P
+    return _solve_folded(A, rhs, P, f"the normalised stationary system at K = {K}")
 
 
 def solve_finite(model: WeightModel, tol: float = 1e-12) -> DensitySolution:
@@ -371,7 +514,7 @@ def solve_finite(model: WeightModel, tol: float = 1e-12) -> DensitySolution:
     if D is None:
         raise InvalidParameterError("solve_finite needs a bounded model")
     regime, s = classify_regime(model)
-    B = _band_sums(model, D)
+    B = _update_matrix(model, D)
     try:
         rho = _stationary_solve(model, B)
     except SingularSystemError as exc:
@@ -389,7 +532,8 @@ def solve_finite(model: WeightModel, tol: float = 1e-12) -> DensitySolution:
         warnings.append(f"sum k*rho deviates from 2 by {res.moment_dev:.12g}; "
                         "weights are likely inconsistent")
     return DensitySolution(densities=rho, K=D, method="linear", regime=regime, s=s,
-                           residuals=res, warnings=warnings)
+                           residuals=res, warnings=warnings,
+                           closure=TailClosureFact("none", D, "bounded model"))
 
 
 # -- residuals ---------------------------------------------------------------------
@@ -397,12 +541,12 @@ def solve_finite(model: WeightModel, tol: float = 1e-12) -> DensitySolution:
 
 def _residual_report(model: WeightModel, a: np.ndarray, K: int,
                      clo: Optional[_TailClosure],
-                     B: Optional[np.ndarray] = None) -> ResidualReport:
+                     B: Optional[UpdateMatrix] = None) -> ResidualReport:
     """Residuals of ``a``; ``B`` is the model's update matrix at K, built
     here when the caller has none."""
     wk = model.splitting_weights(K)
     if B is None:
-        B = _band_sums(model, K)
+        B = _update_matrix(model, K)
     gains = B @ a
     if clo is not None and K >= 2:
         aK = a[K - 1]
@@ -430,5 +574,5 @@ def residuals(model: WeightModel, a: np.ndarray, K: Optional[int] = None) -> Res
     if len(a) < K:
         raise InvalidParameterError("density vector shorter than K")
     a = a[:K]
-    clo, _ = _closure_for(model, K)
+    clo = _closure_for(model, K)[0]
     return _residual_report(model, a, K, clo)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ReductionInvalidError
 from .growth import CensusSnapshot, ClassSampler
-from .solver import DensitySolution, _band_sums, fixed_point_densities
+from .solver import DensitySolution, UpdateMatrix, _update_matrix, fixed_point_densities
 from .weights import PartitionWeights, SplittingWeights, WeightModel, LinearTail
 
 __all__ = [
@@ -341,9 +341,9 @@ class TwoColourSolution:
 
 
 def _two_colour_residuals(m2: TwoColourModel, e_w: np.ndarray, e_b: np.ndarray,
-                          B: np.ndarray):
+                          B: UpdateMatrix):
     """Residuals of both equation families; ``B`` is the white update matrix
-    ``_band_sums(m2.white, K)``, so the selection gains are ``B @ e_w``."""
+    ``_update_matrix(m2.white, K)``, so the selection gains are ``B @ e_w``."""
     K = len(e_w)
     ks = np.arange(1, K + 1, dtype=float)
     w_w = m2.white.splitting(ks)
@@ -381,7 +381,7 @@ def solve_two_colour(model2: TwoColourModel, K: int = 512, tol: float = 1e-13,
     e_b = lam * u
     e_w = ratio * e_b
     res_sel, res_col, cdev, wdev = _two_colour_residuals(
-        model2, e_w, e_b, _band_sums(model2.white, one.K))
+        model2, e_w, e_b, _update_matrix(model2.white, one.K))
     return TwoColourSolution(e_white=e_w, e_black=e_b, K=one.K,
                              residual_selection=res_sel, residual_colour=res_col,
                              colour_sum_dev=cdev, weight_sum_dev=wdev,

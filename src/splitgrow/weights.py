@@ -307,14 +307,25 @@ class WeightModel:
         degree-``i`` split: the first child degrees ``k`` with positive
         weight, the running sums of ``(i/2) * w[k, i+2-k]`` over ``k = 1..i+1``
         at those ``k``, and the total ``w_i``.  Only the support is cached,
-        so a preferential split of any degree holds two entries."""
+        so a preferential split of any degree holds two entries.  Past the
+        start of a ``LinearTail`` the weights are read at that support only,
+        in O(1)."""
         got = self._split_cache.get(i)
         if got is not None:
             return got
-        col = self._split_column(i)
+        tail = self.partition.tail
+        if tail is not None and self.d_max is None and i >= tail.start:
+            # past the tail's start only (1, i+1) and (2, i) and their
+            # reverses can be positive: the zeros skipped between them add
+            # exactly, so the running sums are those of the whole column
+            k = np.array(sorted({1, 2, i, i + 1}))
+            col = (i / 2.0) * self.partition(k, i + 2 - k)
+        else:
+            k = np.arange(1, i + 2)
+            col = self._split_column(i)
         pos = col > 0
         cum = np.cumsum(col)                # left to right, like a running sum
-        got = (np.flatnonzero(pos) + 1).tolist(), cum[pos].tolist(), float(cum[-1])
+        got = k[pos].tolist(), cum[pos].tolist(), float(cum[-1])
         self._split_cache[i] = got
         return got
 

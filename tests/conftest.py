@@ -5,6 +5,7 @@ import pytest
 
 from splitgrow import (PartitionWeights, SplittingWeights,
                        derive_splitting_weights, make_alpha_class, make_table)
+from splitgrow.solver import UpdateMatrix
 
 DMAX3_ENTRIES = [(1, 2, 1.0), (1, 3, 0.5), (2, 2, 1.0), (2, 3, 1.0)]
 
@@ -26,10 +27,33 @@ def constant_uniform_partition(b=1.0):
     return PartitionWeights(fn)
 
 
-def singular_band_sums(model, K):
+def singular_update_matrix(model, K):
     """Stand-in for the solver's update matrix whose rows k >= 2 give
     M[k, k] = 1, so I - M is singular."""
-    return np.diag(model.w2 + model.splitting_weights(K))
+    return UpdateMatrix(np.diag(model.w2 + model.splitting_weights(K)),
+                        np.empty(0), np.empty(0))
+
+
+def dense_band_sums(model, K):
+    """The update matrix B[k-1, i-1] = i * w[k, i-k+2] filled densely, one
+    column per partition-weight call and the tail columns from g and h: the
+    oracle for the solver's structured ``UpdateMatrix``."""
+    pw = model.partition
+    tail = pw.tail if model.d_max is None else None
+    banded_from = max(tail.start, 2) if tail is not None else K + 1
+    B = np.zeros((K, K))
+    k = np.arange(1, K + 1)
+    for i in range(1, min(banded_from, K + 1)):
+        B[:, i - 1] = i * pw(k, i - k + 2)
+    if banded_from <= K:
+        cols = np.arange(banded_from, K + 1)
+        g = tail.g(cols.astype(float))
+        h = tail.h(cols.astype(float))
+        B[0, cols - 1] = g                          # (1, i+1)
+        B[cols[:-1], cols[:-1] - 1] = g[:-1]        # (i+1, 1), rows up to K
+        B[1, cols - 1] = h                          # (2, i)
+        B[cols - 1, cols - 1] += h                  # (i, 2); B[1, 1] = 2*w[2, 2] = 2*h(2)
+    return B
 
 
 def random_linear_table(rng, d_max, a=None, b=None, leaf_drop=0.0):

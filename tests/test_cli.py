@@ -17,7 +17,7 @@ from splitgrow import InvalidParameterError
 from splitgrow.cli import main, parse_weight_expr
 from splitgrow.experiment import ExperimentConfig, ExperimentReport, worker_count
 from splitgrow.weights import MAX_DEGREE
-from conftest import DMAX3_ENTRIES, singular_band_sums
+from conftest import DMAX3_ENTRIES, singular_update_matrix
 
 E2 = math.e ** 2
 
@@ -82,6 +82,35 @@ class TestSolve:
         assert doc["e_black"][0] == pytest.approx(1 / E2, abs=1e-10)
         assert doc["rho_white"][0] + doc["rho_black"][0] == pytest.approx(
             0.4173804, abs=1e-7)
+
+    @pytest.mark.parametrize("flags,facts", [
+        (["--family", "preferential", "--w", "i", "--K", "400"],
+         {"K": 400, "method": "fixed-point", "closure": "gamma",
+          "closure_reason": None, "head_size": 2}),
+        (["--family", "grafting", "--alpha", "0", "--gamma", "1", "--K", "64"],
+         {"K": 64, "method": "fixed-point", "closure": "geometric",
+          "closure_reason": None, "head_size": 2}),
+        (["--family", "uniform", "--x", "0", "--K", "64"],
+         {"K": 64, "method": "fixed-point", "closure": "none",
+          "closure_reason": "super-exponential tail; zero-tail truncation used",
+          "head_size": 64}),
+        (["--table"],
+         {"K": 3, "method": "linear", "closure": "none",
+          "closure_reason": "bounded model", "head_size": 3}),
+        (["--family", "rna", "--K", "32"],
+         {"K": 32, "method": "reduction", "closure": "none",
+          "closure_reason": "no tail metadata", "head_size": 32}),
+    ], ids=["preferential", "grafting", "uniform", "table", "rna"])
+    def test_manifest_solver_facts(self, tmp_path, flags, facts):
+        if flags == ["--table"]:
+            flags = ["--table", str(dmax3_table_file(tmp_path))]
+        out = tmp_path / "out"
+        assert main(["solve", *flags, "--out", str(out)]) == 0
+        solver = json.loads((out / "manifest.json").read_text())["solver"]
+        doc = json.loads((out / "solution.json").read_text())
+        assert solver.pop("max_residual") == doc["max_residual"]
+        assert solver == facts
+        assert "closure" not in doc and "head_size" not in doc
 
     def test_case2_needs_force(self, tmp_path, capsys):
         rc = main(["solve", "--family", "preferential", "--w", "i", "--K", "64"])
@@ -341,6 +370,24 @@ class TestCompare:
         assert digest == ("85dc24e9685be337927060af47e995bf"
                           "b2f0c00c2a1dacfb829becca702c8e30")
 
+    def test_printed_max_z_is_over_checked_degrees(self, tmp_path, capsys):
+        # the run of test_urn_report_bytes_pinned: its largest |z| is at
+        # k = 7, beyond k_check = 4, so the printed maximum is smaller
+        rc = main(["compare", "--family", "preferential", "--w", "i", "--seed", "2025",
+                   "--replicas", "4", "--t-final", "5000", "--k-check", "4",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "report.csv").read_text().splitlines()
+                if line and not line.startswith(("#", "colour"))]
+        z = {int(r[1]): abs(float(r[6])) for r in rows}
+        checked = max(v for k, v in z.items() if k <= 4)
+        assert max(z.values()) > checked + 0.01
+        err = capsys.readouterr().err
+        assert f"max |z| = {checked:.2f} over k <= 4;" in err
+        solver = json.loads((tmp_path / "manifest.json").read_text())["solver"]
+        assert (solver["closure"], solver["head_size"]) == ("gamma", 2)
+
     def test_uniform_report_bytes_pinned(self, tmp_path, monkeypatch):
         # the analytic column is the log-space closed form; the empirical
         # columns come from the branching-process engine.  With two replicas
@@ -556,7 +603,7 @@ class TestBadInput:
         assert not (tmp_path / "o").exists()
 
     def test_singular_solve_refused(self, capsys, monkeypatch):
-        monkeypatch.setattr(splitgrow.solver, "_band_sums", singular_band_sums)
+        monkeypatch.setattr(splitgrow.solver, "_update_matrix", singular_update_matrix)
         err = self.run(["solve", "--family", "preferential", "--w", "i",
                         "--K", "16"], capsys)
         assert "singular" in err

@@ -12,10 +12,12 @@ from splitgrow import (InvalidParameterError, NoConvergenceError,
                        make_alpha_class, make_grafting, make_preferential,
                        make_table, make_uniform, residuals, solve_finite)
 from splitgrow import pref_attachment_densities
-from splitgrow.solver import _band_sums, _hessenberg_solve
-from splitgrow.twocolour import make_rna, make_two_colour_uniform, reduce_to_one_colour
-from conftest import (DMAX3_ENTRIES, constant_uniform_partition, random_case3_model,
-                      random_linear_table, singular_band_sums)
+from splitgrow.solver import _hessenberg_solve, _update_matrix
+from splitgrow.twocolour import (make_rna, make_two_colour_grafting, make_two_colour_uniform,
+                                 reduce_to_one_colour)
+from splitgrow.weights import MAX_DEGREE, LinearTail
+from conftest import (DMAX3_ENTRIES, constant_uniform_partition, dense_band_sums,
+                      random_case3_model, random_linear_table, singular_update_matrix)
 
 
 def band_sums_reference(model, K):
@@ -110,7 +112,7 @@ class TestFixedPoint:
 
     def test_forced_singular_system_raises(self, monkeypatch):
         # lstsq used to return a minimum-norm vector for a singular system
-        monkeypatch.setattr(splitgrow.solver, "_band_sums", singular_band_sums)
+        monkeypatch.setattr(splitgrow.solver, "_update_matrix", singular_update_matrix)
         with pytest.raises(SingularSystemError):
             fixed_point_densities(constant_uniform(), K=16, force_unsupported=True)
 
@@ -171,7 +173,7 @@ class TestSolveFinite:
         a = float(rng.uniform(0.1, 2.0))
         m = random_linear_table(rng, d_max, a=a, b=-a if stuck else None,
                                 leaf_drop=leaf_drop)
-        A = _band_sums(m, d_max) - np.diag(m.w2 + m.splitting_weights(d_max))
+        A = dense_band_sums(m, d_max) - np.diag(m.w2 + m.splitting_weights(d_max))
         if stuck or np.linalg.matrix_rank(A) < d_max - 1:
             with pytest.raises(RankDeficientError):
                 solve_finite(m)
@@ -276,12 +278,12 @@ class TestDirectSolve:
     ], ids=["pref-b0", "pref-b0.5", "graft-0-0.5", "graft-0.5-0.5", "graft-0.5-1",
             "graft-1-1", "graft-0.3-0.7", "alpha-head"])
     def test_banded_tail_matches_scalar_loop(self, model):
-        # the same weights without tail metadata take the column loop
+        # the same weights without tail metadata fill every column densely
         plain = WeightModel(PartitionWeights(model.partition), model.splitting)
         assert model.partition.tail is not None and plain.partition.tail is None
         for K in (2, 3, 7, 128):
-            banded = _band_sums(model, K)
-            scalar = _band_sums(plain, K)
+            banded = _update_matrix(model, K).to_dense()
+            scalar = _update_matrix(plain, K).to_dense()
             scale = np.max(np.abs(scalar))
             assert np.max(np.abs(banded - scalar)) <= 1e-14 * scale, K
             assert np.array_equal(banded != 0, scalar != 0), K
@@ -293,29 +295,31 @@ class TestDirectSolve:
     ], ids=["uniform-0", "uniform-0.5", "rna-reduced", "two-colour-uniform-white",
             "dmax3"])
     def test_columns_match_pair_loop(self, model, K):
-        assert _band_sums(model, K).tobytes() == band_sums_reference(model, K).tobytes()
+        B = _update_matrix(model, K).to_dense()
+        assert B.tobytes() == band_sums_reference(model, K).tobytes()
 
     def test_band_matrix_memory_is_the_matrix(self):
-        # column by column: the peak stays near the 8 MB matrix itself,
+        # in blocks of columns: the peak stays near the 8 MB dense head,
         # where one K x K index grid would need several such temporaries
         model = make_uniform(0.0)
         tracemalloc.start()
         try:
-            B = _band_sums(model, 1024)
+            B = _update_matrix(model, 1024)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * B.nbytes
+        assert B.head.shape == (1024, 1024)
+        assert peak <= 2 * B.head.nbytes
 
     def test_band_matrix_built_once(self, monkeypatch):
         calls = []
-        real = splitgrow.solver._band_sums
+        real = splitgrow.solver._update_matrix
 
         def counting(model, K):
             calls.append(K)
             return real(model, K)
 
-        monkeypatch.setattr(splitgrow.solver, "_band_sums", counting)
+        monkeypatch.setattr(splitgrow.solver, "_update_matrix", counting)
         for m in (pref_i(), make_uniform(0.0), make_grafting(0.5, 0.5)):
             calls.clear()
             sol = fixed_point_densities(m, K=64)
@@ -323,7 +327,7 @@ class TestDirectSolve:
             assert sol.iterations == 0 and sol.last_step == 0.0
 
     def test_singular_system_raises(self, monkeypatch):
-        monkeypatch.setattr(splitgrow.solver, "_band_sums", singular_band_sums)
+        monkeypatch.setattr(splitgrow.solver, "_update_matrix", singular_update_matrix)
         with pytest.raises(SingularSystemError, match="singular"):
             fixed_point_densities(pref_i(), K=16)
 
@@ -353,3 +357,161 @@ class TestDirectSolve:
         assert sol.densities == pytest.approx([1 / 3, -1 / 15, -1 / 15], abs=1e-12)
         assert not sol.monotone_ok
         assert sol.monotone_violation == pytest.approx(1 / 15)
+
+
+def update_matrix_models():
+    """(id, model) pairs for the structured update matrix checks: the tail
+    families and the dense-head families."""
+    tc_grafting = make_two_colour_grafting(1.0, 0.0, 0.5).white
+    return [
+        ("pref-b0", pref_i()),
+        ("pref-b-0.5", make_preferential(SplittingWeights(1.0, -0.5))),
+        ("pref-b2", make_preferential(SplittingWeights(1.0, 2.0))),
+        ("grafting", make_grafting(0.5, 0.5)),
+        ("two-colour-grafting-white", tc_grafting),
+        ("alpha-head", make_alpha_class(
+            SplittingWeights(1.0, 1.0), [0.8, 0.6, 0.5], M=3,
+            head=PartitionWeights.from_table(3, [(1, 2, 2.0), (1, 3, 1.0), (2, 2, 1.0)]))),
+        ("uniform", make_uniform(0.0)),
+    ]
+
+
+def dense_fixed_point_system(model, K):
+    """``I - M`` and ``c`` of the fixed-point system at K from the dense
+    oracle matrix, with the closure in the last column of rows 0 and 1."""
+    regime, s = splitgrow.solver.classify_regime(model)
+    B = dense_band_sums(model, K)
+    wk = model.splitting_weights(K)
+    denom = np.concatenate([[model.w2 + s], model.w2 + wk[1:]])
+    M = B / denom[:, None]
+    M[0, :] = (B[0, :] - s) / (model.w2 + s)
+    M[0, 0] = 0.0
+    clo = splitgrow.solver._closure_for(model, K)[0]
+    if clo is not None:
+        M[0, K - 1] += (clo.Qg - s * clo.Q0) / (model.w2 + s)
+        M[1, K - 1] += clo.Qh / denom[1]
+    c = np.zeros(K)
+    c[0] = s / (model.w2 + s)
+    return np.eye(K) - M, c
+
+
+class TestUpdateMatrix:
+    """The structured update matrix against the dense column-by-column
+    oracle, and the O(K) tail elimination against dense solves."""
+
+    @pytest.mark.parametrize("K", [16, 128, 1024])
+    @pytest.mark.parametrize("name,model", update_matrix_models(),
+                             ids=[n for n, _ in update_matrix_models()])
+    def test_matches_dense_oracle(self, name, model, K):
+        B = _update_matrix(model, K)
+        dense = dense_band_sums(model, K)
+        assert B.K == K
+        assert B.to_dense().tobytes() == dense.tobytes()
+        x = np.random.default_rng(K).uniform(size=K)
+        if name == "uniform":
+            assert B.head.shape == (K, K) and B.head_size == K
+            assert (B @ x).tobytes() == (dense @ x).tobytes()
+        else:
+            assert B.head_size == max(model.partition.tail.start, 2)
+            assert B.head.size + len(B.g) + len(B.h) <= 4 * K + 16
+            scale = np.abs(dense) @ x
+            assert np.all(np.abs(B @ x - dense @ x) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("K", [16, 128, 1024])
+    def test_random_tables_match_dense_oracle(self, K):
+        rng = np.random.default_rng(K)
+        for _ in range(3 if K < 1024 else 1):
+            m = random_linear_table(rng, K)
+            B = _update_matrix(m, K)
+            dense = dense_band_sums(m, K)
+            assert B.head_size == K
+            assert B.to_dense().tobytes() == dense.tobytes()
+            x = rng.uniform(size=K)
+            assert (B @ x).tobytes() == (dense @ x).tobytes()
+
+    @pytest.mark.parametrize("K", [16, 128, 1024])
+    @pytest.mark.parametrize("name,model", update_matrix_models(),
+                             ids=[n for n, _ in update_matrix_models()])
+    def test_fixed_point_matches_dense_solve(self, name, model, K):
+        A, c = dense_fixed_point_system(model, K)
+        expect = np.linalg.solve(A, c)
+        sol = fixed_point_densities(model, K=K)
+        assert np.max(np.abs(sol.densities - expect)) <= 1e-14
+        if sol.closure.kind != "none":       # uniform truncates at K = 16
+            res = sol.residuals
+            assert max(res.max_abs, res.sum_dev, res.moment_dev) <= 1e-14
+        assert sol.closure.head_size == _update_matrix(model, K).head_size
+
+    @pytest.mark.parametrize("name,model", update_matrix_models(),
+                             ids=[n for n, _ in update_matrix_models()])
+    def test_fixed_point_matches_iteration(self, name, model):
+        direct = fixed_point_densities(model, K=64)
+        iterated = fixed_point_densities(model, K=64, tol=1e-15, max_iter=300_000,
+                                         record_iterates=True)
+        assert np.max(np.abs(direct.densities - iterated.densities)) <= 1e-12
+        assert iterated.monotone_ok
+
+    @pytest.mark.parametrize("model", [pref_i(), make_grafting(0.5, 0.5),
+                                       make_grafting(0.0, 1.0)],
+                             ids=["pref", "grafting", "recursive-tree"])
+    def test_normalised_solve_matches_dense_solve(self, model):
+        # the system of the forced solve, on tail families with s > 0 so
+        # that the tail rows carry mass: row 0 sums the tail products and
+        # row 1 folds the h band
+        K = 200
+        A = dense_band_sums(model, K) - np.diag(model.w2 + model.splitting_weights(K))
+        A[0, :] = 1.0
+        expect = np.linalg.solve(A, np.eye(K)[0])
+        got = splitgrow.solver._stationary_solve(model, _update_matrix(model, K))
+        assert np.max(np.abs(got - expect)) <= 1e-14
+
+    def test_forced_solve_with_tail(self):
+        # alpha = 1, gamma = 3/4: degree-2 splits shed no leaf (g(2) = 0), so
+        # s = 0; the forced solve folds the tail columns, which carry no mass
+        model = make_grafting(1.0, 0.75)
+        K = 64
+        A = dense_band_sums(model, K) - np.diag(model.w2 + model.splitting_weights(K))
+        A[0, :] = 1.0
+        expect = np.linalg.solve(A, np.eye(K)[0])
+        sol = fixed_point_densities(model, K=K, force_unsupported=True)
+        assert sol.unsupported and sol.method == "linear-truncated"
+        assert np.max(np.abs(sol.densities - expect)) <= 1e-14
+        assert sol.closure == splitgrow.solver.TailClosureFact(
+            "none", 2, "forced solve truncates with a zero tail")
+
+    def test_tail_family_solve_memory_is_linear(self):
+        # one dense K x K matrix at MAX_DEGREE is 512 MiB; the tail family
+        # allocates only O(K) vectors
+        tracemalloc.start()
+        try:
+            sol = fixed_point_densities(pref_i(), K=MAX_DEGREE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
+        assert sol.closure.kind == "gamma" and sol.closure.head_size == 2
+        assert sol.residuals.max_abs <= 1e-14
+
+    @pytest.mark.parametrize("model,kind", [
+        (pref_i(), "gamma"), (make_grafting(0.0, 1.0), "geometric"),
+        (make_uniform(0.0), "none"),
+    ], ids=["gamma", "geometric", "uniform"])
+    def test_closure_kind(self, model, kind):
+        sol = fixed_point_densities(model, K=32)
+        assert sol.closure.kind == kind
+        assert bool(sol.closure.reason) == (kind == "none")
+
+    def test_zero_closure(self):
+        # g = 0 past the tail start: the degrees beyond K carry no mass
+        tail = LinearTail(start=2, pg=0.0, qg=0.0)
+        clo = splitgrow.solver._tail_closure(tail, 2.0, 16)[0]
+        assert clo.kind == "zero" and clo.Q0 == clo.Qg == clo.Qh == 0.0
+
+    def test_tail_solve_raises_on_non_finite_products(self):
+        # a tail row whose diagonal vanishes gives an infinite ratio
+        B = _update_matrix(pref_i(), 8)
+        A = np.eye(B.head_size)
+        P = B.tail_products(np.concatenate([np.ones(2), B.h[1:]]))
+        assert not np.all(np.isfinite(P))
+        with pytest.raises(SingularSystemError, match="non-finite"):
+            splitgrow.solver._solve_folded(A, np.ones(B.head_size), P, "H")

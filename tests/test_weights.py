@@ -261,3 +261,38 @@ class TestArrayContract:
             for u in rng.random(50):
                 assert ks[bisect.bisect_right(cum, u * total)] == \
                     bisect.bisect_right(full, u * total) + 1
+
+
+def full_column_split_distribution(m, i):
+    """The split law read from the whole column k = 1..i+1."""
+    k = np.arange(1, i + 2)
+    col = (i / 2.0) * m.partition(k, i + 2 - k)
+    cum = np.cumsum(col)
+    return (k[col > 0].tolist(), cum[col > 0].tolist(), float(cum[-1]))
+
+
+def tail_split_models():
+    sw = SplittingWeights(1.0, 0.5)
+    models = {
+        "pref-b0": make_preferential(SplittingWeights(1.0, 0.0)),
+        "pref-b-0.5": make_preferential(SplittingWeights(1.0, -0.5)),
+        "pref-b2": make_preferential(SplittingWeights(1.0, 2.0)),
+        "grafting": make_grafting(0.5, 0.5),
+        "grafting-1-1": make_grafting(1.0, 1.0),
+        "two-colour-grafting-white": make_two_colour_grafting(1.0, 0.2, 0.5).white,
+        "two-colour-uniform-white": make_two_colour_uniform(1.0, 0.3).white,
+    }
+    # tail starts 2..5: the alpha sequence's last value extends to the tail
+    for length in range(1, 5):
+        models[f"alpha-start-{length + 1}"] = make_alpha_class(
+            sw, [0.9, 0.7, 0.6, 0.5][:length], M=2)
+    return models
+
+
+@pytest.mark.parametrize("name", list(tail_split_models()))
+def test_tail_split_law_matches_full_column(name):
+    # past the tail start the law is read at the four-pair support only;
+    # the zeros it skips add exactly, so the result is bit-identical
+    m = tail_split_models()[name]
+    for i in range(1, 301):
+        assert m.split_distribution(i) == full_column_split_distribution(m, i), i
