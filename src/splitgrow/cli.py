@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import InvalidParameterError, SplitgrowError
@@ -125,7 +124,6 @@ def _manifest(cfg: ExperimentConfig, runtime_s: float,
         "versions": {
             "splitgrow": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "runtime_s": runtime_s,

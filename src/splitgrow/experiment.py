@@ -326,7 +326,6 @@ class ExperimentReport:
     engine: str
     k_check: int
     z_crit: float
-    runtime_s: float = 0.0            # never serialised; byte-stable outputs
     # the one solve of the config's model (not of reference_model), which
     # the CLI writes to solution.json; never serialised here
     solution: Optional[object] = None
@@ -405,7 +404,6 @@ def compare(cfg: ExperimentConfig, k_report: int = 16) -> ExperimentReport:
     if cfg.replicas < 2:
         raise InvalidParameterError(
             f"compare needs at least 2 replicas for standard errors, got {cfg.replicas}")
-    start = time.monotonic()
     model = build_model(cfg.model)
     solution = solve_model(model, cfg)
     ref_model, ref_solution = model, solution
@@ -460,5 +458,4 @@ def compare(cfg: ExperimentConfig, k_report: int = 16) -> ExperimentReport:
                             digest=cfg.digest, replicas=cfg.replicas,
                             t_final=cfg.t_final, engine=cfg.engine,
                             k_check=cfg.k_check, z_crit=cfg.z_crit,
-                            runtime_s=time.monotonic() - start, solution=solution,
-                            growth=growth_counters(results))
+                            solution=solution, growth=growth_counters(results))

@@ -17,10 +17,10 @@ correctness tests pin down; degree statistics do not depend on which
 contiguous arc is chosen.
 
 The engines sample independently, so their agreement in law tests one
-sampler against the other.  ``UrnState.step`` (and
-``twocolour.TwoColourState.step``) draw from a ``ClassSampler``, a Fenwick
-tree that picks a census class with probability ``n_d * w_d / W_t`` in
-O(log K).  ``OrderedTree`` draws a vertex from a weight envelope
+sampler against the other.  ``UrnState`` and ``twocolour.TwoColourState``
+share one census urn: a step draws a census class with probability
+``n_d * w_d / W_t`` by one early-exit scan of the class masses, in O(K)
+for K classes.  ``OrderedTree`` draws a vertex from a weight envelope
 ``A + B*d >= w_d`` in O(1) expected time: a uniform vertex or the owner of
 a uniform half-edge, kept with probability ``w_d / (A + B*d)``.  Its split
 costs O(1) plus the shorter arc.  States are confined to one worker at a
@@ -49,7 +49,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .errors import DegeneracyError, InvalidDegreeError, InvalidParameterError
 from .weights import WeightModel
 
 __all__ = [
-    "ClassSampler",
     "SplitEvent",
     "CensusSnapshot",
     "OrderedTree",
@@ -68,113 +67,6 @@ __all__ = [
     "write_census_binary",
     "read_census_binary",
 ]
-
-
-class ClassSampler:
-    """Census classes drawn with probability ``counts[c] * weights[c] / W``.
-
-    ``counts[c]`` members of class ``c`` weigh ``weights[c] = weight_of(c)``
-    each.  A Fenwick tree over the class masses finds the class of a draw in
-    O(log K) for K classes, so a heavy-tailed census with thousands of
-    occupied degrees costs no more per draw than a light one.  Engines change
-    ``counts`` only through ``add``.
-    """
-
-    def __init__(self, weight_of: Callable[[int], float], counts: Iterable[int] = ()):
-        self._weight_of = weight_of
-        self.counts: list[int] = []
-        self.weights: list[float] = []
-        self._mass: list[float] = []           # counts[c] * weights[c]
-        self._tree = [0.0] * 17                # 1-based; capacity a power of two
-        for c, n in enumerate(counts):
-            self.add(c, n)
-
-    def add(self, c: int, dn: int) -> None:
-        """Change the member count of class ``c`` by ``dn``, creating the
-        classes up to ``c`` as needed."""
-        counts = self.counts
-        while len(counts) <= c:
-            self.weights.append(self._weight_of(len(counts)))
-            counts.append(0)
-            self._mass.append(0.0)
-        counts[c] += dn
-        tree = self._tree
-        n = len(tree) - 1
-        if c >= n:
-            while n <= c:
-                n <<= 1
-            tree = self._tree = [0.0] * (n + 1)
-            for i, mi in enumerate(self._mass):
-                j = i + 1
-                while mi and j <= n:
-                    tree[j] += mi
-                    j += j & (-j)
-        m = counts[c] * self.weights[c]
-        d = m - self._mass[c]
-        if d == 0.0:
-            return
-        self._mass[c] = m
-        j = c + 1
-        while j <= n:
-            tree[j] += d
-            j += j & (-j)
-
-    def reset(self, counts: list[int], weights: list[float]) -> None:
-        """Set the counts of classes ``0 .. len(counts)-1`` at once, in O(K);
-        ``weights`` holds ``weight_of(c)`` for at least as many classes, so
-        new classes need no calls.  ``counts`` may not drop a class."""
-        n_old = len(self.counts)
-        self.counts[:] = counts
-        self.weights[n_old:] = weights[n_old:len(counts)]
-        self._mass = [n * w for n, w in zip(self.counts, self.weights)]
-        n = len(self._tree) - 1
-        while n < len(counts):
-            n <<= 1
-        tree = [0.0] * (n + 1)
-        tree[1:len(counts) + 1] = self._mass
-        for i in range(1, n + 1):
-            j = i + (i & -i)
-            if j <= n:
-                tree[j] += tree[i]
-        self._tree = tree
-
-    def sample(self, rng, total: float) -> tuple[int, float]:
-        """A class and the leftover of the draw inside it, in
-        ``[0, counts[c] * weights[c])``.
-
-        ``total`` is the engine's running total weight.  It may differ from
-        the exact sum in the last bits, so a draw can fall past the last
-        class; it then goes to the last class with positive weight.  A
-        zero-weight class is never returned.
-        """
-        if not total > 0.0:
-            raise DegeneracyError("total sampling weight is not positive")
-        x = rng.random() * total
-        tree = self._tree
-        n = len(tree) - 1
-        pos = 0
-        bit = n
-        while bit:
-            nxt = pos + bit
-            if nxt <= n and tree[nxt] <= x:
-                x -= tree[nxt]
-                pos = nxt
-            bit >>= 1
-        mass = self._mass
-        if pos < len(mass) and mass[pos] > 0.0:
-            return pos, x
-        return self._nearest_positive(pos), 0.0
-
-    def _nearest_positive(self, pos: int) -> int:
-        """Where a draw that rounding parked at ``pos``, past the last class
-        or on an empty one, goes: the nearest class with positive mass at or
-        below ``pos``, else above it."""
-        mass = self._mass
-        top = min(pos, len(mass) - 1)
-        for c in chain(range(top, -1, -1), range(top + 1, len(mass))):
-            if mass[c] > 0.0:
-                return c
-        raise DegeneracyError("no class has positive sampling weight")
 
 
 @dataclass(frozen=True)
@@ -494,18 +386,62 @@ class OrderedTree(_CensusMixin):
         return self.split_vertex(v, k, rng)
 
 
-class UrnState(_CensusMixin):
-    """Census-only engine: one urn per degree, ball weight ``w_d`` each."""
+class _CensusUrn:
+    """Census classes of a census engine: ``counts[c]`` members of class
+    ``c`` weigh ``weights[c] = _class_weight(c)`` each, and a step draws a
+    class with probability ``counts[c] * weights[c] / total_weight``.
+    Subclasses give the class weight, the step event and the read-outs;
+    engines change ``counts`` through ``_add`` or, in ``run_batch``, all at
+    once."""
+
+    def __init__(self, counts: Iterable[int], t: Optional[int] = None):
+        self.counts: list[int] = list(counts)
+        self.weights: list[float] = [self._class_weight(c) for c in range(len(self.counts))]
+        self.t = int(sum(self.counts) if t is None else t)
+        self.total_weight = float(sum(n * w for n, w in zip(self.counts, self.weights) if n))
+
+    def _class_weight(self, c: int) -> float:
+        raise NotImplementedError
+
+    def _add(self, c: int, dn: int) -> None:
+        """Change the member count of class ``c`` by ``dn``, creating the
+        classes up to ``c`` as needed."""
+        counts = self.counts
+        while len(counts) <= c:
+            self.weights.append(self._class_weight(len(counts)))
+            counts.append(0)
+        counts[c] += dn
+
+    def sample_class(self, rng) -> int:
+        """A class drawn by one scan of the class masses from
+        ``u * total_weight``.  The running total may differ from the exact
+        sum in the last bits, so a draw can pass every class; it then goes
+        to the last class with positive weight.  A zero-weight class is
+        never returned."""
+        if not self.total_weight > 0.0:
+            raise DegeneracyError("total sampling weight is not positive")
+        x = rng.random() * self.total_weight
+        last = -1
+        for c, n in enumerate(self.counts):
+            if n:
+                m = n * self.weights[c]
+                if m > 0.0:
+                    if x < m:
+                        return c
+                    x -= m
+                    last = c
+        if last < 0:
+            raise DegeneracyError("no class has positive sampling weight")
+        return last
+
+
+class UrnState(_CensusUrn, _CensusMixin):
+    """Census-only engine: one urn per degree, ball weight ``w_d`` each;
+    class ``d-1`` holds the degree-``d`` balls."""
 
     def __init__(self, model: WeightModel, counts: Iterable[int]):
         self.model = model
-        w = model.w
-        # class d-1 holds the degree-d balls, each of weight w_d
-        self._classes = ClassSampler(lambda c: w(c + 1), counts)
-        self.counts = self._classes.counts      # changed only through _classes
-        self.t = int(sum(self.counts))
-        self.total_weight = float(sum(n * wd for n, wd in
-                                      zip(self.counts, self._classes.weights) if n))
+        super().__init__(counts)
         if self.t < 1:
             raise InvalidParameterError("initial census is empty")
         if model.d_max is not None and len(self.counts) > model.d_max:
@@ -516,30 +452,29 @@ class UrnState(_CensusMixin):
     def single_edge(cls, model: WeightModel) -> "UrnState":
         return cls(model, [2])
 
+    def _class_weight(self, c: int) -> float:
+        return self.model.w(c + 1)
+
     def _layout(self) -> tuple[WeightModel, int, float]:
         """Split-size model, class stride and the total weight's gain per
         event (exact for linear weights) for ``run_batch``."""
         return self.model, 1, self.model.w2
 
-    def sample_degree(self, rng) -> int:
-        """Degree class drawn with probability w_d * n_d / total weight."""
-        return self._classes.sample(rng, self.total_weight)[0] + 1
-
     def apply_split(self, i: int, k: int) -> SplitEvent:
         if self.counts[i - 1] < 1:
             raise InvalidParameterError(f"no ball in urn {i}")
         ell = i + 2 - k
-        add = self._classes.add
+        add = self._add
         add(i - 1, -1)
         add(k - 1, 1)
         add(ell - 1, 1)
         self.t += 1
-        w = self.model.w
-        self.total_weight += w(k) + w(ell) - w(i)
+        w = self.weights
+        self.total_weight += w[k - 1] + w[ell - 1] - w[i - 1]
         return SplitEvent(self.t, i, (k, ell))
 
     def step(self, rng) -> SplitEvent:
-        i = self.sample_degree(rng)
+        i = self.sample_class(rng) + 1
         k = self.model.sample_split(i, rng)
         return self.apply_split(i, k)
 
@@ -649,7 +584,7 @@ class _ClassLaws:
     def __init__(self, state):
         self.owner = state.model
         self.split_model, self.stride, self.gain = state._layout()
-        self._weight_of = state._classes._weight_of
+        self._weight_of = state._class_weight
         self.w: list[float] = []
         self.inv_w: list[float] = []            # 1 / w_c; 0 for a class that never dies
         self.lo: list[int] = []
@@ -899,7 +834,8 @@ def _apply(laws: _ClassLaws, state, c: np.ndarray, k: np.ndarray,
             done = m
         if j < len(marks):
             snaps.append(state._snapshot(state.t + m, counts, float(totals[m])))
-    state._classes.reset(counts.tolist(), laws.w)
+    state.counts = counts.tolist()
+    state.weights += laws.w[len(state.weights):len(state.counts)]
     state.t += len(c)
     state.total_weight = float(totals[-1])
     return snaps

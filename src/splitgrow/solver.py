@@ -70,7 +70,7 @@ import numpy as np
 
 from .errors import (InvalidParameterError, NoConvergenceError, NonPositiveError,
                      RankDeficientError, RegimeError, SingularSystemError)
-from .weights import LinearTail, Regime, WeightModel, classify_regime
+from .weights import LinearTail, Regime, WeightModel, _band_blocks, classify_regime
 
 __all__ = [
     "ResidualReport",
@@ -185,12 +185,6 @@ def _tail_closure(tail: LinearTail, w2: float, K: int):
 
 # -- the update matrix ------------------------------------------------------------
 
-# head columns read per partition-weight call: wider blocks were no faster,
-# and their larger temporaries raised the peak memory of repeated solves
-# (by 1 MB at K = 1024 with 64 columns, 2 MB with 128)
-_BLOCK = 32
-
-
 class UpdateMatrix:
     """The K x K update matrix ``B[k-1, i-1] = i*w[k, i-k+2]`` by structure.
 
@@ -266,7 +260,7 @@ class UpdateMatrix:
 
 def _update_matrix(model: WeightModel, K: int) -> UpdateMatrix:
     """The model's update matrix at K.  The dense columns are read from the
-    partitioning weights ``_BLOCK`` columns per call, each block over the
+    partitioning weights by ``weights._band_blocks``, each block over the
     rows of its band (k <= i+1) only; the tail columns are evaluated from
     ``g`` and ``h``.  Column 1 (where (2, 1) is (1, 2) reversed) is always
     dense."""
@@ -274,11 +268,8 @@ def _update_matrix(model: WeightModel, K: int) -> UpdateMatrix:
     tail = pw.tail if model.d_max is None else None
     n = min(max(tail.start, 2) - 1, K) if tail is not None else K
     head = np.zeros((min(n + 1, K), n))
-    for lo in range(1, n + 1, _BLOCK):
-        hi = min(lo + _BLOCK, n + 1)                # columns lo..hi-1
-        i = np.arange(lo, hi)
-        k = np.arange(1, min(hi, K) + 1)[:, None]   # rows k <= i+1 <= hi
-        head[:len(k), lo - 1:hi - 1] = i * pw(k, i - k + 2)
+    for i, w in _band_blocks(pw, n, K):
+        head[:len(w), i[0] - 1:i[-1]] = i * w
     cols = np.arange(n + 1, K + 1, dtype=float)
     if tail is None:
         return UpdateMatrix(head, cols, cols)      # both empty

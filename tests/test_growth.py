@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 
 import splitgrow.growth as growth
-from splitgrow import (CensusSnapshot, ClassSampler, DegeneracyError,
+from splitgrow import (CensusSnapshot, DegeneracyError,
                        InvalidDegreeError, InvalidParameterError, OrderedTree,
                        PartitionWeights, SplittingWeights, UrnState, WeightModel,
                        make_grafting, make_preferential, make_table, make_uniform,
@@ -30,6 +30,21 @@ def chi_square_ok(observed, probs, alpha=1e-3):
     return p > alpha
 
 
+class Classes(growth._CensusUrn):
+    """A census urn with given class weights and, optionally, a running
+    total that differs from the exact sum."""
+
+    def __init__(self, weights, counts, total=None):
+        self._weights = weights
+        super().__init__(counts)
+        if total is not None:
+            self.total_weight = total
+
+    def _class_weight(self, c):
+        return self._weights[c]
+
+
+# sample_class: the class draw of the census urn both census engines share
 class TestClassSampler:
     def test_weights_grow_with_counts(self):
         # the class weights stay aligned with the census as it grows, and the
@@ -39,7 +54,7 @@ class TestClassSampler:
         rng = np.random.default_rng(4)
         for _ in range(300):
             urn.step(rng)
-        weights = urn._classes.weights
+        weights = urn.weights
         assert len(weights) == len(urn.counts) > 2
         assert weights == [model.w(d) for d in range(1, len(urn.counts) + 1)]
         exact = sum(n * w for n, w in zip(urn.counts, weights))
@@ -47,26 +62,25 @@ class TestClassSampler:
 
     def test_zero_total_raises(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(DegeneracyError):
-            ClassSampler([1.0, 2.0].__getitem__, [0, 0]).sample(rng, 0.0)
+        with pytest.raises(DegeneracyError, match="not positive"):
+            Classes([1.0, 2.0], [0, 0]).sample_class(rng)
         # a total left over by rounding while no class has weight
-        with pytest.raises(DegeneracyError):
-            ClassSampler([1.0, 0.0].__getitem__, [0, 3]).sample(rng, 1e-16)
+        with pytest.raises(DegeneracyError, match="no class"):
+            Classes([1.0, 0.0], [0, 3], total=1e-16).sample_class(rng)
 
     def test_frequencies_match_weights(self):
-        # class 0 has members but zero weight, so it is never drawn; classes
-        # past the first sixteen make the tree grow while it is filled
+        # class 0 has members but zero weight, so it is never drawn, and
+        # empty classes lie between occupied ones
         weights = [0.0, 1.0, 4.0, 2.0, 1.0] + [0.5] * 20
         counts = [3, 2, 1, 1, 2] + [0] * 19 + [4]
         mass = np.array(counts) * np.array(weights)
-        sampler = ClassSampler(weights.__getitem__, counts)
+        urn = Classes(weights, counts)
+        assert urn.total_weight == mass.sum()
         rng = np.random.default_rng(123)
         hits = np.zeros(len(counts))
         n = 200_000
         for _ in range(n):
-            c, x = sampler.sample(rng, float(mass.sum()))
-            assert 0.0 <= x < mass[c]
-            hits[c] += 1
+            hits[urn.sample_class(rng)] += 1
         assert not hits[mass == 0].any()
         keep = mass > 0
         assert chi_square_ok(hits[keep], mass[keep] / mass.sum())
@@ -74,36 +88,16 @@ class TestClassSampler:
     def test_dynamic_update_frequencies(self):
         # census (n_1, n_2) = (2, 1) with w_i = i; splitting a leaf into
         # degrees (2, 1) gives (n_1, n_2) = (2, 2), so P(degree 2) moves
-        # from 2/4 to 4/6 between the draws
+        # from 2/4 to 4/6 between the draws (degree d is class d-1)
         urn = UrnState(pref_i(), [2, 1])
         rng = np.random.default_rng(7)
         n = 100_000
-        before = sum(urn.sample_degree(rng) == 2 for _ in range(n))
+        before = sum(urn.sample_class(rng) == 1 for _ in range(n))
         urn.apply_split(1, 2)
         assert urn.counts[:2] == [2, 2]
-        after = sum(urn.sample_degree(rng) == 2 for _ in range(n))
+        after = sum(urn.sample_class(rng) == 1 for _ in range(n))
         assert chi_square_ok(np.array([n - before, before]), np.array([0.5, 0.5]))
         assert chi_square_ok(np.array([n - after, after]), np.array([1 / 3, 2 / 3]))
-
-    def test_reset_matches_adds(self):
-        # reset sets every count at once and rebuilds the tree in O(K); it
-        # must draw exactly as a sampler built class by class
-        class Fixed:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
-        weights = [0.0, 1.0, 4.0, 2.0] + [0.5] * 30
-        counts = [3, 2, 1, 1] + [2] * 30
-        built = ClassSampler(weights.__getitem__, counts)
-        reset = ClassSampler(weights.__getitem__, [1, 1])
-        reset.reset(counts, weights)
-        assert (reset.counts, reset.weights) == (built.counts, built.weights)
-        total = float(np.dot(counts, weights))
-        for u in np.linspace(0.0, 1.0 - 2.0 ** -53, 101):
-            assert reset.sample(Fixed(u), total)[0] == built.sample(Fixed(u), total)[0]
 
     def test_end_of_draw_guard(self):
         # a running total a few ulps above the exact sum lets the draw pass
@@ -114,10 +108,25 @@ class TestClassSampler:
                 return 1.0 - 2.0 ** -53
 
         weights = [1.0, 1.0, 1.0, 3.0, 0.0, 7.0]
-        sampler = ClassSampler(weights.__getitem__, [0, 2, 0, 1, 5, 0])
-        exact = 5.0
-        assert sampler.sample(Top(), exact)[0] == 3
-        assert sampler.sample(Top(), exact * (1 + 4e-16)) == (3, 0.0)
+        counts = [0, 2, 0, 1, 5, 0]
+        assert Classes(weights, counts).sample_class(Top()) == 3
+        assert Classes(weights, counts, total=5.0 * (1 + 4e-16)).sample_class(Top()) == 3
+        # a zero-weight class before the only positive one is passed over
+        assert Classes([0.0, 2.0], [4, 1], total=2.0 * (1 + 4e-16)).sample_class(Top()) == 1
+
+    def test_draw_boundaries(self):
+        # a draw x = u * W goes to the class c with sum_{b<c} m_b <= x <
+        # sum_{b<=c} m_b, exact at the edges of the masses 2, 0, 2, 4
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        urn = Classes([2.0, 1.0, 1.0, 1.0], [1, 0, 2, 4])
+        got = [urn.sample_class(Fixed(x / 8.0)) for x in (0.0, 1.0, 2.0, 3.5, 4.0, 7.5)]
+        assert got == [0, 0, 2, 2, 3, 3]
 
 
 class TestSampleVertex:
@@ -132,13 +141,14 @@ class TestSampleVertex:
 
     def test_urn_degree_probability(self):
         # census (n_1, n_2) = (2, 1) with w_i = i: the total weight is
-        # w_2*t - 2a = 2*3 - 2 = 4 and P(degree 2) = 2*1/4 = 1/2
+        # w_2*t - 2a = 2*3 - 2 = 4 and P(degree 2) = 2*1/4 = 1/2; degree 2
+        # is class 1
         urn = UrnState(pref_i(), [2, 1])
         assert urn.total_weight == pytest.approx(4.0)
         assert urn.total_weight == pytest.approx(urn.expected_weight())
         rng = np.random.default_rng(5)
         n = 200_000
-        hits = sum(urn.sample_degree(rng) == 2 for _ in range(n))
+        hits = sum(urn.sample_class(rng) == 1 for _ in range(n))
         assert abs(hits - n / 2) <= 4 * math.sqrt(n * 0.25)
 
     def test_tree_degree_weighted(self):
@@ -516,8 +526,8 @@ class TestCensusKernel:
 
     @pytest.mark.parametrize("name", ["pref-i", "rna"])
     def test_step_after_run_keeps_identities(self, name):
-        # run leaves the counts, the clock, the running total and the class
-        # sampler consistent, so step continues from them
+        # run leaves the counts, the class weights, the clock and the
+        # running total consistent, so step continues from them
         state = KERNEL_ENGINES[name]()
         run(state, 600, np.random.default_rng(9), thin=50)
         rng = np.random.default_rng(10)
@@ -525,7 +535,7 @@ class TestCensusKernel:
             state.step(rng)
             snap = state.census()
             assert snap.identity_deviations() == (0, 0)
-            exact = float(np.dot(state.counts, state._classes.weights))
+            exact = float(np.dot(state.counts, state.weights))
             assert state.total_weight == pytest.approx(exact, rel=1e-12)
         assert state.t == 900
 

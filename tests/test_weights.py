@@ -11,7 +11,8 @@ from splitgrow import (InvalidParameterError, PartitionWeights, Regime,
                        validate_model)
 from splitgrow.twocolour import (make_rna, make_two_colour_grafting,
                                  make_two_colour_uniform, reduce_to_one_colour)
-from conftest import DMAX3_ENTRIES, constant_uniform_partition, random_linear_table
+from conftest import (DMAX3_ENTRIES, constant_uniform_partition, derived_weights_by_degree,
+                      random_linear_table)
 
 
 def constant_uniform_model(b=1.0):
@@ -38,6 +39,19 @@ class TestDeriveSplittingWeights:
         pw = PartitionWeights.from_table(3, DMAX3_ENTRIES)
         w = derive_splitting_weights(pw, 3)
         assert np.allclose(w, [1.0, 2.0, 3.0], atol=1e-15)
+
+
+    @pytest.mark.parametrize("i_max", [1, 2, 31, 32, 33, 64, 65, 200])
+    def test_blocks_match_per_degree_oracle(self, i_max):
+        # the blocked reader sums the same column entries with fsum, so the
+        # weights are those of one call per degree to the bit, across block
+        # edges and past a table's bound
+        rng = np.random.default_rng(i_max)
+        pws = [m.partition for m in contract_models().values()]
+        pws += [random_linear_table(rng, 40).partition, constant_uniform_partition(0.7)]
+        for pw in pws:
+            got = derive_splitting_weights(pw, i_max)
+            assert got.tobytes() == derived_weights_by_degree(pw, i_max).tobytes()
 
 
 class TestValidateModel:
