@@ -137,8 +137,9 @@ def _manifest(cfg: ExperimentConfig, runtime_s: float,
 
 def _solver_facts(sol) -> dict:
     """K, method, largest stationarity residual, tail closure (kind, and
-    the reason when there is none) and the order of the dense elimination;
-    a two-colour solve reports its reduced one-colour solve's closure."""
+    the reason when there is none) and the order of the dense elimination
+    (0 for a recurrence solve); a two-colour solve reports its reduced
+    one-colour solve's closure."""
     if isinstance(sol, TwoColourSolution):
         closure, max_residual = sol.one_colour.closure, sol.max_residual
     else:

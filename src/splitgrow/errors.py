@@ -26,7 +26,9 @@ class NoConvergenceError(SplitgrowError):
 class SingularSystemError(SplitgrowError):
     """A solver's Hessenberg elimination met a zero pivot or gave non-finite
     values, or a stationary system normalised in row 0 is singular because
-    degree-1 vertices never split."""
+    degree-1 vertices never split, or the backward recurrence of a
+    ``by_split_degree`` partition meets a degree whose vertices never split
+    or a zero divisor."""
 
 
 class RankDeficientError(SplitgrowError):

@@ -57,7 +57,16 @@ bands, stored as the vectors ``g`` and ``h``.  Every row below the head is
 then bidiagonal, so those rows are eliminated in closed form (one
 cumulative product) and folded into the head's last column; only the head
 goes through ``_hessenberg_solve``.  A tail family costs O(K) time and
-memory; the others keep the dense O(K^2) solve.
+memory.
+
+A partition declared ``by_split_degree`` (``uniform`` and the two-colour
+uniform reductions, ``rna`` among them) has ``B = U diag(beta)``, with ``U``
+the upper-Hessenberg matrix of ones and ``beta_i = i*w[1, i+1]``: ``B`` is
+stored as ``beta`` and ``B @ x`` is one suffix sum.  Subtracting row k+1
+from row k of the fixed-point system leaves a three-term recurrence whose
+minimal solution ``_recurrence_solve`` finds backwards from K, also in O(K).
+Dense heads and ``_hessenberg_solve`` then serve tables, forced solves and
+undeclared custom partitions only.
 """
 
 from __future__ import annotations
@@ -105,7 +114,8 @@ class TailClosureFact(NamedTuple):
     ``kind`` is ``"gamma"`` (Gamma-ratio tail sums, ``pg > 0``),
     ``"geometric"`` (``pg = 0 < qg``), ``"zero"`` (the tail carries no mass)
     or ``"none"``, with ``reason`` saying why; ``head_size`` is the order of
-    the dense Hessenberg elimination, K when every column is dense."""
+    the dense Hessenberg elimination, K when every column is dense and 0
+    when the solve is the recurrence of a ``by_split_degree`` partition."""
 
     kind: str
     head_size: int
@@ -195,26 +205,44 @@ class UpdateMatrix:
     four bands: ``g(i)`` in row 1 and on the subdiagonal (row i+1), ``h(i)``
     in row 2 and on the diagonal (row i).  ``g`` and ``h`` hold those
     masses for ``i = n+1..K``; they are empty when every column is dense.
+
+    A partition declared ``by_split_degree`` gives every row of column i's
+    band the same entry, ``beta_i = i*w[1, i+1]``, so ``B = U diag(beta)``
+    with ``U`` the upper-Hessenberg matrix of ones.  That layout stores
+    ``beta`` alone; ``head``, ``g`` and ``h`` are empty and there is no head
+    system.
     """
 
-    __slots__ = ("head", "g", "h")
+    __slots__ = ("head", "g", "h", "beta")
 
-    def __init__(self, head: np.ndarray, g: np.ndarray, h: np.ndarray):
-        self.head, self.g, self.h = head, g, h
+    def __init__(self, head: np.ndarray, g: np.ndarray, h: np.ndarray,
+                 beta: Optional[np.ndarray] = None):
+        self.head, self.g, self.h, self.beta = head, g, h, beta
 
     @property
     def K(self) -> int:
+        if self.beta is not None:
+            return len(self.beta)
         return self.head.shape[1] + len(self.g)
 
     @property
     def head_size(self) -> int:
         """Order m of the head system ``B[:m, :m]``; rows m..K-1 are
-        bidiagonal."""
+        bidiagonal.  It is 0 for ``beta``."""
         return self.head.shape[0]
+
+    def first_row(self) -> np.ndarray:
+        """Row 0 of B, the leaf masses ``i*w[1, i+1]`` for i = 1..K."""
+        if self.beta is not None:
+            return self.beta
+        return np.concatenate([self.head[0], self.g])
 
     def square_head(self) -> np.ndarray:
         """``B[:m, :m]``: the dense columns and, when there is a tail, its
-        first column.  It is ``head`` itself when every column is dense."""
+        first column.  It is ``head`` itself when every column is dense,
+        and the whole of B, made dense, for ``beta``."""
+        if self.beta is not None:
+            return self.to_dense()
         m, n = self.head.shape
         if m == n:
             return self.head
@@ -228,11 +256,18 @@ class UpdateMatrix:
     def tail_products(self, diag: np.ndarray) -> np.ndarray:
         """``a_j / a_{m-1}`` for j = m..K-1 in a system whose rows r >= m
         read ``B[r, r-1]*a_{r-1} + (B[r, r] - diag[r])*a_r = 0``."""
+        if not len(self.g):
+            return self.g
         m = self.head_size
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return np.cumprod(self.g[:-1] / (diag[m:] - self.h[1:]))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if self.beta is not None:
+            # row k sums beta_i*x_i over i >= k-1, and row 1 equals row 2;
+            # long doubles keep the suffix sums as close as a dense product
+            y = np.cumsum((self.beta * x)[::-1], dtype=np.longdouble)[::-1]
+            return np.concatenate([y[:1], y[:-1]]).astype(float)
         m, n = self.head.shape
         if n == self.K:
             return self.head @ x
@@ -247,6 +282,8 @@ class UpdateMatrix:
 
     def to_dense(self) -> np.ndarray:
         K = self.K
+        if self.beta is not None:
+            return np.triu(np.broadcast_to(self.beta, (K, K)), -1)
         m, n = self.head.shape
         B = np.zeros((K, K))
         B[:m, :n] = self.head
@@ -263,8 +300,13 @@ def _update_matrix(model: WeightModel, K: int) -> UpdateMatrix:
     partitioning weights by ``weights._band_blocks``, each block over the
     rows of its band (k <= i+1) only; the tail columns are evaluated from
     ``g`` and ``h``.  Column 1 (where (2, 1) is (1, 2) reversed) is always
-    dense."""
+    dense.  An unbounded ``by_split_degree`` partition gives ``beta`` from
+    one weight call instead."""
     pw = model.partition
+    if model.d_max is None and pw.by_split_degree:
+        i = np.arange(1, K + 1)
+        e = np.empty(0)
+        return UpdateMatrix(e.reshape(0, 0), e, e, i * pw(1, i + 1))
     tail = pw.tail if model.d_max is None else None
     n = min(max(tail.start, 2) - 1, K) if tail is not None else K
     head = np.zeros((min(n + 1, K), n))
@@ -281,15 +323,17 @@ def _closure_for(model: WeightModel, K: int):
     there is none, the reason."""
     if model.d_max is not None:
         return None, [], "bounded model"
-    tail = model.partition.tail
-    if tail is not None:
-        clo, reason = _tail_closure(tail, model.w2, K)
+    pw = model.partition
+    if pw.by_split_degree:
+        # a_k/a_{k-1} is about beta_{k-1}/(w_2 + w_k), below 2/k for linear
+        # weights: the degrees beyond K carry a negligible mass
+        note = "super-exponential tail; zero-tail truncation used"
+        return None, [note], note
+    if pw.tail is not None:
+        clo, reason = _tail_closure(pw.tail, model.w2, K)
         if clo is None:
             return None, ["tail closure unavailable; zero-tail truncation used"], reason
         return clo, [], ""
-    if model.family == "uniform":
-        note = "super-exponential tail; zero-tail truncation used"
-        return None, [note], note
     return None, ["unbounded model without tail metadata; "
                   "zero-tail truncation may bias low degrees"], "no tail metadata"
 
@@ -339,13 +383,13 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
         # no census-limit claim attaches to the normalised solve at K
         B = _update_matrix(model, K)
         a = _stationary_solve(model, B)
+        m = K if B.beta is not None else B.head_size     # the order eliminated
         return DensitySolution(
             densities=a, K=K, method="linear-truncated", regime=regime, s=s,
             residuals=_residual_report(model, a, K, None, B), unsupported=True,
             warnings=["forced solve outside the guaranteed regime; "
                       "no almost-sure census limit is claimed"],
-            closure=TailClosureFact("none", B.head_size,
-                                    "forced solve truncates with a zero tail"))
+            closure=TailClosureFact("none", m, "forced solve truncates with a zero tail"))
 
     warnings: list[str] = []
     if model.d_max is not None and K != model.d_max:
@@ -369,29 +413,11 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
         a, history, last_step = _iterate(_update_step(B, denom, s, clo), K, tol, max_iter)
         monotone_violation = max(0.0, -float(np.min(np.diff(history, axis=0))))
     else:
-        m = B.head_size
-        Bh = B.square_head()
-        M = Bh / denom[:m, None]
-        # first row uses the shifted coefficients (i*w[1,i+1] - s), i >= 2
-        M[0, :] = (Bh[0, :] - s) / (w2 + s)
-        M[0, 0] = 0.0
-        c = np.zeros(m)
-        c[0] = s / (w2 + s)
-        # rows 0 and 1 reach every tail column and the closure; fold them
-        # into column m-1 through the tail rows' a_j = a_{m-1} * P
-        P = B.tail_products(denom)
-        if len(P) or clo is not None:
-            last = P[-1] if len(P) else 1.0
-            fold0 = (B.g[1:] - s) @ P
-            fold1 = B.h[1:] @ P
-            if clo is not None:
-                fold0 += (clo.Qg - s * clo.Q0) * last
-                fold1 += clo.Qh * last
-            M[0, m - 1] += fold0 / (w2 + s)
-            M[1, m - 1] += fold1 / (w2 + wk[1])
-        np.negative(M, out=M)               # M becomes I - M
-        M[np.diag_indices(m)] += 1.0
-        a = _solve_folded(M, c, P, f"I - M at K = {K}")
+        what = f"I - M at K = {K}"
+        if B.beta is not None:
+            a = _recurrence_solve(B.beta, denom, s, what)
+        else:
+            a = _head_solve(B, denom, s, clo, what)
         history, last_step = None, 0.0
         # the minimal solution is nonnegative
         monotone_violation = max(0.0, -float(a.min()))
@@ -408,10 +434,75 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
         closure=TailClosureFact(clo.kind if clo else "none", B.head_size, reason))
 
 
+def _head_solve(B: UpdateMatrix, denom: np.ndarray, s: float,
+                clo: Optional[_TailClosure], what: str) -> np.ndarray:
+    """``(I - M) a = c`` by ``_hessenberg_solve`` on the head system, the
+    tail rows folded into its last column."""
+    m = B.head_size
+    Bh = B.square_head()
+    M = Bh / denom[:m, None]
+    # first row uses the shifted coefficients (i*w[1,i+1] - s), i >= 2
+    M[0, :] = (Bh[0, :] - s) / denom[0]
+    M[0, 0] = 0.0
+    c = np.zeros(m)
+    c[0] = s / denom[0]
+    # rows 0 and 1 reach every tail column and the closure; fold them
+    # into column m-1 through the tail rows' a_j = a_{m-1} * P
+    P = B.tail_products(denom)
+    if len(P) or clo is not None:
+        last = P[-1] if len(P) else 1.0
+        fold0 = (B.g[1:] - s) @ P
+        fold1 = B.h[1:] @ P
+        if clo is not None:
+            fold0 += (clo.Qg - s * clo.Q0) * last
+            fold1 += clo.Qh * last
+        M[0, m - 1] += fold0 / denom[0]
+        M[1, m - 1] += fold1 / denom[1]
+    np.negative(M, out=M)               # M becomes I - M
+    M[np.diag_indices(m)] += 1.0
+    return _solve_folded(M, c, P, what)
+
+
+def _recurrence_solve(beta: np.ndarray, denom: np.ndarray, s: float,
+                      what: str) -> np.ndarray:
+    """``(I - M) a = c`` for ``B = U diag(beta)``, in O(K).
+
+    With ``d_k = w_2 + w_k``, row k minus row k+1 reads
+    ``d_k a_k - d_{k+1} a_{k+1} = beta_{k-1} a_{k-1}`` and row K reads
+    ``(d_K - beta_K) a_K = beta_{K-1} a_{K-1}``.  The ratios
+    ``r_k = a_k/a_{k-1} = beta_{k-1} / (d_k - d_{k+1} r_{k+1})`` are taken
+    backwards from K: Miller's backward recurrence for the minimal solution
+    (Gautschi, SIAM Rev. 9 (1967) 24-82), in ratio form so that no iterate
+    overflows.  Their running product is ``a`` up to scale, and the shifted
+    row 1 fixes the scale."""
+    zero = np.flatnonzero(beta[:-1] == 0.0)
+    if len(zero):
+        i = zero[0] + 1
+        raise SingularSystemError(
+            f"{what}: degree-{i} vertices never split, so no degree above "
+            f"{i} is reachable")
+    b, d = beta.tolist(), denom.tolist()
+    r = [1.0] * len(b)
+    t = b[-1]
+    try:
+        for k in range(len(b) - 1, 0, -1):
+            r[k] = b[k - 1] / (d[k] - t)
+            t = d[k] * r[k]
+    except ZeroDivisionError:
+        raise SingularSystemError(
+            f"{what}: the backward recurrence divides by zero at degree {k + 1}") from None
+    a = np.cumprod(r)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        a *= s / (denom[0] - (beta[1:] - s) @ a[1:])
+    if not np.all(np.isfinite(a)):
+        raise SingularSystemError(f"{what} gave a non-finite solution")
+    return a
+
+
 def _update_step(B: UpdateMatrix, denom: np.ndarray, s: float,
                  clo: Optional[_TailClosure]):
     """The map ``a -> M a + c`` of the fixed-point system, without forming M."""
-    row0 = np.concatenate([B.head[0], B.g]) - s
+    row0 = B.first_row() - s
     row0[0] = 0.0
     w2s = denom[0]
 
@@ -479,12 +570,13 @@ def _stationary_solve(model: WeightModel, B: UpdateMatrix) -> np.ndarray:
     ``w_k`` sum to zero, so row 0 is redundant unless degree-1 vertices never
     split (``B[1, 0] = 0``); rows 1..K-1 are then dependent, which rounding
     can hide, so that case raises SingularSystemError by name."""
-    K, m = B.K, B.head_size
-    if B.head[1, 0] == 0.0:
+    K = B.K
+    A = B.square_head().copy()
+    m = len(A)
+    if A[1, 0] == 0.0:
         raise SingularSystemError(
             "degree-1 vertices never split, so no degree above 1 is reachable")
     diag = model.w2 + model.splitting_weights(K)
-    A = B.square_head().copy()
     A[np.diag_indices(m)] -= diag[:m]
     A[0, :] = 1.0
     rhs = np.zeros(m)

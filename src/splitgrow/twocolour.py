@@ -111,7 +111,7 @@ def make_two_colour_uniform(a: float, b: float) -> TwoColourModel:
         dd = np.maximum(d, 1)
         return np.where(d >= 1, 2.0 * (c * dd + a) / (dd * (dd + 1)), 0.0)
 
-    pw = PartitionWeights(fn, d_max=None, tail=None)
+    pw = PartitionWeights(fn, by_split_degree=True)
     return TwoColourModel(a, b, pw, family="two-colour-uniform",
                           params={"a": float(a), "b": float(b)})
 
@@ -274,9 +274,11 @@ class TwoColourState(_CensusUrn):
 def reduce_to_one_colour(model2: TwoColourModel) -> WeightModel:
     """One-colour model with the same summed densities: splitting weights
     ``w_black``, partitioning weights scaled by ``w_black/w_white`` on each
-    split-degree class.  The reduced weights carry no ``LinearTail``, even
-    where the white partition has one, so their solve truncates with a zero
-    tail."""
+    split-degree class.  The scale factor depends on the split degree
+    alone, so a white partition declared ``by_split_degree`` gives a reduced
+    one declared so too, with leaf-mass limit ``2c``.  The reduced weights
+    carry no ``LinearTail``, even where the white partition has one, so
+    their solve truncates with a zero tail."""
     white_pw = model2.white.partition
     w_white = model2.w_white
     w_black = model2.w_black
@@ -303,9 +305,10 @@ def reduce_to_one_colour(model2: TwoColourModel) -> WeightModel:
         else:
             ratio = 1.0 if c > 0 else (model2.b / model2.a if model2.a else None)
             limit = None if ratio is None else glim * ratio
-    elif model2.family in ("rna", "two-colour-uniform"):
+    elif white_pw.by_split_degree:      # i*w[1, i+1] = 2*w_black(i)/(i+1)
         limit = 2.0 * c if c > 0 else 0.0
-    pw = PartitionWeights(fn, d_max=white_pw.d_max, tail=None)
+    pw = PartitionWeights(fn, d_max=white_pw.d_max,
+                          by_split_degree=white_pw.by_split_degree)
     red = WeightModel(pw, model2.black, family="reduced",
                       params={"from": model2.family}, leaf_mass_limit=limit)
     if red.linear_fit_residual > 1e-9:

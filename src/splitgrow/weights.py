@@ -139,15 +139,20 @@ class PartitionWeights:
         Finite degree bound; any index beyond it maps to weight zero.
     tail : LinearTail or None
         Two-banded tail description for unbounded families, when available.
+    by_split_degree : bool
+        Declares that ``w[i, j]`` depends on ``i + j`` alone, so that every
+        child pair of a split is equally likely, as in uniform partitioning.
     """
 
     def __init__(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 d_max: Optional[int] = None, tail: Optional[LinearTail] = None):
+                 d_max: Optional[int] = None, tail: Optional[LinearTail] = None,
+                 by_split_degree: bool = False):
         if d_max is not None and d_max < 2:
             raise InvalidParameterError("d_max must be at least 2")
         self._fn = fn
         self.d_max = d_max
         self.tail = tail
+        self.by_split_degree = by_split_degree
         # probe on the pairs of degrees <= 2, which every d_max admits
         i, j = np.arange(1, 3)[:, None], np.arange(1, 3)
         try:
@@ -504,7 +509,7 @@ def make_uniform(x: float) -> WeightModel:
         return np.where(d >= 1, 2.0 * (dd + x) / (dd * (dd + 1)), 0.0)
 
     # i * w[1, i+1] = 2(i+x)/(i+1) is monotone with limit 2
-    pw = PartitionWeights(fn, d_max=None, tail=None)
+    pw = PartitionWeights(fn, by_split_degree=True)
     return WeightModel(pw, sw, family="uniform", params={"x": float(x)},
                        leaf_mass_limit=2.0)
 

@@ -20,6 +20,7 @@ from splitgrow.weights import MAX_DEGREE
 from conftest import DMAX3_ENTRIES, singular_update_matrix
 
 E2 = math.e ** 2
+SUPER_EXP = "super-exponential tail; zero-tail truncation used"
 
 
 class TestParseWeightExpr:
@@ -92,14 +93,13 @@ class TestSolve:
           "closure_reason": None, "head_size": 2}),
         (["--family", "uniform", "--x", "0", "--K", "64"],
          {"K": 64, "method": "fixed-point", "closure": "none",
-          "closure_reason": "super-exponential tail; zero-tail truncation used",
-          "head_size": 64}),
+          "closure_reason": SUPER_EXP, "head_size": 0}),
         (["--table"],
          {"K": 3, "method": "linear", "closure": "none",
           "closure_reason": "bounded model", "head_size": 3}),
         (["--family", "rna", "--K", "32"],
          {"K": 32, "method": "reduction", "closure": "none",
-          "closure_reason": "no tail metadata", "head_size": 32}),
+          "closure_reason": SUPER_EXP, "head_size": 0}),
     ], ids=["preferential", "grafting", "uniform", "table", "rna"])
     def test_manifest_solver_facts(self, tmp_path, flags, facts):
         if flags == ["--table"]:
@@ -111,6 +111,15 @@ class TestSolve:
         assert solver.pop("max_residual") == doc["max_residual"]
         assert solver == facts
         assert "closure" not in doc and "head_size" not in doc
+
+    def test_compare_manifest_solver_facts(self, tmp_path):
+        # the rna reduction is solved by the recurrence: no dense head
+        assert main(["compare", "--family", "rna", "--replicas", "2", "--t-final", "300",
+                     "--z-crit", "1e9", "--K", "64", "--out", str(tmp_path)]) == 0
+        solver = json.loads((tmp_path / "manifest.json").read_text())["solver"]
+        del solver["max_residual"]
+        assert solver == {"K": 64, "method": "reduction", "closure": "none",
+                          "closure_reason": SUPER_EXP, "head_size": 0}
 
     def test_case2_needs_force(self, tmp_path, capsys):
         rc = main(["solve", "--family", "preferential", "--w", "i", "--K", "64"])
@@ -348,16 +357,16 @@ class TestCompare:
         assert reports[0] == reports[1]
 
     def test_two_colour_report_bytes_pinned(self, tmp_path, monkeypatch):
-        # the analytic column comes from the direct reduction solve; any
-        # change to these bytes must be explained in CHANGES.md
+        # the analytic column comes from the reduction's recurrence solve;
+        # any change to these bytes must be explained in CHANGES.md
         monkeypatch.setenv("SPLITGROW_THREADS", "1")
         rc = main(["compare", "--family", "rna", "--seed", "31", "--replicas", "2",
                    "--t-final", "3000", "--k-check", "3", "--K", "64",
                    "--out", str(tmp_path)])
         assert rc == 0
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-        assert digest == ("1fb1c190f540f9ae172d462cacd07390"
-                          "d613a6d5949de8e0c5b0b2c772bb7dfe")
+        assert digest == ("80c49898c400981cc0c1fb31d6fe974b"
+                          "5187cff15e8609681c328677404475cb")
 
     def test_urn_report_bytes_pinned(self, tmp_path):
         # pinned for the branching-process engine; the worker count must not

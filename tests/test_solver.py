@@ -14,7 +14,7 @@ from splitgrow import (InvalidParameterError, NoConvergenceError,
 from splitgrow import pref_attachment_densities
 from splitgrow.solver import _hessenberg_solve, _update_matrix
 from splitgrow.twocolour import (make_rna, make_two_colour_grafting, make_two_colour_uniform,
-                                 reduce_to_one_colour)
+                                 reduce_to_one_colour, solve_two_colour)
 from splitgrow.weights import MAX_DEGREE, LinearTail
 from conftest import (DMAX3_ENTRIES, constant_uniform_partition, dense_band_sums,
                       random_case3_model, random_linear_table, singular_update_matrix)
@@ -301,7 +301,7 @@ class TestDirectSolve:
     def test_band_matrix_memory_is_the_matrix(self):
         # in blocks of columns: the peak stays near the 8 MB dense head,
         # where one K x K index grid would need several such temporaries
-        model = make_uniform(0.0)
+        model = random_linear_table(np.random.default_rng(5), 1024)
         tracemalloc.start()
         try:
             B = _update_matrix(model, 1024)
@@ -361,7 +361,7 @@ class TestDirectSolve:
 
 def update_matrix_models():
     """(id, model) pairs for the structured update matrix checks: the tail
-    families and the dense-head families."""
+    families and the partitions declared ``by_split_degree``."""
     tc_grafting = make_two_colour_grafting(1.0, 0.0, 0.5).white
     return [
         ("pref-b0", pref_i()),
@@ -373,6 +373,20 @@ def update_matrix_models():
             SplittingWeights(1.0, 1.0), [0.8, 0.6, 0.5], M=3,
             head=PartitionWeights.from_table(3, [(1, 2, 2.0), (1, 3, 1.0), (2, 2, 1.0)]))),
         ("uniform", make_uniform(0.0)),
+        ("rna-reduced", reduce_to_one_colour(make_rna())),
+        ("two-colour-uniform-reduced",
+         reduce_to_one_colour(make_two_colour_uniform(1.0, 0.3))),
+    ]
+
+
+def split_degree_models():
+    """(id, model) pairs of the partitions declared ``by_split_degree``."""
+    return [
+        ("uniform-0", make_uniform(0.0)), ("uniform-1.5", make_uniform(1.5)),
+        ("uniform-0.5", make_uniform(-0.5)), ("uniform-200", make_uniform(200.0)),
+        ("rna-reduced", reduce_to_one_colour(make_rna())),
+        ("two-colour-uniform-reduced",
+         reduce_to_one_colour(make_two_colour_uniform(1.0, 0.3))),
     ]
 
 
@@ -408,14 +422,14 @@ class TestUpdateMatrix:
         assert B.K == K
         assert B.to_dense().tobytes() == dense.tobytes()
         x = np.random.default_rng(K).uniform(size=K)
-        if name == "uniform":
-            assert B.head.shape == (K, K) and B.head_size == K
-            assert (B @ x).tobytes() == (dense @ x).tobytes()
+        if model.partition.by_split_degree:
+            assert B.head_size == 0 and B.head.size + len(B.g) + len(B.h) == 0
+            assert len(B.beta) == K
         else:
             assert B.head_size == max(model.partition.tail.start, 2)
             assert B.head.size + len(B.g) + len(B.h) <= 4 * K + 16
-            scale = np.abs(dense) @ x
-            assert np.all(np.abs(B @ x - dense @ x) <= 1e-15 * scale)
+        scale = np.abs(dense) @ x
+        assert np.all(np.abs(B @ x - dense @ x) <= 1e-15 * scale)
 
     @pytest.mark.parametrize("K", [16, 128, 1024])
     def test_random_tables_match_dense_oracle(self, K):
@@ -437,7 +451,7 @@ class TestUpdateMatrix:
         expect = np.linalg.solve(A, c)
         sol = fixed_point_densities(model, K=K)
         assert np.max(np.abs(sol.densities - expect)) <= 1e-14
-        if sol.closure.kind != "none":       # uniform truncates at K = 16
+        if sol.closure.kind != "none":       # zero-tail truncation at K = 16
             res = sol.residuals
             assert max(res.max_abs, res.sum_dev, res.moment_dev) <= 1e-14
         assert sol.closure.head_size == _update_matrix(model, K).head_size
@@ -479,6 +493,20 @@ class TestUpdateMatrix:
         assert sol.closure == splitgrow.solver.TailClosureFact(
             "none", 2, "forced solve truncates with a zero tail")
 
+    def test_forced_solve_on_split_degree_partition(self):
+        # w_black = 1 is constant, so the leaf mass 2/(i+1) tends to s = 0;
+        # the forced solve eliminates the whole matrix made dense
+        model = reduce_to_one_colour(make_two_colour_uniform(1.5, 1.0))
+        K = 64
+        A = dense_band_sums(model, K) - np.diag(model.w2 + model.splitting_weights(K))
+        A[0, :] = 1.0
+        expect = np.linalg.solve(A, np.eye(K)[0])
+        sol = fixed_point_densities(model, K=K, force_unsupported=True)
+        assert sol.unsupported and sol.method == "linear-truncated"
+        assert np.max(np.abs(sol.densities - expect)) <= 1e-14
+        assert sol.closure == splitgrow.solver.TailClosureFact(
+            "none", K, "forced solve truncates with a zero tail")
+
     def test_tail_family_solve_memory_is_linear(self):
         # one dense K x K matrix at MAX_DEGREE is 512 MiB; the tail family
         # allocates only O(K) vectors
@@ -500,6 +528,89 @@ class TestUpdateMatrix:
         sol = fixed_point_densities(model, K=32)
         assert sol.closure.kind == kind
         assert bool(sol.closure.reason) == (kind == "none")
+
+    @pytest.mark.parametrize("name,model", split_degree_models(),
+                             ids=[n for n, _ in split_degree_models()])
+    def test_split_degree_tail_is_super_exponential(self, name, model):
+        # the reason every declared partition reports: a_k/a_{k-1} < 2/k,
+        # and doubling K leaves the degrees k <= 60 unchanged
+        sol = fixed_point_densities(model, K=128)
+        wide = fixed_point_densities(model, K=256).densities
+        a = sol.densities
+        assert sol.closure == splitgrow.solver.TailClosureFact(
+            "none", 0, "super-exponential tail; zero-tail truncation used")
+        assert sol.warnings == [sol.closure.reason]
+        k = np.arange(2, 101)
+        assert np.all(k * a[k - 1] / a[k - 2] < 2.0)
+        assert np.max(np.abs(a[:60] - wide[:60]) / wide[:60]) <= 1e-14
+
+    def test_undeclared_partition_keeps_its_reason(self):
+        # the same uniform weights, undeclared, take the dense head
+        model = WeightModel(PartitionWeights(make_uniform(0.0).partition),
+                            SplittingWeights(1.0, 0.0), leaf_mass_limit=2.0)
+        sol = fixed_point_densities(model, K=32)
+        assert sol.closure == splitgrow.solver.TailClosureFact(
+            "none", 32, "no tail metadata")
+        expect = fixed_point_densities(make_uniform(0.0), K=32).densities
+        assert np.max(np.abs(sol.densities - expect)) <= 1e-15
+
+    def test_split_degree_solve_at_4096(self):
+        # a_1/a_K is about 10^13000 at K = 4096, far beyond a double; the
+        # backward recurrence carries ratios only
+        wide = fixed_point_densities(make_uniform(0.0), K=4096)
+        a = fixed_point_densities(make_uniform(0.0), K=1024).densities
+        assert np.max(np.abs(wide.densities[:60] - a[:60]) / a[:60]) <= 1e-14
+        assert wide.monotone_ok and wide.residuals.max_abs <= 1e-15
+
+    def test_split_degree_solve_makes_no_hessenberg_call(self, monkeypatch):
+        calls = []
+        real = splitgrow.solver._hessenberg_solve
+
+        def counting(H, rhs, what):
+            calls.append(len(rhs))
+            return real(H, rhs, what)
+
+        monkeypatch.setattr(splitgrow.solver, "_hessenberg_solve", counting)
+        fixed_point_densities(make_uniform(0.0), K=256)
+        solve_two_colour(make_rna(), K=256)
+        assert calls == []
+        fixed_point_densities(make_table(3, DMAX3_ENTRIES))      # the counter counts
+        assert calls == [3]
+
+    def test_split_degree_solve_memory_is_linear(self):
+        # one K x K array is 8 MB at K = 1024
+        model, rna = make_uniform(0.0), make_rna()
+        tracemalloc.start()
+        try:
+            sol = fixed_point_densities(model, K=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            two = solve_two_colour(rna, K=1024)
+            peak2 = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(peak, peak2) <= 2 ** 20
+        assert sol.closure.head_size == two.one_colour.closure.head_size == 0
+
+    @pytest.mark.parametrize("split,mass,K,match", [
+        (5000, 0.0, 5001, "degree-5000 vertices never split"),
+        (10, 1.2, 10, "divides by zero at degree 10"),
+    ], ids=["zero-leaf-mass", "zero-divisor"])
+    def test_split_degree_recurrence_refusals(self, split, mass, K, match):
+        # negative controls: uniform weights for w_i = i, but with weight
+        # ``mass`` on every pair of one split degree.  An empty degree-5000
+        # class is past the regime scan (degree 4096), so only the solve
+        # sees it.  At degree 10, beta_10 = 10*1.2 = w_2 + w_10, so the ratio
+        # a_10/a_9 that row K = 10 gives has a zero divisor
+        def fn(i, j):
+            d = np.maximum(i + j - 2, 1)
+            return np.where(i + j - 2 < 1, 0.0, np.where(d == split, mass, 2.0 / (d + 1)))
+
+        model = WeightModel(PartitionWeights(fn, by_split_degree=True),
+                            SplittingWeights(1.0, 0.0), leaf_mass_limit=2.0)
+        assert fixed_point_densities(model, K=split - 1).monotone_ok
+        with pytest.raises(SingularSystemError, match=match):
+            fixed_point_densities(model, K=K)
 
     def test_zero_closure(self):
         # g = 0 past the tail start: the degrees beyond K carry no mass
