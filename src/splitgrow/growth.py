@@ -26,9 +26,12 @@ a uniform half-edge, kept with probability ``w_d / (A + B*d)``.  Its split
 costs O(1) plus the shorter arc.  States are confined to one worker at a
 time; the weight model is shared read-only.
 
-``run`` grows trees through ``_tree_kernel``, which draws its uniforms in
-blocks and leaves the tree, the running total and the generator exactly as
-the same number of ``step`` calls would.  Census engines grow through
+``run`` grows a tree whose every split sheds a leaf, under an exact
+envelope, through ``_leaf_kernel``: no half-edge then ever changes owner, so
+numpy resolves thousands of steps at once.  Every other tree grows through
+``_tree_kernel``, which draws its uniforms in blocks and steps in Python.
+Both leave the tree, the running total, the snapshots and the generator
+exactly as the same number of ``step`` calls would.  Census engines grow through
 ``run_batch``, the continuous-time embedding of the urn: a split never
 changes another vertex's degree, so every vertex splits after its own
 exponential clock of rate ``w_d``, and the order in which the clocks ring
@@ -167,7 +170,8 @@ class OrderedTree(_CensusMixin):
     ``w_deg(v) / (A + B*deg(v))``.  Linear weights ``w_d = a*d + b`` of an
     unbounded model take ``B = a``, ``A = max(b, 0)``, which is exact for
     ``b >= 0``; a bounded table takes ``A = max w_d``, ``B = 0``.  The degree
-    buckets serve ``apply_to_degree``.
+    buckets serve ``apply_to_degree`` only: it builds them in vertex order on
+    first use, ``_split`` keeps them while they exist and ``run`` drops them.
 
     ``adjacency[v]`` lists the neighbours of vertex ``v`` in cyclic order;
     the lists must describe a tree on ``0 .. n-1``.
@@ -210,16 +214,14 @@ class OrderedTree(_CensusMixin):
                 f"initial tree has degree {top} > d_max = {model.d_max}")
         self._envelope = _envelope(model)
         self.counts: list[int] = []
-        self._members: list[list[int]] = []     # the degree-d vertices at d-1
         self._w: list[float] = []               # w_d at d-1
+        # the degree-d vertices at d-1 and v's index in its bucket, built by
+        # apply_to_degree (see _buckets)
+        self._members: Optional[list[list[int]]] = None
+        self._pos: Optional[array] = None
         self._add_degrees(top)
-        self._pos = array("i")                  # v's index in its bucket
-        for v, hs in enumerate(adj):
-            d = len(hs)
-            self.counts[d - 1] += 1
-            bucket = self._members[d - 1]
-            self._pos.append(len(bucket))
-            bucket.append(v)
+        for hs in adj:
+            self.counts[len(hs) - 1] += 1
         self.total_weight = float(sum(n * wd for n, wd in zip(self.counts, self._w) if n))
 
     # -- construction ------------------------------------------------------
@@ -242,8 +244,31 @@ class OrderedTree(_CensusMixin):
         """Census classes for the degrees up to ``top``."""
         while len(self.counts) < top:
             self.counts.append(0)
-            self._members.append([])
+            if self._members is not None:
+                self._members.append([])
             self._w.append(self.model.w(len(self.counts)))
+
+    def _buckets(self) -> list[list[int]]:
+        """The degree buckets, built in vertex order on first use and then
+        kept by ``_split`` until ``run`` drops them."""
+        if self._members is None:
+            self._members = [[] for _ in self.counts]
+            self._pos = array("i")
+            for v, hs in enumerate(self._adj):
+                bucket = self._members[len(hs) - 1]
+                self._pos.append(len(bucket))
+                bucket.append(v)
+        return self._members
+
+    @property
+    def kernel(self) -> str:
+        """The kernel ``run`` grows this tree with: ``"leaf-block"`` when
+        every split sheds a leaf and the envelope is exact, else
+        ``"scalar"``."""
+        tail = self.model.partition.tail
+        sheds = (tail is not None and tail.start == 1 and tail.ph == 0 and tail.qh == 0
+                 and self.model.d_max is None)
+        return "leaf-block" if sheds and self._envelope[2] else "scalar"
 
     # -- queries ---------------------------------------------------------------
 
@@ -355,18 +380,19 @@ class OrderedTree(_CensusMixin):
         counts[i - 1] -= 1
         counts[dv - 1] += 1
         counts[dt - 1] += 1
-        if dv != i:
-            bucket = members[i - 1]
-            last = bucket.pop()
-            if last != v:
-                pos[last] = pos[v]
-                bucket[pos[v]] = last
-            bucket = members[dv - 1]
-            pos[v] = len(bucket)
-            bucket.append(v)
-        bucket = members[dt - 1]
-        pos.append(len(bucket))
-        bucket.append(t)
+        if members is not None:
+            if dv != i:
+                bucket = members[i - 1]
+                last = bucket.pop()
+                if last != v:
+                    pos[last] = pos[v]
+                    bucket[pos[v]] = last
+                bucket = members[dv - 1]
+                pos[v] = len(bucket)
+                bucket.append(v)
+            bucket = members[dt - 1]
+            pos.append(len(bucket))
+            bucket.append(t)
         w = self._w
         self.total_weight += w[k - 1] + w[ell - 1] - w[i - 1]
         self.t = t + 1
@@ -379,9 +405,10 @@ class OrderedTree(_CensusMixin):
     def apply_to_degree(self, i: int, k: int, rng) -> SplitEvent:
         """Split a uniformly chosen vertex of degree ``i`` (replay interface;
         the census evolution does not depend on which one)."""
-        if not 1 <= i <= len(self._members) or not self._members[i - 1]:
+        members = self._buckets()
+        if not 1 <= i <= len(members) or not members[i - 1]:
             raise InvalidParameterError(f"no vertex of degree {i}")
-        bucket = self._members[i - 1]
+        bucket = members[i - 1]
         v = bucket[int(rng.integers(len(bucket)))]
         return self.split_vertex(v, k, rng)
 
@@ -488,27 +515,34 @@ def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnap
     ``thin=None`` records only the final state.  Deterministic given the
     state, the model and the generator state.
 
-    ``OrderedTree`` grows through ``_tree_kernel``, which draws its
-    uniforms in blocks and leaves the tree, the running total and the
-    generator exactly as the same number of ``tree.step`` calls would.
-    ``UrnState`` and ``TwoColourState`` grow through ``run_batch`` as a
-    batch of one: the same law as ``state.step``, from other draws.
+    ``OrderedTree`` grows through the kernel its ``kernel`` property
+    names: ``_leaf_kernel`` for a tree whose every split sheds a leaf,
+    ``_tree_kernel`` for the others.  Both leave the tree, the running total,
+    the snapshots and the generator exactly as the same number of
+    ``tree.step`` calls would.  ``run`` drops the tree's degree buckets,
+    which only ``apply_to_degree`` reads.  ``UrnState`` and
+    ``TwoColourState`` grow through ``run_batch`` as a batch of one: the same
+    law as ``state.step``, from other draws.
     """
     if t_final < state.t:
         raise InvalidParameterError(f"t_final = {t_final} < current t = {state.t}")
     if not isinstance(state, OrderedTree):
         return run_batch([state], t_final, [rng], thin)[0][0]
-    snaps: list[CensusSnapshot] = []
-    if thin:
-        snaps.append(state.census())
+    state._members = state._pos = None
+    snaps: list[CensusSnapshot] = [state.census()] if thin else []
     # every step advances the clock by one, so snapshots fall every thin ticks
-    for stop in chain(range(state.t + thin, t_final, thin) if thin else (), (t_final,)):
+    marks = list(chain(range(state.t + thin, t_final, thin) if thin else (), (t_final,)))
+    if state.kernel == "leaf-block":
+        return snaps + _leaf_kernel(state, marks, rng)
+    for stop in marks:
         _tree_kernel(state, stop, rng)
         snaps.append(state.census())
     return snaps
 
 
-_BLOCK = 4096           # most uniforms drawn per generator call by the tree kernel
+# most uniforms per generator call of _tree_kernel, most steps per block of
+# _leaf_kernel
+_BLOCK = 4096
 
 
 def _tree_kernel(tree: OrderedTree, t_stop: int, rng) -> None:
@@ -559,6 +593,126 @@ def _tree_kernel(tree: OrderedTree, t_stop: int, rng) -> None:
         k = ks[bisect_right(cum, us.pop() * wsum)]
         split(v, i, k, int(us.pop() * i))
         t += 1
+
+
+def _leaf_kernel(tree: OrderedTree, marks: list[int], rng) -> list[CensusSnapshot]:
+    """Advance a tree whose every split sheds a leaf, under an exact
+    envelope, to ``tree.t == marks[-1]``, ``_BLOCK`` steps at a time, and
+    return its snapshots at the clocks ``marks``.
+
+    Such a split inserts one half-edge into the parent's list and gives the
+    new leaf the other, so no half-edge ever changes owner and ``_ends``
+    only grows (the generator of Batagelj and Brandes, PRE 71 (2005)
+    036113).  A block draws ``rng.random(3n)``, the proposal, split and arc
+    uniforms of its ``n`` steps, and resolves them with the float operations
+    of ``_tree_kernel``:
+
+    * a proposal owned by a half-edge made in the block is resolved by
+      pointer jumping: the odd half of step ``s``'s edge belongs to the new
+      vertex ``t0 + s``, the even half to the vertex step ``s`` split;
+    * a step's degree is the vertex's degree before the block plus its
+      earlier picks in the block;
+    * the running totals are one ``cumsum`` of ``step``'s weight changes.
+
+    The block raises ``step``'s DegeneracyError or InvalidDegreeError before
+    it changes the tree; the generator has then drawn the whole block.
+    Otherwise it replays only the insertions, and takes its snapshots from
+    per-window ``bincount``s, each as long as the census was at its clock.
+    """
+    A, B, _ = tree._envelope
+    adj, ends, model = tree._adj, tree._ends, tree.model
+    t, t_final = tree.t, marks[-1]
+    deg = np.ones(t_final, np.int64)        # a vertex made later has degree 1
+    deg[:t] = np.fromiter(map(len, adj), np.int64, t)
+    first: list[float] = []                 # per degree d at d-1: the leaf-first mass
+    total: list[float] = []                 # and w_d, of split_distribution(d)
+    counts = np.array(tree.counts, np.int64)
+    snaps = [tree.census() for m in marks if m <= t]
+    marks = [m for m in marks if m > t]
+    while t < t_final:
+        if not tree.total_weight > 0.0:
+            raise DegeneracyError("total sampling weight is not positive")
+        n = min(_BLOCK, t_final - t)
+        t0, e0, s = t, len(ends), np.arange(n)
+        u = rng.random(3 * n).reshape(n, 3)
+        clock = t0 + s
+        at = A * clock
+        x = u[:, 0] * (at + B * (2 * clock - 2))
+        v = np.empty(n, np.int64)
+        src = np.full(n, -1, np.int64)      # v[s] = v[src[s]] while src[s] >= 0
+        uni = x < at
+        if uni.any():
+            v[uni] = np.minimum((x[uni] / A).astype(np.int64), clock[uni] - 1)
+        he = np.flatnonzero(~uni)
+        h = np.minimum(((x[he] - at[he]) / B).astype(np.int64), 2 * clock[he] - 3)
+        old = h < e0
+        v[he[old]] = np.frombuffer(ends, np.intc)[h[old]]
+        he, h = he[~old], h[~old] - e0
+        leaf = (h & 1) == 1
+        v[he[leaf]] = t0 + (h[leaf] >> 1)
+        src[he[~leaf]] = h[~leaf] >> 1
+        pend = he[~leaf]
+        while len(pend):                    # pointer jumping
+            nxt = src[pend]
+            jump = src[nxt]
+            done = jump < 0
+            v[pend[done]] = v[nxt[done]]
+            src[pend[done]] = -1
+            src[pend[~done]] = jump[~done]
+            pend = pend[~done]
+        # the rank of each pick among the picks of its vertex, in step order
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        _, start, picks = np.unique(vs, return_index=True, return_counts=True)
+        i = np.empty(n, np.int64)
+        i[order] = deg[vs] + s - np.repeat(start, picks)
+        deg[vs[start]] += picks
+        top = int(i.max())
+        for d in range(len(total) + 1, top + 1):
+            _, cum, wsum = model.split_distribution(d)
+            first.append(cum[0] if cum else 0.0)
+            total.append(wsum)
+        tree._w.extend(model.w(d) for d in range(len(tree._w) + 1, top + 2))
+        w = np.array(tree._w)
+        wsum = np.array(total)[i - 1]
+        k = np.where(u[:, 1] * wsum < np.array(first)[i - 1], 1, i + 1)
+        totals = np.cumsum(np.concatenate(([tree.total_weight],
+                                           (w[k - 1] + w[i + 1 - k]) - w[i - 1])))
+        bad_total = np.flatnonzero(~(totals[:n] > 0))
+        bad_law = np.flatnonzero(~(wsum > 0))
+        if len(bad_total) and (not len(bad_law) or bad_total[0] <= bad_law[0]):
+            raise DegeneracyError("total sampling weight is not positive")
+        if len(bad_law):
+            raise InvalidDegreeError(f"degree {i[bad_law[0]]} has no admissible split")
+        p = (u[:, 2] * i).astype(np.int64)
+        hv = e0 + 2 * s
+        adj.extend([array("i", (g,)) for g in (hv + 1).tolist()])
+        for nb, q, g in zip(map(adj.__getitem__, v.tolist()), p.tolist(), hv.tolist()):
+            nb.insert(q, g)
+        ends.frombytes(np.stack((v, clock), axis=1).astype(np.intc).tobytes())
+        # window j holds the steps from the block's (j-1)-th mark to its
+        # j-th; summed up, row j is the census at mark j and the last row
+        # the census after the block
+        cuts = [m - t0 for m in marks if m <= t0 + n]
+        del marks[:len(cuts)]
+        size = max(len(counts), top + 1)
+        cell = np.searchsorted(cuts, s, side="right") * size
+        cells = (len(cuts) + 1) * size
+        census = np.bincount(cell + i, minlength=cells)
+        census += np.bincount(cell, minlength=cells)
+        census -= np.bincount(cell + i - 1, minlength=cells)
+        census = census.reshape(-1, size)
+        np.cumsum(census, axis=0, out=census)
+        census[:, :len(counts)] += counts
+        reached = np.maximum.accumulate(i)
+        for j, m in enumerate(cuts):
+            width = max(len(counts), int(reached[m - 1]) + 1)
+            snaps.append(tree._snapshot(t0 + m, census[j, :width].copy(), float(totals[m])))
+        counts = census[-1].copy()
+        t = tree.t = t0 + n
+        tree.total_weight = float(totals[-1])
+        tree.counts = counts.tolist()
+    return snaps
 
 
 # the most events one replica draws at a time; a replica that needs more

@@ -20,6 +20,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -333,24 +334,18 @@ class WeightModel:
         weight, the running sums of ``(i/2) * w[k, i+2-k]`` over ``k = 1..i+1``
         at those ``k``, and the total ``w_i``.  Only the support is cached,
         so a preferential split of any degree holds two entries.  Past the
-        start of a ``LinearTail`` the weights are read at that support only,
-        in O(1)."""
+        start of a ``LinearTail`` the law is read from the tail, in O(1)."""
         got = self._split_cache.get(i)
         if got is not None:
             return got
         tail = self.partition.tail
         if tail is not None and self.d_max is None and i >= tail.start:
-            # past the tail's start only (1, i+1) and (2, i) and their
-            # reverses can be positive: the zeros skipped between them add
-            # exactly, so the running sums are those of the whole column
-            k = np.array(sorted({1, 2, i, i + 1}))
-            col = (i / 2.0) * self.partition(k, i + 2 - k)
+            got = _tail_law(tail, i)
         else:
-            k = np.arange(1, i + 2)
             col = self._split_column(i)
-        pos = col > 0
-        cum = np.cumsum(col)                # left to right, like a running sum
-        got = k[pos].tolist(), cum[pos].tolist(), float(cum[-1])
+            pos = col > 0
+            cum = np.cumsum(col)                # left to right, like a running sum
+            got = (np.flatnonzero(pos) + 1).tolist(), cum[pos].tolist(), float(cum[-1])
         self._split_cache[i] = got
         return got
 
@@ -371,6 +366,24 @@ class WeightModel:
         bound = self.d_max if self.d_max is not None else "inf"
         return (f"WeightModel(family={self.family!r}, params={self.params}, "
                 f"w_i={self.splitting.a:g}*i{self.splitting.b:+g}, d_max={bound})")
+
+
+def _tail_law(tail: LinearTail, i: int) -> tuple[list[int], list[float], float]:
+    """``WeightModel.split_distribution`` of a split degree ``i`` past the
+    tail's start, in scalar arithmetic.  Only the pairs ``(1, i+1)`` and
+    ``(2, i)`` and their reverses can be positive; the zeros between them add
+    exactly, so the running sums are those of the whole column."""
+    half, g = i / 2.0, tail.g(i) / i
+    h = tail.h(i) if i == 2 else tail.h(i) / i
+    if i == 1:                          # (1, 2) and (2, 1): the g band twice
+        ks, col = [1, 2], [half * g, half * g]
+    elif i == 2:                        # (2, 2) on the diagonal, once
+        ks, col = [1, 2, 3], [half * g, half * h, half * g]
+    else:
+        ks, col = [1, 2, i, i + 1], [half * g, half * h, half * h, half * g]
+    cum = list(accumulate(col))
+    keep = [j for j, c in enumerate(col) if c > 0]
+    return [ks[j] for j in keep], [cum[j] for j in keep], cum[-1]
 
 
 # -- validation --------------------------------------------------------------
@@ -514,12 +527,16 @@ def make_uniform(x: float) -> WeightModel:
                        leaf_mass_limit=2.0)
 
 
-def _two_banded_fn(sw: SplittingWeights, alpha_of: Callable[[np.ndarray], np.ndarray],
-                   start: int, head: Optional[PartitionWeights]):
+def _two_banded_fn(sw: SplittingWeights, alpha_of: Optional[Callable[[np.ndarray], np.ndarray]],
+                   start: int, head: Optional[PartitionWeights],
+                   tail: Optional[LinearTail] = None):
     """Partitioning accessor with head table below ``start`` and the
     two-banded split law ``i*w[1,i+1] = alpha_i*w_i``, ``i*w[2,i] = (1-alpha_i)*w_i``
     from ``start`` on (diagonal pair (2,2) not halved).  ``alpha_of`` is
-    evaluated on arrays of degrees ``>= start`` only."""
+    evaluated on arrays of degrees ``>= start`` only.  From ``tail.start`` on
+    the bands are the tail's ``g(i)`` and ``h(i)``, so that the partition and
+    ``WeightModel.split_distribution``, which reads the tail, agree to the
+    bit; ``alpha_of`` may be None when the tail starts at ``start``."""
 
     def fn(i, j):  # i <= j, so i == 1 is the pair (1, d+1) and i == 2 is (2, d)
         d = i + j - 2
@@ -528,10 +545,15 @@ def _two_banded_fn(sw: SplittingWeights, alpha_of: Callable[[np.ndarray], np.nda
         else:                          # forced: w[1,2] = w_1
             low = np.where(d == 1, sw(1), 0.0)
         dt = np.maximum(d, start)
-        al, w = alpha_of(dt), sw(dt)
-        high = np.where(i == 1, al * w / dt,
-                        np.where(i == 2, np.where(dt == 2, (1.0 - al) * w,
-                                                  (1.0 - al) * w / dt), 0.0))
+        if alpha_of is not None:
+            al, w = alpha_of(dt), sw(dt)
+            g, h = al * w, (1.0 - al) * w
+        if tail is not None:
+            past = dt >= tail.start
+            g = tail.g(dt) if alpha_of is None else np.where(past, tail.g(dt), g)
+            h = tail.h(dt) if alpha_of is None else np.where(past, tail.h(dt), h)
+        high = np.where(i == 1, g / dt,
+                        np.where(i == 2, np.where(dt == 2, h, h / dt), 0.0))
         return np.where(d < 1, 0.0, np.where(d < start, low, high))
 
     return fn
@@ -575,7 +597,7 @@ def make_alpha_class(sw: SplittingWeights, alpha, M: int = 2,
         tail = LinearTail(start=const_from, pg=al * sw.a, qg=al * sw.b,
                           ph=(1.0 - al) * sw.a, qh=(1.0 - al) * sw.b)
 
-    fn = _two_banded_fn(sw, alpha_of, M, head)
+    fn = _two_banded_fn(sw, alpha_of, M, head, tail)
     pw = PartitionWeights(fn, d_max=None, tail=tail)
     model = WeightModel(pw, sw, family="alpha", params={"M": M})
     if model.linear_fit_residual > 1e-9:
@@ -598,13 +620,10 @@ def make_grafting(alpha: float, gamma: float) -> WeightModel:
         raise InvalidParameterError(
             f"w_1 = gamma - alpha/2 = {sw(1):g} < 0; needs gamma >= alpha/2")
 
-    def alpha_of(i):
-        return 1.0 - alpha * i / (2.0 * sw(i))
-
     # i * w[1, i+1] = w_i - alpha*i/2 = (1-gamma)*i + 2*gamma - alpha - 1
     tail = LinearTail(start=2, pg=1.0 - gamma, qg=2.0 * gamma - alpha - 1.0,
                       ph=alpha / 2.0, qh=0.0)
-    fn = _two_banded_fn(sw, alpha_of, 2, head=None)
+    fn = _two_banded_fn(sw, None, 2, None, tail)
     pw = PartitionWeights(fn, d_max=None, tail=tail)
     return WeightModel(pw, sw, family="grafting",
                        params={"alpha": float(alpha), "gamma": float(gamma)})

@@ -203,13 +203,17 @@ class TestSimulate:
         for rep in (0, 1):
             assert sorted({t for r, t, _ in keys if r == rep}) == [2, 102, 202, 302]
 
-    @pytest.mark.parametrize("engine", ["urn", "tree"])
-    def test_manifest_growth_counters(self, tmp_path, monkeypatch, engine):
+    @pytest.mark.parametrize("engine,w,kernel", [
+        ("urn", "i", None), ("tree", "i", "leaf-block"), ("tree", "i-0.9", "scalar"),
+    ], ids=["urn", "tree", "tree-scalar"])
+    def test_manifest_growth_counters(self, tmp_path, monkeypatch, engine, w, kernel):
         # per replica the events kept, the events drawn (the branching
         # engine draws past the last kept one) and the largest degree; per
-        # batch the rounds (none for trees) and the growth time
+        # batch the rounds (none for trees), the growth time and, for trees,
+        # the kernel: blocks of leaf splits for w = i, whose envelope is
+        # exact, the scalar kernel for w = i - 0.9, whose is not
         monkeypatch.setenv("SPLITGROW_THREADS", "2")
-        rc = main(["simulate", "--family", "preferential", "--w", "i", "--engine", engine,
+        rc = main(["simulate", "--family", "preferential", "--w", w, "--engine", engine,
                    "--seed", "3", "--replicas", "3", "--t-final", "800",
                    "--out", str(tmp_path)])
         assert rc == 0
@@ -224,6 +228,7 @@ class TestSimulate:
         for batch in growth["batches"]:
             assert batch["growth_s"] >= 0
             assert (batch["rounds"] > 0) if engine == "urn" else batch["rounds"] is None
+            assert batch.get("kernel") == kernel
         if engine == "urn":
             assert any(r["events_drawn"] > r["events"] for r in growth["replicas"])
 

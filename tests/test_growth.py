@@ -7,7 +7,7 @@ import scipy.stats
 
 import splitgrow.growth as growth
 from splitgrow import (CensusSnapshot, DegeneracyError,
-                       InvalidDegreeError, InvalidParameterError, OrderedTree,
+                       InvalidDegreeError, InvalidParameterError, LinearTail, OrderedTree,
                        PartitionWeights, SplittingWeights, UrnState, WeightModel,
                        make_grafting, make_preferential, make_table, make_uniform,
                        read_census_binary, run, run_batch, write_census_binary,
@@ -293,7 +293,35 @@ class TestTreeSplits:
         for _ in range(5000):
             tree.step(rng)
         assert tree.census_deviations()[2] <= 1e-9
-        assert sum(len(b) for b in tree._members) == tree.t
+        assert sum(len(b) for b in tree._buckets()) == tree.t
+
+    @pytest.mark.parametrize("model", [make_uniform(0.0), pref_i(), make_grafting(0.3, 0.7)],
+                             ids=["uniform", "pref-i", "grafting"])
+    def test_buckets_kept_across_run_step_and_replay(self, model):
+        # apply_to_degree builds the degree buckets, step and apply_to_degree
+        # keep them, run drops them; whenever they exist they hold every
+        # vertex in the bucket of its degree, at the index _pos gives
+        tree = OrderedTree.single_edge(model)
+        rng = np.random.default_rng(17)
+
+        def check():
+            kept, pos = tree._members, tree._pos
+            tree._members = tree._pos = None
+            fresh = tree._buckets()
+            assert [sorted(b) for b in kept] == [sorted(b) for b in fresh]
+            assert len(pos) == tree.t
+            assert all(b[pos[v]] == v for b in kept for v in b)
+            tree._members, tree._pos = kept, pos
+
+        for stop in (300, 700):
+            run(tree, stop, rng)
+            assert tree._members is None and tree._pos is None
+            for _ in range(200):
+                i = tree.degree(int(rng.integers(tree.t)))
+                tree.apply_to_degree(i, int(model.sample_split(i, rng)), rng)
+                tree.step(rng)
+            check()
+        assert tree.t == 1100 and tree.is_tree()
 
 
 class TestTreeConstruction:
@@ -390,6 +418,8 @@ _DMAX3 = make_table(3, DMAX3_ENTRIES)
 _RNA = make_rna()
 _TC_GRAFTING = make_two_colour_grafting(1.0, 0.5, 0.5)
 _GRAFTING = make_grafting(0.5, 0.5)
+_PREF_I05 = make_preferential(SplittingWeights(1.0, 0.5))
+_PREF_2I = make_preferential(SplittingWeights(2.0, 0.0))
 
 KERNEL_ENGINES = {
     "pref-i": lambda: UrnState.single_edge(_PREF_I),
@@ -400,6 +430,8 @@ KERNEL_ENGINES = {
     "two-colour-grafting": lambda: TwoColourState.single_edge(_TC_GRAFTING),
     "tree-pref-i": lambda: OrderedTree.single_edge(_PREF_I),
     "tree-pref-i-0.9": lambda: OrderedTree.single_edge(_PREF_09),
+    "tree-pref-i+0.5": lambda: OrderedTree.single_edge(_PREF_I05),
+    "tree-pref-2i": lambda: OrderedTree.single_edge(_PREF_2I),
     "tree-uniform": lambda: OrderedTree.single_edge(_UNIFORM),
     "tree-grafting": lambda: OrderedTree.single_edge(_GRAFTING),
     "tree-dmax3": lambda: OrderedTree.single_edge(_DMAX3),
@@ -420,10 +452,11 @@ def stepped(state, t_final, rng, thin=None):
 
 
 def same_tree(a, b):
-    """Same half-edge structure and degree buckets; true for census engines."""
+    """Same half-edge structure and degree buckets, the buckets built on
+    both sides where ``run`` dropped them; true for census engines."""
     if not isinstance(a, OrderedTree):
         return True
-    return (a._adj == b._adj and a._ends == b._ends and a._members == b._members
+    return (a._adj == b._adj and a._ends == b._ends and a._buckets() == b._buckets()
             and a._pos == b._pos and a.is_tree())
 
 
@@ -477,11 +510,11 @@ def stepped_law(name):
 
 
 class TestCensusKernel:
-    """``run`` hands trees to ``_tree_kernel``, which must leave the tree,
-    the running total's bits and the generator exactly where ``tree.step``
-    leaves them.  Urn and two-colour states go to ``run_batch``, which
-    draws differently from ``state.step`` but must have its law and keep
-    the census identities exactly."""
+    """``run`` hands trees to ``_leaf_kernel`` or ``_tree_kernel``, which
+    must leave the tree, the running total's bits, the snapshots and the
+    generator exactly where ``tree.step`` leaves them.  Urn and two-colour
+    states go to ``run_batch``, which draws differently from ``state.step``
+    but must have its law and keep the census identities exactly."""
 
     @pytest.mark.parametrize("thin", [None, 37])
     @pytest.mark.parametrize("name", sorted(KERNEL_ENGINES))
@@ -582,8 +615,8 @@ class TestCensusKernel:
         assert [s.t for s in legs] == [s.t for s in together[0]]
         assert all(s.identity_deviations() == (0, 0) for s in legs)
 
-    @pytest.mark.parametrize("name", ["tree-pref-i", "tree-pref-i-0.9", "tree-grafting",
-                                      "tree-dmax3"])
+    @pytest.mark.parametrize("name", ["tree-pref-i", "tree-pref-i-0.9", "tree-pref-i+0.5",
+                                      "tree-pref-2i", "tree-grafting", "tree-dmax3"])
     def test_blocks_longer_than_a_call(self, name):
         # run(T1) then run(T2) draws exactly what one run(T2) draws, so no
         # uniform is drawn ahead across calls or block boundaries
@@ -597,6 +630,71 @@ class TestCensusKernel:
         assert split.total_weight.hex() == whole.total_weight.hex()
         assert rng_s.bit_generator.state == rng_w.bit_generator.state
         assert same_tree(split, whole)
+
+    @pytest.mark.parametrize("name,kernel", [
+        ("tree-pref-i", "leaf-block"), ("tree-pref-i+0.5", "leaf-block"),
+        ("tree-pref-2i", "leaf-block"), ("tree-pref-i-0.9", "scalar"),
+        ("tree-uniform", "scalar"), ("tree-grafting", "scalar"), ("tree-dmax3", "scalar"),
+        ("tree-pref-i-untailed", "scalar")])
+    def test_kernel_selection(self, name, kernel, monkeypatch):
+        # only a model whose every split sheds a leaf (a LinearTail from
+        # degree 1 with no second band, no degree bound) under an exact
+        # envelope (b >= 0) grows by blocks; the same law without the tail
+        # declaration, inexact envelopes and arc-moving splits stay scalar
+        if name == "tree-pref-i-untailed":
+            tree = OrderedTree.single_edge(
+                WeightModel(PartitionWeights(_PREF_I.partition._fn), SplittingWeights(1.0, 0.0)))
+        else:
+            tree = KERNEL_ENGINES[name]()
+        assert tree.kernel == kernel
+
+        def refused(*args):
+            raise AssertionError("wrong kernel")
+
+        monkeypatch.setattr(growth, "_tree_kernel" if kernel == "leaf-block" else "_leaf_kernel",
+                            refused)
+        snaps = run(tree, 500, np.random.default_rng(1), thin=100)
+        assert [s.t for s in snaps] == [2, 102, 202, 302, 402, 500]
+
+    @pytest.mark.parametrize("pg,qg,a,error,match", [
+        (-1.0, 3.0, 1.0, InvalidDegreeError, "degree 3 has no admissible split"),
+        (0.0, 0.0, 0.0, DegeneracyError, "not positive"),
+    ], ids=["no-split-at-degree-3", "zero-weights"])
+    def test_leaf_kernel_refuses_like_step(self, pg, qg, a, error, match):
+        # a leaf law g(i) = 3 - i with w_i = i has no split at degree 3, and
+        # zero weights have no vertex to split: step and run raise the same
+        # error, and the block raises before it changes the tree
+        fn = _PREF_I.partition._fn
+        model = WeightModel(PartitionWeights(fn, tail=LinearTail(1, pg, qg)),
+                            SplittingWeights(a, 0.0))
+        ref, tree = OrderedTree.single_edge(model), OrderedTree.single_edge(model)
+        assert tree.kernel == "leaf-block"
+        with pytest.raises(error, match=match):
+            stepped(ref, 500, np.random.default_rng(3))
+        with pytest.raises(error, match=match):
+            run(tree, 500, np.random.default_rng(3), thin=50)
+        assert tree.t == 2 and tree.counts == [2] and tree.is_tree()
+
+    def test_leaf_kernel_uniform_vertex_clamp(self):
+        # w_i = i + 0.7 at t = 5 takes A = 0.7, B = 1: the proposal x = u *
+        # span just below A*t divides to vertex index t, which must go to
+        # vertex t - 1 in the block kernel as in step.  Later draws are 0.
+        class Scripted:
+            def random(self, size=None):
+                out = np.zeros(size or 1)
+                out[0] = float.fromhex("0x1.37a6f4de9bd37p-2")
+                return out if size else out[0]
+
+        model, t = make_preferential(SplittingWeights(1.0, 0.7)), 5
+        kernel, ref = (OrderedTree.from_edges(model, [(v, v + 1) for v in range(t - 1)])
+                       for _ in range(2))
+        A, B, _ = kernel._envelope
+        x = Scripted().random() * (A * t + B * (2 * t - 2))
+        assert kernel.kernel == "leaf-block" and x < A * t and int(x / A) == t
+        ev = ref.step(Scripted())
+        run(kernel, t + 1, Scripted())
+        assert ev.parent_degree == 1 and ref.degree(t - 1) == 2
+        assert same_tree(kernel, ref) and kernel.counts == ref.counts
 
     def test_tree_end_of_draw_clamp(self):
         # the top draw u = 1 - 2**-53 times the envelope total rounds to
