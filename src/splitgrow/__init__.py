@@ -23,10 +23,9 @@ from .solver import (DensitySolution, ResidualReport, fixed_point_densities,
                      residuals, solve_finite)
 from .closed_forms import (ClosedForm, bessel_i, closed_form_for,
                            constant_weight_density, grafting_asymptote,
-                           grafting_densities, grafting_density,
-                           pref_attachment_asymptote, pref_attachment_densities,
-                           pref_attachment_density, pref_attachment_gamma_form,
-                           uniform_densities, uniform_density,
+                           grafting_density, pref_attachment_asymptote,
+                           pref_attachment_densities, pref_attachment_density,
+                           pref_attachment_gamma_form, uniform_density,
                            uniform_norm_constant)
 from .twocolour import (TwoColourEvent, TwoColourModel, TwoColourSnapshot,
                         TwoColourSolution, TwoColourState, densities_from_e, make_rna,

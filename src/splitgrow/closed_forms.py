@@ -28,9 +28,7 @@ __all__ = [
     "pref_attachment_asymptote",
     "uniform_norm_constant",
     "uniform_density",
-    "uniform_densities",
     "grafting_density",
-    "grafting_densities",
     "grafting_asymptote",
     "constant_weight_density",
     "ClosedForm",
@@ -163,12 +161,6 @@ def _uniform_density(x: float, k: int, log_c: float) -> float:
     return math.exp(lg - log_c) * (k + 1 + 2 * x)
 
 
-def uniform_densities(x: float, k_max: int) -> np.ndarray:
-    """``a_1 .. a_{k_max}`` with the normalisation evaluated once."""
-    log_c = _uniform_log_norm(x)
-    return np.array([_uniform_density(x, k, log_c) for k in range(1, k_max + 1)])
-
-
 # -- attachment and grafting ----------------------------------------------------
 
 
@@ -201,10 +193,6 @@ def grafting_density(alpha: float, gamma: float, k: int) -> float:
     lg = (math.lgamma((3.0 - alpha - gamma) / (1.0 - gamma)) + math.lgamma(k - 2 + u)
           - math.lgamma(u) - math.lgamma(k - 1 + v))
     return gamma * math.exp(lg) / ((1.0 + gamma - alpha) * (2.0 - alpha))
-
-
-def grafting_densities(alpha: float, gamma: float, k_max: int) -> np.ndarray:
-    return np.array([grafting_density(alpha, gamma, k) for k in range(1, k_max + 1)])
 
 
 def _grafting_tail_constant(alpha: float, gamma: float) -> float:

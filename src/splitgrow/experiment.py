@@ -45,6 +45,10 @@ __all__ = [
 # a tuple, not a set: membership of an unhashable family value is False
 TWO_COLOUR_FAMILIES = ("rna", "two-colour-uniform", "two-colour-grafting")
 
+# degrees 1..REPORT_DEGREES make the rows of compare's report, so k_check
+# gates at most that many
+REPORT_DEGREES = 16
+
 
 # the parameters each family takes besides "family"; any other key is refused
 FAMILY_PARAMETERS = {
@@ -151,6 +155,10 @@ class ExperimentConfig:
                     f"{name} must be an integer >= {low}, got {val!r}")
         if cfg.K > MAX_DEGREE:
             raise InvalidParameterError(f"K must be at most {MAX_DEGREE}, got {cfg.K}")
+        if cfg.k_check > REPORT_DEGREES:
+            raise InvalidParameterError(
+                f"k_check must be at most {REPORT_DEGREES}, the degrees the report "
+                f"holds, got {cfg.k_check}")
         for name in ("tol", "z_crit"):
             val = getattr(cfg, name)
             if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
@@ -268,7 +276,7 @@ def growth_counters(results: list[dict]) -> dict:
     """The growth counters of ``run_replicated`` results, for
     ``manifest.json``: per replica ``events`` kept, ``events_drawn`` and
     ``max_degree``; per batch its ``first`` replica, ``replicas``,
-    ``rounds``, for trees the ``kernel`` and ``growth_s``."""
+    ``rounds`` and ``growth_s``, for trees also the ``kernel``."""
     return {"replicas": [res["growth"] for res in results],
             "batches": [res["batch"] for res in results if "batch" in res]}
 
@@ -400,7 +408,7 @@ def _stack(counts_list: list[np.ndarray], width: int) -> np.ndarray:
     return out
 
 
-def compare(cfg: ExperimentConfig, k_report: int = 16) -> ExperimentReport:
+def compare(cfg: ExperimentConfig, k_report: int = REPORT_DEGREES) -> ExperimentReport:
     """Run the replicated experiment and join it against the analytic
     densities; the report's ``ok`` drives the CLI exit code.  Fewer than two
     replicas give zero standard errors and hence no test, so are refused."""

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import struct
-import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -1002,7 +1001,7 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
     Returns each state's snapshots, as ``run`` records them, and the
     batch's counters: per state the ``events_drawn``, which are the events
     kept plus those drawn past the last kept one, and for the batch the
-    ``rounds`` (generations expanded) and ``growth_s``.
+    ``rounds`` (generations expanded).
 
     Each state grows as the branching process of ``_Growth``: the law of
     ``state.step``, from other draws.  A state's outcome depends on its
@@ -1012,7 +1011,6 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
     for s in states:
         if t_final < s.t:
             raise InvalidParameterError(f"t_final = {t_final} < current t = {s.t}")
-    start = time.perf_counter()
     laws = None
     trajectories, drawn, rounds = [], [], 0
     for s, rng in zip(states, rngs):
@@ -1034,8 +1032,7 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
             snaps += _apply(laws, s, c, k, marks)
         trajectories.append(snaps + [s.census() for _ in pending])
         drawn.append(n)
-    return trajectories, {"events_drawn": drawn, "rounds": rounds,
-                          "growth_s": time.perf_counter() - start}
+    return trajectories, {"events_drawn": drawn, "rounds": rounds}
 
 
 # -- trajectory serialisation ---------------------------------------------------

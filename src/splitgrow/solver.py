@@ -30,14 +30,19 @@ Two routes are provided:
   first row replaced by ``sum a = 1``; so does the forced solve outside the
   guaranteed regime (``s <= 0``), truncated at K.
 
-A degree-k vertex only feeds degrees up to k+1, so all these matrices are
-upper Hessenberg, with the leaf-split masses ``(k-1)*w[k,1]`` on the
-subdiagonal.  ``_hessenberg_solve`` solves each of them in O(K^2): partial
-pivoting only ever swaps adjacent rows (Golub & Van Loan, *Matrix
-Computations*, Hessenberg LU).  Which route a model takes is decided in one
-place, ``experiment.solve_model``: ``solve_finite`` for bounded models, the
-fixed point for the others; two-colour models reach the fixed point through
-``twocolour.solve_two_colour``.
+Every direct solve is one system, solved by ``_solve_stationary``: rows
+k = 2..K read ``(w_2 + w_k) a_k = (B a)_k`` and only row 1 differs.  The
+fixed point's row 1 is ``(w_2+s) a_1 - sum_{i>=2} (i*w[1,i+1]-s) a_i = s``,
+the normalised row 1 is ``sum a = 1``, and a tail closure adds one
+coefficient on ``a_K`` to row 1 and one to row 2.  Which route a model
+takes is decided in one place, ``experiment.solve_model``: ``solve_finite``
+for bounded models, the fixed point for the others; two-colour models reach
+the fixed point through ``twocolour.solve_two_colour``.
+
+A degree-k vertex only feeds degrees up to k+1, so the system is upper
+Hessenberg, with the leaf-split masses ``(k-1)*w[k,1]`` on the subdiagonal.
+``_hessenberg_solve`` solves it in O(K^2): partial pivoting only ever swaps
+adjacent rows (Golub & Van Loan, *Matrix Computations*, Hessenberg LU).
 
 The iterates of the from-below scheme are nondecreasing whenever every
 update coefficient is nonnegative, i.e. for unbounded models (all band
@@ -63,10 +68,11 @@ A partition declared ``by_split_degree`` (``uniform`` and the two-colour
 uniform reductions, ``rna`` among them) has ``B = U diag(beta)``, with ``U``
 the upper-Hessenberg matrix of ones and ``beta_i = i*w[1, i+1]``: ``B`` is
 stored as ``beta`` and ``B @ x`` is one suffix sum.  Subtracting row k+1
-from row k of the fixed-point system leaves a three-term recurrence whose
-minimal solution ``_recurrence_solve`` finds backwards from K, also in O(K).
-Dense heads and ``_hessenberg_solve`` then serve tables, forced solves and
-undeclared custom partitions only.
+from row k of rows 2..K leaves a three-term recurrence whose minimal
+solution ``_recurrence_solve`` finds backwards from K, also in O(K), up to
+a scale that row 1 then fixes; forced solves of these partitions take the
+same recurrence.  Dense heads and ``_hessenberg_solve`` then serve tables
+and undeclared custom partitions only.
 """
 
 from __future__ import annotations
@@ -239,10 +245,7 @@ class UpdateMatrix:
 
     def square_head(self) -> np.ndarray:
         """``B[:m, :m]``: the dense columns and, when there is a tail, its
-        first column.  It is ``head`` itself when every column is dense,
-        and the whole of B, made dense, for ``beta``."""
-        if self.beta is not None:
-            return self.to_dense()
+        first column.  It is ``head`` itself when every column is dense."""
         m, n = self.head.shape
         if m == n:
             return self.head
@@ -338,19 +341,6 @@ def _closure_for(model: WeightModel, K: int):
                   "zero-tail truncation may bias low degrees"], "no tail metadata"
 
 
-def _solve_folded(H: np.ndarray, rhs: np.ndarray, P: np.ndarray, what: str) -> np.ndarray:
-    """Solve the head system ``H x = rhs`` (overwriting both), then extend
-    by the tail rows: ``a_j = x[-1] * P[j-m]``."""
-    x = _hessenberg_solve(H, rhs, what)
-    if not len(P):
-        return x
-    with np.errstate(over="ignore", invalid="ignore"):     # checked below
-        a = np.concatenate([x, x[-1] * P])
-    if not np.all(np.isfinite(a)):
-        raise SingularSystemError(f"{what} gave a non-finite solution")
-    return a
-
-
 def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
                           max_iter: int = 1_000_000, record_iterates: bool = False,
                           force_unsupported: bool = False) -> DensitySolution:
@@ -382,14 +372,14 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
                 "pass force_unsupported=True for a truncated linear solve")
         # no census-limit claim attaches to the normalised solve at K
         B = _update_matrix(model, K)
-        a = _stationary_solve(model, B)
-        m = K if B.beta is not None else B.head_size     # the order eliminated
+        a = _sum_normalised(model, B)
         return DensitySolution(
             densities=a, K=K, method="linear-truncated", regime=regime, s=s,
             residuals=_residual_report(model, a, K, None, B), unsupported=True,
             warnings=["forced solve outside the guaranteed regime; "
                       "no almost-sure census limit is claimed"],
-            closure=TailClosureFact("none", m, "forced solve truncates with a zero tail"))
+            closure=TailClosureFact("none", B.head_size,
+                                    "forced solve truncates with a zero tail"))
 
     warnings: list[str] = []
     if model.d_max is not None and K != model.d_max:
@@ -413,11 +403,12 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
         a, history, last_step = _iterate(_update_step(B, denom, s, clo), K, tol, max_iter)
         monotone_violation = max(0.0, -float(np.min(np.diff(history, axis=0))))
     else:
-        what = f"I - M at K = {K}"
-        if B.beta is not None:
-            a = _recurrence_solve(B.beta, denom, s, what)
-        else:
-            a = _head_solve(B, denom, s, clo, what)
+        # row 1 with the shifted coefficients -(i*w[1,i+1] - s), i >= 2
+        row1 = s - B.first_row()
+        row1[0] = denom[0]
+        q1, q2 = (clo.Qg - s * clo.Q0, clo.Qh) if clo is not None else (0.0, 0.0)
+        a = _solve_stationary(B, denom, row1, s, q1, q2,
+                              f"the fixed-point system at K = {K}")
         history, last_step = None, 0.0
         # the minimal solution is nonnegative
         monotone_violation = max(0.0, -float(a.min()))
@@ -434,54 +425,62 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
         closure=TailClosureFact(clo.kind if clo else "none", B.head_size, reason))
 
 
-def _head_solve(B: UpdateMatrix, denom: np.ndarray, s: float,
-                clo: Optional[_TailClosure], what: str) -> np.ndarray:
-    """``(I - M) a = c`` by ``_hessenberg_solve`` on the head system, the
-    tail rows folded into its last column."""
-    m = B.head_size
-    Bh = B.square_head()
-    M = Bh / denom[:m, None]
-    # first row uses the shifted coefficients (i*w[1,i+1] - s), i >= 2
-    M[0, :] = (Bh[0, :] - s) / denom[0]
-    M[0, 0] = 0.0
-    c = np.zeros(m)
-    c[0] = s / denom[0]
-    # rows 0 and 1 reach every tail column and the closure; fold them
-    # into column m-1 through the tail rows' a_j = a_{m-1} * P
-    P = B.tail_products(denom)
-    if len(P) or clo is not None:
-        last = P[-1] if len(P) else 1.0
-        fold0 = (B.g[1:] - s) @ P
-        fold1 = B.h[1:] @ P
-        if clo is not None:
-            fold0 += (clo.Qg - s * clo.Q0) * last
-            fold1 += clo.Qh * last
-        M[0, m - 1] += fold0 / denom[0]
-        M[1, m - 1] += fold1 / denom[1]
-    np.negative(M, out=M)               # M becomes I - M
-    M[np.diag_indices(m)] += 1.0
-    return _solve_folded(M, c, P, what)
+def _solve_stationary(B: UpdateMatrix, diag: np.ndarray, row1: np.ndarray, rhs1: float,
+                      q1: float, q2: float, what: str) -> np.ndarray:
+    """The one stationary solve at K = B.K.  Rows k = 2..K read
+    ``(B a)_k - diag_k a_k = 0``; row 1 reads ``row1 @ a - q1 a_K = rhs1``.
+    ``q1`` and ``q2`` are the gains per unit ``a_K`` that a tail closure
+    brings to rows 1 and 2 (0 without one); ``diag[0]`` is not read.
+
+    For ``beta`` the backward recurrence takes ``a`` with ``a_1 = 1`` from
+    rows 2..K and row 1 fixes the scale; that layout has no tail, so ``q2``
+    must be 0.  Otherwise the head system, its rows 1 and 2 folded over the
+    tail columns through ``a_j = a_{m-1} * tail_products``, goes through
+    ``_hessenberg_solve`` and is extended by the same products.  ``what``
+    names the system in the SingularSystemError raised on a zero pivot or a
+    non-finite solution."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # checked below
+        if B.beta is not None:
+            a = _recurrence_solve(B.beta, diag, what)
+            a *= rhs1 / (row1[0] + row1[1:] @ a[1:] - q1 * a[-1])
+        else:
+            m = B.head_size
+            A = B.square_head().copy()
+            A[np.diag_indices(m)] -= diag[:m]
+            A[0] = row1[:m]
+            P = B.tail_products(diag)
+            last = P[-1] if len(P) else 1.0          # a_K / a_{m-1}
+            # rows 1 and 2 reach every tail column and the closure: fold
+            # them into column m-1
+            A[0, m - 1] += (row1[m:] * P).sum() - q1 * last
+            A[1, m - 1] += B.h[1:] @ P + q2 * last
+            rhs = np.zeros(m)
+            rhs[0] = rhs1
+            x = _hessenberg_solve(A, rhs, what)
+            a = np.concatenate([x, x[-1] * P])
+    if not np.all(np.isfinite(a)):
+        raise SingularSystemError(f"{what} gave a non-finite solution")
+    return a
 
 
-def _recurrence_solve(beta: np.ndarray, denom: np.ndarray, s: float,
-                      what: str) -> np.ndarray:
-    """``(I - M) a = c`` for ``B = U diag(beta)``, in O(K).
+def _recurrence_solve(beta: np.ndarray, diag: np.ndarray, what: str) -> np.ndarray:
+    """Rows 2..K of the stationary system for ``B = U diag(beta)``, in O(K):
+    ``a`` with ``a_1 = 1``.
 
-    With ``d_k = w_2 + w_k``, row k minus row k+1 reads
+    With ``d_k = diag_k``, row k minus row k+1 reads
     ``d_k a_k - d_{k+1} a_{k+1} = beta_{k-1} a_{k-1}`` and row K reads
     ``(d_K - beta_K) a_K = beta_{K-1} a_{K-1}``.  The ratios
     ``r_k = a_k/a_{k-1} = beta_{k-1} / (d_k - d_{k+1} r_{k+1})`` are taken
     backwards from K: Miller's backward recurrence for the minimal solution
     (Gautschi, SIAM Rev. 9 (1967) 24-82), in ratio form so that no iterate
-    overflows.  Their running product is ``a`` up to scale, and the shifted
-    row 1 fixes the scale."""
+    overflows.  Their running product is ``a``."""
     zero = np.flatnonzero(beta[:-1] == 0.0)
     if len(zero):
         i = zero[0] + 1
         raise SingularSystemError(
             f"{what}: degree-{i} vertices never split, so no degree above "
             f"{i} is reachable")
-    b, d = beta.tolist(), denom.tolist()
+    b, d = beta.tolist(), diag.tolist()
     r = [1.0] * len(b)
     t = b[-1]
     try:
@@ -491,12 +490,7 @@ def _recurrence_solve(beta: np.ndarray, denom: np.ndarray, s: float,
     except ZeroDivisionError:
         raise SingularSystemError(
             f"{what}: the backward recurrence divides by zero at degree {k + 1}") from None
-    a = np.cumprod(r)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
-        a *= s / (denom[0] - (beta[1:] - s) @ a[1:])
-    if not np.all(np.isfinite(a)):
-        raise SingularSystemError(f"{what} gave a non-finite solution")
-    return a
+    return np.cumprod(r)
 
 
 def _update_step(B: UpdateMatrix, denom: np.ndarray, s: float,
@@ -564,28 +558,18 @@ def _hessenberg_solve(H: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 # -- bounded and forced linear solves -------------------------------------------
 
 
-def _stationary_solve(model: WeightModel, B: UpdateMatrix) -> np.ndarray:
-    """Solve ``a_k*(w_2+w_k) = sum_i i*w[k,i-k+2]*a_i`` at K = B.K, row 0
+def _sum_normalised(model: WeightModel, B: UpdateMatrix) -> np.ndarray:
+    """Solve ``a_k*(w_2+w_k) = sum_i i*w[k,i-k+2]*a_i`` at K = B.K, row 1
     replaced by ``sum a = 1``.  With linear weights the rows weighted by
-    ``w_k`` sum to zero, so row 0 is redundant unless degree-1 vertices never
-    split (``B[1, 0] = 0``); rows 1..K-1 are then dependent, which rounding
+    ``w_k`` sum to zero, so row 1 is redundant unless degree-1 vertices never
+    split (``B[1, 0] = 0``); rows 2..K are then dependent, which rounding
     can hide, so that case raises SingularSystemError by name."""
     K = B.K
-    A = B.square_head().copy()
-    m = len(A)
-    if A[1, 0] == 0.0:
+    if (B.beta[0] if B.beta is not None else B.head[1, 0]) == 0.0:
         raise SingularSystemError(
             "degree-1 vertices never split, so no degree above 1 is reachable")
-    diag = model.w2 + model.splitting_weights(K)
-    A[np.diag_indices(m)] -= diag[:m]
-    A[0, :] = 1.0
-    rhs = np.zeros(m)
-    rhs[0] = 1.0
-    P = B.tail_products(diag)
-    if len(P):                              # fold the tail columns, as above
-        A[0, m - 1] += P.sum()
-        A[1, m - 1] += B.h[1:] @ P
-    return _solve_folded(A, rhs, P, f"the normalised stationary system at K = {K}")
+    return _solve_stationary(B, model.w2 + model.splitting_weights(K), np.ones(K), 1.0,
+                             0.0, 0.0, f"the normalised stationary system at K = {K}")
 
 
 def solve_finite(model: WeightModel, tol: float = 1e-12) -> DensitySolution:
@@ -599,7 +583,7 @@ def solve_finite(model: WeightModel, tol: float = 1e-12) -> DensitySolution:
     regime, s = classify_regime(model)
     B = _update_matrix(model, D)
     try:
-        rho = _stationary_solve(model, B)
+        rho = _sum_normalised(model, B)
     except SingularSystemError as exc:
         raise RankDeficientError(
             f"stationary system without row 0 has rank < d_max-1 = {D - 1} ({exc}); "

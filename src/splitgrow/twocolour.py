@@ -33,7 +33,8 @@ import numpy as np
 from .errors import InvalidParameterError, ReductionInvalidError
 from .growth import CensusSnapshot, _CensusUrn
 from .solver import DensitySolution, UpdateMatrix, _update_matrix, fixed_point_densities
-from .weights import PartitionWeights, SplittingWeights, WeightModel, LinearTail
+from .weights import (LinearTail, PartitionWeights, SplittingWeights, WeightModel,
+                      _two_banded_fn, _uniform_partition)
 
 __all__ = [
     "TwoColourModel",
@@ -104,14 +105,7 @@ class TwoColourModel:
 def make_two_colour_uniform(a: float, b: float) -> TwoColourModel:
     """Uniform white partitioning: every ordered child pair of a white split
     is equally likely."""
-    c = a - 1.5 * b
-
-    def fn(i, j):
-        d = i + j - 2
-        dd = np.maximum(d, 1)
-        return np.where(d >= 1, 2.0 * (c * dd + a) / (dd * (dd + 1)), 0.0)
-
-    pw = PartitionWeights(fn, by_split_degree=True)
+    pw = _uniform_partition(SplittingWeights(a - 1.5 * b, a))
     return TwoColourModel(a, b, pw, family="two-colour-uniform",
                           params={"a": float(a), "b": float(b)})
 
@@ -129,22 +123,14 @@ def make_two_colour_grafting(a: float, b: float, alpha0: float) -> TwoColourMode
     leaf with probability ``1 - alpha0*i/(2*w_white_i)`` and otherwise
     produces the pair ``(2, i)``."""
     c = a - 1.5 * b
-    ww = SplittingWeights(c, a)
     if not 0.0 <= alpha0 < 1.0:
         raise InvalidParameterError("alpha0 must lie in [0, 1)")
     pg = c - alpha0 / 2.0
     if pg < 0 or 2 * pg + a <= 0:
         raise InvalidParameterError("leaf mass of white splits must stay positive")
 
-    def fn(i, j):  # i <= j, so i == 1 is the pair (1, d+1) and i == 2 is (2, d)
-        d = i + j - 2
-        dd = np.maximum(d, 1)
-        h = alpha0 * dd / 2.0
-        w = np.where(i == 1, (pg * dd + a) / dd,
-                     np.where(i == 2, np.where(d == 2, h, h / dd), 0.0))
-        return np.where(d < 1, 0.0, np.where(d == 1, ww(1), w))
-
     tail = LinearTail(start=2, pg=pg, qg=a, ph=alpha0 / 2.0, qh=0.0)
+    fn = _two_banded_fn(SplittingWeights(c, a), None, 2, None, tail)
     pw = PartitionWeights(fn, d_max=None, tail=tail)
     return TwoColourModel(a, b, pw, family="two-colour-grafting",
                           params={"a": float(a), "b": float(b), "alpha0": float(alpha0)})

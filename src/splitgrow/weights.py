@@ -515,16 +515,21 @@ def make_uniform(x: float) -> WeightModel:
     if not (x > -1 and math.isfinite(x)):
         raise InvalidParameterError(f"uniform family needs a finite x > -1, got {x}")
     sw = SplittingWeights(1.0, float(x))
+    # i * w[1, i+1] = 2(i+x)/(i+1) is monotone with limit 2
+    return WeightModel(_uniform_partition(sw), sw, family="uniform",
+                       params={"x": float(x)}, leaf_mass_limit=2.0)
+
+
+def _uniform_partition(sw: SplittingWeights) -> PartitionWeights:
+    """Uniform partitioning for the splitting weights ``sw``: every ordered
+    child pair of a degree-d split has weight ``2*w_d/(d(d+1))``."""
 
     def fn(i, j):
         d = i + j - 2
         dd = np.maximum(d, 1)
-        return np.where(d >= 1, 2.0 * (dd + x) / (dd * (dd + 1)), 0.0)
+        return np.where(d >= 1, 2.0 * sw(dd) / (dd * (dd + 1)), 0.0)
 
-    # i * w[1, i+1] = 2(i+x)/(i+1) is monotone with limit 2
-    pw = PartitionWeights(fn, by_split_degree=True)
-    return WeightModel(pw, sw, family="uniform", params={"x": float(x)},
-                       leaf_mass_limit=2.0)
+    return PartitionWeights(fn, by_split_degree=True)
 
 
 def _two_banded_fn(sw: SplittingWeights, alpha_of: Optional[Callable[[np.ndarray], np.ndarray]],

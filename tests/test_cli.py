@@ -489,6 +489,17 @@ class TestBadInput:
         assert "2 replicas" in err
         assert not (tmp_path / "o/report.csv").exists()
 
+    def test_k_check_beyond_report_refused(self, tmp_path, capsys):
+        # the report holds degrees 1..16, so k_check = 40 would gate only 16
+        # of them and print a PASS over k <= 40
+        err = self.run(["compare", "--family", "preferential", "--w", "i",
+                        "--replicas", "8", "--t-final", "2000", "--seed", "3",
+                        "--k-check", "40", "--out", str(tmp_path / "o")], capsys)
+        assert "k_check must be at most 16" in err
+        assert not (tmp_path / "o").exists()
+        assert ExperimentConfig.from_dict({"model": {"family": "rna"},
+                                           "k_check": 16}).k_check == 16
+
     def test_zero_replicas_refused(self, tmp_path, capsys):
         err = self.run(["simulate", "--family", "preferential", "--w", "i",
                         "--replicas", "0", "--t-final", "200",

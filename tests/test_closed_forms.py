@@ -7,11 +7,11 @@ import scipy.special
 from splitgrow import (InvalidParameterError, SplittingWeights, bessel_i,
                        closed_form_for, constant_weight_density,
                        fixed_point_densities, grafting_asymptote,
-                       grafting_densities, grafting_density, make_grafting,
-                       make_preferential, make_uniform,
-                       pref_attachment_asymptote, pref_attachment_densities,
-                       pref_attachment_density, pref_attachment_gamma_form,
-                       uniform_densities, uniform_density, uniform_norm_constant)
+                       grafting_density, make_grafting, make_preferential,
+                       make_uniform, pref_attachment_asymptote,
+                       pref_attachment_densities, pref_attachment_density,
+                       pref_attachment_gamma_form, uniform_density,
+                       uniform_norm_constant)
 
 E2 = math.e ** 2
 
@@ -105,11 +105,11 @@ class TestUniform:
 
     @pytest.mark.parametrize("x", [-0.5, 0.0, 1.0])
     def test_sums_to_one(self, x):
-        total = uniform_densities(x, 60).sum()
+        total = closed_form_for(make_uniform(x)).densities(60).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_positive_and_monotone_partial_sums(self):
-        d = uniform_densities(0.7, 50)
+        d = closed_form_for(make_uniform(0.7)).densities(50)
         assert (d > 0).all()
         sums = np.cumsum(d)
         assert (np.diff(sums) >= 0).all() and sums[-1] <= 1 + 1e-12
@@ -117,10 +117,10 @@ class TestUniform:
     @pytest.mark.parametrize("x", [100.0, 200.0, 500.0])
     def test_large_x_matches_solver(self, x):
         # C(x) underflows from about x = 150; its logarithm does not
-        exact = uniform_densities(x, 16)
+        exact = closed_form_for(make_uniform(x)).densities(16)
         solved = fixed_point_densities(make_uniform(x), K=256).densities[:16]
         assert np.max(np.abs(exact / solved - 1.0)) <= 1e-10
-        assert np.array_equal(closed_form_for(make_uniform(x)).densities(16), exact)
+        assert np.array_equal(exact, [uniform_density(x, k) for k in range(1, 17)])
 
     def test_x_beyond_accuracy_bound(self):
         with pytest.raises(InvalidParameterError, match="underflows"):
@@ -143,7 +143,8 @@ class TestGrafting:
         for k in (2, 3, 10):
             assert grafting_density(0.5, 1.0, k) == pytest.approx(
                 (4 / 9) * (1 / 3) ** (k - 2), rel=1e-14)
-        assert grafting_densities(0.5, 1.0, 80).sum() == pytest.approx(1.0, abs=1e-14)
+        total = closed_form_for(make_grafting(0.5, 1.0)).densities(80).sum()
+        assert total == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
     def test_alpha0_matches_preferential_form(self, gamma):
@@ -169,7 +170,7 @@ class TestGrafting:
 
     def test_sum_to_one_power_law(self):
         # partial sum + integral tail bound of C k^-3
-        d = grafting_densities(0.5, 0.5, 4000)
+        d = closed_form_for(make_grafting(0.5, 0.5)).densities(4000)
         tail = grafting_asymptote(0.5, 0.5, 1) * 0.5 * 4000.0 ** -2
         assert d.sum() + tail == pytest.approx(1.0, abs=1e-4)
         assert d.sum() < 1.0

@@ -476,7 +476,7 @@ class TestUpdateMatrix:
         A = dense_band_sums(model, K) - np.diag(model.w2 + model.splitting_weights(K))
         A[0, :] = 1.0
         expect = np.linalg.solve(A, np.eye(K)[0])
-        got = splitgrow.solver._stationary_solve(model, _update_matrix(model, K))
+        got = splitgrow.solver._sum_normalised(model, _update_matrix(model, K))
         assert np.max(np.abs(got - expect)) <= 1e-14
 
     def test_forced_solve_with_tail(self):
@@ -495,7 +495,7 @@ class TestUpdateMatrix:
 
     def test_forced_solve_on_split_degree_partition(self):
         # w_black = 1 is constant, so the leaf mass 2/(i+1) tends to s = 0;
-        # the forced solve eliminates the whole matrix made dense
+        # the forced solve runs the backward recurrence, normalised
         model = reduce_to_one_colour(make_two_colour_uniform(1.5, 1.0))
         K = 64
         A = dense_band_sums(model, K) - np.diag(model.w2 + model.splitting_weights(K))
@@ -505,7 +505,21 @@ class TestUpdateMatrix:
         assert sol.unsupported and sol.method == "linear-truncated"
         assert np.max(np.abs(sol.densities - expect)) <= 1e-14
         assert sol.closure == splitgrow.solver.TailClosureFact(
-            "none", K, "forced solve truncates with a zero tail")
+            "none", 0, "forced solve truncates with a zero tail")
+
+    def test_forced_split_degree_solve_memory_is_linear(self):
+        # the whole matrix made dense would be 32 MiB at K = 2048; the
+        # recurrence allocates only O(K) vectors
+        model = reduce_to_one_colour(make_two_colour_uniform(1.5, 1.0))
+        tracemalloc.start()
+        try:
+            sol = fixed_point_densities(model, K=2048, force_unsupported=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
+        assert sol.unsupported and sol.closure.head_size == 0
+        assert abs(sol.sum_a - 1.0) <= 1e-15
 
     def test_tail_family_solve_memory_is_linear(self):
         # one dense K x K matrix at MAX_DEGREE is 512 MiB; the tail family
@@ -621,8 +635,17 @@ class TestUpdateMatrix:
     def test_tail_solve_raises_on_non_finite_products(self):
         # a tail row whose diagonal vanishes gives an infinite ratio
         B = _update_matrix(pref_i(), 8)
-        A = np.eye(B.head_size)
-        P = B.tail_products(np.concatenate([np.ones(2), B.h[1:]]))
+        diag = np.concatenate([np.ones(2), B.h[1:]])
+        P = B.tail_products(diag)
         assert not np.all(np.isfinite(P))
         with pytest.raises(SingularSystemError, match="non-finite"):
-            splitgrow.solver._solve_folded(A, np.ones(B.head_size), P, "H")
+            splitgrow.solver._solve_stationary(B, diag, np.ones(8), 1.0, 0.0, 0.0, "H")
+
+    def test_recurrence_scale_raises_on_a_vanishing_row1(self):
+        # the recurrence fixes a up to scale; a row 1 that vanishes on it
+        # leaves the scale undetermined
+        model = make_uniform(0.0)
+        B = _update_matrix(model, 8)
+        diag = model.w2 + model.splitting_weights(8)
+        with pytest.raises(SingularSystemError, match="non-finite"):
+            splitgrow.solver._solve_stationary(B, diag, np.zeros(8), 1.0, 0.0, 0.0, "H")

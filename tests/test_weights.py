@@ -237,6 +237,52 @@ class TestArrayContract:
         assert arr.tobytes() == scalar.tobytes()
         assert isinstance(pw(2, 3), float)
 
+    @pytest.mark.parametrize("family,params", [
+        *[("uniform", (x,)) for x in (0.0, 1.5, -0.5, 200.0, 0.3)],
+        *[("two-colour-uniform", ab) for ab in ((1.0, 0.0), (1.5, 1.0), (2.0, 0.3),
+                                                (1.0, 0.6))],
+        *[("two-colour-grafting", p) for p in ((1.0, 0.0, 0.5), (1.0, 0.5, 0.5),
+                                               (2.0, 0.3, 0.1), (1.7, 0.2, 0.0))],
+    ])
+    def test_shared_partitions_keep_their_bytes(self, family, params):
+        # each family once wrote its own partition; the expressions it used
+        # are the reference for the shared ones that replace them
+        def uniform(x):
+            def fn(i, j):
+                d = i + j - 2
+                dd = np.maximum(d, 1)
+                return np.where(d >= 1, 2.0 * (dd + x) / (dd * (dd + 1)), 0.0)
+            return make_uniform(x).partition, fn
+
+        def two_colour_uniform(a, b):
+            c = a - 1.5 * b
+
+            def fn(i, j):
+                d = i + j - 2
+                dd = np.maximum(d, 1)
+                return np.where(d >= 1, 2.0 * (c * dd + a) / (dd * (dd + 1)), 0.0)
+            return make_two_colour_uniform(a, b).white.partition, fn
+
+        def two_colour_grafting(a, b, alpha0):
+            c = a - 1.5 * b
+            pg, ww = c - alpha0 / 2.0, SplittingWeights(c, a)
+
+            def fn(i, j):
+                d = i + j - 2
+                dd = np.maximum(d, 1)
+                h = alpha0 * dd / 2.0
+                w = np.where(i == 1, (pg * dd + a) / dd,
+                             np.where(i == 2, np.where(d == 2, h, h / dd), 0.0))
+                return np.where(d < 1, 0.0, np.where(d == 1, ww(1), w))
+            return make_two_colour_grafting(a, b, alpha0).white.partition, fn
+
+        pw, reference = {"uniform": uniform, "two-colour-uniform": two_colour_uniform,
+                         "two-colour-grafting": two_colour_grafting}[family](*params)
+        i, j = np.meshgrid(np.arange(1, 301), np.arange(1, 301), indexing="ij")
+        keep = (i <= j) & (i + j - 2 <= 299)
+        i, j = i[keep], j[keep]
+        assert pw(i, j).tobytes() == reference(i, j).tobytes()
+
     @pytest.mark.parametrize("fn", [
         lambda i, j: 1.0 if i == 1 else 0.0,                   # scalar branch
         lambda i, j: {(1, 2): 1.0}.get((i, j), 0.0),            # dict lookup
