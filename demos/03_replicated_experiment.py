@@ -20,7 +20,7 @@ cfg = ExperimentConfig(
 report = compare(cfg)
 
 print(f"{cfg.replicas} replicas to t = {cfg.t_final}, seed {cfg.seed}")
-print(f"config digest {report.digest[:16]}...")
+print(f"config digest {report.config.digest[:16]}...")
 print(f"\n  {'k':>2} {'analytic':>12} {'empirical':>12} {'stderr':>10} {'z':>7}")
 for row in report.rows[:8]:
     print(f"  {row.k:>2} {row.analytic:>12.8f} {row.emp_mean:>12.8f} "

@@ -23,7 +23,7 @@ model = make_rna()
 # Solve via the one-colour reduction and check the exact RNA limits
 # e_white_k = 2^k k/(e^2 (k+2)!), e_black_k = 2^k/(e^2 (k+1)!).
 
-sol = solve_two_colour(model, K=256, tol=1e-13)
+sol = solve_two_colour(model, K=256)
 print("RNA model: per-degree limits over the event clock")
 print(f"  {'k':>2} {'e_white':>12} {'exact':>12} {'e_black':>12} {'exact':>12}")
 for k in (1, 2, 3, 5, 8):

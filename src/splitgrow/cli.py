@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import InvalidParameterError, SplitgrowError
 from .experiment import (ExperimentConfig, build_model, compare, growth_counters,
-                         is_two_colour_spec, run_replicated, solve_model)
+                         is_two_colour_spec, run_replicated, solve_model, worst_checks)
 from .growth import write_census_binary, write_census_csv
 from .solver import DensitySolution
 from .twocolour import TwoColourModel, TwoColourSolution, densities_from_e, \
@@ -253,13 +253,7 @@ def cmd_simulate(args) -> int:
             write_census_binary(out / f"census_{rep}.bin", snaps)
     _write_json(out / "manifest.json",
                 _manifest(cfg, time.monotonic() - t0, growth_counters(results)))
-    worst = {}
-    for res in results:
-        for k, v in res["checks"].items():
-            if isinstance(v, float) and np.isnan(v):
-                continue
-            worst[k] = max(worst.get(k, 0.0), float(v))
-    summary = ", ".join(f"{k}={v:.3g}" for k, v in sorted(worst.items()))
+    summary = ", ".join(f"{k}={v:.3g}" for k, v in worst_checks(results).items())
     print(f"{cfg.replicas} replicas to t={cfg.t_final} ({cfg.engine}); {summary}",
           file=sys.stderr)
     return 0

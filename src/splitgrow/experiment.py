@@ -37,6 +37,7 @@ __all__ = [
     "worker_count",
     "run_replicated",
     "growth_counters",
+    "worst_checks",
     "solve_model",
     "analytic_reference",
     "compare",
@@ -161,8 +162,10 @@ class ExperimentConfig:
                 f"holds, got {cfg.k_check}")
         for name in ("tol", "z_crit"):
             val = getattr(cfg, name)
-            if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
-                raise InvalidParameterError(f"{name} must be a number > 0, got {val!r}")
+            if isinstance(val, bool) or not isinstance(val, (int, float)) \
+                    or not 0 < val < float("inf"):
+                raise InvalidParameterError(
+                    f"{name} must be a finite number > 0, got {val!r}")
         if cfg.engine not in ("urn", "tree"):
             raise InvalidParameterError(
                 f"engine must be 'urn' or 'tree', got {cfg.engine!r}")
@@ -289,27 +292,25 @@ def solve_model(model, cfg: ExperimentConfig):
     two-colour models, the normalised linear solve for bounded one-colour
     models, the fixed point for the others."""
     if isinstance(model, TwoColourModel):
-        return solve_two_colour(model, K=cfg.K, tol=cfg.tol,
-                                force_unsupported=cfg.force_unsupported)
+        return solve_two_colour(model, K=cfg.K, force_unsupported=cfg.force_unsupported)
     if model.d_max is not None:
         return solve_finite(model)
     return fixed_point_densities(model, K=cfg.K, tol=cfg.tol,
                                  force_unsupported=cfg.force_unsupported)
 
 
-def analytic_reference(model, cfg: ExperimentConfig, k_report: int, solution=None):
-    """The report's analytic column and its method label: the family's
-    closed form when it has one, else ``solution``, the model's own solve
-    (made here when not given).  Two-colour models return the solution."""
+def analytic_reference(model, cfg: ExperimentConfig, solution=None):
+    """The report's analytic densities and their method label: the family's
+    closed form (degrees 1..REPORT_DEGREES) when it has one, else
+    ``solution``, the model's own solve (made here when not given).
+    Two-colour models return the solution."""
     cf = None if isinstance(model, TwoColourModel) else closed_form_for(model)
     if cf is not None:
-        return cf.densities(k_report), "closed-form"
+        return cf.densities(REPORT_DEGREES), "closed-form"
     sol = solution if solution is not None else solve_model(model, cfg)
     if isinstance(model, TwoColourModel):
         return sol, "reduction"
-    dens = np.zeros(k_report)
-    dens[:min(k_report, sol.K)] = sol.densities[:k_report]
-    return dens, "linear" if model.d_max is not None else "fixed-point"
+    return sol.densities, "linear" if model.d_max is not None else "fixed-point"
 
 
 # -- report -------------------------------------------------------------------
@@ -330,21 +331,15 @@ class DegreeRow:
 class ExperimentReport:
     rows: list[DegreeRow]
     checks: list[tuple[str, str]]
-    seed: int
-    digest: str
-    replicas: int
-    t_final: int
-    engine: str
-    k_check: int
-    z_crit: float
+    config: ExperimentConfig
     # the one solve of the config's model (not of reference_model), which
     # the CLI writes to solution.json; never serialised here
     solution: Optional[object] = None
     growth: Optional[dict] = None     # growth_counters, for manifest.json only
 
     def violations(self) -> list[DegreeRow]:
-        return [r for r in self.rows
-                if r.k <= self.k_check and np.isfinite(r.z) and abs(r.z) > self.z_crit]
+        return [r for r in self.rows if r.k <= self.config.k_check
+                and np.isfinite(r.z) and abs(r.z) > self.config.z_crit]
 
     def failed_checks(self) -> list[str]:
         """Invariant checks outside their tolerance: the census and colour
@@ -357,11 +352,12 @@ class ExperimentReport:
         return not self.violations() and not self.failed_checks()
 
     def write_csv(self, fh) -> None:
-        fh.write(f"# seed,{self.seed}\n")
-        fh.write(f"# config_digest,{self.digest}\n")
-        fh.write(f"# replicas,{self.replicas}\n")
-        fh.write(f"# t_final,{self.t_final}\n")
-        fh.write(f"# engine,{self.engine}\n")
+        cfg = self.config
+        fh.write(f"# seed,{cfg.seed}\n")
+        fh.write(f"# config_digest,{cfg.digest}\n")
+        fh.write(f"# replicas,{cfg.replicas}\n")
+        fh.write(f"# t_final,{cfg.t_final}\n")
+        fh.write(f"# engine,{cfg.engine}\n")
         for name, val in self.checks:
             fh.write(f"# check_{name},{val}\n")
         fh.write("colour,k,method,analytic,emp_mean,stderr,z\n")
@@ -380,35 +376,36 @@ def _check_holds(name: str, value: float) -> bool:
     return False                       # a check without a tolerance fails
 
 
-def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = values.mean(axis=0)
-    if values.shape[0] >= 2:
-        se = values.std(axis=0, ddof=1) / np.sqrt(values.shape[0])
-    else:
-        se = np.zeros_like(mean)
-    return mean, se
+def worst_checks(results: list[dict]) -> dict[str, float]:
+    """Each invariant check's largest value over the ``run_replicated``
+    results, in name order; NaN values (checks that do not apply to the
+    model) are skipped."""
+    worst: dict[str, float] = {}
+    for res in results:
+        for name, val in res["checks"].items():
+            if not np.isnan(val):
+                worst[name] = max(worst.get(name, 0.0), float(val))
+    return dict(sorted(worst.items()))
 
 
 def _z_scores(mean, se, analytic):
-    z = np.zeros_like(mean)
-    for idx in range(len(mean)):
-        diff = mean[idx] - analytic[idx]
-        if se[idx] > 0:
-            z[idx] = diff / se[idx]
-        else:
-            z[idx] = 0.0 if diff == 0 else np.inf
-    return z
+    """``(mean - analytic) / se``; a zero difference gives 0, and a nonzero
+    one over a zero SE an infinity of the difference's sign."""
+    diff = mean - analytic
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(diff == 0, 0.0, diff / se)
 
 
-def _stack(counts_list: list[np.ndarray], width: int) -> np.ndarray:
-    out = np.zeros((len(counts_list), width))
-    for r, c in enumerate(counts_list):
-        n = min(len(c), width)
+def _stack(columns: list[np.ndarray]) -> np.ndarray:
+    """One row per column, cut or zero-padded to degrees 1..REPORT_DEGREES."""
+    out = np.zeros((len(columns), REPORT_DEGREES))
+    for r, c in enumerate(columns):
+        n = min(len(c), REPORT_DEGREES)
         out[r, :n] = c[:n]
     return out
 
 
-def compare(cfg: ExperimentConfig, k_report: int = REPORT_DEGREES) -> ExperimentReport:
+def compare(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the replicated experiment and join it against the analytic
     densities; the report's ``ok`` drives the CLI exit code.  Fewer than two
     replicas give zero standard errors and hence no test, so are refused."""
@@ -421,52 +418,33 @@ def compare(cfg: ExperimentConfig, k_report: int = REPORT_DEGREES) -> Experiment
     if cfg.reference_model:
         ref_model, ref_solution = build_model(cfg.reference_model), None
     results = run_replicated(cfg)
-    rows: list[DegreeRow] = []
-    checks: list[tuple[str, str]] = []
-
-    def fmt(v):
-        return f"{v:.17g}" if isinstance(v, float) else str(v)
-
-    agg: dict[str, float] = {}
-    for res in results:
-        for name, val in res["checks"].items():
-            if not (isinstance(val, float) and np.isnan(val)):
-                agg[name] = max(agg.get(name, 0.0), float(val))
-    for name in sorted(agg):
-        checks.append((name, fmt(agg[name])))
+    checks = [(name, f"{val:.17g}") for name, val in worst_checks(results).items()]
     if cfg.force_unsupported:
         checks.append(("forced_unsupported", "true"))
 
     finals = [r["snapshots"][-1] for r in results]
-    if results[0]["kind"] == "two-colour":
-        sol, method = analytic_reference(ref_model, cfg, k_report, ref_solution)
-        white = _stack([f.white for f in finals], k_report) / cfg.t_final
-        black = _stack([f.black for f in finals], k_report) / cfg.t_final
-        for colour, emp, ana in (("white", white, sol.e_white),
-                                 ("black", black, sol.e_black)):
-            ana_v = np.zeros(k_report)
-            ana_v[:min(k_report, len(ana))] = ana[:k_report]
-            mean, se = _mean_se(emp)
-            z = _z_scores(mean, se, ana_v)
-            rows.extend(DegreeRow(colour, k + 1, method, float(ana_v[k]),
-                                  float(mean[k]), float(se[k]), float(z[k]))
-                        for k in range(k_report))
-        # vertex-normalised colour sum against the reduced one-colour model
-        rho_w, rho_b = densities_from_e(sol)
-        upto = min(cfg.k_check, len(rho_w))
-        cross = np.max(np.abs((rho_w + rho_b)[:upto] - sol.one_colour.densities[:upto]))
-        checks.append(("colour_sum_vs_one_colour_max_dev", fmt(float(cross))))
+    ref, method = analytic_reference(ref_model, cfg, ref_solution)
+    two_colour = results[0]["kind"] == "two-colour"
+    if two_colour:
+        columns = [("white", [f.white for f in finals], ref.e_white),
+                   ("black", [f.black for f in finals], ref.e_black)]
     else:
-        analytic, method = analytic_reference(ref_model, cfg, k_report, ref_solution)
-        emp = _stack([f.counts for f in finals], k_report) / cfg.t_final
-        mean, se = _mean_se(emp)
-        z = _z_scores(mean, se, analytic)
-        rows.extend(DegreeRow("", k + 1, method, float(analytic[k]),
+        columns = [("", [f.counts for f in finals], ref)]
+    rows: list[DegreeRow] = []
+    for colour, counts, analytic in columns:
+        ana = _stack([analytic])[0]
+        emp = _stack(counts) / cfg.t_final
+        mean, se = emp.mean(axis=0), emp.std(axis=0, ddof=1) / np.sqrt(len(emp))
+        z = _z_scores(mean, se, ana)
+        rows.extend(DegreeRow(colour, k + 1, method, float(ana[k]),
                               float(mean[k]), float(se[k]), float(z[k]))
-                    for k in range(k_report))
+                    for k in range(REPORT_DEGREES))
+    if two_colour:
+        # vertex-normalised colour sum against the reduced one-colour model
+        rho_w, rho_b = densities_from_e(ref)
+        upto = min(cfg.k_check, len(rho_w))
+        cross = np.max(np.abs((rho_w + rho_b)[:upto] - ref.one_colour.densities[:upto]))
+        checks.append(("colour_sum_vs_one_colour_max_dev", f"{cross:.17g}"))
 
-    return ExperimentReport(rows=rows, checks=checks, seed=cfg.seed,
-                            digest=cfg.digest, replicas=cfg.replicas,
-                            t_final=cfg.t_final, engine=cfg.engine,
-                            k_check=cfg.k_check, z_crit=cfg.z_crit,
-                            solution=solution, growth=growth_counters(results))
+    return ExperimentReport(rows=rows, checks=checks, config=cfg, solution=solution,
+                            growth=growth_counters(results))

@@ -339,8 +339,7 @@ def _two_colour_residuals(m2: TwoColourModel, e_w: np.ndarray, e_b: np.ndarray,
     return res_sel, res_col, colour_dev, weight_dev
 
 
-def solve_two_colour(model2: TwoColourModel, K: int = 512, tol: float = 1e-13,
-                     max_iter: int = 1_000_000,
+def solve_two_colour(model2: TwoColourModel, K: int = 512,
                      force_unsupported: bool = False) -> TwoColourSolution:
     """Limiting per-degree counts over the event clock: the reduced
     one-colour model's fixed point, split at each degree by the colour ratio
@@ -350,12 +349,10 @@ def solve_two_colour(model2: TwoColourModel, K: int = 512, tol: float = 1e-13,
     Substituting that ratio into the selection family turns the truncated
     two-colour system into the reduced one-colour system up to a row
     scaling (because ``w_white - w_black = a - b = w2_black/2``), so solving
-    the reduced model solves the truncated two-colour system.  ``tol`` and
-    ``max_iter`` pass to ``fixed_point_densities``.
+    the reduced model solves the truncated two-colour system.
     """
     red = reduce_to_one_colour(model2)
-    one = fixed_point_densities(red, K=K, tol=tol, max_iter=max_iter,
-                                force_unsupported=force_unsupported)
+    one = fixed_point_densities(red, K=K, force_unsupported=force_unsupported)
     ks = np.arange(1, one.K + 1, dtype=float)
     ratio = model2.black(ks) / (model2.white.splitting(ks) + model2.w_white(2) / 3.0)
     u = one.densities / (1.0 + ratio)

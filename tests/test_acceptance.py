@@ -143,7 +143,7 @@ def test_criterion_08_monotone_iterates():
 
 
 def test_criterion_09_two_colour_rna():
-    sol = solve_two_colour(make_rna(), K=400, tol=1e-13)
+    sol = solve_two_colour(make_rna(), K=400)
     errs = []
     for k in range(1, 21):
         ew, eb = rna_closed_form(k)

@@ -245,6 +245,29 @@ class TestSimulate:
         assert rc == 0
         assert hashlib.sha256((tmp_path / "census.csv").read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("flags,summary", [
+        (["--family", "rna", "--seed", "11", "--t-final", "302", "--thin", "100"],
+         "colour_identity_dev=0, weight_closed_form_rel_dev=0, weight_rel_drift=0"),
+        (["--family", "preferential", "--w", "2*i-0.7", "--seed", "3", "--t-final", "3000"],
+         "census_moment_dev=0, census_sum_dev=0, weight_closed_form_rel_dev=5.7e-15, "
+         "weight_rel_drift=4.96e-15"),
+        (["--force-unsupported", "--seed", "3", "--t-final", "3000"],
+         "census_moment_dev=0, census_sum_dev=0, weight_rel_drift=0"),
+    ], ids=["two-colour", "urn", "urn-nonlinear"])
+    def test_summary_line_pinned(self, tmp_path, capsys, flags, summary):
+        # each check's worst value over the replicas, in name order; the
+        # weight closed form is NaN for a nonlinear table, so it is left out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {
+            "family": "table", "d_max": 3,
+            "entries": [[1, 2, 1.0], [1, 3, 0.5], [2, 2, 3.0], [2, 3, 1.0]]}}))
+        rc = main(["simulate", "--config", str(cfg), *flags, "--replicas", "2",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        t_final = flags[flags.index("--t-final") + 1]
+        assert capsys.readouterr().err.splitlines()[-1] \
+            == f"2 replicas to t={t_final} (urn); {summary}"
+
 
 class TestCompare:
     def test_preferential_baseline_passes(self, tmp_path):
@@ -370,8 +393,8 @@ class TestCompare:
                    "--out", str(tmp_path)])
         assert rc == 0
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-        assert digest == ("80c49898c400981cc0c1fb31d6fe974b"
-                          "5187cff15e8609681c328677404475cb")
+        assert digest == ("2b8d7efb363771beda35e9bb3f896c2c"
+                          "94039757effb05a9a1219c601a1c9a02")
 
     def test_urn_report_bytes_pinned(self, tmp_path):
         # pinned for the branching-process engine; the worker count must not
@@ -414,8 +437,24 @@ class TestCompare:
                    "--out", str(tmp_path)])
         assert rc == 1
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-        assert digest == ("c22611d5c5b23c2db857d1bad91aaa7c"
-                          "a806f7cfd46f15ca1e1be65f4264ece4")
+        assert digest == ("da423d4a16088a52d31468f13a8881e6"
+                          "e86b65d039d5ae17509e592ef04be305")
+
+    def test_zero_se_z_has_the_sign_of_the_difference(self, tmp_path):
+        # the run of test_uniform_report_bytes_pinned: both replicas leave
+        # k = 10..16 empty, so those rows have zero SE and a mean below the
+        # analytic density; their z is -inf, never +inf
+        rc = main(["compare", "--family", "uniform", "--x", "0", "--seed", "7",
+                   "--replicas", "2", "--t-final", "2000", "--k-check", "3",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        rows = [list(map(float, line.split(",")[3:])) for line in
+                (tmp_path / "report.csv").read_text().splitlines()
+                if line and not line.startswith(("#", "colour"))]
+        zero_se = [(ana, mean, z) for ana, mean, se, z in rows if se == 0 and mean != ana]
+        assert len(zero_se) == 7
+        for ana, mean, z in zero_se:
+            assert z == (math.inf if mean > ana else -math.inf)
 
     def test_uniform_large_x_compares(self, tmp_path):
         # the normalisation constant underflows at x = 200; its log does not
@@ -450,9 +489,8 @@ class TestCompare:
     ])
     def test_report_ok_honours_checks(self, name, bad, good):
         def report(val):
-            return ExperimentReport(rows=[], checks=[(name, val)], seed=0, digest="",
-                                    replicas=2, t_final=10, engine="urn",
-                                    k_check=1, z_crit=5.0)
+            return ExperimentReport(rows=[], checks=[(name, val)],
+                                    config=ExperimentConfig(model={}, k_check=1))
         assert report(good).ok
         assert not report(bad).ok and report(bad).failed_checks() == [name]
 
@@ -591,9 +629,11 @@ class TestBadInput:
         ("engine", "foo"), ("engine", "tree"), ("t_final", "abc"), ("t_final", 1),
         ("K", "x"), ("K", 1), ("thin", -1), ("thin", 2.5), ("k_check", "q"),
         ("seed", "s"), ("tol", "abc"), ("z_crit", 0),
+        ("tol", math.inf), ("z_crit", math.inf), ("z_crit", math.nan),
     ])
     def test_bad_config_value_refused(self, tmp_path, capsys, key, value):
-        # "engine": "tree" with a two-colour family; the rest with any model
+        # "engine": "tree" with a two-colour family; the rest with any model.
+        # No |z| exceeds z_crit = inf, so it would PASS any reference
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": {"family": "rna"}, "replicas": 2,
                                    "t_final": 100, key: value}))

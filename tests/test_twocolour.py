@@ -124,7 +124,7 @@ class TestReduction:
 
 class TestSolve:
     def test_rna_against_closed_forms(self):
-        sol = solve_two_colour(make_rna(), K=256, tol=1e-13)
+        sol = solve_two_colour(make_rna(), K=256)
         for k in range(1, 21):
             ew, eb = rna_closed_form(k)
             assert sol.e_white[k - 1] == pytest.approx(ew, abs=1e-10)
@@ -170,7 +170,7 @@ class TestSolve:
                                        make_two_colour_grafting(1.0, 0.5, 0.5)],
                              ids=["rna", "grafting-white"])
     def test_residuals_small(self, model):
-        sol = solve_two_colour(model, K=512, tol=1e-13)
+        sol = solve_two_colour(model, K=512)
         assert sol.max_residual <= 1e-8
 
     @pytest.mark.parametrize("model", [
