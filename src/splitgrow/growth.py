@@ -42,7 +42,9 @@ the order in which the clocks ring is the urn's sequence of draws
 Stoch. Proc. Appl. 110 (2004) 177-245).  Its vertices are independent, so
 numpy expands them a generation at a time.
 It has the law of ``step`` but other draws: for census engines ``step`` is
-the reference in law, not bit for bit.
+the reference in law, not bit for bit.  ``_leaf_kernel`` and ``run_batch``
+take their snapshots, at the clocks of ``_clocks``, through one census path,
+``_advance_census``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -546,9 +547,9 @@ def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnap
     of a one-colour engine, the event clock of a two-colour one), returning
     census snapshots.
 
-    ``thin=m`` records every m-th step (plus initial and final states);
-    ``thin=None`` records only the final state.  Deterministic given the
-    state, the model and the generator state.
+    ``thin=m`` records the state before every m-th step and at
+    ``t_final``, each clock once; ``thin=None`` records only the final
+    state.  Deterministic given the state, the model and the generator state.
 
     ``OrderedTree`` grows through the kernel its ``kernel`` property
     names: ``_leaf_kernel`` for a tree whose every split sheds a leaf,
@@ -564,20 +565,70 @@ def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnap
     if not isinstance(state, OrderedTree):
         return run_batch([state], t_final, [rng], thin)[0][0]
     state._members = state._pos = None
-    snaps: list[CensusSnapshot] = [state.census()] if thin else []
-    # every step advances the clock by one, so snapshots fall every thin ticks
-    marks = list(chain(range(state.t + thin, t_final, thin) if thin else (), (t_final,)))
+    clocks = _clocks(state.t, t_final, thin)
     if state.kernel == "leaf-block":
-        return snaps + _leaf_kernel(state, marks, rng)
-    for stop in marks:
+        return _leaf_kernel(state, clocks, rng)
+    snaps = []
+    for stop in clocks:
         _tree_kernel(state, stop, rng)
         snaps.append(state.census())
     return snaps
 
 
+def _clocks(t: int, t_final: int, thin: Optional[int]) -> list[int]:
+    """The clocks ``run`` records: every ``thin``-th from ``t``, then ``t_final``."""
+    return [*(range(t, t_final, thin) if thin else ()), t_final]
+
+
 # most uniforms per generator call of _tree_kernel, most steps per block of
-# _leaf_kernel
+# _leaf_kernel, most events per census window of _advance_census
 _BLOCK = 4096
+
+
+def _advance_census(state, clocks: list[int], totals: np.ndarray, removed: np.ndarray,
+                    added: tuple[np.ndarray, ...]) -> list[CensusSnapshot]:
+    """Move ``state``'s census, clock and running total past events and
+    return its snapshots at the ``clocks`` they reach, which leave the list.
+
+    Event ``j`` moves the clock from ``state.t + j`` to ``state.t + j + 1``,
+    removes a member of class ``removed[j]`` and adds one to class ``a[j]``
+    of each ``a`` in ``added`` (none for -1); ``totals[j]`` is the running
+    total before it.  In each window of ``_BLOCK`` events, which bounds the
+    rows held, row ``r`` counts the events before the window's clock ``r``
+    that no earlier row holds, by one ``bincount`` per column, and a
+    ``cumsum`` makes it the census at that clock.  A snapshot is as wide as
+    the classes reached by its clock.
+    """
+    t0, n = state.t, len(removed)
+    reach = bisect_right(clocks, t0 + n)
+    cuts = np.array(clocks[:reach], np.int64) - t0
+    del clocks[:reach]
+    counts = np.array(state.counts, np.int64)
+    snaps, first = [], 0
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        # a clock on a window edge is the last of the window it ends
+        last = int(np.searchsorted(cuts, hi, side="right"))
+        marks, first = (cuts[first:last] - lo).tolist(), last
+        reached = np.maximum.accumulate(np.max([a[lo:hi] for a in added], axis=0))
+        size = max(len(counts), int(reached[-1]) + 1) + 1   # column 0 takes class -1
+        cell = np.searchsorted(marks, np.arange(hi - lo), side="right") * size + 1
+        cells = (len(marks) + 1) * size
+        census = -np.bincount(cell + removed[lo:hi], minlength=cells)
+        for a in added:
+            census += np.bincount(cell + a[lo:hi], minlength=cells)
+        census = census.reshape(-1, size)
+        census = np.cumsum(census, axis=0, out=census)[:, 1:]
+        census[:, :len(counts)] += counts
+        for r, m in enumerate(marks):
+            width = max(len(counts), int(reached[m - 1]) + 1) if m else len(counts)
+            snaps.append(state._snapshot(t0 + lo + m, census[r, :width].copy(),
+                                         float(totals[lo + m])))
+        counts = census[-1].copy()
+    state.t = t0 + n
+    state.total_weight = float(totals[-1])
+    state.counts = counts.tolist()
+    return snaps
 
 
 def _tree_kernel(tree: OrderedTree, t_stop: int, rng) -> None:
@@ -630,10 +681,10 @@ def _tree_kernel(tree: OrderedTree, t_stop: int, rng) -> None:
         t += 1
 
 
-def _leaf_kernel(tree: OrderedTree, marks: list[int], rng) -> list[CensusSnapshot]:
+def _leaf_kernel(tree: OrderedTree, clocks: list[int], rng) -> list[CensusSnapshot]:
     """Advance a tree whose every split sheds a leaf, under an exact
-    envelope, to ``tree.t == marks[-1]``, ``_BLOCK`` steps at a time, and
-    return its snapshots at the clocks ``marks``.
+    envelope, to ``tree.t == clocks[-1]``, ``_BLOCK`` steps at a time, and
+    return its snapshots at the clocks ``clocks``.
 
     Such a split inserts one half-edge into the parent's list and gives the
     new leaf the other, so no half-edge ever changes owner and ``_ends``
@@ -652,22 +703,20 @@ def _leaf_kernel(tree: OrderedTree, marks: list[int], rng) -> list[CensusSnapsho
     The block raises ``step``'s DegeneracyError or InvalidDegreeError before
     it changes the tree; the generator has then drawn the whole block.
     Otherwise it logs the block's insertions for ``tree._adj`` to make when
-    the lists are next read, and takes its snapshots from per-window
-    ``bincount``s, each as long as the census was at its clock.  It seeds
-    the degrees from ``tree._deg`` while insertions are pending, so a
-    second call builds no list either.
+    the lists are next read, and ``_advance_census`` takes its snapshots: a
+    step turns a degree-``i`` vertex into one of degree ``i + 1`` and a
+    leaf.  It seeds the degrees from ``tree._deg`` while insertions are
+    pending, so a second call builds no list either.
     """
     A, B, _ = tree._envelope
     ends, model = tree._ends, tree.model
-    t, t_final = tree.t, marks[-1]
+    t, t_final = tree.t, clocks[-1]
     deg = np.ones(t_final, np.int64)        # a vertex made later has degree 1
     deg[:t] = tree._deg[:t] if tree._log else np.fromiter(map(len, tree._adj), np.int64, t)
     tree._deg = deg                         # changed only by the blocks in the log
     first: list[float] = []                 # per degree d at d-1: the leaf-first mass
     total: list[float] = []                 # and w_d, of split_distribution(d)
-    counts = np.array(tree.counts, np.int64)
-    snaps = [tree.census() for m in marks if m <= t]
-    marks = [m for m in marks if m > t]
+    snaps: list[CensusSnapshot] = []
     while t < t_final:
         if not tree.total_weight > 0.0:
             raise DegeneracyError("total sampling weight is not positive")
@@ -726,29 +775,9 @@ def _leaf_kernel(tree: OrderedTree, marks: list[int], rng) -> list[CensusSnapsho
         p = (u[:, 2] * i).astype(np.intc)
         tree._log.append(((e0 + 2 * s).astype(np.intc), v.astype(np.intc), p))
         ends.frombytes(np.stack((v, clock), axis=1).astype(np.intc).tobytes())
-        # window j holds the steps from the block's (j-1)-th mark to its
-        # j-th; summed up, row j is the census at mark j and the last row
-        # the census after the block
-        cuts = [m - t0 for m in marks if m <= t0 + n]
-        del marks[:len(cuts)]
-        size = max(len(counts), top + 1)
-        cell = np.searchsorted(cuts, s, side="right") * size
-        cells = (len(cuts) + 1) * size
-        census = np.bincount(cell + i, minlength=cells)
-        census += np.bincount(cell, minlength=cells)
-        census -= np.bincount(cell + i - 1, minlength=cells)
-        census = census.reshape(-1, size)
-        np.cumsum(census, axis=0, out=census)
-        census[:, :len(counts)] += counts
-        reached = np.maximum.accumulate(i)
-        for j, m in enumerate(cuts):
-            width = max(len(counts), int(reached[m - 1]) + 1)
-            snaps.append(tree._snapshot(t0 + m, census[j, :width].copy(), float(totals[m])))
-        counts = census[-1].copy()
-        t = tree.t = t0 + n
-        tree.total_weight = float(totals[-1])
-        tree.counts = counts.tolist()
-    return snaps
+        snaps += _advance_census(tree, clocks, totals, i - 1, (i, np.zeros(n, np.int64)))
+        t = tree.t
+    return snaps + [tree.census() for _ in clocks]
 
 
 # the most events one replica draws at a time; a replica that needs more
@@ -998,39 +1027,6 @@ class _Growth:
         return c[first].astype(np.int64), k[first].astype(np.int64)
 
 
-def _apply(laws: _ClassLaws, state, c: np.ndarray, k: np.ndarray,
-           marks: list[int]) -> list[CensusSnapshot]:
-    """Apply events ``(c, k)``, in time order, to ``state`` and return its
-    snapshots after ``marks[j]`` of them.  The running total adds each
-    event's weight change in turn, as ``step`` does."""
-    bad = k < 0
-    if bad.any():
-        d = int(c[bad][0]) // laws.stride + 1
-        raise InvalidDegreeError(f"degree {d} has no admissible split")
-    k1, k2 = laws.kids(c, k)
-    w = laws.arrays()[0]
-    totals = np.cumsum(np.concatenate(([state.total_weight], w[k1] + w[k2] - w[c])))
-    top = np.maximum(k1, k2)
-    counts = np.array(state.counts, dtype=np.int64)
-    snaps, done = [], 0
-    for j, m in enumerate(marks + [len(c)]):
-        if m > done:
-            size = max(len(counts), int(top[done:m].max()) + 1)
-            second = k2[done:m]
-            counts = (np.pad(counts, (0, size - len(counts)))
-                      + np.bincount(k1[done:m], minlength=size)
-                      + np.bincount(second[second >= 0], minlength=size)
-                      - np.bincount(c[done:m], minlength=size))
-            done = m
-        if j < len(marks):
-            snaps.append(state._snapshot(state.t + m, counts, float(totals[m])))
-    state.counts = counts.tolist()
-    state.weights += laws.w[len(state.weights):len(state.counts)]
-    state.t += len(c)
-    state.total_weight = float(totals[-1])
-    return snaps
-
-
 def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
     """Grow census engines (``UrnState``, ``TwoColourState``) to the clock
     ``t_final``, state ``r`` from ``rngs[r]`` alone.
@@ -1043,7 +1039,8 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
     Each state grows as the branching process of ``_Growth``: the law of
     ``state.step``, from other draws.  A state's outcome depends on its
     generator alone, not on the other states.  A state draws at most
-    ``_EVENT_BUDGET`` events at a time; one that needs more grows in legs.
+    ``_EVENT_BUDGET`` events at a time; one that needs more grows in legs,
+    and each leg's snapshots come from ``_advance_census``.
     """
     for s in states:
         if t_final < s.t:
@@ -1053,21 +1050,22 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
     for s, rng in zip(states, rngs):
         if laws is None or s.model is not laws.owner:
             laws = _ClassLaws(s)
-        # the clocks to record, as run() records them
-        pending = list(chain((s.t,) if thin else (),
-                             range(s.t + thin, t_final, thin) if thin else (),
-                             (t_final,)))
+        clocks = _clocks(s.t, t_final, thin)
         snaps, n = [], 0
         while s.t < t_final:
             growth = _Growth(laws, s, min(t_final - s.t, _EVENT_BUDGET), rng)
             c, k = growth.grow()
             rounds += growth.rounds
             n += growth.drawn
-            end = s.t + len(c)
-            marks = [m - s.t for m in pending if m <= end]
-            del pending[:len(marks)]
-            snaps += _apply(laws, s, c, k, marks)
-        trajectories.append(snaps + [s.census() for _ in pending])
+            if (k < 0).any():
+                d = int(c[k < 0][0]) // laws.stride + 1
+                raise InvalidDegreeError(f"degree {d} has no admissible split")
+            k1, k2 = laws.kids(c, k)
+            w = laws.arrays()[0]
+            totals = np.cumsum(np.concatenate(([s.total_weight], w[k1] + w[k2] - w[c])))
+            snaps += _advance_census(s, clocks, totals, c, (k1, k2))
+            s.weights += laws.w[len(s.weights):len(s.counts)]
+        trajectories.append(snaps + [s.census() for _ in clocks])
         drawn.append(n)
     return trajectories, {"events_drawn": drawn, "rounds": rounds}
 

@@ -238,7 +238,11 @@ class TestSimulate:
          "befa8cf68fca3aadb5c222307bbffcc5ffff10e61c363b77328dcc461033ce1d"),
         (["--family", "rna", "--seed", "11", "--t-final", "302", "--thin", "100"],
          "09d8e011377d35e05543c081e2b47113cf94612a2eb967c70f2d67a274c5f850"),
-    ], ids=["tree", "two-colour"])
+        # two legs of the event budget, and clocks on window edges
+        (["--family", "preferential", "--w", "i", "--seed", "5", "--t-final", "70000",
+          "--thin", "1024"],
+         "2751738bb043cb18dfa8bab67b464757716fc0d9307a5ea41aec20bac2ddce34"),
+    ], ids=["tree", "two-colour", "urn"])
     def test_census_bytes_pinned(self, tmp_path, flags, digest):
         # any change to these bytes must be explained in CHANGES.md
         rc = main(["simulate", *flags, "--replicas", "2", "--out", str(tmp_path)])

@@ -439,14 +439,15 @@ KERNEL_ENGINES = {
 
 
 def stepped(state, t_final, rng, thin=None):
-    """The reference for ``run``: one ``state.step`` per event."""
-    snaps = [state.census()] if thin else []
+    """The reference for ``run``: one ``state.step`` per event, a snapshot
+    before every ``thin``-th step and one at ``t_final``, so one per clock."""
+    snaps = []
     steps = 0
     while state.t < t_final:
+        if thin and steps % thin == 0:
+            snaps.append(state.census())
         state.step(rng)
         steps += 1
-        if thin and steps % thin == 0 and state.t < t_final:
-            snaps.append(state.census())
     snaps.append(state.census())
     return snaps
 
@@ -542,6 +543,17 @@ class TestCensusKernel:
         assert rng_k.bit_generator.state == rng_r.bit_generator.state
         assert same_snapshots(snaps_k, snaps_r)
         assert same_tree(kernel, ref)
+
+    @pytest.mark.parametrize("name", ["tree-pref-i", "tree-pref-i-0.9", "pref-i", "rna"])
+    def test_one_snapshot_when_already_at_t_final(self, name):
+        # the start clock is also the final one: one snapshot, no draw
+        state, ref = KERNEL_ENGINES[name](), KERNEL_ENGINES[name]()
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        snaps = run(state, state.t, rng, thin=5)
+        assert same_snapshots(snaps, [ref.census()])
+        assert same_snapshots(stepped(ref, ref.t, rng, thin=5), snaps)
+        assert rng.bit_generator.state == before
 
     def test_shifted_reference_fails(self):
         # negative control: the engine's w = i against stepped references of
@@ -753,6 +765,68 @@ class TestCensusKernel:
             run(kernel, t + 1, Scripted(top))
             assert ev.parent_degree == 1 and ref.degree(t - 1) == 2
             assert same_tree(kernel, ref) and kernel.counts == ref.counts
+
+
+def census_one_event_at_a_time(counts, t0, clocks, totals, removed, added):
+    """The reference for ``_advance_census``: the snapshots ``(t, counts,
+    total)`` at the clocks reached, the counts after and the clocks left."""
+    counts, snaps, left = list(counts), [], list(clocks)
+    for j in range(len(removed) + 1):
+        while left and left[0] == t0 + j:
+            snaps.append((left.pop(0), list(counts), totals[j]))
+        if j == len(removed):
+            break
+        counts[removed[j]] -= 1
+        for a in added:
+            if a[j] >= 0:
+                counts += [0] * (a[j] + 1 - len(counts))
+                counts[a[j]] += 1
+    return snaps, counts, left
+
+
+class TestAdvanceCensus:
+    """``_advance_census``, the one path from events to snapshots of both
+    batched engines, against the events applied one at a time."""
+
+    @staticmethod
+    def stream(seed, n):
+        # removed classes stay among the first six; added classes reach
+        # further as the stream goes on, and a third of the second ones are
+        # -1, a recolour that adds one member only
+        rng = np.random.default_rng(seed)
+        reach = 6 + np.arange(n) // 400
+        removed = rng.integers(0, 6, n)
+        first = (rng.random(n) * reach).astype(np.int64)
+        second = np.where(rng.random(n) < 1 / 3, -1, (rng.random(n) * reach).astype(np.int64))
+        return rng.integers(0, 9, 6).tolist(), rng.random(n + 1), removed, (first, second)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("legs", [1, 2])
+    def test_matches_per_event_reference(self, seed, legs):
+        b = growth._BLOCK
+        n, t0 = 2 * b + 37, 10
+        counts, totals, removed, added = self.stream(seed, n)
+        # a clock at 0, on and next to the window edges, a run of
+        # consecutive clocks across an edge, the final clock and one
+        # beyond the events
+        rel = {0, 1, 17, b - 1, b, b + 1, 2 * b, 2 * b + 1, n, n + 5}
+        rel |= set(range(b - 3, b + 4)) | set(range(2 * b - 2, 2 * b + 3))
+        clocks = sorted(t0 + r for r in rel)
+        want, after, left = census_one_event_at_a_time(counts, t0, clocks, totals,
+                                                       removed, added)
+        state = growth.UrnState.__new__(growth.UrnState)
+        state.counts, state.t, state.total_weight = list(counts), t0, totals[0]
+        snaps = []
+        # two legs meet at a clock on a window edge, as run_batch's legs and
+        # _leaf_kernel's blocks do
+        for lo, hi in ((0, n),) if legs == 1 else ((0, b), (b, n)):
+            assert state.t == t0 + lo and state.total_weight == totals[lo]
+            snaps += growth._advance_census(state, clocks, totals[lo:hi + 1], removed[lo:hi],
+                                            tuple(a[lo:hi] for a in added))
+        assert [(s.t, s.counts.tolist(), s.total_weight) for s in snaps] == want
+        assert state.counts == after and state.t == t0 + n
+        assert state.total_weight == totals[-1]
+        assert clocks == left == [t0 + n + 5]
 
 
 class TestSerialisation:
