@@ -34,11 +34,11 @@ print(f"  still a tree: {tree.is_tree()}, census {tree.counts}")
 tree = OrderedTree.single_edge(model)
 for _ in range(5000):
     tree.step(rng)
-sum_dev, moment_dev, drift = tree.census_deviations()
-print("\nafter 5000 splits:")
-print(f"  sum n_k - t = {sum_dev}, sum k n_k - (2t-2) = {moment_dev}")
-print(f"  weight drift {drift:.1e}; closed form gives "
-      f"{tree.expected_weight():.1f} vs maintained {tree.total_weight:.1f}")
+print("\nafter 5000 splits, the checks every replica reports:")
+for name, val in tree.checks().items():
+    print(f"  {name:<28} {val:.1e}")
+print("  (census sums: sum n_k - t and sum k n_k - (2t-2); weights: relative to "
+      "the exact sum and to w_2 t - 2a)")
 
 # ----------------------------------------------------------------------------
 # Census-coupled engines.

@@ -59,8 +59,8 @@ for _ in range(50_000):
     state.step(rng)
 snap = state.census()
 t, white, black = snap.t, snap.white, snap.black
-print(f"\nsimulated to t = {t}: colour identity deviation = "
-      f"{state.colour_identity_deviation()}, weight deviations = "
-      f"{tuple(f'{d:.1e}' for d in state.weight_deviation())}")
+print(f"\nsimulated to t = {t}; the checks every replica reports:")
+for name, val in state.checks().items():
+    print(f"  {name:<28} {val:.1e}")
 print(f"  n_black_1/t = {black[0] / t:.5f} vs e_black_1 = {1 / E2:.5f}")
 print(f"  n_white_1/t = {white[0] / t:.5f} vs e_white_1 = {1 / (3 * E2):.5f}")

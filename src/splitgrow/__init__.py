@@ -27,8 +27,8 @@ from .closed_forms import (ClosedForm, bessel_i, closed_form_for,
                            pref_attachment_densities, pref_attachment_density,
                            pref_attachment_gamma_form, uniform_density,
                            uniform_norm_constant)
-from .twocolour import (TwoColourEvent, TwoColourModel, TwoColourSnapshot,
-                        TwoColourSolution, TwoColourState, densities_from_e, make_rna,
+from .twocolour import (TwoColourModel, TwoColourSnapshot, TwoColourSolution,
+                        TwoColourState, densities_from_e, make_rna,
                         make_two_colour_grafting, make_two_colour_uniform,
                         reduce_to_one_colour, rna_closed_form, solve_two_colour)
 from .experiment import (DegreeRow, ExperimentConfig, ExperimentReport,

@@ -16,15 +16,20 @@ decisions produces identical censuses, which is the invariant the
 correctness tests pin down; degree statistics do not depend on which
 contiguous arc is chosen.
 
-The engines sample independently, so their agreement in law tests one
-sampler against the other.  ``UrnState`` and ``twocolour.TwoColourState``
-share one census urn: a step draws a census class with probability
-``n_d * w_d / W_t`` by one early-exit scan of the class masses, in O(K)
-for K classes.  ``OrderedTree`` draws a vertex from a weight envelope
-``A + B*d >= w_d`` in O(1) expected time: a uniform vertex or the owner of
+All three engines, ``twocolour.TwoColourState`` among them, keep one
+census state, ``_CensusUrn``: the class counts and weights, the clock, the
+running total weight, the snapshots and ``checks()``, the invariant checks
+of a grown replica.  ``UrnState`` and ``TwoColourState`` also share its one
+scalar ``step``: it draws a census class with probability ``n_d * w_d /
+W_t`` by one early-exit scan of the class masses, in O(K) for K classes,
+then splits a member or, for a black two-colour vertex, recolours it, an
+event with no child degrees.  ``OrderedTree`` builds its census through the
+same state but overrides ``step``: it draws a vertex from a weight envelope
+``A + B*d >= w_d`` in O(1) expected time, a uniform vertex or the owner of
 a uniform half-edge, kept with probability ``w_d / (A + B*d)``.  Its split
-costs O(1) plus the shorter arc.  States are confined to one worker at a
-time; the weight model is shared read-only.
+costs O(1) plus the shorter arc.  The engines sample independently, so
+their agreement in law tests one sampler against the other.  States are
+confined to one worker at a time; the weight model is shared read-only.
 
 ``run`` grows a tree whose every split sheds a leaf, under an exact
 envelope, through ``_leaf_kernel``: no half-edge then ever changes owner, so
@@ -78,12 +83,13 @@ __all__ = [
 @dataclass(frozen=True)
 class SplitEvent:
     """One growth step: a degree-``parent_degree`` vertex split into children
-    of ``child_degrees``; ``arrangement`` is the cyclic starting position of
-    the first child's arc (-1 for census-only engines)."""
+    of ``child_degrees``, or recoloured (no child degrees); ``arrangement``
+    is the cyclic starting position of the first child's arc (-1 for
+    census-only engines)."""
 
     t: int
     parent_degree: int
-    child_degrees: tuple[int, int]
+    child_degrees: tuple[int, ...]
     arrangement: int = -1
 
 
@@ -94,6 +100,7 @@ class CensusSnapshot:
     total_weight: float
 
     CSV_COLUMNS = "n"
+    KIND = "one-colour"
 
     def identity_deviations(self) -> tuple[int, int]:
         """(sum n - t, sum k*n - (2t-2)); both are exactly zero for any
@@ -119,36 +126,132 @@ def _format_rows(prefix: str, columns: tuple[np.ndarray, ...]) -> str:
     return line * m % tuple(rows.tolist())
 
 
-class _CensusMixin:
-    """Census read-outs shared by the one-colour engines; ``counts[d-1]``
-    is the number of degree-``d`` vertices."""
+class _CensusUrn:
+    """The census every engine keeps: ``counts[c]`` members of class ``c``
+    weigh ``weights[c] = _class_weight(c)`` each, ``t`` is the clock and
+    ``total_weight`` the running sum of the class masses.  The defaults are
+    one colour's: class ``d-1`` holds the degree-``d`` vertices, of weight
+    ``w_d``.  Engines change ``counts`` through ``_add`` or, in
+    ``_advance_census``, all at once."""
 
     model: WeightModel
-    t: int
-    total_weight: float
-    counts: list[int]
+    # the names of the snapshot's identity_deviations, in order
+    IDENTITIES = ("census_sum_dev", "census_moment_dev")
 
-    def census(self) -> CensusSnapshot:
-        return self._snapshot(self.t, np.array(self.counts, dtype=np.int64),
-                              self.total_weight)
+    def __init__(self, counts: Iterable[int], t: Optional[int] = None):
+        self.counts: list[int] = list(counts)
+        self.weights: list[float] = [self._class_weight(c) for c in range(len(self.counts))]
+        self.t = int(sum(self.counts) if t is None else t)
+        self.total_weight = float(sum(n * w for n, w in zip(self.counts, self.weights) if n))
+
+    def _class_weight(self, c: int) -> float:
+        return self.model.w(c + 1)
+
+    def _layout(self) -> tuple[WeightModel, int, float]:
+        """Split-size model, class stride and the total weight's gain per
+        event (exact for linear weights)."""
+        return self.model, 1, self.model.w2
 
     @staticmethod
     def _snapshot(t: int, counts: np.ndarray, total_weight: float) -> CensusSnapshot:
         return CensusSnapshot(t, counts, total_weight)
 
-    def census_deviations(self) -> tuple[int, int, float]:
-        """Integer census identities plus the relative drift of the running
-        total weight against a fresh recomputation."""
-        n = self.counts
-        sum_n = sum(n) - self.t
-        sum_kn = sum((d + 1) * c for d, c in enumerate(n)) - (2 * self.t - 2)
-        exact = sum(c * self.model.w(d + 1) for d, c in enumerate(n) if c)
-        drift = abs(self.total_weight - exact) / max(abs(exact), 1.0)
-        return sum_n, sum_kn, drift
+    def census(self) -> CensusSnapshot:
+        return self._snapshot(self.t, np.array(self.counts, dtype=np.int64),
+                              self.total_weight)
 
-    def expected_weight(self) -> float:
-        """Closed form ``w_2 * t - 2a``, valid for linear splitting weights."""
-        return self.model.w2 * self.t - 2.0 * self.model.splitting.a
+    def _add(self, c: int, dn: int) -> None:
+        """Change the member count of class ``c`` by ``dn``, creating the
+        classes up to ``c`` as needed."""
+        counts = self.counts
+        while len(counts) <= c:
+            self.weights.append(self._class_weight(len(counts)))
+            counts.append(0)
+        counts[c] += dn
+
+    def sample_class(self, rng) -> int:
+        """A class drawn with probability ``counts[c] * weights[c] /
+        total_weight`` by one scan of the class masses from ``u *
+        total_weight``.  The running total may differ from the exact sum in
+        the last bits, so a draw can pass every class; it then goes to the
+        last class with positive weight.  A zero-weight class is never
+        returned."""
+        if not self.total_weight > 0.0:
+            raise DegeneracyError("total sampling weight is not positive")
+        x = rng.random() * self.total_weight
+        last = -1
+        for c, n in enumerate(self.counts):
+            if n:
+                m = n * self.weights[c]
+                if m > 0.0:
+                    if x < m:
+                        return c
+                    x -= m
+                    last = c
+        if last < 0:
+            raise DegeneracyError("no class has positive sampling weight")
+        return last
+
+    def step(self, rng) -> SplitEvent:
+        """One event, from a class uniform and then, for a split, a split
+        uniform.  A member of a splitting class (its stride bit clear) of
+        degree ``d`` splits into members of degrees ``k`` and ``d+2-k``; any
+        other (a black vertex) recolours to the class below."""
+        split_model, s, _ = self._layout()
+        c = self.sample_class(rng)
+        d = c // s + 1
+        if c % s:
+            degrees, kids = (), (c - 1,)
+        else:
+            k = split_model.sample_split(d, rng)
+            degrees, kids = (k, d + 2 - k), (s * k - 1, s * (d + 2 - k) - 1)
+        add, w = self._add, self.weights
+        add(c, -1)
+        for kc in kids:
+            add(kc, 1)
+        self.total_weight += sum(w[kc] for kc in kids) - w[c]
+        self.t += 1
+        return SplitEvent(self.t, d, degrees)
+
+    def _closed_total(self, exact: float) -> tuple[float, float]:
+        """The closed-form total weight ``w_2 * t - 2a`` (NaN for weights
+        that are not linear) and the total its deviation is relative to,
+        here the running one; ``exact`` is the exact sum."""
+        m = self.model
+        closed = m.w2 * self.t - 2.0 * m.splitting.a if m.is_linear() else math.nan
+        return closed, self.total_weight
+
+    def checks(self) -> dict[str, float]:
+        """The invariant checks of a grown replica: the census identities
+        of its snapshot, exactly zero, under the names ``IDENTITIES``; the
+        running total's relative drift from the exact sum of the class
+        masses; and its relative deviation from the closed form."""
+        devs = self.census().identity_deviations()
+        out = {name: abs(dev) for name, dev in zip(self.IDENTITIES, devs)}
+        exact = sum(n * w for n, w in zip(self.counts, self.weights) if n)
+        closed, scale = self._closed_total(exact)
+        out["weight_rel_drift"] = abs(self.total_weight - exact) / max(abs(exact), 1.0)
+        out["weight_closed_form_rel_dev"] = \
+            abs(self.total_weight - closed) / max(abs(scale), 1.0)
+        return out
+
+
+class UrnState(_CensusUrn):
+    """Census-only engine: one urn per degree, ball weight ``w_d`` each;
+    class ``d-1`` holds the degree-``d`` balls."""
+
+    def __init__(self, model: WeightModel, counts: Iterable[int]):
+        self.model = model
+        super().__init__(counts)
+        if self.t < 1:
+            raise InvalidParameterError("initial census is empty")
+        if model.d_max is not None and len(self.counts) > model.d_max:
+            if any(self.counts[model.d_max:]):
+                raise InvalidParameterError("initial census exceeds d_max")
+
+    @classmethod
+    def single_edge(cls, model: WeightModel) -> "UrnState":
+        return cls(model, [2])
 
 
 def _envelope(model: WeightModel) -> tuple[float, float, bool]:
@@ -165,7 +268,7 @@ def _envelope(model: WeightModel) -> tuple[float, float, bool]:
     return max(b, 0.0), a, b >= 0.0
 
 
-class OrderedTree(_CensusMixin):
+class OrderedTree(_CensusUrn):
     """Planar tree engine on half-edges.
 
     Vertex ids are ``0 .. t-1``.  Edge ``e`` is the half-edge pair ``2e``,
@@ -236,16 +339,14 @@ class OrderedTree(_CensusMixin):
             raise InvalidParameterError(
                 f"initial tree has degree {top} > d_max = {model.d_max}")
         self._envelope = _envelope(model)
-        self.counts: list[int] = []
-        self._w: list[float] = []               # w_d at d-1
         # the degree-d vertices at d-1 and v's index in its bucket, built by
         # apply_to_degree (see _buckets)
         self._members: Optional[list[list[int]]] = None
         self._pos: Optional[array] = None
-        self._add_degrees(top)
+        counts = [0] * top
         for hs in adj:
-            self.counts[len(hs) - 1] += 1
-        self.total_weight = float(sum(n * wd for n, wd in zip(self.counts, self._w) if n))
+            counts[len(hs) - 1] += 1
+        super().__init__(counts)
 
     # -- construction ------------------------------------------------------
 
@@ -262,14 +363,6 @@ class OrderedTree(_CensusMixin):
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
         return cls(model, [adj.get(v) for v in range(len(adj))])
-
-    def _add_degrees(self, top: int) -> None:
-        """Census classes for the degrees up to ``top``."""
-        while len(self.counts) < top:
-            self.counts.append(0)
-            if self._members is not None:
-                self._members.append([])
-            self._w.append(self.model.w(len(self.counts)))
 
     @property
     def _adj(self) -> list[array]:
@@ -364,7 +457,7 @@ class OrderedTree(_CensusMixin):
             if exact:
                 return v
             d = len(adj[v])
-            if rng.random() * (A + B * d) < self._w[d - 1]:
+            if rng.random() * (A + B * d) < self.weights[d - 1]:
                 return v
 
     def split_vertex(self, v: int, k: int, rng) -> SplitEvent:
@@ -412,7 +505,9 @@ class OrderedTree(_CensusMixin):
 
         counts, members, pos = self.counts, self._members, self._pos
         if dv > len(counts) or dt > len(counts):
-            self._add_degrees(max(dv, dt))
+            self._add(max(dv, dt) - 1, 0)
+            if members is not None:
+                members.extend([] for _ in range(len(counts) - len(members)))
         counts[i - 1] -= 1
         counts[dv - 1] += 1
         counts[dt - 1] += 1
@@ -429,7 +524,7 @@ class OrderedTree(_CensusMixin):
             bucket = members[dt - 1]
             pos.append(len(bucket))
             bucket.append(t)
-        w = self._w
+        w = self.weights
         self.total_weight += w[k - 1] + w[ell - 1] - w[i - 1]
         self.t = t + 1
 
@@ -447,99 +542,6 @@ class OrderedTree(_CensusMixin):
         bucket = members[i - 1]
         v = bucket[int(rng.integers(len(bucket)))]
         return self.split_vertex(v, k, rng)
-
-
-class _CensusUrn:
-    """Census classes of a census engine: ``counts[c]`` members of class
-    ``c`` weigh ``weights[c] = _class_weight(c)`` each, and a step draws a
-    class with probability ``counts[c] * weights[c] / total_weight``.
-    Subclasses give the class weight, the step event and the read-outs;
-    engines change ``counts`` through ``_add`` or, in ``run_batch``, all at
-    once."""
-
-    def __init__(self, counts: Iterable[int], t: Optional[int] = None):
-        self.counts: list[int] = list(counts)
-        self.weights: list[float] = [self._class_weight(c) for c in range(len(self.counts))]
-        self.t = int(sum(self.counts) if t is None else t)
-        self.total_weight = float(sum(n * w for n, w in zip(self.counts, self.weights) if n))
-
-    def _class_weight(self, c: int) -> float:
-        raise NotImplementedError
-
-    def _add(self, c: int, dn: int) -> None:
-        """Change the member count of class ``c`` by ``dn``, creating the
-        classes up to ``c`` as needed."""
-        counts = self.counts
-        while len(counts) <= c:
-            self.weights.append(self._class_weight(len(counts)))
-            counts.append(0)
-        counts[c] += dn
-
-    def sample_class(self, rng) -> int:
-        """A class drawn by one scan of the class masses from
-        ``u * total_weight``.  The running total may differ from the exact
-        sum in the last bits, so a draw can pass every class; it then goes
-        to the last class with positive weight.  A zero-weight class is
-        never returned."""
-        if not self.total_weight > 0.0:
-            raise DegeneracyError("total sampling weight is not positive")
-        x = rng.random() * self.total_weight
-        last = -1
-        for c, n in enumerate(self.counts):
-            if n:
-                m = n * self.weights[c]
-                if m > 0.0:
-                    if x < m:
-                        return c
-                    x -= m
-                    last = c
-        if last < 0:
-            raise DegeneracyError("no class has positive sampling weight")
-        return last
-
-
-class UrnState(_CensusUrn, _CensusMixin):
-    """Census-only engine: one urn per degree, ball weight ``w_d`` each;
-    class ``d-1`` holds the degree-``d`` balls."""
-
-    def __init__(self, model: WeightModel, counts: Iterable[int]):
-        self.model = model
-        super().__init__(counts)
-        if self.t < 1:
-            raise InvalidParameterError("initial census is empty")
-        if model.d_max is not None and len(self.counts) > model.d_max:
-            if any(self.counts[model.d_max:]):
-                raise InvalidParameterError("initial census exceeds d_max")
-
-    @classmethod
-    def single_edge(cls, model: WeightModel) -> "UrnState":
-        return cls(model, [2])
-
-    def _class_weight(self, c: int) -> float:
-        return self.model.w(c + 1)
-
-    def _layout(self) -> tuple[WeightModel, int, float]:
-        """Split-size model, class stride and the total weight's gain per
-        event (exact for linear weights) for ``run_batch``."""
-        return self.model, 1, self.model.w2
-
-    def apply_split(self, i: int, k: int) -> SplitEvent:
-        if self.counts[i - 1] < 1:
-            raise InvalidParameterError(f"no ball in urn {i}")
-        ell = i + 2 - k
-        add = self._add
-        add(i - 1, -1)
-        add(k - 1, 1)
-        add(ell - 1, 1)
-        self.t += 1
-        w = self.weights
-        self.total_weight += w[k - 1] + w[ell - 1] - w[i - 1]
-        return SplitEvent(self.t, i, (k, ell))
-
-    def step(self, rng) -> SplitEvent:
-        i = self.sample_class(rng) + 1
-        k = self.model.sample_split(i, rng)
-        return self.apply_split(i, k)
 
 
 def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnapshot]:
@@ -628,6 +630,7 @@ def _advance_census(state, clocks: list[int], totals: np.ndarray, removed: np.nd
     state.t = t0 + n
     state.total_weight = float(totals[-1])
     state.counts = counts.tolist()
+    state.weights += map(state._class_weight, range(len(state.weights), len(state.counts)))
     return snaps
 
 
@@ -644,7 +647,7 @@ def _tree_kernel(tree: OrderedTree, t_stop: int, rng) -> None:
     """
     A, B, exact = tree._envelope
     per = 3 if exact else 4
-    adj, ends, w = tree._adj, tree._ends, tree._w
+    adj, ends, w = tree._adj, tree._ends, tree.weights
     cached_law = tree.model._split_cache.get
     split_law = tree.model.split_distribution
     split = tree._split
@@ -759,8 +762,8 @@ def _leaf_kernel(tree: OrderedTree, clocks: list[int], rng) -> list[CensusSnapsh
             _, cum, wsum = model.split_distribution(d)
             first.append(cum[0] if cum else 0.0)
             total.append(wsum)
-        tree._w.extend(model.w(d) for d in range(len(tree._w) + 1, top + 2))
-        w = np.array(tree._w)
+        w = tree.weights
+        w = np.array(w + [model.w(d) for d in range(len(w) + 1, top + 2)])
         wsum = np.array(total)[i - 1]
         k = np.where(u[:, 1] * wsum < np.array(first)[i - 1], 1, i + 1)
         totals = np.cumsum(np.concatenate(([tree.total_weight],
@@ -1064,7 +1067,6 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
             w = laws.arrays()[0]
             totals = np.cumsum(np.concatenate(([s.total_weight], w[k1] + w[k2] - w[c])))
             snaps += _advance_census(s, clocks, totals, c, (k1, k2))
-            s.weights += laws.w[len(s.weights):len(s.counts)]
         trajectories.append(snaps + [s.census() for _ in clocks])
         drawn.append(n)
     return trajectories, {"events_drawn": drawn, "rounds": rounds}

@@ -38,7 +38,6 @@ from .weights import (LinearTail, PartitionWeights, SplittingWeights, WeightMode
 
 __all__ = [
     "TwoColourModel",
-    "TwoColourEvent",
     "TwoColourState",
     "TwoColourSnapshot",
     "TwoColourSolution",
@@ -63,6 +62,8 @@ class TwoColourModel:
 
     def __init__(self, a: float, b: float, white_partition: PartitionWeights,
                  family: str = "two-colour", params: Optional[dict] = None):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InvalidParameterError(f"a and b must be finite, got a={a}, b={b}")
         if not a - b > 0:
             raise InvalidParameterError(f"needs a - b > 0, got a={a}, b={b}")
         c = a - 1.5 * b
@@ -78,7 +79,7 @@ class TwoColourModel:
         # the white side reuses the one-colour machinery for split-size laws
         self.white = WeightModel(white_partition, SplittingWeights(c, a),
                                  family=f"{family}-white")
-        if self.white.linear_fit_residual > 1e-9:
+        if not self.white.linear_fit_residual <= 1e-9:
             raise InvalidParameterError(
                 "white partitioning weights are inconsistent with w_white "
                 f"(max residual {self.white.linear_fit_residual:.3g})")
@@ -139,14 +140,6 @@ def make_two_colour_grafting(a: float, b: float, alpha0: float) -> TwoColourMode
 # -- simulation -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoColourEvent:
-    t: int
-    kind: str                      # "recolour" | "split"
-    degree: int
-    child_degrees: Optional[tuple[int, int]] = None
-
-
 @dataclass
 class TwoColourSnapshot(CensusSnapshot):
     """Census at event time ``t``: ``counts`` is the degree census of all
@@ -156,6 +149,7 @@ class TwoColourSnapshot(CensusSnapshot):
     black: np.ndarray
 
     CSV_COLUMNS = "n_white,n_black"
+    KIND = "two-colour"
 
     def identity_deviations(self) -> tuple[int, int]:
         """(sum(3*n_white + 2*n_black) - (t+2), sum k*n - (2V-2)) with ``V``
@@ -178,8 +172,12 @@ class TwoColourState(_CensusUrn):
     ``2(d-1)`` and black degree ``d`` in class ``2(d-1)+1``, so one draw
     selects colour and degree at once.  The clock ``t`` defaults to the
     vertex count, which is right for a fresh process started from a single
-    edge (t = 2); general states must pass ``t`` explicitly.
+    edge (t = 2); general states must pass ``t`` explicitly.  A step
+    recolours a black vertex (an event with no child degrees) or splits a
+    white one into two blacks.
     """
+
+    IDENTITIES = ("colour_identity_dev",)
 
     def __init__(self, model: TwoColourModel,
                  white: Optional[list[int]] = None,
@@ -198,51 +196,17 @@ class TwoColourState(_CensusUrn):
         return cls(model, white=[0], black=[2], t=2)
 
     def _layout(self) -> tuple[WeightModel, int, float]:
-        """Split-size model, class stride and the total weight's gain per
-        event for ``growth.run_batch``."""
         return self.model.white, 2, self.model.weight_growth_rate
 
     def _class_weight(self, c: int) -> float:
         d = c // 2 + 1
         return self.model.w_black(d) if c % 2 else self.model.w_white(d)
 
-    def step(self, rng) -> TwoColourEvent:
-        c = self.sample_class(rng)
-        d = c // 2 + 1
-        add, w = self._add, self.weights
-        add(c, -1)
-        self.t += 1
-        if c % 2 == 1:                       # black vertex: recolour to white
-            add(c - 1, 1)
-            self.total_weight += w[c - 1] - w[c]
-            return TwoColourEvent(self.t, "recolour", d)
-        k = self.model.white.sample_split(d, rng)   # white vertex: split into blacks
-        ell = d + 2 - k
-        add(2 * k - 1, 1)
-        add(2 * ell - 1, 1)
-        self.total_weight += w[2 * k - 1] + w[2 * ell - 1] - w[c]
-        return TwoColourEvent(self.t, "split", d, (k, ell))
-
-    # -- invariants ---------------------------------------------------------
-
-    def colour_identity_deviation(self) -> int:
-        """``sum(3*n_white + 2*n_black) - (t + 2)``; exactly zero."""
-        tot = 3 * sum(self.counts[0::2]) + 2 * sum(self.counts[1::2])
-        return tot - (self.t + 2)
-
-    def weight_deviation(self) -> tuple[float, float]:
-        """(relative drift vs recomputation, relative deviation from the
-        closed form ``(a-b)*t + b``)."""
+    def _closed_total(self, exact: float) -> tuple[float, float]:
+        """The closed-form total weight ``(a-b)*t + b`` and the total its
+        deviation is relative to, here the exact sum ``exact``."""
         m = self.model
-        exact = sum(n * w for n, w in zip(self.counts, self.weights) if n)
-        closed = m.weight_growth_rate * self.t + m.b
-        scale = max(abs(exact), 1.0)
-        return (abs(self.total_weight - exact) / scale,
-                abs(self.total_weight - closed) / scale)
-
-    def census(self) -> TwoColourSnapshot:
-        return self._snapshot(self.t, np.array(self.counts, dtype=np.int64),
-                              self.total_weight)
+        return m.weight_growth_rate * self.t + m.b, exact
 
     @staticmethod
     def _snapshot(t: int, slots: np.ndarray, total_weight: float) -> TwoColourSnapshot:
@@ -295,7 +259,7 @@ def reduce_to_one_colour(model2: TwoColourModel) -> WeightModel:
                           by_split_degree=white_pw.by_split_degree)
     red = WeightModel(pw, model2.black, family="reduced",
                       params={"from": model2.family}, leaf_mass_limit=limit)
-    if red.linear_fit_residual > 1e-9:
+    if not red.linear_fit_residual <= 1e-9:
         raise ReductionInvalidError(
             f"reduced model inconsistent (residual {red.linear_fit_residual:.3g})")
     return red

@@ -605,7 +605,7 @@ def make_alpha_class(sw: SplittingWeights, alpha, M: int = 2,
     fn = _two_banded_fn(sw, alpha_of, M, head, tail)
     pw = PartitionWeights(fn, d_max=None, tail=tail)
     model = WeightModel(pw, sw, family="alpha", params={"M": M})
-    if model.linear_fit_residual > 1e-9:
+    if not model.linear_fit_residual <= 1e-9:
         raise InvalidParameterError(
             "head table is inconsistent with the splitting weights "
             f"(max residual {model.linear_fit_residual:.3g})")

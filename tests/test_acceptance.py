@@ -101,11 +101,10 @@ def test_criterion_06_exact_census_invariants():
         rng = np.random.default_rng(6)
         for _ in range(3000):
             state.step(rng)
-            sum_dev, moment_dev, drift = state.census_deviations()
-            assert sum_dev == 0 and moment_dev == 0
-            rel = abs(state.total_weight - state.expected_weight()) \
-                / max(abs(state.total_weight), 1.0)
-            worst_float = max(worst_float, drift, rel)
+            checks = state.checks()
+            assert checks["census_sum_dev"] == 0 and checks["census_moment_dev"] == 0
+            worst_float = max(worst_float, checks["weight_rel_drift"],
+                              checks["weight_closed_form_rel_dev"])
     _report(6, worst_float <= 1e-9,
             f"census sums exact at every step of 4 trajectories; "
             f"worst weight deviation {worst_float:.2e} (tol 1e-9)")

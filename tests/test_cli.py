@@ -257,7 +257,15 @@ class TestSimulate:
          "weight_rel_drift=4.96e-15"),
         (["--force-unsupported", "--seed", "3", "--t-final", "3000"],
          "census_moment_dev=0, census_sum_dev=0, weight_rel_drift=0"),
-    ], ids=["two-colour", "urn", "urn-nonlinear"])
+        (["--family", "preferential", "--w", "i+0.3", "--engine", "tree", "--seed", "3",
+          "--t-final", "3000"],
+         "census_moment_dev=0, census_sum_dev=0, weight_closed_form_rel_dev=5.16e-14, "
+         "weight_rel_drift=5.12e-14"),
+        (["--family", "preferential", "--w", "2*i-0.7", "--engine", "tree", "--seed", "3",
+          "--t-final", "3000"],
+         "census_moment_dev=0, census_sum_dev=0, weight_closed_form_rel_dev=5.7e-15, "
+         "weight_rel_drift=5.15e-15"),
+    ], ids=["two-colour", "urn", "urn-nonlinear", "tree-leaf-block", "tree-scalar"])
     def test_summary_line_pinned(self, tmp_path, capsys, flags, summary):
         # each check's worst value over the replicas, in name order; the
         # weight closed form is NaN for a nonlinear table, so it is left out
@@ -269,8 +277,9 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == 0
         t_final = flags[flags.index("--t-final") + 1]
+        engine = "tree" if "tree" in flags else "urn"
         assert capsys.readouterr().err.splitlines()[-1] \
-            == f"2 replicas to t={t_final} (urn); {summary}"
+            == f"2 replicas to t={t_final} ({engine}); {summary}"
 
 
 class TestCompare:
@@ -541,6 +550,21 @@ class TestBadInput:
         assert not (tmp_path / "o").exists()
         assert ExperimentConfig.from_dict({"model": {"family": "rna"},
                                            "k_check": 16}).k_check == 16
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("a,match", [
+        ("inf", "must be finite"), ("1e308", "overflow"),
+    ])
+    def test_two_colour_weights_not_finite_refused(self, tmp_path, capsys, command, a,
+                                                   match):
+        # a = inf gives infinite weights and a = 1e308 weights past the
+        # largest float: neither may grow or validate (with NaN residuals)
+        flags = ["--replicas", "1", "--t-final", "50", "--out", str(tmp_path / "o")] \
+            if command == "simulate" else []
+        err = self.run([command, "--family", "two-colour-uniform", "--a", a, "--b", "0",
+                        *flags], capsys)
+        assert match in err
+        assert not (tmp_path / "o").exists()
 
     def test_zero_replicas_refused(self, tmp_path, capsys):
         err = self.run(["simulate", "--family", "preferential", "--w", "i",

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -6,6 +7,7 @@ import pytest
 import scipy.stats
 
 import splitgrow.growth as growth
+from splitgrow.experiment import _check_holds
 from splitgrow import (CensusSnapshot, DegeneracyError,
                        InvalidDegreeError, InvalidParameterError, LinearTail, OrderedTree,
                        PartitionWeights, SplittingWeights, UrnState, WeightModel,
@@ -28,6 +30,16 @@ def chi_square_ok(observed, probs, alpha=1e-3):
     stat, p = scipy.stats.chisquare(observed[keep], expected[keep] * n / expected[keep].sum()
                                     if not keep.all() else expected[keep])
     return p > alpha
+
+
+class Scripted:
+    """A generator that returns the given uniforms in turn."""
+
+    def __init__(self, *us):
+        self.us = list(us)
+
+    def random(self):
+        return self.us.pop(0)
 
 
 class Classes(growth._CensusUrn):
@@ -93,7 +105,8 @@ class TestClassSampler:
         rng = np.random.default_rng(7)
         n = 100_000
         before = sum(urn.sample_class(rng) == 1 for _ in range(n))
-        urn.apply_split(1, 2)
+        # the class uniform 0 draws a leaf, whose every split is (1, 2) or (2, 1)
+        assert urn.step(Scripted(0.0, 0.7)).parent_degree == 1
         assert urn.counts[:2] == [2, 2]
         after = sum(urn.sample_class(rng) == 1 for _ in range(n))
         assert chi_square_ok(np.array([n - before, before]), np.array([0.5, 0.5]))
@@ -145,7 +158,7 @@ class TestSampleVertex:
         # is class 1
         urn = UrnState(pref_i(), [2, 1])
         assert urn.total_weight == pytest.approx(4.0)
-        assert urn.total_weight == pytest.approx(urn.expected_weight())
+        assert urn.checks()["weight_closed_form_rel_dev"] == 0
         rng = np.random.default_rng(5)
         n = 200_000
         hits = sum(urn.sample_class(rng) == 1 for _ in range(n))
@@ -261,11 +274,10 @@ class TestTreeSplits:
         a = model.splitting.a
         for _ in range(500):
             tree.step(rng)
-            sum_dev, moment_dev, drift = tree.census_deviations()
-            assert sum_dev == 0 and moment_dev == 0
-            assert drift <= 1e-9
-            assert abs(tree.total_weight - tree.expected_weight()) \
-                <= 1e-9 * max(tree.total_weight, 1.0)
+            checks = tree.checks()
+            assert checks["census_sum_dev"] == 0 and checks["census_moment_dev"] == 0
+            assert checks["weight_rel_drift"] <= 1e-9
+            assert checks["weight_closed_form_rel_dev"] <= 1e-9
         assert tree.is_tree()
 
     def test_degree_bound_respected(self):
@@ -292,7 +304,7 @@ class TestTreeSplits:
         rng = np.random.default_rng(29)
         for _ in range(5000):
             tree.step(rng)
-        assert tree.census_deviations()[2] <= 1e-9
+        assert tree.checks()["weight_rel_drift"] <= 1e-9
         assert sum(len(b) for b in tree._buckets()) == tree.t
 
     @pytest.mark.parametrize("model", [make_uniform(0.0), pref_i(), make_grafting(0.3, 0.7)],
@@ -357,13 +369,20 @@ class TestTreeConstruction:
 
 class TestUrnSplits:
     def test_hand_updates(self):
-        # 4-star census: 4 leaves and one degree-4 hub
-        urn = UrnState(pref_i(), [4, 0, 0, 1])
-        urn.apply_split(1, 1)
+        # 4-star census: 4 leaves and one degree-4 hub, under uniform
+        # partitioning with w_i = i.  Each step takes the class uniform,
+        # then the split uniform: the class masses are 4 and 4, then 4, 2
+        # and 4, and a split uniform of 1/4 or 1/2 draws the first child
+        # degree 1 of a leaf or 3 of the hub
+        urn = UrnState(make_uniform(0.0), [4, 0, 0, 1])
+        ev = urn.step(Scripted(0.25, 0.25))
+        assert (ev.t, ev.parent_degree, ev.child_degrees) == (6, 1, (1, 2))
         assert urn.counts[:2] == [4, 1]          # n_1 unchanged net, n_2 + 1
-        urn.apply_split(4, 3)
+        ev = urn.step(Scripted(0.75, 0.5))
+        assert ev.parent_degree == 4 and ev.child_degrees == (3, 3)
         assert urn.counts[2] == 2 and urn.counts[3] == 0   # n_4 - 1, n_3 + 2
-        assert urn.census_deviations()[:2] == (0, 0)
+        checks = urn.checks()
+        assert checks["census_sum_dev"] == checks["census_moment_dev"] == 0
 
     def test_coupled_engines_identical_census(self):
         # identical (degree, child-degree) decision streams must yield
@@ -379,6 +398,37 @@ class TestUrnSplits:
                 tree.apply_to_degree(ev.parent_degree, ev.child_degrees[0], replay)
                 assert tree.counts == urn.counts
         assert tree.t == urn.t == 2002
+
+
+class TestStepPinned:
+    """The census ``step`` of urn and two-colour states, and the tree's
+    ``step``, against digests of ``(t, counts, total_weight.hex())`` after
+    every one of 3000 steps from ``default_rng(0)``."""
+
+    @pytest.mark.parametrize("make,digest", [
+        (lambda: UrnState.single_edge(make_uniform(0.0)),
+         "7fe06caf7a751439fa4ef23818bbc7c5a3ad33657ab077adf2a87f8775d67613"),
+        (lambda: UrnState.single_edge(make_grafting(0.3, 0.7)),
+         "2911e5d4e6e7e22d7ef5c1255d423ef3f71184e5a5c37d8e1386c7cee6c206c1"),
+        (lambda: UrnState.single_edge(make_preferential(SplittingWeights(2.0, -0.7))),
+         "26160ea50086d97288db2d8094b860ef6810fb1b30e8ae733a23b350d18cdc02"),
+        (lambda: TwoColourState.single_edge(make_rna()),
+         "fcdfe9ed307fbf3fd19c097c14b0d8b559e033d54dea5936a16552c0a60a4beb"),
+        (lambda: TwoColourState.single_edge(make_two_colour_grafting(1.0, 0.5, 0.5)),
+         "1d9476ec79eefb03a4b6e109ed6a1c68200d6a872207ec994322ee1772726563"),
+        (lambda: OrderedTree.single_edge(make_preferential(SplittingWeights(2.0, -0.7))),
+         "546240c2f7b8c4825d7d7e70737baf670f9ec056ac7d480dfe4dda2850ec6d35"),
+        (lambda: OrderedTree.single_edge(make_grafting(0.3, 0.7)),
+         "780a3fec6bf29cf49770b7ca877a4c1e9e3feec741273837b88a0c33155754c6"),
+    ], ids=["urn-uniform", "urn-grafting", "urn-2i-0.7", "rna", "two-colour-grafting",
+            "tree-2i-0.7", "tree-grafting"])
+    def test_step_digest(self, make, digest):
+        state, rng, h = make(), np.random.default_rng(0), hashlib.sha256()
+        for _ in range(3000):
+            state.step(rng)
+            h.update(repr((state.t, list(state.counts),
+                           float(state.total_weight).hex())).encode())
+        assert h.hexdigest() == digest
 
 
 class TestRun:
@@ -814,8 +864,9 @@ class TestAdvanceCensus:
         clocks = sorted(t0 + r for r in rel)
         want, after, left = census_one_event_at_a_time(counts, t0, clocks, totals,
                                                        removed, added)
-        state = growth.UrnState.__new__(growth.UrnState)
-        state.counts, state.t, state.total_weight = list(counts), t0, totals[0]
+        # the census with pref-i's class weights, at the stream's clock and total
+        state = UrnState(_PREF_I, counts)
+        state.t, state.total_weight = t0, totals[0]
         snaps = []
         # two legs meet at a clock on a window edge, as run_batch's legs and
         # _leaf_kernel's blocks do
@@ -826,7 +877,54 @@ class TestAdvanceCensus:
         assert [(s.t, s.counts.tolist(), s.total_weight) for s in snaps] == want
         assert state.counts == after and state.t == t0 + n
         assert state.total_weight == totals[-1]
+        assert state.weights == [_PREF_I.w(d) for d in range(1, len(after) + 1)]
         assert clocks == left == [t0 + n + 5]
+
+
+CHECK_STATES = {
+    "leaf-block-tree": lambda: OrderedTree.single_edge(_PREF_I),
+    "scalar-tree": lambda: OrderedTree.single_edge(_PREF_09),
+    "urn": lambda: UrnState.single_edge(_GRAFTING),
+    "two-colour": lambda: TwoColourState.single_edge(_RNA),
+}
+
+
+class TestChecks:
+    """``checks()`` holds on a grown state of every engine, and each move of
+    a count, the clock or the running total fails the checks it touches."""
+
+    @staticmethod
+    def failed(name, move):
+        """The checks that fail once ``move`` has moved a grown state."""
+        state = CHECK_STATES[name]()
+        if isinstance(state, OrderedTree):
+            assert state.kernel == name.removesuffix("-tree")
+        run(state, 3000, np.random.default_rng(8))
+        assert all(_check_holds(n, v) for n, v in state.checks().items())
+        move(state)
+        return state, {n for n, v in state.checks().items() if not _check_holds(n, v)}
+
+    @pytest.mark.parametrize("name", sorted(CHECK_STATES))
+    def test_moved_count_fails(self, name):
+        # one more member of class 0 breaks the identities and the exact sum
+        def move(state):
+            state.counts[0] += 1
+        state, failed = self.failed(name, move)
+        assert failed == {*state.IDENTITIES, "weight_rel_drift"}
+
+    @pytest.mark.parametrize("name", sorted(CHECK_STATES))
+    def test_moved_clock_fails(self, name):
+        def move(state):
+            state.t += 1
+        state, failed = self.failed(name, move)
+        assert failed == {*state.IDENTITIES, "weight_closed_form_rel_dev"}
+
+    @pytest.mark.parametrize("name", sorted(CHECK_STATES))
+    def test_moved_total_fails(self, name):
+        def move(state):
+            state.total_weight *= 1.0 + 1e-6
+        _, failed = self.failed(name, move)
+        assert failed == {"weight_rel_drift", "weight_closed_form_rel_dev"}
 
 
 class TestSerialisation:

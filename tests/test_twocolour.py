@@ -40,14 +40,14 @@ class TestState:
         assert snap.t == 2 and snap.counts.tolist() == [2]
         assert snap.white.tolist() == [0] and snap.black.tolist() == [2]
         assert st.total_weight == pytest.approx(2.0)   # 2 * w_black(1) = (a-b)t + b
-        assert st.colour_identity_deviation() == 0     # 2*2 = 2 + 2
+        assert st.checks()["colour_identity_dev"] == 0  # 2*2 = 2 + 2
 
     def test_first_step_forced_recolour(self):
         # only blacks exist, so the first event recolours one of them
         m = make_rna()
         st = TwoColourState.single_edge(m)
         ev = st.step(np.random.default_rng(0))
-        assert ev.kind == "recolour"
+        assert ev.child_degrees == () and ev.parent_degree == 1
         snap = st.census()
         assert snap.t == 3 and snap.counts.tolist() == [2]
         assert snap.white.tolist() == [1] and snap.black.tolist() == [1]
@@ -60,9 +60,12 @@ class TestState:
         rng = np.random.default_rng(21)
         for _ in range(3000):
             st.step(rng)
-            assert st.colour_identity_deviation() == 0
-            drift, closed = st.weight_deviation()
-            assert drift <= 1e-9 and closed <= 1e-9
+            checks = st.checks()
+            assert list(checks) == ["colour_identity_dev", "weight_rel_drift",
+                                    "weight_closed_form_rel_dev"]
+            assert checks["colour_identity_dev"] == 0
+            assert checks["weight_rel_drift"] <= 1e-9
+            assert checks["weight_closed_form_rel_dev"] <= 1e-9
         snap = st.census()
         assert snap.identity_deviations() == (0, 0)
         assert (snap.counts == snap.white + snap.black).all()
