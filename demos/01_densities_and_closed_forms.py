@@ -11,9 +11,8 @@ the solver.
 
 import numpy as np
 
-from splitgrow import (SplittingWeights, fixed_point_densities,
-                       grafting_density, make_grafting, make_preferential,
-                       make_uniform, pref_attachment_density, uniform_density)
+from splitgrow import (SplittingWeights, fixed_point_densities, grafting_density,
+                       make_grafting, make_preferential, make_uniform, uniform_density)
 
 # ----------------------------------------------------------------------------
 # Attachment-only weights (w_i = i): every split sheds a leaf and the other

@@ -16,9 +16,8 @@ from .weights import (LinearTail, PartitionWeights, Regime, SplittingWeights,
                       WeightModel, classify_regime, derive_splitting_weights,
                       make_alpha_class, make_grafting, make_preferential,
                       make_table, make_uniform, validate_model)
-from .growth import (CensusSnapshot, OrderedTree, SplitEvent, UrnState,
-                     read_census_binary, run, run_batch, write_census_binary,
-                     write_census_csv)
+from .growth import (CensusSnapshot, OrderedTree, SplitEvent, UrnState, run,
+                     run_batch, write_census_csv)
 from .solver import (DensitySolution, ResidualReport, fixed_point_densities,
                      residuals, solve_finite)
 from .closed_forms import (ClosedForm, bessel_i, closed_form_for,

@@ -22,7 +22,7 @@ from . import __version__
 from .errors import InvalidParameterError, SplitgrowError
 from .experiment import (ExperimentConfig, build_model, compare, growth_counters,
                          is_two_colour_spec, run_replicated, solve_model, worst_checks)
-from .growth import write_census_binary, write_census_csv
+from .growth import write_census_csv
 from .solver import DensitySolution
 from .twocolour import TwoColourModel, TwoColourSolution, densities_from_e, \
     reduce_to_one_colour
@@ -73,7 +73,14 @@ def _read_json(path: str) -> dict:
 
 
 def _model_spec_from_flags(args) -> dict | None:
+    params = {key: val for key, val in (
+        ("x", args.x), ("alpha", args.alpha), ("gamma", args.gamma),
+        ("alpha0", args.alpha0), ("a", args.coef_a), ("b", args.coef_b)) if val is not None}
     if args.table:
+        given = [f"--{key}" for key, val in (("family", args.family), ("w", args.w),
+                                             *params.items()) if val is not None]
+        if given:
+            raise InvalidParameterError(f"--table gives the whole model; drop {', '.join(given)}")
         doc = _read_json(args.table)
         return {"family": "table", "d_max": doc.get("d_max"),
                 "entries": doc.get("entries")}
@@ -86,10 +93,7 @@ def _model_spec_from_flags(args) -> dict | None:
                 f"--w does not apply to family {args.family!r}; use --a and --b")
         sw = parse_weight_expr(args.w)
         spec.update(a=sw.a, b=sw.b)
-    for key in ("x", "alpha", "gamma", "alpha0", "a", "b"):
-        val = getattr(args, key if key not in ("a", "b") else f"coef_{key}")
-        if val is not None:
-            spec[key] = val
+    spec.update(params)
     return spec
 
 
@@ -234,10 +238,6 @@ def _print_validation(model, rep) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    if args.binary and is_two_colour_spec(cfg.model):
-        raise InvalidParameterError(
-            "--binary writes one-colour census dumps; the census_<r>.bin format "
-            "cannot carry the colours of a two-colour model")
     rc = _validate_or_abort(cfg)
     if rc:
         return rc
@@ -248,9 +248,6 @@ def cmd_simulate(args) -> int:
     trajectories = [res["snapshots"] for res in results]
     with open(out / "census.csv", "w") as fh:
         write_census_csv(fh, trajectories)
-    if args.binary:
-        for rep, snaps in enumerate(trajectories):
-            write_census_binary(out / f"census_{rep}.bin", snaps)
     _write_json(out / "manifest.json",
                 _manifest(cfg, time.monotonic() - t0, growth_counters(results)))
     summary = ", ".join(f"{k}={v:.3g}" for k, v in worst_checks(results).items())
@@ -305,7 +302,9 @@ def cmd_validate(args) -> int:
     return 0 if rep.ok else 2
 
 
-def _add_common(p: argparse.ArgumentParser, sim: bool) -> None:
+def _add_flags(p: argparse.ArgumentParser, solves: bool, grows: bool, writes: bool) -> None:
+    """The model flags, which every command reads, and the solver, growth
+    and output flags of a command that solves, grows or writes files."""
     p.add_argument("--config", help="JSON config document")
     p.add_argument("--family", help="model family name")
     p.add_argument("--w", help="splitting weights, e.g. 'i' or '2*i+1'")
@@ -316,12 +315,14 @@ def _add_common(p: argparse.ArgumentParser, sim: bool) -> None:
     p.add_argument("--a", dest="coef_a", type=float, help="two-colour weight parameter a")
     p.add_argument("--b", dest="coef_b", type=float, help="two-colour weight parameter b")
     p.add_argument("--table", help="JSON table file {d_max, entries}")
-    p.add_argument("--K", type=int, help="solver truncation")
-    p.add_argument("--tol", type=float, help="solver tolerance")
-    p.add_argument("--force-unsupported", action="store_true",
-                   help="run outside the guaranteed regime (results watermarked)")
-    p.add_argument("--out", help="output directory")
-    if sim:
+    if solves:
+        p.add_argument("--K", type=int, help="solver truncation")
+        p.add_argument("--tol", type=float, help="solver tolerance")
+    if writes:
+        p.add_argument("--force-unsupported", action="store_true",
+                       help="run outside the guaranteed regime (results watermarked)")
+        p.add_argument("--out", help="output directory")
+    if grows:
         p.add_argument("--seed", type=int)
         p.add_argument("--replicas", type=int)
         p.add_argument("--t-final", dest="t_final", type=int)
@@ -336,24 +337,21 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="analytic degree densities")
-    _add_common(p, sim=False)
+    _add_flags(p, solves=True, grows=False, writes=True)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("simulate", help="replicated growth trajectories")
-    _add_common(p, sim=True)
-    p.add_argument("--binary", action="store_true",
-                   help="also write per-replica binary census dumps "
-                        "(one-colour models only)")
+    _add_flags(p, solves=False, grows=True, writes=True)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("compare", help="simulation vs analytic, with z-scores")
-    _add_common(p, sim=True)
+    _add_flags(p, solves=True, grows=True, writes=True)
     p.add_argument("--k-check", dest="k_check", type=int)
     p.add_argument("--z-crit", dest="z_crit", type=float)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("validate", help="model condition checks and regime")
-    _add_common(p, sim=False)
+    _add_flags(p, solves=False, grows=False, writes=False)
     p.set_defaults(fn=cmd_validate)
 
     args = ap.parse_args(argv)

@@ -55,11 +55,9 @@ take their snapshots, at the clocks of ``_clocks``, through one census path,
 from __future__ import annotations
 
 import math
-import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
@@ -75,8 +73,6 @@ __all__ = [
     "run",
     "run_batch",
     "write_census_csv",
-    "write_census_binary",
-    "read_census_binary",
 ]
 
 
@@ -285,9 +281,9 @@ class OrderedTree(_CensusUrn):
     proportional to ``A + B*deg(v)`` and kept with probability
     ``w_deg(v) / (A + B*deg(v))``.  Linear weights ``w_d = a*d + b`` of an
     unbounded model take ``B = a``, ``A = max(b, 0)``, which is exact for
-    ``b >= 0``; a bounded table takes ``A = max w_d``, ``B = 0``.  The degree
-    buckets serve ``apply_to_degree`` only: it builds them in vertex order on
-    first use, ``_split`` keeps them while they exist and ``run`` drops them.
+    ``b >= 0``; a bounded table takes ``A = max w_d``, ``B = 0``.  The replay
+    ``apply_to_degree`` draws through uniform half-edges too, keeping an owner
+    of the degree it is given.
 
     ``_leaf_kernel`` changes ``_ends``, the census and the running total, but
     only logs its insertions into the half-edge lists: per block the new
@@ -339,10 +335,6 @@ class OrderedTree(_CensusUrn):
             raise InvalidParameterError(
                 f"initial tree has degree {top} > d_max = {model.d_max}")
         self._envelope = _envelope(model)
-        # the degree-d vertices at d-1 and v's index in its bucket, built by
-        # apply_to_degree (see _buckets)
-        self._members: Optional[list[list[int]]] = None
-        self._pos: Optional[array] = None
         counts = [0] * top
         for hs in adj:
             counts[len(hs) - 1] += 1
@@ -376,18 +368,6 @@ class OrderedTree(_CensusUrn):
                     nb.insert(q, g)
             self._log, self._deg = [], None
         return self._lists
-
-    def _buckets(self) -> list[list[int]]:
-        """The degree buckets, built in vertex order on first use and then
-        kept by ``_split`` until ``run`` drops them."""
-        if self._members is None:
-            self._members = [[] for _ in self.counts]
-            self._pos = array("i")
-            for v, hs in enumerate(self._adj):
-                bucket = self._members[len(hs) - 1]
-                self._pos.append(len(bucket))
-                bucket.append(v)
-        return self._members
 
     @property
     def kernel(self) -> str:
@@ -503,27 +483,12 @@ class OrderedTree(_CensusUrn):
         adj.append(moved)
         ends.extend((v, t))
 
-        counts, members, pos = self.counts, self._members, self._pos
+        counts = self.counts
         if dv > len(counts) or dt > len(counts):
             self._add(max(dv, dt) - 1, 0)
-            if members is not None:
-                members.extend([] for _ in range(len(counts) - len(members)))
         counts[i - 1] -= 1
         counts[dv - 1] += 1
         counts[dt - 1] += 1
-        if members is not None:
-            if dv != i:
-                bucket = members[i - 1]
-                last = bucket.pop()
-                if last != v:
-                    pos[last] = pos[v]
-                    bucket[pos[v]] = last
-                bucket = members[dv - 1]
-                pos[v] = len(bucket)
-                bucket.append(v)
-            bucket = members[dt - 1]
-            pos.append(len(bucket))
-            bucket.append(t)
         w = self.weights
         self.total_weight += w[k - 1] + w[ell - 1] - w[i - 1]
         self.t = t + 1
@@ -535,13 +500,18 @@ class OrderedTree(_CensusUrn):
 
     def apply_to_degree(self, i: int, k: int, rng) -> SplitEvent:
         """Split a uniformly chosen vertex of degree ``i`` (replay interface;
-        the census evolution does not depend on which one)."""
-        members = self._buckets()
-        if not 1 <= i <= len(members) or not members[i - 1]:
+        the census evolution does not depend on which one), refusing a degree
+        no vertex has before any draw.  The vertex owns a uniform half-edge,
+        redrawn (16 uniforms at a time) until its degree is ``i``: a vertex
+        owns as many half-edges as its degree, so the pick is uniform."""
+        if not 1 <= i <= len(self.counts) or not self.counts[i - 1]:
             raise InvalidParameterError(f"no vertex of degree {i}")
-        bucket = members[i - 1]
-        v = bucket[int(rng.integers(len(bucket)))]
-        return self.split_vertex(v, k, rng)
+        adj, ends, m = self._adj, self._ends, len(self._ends)
+        while True:
+            for u in rng.random(16).tolist():
+                v = ends[int(u * m)]
+                if len(adj[v]) == i:
+                    return self.split_vertex(v, k, rng)
 
 
 def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnapshot]:
@@ -557,16 +527,14 @@ def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnap
     names: ``_leaf_kernel`` for a tree whose every split sheds a leaf,
     ``_tree_kernel`` for the others.  Both leave the tree, the running total,
     the snapshots and the generator exactly as the same number of
-    ``tree.step`` calls would.  ``run`` drops the tree's degree buckets,
-    which only ``apply_to_degree`` reads.  ``UrnState`` and
-    ``TwoColourState`` grow through ``run_batch`` as a batch of one: the same
-    law as ``state.step``, from other draws.
+    ``tree.step`` calls would.  ``UrnState`` and ``TwoColourState`` grow
+    through ``run_batch`` as a batch of one: the same law as
+    ``state.step``, from other draws.
     """
     if t_final < state.t:
         raise InvalidParameterError(f"t_final = {t_final} < current t = {state.t}")
     if not isinstance(state, OrderedTree):
         return run_batch([state], t_final, [rng], thin)[0][0]
-    state._members = state._pos = None
     clocks = _clocks(state.t, t_final, thin)
     if state.kernel == "leaf-block":
         return _leaf_kernel(state, clocks, rng)
@@ -1087,38 +1055,3 @@ def write_census_csv(fh, trajectories: list[list[CensusSnapshot]]) -> None:
         for snap in snaps:
             fh.write(snap.csv_rows(f"{rep},{snap.t},"))
 
-
-_REC_HEAD = struct.Struct("<QI")
-
-
-def write_census_binary(path, snapshots: list[CensusSnapshot]) -> None:
-    """Compact little-endian dump: per snapshot ``u64 t, u32 K`` followed by
-    ``K`` u64 counts for degrees 1..K."""
-    with open(path, "wb") as fh:
-        for snap in snapshots:
-            counts = np.asarray(snap.counts, dtype="<u8")
-            fh.write(_REC_HEAD.pack(snap.t, len(counts)))
-            fh.write(counts.tobytes())
-
-
-def read_census_binary(path) -> list[CensusSnapshot]:
-    """Snapshots of a ``write_census_binary`` dump.  A file that ends inside
-    a record raises InvalidParameterError naming the record's byte offset."""
-    raw = Path(path).read_bytes()
-    out: list[CensusSnapshot] = []
-    pos = 0
-    while pos < len(raw):
-        if pos + _REC_HEAD.size > len(raw):
-            raise InvalidParameterError(
-                f"{path}: truncated record header at byte {pos} "
-                f"(file ends at byte {len(raw)})")
-        t, k = _REC_HEAD.unpack_from(raw, pos)
-        body = pos + _REC_HEAD.size
-        if body + 8 * k > len(raw):
-            raise InvalidParameterError(
-                f"{path}: record at byte {pos} holds {k} counts up to byte "
-                f"{body + 8 * k}, but the file ends at byte {len(raw)}")
-        counts = np.frombuffer(raw, dtype="<u8", count=k, offset=body)
-        out.append(CensusSnapshot(t, counts.astype(np.int64), float("nan")))
-        pos = body + 8 * k
-    return out

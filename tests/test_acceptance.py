@@ -9,14 +9,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from splitgrow import (ExperimentConfig, OrderedTree, SplittingWeights, UrnState,
-                       bessel_i, compare, fixed_point_densities, grafting_density,
+                       compare, fixed_point_densities, grafting_density,
                        make_grafting, make_preferential, make_table, make_uniform,
                        make_rna, rna_closed_form, solve_finite, solve_two_colour,
-                       densities_from_e, uniform_density, uniform_norm_constant,
-                       run)
+                       densities_from_e, uniform_density, uniform_norm_constant)
 from conftest import DMAX3_ENTRIES, random_case3_model
 
 E2 = math.e ** 2

@@ -160,14 +160,6 @@ class TestSimulate:
         for (rep, t), (s, ks) in per_rep.items():
             assert s == t and ks == 2 * t - 2
 
-    def test_binary_dump(self, tmp_path):
-        out = tmp_path / "out"
-        rc = main(["simulate", "--family", "preferential", "--w", "i",
-                   "--seed", "3", "--replicas", "1", "--t-final", "500",
-                   "--binary", "--out", str(out)])
-        assert rc == 0
-        assert (out / "census_0.bin").exists()
-
     def test_invalid_model_aborts_with_report(self, tmp_path, capsys):
         table = tmp_path / "bad.json"
         table.write_text(json.dumps({"d_max": 2, "entries": [[1, 2, 1.0]]}))
@@ -701,14 +693,32 @@ class TestBadInput:
         err = self.run(["solve", "--table", str(path)], capsys)
         assert "d_max must be at most 8192" in err
 
-    def test_two_colour_binary_refused(self, tmp_path, capsys, monkeypatch):
-        # census_<r>.bin has no colour field; refused before any replica runs
-        monkeypatch.setattr(splitgrow.cli, "run_replicated", None)
-        err = self.run(["simulate", "--family", "rna", "--replicas", "1",
-                        "--t-final", "100", "--binary",
-                        "--out", str(tmp_path / "o")], capsys)
-        assert "--binary" in err
-        assert not (tmp_path / "o").exists()
+    @pytest.mark.parametrize("flags", [
+        ["--a", "1"], ["--family", "uniform", "--x", "0", "--w", "2*i"],
+    ], ids=["a", "family-x-w"])
+    def test_table_with_family_flags_refused(self, tmp_path, capsys, flags):
+        # the table is the whole model: the family and its parameters would
+        # otherwise be dropped without a word
+        err = self.run(["solve", "--table", str(dmax3_table_file(tmp_path)), *flags],
+                       capsys)
+        assert "--table" in err and all(f in err for f in flags if f.startswith("--"))
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--K", "5"], ["validate", "--tol", "3"],
+        ["validate", "--out", "DIR"], ["validate", "--force-unsupported"],
+        ["simulate", "--K", "5"], ["simulate", "--tol", "3"], ["simulate", "--binary"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_flag_the_command_does_not_read_refused(self, tmp_path, capsys, monkeypatch,
+                                                     argv):
+        # validate neither solves nor writes files, simulate never solves,
+        # and the binary census dump is gone: argparse refuses each flag
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--family", "rna", *argv[1:]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and argv[1] in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_singular_solve_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(splitgrow.solver, "_update_matrix", singular_update_matrix)

@@ -8,12 +8,10 @@ import scipy.stats
 
 import splitgrow.growth as growth
 from splitgrow.experiment import _check_holds
-from splitgrow import (CensusSnapshot, DegeneracyError,
-                       InvalidDegreeError, InvalidParameterError, LinearTail, OrderedTree,
-                       PartitionWeights, SplittingWeights, UrnState, WeightModel,
-                       make_grafting, make_preferential, make_table, make_uniform,
-                       read_census_binary, run, run_batch, write_census_binary,
-                       write_census_csv)
+from splitgrow import (DegeneracyError, InvalidDegreeError, InvalidParameterError,
+                       LinearTail, OrderedTree, PartitionWeights, SplittingWeights,
+                       UrnState, WeightModel, make_grafting, make_preferential, make_table,
+                       make_uniform, run, run_batch, write_census_csv)
 from splitgrow.twocolour import (TwoColourSnapshot, TwoColourState, make_rna,
                                  make_two_colour_grafting)
 from conftest import DMAX3_ENTRIES
@@ -305,35 +303,54 @@ class TestTreeSplits:
         for _ in range(5000):
             tree.step(rng)
         assert tree.checks()["weight_rel_drift"] <= 1e-9
-        assert sum(len(b) for b in tree._buckets()) == tree.t
 
     @pytest.mark.parametrize("model", [make_uniform(0.0), pref_i(), make_grafting(0.3, 0.7)],
                              ids=["uniform", "pref-i", "grafting"])
-    def test_buckets_kept_across_run_step_and_replay(self, model):
-        # apply_to_degree builds the degree buckets, step and apply_to_degree
-        # keep them, run drops them; whenever they exist they hold every
-        # vertex in the bucket of its degree, at the index _pos gives
+    def test_tree_kept_across_run_step_and_replay(self, model):
+        # run (the leaf-block kernel for pref-i, whose insertions wait in
+        # the log), step and apply_to_degree interleaved leave a tree whose
+        # census is its degree histogram and passes every replica check
         tree = OrderedTree.single_edge(model)
         rng = np.random.default_rng(17)
-
-        def check():
-            kept, pos = tree._members, tree._pos
-            tree._members = tree._pos = None
-            fresh = tree._buckets()
-            assert [sorted(b) for b in kept] == [sorted(b) for b in fresh]
-            assert len(pos) == tree.t
-            assert all(b[pos[v]] == v for b in kept for v in b)
-            tree._members, tree._pos = kept, pos
-
         for stop in (300, 700):
             run(tree, stop, rng)
-            assert tree._members is None and tree._pos is None
             for _ in range(200):
                 i = tree.degree(int(rng.integers(tree.t)))
                 tree.apply_to_degree(i, int(model.sample_split(i, rng)), rng)
                 tree.step(rng)
-            check()
-        assert tree.t == 1100 and tree.is_tree()
+            degrees = np.bincount([tree.degree(v) for v in tree.vertices()],
+                                  minlength=len(tree.counts) + 1)
+            assert tree.counts == degrees[1:].tolist()
+            checks = tree.checks()
+            assert checks["census_sum_dev"] == checks["census_moment_dev"] == 0
+            assert checks["weight_rel_drift"] <= 1e-9 and tree.is_tree()
+        assert tree.t == 1100
+
+    def test_replay_picks_a_uniform_vertex_of_the_degree(self):
+        # leaves 0, 2, 4, 5 own 4 of the 10 half-edges, next to two
+        # degree-3 vertices; a leaf split into degrees (1, 2) keeps its id
+        # and owns the even half of the new edge, tree._ends[-2]
+        model, edges = pref_i(), [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)]
+        rng = np.random.default_rng(23)
+        counts = np.zeros(6)
+        for _ in range(20_000):
+            tree = OrderedTree.from_edges(model, edges)
+            tree.apply_to_degree(1, 1, rng)
+            counts[tree._ends[-2]] += 1
+        assert counts[[1, 3]].sum() == 0
+        assert chi_square_ok(counts[[0, 2, 4, 5]], np.full(4, 0.25))
+
+    @pytest.mark.parametrize("i", [0, 4, 2], ids=["zero", "past-census", "empty-class"])
+    def test_replay_of_a_missing_degree_refused(self, i):
+        # census [3, 0, 1]: the refusal comes before any draw, so the
+        # rejection loop never spins on a degree no vertex has
+        tree = OrderedTree.from_edges(pref_i(), [(0, 1), (1, 2), (1, 3)])
+        rng = np.random.default_rng(31)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match=f"no vertex of degree {i}"):
+            tree.apply_to_degree(i, 1, rng)
+        assert rng.bit_generator.state == state
+        assert tree.t == 4 and tree.counts == [3, 0, 1]
 
 
 class TestTreeConstruction:
@@ -503,12 +520,10 @@ def stepped(state, t_final, rng, thin=None):
 
 
 def same_tree(a, b):
-    """Same half-edge structure and degree buckets, the buckets built on
-    both sides where ``run`` dropped them; true for census engines."""
+    """Same half-edge structure; true for census engines."""
     if not isinstance(a, OrderedTree):
         return True
-    return (a._adj == b._adj and a._ends == b._ends and a._buckets() == b._buckets()
-            and a._pos == b._pos and a.is_tree())
+    return a._adj == b._adj and a._ends == b._ends and a.is_tree()
 
 
 def same_snapshots(a, b):
@@ -944,37 +959,3 @@ class TestSerialisation:
         write_census_csv(buf, [[snap]])
         assert buf.getvalue().splitlines() == [
             "replica,t,k,n_white,n_black", "0,9,1,1,2", "0,9,3,0,3"]
-
-    def test_binary_roundtrip(self, tmp_path):
-        snaps = run(UrnState.single_edge(pref_i()), 500, np.random.default_rng(8), thin=100)
-        path = tmp_path / "census.bin"
-        write_census_binary(path, snaps)
-        back = read_census_binary(path)
-        assert len(back) == len(snaps)
-        for s, t in zip(snaps, back):
-            assert s.t == t.t and (s.counts == t.counts).all()
-
-    @pytest.mark.parametrize("cut,match", [
-        (8, "record at byte 44 holds 4 counts up to byte 88"),
-        (3, "record at byte 44 holds 4 counts up to byte 88"),
-        (40, "truncated record header at byte 44"),
-    ], ids=["short-by-a-count", "short-inside-a-count", "inside-a-header"])
-    def test_binary_truncation_refused(self, tmp_path, cut, match):
-        # two 4-degree snapshots, 44 bytes each; a short file must not read
-        # as a shorter last snapshot or fail with a bare numpy/struct error
-        snap = CensusSnapshot(5, np.array([6, 4, 1, 1]), float("nan"))
-        path = tmp_path / "two.bin"
-        write_census_binary(path, [snap, snap])
-        raw = path.read_bytes()
-        assert len(raw) == 88
-        path.write_bytes(raw[:-cut])
-        with pytest.raises(InvalidParameterError, match=match):
-            read_census_binary(path)
-
-    def test_binary_layout(self, tmp_path):
-        # u64 t, u32 K, then K u64 counts, all little endian
-        path = tmp_path / "one.bin"
-        write_census_binary(path, [type("S", (), {"t": 2, "counts": np.array([2])})()])
-        raw = path.read_bytes()
-        assert raw == (2).to_bytes(8, "little") + (1).to_bytes(4, "little") \
-            + (2).to_bytes(8, "little")

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from splitgrow import (InvalidParameterError, TwoColourState, densities_from_e,
-                       fixed_point_densities, make_rna, make_two_colour_grafting,
-                       make_two_colour_uniform, make_uniform, reduce_to_one_colour,
-                       rna_closed_form, solve_two_colour, uniform_density)
+from splitgrow import (InvalidParameterError, TwoColourState, densities_from_e, make_rna,
+                       make_two_colour_grafting, make_two_colour_uniform, make_uniform,
+                       reduce_to_one_colour, rna_closed_form, solve_two_colour,
+                       uniform_density)
 
 E2 = math.e ** 2
 
