@@ -13,7 +13,7 @@ doubles near k = 170.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,6 +25,7 @@ __all__ = [
     "bessel_i",
     "pref_attachment_density",
     "pref_attachment_densities",
+    "pref_attachment_gamma_form",
     "pref_attachment_asymptote",
     "uniform_norm_constant",
     "uniform_density",
@@ -103,16 +104,12 @@ def pref_attachment_gamma_form(sw: SplittingWeights, k: int) -> float:
     return (2 + x) * math.exp(lg) / (k + x)
 
 
-def _pref_tail_constant(x: float) -> float:
-    """``C(x) = (2+x)*Gamma(2x+3)/Gamma(x+1)``."""
-    return (2 + x) * math.exp(math.lgamma(2 * x + 3) - math.lgamma(x + 1))
-
-
 def pref_attachment_asymptote(sw: SplittingWeights, k: int) -> float:
     """Leading tail behaviour ``C(x) * k^(-3-x)`` with
     ``C(x) = (2+x)*Gamma(2x+3)/Gamma(x+1)``."""
     x = sw.offset
-    return _pref_tail_constant(x) * float(k) ** (-3.0 - x)
+    c = (2 + x) * math.exp(math.lgamma(2 * x + 3) - math.lgamma(x + 1))
+    return c * float(k) ** (-3.0 - x)
 
 
 # -- uniform partitioning weights ----------------------------------------------
@@ -195,14 +192,6 @@ def grafting_density(alpha: float, gamma: float, k: int) -> float:
     return gamma * math.exp(lg) / ((1.0 + gamma - alpha) * (2.0 - alpha))
 
 
-def _grafting_tail_constant(alpha: float, gamma: float) -> float:
-    """Constant ``C`` of the power-law tail ``C * k^(-(2-gamma)/(1-gamma))``
-    for ``gamma < 1``."""
-    u = (1.0 - alpha) / (1.0 - gamma)
-    return gamma * math.exp(math.lgamma((3.0 - alpha - gamma) / (1.0 - gamma)) - math.lgamma(u)) \
-        / ((1.0 + gamma - alpha) * (2.0 - alpha))
-
-
 def grafting_asymptote(alpha: float, gamma: float, k: int) -> float:
     """Tail form: ``C * k^(-(2-gamma)/(1-gamma))`` for ``gamma < 1``, the
     geometric law with rate ``(1-alpha)/(2-alpha)`` for ``gamma = 1``."""
@@ -210,8 +199,10 @@ def grafting_asymptote(alpha: float, gamma: float, k: int) -> float:
     if gamma == 1.0:
         r = (1.0 - alpha) / (2.0 - alpha)
         return r ** (k - 2) / (2.0 - alpha) ** 2
-    return (_grafting_tail_constant(alpha, gamma)
-            * float(k) ** (-(2.0 - gamma) / (1.0 - gamma)))
+    u = (1.0 - alpha) / (1.0 - gamma)
+    c = gamma * math.exp(math.lgamma((3.0 - alpha - gamma) / (1.0 - gamma)) - math.lgamma(u)) \
+        / ((1.0 + gamma - alpha) * (2.0 - alpha))
+    return c * float(k) ** (-(2.0 - gamma) / (1.0 - gamma))
 
 
 def constant_weight_density(k: int) -> float:
@@ -231,19 +222,10 @@ def constant_weight_density(k: int) -> float:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Exact density evaluator for a recognised family, with its tail law.
+    """Exact density evaluator for a recognised family; its tail laws are
+    ``pref_attachment_asymptote`` and ``grafting_asymptote``."""
 
-    ``exponent``/``constant`` describe a power-law tail ``constant * k^exponent``;
-    ``rate`` a geometric tail.  At most one descriptor family is populated
-    (none for the super-exponential uniform tail).
-    """
-
-    family: str
-    params: dict
-    _eval: Callable[[int], float] = field(repr=False)
-    exponent: Optional[float] = None
-    constant: Optional[float] = None
-    rate: Optional[float] = None
+    _eval: Callable[[int], float]
 
     def __call__(self, k: int) -> float:
         return self._eval(k)
@@ -255,32 +237,18 @@ class ClosedForm:
 def closed_form_for(model: WeightModel) -> Optional[ClosedForm]:
     """Exact solution for the model's family, or None if there is none."""
     fam = model.family
-    sw = model.splitting
     if fam == "preferential":
-        if sw.a == 0:
-            rate = 0.5  # a_k = 2^-k regardless of the constant level
-            return ClosedForm(fam, model.params,
-                              lambda k: pref_attachment_density(sw, k), rate=rate)
-        x = sw.offset
-        return ClosedForm(fam, model.params,
-                          lambda k: pref_attachment_density(sw, k),
-                          exponent=-3.0 - x, constant=_pref_tail_constant(x))
+        sw = model.splitting
+        return ClosedForm(lambda k: pref_attachment_density(sw, k))
     if fam == "uniform":
         x = model.params["x"]
         if x > _UNIFORM_X_MAX:
             return None
         log_c = _uniform_log_norm(x)
-        return ClosedForm(fam, model.params, lambda k: _uniform_density(x, k, log_c))
+        return ClosedForm(lambda k: _uniform_density(x, k, log_c))
     if fam == "grafting":
         al, ga = model.params["alpha"], model.params["gamma"]
         if al >= 1.0 or ga == 0.0:
             return None
-        if ga == 1.0:
-            return ClosedForm(fam, model.params,
-                              lambda k: grafting_density(al, ga, k),
-                              rate=(1.0 - al) / (2.0 - al))
-        return ClosedForm(fam, model.params,
-                          lambda k: grafting_density(al, ga, k),
-                          exponent=-(2.0 - ga) / (1.0 - ga),
-                          constant=_grafting_tail_constant(al, ga))
+        return ClosedForm(lambda k: grafting_density(al, ga, k))
     return None

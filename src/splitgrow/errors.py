@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = ["SplitgrowError", "InvalidParameterError", "UnknownTailError", "RegimeError",
+           "NoConvergenceError", "SingularSystemError", "RankDeficientError",
+           "NonPositiveError", "DegeneracyError", "InvalidDegreeError",
+           "ReductionInvalidError"]
+
 
 class SplitgrowError(Exception):
     """Base class for all splitgrow errors."""

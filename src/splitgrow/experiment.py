@@ -293,22 +293,19 @@ def solve_model(model, cfg: ExperimentConfig):
         return solve_two_colour(model, K=cfg.K, force_unsupported=cfg.force_unsupported)
     if model.d_max is not None:
         return solve_finite(model)
-    return fixed_point_densities(model, K=cfg.K, tol=cfg.tol,
-                                 force_unsupported=cfg.force_unsupported)
+    return fixed_point_densities(model, K=cfg.K, force_unsupported=cfg.force_unsupported)
 
 
 def analytic_reference(model, cfg: ExperimentConfig, solution=None):
     """The report's analytic densities and their method label: the family's
     closed form (degrees 1..REPORT_DEGREES) when it has one, else
-    ``solution``, the model's own solve (made here when not given).
-    Two-colour models return the solution."""
+    ``solution``, the model's own solve (made here when not given), with
+    the solve's own method.  Two-colour models return the solution."""
     cf = None if isinstance(model, TwoColourModel) else closed_form_for(model)
     if cf is not None:
         return cf.densities(REPORT_DEGREES), "closed-form"
     sol = solution if solution is not None else solve_model(model, cfg)
-    if isinstance(model, TwoColourModel):
-        return sol, "reduction"
-    return sol.densities, "linear" if model.d_max is not None else "fixed-point"
+    return (sol if isinstance(model, TwoColourModel) else sol.densities), sol.method
 
 
 # -- report -------------------------------------------------------------------

@@ -572,7 +572,7 @@ def _sum_normalised(model: WeightModel, B: UpdateMatrix) -> np.ndarray:
                              0.0, 0.0, f"the normalised stationary system at K = {K}")
 
 
-def solve_finite(model: WeightModel, tol: float = 1e-12) -> DensitySolution:
+def solve_finite(model: WeightModel) -> DensitySolution:
     """Direct solution for a bounded model: with linear weights the
     stationary system has rank ``d_max - 1``, and ``sum rho = 1`` in place of
     row 0 fixes the remaining constant (RankDeficientError if it does not).
@@ -590,7 +590,7 @@ def solve_finite(model: WeightModel, tol: float = 1e-12) -> DensitySolution:
             "some degree below the bound is unreachable") from None
 
     warnings = []
-    if np.any(rho < -tol):
+    if np.any(rho < -1e-12):
         raise NonPositiveError(f"negative density: min rho = {rho.min():.3e}")
     if np.any(rho <= 0):
         warnings.append("some densities are zero (degenerate table)")
@@ -633,13 +633,10 @@ def _residual_report(model: WeightModel, a: np.ndarray, K: int,
         tail_mass=float(tail_mass))
 
 
-def residuals(model: WeightModel, a: np.ndarray, K: Optional[int] = None) -> ResidualReport:
-    """Stationarity residuals of a density vector against the model."""
+def residuals(model: WeightModel, a: np.ndarray) -> ResidualReport:
+    """Stationarity residuals of a density vector against the model, at
+    ``K = len(a)``."""
     a = np.asarray(a, dtype=float)
-    if K is None:
-        K = len(a)
-    if len(a) < K:
-        raise InvalidParameterError("density vector shorter than K")
-    a = a[:K]
+    K = len(a)
     clo = _closure_for(model, K)[0]
     return _residual_report(model, a, K, clo)

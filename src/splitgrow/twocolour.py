@@ -61,7 +61,7 @@ class TwoColourModel:
     """
 
     def __init__(self, a: float, b: float, white_partition: PartitionWeights,
-                 family: str = "two-colour", params: Optional[dict] = None):
+                 family: str = "two-colour"):
         if not (math.isfinite(a) and math.isfinite(b)):
             raise InvalidParameterError(f"a and b must be finite, got a={a}, b={b}")
         if not a - b > 0:
@@ -72,7 +72,6 @@ class TwoColourModel:
         self.a = float(a)
         self.b = float(b)
         self.family = family
-        self.params = dict(params or {})
         self.black = SplittingWeights(c, b)
         if self.black(1) < 0 or SplittingWeights(c, a)(1) < 0:
             raise InvalidParameterError("degree-1 weights must be nonnegative")
@@ -107,8 +106,7 @@ def make_two_colour_uniform(a: float, b: float) -> TwoColourModel:
     """Uniform white partitioning: every ordered child pair of a white split
     is equally likely."""
     pw = _uniform_partition(SplittingWeights(a - 1.5 * b, a))
-    return TwoColourModel(a, b, pw, family="two-colour-uniform",
-                          params={"a": float(a), "b": float(b)})
+    return TwoColourModel(a, b, pw, family="two-colour-uniform")
 
 
 def make_rna() -> TwoColourModel:
@@ -133,8 +131,7 @@ def make_two_colour_grafting(a: float, b: float, alpha0: float) -> TwoColourMode
     tail = LinearTail(start=2, pg=pg, qg=a, ph=alpha0 / 2.0, qh=0.0)
     fn = _two_banded_fn(SplittingWeights(c, a), None, 2, None, tail)
     pw = PartitionWeights(fn, d_max=None, tail=tail)
-    return TwoColourModel(a, b, pw, family="two-colour-grafting",
-                          params={"a": float(a), "b": float(b), "alpha0": float(alpha0)})
+    return TwoColourModel(a, b, pw, family="two-colour-grafting")
 
 
 # -- simulation -------------------------------------------------------------------

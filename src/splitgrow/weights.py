@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -399,20 +399,18 @@ class ConditionReport:
 class ValidationReport:
     """Outcome of the standard model checks.
 
-    ``linearity`` covers the least-squares consistency of the derived
-    splitting weights with ``a*i + b``; ``leaf_reachability`` that every
-    degree up to the bound can be produced by leaf splits; ``top_splittable``
-    that bound-degree vertices can split at all. Diagonalisability of the
-    expected-census replacement matrix is reported informationally and never
-    checked; the density results do not need it.
+    ``linearity`` covers the agreement of the derived splitting weights with
+    the model's line ``a*i + b``: for a bounded model the model's own fit
+    (``splitting`` and ``linear_fit_residual``, over degrees 1..d_max), for an
+    unbounded one the line through ``w_1`` and ``w_2`` over degrees 1..200;
+    ``leaf_reachability`` that every degree up to the bound can be produced
+    by leaf splits; ``top_splittable`` that bound-degree vertices can split
+    at all.
     """
 
     linearity: ConditionReport
     leaf_reachability: ConditionReport
     top_splittable: ConditionReport
-    replacement_matrix: ConditionReport
-    fitted: tuple[float, float]
-    max_linear_residual: float
 
     @property
     def ok(self) -> bool:
@@ -420,20 +418,16 @@ class ValidationReport:
                    for c in (self.linearity, self.leaf_reachability, self.top_splittable))
 
 
-def validate_model(m: WeightModel, tol: float = 1e-9, i_max: int = 200) -> ValidationReport:
-    """Check the standard conditions; reports violations instead of raising."""
-    span = min(i_max, m.d_max) if m.d_max else i_max
-    derived = derive_splitting_weights(m.partition, max(span, 2))
-    line, resid = _linear_fit(derived)
-    a, b = line.a, line.b
-    lin = ConditionReport(resid <= tol,
-                          f"max |w_i - ({a:g}*i{b:+g})| = {resid:.3g} over i <= {len(derived)}")
-
+def validate_model(m: WeightModel) -> ValidationReport:
+    """Check the standard conditions; reports violations instead of raising.
+    Linearity holds when no derived weight is more than 1e-9 off the line."""
     if m.d_max is None:
-        reach = ConditionReport(None, "unbounded model; not applicable")
-        top = ConditionReport(None, "unbounded model; not applicable")
+        span = 200
+        line, resid = _linear_fit(derive_splitting_weights(m.partition, span))
+        reach = top = ConditionReport(None, "unbounded model; not applicable")
     else:
-        D = m.d_max
+        D = span = m.d_max
+        line, resid = m.splitting, m.linear_fit_residual
         ks = np.arange(2, D + 1)
         bad = ks[m.partition(1, ks) <= 0].tolist()
         reach = ConditionReport(not bad,
@@ -444,32 +438,31 @@ def validate_model(m: WeightModel, tol: float = 1e-9, i_max: int = 200) -> Valid
         top = ConditionReport(bool(idx),
                               f"w[i, d_max+2-i] > 0 for i in {idx}" if idx
                               else "no i in 2..d_max-1 with w[i, d_max+2-i] > 0")
-    diag = ConditionReport(None, "not checked (not required for density limits)")
-    return ValidationReport(lin, reach, top, diag, (float(a), float(b)), resid)
+    lin = ConditionReport(resid <= 1e-9, f"max |w_i - ({line.a:g}*i{line.b:+g})| = "
+                                         f"{resid:.3g} over i <= {span}")
+    return ValidationReport(lin, reach, top)
 
 
-def classify_regime(m: WeightModel, i_scan: int = 4096,
-                    limit: Optional[float] = None) -> tuple[Regime, float]:
+def classify_regime(m: WeightModel) -> tuple[Regime, float]:
     """Classify the convergence regime and compute ``s``.
 
     For bounded models the infimum runs over ``1 <= i < d_max`` and the bound
-    itself forces CASE_I.  For unbounded models the scanned minimum is folded
-    with the analytic limit of ``i * w[1, i+1]``; if no limit is known
-    (unrecognised family without a declared tail and no ``limit`` hint) an
-    UnknownTailError is raised rather than extrapolating.
+    itself forces CASE_I.  For unbounded models the minimum over
+    ``1 <= i <= 4096`` is folded with the model's ``leaf_mass_limit``, the
+    limit of ``i * w[1, i+1]``; if the model knows none (no declared limit
+    and no tail) an UnknownTailError is raised rather than extrapolating.
     """
-    i = np.arange(1, m.d_max if m.d_max is not None else i_scan + 1)
+    i = np.arange(1, m.d_max if m.d_max is not None else 4097)
     s_scan = float(np.min(i * m.partition(1, i + 1)))
     if m.d_max is not None:
         return Regime.CASE_I, s_scan
     if s_scan == 0.0:
         return Regime.CASE_I, 0.0
-    tail_limit = limit if limit is not None else m.leaf_mass_limit
-    if tail_limit is None:
+    if m.leaf_mass_limit is None:
         raise UnknownTailError(
-            "unbounded model with unknown tail of i*w[1,i+1]; "
-            "pass an explicit limit or construct the model with tail metadata")
-    s = min(s_scan, tail_limit)
+            "unbounded model with unknown tail of i*w[1,i+1]; construct the "
+            "model with a leaf_mass_limit or a LinearTail")
+    s = min(s_scan, m.leaf_mass_limit)
     if s <= 0.0:
         return Regime.CASE_II, 0.0
     return Regime.CASE_III, float(s)
@@ -533,8 +526,7 @@ def _uniform_partition(sw: SplittingWeights) -> PartitionWeights:
 
 
 def _two_banded_fn(sw: SplittingWeights, alpha_of: Optional[Callable[[np.ndarray], np.ndarray]],
-                   start: int, head: Optional[PartitionWeights],
-                   tail: Optional[LinearTail] = None):
+                   start: int, head: Optional[PartitionWeights], tail: LinearTail):
     """Partitioning accessor with head table below ``start`` and the
     two-banded split law ``i*w[1,i+1] = alpha_i*w_i``, ``i*w[2,i] = (1-alpha_i)*w_i``
     from ``start`` on (diagonal pair (2,2) not halved).  ``alpha_of`` is
@@ -550,13 +542,11 @@ def _two_banded_fn(sw: SplittingWeights, alpha_of: Optional[Callable[[np.ndarray
         else:                          # forced: w[1,2] = w_1
             low = np.where(d == 1, sw(1), 0.0)
         dt = np.maximum(d, start)
+        g, h = tail.g(dt), tail.h(dt)
         if alpha_of is not None:
             al, w = alpha_of(dt), sw(dt)
-            g, h = al * w, (1.0 - al) * w
-        if tail is not None:
             past = dt >= tail.start
-            g = tail.g(dt) if alpha_of is None else np.where(past, tail.g(dt), g)
-            h = tail.h(dt) if alpha_of is None else np.where(past, tail.h(dt), h)
+            g, h = np.where(past, g, al * w), np.where(past, h, (1.0 - al) * w)
         high = np.where(i == 1, g / dt,
                         np.where(i == 2, np.where(dt == 2, h, h / dt), 0.0))
         return np.where(d < 1, 0.0, np.where(d < start, low, high))
@@ -564,18 +554,16 @@ def _two_banded_fn(sw: SplittingWeights, alpha_of: Optional[Callable[[np.ndarray
     return fn
 
 
-def make_alpha_class(sw: SplittingWeights, alpha, M: int = 2,
+def make_alpha_class(sw: SplittingWeights, alpha: Sequence[float], M: int = 2,
                      head: Optional[PartitionWeights] = None) -> WeightModel:
     """Two-banded family: for split degrees ``i >= M`` the only admissible
     child pairs are ``(1, i+1)`` (probability ``alpha_i``) and ``(2, i)``.
 
-    ``alpha`` is a sequence of values in (0, 1] for degrees ``M, M+1, ...``
-    (the final value extends to all larger degrees) or a callable; a callable
-    maps an integer array of degrees ``>= M`` to the array of their values,
-    and carries no tail metadata, so regime classification then needs an
-    explicit limit hint.  ``head`` supplies the partitioning weights of split
-    degrees below ``M``; for ``M == 2`` it may be omitted and ``w[1,2] = w_1``
-    is used.
+    ``alpha`` is a sequence of values in (0, 1] for degrees ``M, M+1, ...``;
+    the final value extends to all larger degrees and fixes the model's
+    ``LinearTail``.  ``head`` supplies the partitioning weights of split
+    degrees below ``M``; for ``M == 2`` it may be omitted and
+    ``w[1,2] = w_1`` is used.
     """
     if M < 2:
         raise InvalidParameterError("M must be >= 2")
@@ -583,25 +571,19 @@ def make_alpha_class(sw: SplittingWeights, alpha, M: int = 2,
         raise InvalidParameterError("head table required when M > 2")
     _check_splitting_valid(sw, None)
 
-    tail = None
-    if callable(alpha):
-        alpha_of = alpha
-    else:
-        seq = [float(v) for v in alpha]
-        if not seq:
-            raise InvalidParameterError("alpha sequence must be nonempty")
-        for v in seq:
-            if not 0.0 < v <= 1.0:
-                raise InvalidParameterError(f"alpha values must lie in (0, 1], got {v}")
+    seq = [float(v) for v in alpha]
+    if not seq:
+        raise InvalidParameterError("alpha sequence must be nonempty")
+    for v in seq:
+        if not 0.0 < v <= 1.0:
+            raise InvalidParameterError(f"alpha values must lie in (0, 1], got {v}")
 
-        def alpha_of(i, _seq=np.array(seq), _M=M):
-            return _seq[np.minimum(i - _M, len(_seq) - 1)]
+    def alpha_of(i, _seq=np.array(seq), _M=M):
+        return _seq[np.minimum(i - _M, len(_seq) - 1)]
 
-        const_from = M + len(seq) - 1
-        al = seq[-1]
-        tail = LinearTail(start=const_from, pg=al * sw.a, qg=al * sw.b,
-                          ph=(1.0 - al) * sw.a, qh=(1.0 - al) * sw.b)
-
+    al = seq[-1]
+    tail = LinearTail(start=M + len(seq) - 1, pg=al * sw.a, qg=al * sw.b,
+                      ph=(1.0 - al) * sw.a, qh=(1.0 - al) * sw.b)
     fn = _two_banded_fn(sw, alpha_of, M, head, tail)
     pw = PartitionWeights(fn, d_max=None, tail=tail)
     model = WeightModel(pw, sw, family="alpha", params={"M": M})

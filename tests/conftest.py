@@ -19,6 +19,15 @@ def dmax3():
     return make_table(3, DMAX3_ENTRIES)
 
 
+def doubled_split_entries(d_max=300, doubled=250):
+    """Table entries ``(i, j, w)`` that put ``w_i = i`` on uniform pairs
+    (``2/(d+1)`` for each pair of split degree ``d``) up to ``d_max``, with
+    the pairs of split degree ``doubled`` at twice that: the derived weights
+    are linear up to ``doubled - 1`` and ``w_doubled = 2*doubled``."""
+    return [(k, d + 2 - k, (2.0 if d == doubled else 1.0) * 2.0 / (d + 1))
+            for d in range(1, d_max + 1) for k in range(1, d // 2 + 2) if d + 2 - k <= d_max]
+
+
 def constant_uniform_partition(b=1.0):
     """Uniform partitioning for constant splitting weights ``w_i = b``:
     ``w[i, j] = 2b / (d (d+1))`` with ``d = i + j - 2``."""

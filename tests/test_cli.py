@@ -11,13 +11,14 @@ import pytest
 import splitgrow
 import splitgrow.cli
 import splitgrow.experiment
+import splitgrow.growth
 import splitgrow.solver
 import splitgrow.twocolour
 from splitgrow import InvalidParameterError
 from splitgrow.cli import main, parse_weight_expr
 from splitgrow.experiment import ExperimentConfig, ExperimentReport, worker_count
 from splitgrow.weights import MAX_DEGREE
-from conftest import DMAX3_ENTRIES, singular_update_matrix
+from conftest import DMAX3_ENTRIES, doubled_split_entries, singular_update_matrix
 
 E2 = math.e ** 2
 SUPER_EXP = "super-exponential tail; zero-tail truncation used"
@@ -42,6 +43,13 @@ class TestParseWeightExpr:
 def dmax3_table_file(tmp_path):
     path = tmp_path / "dmax3.json"
     path.write_text(json.dumps({"d_max": 3, "entries": [list(e) for e in DMAX3_ENTRIES]}))
+    return path
+
+
+def doubled_split_table_file(tmp_path):
+    """A d_max = 300 table that is linear up to degree 249 only."""
+    path = tmp_path / "t300.json"
+    path.write_text(json.dumps({"d_max": 300, "entries": doubled_split_entries()}))
     return path
 
 
@@ -167,6 +175,32 @@ class TestSimulate:
                    "--replicas", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "top_splittable" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_nonlinear_table_needs_force(self, tmp_path, capsys, monkeypatch, command):
+        # linear up to degree 249 only: refused unless forced
+        monkeypatch.setenv("SPLITGROW_THREADS", "1")
+        argv = [command, "--table", str(doubled_split_table_file(tmp_path)),
+                "--replicas", "2", "--t-final", "300", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "linearity            FAIL" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()
+        assert main(argv + ["--force-unsupported"]) != 2
+        assert (tmp_path / "o/manifest.json").exists()
+
+    def test_failed_invariant_check_exits_1(self, tmp_path, monkeypatch, capsys):
+        # the rule compare applies: a broken census identity fails the run
+        monkeypatch.setenv("SPLITGROW_THREADS", "1")
+        real = splitgrow.growth.UrnState.checks
+
+        def broken(state):
+            return {**real(state), "census_sum_dev": 1}
+
+        monkeypatch.setattr(splitgrow.growth.UrnState, "checks", broken)
+        rc = main(["simulate", "--family", "preferential", "--w", "i", "--seed", "3",
+                   "--replicas", "2", "--t-final", "300", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "census_sum_dev=1," in capsys.readouterr().err
 
     def test_two_colour_csv(self, tmp_path):
         out = tmp_path / "out"
@@ -469,6 +503,18 @@ class TestCompare:
         assert rc == 0
         assert ",1,closed-form,0.3683350198" in (tmp_path / "report.csv").read_text()
 
+    def test_forced_rows_name_the_solve(self, tmp_path):
+        # grafting (1, 1) has no closed form and needs the forced solve
+        out = tmp_path / "out"
+        rc = main(["compare", "--family", "grafting", "--alpha", "1", "--gamma", "1",
+                   "--force-unsupported", "--replicas", "3", "--t-final", "300",
+                   "--K", "64", "--z-crit", "1e9", "--out", str(out)])
+        assert rc == 0
+        method = json.loads((out / "solution.json").read_text())["method"]
+        rows = (out / "report.csv").read_text().splitlines()[-16:]
+        assert method == "linear-truncated"
+        assert {row.split(",")[2] for row in rows} == {method}
+
     def test_failed_invariant_check_fails(self, tmp_path, monkeypatch, capsys):
         # a broken census identity fails compare even when every z passes
         monkeypatch.setenv("SPLITGROW_THREADS", "1")
@@ -703,6 +749,14 @@ class TestBadInput:
                        capsys)
         assert "--table" in err and all(f in err for f in flags if f.startswith("--"))
 
+    def test_parameter_flags_next_to_config_refused(self, tmp_path, capsys):
+        # the config's model would be used and the flags dropped without a word
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"family": "uniform", "x": 0.0}}))
+        err = self.run(["solve", "--config", str(cfg), "--x", "5", "--alpha", "0.3",
+                        "--K", "16"], capsys)
+        assert "--x, --alpha need --family" in err
+
     @pytest.mark.parametrize("argv", [
         ["validate", "--K", "5"], ["validate", "--tol", "3"],
         ["validate", "--out", "DIR"], ["validate", "--force-unsupported"],
@@ -733,6 +787,10 @@ class TestValidate:
         assert rc == 0
         out = capsys.readouterr().out
         assert "linearity" in out and "regime I" in out
+
+    def test_table_nonlinear_past_degree_200_fails(self, tmp_path, capsys):
+        assert main(["validate", "--table", str(doubled_split_table_file(tmp_path))]) == 2
+        assert "= 250 over i <= 300" in capsys.readouterr().out
 
     def test_degenerate_fails(self, tmp_path, capsys):
         table = tmp_path / "bad.json"

@@ -161,12 +161,14 @@ class TestGrafting:
         assert abs(ratio - 1.0) < 0.01
 
     def test_asymptote_descriptors(self):
-        # exponent -(2-gamma)/(1-gamma) = -3 at gamma = 1/2
-        m = make_grafting(0.5, 0.5)
-        cf = closed_form_for(m)
-        assert cf.exponent == pytest.approx(-3.0)
-        assert closed_form_for(make_grafting(0.0, 1.0)).rate == pytest.approx(0.5)
-        assert closed_form_for(make_grafting(0.5, 1.0)).rate == pytest.approx(1 / 3)
+        # exponent -(2-gamma)/(1-gamma) = -3 at gamma = 1/2: doubling k
+        # divides the tail by 2^3
+        ratio = grafting_asymptote(0.5, 0.5, 40) / grafting_asymptote(0.5, 0.5, 20)
+        assert ratio == pytest.approx(2.0 ** -3.0)
+        # gamma = 1: geometric rate (1-alpha)/(2-alpha)
+        for alpha, rate in ((0.0, 0.5), (0.5, 1 / 3)):
+            ratio = grafting_asymptote(alpha, 1.0, 11) / grafting_asymptote(alpha, 1.0, 10)
+            assert ratio == pytest.approx(rate)
 
     def test_sum_to_one_power_law(self):
         # partial sum + integral tail bound of C k^-3
@@ -193,8 +195,12 @@ class TestClosedFormDispatch:
     def test_families(self):
         assert closed_form_for(make_uniform(0.0))(1) == pytest.approx(uniform_density(0, 1))
         m = make_preferential(SplittingWeights(1.0, 0.0))
-        assert closed_form_for(m).exponent == pytest.approx(-3.0)
-        assert closed_form_for(m).constant == pytest.approx(4.0)
+        sw = m.splitting
+        assert closed_form_for(m)(3) == pref_attachment_density(sw, 3)
+        # tail 4 * k^-3 for w = i
+        assert pref_attachment_asymptote(sw, 1) == pytest.approx(4.0)
+        assert pref_attachment_asymptote(sw, 20) / pref_attachment_asymptote(sw, 10) \
+            == pytest.approx(2.0 ** -3.0)
         assert closed_form_for(make_grafting(0.3, 0.5))(4) == pytest.approx(
             grafting_density(0.3, 0.5, 4), rel=1e-14)
 

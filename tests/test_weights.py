@@ -12,7 +12,7 @@ from splitgrow import (InvalidParameterError, PartitionWeights, Regime,
 from splitgrow.twocolour import (make_rna, make_two_colour_grafting,
                                  make_two_colour_uniform, reduce_to_one_colour)
 from conftest import (DMAX3_ENTRIES, constant_uniform_partition, derived_weights_by_degree,
-                      random_linear_table)
+                      doubled_split_entries, random_linear_table)
 
 
 def constant_uniform_model(b=1.0):
@@ -58,8 +58,7 @@ class TestValidateModel:
     def test_bounded_table_passes(self, dmax3):
         rep = validate_model(dmax3)
         assert rep.linearity.ok and rep.leaf_reachability.ok and rep.top_splittable.ok
-        assert rep.replacement_matrix.ok is None
-        assert rep.fitted == pytest.approx((1.0, 0.0))
+        assert (dmax3.splitting.a, dmax3.splitting.b) == pytest.approx((1.0, 0.0))
 
     def test_degenerate_dmax2_top_unsplittable(self):
         m = make_table(2, [(1, 2, 1.0)])
@@ -68,9 +67,17 @@ class TestValidateModel:
         assert not rep.ok
 
     def test_constant_weights_are_linear(self):
-        rep = validate_model(constant_uniform_model())
-        assert rep.linearity.ok
-        assert rep.fitted == pytest.approx((0.0, 1.0))
+        m = constant_uniform_model()
+        assert validate_model(m).linearity.ok
+        assert (m.splitting.a, m.splitting.b) == pytest.approx((0.0, 1.0))
+
+    def test_table_nonlinear_past_degree_200_fails(self):
+        # the linearity row reads the model's own fit, which covers the
+        # table to its bound, not only to degree 200
+        m = make_table(300, doubled_split_entries())
+        assert m.linear_fit_residual == pytest.approx(250.0)
+        lin = validate_model(m).linearity
+        assert lin.ok is False and lin.detail.endswith("= 250 over i <= 300")
 
     def test_nonlinear_table_reported(self):
         m = make_table(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 2, 1.0), (2, 3, 5.0)])
@@ -108,9 +115,15 @@ class TestClassifyRegime:
         with pytest.raises(UnknownTailError):
             classify_regime(m)
 
-    def test_explicit_limit_hint(self):
+    def test_unknown_tail_names_the_model_fact(self):
         m = WeightModel(constant_uniform_partition(), SplittingWeights(0.0, 1.0))
-        regime, s = classify_regime(m, limit=0.0)
+        with pytest.raises(UnknownTailError, match="leaf_mass_limit"):
+            classify_regime(m)
+
+    def test_explicit_limit_hint(self):
+        m = WeightModel(constant_uniform_partition(), SplittingWeights(0.0, 1.0),
+                        leaf_mass_limit=0.0)
+        regime, s = classify_regime(m)
         assert regime is Regime.CASE_II and s == 0.0
 
 
@@ -205,7 +218,7 @@ class TestInvariants:
         rng = np.random.default_rng(99)
         for _ in range(10):
             m = random_linear_table(rng, int(rng.integers(2, 8)))
-            assert validate_model(m, i_max=m.d_max).linearity.ok
+            assert validate_model(m).linearity.ok
 
 
 def contract_models():
