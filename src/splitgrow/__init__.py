@@ -18,8 +18,7 @@ from .weights import (LinearTail, PartitionWeights, Regime, SplittingWeights,
                       make_table, make_uniform, validate_model)
 from .growth import (CensusSnapshot, OrderedTree, SplitEvent, UrnState, run,
                      run_batch, write_census_csv)
-from .solver import (DensitySolution, ResidualReport, fixed_point_densities,
-                     residuals, solve_finite)
+from .solver import DensitySolution, ResidualReport, fixed_point_densities, residuals
 from .closed_forms import (ClosedForm, bessel_i, closed_form_for,
                            constant_weight_density, grafting_asymptote,
                            grafting_density, pref_attachment_asymptote,

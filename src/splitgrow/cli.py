@@ -177,6 +177,7 @@ def _solution_doc(sol) -> dict:
             "max_residual": sol.max_residual,
             "colour_sum_dev": sol.colour_sum_dev,
             "weight_sum_dev": sol.weight_sum_dev,
+            "unsupported": sol.unsupported,
             "warnings": sol.warnings,
         }
         return doc
@@ -277,13 +278,16 @@ def cmd_compare(args) -> int:
     _write_json(out / "manifest.json",
                 _manifest(cfg, time.monotonic() - t0, report.growth, report.solution))
     bad, failed = report.violations(), report.failed_checks()
-    worst = max((abs(r.z) for r in report.rows
-                 if r.k <= cfg.k_check and np.isfinite(r.z)), default=0.0)
+    checked = [r for r in report.rows if r.k <= cfg.k_check]
+    worst = max((abs(r.z) for r in checked if np.isfinite(r.z)), default=0.0)
     status = "PASS" if report.ok else (
         f"FAIL ({len(bad)} degrees beyond z={cfg.z_crit}; "
         f"failed checks: {', '.join(failed) or 'none'})")
+    # a row with SE 0 has z 0 or infinite, and the maximum skips infinities
+    zero_se = sum(r.stderr == 0 for r in checked)
     print(f"compare {status}: max |z| = {worst:.2f} over k <= {cfg.k_check}; "
-          f"report in {out}", file=sys.stderr)
+          f"{zero_se} of {len(checked)} checked rows have SE 0; report in {out}",
+          file=sys.stderr)
     return 0 if report.ok else 1
 
 

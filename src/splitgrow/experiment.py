@@ -21,7 +21,7 @@ import numpy as np
 from .closed_forms import closed_form_for
 from .errors import InvalidParameterError
 from .growth import OrderedTree, UrnState, run, run_batch
-from .solver import fixed_point_densities, solve_finite
+from .solver import fixed_point_densities
 from .twocolour import (TwoColourModel, TwoColourState, densities_from_e,
                         make_rna, make_two_colour_grafting, make_two_colour_uniform,
                         solve_two_colour)
@@ -286,13 +286,10 @@ def growth_counters(results: list[dict]) -> dict:
 
 
 def solve_model(model, cfg: ExperimentConfig):
-    """The model's one solve, chosen from the model alone: the reduction for
-    two-colour models, the normalised linear solve for bounded one-colour
-    models, the fixed point for the others."""
+    """The model's one solve: the reduction for two-colour models,
+    ``fixed_point_densities`` for one-colour ones."""
     if isinstance(model, TwoColourModel):
         return solve_two_colour(model, K=cfg.K, force_unsupported=cfg.force_unsupported)
-    if model.d_max is not None:
-        return solve_finite(model)
     return fixed_point_densities(model, K=cfg.K, force_unsupported=cfg.force_unsupported)
 
 
@@ -414,7 +411,7 @@ def compare(cfg: ExperimentConfig) -> ExperimentReport:
         ref_model, ref_solution = build_model(cfg.reference_model), None
     results = run_replicated(cfg)
     checks = [(name, f"{val:.17g}") for name, val in worst_checks(results).items()]
-    if cfg.force_unsupported:
+    if solution.unsupported:
         checks.append(("forced_unsupported", "true"))
 
     finals = [r["snapshots"][-1] for r in results]

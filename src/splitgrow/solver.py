@@ -1,9 +1,12 @@
 """Limiting degree densities from the stationary census equations.
 
-Two routes are provided:
+Every one-colour model has one solve, ``fixed_point_densities``, which
+also decides once whether the model is supported (linear splitting weights
+and, unbounded, ``s > 0`` outside CASE_II); it refuses an unsupported model
+unless forced, and marks a forced result ``unsupported``.
 
-* ``fixed_point_densities`` finds the minimal solution of the fixed-point
-  system ``a = M a + c``,
+* An unbounded model gets the minimal solution of the fixed-point system
+  ``a = M a + c``,
 
       a_1  = (s + sum_{i>=2} (i*w[1,i+1] - s) * a_i) / (w_2 + s)
       a_k  = (sum_{i>=k-1} i*w[k,i-k+2] * a_i) / (w_2 + w_k),    k >= 2
@@ -24,20 +27,20 @@ Two routes are provided:
   directly.  With ``record_iterates=True`` it is instead reached by the
   from-below iteration ``a <- M a + c`` started from the zero vector, the
   constructive route to the minimal solution; the iteration serves as the
-  oracle the direct solve is checked against.
+  oracle the direct solves are checked against, for bounded models too.
 
-* ``solve_finite`` solves the bounded-degree stationary system with its
-  first row replaced by ``sum a = 1``; so does the forced solve outside the
-  guaranteed regime (``s <= 0``), truncated at K.
+* A bounded model gets the stationary system with its first row replaced
+  by ``sum a = 1``; so does a forced unsupported model, truncated at K with
+  a zero tail.
 
 Every direct solve is one system, solved by ``_solve_stationary``: rows
 k = 2..K read ``(w_2 + w_k) a_k = (B a)_k`` and only row 1 differs.  The
 fixed point's row 1 is ``(w_2+s) a_1 - sum_{i>=2} (i*w[1,i+1]-s) a_i = s``,
 the normalised row 1 is ``sum a = 1``, and a tail closure adds one
-coefficient on ``a_K`` to row 1 and one to row 2.  Which route a model
-takes is decided in one place, ``experiment.solve_model``: ``solve_finite``
-for bounded models, the fixed point for the others; two-colour models reach
-the fixed point through ``twocolour.solve_two_colour``.
+coefficient on ``a_K`` to row 1 and one to row 2.  The closure travels
+with the update matrix (``UpdateMatrix.closure``), so the solve, the
+iteration and the residual report read the same sums.  Two-colour models
+reach this solve through ``twocolour.solve_two_colour``.
 
 A degree-k vertex only feeds degrees up to k+1, so the system is upper
 Hessenberg, with the leaf-split masses ``(k-1)*w[k,1]`` on the subdiagonal.
@@ -93,7 +96,6 @@ __all__ = [
     "DensitySolution",
     "UpdateMatrix",
     "fixed_point_densities",
-    "solve_finite",
     "residuals",
 ]
 
@@ -161,42 +163,65 @@ class DensitySolution:
 # -- tail closure ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _TailClosure:
-    """Exact sums over the neglected degrees ``i > K``, all relative to a_K:
-    Q0 = sum R_i, Q0m = sum i*R_i, Qg = sum g(i)*R_i, Qh = sum h(i)*R_i,
-    where R_i = a_i/a_K under the two-term tail recursion."""
+class _TailClosure(NamedTuple):
+    """A solve's sums over the neglected degrees ``i > K``, all relative to
+    a_K: Q0 = sum R_i, Q0m = sum i*R_i, Qg = sum g(i)*R_i, Qh = sum h(i)*R_i,
+    where R_i = a_i/a_K under the two-term tail recursion, or zero for a
+    zero tail; ``kind``, ``reason`` as in ``TailClosureFact``, ``warnings``
+    for the solution."""
 
-    Q0: float
-    Q0m: float
-    Qg: float
-    Qh: float
     kind: str
+    reason: str = ""
+    warnings: tuple = ()
+    Q0: float = 0.0
+    Q0m: float = 0.0
+    Qg: float = 0.0
+    Qh: float = 0.0
 
 
-def _tail_closure(tail: LinearTail, w2: float, K: int):
-    """The closure at K, or None with the reason there is none."""
+def _tail_closure(tail: LinearTail, w2: float, K: int) -> _TailClosure:
+    """The closure of a ``LinearTail`` at K."""
+    def none(reason):
+        note = "tail closure unavailable; zero-tail truncation used"
+        return _TailClosure("none", reason, (note,))
+
     if K < max(tail.start, 2):
-        return None, "K below the tail start"
+        return none("K below the tail start")
     pg, qg, ph, qh = tail.pg, tail.qg, tail.ph, tail.qh
     if pg < 0 or tail.g(K + 1) < 0:
-        return None, "negative leaf mass beyond K"
+        return none("negative leaf mass beyond K")
     if pg > 0:
         u = qg / pg
         v = (qg + w2) / pg
         if v - u <= 1:          # sum i*a_i would diverge; no valid closure
-            return None, "sum k*a_k diverges"
+            return none("sum k*a_k diverges")
         con = (K + u) / (v - u)
         lin = (K + u) * (K + 1 + u) / (v - u - 1)
-        return _TailClosure(Q0=con, Q0m=lin - u * con, Qg=pg * lin,
-                            Qh=ph * lin + (qh - ph * u) * con, kind="gamma"), ""
+        return _TailClosure("gamma", Q0=con, Q0m=lin - u * con, Qg=pg * lin,
+                            Qh=ph * lin + (qh - ph * u) * con)
     if qg == 0:
-        return _TailClosure(0.0, 0.0, 0.0, 0.0, kind="zero"), ""
+        return _TailClosure("zero")
     r = qg / (w2 + qg)
     geo = r / (1.0 - r)                      # = qg / w2
     q0m = K * geo + geo / (1.0 - r)
-    return _TailClosure(Q0=geo, Q0m=q0m, Qg=qg * geo, Qh=ph * q0m + qh * geo,
-                        kind="geometric"), ""
+    return _TailClosure("geometric", Q0=geo, Q0m=q0m, Qg=qg * geo, Qh=ph * q0m + qh * geo)
+
+
+def _closure_for(model: WeightModel, K: int) -> _TailClosure:
+    """The model's tail closure at K, or a zero tail with its reason."""
+    if model.d_max is not None:
+        return _TailClosure("none", "bounded model")
+    pw = model.partition
+    if pw.by_split_degree:
+        # a_k/a_{k-1} is about beta_{k-1}/(w_2 + w_k), below 2/k for linear
+        # weights: the degrees beyond K carry a negligible mass
+        note = "super-exponential tail; zero-tail truncation used"
+        return _TailClosure("none", note, (note,))
+    if pw.tail is not None:
+        return _tail_closure(pw.tail, model.w2, K)
+    return _TailClosure("none", "no tail metadata",
+                        ("unbounded model without tail metadata; "
+                         "zero-tail truncation may bias low degrees",))
 
 
 # -- the update matrix ------------------------------------------------------------
@@ -217,13 +242,16 @@ class UpdateMatrix:
     with ``U`` the upper-Hessenberg matrix of ones.  That layout stores
     ``beta`` alone; ``head``, ``g`` and ``h`` are empty and there is no head
     system.
+
+    ``closure`` closes the sums beyond K for every solve and residual report
+    made with the matrix; it is a zero tail by default.
     """
 
-    __slots__ = ("head", "g", "h", "beta")
+    __slots__ = ("head", "g", "h", "beta", "closure")
 
     def __init__(self, head: np.ndarray, g: np.ndarray, h: np.ndarray,
-                 beta: Optional[np.ndarray] = None):
-        self.head, self.g, self.h, self.beta = head, g, h, beta
+                 beta: Optional[np.ndarray] = None, closure=_TailClosure("none")):
+        self.head, self.g, self.h, self.beta, self.closure = head, g, h, beta, closure
 
     @property
     def K(self) -> int:
@@ -304,12 +332,14 @@ def _update_matrix(model: WeightModel, K: int) -> UpdateMatrix:
     rows of its band (k <= i+1) only; the tail columns are evaluated from
     ``g`` and ``h``.  Column 1 (where (2, 1) is (1, 2) reversed) is always
     dense.  An unbounded ``by_split_degree`` partition gives ``beta`` from
-    one weight call instead."""
+    one weight call instead.  The matrix carries the model's tail closure
+    at K, ``_closure_for(model, K)``."""
     pw = model.partition
+    closure = _closure_for(model, K)
     if model.d_max is None and pw.by_split_degree:
         i = np.arange(1, K + 1)
         e = np.empty(0)
-        return UpdateMatrix(e.reshape(0, 0), e, e, i * pw(1, i + 1))
+        return UpdateMatrix(e.reshape(0, 0), e, e, i * pw(1, i + 1), closure)
     tail = pw.tail if model.d_max is None else None
     n = min(max(tail.start, 2) - 1, K) if tail is not None else K
     head = np.zeros((min(n + 1, K), n))
@@ -317,124 +347,95 @@ def _update_matrix(model: WeightModel, K: int) -> UpdateMatrix:
         head[:len(w), i[0] - 1:i[-1]] = i * w
     cols = np.arange(n + 1, K + 1, dtype=float)
     if tail is None:
-        return UpdateMatrix(head, cols, cols)      # both empty
-    return UpdateMatrix(head, tail.g(cols), tail.h(cols))
-
-
-def _closure_for(model: WeightModel, K: int):
-    """The tail closure at K (or None), the warnings it brings and, when
-    there is none, the reason."""
-    if model.d_max is not None:
-        return None, [], "bounded model"
-    pw = model.partition
-    if pw.by_split_degree:
-        # a_k/a_{k-1} is about beta_{k-1}/(w_2 + w_k), below 2/k for linear
-        # weights: the degrees beyond K carry a negligible mass
-        note = "super-exponential tail; zero-tail truncation used"
-        return None, [note], note
-    if pw.tail is not None:
-        clo, reason = _tail_closure(pw.tail, model.w2, K)
-        if clo is None:
-            return None, ["tail closure unavailable; zero-tail truncation used"], reason
-        return clo, [], ""
-    return None, ["unbounded model without tail metadata; "
-                  "zero-tail truncation may bias low degrees"], "no tail metadata"
+        return UpdateMatrix(head, cols, cols, closure=closure)      # both empty
+    return UpdateMatrix(head, tail.g(cols), tail.h(cols), closure=closure)
 
 
 def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
                           max_iter: int = 1_000_000, record_iterates: bool = False,
                           force_unsupported: bool = False) -> DensitySolution:
-    """Minimal solution of the stationary system ``a = M a + c``.
+    """The model's one solve: the normalised system at K = d_max for a
+    bounded model (method ``linear``; RankDeficientError when a degree below
+    the bound is unreachable, NonPositiveError on a negative density), the
+    minimal solution of ``a = M a + c`` with its tail closure for an
+    unbounded one (method ``fixed-point``).
 
-    Parameters
-    ----------
-    model : WeightModel
-    K : truncation; overridden by ``d_max`` when the model is bounded.
-    tol : sup-norm step at which the iteration stops.
-    max_iter : iteration budget (NoConvergenceError beyond it).
-    record_iterates : reach the fixed point by the from-below iteration and
-        keep the full iterate history (for diagnostics/tests).  Otherwise
-        ``(I - M) a = c`` is solved directly, ``iterations`` is 0 and
-        ``tol``/``max_iter`` bound nothing.
-    force_unsupported : outside the guaranteed regime (``s <= 0``), fall back
-        to a truncated linear solve and flag the result as unsupported.
+    A model is unsupported when ``not model.is_linear()`` or, unbounded,
+    when ``s <= 0`` or its regime is CASE_II.  It raises RegimeError unless
+    ``force_unsupported``; the forced result is marked ``unsupported``, and
+    an unbounded model then gets the normalised system truncated at K with
+    a zero tail (method ``linear-truncated``).
 
-    Returns the densities with residual diagnostics; the result of an
-    unbounded model is the monotone-limit (minimal) solution.
+    ``record_iterates`` reaches the fixed point of any model by the
+    from-below iteration, which stops at a step below ``tol`` (or raises
+    NoConvergenceError after ``max_iter``), and keeps the iterate history:
+    the oracle of the direct solves, which ignore ``tol`` and ``max_iter``.
     """
     if K < 2:
         raise InvalidParameterError("K must be >= 2")
     regime, s = classify_regime(model)
-    if s <= 0.0 or regime is Regime.CASE_II:
-        if not force_unsupported:
-            raise RegimeError(
-                f"regime {regime.value} with s = {s:g}: no convergence guarantee; "
-                "pass force_unsupported=True for a truncated linear solve")
-        # no census-limit claim attaches to the normalised solve at K
-        B = _update_matrix(model, K)
-        a = _sum_normalised(model, B)
-        return DensitySolution(
-            densities=a, K=K, method="linear-truncated", regime=regime, s=s,
-            residuals=_residual_report(model, a, K, None, B), unsupported=True,
-            warnings=["forced solve outside the guaranteed regime; "
-                      "no almost-sure census limit is claimed"],
-            closure=TailClosureFact("none", B.head_size,
-                                    "forced solve truncates with a zero tail"))
-
-    warnings: list[str] = []
-    if model.d_max is not None and K != model.d_max:
-        K = model.d_max
-        warnings.append(f"bounded model: truncation set to d_max = {K}")
-    if not model.is_linear(1e-6):
-        warnings.append("splitting weights are not linear in the degree; the "
-                        "fixed point need not be the normalised census limit")
-
-    w2 = model.w2
-    wk = model.splitting_weights(K)
+    bounded = model.d_max is not None
+    why = [] if model.is_linear() else [
+        "splitting weights not linear in the degree "
+        f"(max deviation {model.linear_fit_residual:.3g})"]
+    if not bounded and (s <= 0.0 or regime is Regime.CASE_II):
+        why.append(f"regime {regime.value} with s = {s:g}")
+    if why and not force_unsupported:
+        raise RegimeError(f"{'; '.join(why)}: no convergence guarantee; pass "
+                          "force_unsupported=True (--force-unsupported) to solve it anyway")
+    warnings = ["forced solve outside the guaranteed regime; "
+                "no almost-sure census limit is claimed"] if why else []
+    K = model.d_max or K
     B = _update_matrix(model, K)
-    clo, notes, reason = _closure_for(model, K)
-    warnings.extend(notes)
-
-    denom = np.concatenate([[w2 + s], w2 + wk[1:]])
-    if np.any(denom <= 0):
-        raise RegimeError("nonpositive update denominator (w_2 + w_k <= 0)")
-
-    if record_iterates:
-        a, history, last_step = _iterate(_update_step(B, denom, s, clo), K, tol, max_iter)
-        monotone_violation = max(0.0, -float(np.min(np.diff(history, axis=0))))
+    history, last_step, violation = None, 0.0, 0.0
+    if record_iterates or not (bounded or why):
+        warnings.extend(B.closure.warnings)
+        wk = model.splitting_weights(K)
+        denom = np.concatenate([[model.w2 + s], model.w2 + wk[1:]])
+        if np.any(denom <= 0):
+            raise RegimeError("nonpositive update denominator (w_2 + w_k <= 0)")
+        if record_iterates:
+            a, history, last_step = _iterate(_update_step(B, denom, s), K, tol, max_iter)
+            violation = max(0.0, -float(np.min(np.diff(history, axis=0))))
+        else:
+            # row 1 with the shifted coefficients -(i*w[1,i+1] - s), i >= 2
+            row1 = s - B.first_row()
+            row1[0] = denom[0]
+            a = _solve_stationary(B, denom, row1, s, B.closure.Qg - s * B.closure.Q0,
+                                  f"the fixed-point system at K = {K}")
+            # the minimal solution is nonnegative
+            violation = max(0.0, -float(a.min()))
+        method = "fixed-point"
     else:
-        # row 1 with the shifted coefficients -(i*w[1,i+1] - s), i >= 2
-        row1 = s - B.first_row()
-        row1[0] = denom[0]
-        q1, q2 = (clo.Qg - s * clo.Q0, clo.Qh) if clo is not None else (0.0, 0.0)
-        a = _solve_stationary(B, denom, row1, s, q1, q2,
-                              f"the fixed-point system at K = {K}")
-        history, last_step = None, 0.0
-        # the minimal solution is nonnegative
-        monotone_violation = max(0.0, -float(a.min()))
-
-    res = _residual_report(model, a, K, clo, B)
+        a = _sum_normalised(model, B)
+        method = "linear" if bounded else "linear-truncated"
+    res = _residual_report(model, a, B)
+    if method == "linear":
+        if np.any(a < -1e-12):
+            raise NonPositiveError(f"negative density: min rho = {a.min():.3e}")
+        if np.any(a <= 0):
+            warnings.append("some densities are zero (degenerate table)")
+        if res.moment_dev > 1e-8:
+            warnings.append(f"sum k*rho deviates from 2 by {res.moment_dev:.12g}; "
+                            "weights are likely inconsistent")
     return DensitySolution(
-        densities=a, K=K, method="fixed-point", regime=regime, s=s,
-        iterations=0 if history is None else len(history) - 1,
-        last_step=last_step, residuals=res,
-        monotone_ok=monotone_violation <= 1e-15,
-        monotone_violation=monotone_violation,
-        warnings=warnings,
-        iterates=history,
-        closure=TailClosureFact(clo.kind if clo else "none", B.head_size, reason))
+        densities=a, K=K, method=method, regime=regime, s=s, residuals=res,
+        iterations=0 if history is None else len(history) - 1, last_step=last_step,
+        monotone_ok=violation <= 1e-15, monotone_violation=violation,
+        unsupported=bool(why), warnings=warnings, iterates=history,
+        closure=TailClosureFact(B.closure.kind, B.head_size, B.closure.reason))
 
 
 def _solve_stationary(B: UpdateMatrix, diag: np.ndarray, row1: np.ndarray, rhs1: float,
-                      q1: float, q2: float, what: str) -> np.ndarray:
+                      q1: float, what: str) -> np.ndarray:
     """The one stationary solve at K = B.K.  Rows k = 2..K read
-    ``(B a)_k - diag_k a_k = 0``; row 1 reads ``row1 @ a - q1 a_K = rhs1``.
-    ``q1`` and ``q2`` are the gains per unit ``a_K`` that a tail closure
-    brings to rows 1 and 2 (0 without one); ``diag[0]`` is not read.
+    ``(B a)_k - diag_k a_k = 0``, row 2 gaining ``B.closure.Qh a_K``; row 1
+    reads ``row1 @ a - q1 a_K = rhs1``, ``q1`` being the closure's gain in
+    row 1 (0 for a zero tail); ``diag[0]`` is not read.
 
     For ``beta`` the backward recurrence takes ``a`` with ``a_1 = 1`` from
-    rows 2..K and row 1 fixes the scale; that layout has no tail, so ``q2``
-    must be 0.  Otherwise the head system, its rows 1 and 2 folded over the
+    rows 2..K and row 1 fixes the scale; that layout's closure is a zero
+    tail.  Otherwise the head system, its rows 1 and 2 folded over the
     tail columns through ``a_j = a_{m-1} * tail_products``, goes through
     ``_hessenberg_solve`` and is extended by the same products.  ``what``
     names the system in the SingularSystemError raised on a zero pivot or a
@@ -453,7 +454,7 @@ def _solve_stationary(B: UpdateMatrix, diag: np.ndarray, row1: np.ndarray, rhs1:
             # rows 1 and 2 reach every tail column and the closure: fold
             # them into column m-1
             A[0, m - 1] += (row1[m:] * P).sum() - q1 * last
-            A[1, m - 1] += B.h[1:] @ P + q2 * last
+            A[1, m - 1] += B.h[1:] @ P + B.closure.Qh * last
             rhs = np.zeros(m)
             rhs[0] = rhs1
             x = _hessenberg_solve(A, rhs, what)
@@ -493,19 +494,18 @@ def _recurrence_solve(beta: np.ndarray, diag: np.ndarray, what: str) -> np.ndarr
     return np.cumprod(r)
 
 
-def _update_step(B: UpdateMatrix, denom: np.ndarray, s: float,
-                 clo: Optional[_TailClosure]):
+def _update_step(B: UpdateMatrix, denom: np.ndarray, s: float):
     """The map ``a -> M a + c`` of the fixed-point system, without forming M."""
     row0 = B.first_row() - s
     row0[0] = 0.0
     w2s = denom[0]
+    clo = B.closure
 
     def step(a):
         y = (B @ a) / denom
         y[0] = row0 @ a / w2s + s / w2s
-        if clo is not None:
-            y[0] += (clo.Qg - s * clo.Q0) * a[-1] / w2s
-            y[1] += clo.Qh * a[-1] / denom[1]
+        y[0] += (clo.Qg - s * clo.Q0) * a[-1] / w2s
+        y[1] += clo.Qh * a[-1] / denom[1]
         return y
 
     return step
@@ -555,81 +555,52 @@ def _hessenberg_solve(H: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-# -- bounded and forced linear solves -------------------------------------------
+# -- the normalised system ---------------------------------------------------------
 
 
 def _sum_normalised(model: WeightModel, B: UpdateMatrix) -> np.ndarray:
-    """Solve ``a_k*(w_2+w_k) = sum_i i*w[k,i-k+2]*a_i`` at K = B.K, row 1
-    replaced by ``sum a = 1``.  With linear weights the rows weighted by
-    ``w_k`` sum to zero, so row 1 is redundant unless degree-1 vertices never
-    split (``B[1, 0] = 0``); rows 2..K are then dependent, which rounding
-    can hide, so that case raises SingularSystemError by name."""
+    """Solve ``a_k*(w_2+w_k) = sum_i i*w[k,i-k+2]*a_i`` at K = B.K with a
+    zero tail, which ``B.closure`` then carries, and row 1 replaced by
+    ``sum a = 1``.  Row 1 is redundant for linear weights unless degree-1
+    vertices never split, a case that rounding can hide, so it is refused
+    by name.  A singular system raises SingularSystemError, for a bounded
+    model RankDeficientError."""
     K = B.K
-    if (B.beta[0] if B.beta is not None else B.head[1, 0]) == 0.0:
-        raise SingularSystemError(
-            "degree-1 vertices never split, so no degree above 1 is reachable")
-    return _solve_stationary(B, model.w2 + model.splitting_weights(K), np.ones(K), 1.0,
-                             0.0, 0.0, f"the normalised stationary system at K = {K}")
-
-
-def solve_finite(model: WeightModel) -> DensitySolution:
-    """Direct solution for a bounded model: with linear weights the
-    stationary system has rank ``d_max - 1``, and ``sum rho = 1`` in place of
-    row 0 fixes the remaining constant (RankDeficientError if it does not).
-    ``sum k*rho = 2`` is verified afterwards rather than imposed."""
-    D = model.d_max
-    if D is None:
-        raise InvalidParameterError("solve_finite needs a bounded model")
-    regime, s = classify_regime(model)
-    B = _update_matrix(model, D)
+    if model.d_max is None:
+        B.closure = _TailClosure("none", "forced solve truncates with a zero tail")
     try:
-        rho = _sum_normalised(model, B)
+        if (B.beta[0] if B.beta is not None else B.head[1, 0]) == 0.0:
+            raise SingularSystemError(
+                "degree-1 vertices never split, so no degree above 1 is reachable")
+        return _solve_stationary(B, model.w2 + model.splitting_weights(K), np.ones(K),
+                                 1.0, 0.0, f"the normalised stationary system at K = {K}")
     except SingularSystemError as exc:
+        if model.d_max is None:
+            raise
         raise RankDeficientError(
-            f"stationary system without row 0 has rank < d_max-1 = {D - 1} ({exc}); "
+            f"stationary system without row 0 has rank < d_max-1 = {K - 1} ({exc}); "
             "some degree below the bound is unreachable") from None
-
-    warnings = []
-    if np.any(rho < -1e-12):
-        raise NonPositiveError(f"negative density: min rho = {rho.min():.3e}")
-    if np.any(rho <= 0):
-        warnings.append("some densities are zero (degenerate table)")
-    res = _residual_report(model, rho, D, None, B)
-    if res.moment_dev > 1e-8:
-        warnings.append(f"sum k*rho deviates from 2 by {res.moment_dev:.12g}; "
-                        "weights are likely inconsistent")
-    return DensitySolution(densities=rho, K=D, method="linear", regime=regime, s=s,
-                           residuals=res, warnings=warnings,
-                           closure=TailClosureFact("none", D, "bounded model"))
 
 
 # -- residuals ---------------------------------------------------------------------
 
 
-def _residual_report(model: WeightModel, a: np.ndarray, K: int,
-                     clo: Optional[_TailClosure],
-                     B: Optional[UpdateMatrix] = None) -> ResidualReport:
-    """Residuals of ``a``; ``B`` is the model's update matrix at K, built
-    here when the caller has none."""
-    wk = model.splitting_weights(K)
-    if B is None:
-        B = _update_matrix(model, K)
+def _residual_report(model: WeightModel, a: np.ndarray, B: UpdateMatrix) -> ResidualReport:
+    """Residuals of ``a`` against the model's update matrix ``B`` at
+    K = len(a), the sums beyond K closed by ``B.closure``."""
+    K = len(a)
+    clo = B.closure
     gains = B @ a
-    if clo is not None and K >= 2:
-        aK = a[K - 1]
-        gains[0] += clo.Qg * aK
-        gains[1] += clo.Qh * aK
-        tail_mass = clo.Q0 * aK
-        tail_moment = clo.Q0m * aK
-    else:
-        tail_mass = 0.0
-        tail_moment = 0.0
-    per_k = a * (model.w2 + wk) - gains
+    aK = a[-1]
+    gains[0] += clo.Qg * aK
+    gains[1:2] += clo.Qh * aK               # K = 1 has no row 2
+    tail_mass = clo.Q0 * aK + 0.0           # + 0.0: a zero tail never reads -0.0
+    per_k = a * (model.w2 + model.splitting_weights(K)) - gains
     ks = np.arange(1, K + 1)
     return ResidualReport(
         per_k=per_k,
         sum_dev=abs(float(a.sum()) + tail_mass - 1.0),
-        moment_dev=abs(float((ks * a).sum()) + tail_moment - 2.0),
+        moment_dev=abs(float((ks * a).sum()) + clo.Q0m * aK - 2.0),
         tail_mass=float(tail_mass))
 
 
@@ -637,6 +608,4 @@ def residuals(model: WeightModel, a: np.ndarray) -> ResidualReport:
     """Stationarity residuals of a density vector against the model, at
     ``K = len(a)``."""
     a = np.asarray(a, dtype=float)
-    K = len(a)
-    clo = _closure_for(model, K)[0]
-    return _residual_report(model, a, K, clo)
+    return _residual_report(model, a, _update_matrix(model, len(a)))

@@ -78,7 +78,7 @@ class TwoColourModel:
         # the white side reuses the one-colour machinery for split-size laws
         self.white = WeightModel(white_partition, SplittingWeights(c, a),
                                  family=f"{family}-white")
-        if not self.white.linear_fit_residual <= 1e-9:
+        if not self.white.is_linear():
             raise InvalidParameterError(
                 "white partitioning weights are inconsistent with w_white "
                 f"(max residual {self.white.linear_fit_residual:.3g})")
@@ -256,7 +256,7 @@ def reduce_to_one_colour(model2: TwoColourModel) -> WeightModel:
                           by_split_degree=white_pw.by_split_degree)
     red = WeightModel(pw, model2.black, family="reduced",
                       params={"from": model2.family}, leaf_mass_limit=limit)
-    if not red.linear_fit_residual <= 1e-9:
+    if not red.is_linear():
         raise ReductionInvalidError(
             f"reduced model inconsistent (residual {red.linear_fit_residual:.3g})")
     return red
@@ -274,6 +274,10 @@ class TwoColourSolution:
     one_colour: DensitySolution         # the reduced model's solution
     warnings: list[str] = field(default_factory=list)
     method = "reduction"                # the solve every two-colour model gets
+
+    @property
+    def unsupported(self) -> bool:      # the reduced model's verdict
+        return self.one_colour.unsupported
 
     @property
     def max_residual(self) -> float:

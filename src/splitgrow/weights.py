@@ -269,7 +269,7 @@ class WeightModel:
         self.splitting, self.linear_fit_residual = _linear_fit(derived, splitting)
         # explicit splitting weights assert consistency; otherwise fall back
         # to the pair-sum weights whenever the linear fit does not hold
-        self._trust_linear = splitting is not None or self.linear_fit_residual <= 1e-9
+        self._trust_linear = splitting is not None or self.is_linear()
         self._derived_cache: dict[int, float] = {
             i + 1: float(v) for i, v in enumerate(derived)}
         self._leaf_mass_limit = leaf_mass_limit
@@ -303,8 +303,9 @@ class WeightModel:
     def w2(self) -> float:
         return self.w(2)
 
-    def is_linear(self, tol: float = 1e-9) -> bool:
-        return self.linear_fit_residual <= tol
+    def is_linear(self) -> bool:
+        """Whether ``linear_fit_residual`` is at most 1e-9."""
+        return self.linear_fit_residual <= 1e-9
 
     def leaf_mass(self, i: int) -> float:
         """``i * w[1, i+1]``, the rate at which degree-``i`` splits shed leaves."""
@@ -432,15 +433,21 @@ def validate_model(m: WeightModel) -> ValidationReport:
         bad = ks[m.partition(1, ks) <= 0].tolist()
         reach = ConditionReport(not bad,
                                 "w[1,k] > 0 for all 2 <= k <= d_max" if not bad
-                                else f"w[1,k] = 0 for k in {bad}")
+                                else f"w[1,k] = 0 for k in {_listed(bad)}")
         ks = np.arange(2, D)
         idx = ks[m.partition(ks, D + 2 - ks) > 0].tolist()
         top = ConditionReport(bool(idx),
-                              f"w[i, d_max+2-i] > 0 for i in {idx}" if idx
+                              f"w[i, d_max+2-i] > 0 for i in {_listed(idx)}" if idx
                               else "no i in 2..d_max-1 with w[i, d_max+2-i] > 0")
     lin = ConditionReport(resid <= 1e-9, f"max |w_i - ({line.a:g}*i{line.b:+g})| = "
                                          f"{resid:.3g} over i <= {span}")
     return ValidationReport(lin, reach, top)
+
+
+def _listed(values: list[int]) -> str:
+    """``values``, cut after five entries and counted."""
+    cut = f"{str(values[:5])[:-1]}, ...] ({len(values)} in all)"
+    return str(values) if len(values) <= 5 else cut
 
 
 def classify_regime(m: WeightModel) -> tuple[Regime, float]:
@@ -587,7 +594,7 @@ def make_alpha_class(sw: SplittingWeights, alpha: Sequence[float], M: int = 2,
     fn = _two_banded_fn(sw, alpha_of, M, head, tail)
     pw = PartitionWeights(fn, d_max=None, tail=tail)
     model = WeightModel(pw, sw, family="alpha", params={"M": M})
-    if not model.linear_fit_residual <= 1e-9:
+    if not model.is_linear():
         raise InvalidParameterError(
             "head table is inconsistent with the splitting weights "
             f"(max residual {model.linear_fit_residual:.3g})")

@@ -13,7 +13,7 @@ import numpy as np
 from splitgrow import (ExperimentConfig, OrderedTree, SplittingWeights, UrnState,
                        compare, fixed_point_densities, grafting_density,
                        make_grafting, make_preferential, make_table, make_uniform,
-                       make_rna, rna_closed_form, solve_finite, solve_two_colour,
+                       make_rna, rna_closed_form, solve_two_colour,
                        densities_from_e, uniform_density, uniform_norm_constant)
 from conftest import DMAX3_ENTRIES, random_case3_model
 
@@ -57,8 +57,9 @@ def test_criterion_03_uniform_fixed_point_and_bessel():
 
 def test_criterion_04_bounded_table_solvers_and_simulation():
     model = make_table(3, DMAX3_ENTRIES)
-    lin = solve_finite(model)
-    fp = fixed_point_densities(model, K=3, tol=1e-14)
+    # the direct solve against the from-below iteration of the fixed point
+    lin = fixed_point_densities(model)
+    fp = fixed_point_densities(model, K=3, tol=1e-14, record_iterates=True)
     expect = np.array([0.25, 0.5, 0.25])
     err_lin = float(np.max(np.abs(lin.densities - expect)))
     err_fp = float(np.max(np.abs(fp.densities - expect)))

@@ -129,6 +129,51 @@ class TestSolve:
         assert solver == {"K": 64, "method": "reduction", "closure": "none",
                           "closure_reason": SUPER_EXP, "head_size": 0}
 
+    @pytest.mark.parametrize("flags,digest", [
+        (["--family", "preferential", "--w", "i", "--K", "512"],
+         "93ed957fe85e29189ef81c5fb392934333154a1b02572a9618f3f5e7481283e5"),
+        (["--family", "uniform", "--x", "0", "--K", "1024"],
+         "5e63dbdca46a204740c5c4a5bc6618022f83b587c3fbe573e6d91ba5aa1424ba"),
+        (["--family", "grafting", "--alpha", "0.5", "--gamma", "0.5", "--K", "1024"],
+         "f0bf222caf4ce9ad8c07d0de659539596d0db85cfc1758b41bc7fbb62ea5d3e1"),
+        (["--table"],
+         "8dd22fe54375c91eed53f7c54396583dd5f9c1d3534dee9407869ff442354cb4"),
+        (["--family", "grafting", "--alpha", "1", "--gamma", "1", "--K", "64",
+          "--force-unsupported"],
+         "f28f0d96c2ee0e4108ac622e9b24b1f4d390bb6c76de8803b5f5798836c7dbb9"),
+        (["--family", "rna", "--K", "256"],
+         "cce0c0a9b47fd620436600b09390f274cf70bb6561efb48db055c285c4e7b5b3"),
+    ], ids=["preferential", "uniform", "grafting", "table", "grafting-forced", "rna"])
+    def test_solution_bytes_pinned(self, tmp_path, flags, digest):
+        # any change to these bytes must be explained in CHANGES.md
+        if flags == ["--table"]:
+            flags = ["--table", str(dmax3_table_file(tmp_path))]
+        assert main(["solve", *flags, "--out", str(tmp_path / "o")]) == 0
+        got = hashlib.sha256((tmp_path / "o/solution.json").read_bytes()).hexdigest()
+        assert got == digest
+
+    def test_nonlinear_table_refused(self, tmp_path, capsys):
+        # linear up to degree 249 only: the solve refuses it unless forced
+        rc = main(["solve", "--table", str(doubled_split_table_file(tmp_path)),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "error:" in err and "Traceback" not in err
+        assert "not linear" in err and "--force-unsupported" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--table"], ["--family", "two-colour-uniform", "--a", "1.5", "--b", "1", "--K", "64"],
+    ], ids=["nonlinear-table", "two-colour-s0"])
+    def test_forced_solution_watermarked(self, tmp_path, flags):
+        # w_black = 1 is constant, so the reduced model has s = 0
+        if flags == ["--table"]:
+            flags = ["--table", str(doubled_split_table_file(tmp_path))]
+        assert main(["solve", *flags, "--out", str(tmp_path / "o")]) == 2
+        assert main(["solve", *flags, "--force-unsupported", "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o/solution.json").read_text())
+        assert doc["unsupported"] is True
+        assert any("forced solve" in w for w in doc["warnings"])
+
     def test_case2_needs_force(self, tmp_path, capsys):
         rc = main(["solve", "--family", "preferential", "--w", "i", "--K", "64"])
         assert rc == 0
@@ -375,8 +420,7 @@ class TestCompare:
                     depth[0] -= 1
             return wrapper
 
-        solvers = {"solve_finite": splitgrow.solver.solve_finite,
-                   "fixed_point_densities": splitgrow.solver.fixed_point_densities,
+        solvers = {"fixed_point_densities": splitgrow.solver.fixed_point_densities,
                    "solve_two_colour": splitgrow.twocolour.solve_two_colour}
         for mod in (splitgrow, splitgrow.cli, splitgrow.experiment,
                     splitgrow.solver, splitgrow.twocolour):
@@ -502,6 +546,40 @@ class TestCompare:
                    "--z-crit", "1e9", "--out", str(tmp_path)])
         assert rc == 0
         assert ",1,closed-form,0.3683350198" in (tmp_path / "report.csv").read_text()
+
+    def test_forced_nonlinear_table_watermarked(self, tmp_path, monkeypatch):
+        # the report's forced row and solution.json carry the solve's verdict
+        monkeypatch.setenv("SPLITGROW_THREADS", "1")
+        rc = main(["compare", "--table", str(doubled_split_table_file(tmp_path)),
+                   "--replicas", "2", "--t-final", "300", "--z-crit", "1e9",
+                   "--force-unsupported", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "o/solution.json").read_text())
+        assert doc["unsupported"] is True
+        assert any("forced solve" in w for w in doc["warnings"])
+        assert "# check_forced_unsupported,true\n" in (tmp_path / "o/report.csv").read_text()
+
+    def test_forcing_a_supported_model_writes_no_forced_row(self, tmp_path, monkeypatch):
+        # the flag alone does not make a run unsupported
+        monkeypatch.setenv("SPLITGROW_THREADS", "1")
+        rc = main(["compare", "--family", "preferential", "--w", "i", "--seed", "3",
+                   "--replicas", "2", "--t-final", "300", "--z-crit", "1e9",
+                   "--force-unsupported", "--out", str(tmp_path)])
+        assert rc == 0
+        assert "forced_unsupported" not in (tmp_path / "report.csv").read_text()
+        assert json.loads((tmp_path / "solution.json").read_text())["unsupported"] is False
+
+    def test_zero_se_rows_counted_in_summary(self, tmp_path, capsys, monkeypatch):
+        # rows k = 11..16 have mean 0 and SE 0 in every replica: their z is
+        # -inf, which the printed maximum skips, so the line counts them
+        monkeypatch.setenv("SPLITGROW_THREADS", "2")
+        rc = main(["compare", "--family", "uniform", "--x", "0", "--replicas", "32",
+                   "--t-final", "5000", "--k-check", "16", "--seed", "3",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "compare PASS: max |z| = 2.83 over k <= 16; " in err
+        assert "; 6 of 16 checked rows have SE 0;" in err
 
     def test_forced_rows_name_the_solve(self, tmp_path):
         # grafting (1, 1) has no closed form and needs the forced solve
@@ -791,6 +869,15 @@ class TestValidate:
     def test_table_nonlinear_past_degree_200_fails(self, tmp_path, capsys):
         assert main(["validate", "--table", str(doubled_split_table_file(tmp_path))]) == 2
         assert "= 250 over i <= 300" in capsys.readouterr().out
+
+    def test_long_index_lists_cut(self, tmp_path, capsys):
+        # 298 indices of the 300-degree table can split at the bound: the
+        # first few and a count say as much as all of them
+        assert main(["validate", "--table", str(doubled_split_table_file(tmp_path))]) == 2
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if "top_splittable" in line)
+        assert line.endswith("for i in [2, 3, 4, 5, 6, ...] (298 in all)")
+        assert len(line) < 100
 
     def test_degenerate_fails(self, tmp_path, capsys):
         table = tmp_path / "bad.json"

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import splitgrow.solver
-from splitgrow import (InvalidParameterError, NoConvergenceError,
-                       PartitionWeights, RankDeficientError, Regime, RegimeError,
-                       SingularSystemError, SplittingWeights, WeightModel,
-                       constant_weight_density, fixed_point_densities,
-                       make_alpha_class, make_grafting, make_preferential,
-                       make_table, make_uniform, residuals, solve_finite)
+from splitgrow import (NoConvergenceError, NonPositiveError, PartitionWeights,
+                       RankDeficientError, Regime, RegimeError, SingularSystemError,
+                       SplittingWeights, WeightModel, constant_weight_density,
+                       fixed_point_densities, make_alpha_class, make_grafting,
+                       make_preferential, make_table, make_uniform, residuals)
 from splitgrow import pref_attachment_densities
 from splitgrow.solver import _hessenberg_solve, _update_matrix
 from splitgrow.twocolour import (make_rna, make_two_colour_grafting, make_two_colour_uniform,
@@ -78,9 +77,11 @@ class TestFixedPoint:
         assert sol.monotone_violation > 1e-6
 
     def test_bounded_truncation_is_forced(self, dmax3):
+        # K is the bound whatever K is asked for; it is the model's own
+        # truncation, so no warning is written
         sol = fixed_point_densities(dmax3, K=50)
-        assert sol.K == 3
-        assert any("d_max" in w for w in sol.warnings)
+        assert sol.K == 3 and sol.method == "linear" and sol.warnings == []
+        assert sol.densities.tobytes() == fixed_point_densities(dmax3, K=3).densities.tobytes()
 
     def test_iterate_sums_bounded(self):
         for m in (pref_i(), make_uniform(0.0), make_grafting(0.5, 0.5)):
@@ -122,45 +123,60 @@ class TestFixedPoint:
                                   record_iterates=True)
 
     def test_nonlinear_table_warns(self):
+        # derived weights 1, 2.2, 3.9 are not linear in the degree: refused
+        # unless forced, and a forced solve is watermarked
         m = make_table(3, [(1, 2, 1.0), (1, 3, 0.5), (2, 2, 1.0), (2, 3, 1.3)])
-        sol = fixed_point_densities(m, max_iter=200_000)
-        assert any("not linear" in w for w in sol.warnings)
+        with pytest.raises(RegimeError, match="not linear"):
+            fixed_point_densities(m)
+        sol = fixed_point_densities(m, force_unsupported=True)
+        assert sol.unsupported and sol.method == "linear"
+        assert any("forced solve" in w for w in sol.warnings)
+        assert any("sum k*rho deviates" in w for w in sol.warnings)
         # without linear weights the shifted fixed point is not normalised
-        assert abs(sol.sum_a - 1.0) > 0.1
+        fp = fixed_point_densities(m, max_iter=200_000, record_iterates=True,
+                                   force_unsupported=True)
+        assert fp.unsupported and abs(fp.sum_a - 1.0) > 0.1
 
 
 class TestSolveFinite:
+    """The direct solve of a bounded model: the stationary system with row 1
+    replaced by ``sum a = 1``."""
+
     def test_hand_solved_table(self, dmax3):
         # 3 rho_1 = rho_1 + rho_2 and 8 rho_1 = rho_1 + 2 rho_2 + 3 rho_3
         # give rho = (1/4, 1/2, 1/4); the degree sum is then exactly 2
-        sol = solve_finite(dmax3)
+        sol = fixed_point_densities(dmax3)
         assert sol.densities == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
         assert sol.sum_ka == pytest.approx(2.0, abs=1e-12)
         assert sol.method == "linear"
 
     def test_cross_method_agreement(self, dmax3):
-        lin = solve_finite(dmax3).densities
-        fp = fixed_point_densities(dmax3, K=3, tol=1e-14).densities
+        lin = fixed_point_densities(dmax3).densities
+        fp = fixed_point_densities(dmax3, K=3, tol=1e-14, record_iterates=True).densities
         assert np.max(np.abs(lin - fp)) <= 1e-12
 
     def test_degenerate_dmax2_absorbing(self):
         # degree-2 vertices never split, so all mass drifts into degree 2
         m = make_table(2, [(1, 2, 1.0)])
-        sol = solve_finite(m)
+        sol = fixed_point_densities(m)
         assert sol.densities == pytest.approx([0.0, 1.0], abs=1e-12)
         assert any("zero" in w for w in sol.warnings)
 
     def test_rank_deficient_raises(self):
+        # derived weights 1, 0, 0 are not linear, so only a forced solve
+        # reaches the rank-deficient system
         m = make_table(3, [(1, 2, 1.0)])
+        with pytest.raises(RegimeError, match="not linear"):
+            fixed_point_densities(m)
         with pytest.raises(RankDeficientError):
-            solve_finite(m)
+            fixed_point_densities(m, force_unsupported=True)
 
     def test_degree_one_never_splitting_raises(self):
         # the stationary matrix has rank d_max - 1 = 1, and replacing its last
         # row by the normalisation gave the vacuous (0, 1); with the
         # normalisation in row 0 the remaining row is zero
         with pytest.raises(RankDeficientError, match="never split"):
-            solve_finite(make_table(2, [(2, 2, 1.0)]))
+            fixed_point_densities(make_table(2, [(2, 2, 1.0)]))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), d_max=st.integers(2, 8),
@@ -176,22 +192,18 @@ class TestSolveFinite:
         A = dense_band_sums(m, d_max) - np.diag(m.w2 + m.splitting_weights(d_max))
         if stuck or np.linalg.matrix_rank(A) < d_max - 1:
             with pytest.raises(RankDeficientError):
-                solve_finite(m)
+                fixed_point_densities(m)
             return
         A[-1, :] = 1.0
         former = np.linalg.solve(A, np.eye(d_max)[-1])
-        assert np.max(np.abs(solve_finite(m).densities - former)) <= 1e-12
-
-    def test_unbounded_model_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            solve_finite(make_uniform(0.0))
+        assert np.max(np.abs(fixed_point_densities(m).densities - former)) <= 1e-12
 
     def test_random_linear_tables_cross_method(self):
         rng = np.random.default_rng(2024)
         for _ in range(25):
             m = random_linear_table(rng, int(rng.integers(2, 8)))
-            lin = solve_finite(m)
-            fp = fixed_point_densities(m, tol=1e-14, max_iter=300_000)
+            lin = fixed_point_densities(m)
+            fp = fixed_point_densities(m, tol=1e-14, max_iter=300_000, record_iterates=True)
             assert np.max(np.abs(lin.densities - fp.densities)) <= 1e-10
             assert lin.sum_ka == pytest.approx(2.0, abs=1e-8)
 
@@ -350,13 +362,13 @@ class TestDirectSolve:
         assert np.max(np.abs(x - expect)) <= 1e-10 * max(1.0, np.max(np.abs(expect)))
 
     def test_negative_density_fails_monotone_check(self):
-        # weights 1, 2, 9 are not linear in the degree: the fixed point
-        # exists but is not a density, (1/3, -1/15, -1/15)
+        # weights 1, 2, 9 are not linear in the degree: refused unless
+        # forced, and the forced solve is not a density either
         m = make_table(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 3.0)])
-        sol = fixed_point_densities(m)
-        assert sol.densities == pytest.approx([1 / 3, -1 / 15, -1 / 15], abs=1e-12)
-        assert not sol.monotone_ok
-        assert sol.monotone_violation == pytest.approx(1 / 15)
+        with pytest.raises(RegimeError, match="not linear"):
+            fixed_point_densities(m)
+        with pytest.raises(NonPositiveError, match="min rho = -3.333e-01"):
+            fixed_point_densities(m, force_unsupported=True)
 
 
 def update_matrix_models():
@@ -400,10 +412,9 @@ def dense_fixed_point_system(model, K):
     M = B / denom[:, None]
     M[0, :] = (B[0, :] - s) / (model.w2 + s)
     M[0, 0] = 0.0
-    clo = splitgrow.solver._closure_for(model, K)[0]
-    if clo is not None:
-        M[0, K - 1] += (clo.Qg - s * clo.Q0) / (model.w2 + s)
-        M[1, K - 1] += clo.Qh / denom[1]
+    clo = splitgrow.solver._closure_for(model, K)
+    M[0, K - 1] += (clo.Qg - s * clo.Q0) / (model.w2 + s)
+    M[1, K - 1] += clo.Qh / denom[1]
     c = np.zeros(K)
     c[0] = s / (model.w2 + s)
     return np.eye(K) - M, c
@@ -615,21 +626,23 @@ class TestUpdateMatrix:
         # ``mass`` on every pair of one split degree.  An empty degree-5000
         # class is past the regime scan (degree 4096), so only the solve
         # sees it.  At degree 10, beta_10 = 10*1.2 = w_2 + w_10, so the ratio
-        # a_10/a_9 that row K = 10 gives has a zero divisor
+        # a_10/a_9 that row K = 10 gives has a zero divisor; that mass makes
+        # the weights non-linear, so the model is solved forced, which runs
+        # the same recurrence
         def fn(i, j):
             d = np.maximum(i + j - 2, 1)
             return np.where(i + j - 2 < 1, 0.0, np.where(d == split, mass, 2.0 / (d + 1)))
 
         model = WeightModel(PartitionWeights(fn, by_split_degree=True),
                             SplittingWeights(1.0, 0.0), leaf_mass_limit=2.0)
-        assert fixed_point_densities(model, K=split - 1).monotone_ok
+        assert fixed_point_densities(model, K=split - 1, force_unsupported=True).monotone_ok
         with pytest.raises(SingularSystemError, match=match):
-            fixed_point_densities(model, K=K)
+            fixed_point_densities(model, K=K, force_unsupported=True)
 
     def test_zero_closure(self):
         # g = 0 past the tail start: the degrees beyond K carry no mass
         tail = LinearTail(start=2, pg=0.0, qg=0.0)
-        clo = splitgrow.solver._tail_closure(tail, 2.0, 16)[0]
+        clo = splitgrow.solver._tail_closure(tail, 2.0, 16)
         assert clo.kind == "zero" and clo.Q0 == clo.Qg == clo.Qh == 0.0
 
     def test_tail_solve_raises_on_non_finite_products(self):
@@ -639,7 +652,7 @@ class TestUpdateMatrix:
         P = B.tail_products(diag)
         assert not np.all(np.isfinite(P))
         with pytest.raises(SingularSystemError, match="non-finite"):
-            splitgrow.solver._solve_stationary(B, diag, np.ones(8), 1.0, 0.0, 0.0, "H")
+            splitgrow.solver._solve_stationary(B, diag, np.ones(8), 1.0, 0.0, "H")
 
     def test_recurrence_scale_raises_on_a_vanishing_row1(self):
         # the recurrence fixes a up to scale; a row 1 that vanishes on it
@@ -648,4 +661,4 @@ class TestUpdateMatrix:
         B = _update_matrix(model, 8)
         diag = model.w2 + model.splitting_weights(8)
         with pytest.raises(SingularSystemError, match="non-finite"):
-            splitgrow.solver._solve_stationary(B, diag, np.zeros(8), 1.0, 0.0, 0.0, "H")
+            splitgrow.solver._solve_stationary(B, diag, np.zeros(8), 1.0, 0.0, "H")
