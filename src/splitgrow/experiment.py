@@ -224,31 +224,31 @@ def _simulate_block(payload):
     """Replicas ``first ..`` of one worker, grown from their child seeds:
     census engines in one ``run_batch`` call, trees one ``run`` each (one
     tree alive at a time).  The block's first result also carries the
-    batch's ``rounds`` (None for trees) and ``growth_s``, and for trees the
-    ``kernel`` that grew them."""
+    batch's ``rounds`` (None for trees), ``growth_s`` and the ``kernel``
+    that grew it."""
     spec, engine, t_final, thin, first, seeds = payload
     model = build_model(spec)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     start = time.perf_counter()
     events = t_final - 2                    # every replica starts from one edge
-    kernel = {}
     if engine == "tree" and not isinstance(model, TwoColourModel):
         results, rounds = [], None
         for rng in rngs:
             tree = OrderedTree.single_edge(model)
-            kernel = {"kernel": tree.kernel}
+            kernel = tree.kernel
             snaps = run(tree, t_final, rng, thin=thin or None)
             results.append(_simulate_replica(
                 (tree, snaps, {"events": events, "events_drawn": events})))
     else:
         make = (TwoColourState if isinstance(model, TwoColourModel) else UrnState).single_edge
         states = [make(model) for _ in seeds]
+        kernel = states[0].kernel
         trajectories, stats = run_batch(states, t_final, rngs, thin=thin or None)
         rounds = stats["rounds"]
         results = [_simulate_replica((s, snaps, {"events": events, "events_drawn": d}))
                    for s, snaps, d in zip(states, trajectories, stats["events_drawn"])]
     results[0]["batch"] = {"first": first, "replicas": len(seeds), "rounds": rounds,
-                           **kernel, "growth_s": time.perf_counter() - start}
+                           "kernel": kernel, "growth_s": time.perf_counter() - start}
     return results
 
 
@@ -277,7 +277,7 @@ def growth_counters(results: list[dict]) -> dict:
     """The growth counters of ``run_replicated`` results, for
     ``manifest.json``: per replica ``events`` kept, ``events_drawn`` and
     ``max_degree``; per batch its ``first`` replica, ``replicas``,
-    ``rounds`` and ``growth_s``, for trees also the ``kernel``."""
+    ``rounds``, ``growth_s`` and ``kernel``."""
     return {"replicas": [res["growth"] for res in results],
             "batches": [res["batch"] for res in results if "batch" in res]}
 

@@ -45,11 +45,18 @@ every vertex splits after its own exponential clock of rate ``w_d``, and
 the order in which the clocks ring is the urn's sequence of draws
 (Athreya and Karlin, Ann. Math. Statist. 39 (1968) 1801-1817; Janson,
 Stoch. Proc. Appl. 110 (2004) 177-245).  Its vertices are independent, so
-numpy expands them a generation at a time.
-It has the law of ``step`` but other draws: for census engines ``step`` is
-the reference in law, not bit for bit.  ``_leaf_kernel`` and ``run_batch``
-take their snapshots, at the clocks of ``_clocks``, through one census path,
-``_advance_census``.
+numpy expands them a generation at a time.  When every split of a
+one-colour model sheds a leaf (``WeightModel.sheds_leaves``, the tree's
+condition too), a vertex keeps its identity through its splits, one degree
+up each time, and its split times are partial sums of exponentials of
+rates ``w_d, w_{d+1}, ...``: the census's ``kernel`` is then ``"chains"``,
+which draws each vertex's whole chain up to the horizon at once, so a
+generation is the leaves born in the one before, not the children of every
+hub split.  Other census models grow by ``"generations"``.  Either way
+``run_batch`` has the law of ``step`` but other draws: for census engines
+``step`` is the reference in law, not bit for bit.  ``_leaf_kernel`` and
+``run_batch`` take their snapshots, at the clocks of ``_clocks``, through
+one census path, ``_advance_census``.
 """
 
 from __future__ import annotations
@@ -147,6 +154,14 @@ class _CensusUrn:
         """Split-size model, class stride and the total weight's gain per
         event (exact for linear weights)."""
         return self.model, 1, self.model.w2
+
+    @property
+    def kernel(self) -> str:
+        """The expansion ``run_batch`` grows this census with: ``"chains"``
+        for one colour when every split sheds a leaf, else
+        ``"generations"``."""
+        split_model, stride, _ = self._layout()
+        return "chains" if stride == 1 and split_model.sheds_leaves else "generations"
 
     @staticmethod
     def _snapshot(t: int, counts: np.ndarray, total_weight: float) -> CensusSnapshot:
@@ -374,10 +389,7 @@ class OrderedTree(_CensusUrn):
         """The kernel ``run`` grows this tree with: ``"leaf-block"`` when
         every split sheds a leaf and the envelope is exact, else
         ``"scalar"``."""
-        tail = self.model.partition.tail
-        sheds = (tail is not None and tail.start == 1 and tail.ph == 0 and tail.qh == 0
-                 and self.model.d_max is None)
-        return "leaf-block" if sheds and self._envelope[2] else "scalar"
+        return "leaf-block" if self.model.sheds_leaves and self._envelope[2] else "scalar"
 
     # -- queries ---------------------------------------------------------------
 
@@ -556,7 +568,8 @@ _BLOCK = 4096
 
 
 def _advance_census(state, clocks: list[int], totals: np.ndarray, removed: np.ndarray,
-                    added: tuple[np.ndarray, ...]) -> list[CensusSnapshot]:
+                    added: tuple[np.ndarray, ...],
+                    weights: Optional[list[float]] = None) -> list[CensusSnapshot]:
     """Move ``state``'s census, clock and running total past events and
     return its snapshots at the ``clocks`` they reach, which leave the list.
 
@@ -567,7 +580,8 @@ def _advance_census(state, clocks: list[int], totals: np.ndarray, removed: np.nd
     rows held, row ``r`` counts the events before the window's clock ``r``
     that no earlier row holds, by one ``bincount`` per column, and a
     ``cumsum`` makes it the census at that clock.  A snapshot is as wide as
-    the classes reached by its clock.
+    the classes reached by its clock.  The weights of new classes are read
+    from ``weights``, the class weights, when given.
     """
     t0, n = state.t, len(removed)
     reach = bisect_right(clocks, t0 + n)
@@ -598,7 +612,9 @@ def _advance_census(state, clocks: list[int], totals: np.ndarray, removed: np.nd
     state.t = t0 + n
     state.total_weight = float(totals[-1])
     state.counts = counts.tolist()
-    state.weights += map(state._class_weight, range(len(state.weights), len(state.counts)))
+    new = range(len(state.weights), len(state.counts))
+    state.weights += (map(state._class_weight, new) if weights is None
+                      else weights[new.start:new.stop])
     return snaps
 
 
@@ -756,6 +772,10 @@ def _leaf_kernel(tree: OrderedTree, clocks: list[int], rng) -> list[CensusSnapsh
 _EVENT_BUDGET = 1 << 16
 # generations smaller than this expand one individual at a time
 _SMALL = 64
+# chains of generations this large start with one draw per row, smaller ones
+# with four: a row averages about 0.6 splits, so the draws cost most in a
+# large generation and the blocks' fixed cost in a small one
+_WIDE = 512
 
 
 class _ClassLaws:
@@ -774,9 +794,10 @@ class _ClassLaws:
     def __init__(self, state):
         self.owner = state.model
         self.split_model, self.stride, self.gain = state._layout()
+        self.chains = state.kernel == "chains"
         self._weight_of = state._class_weight
         self.w: list[float] = []
-        self.inv_w: list[float] = []            # 1 / w_c; 0 for a class that never dies
+        self.inv_w: list[float] = []            # 1 / w_c; inf for a class that never dies
         self.lo: list[int] = []
         self.hi: list[int] = []
         self.keys: list[float] = []
@@ -791,7 +812,7 @@ class _ClassLaws:
             c = len(self.w)
             wc = float(self._weight_of(c))
             self.w.append(wc)
-            self.inv_w.append(1.0 / wc if wc > 0 else 0.0)
+            self.inv_w.append(1.0 / wc if wc > 0 else math.inf)
             self.lo.append(len(self.keys))
             if wc > 0 and not c % self.stride:
                 ks, cum, wsum = self.split_model.split_distribution(c // self.stride + 1)
@@ -838,7 +859,9 @@ class _Growth:
     form the next generation; the others are parked with their death time.
     When no generation is left but the events are too few, the horizon
     moves on and the parked individuals that die before it are released.
-    The first ``need`` events in time order are the urn's next events.
+    The first ``need`` events in time order are the urn's next events; two
+    at the same time, which takes a death within an ulp of its birth, may
+    come in either order.
 
     A generation of ``m`` individuals draws ``rng.random((2, m))``: the
     death uniforms, then the split uniforms; released individuals draw one
@@ -847,6 +870,14 @@ class _Growth:
     the last bit of a logarithm, which changes the outcome only when two
     times fall within an ulp or two, so the outcome depends on the
     generator alone.
+
+    Under chains (``laws.chains``: one colour, every split sheds a leaf) a
+    vertex keeps its identity through its splits, so ``_chains`` expands
+    each individual with all its splits before the horizon and a generation
+    is the leaves born in the one before.  A split is recorded with first
+    child degree 1 and draws no split uniform: degree ``d`` splits into
+    ``(1, d + 1)`` or ``(d + 1, 1)``, the same census.  A released vertex is
+    an event whose chain goes on one class up, beside its new leaf.
     """
 
     def __init__(self, laws: _ClassLaws, state, need: int, rng):
@@ -892,23 +923,32 @@ class _Growth:
         for part in self._small:
             part.clear()
 
-    def _record(self, t: np.ndarray, c: np.ndarray, u: np.ndarray):
-        """Events of classes ``c`` at times ``t`` with split uniforms ``u``;
-        returns their children that can die."""
+    def _log(self, t: np.ndarray, c: np.ndarray, k: np.ndarray, gain: float) -> None:
+        """Keep events of classes ``c`` at times ``t`` with first child
+        degrees ``k``, which change the total weight by ``gain``."""
+        self.weight += gain
+        self.drawn += len(c)
+        self.events.append((t, c.astype(np.int32), k.astype(np.int32)))
+
+    def _record(self, t: np.ndarray, c: np.ndarray, u: Optional[np.ndarray]):
+        """Events of classes ``c`` at times ``t`` with split uniforms ``u``,
+        or, under chains, ``u = None`` and first child degree 1; returns
+        their children that can die."""
         self._flush()
         laws = self.laws
         _, _, lo, hi, keys, ks = laws.arrays()
         a, b = lo[c], hi[c]
-        pos = np.minimum(np.maximum(np.searchsorted(keys, c + u, side="right"), a), b - 1)
-        k = np.where(b > a, ks[pos], -1)
+        if u is None:
+            k = np.where(b > a, 1, -1)
+        else:
+            pos = np.minimum(np.maximum(np.searchsorted(keys, c + u, side="right"), a), b - 1)
+            k = np.where(b > a, ks[pos], -1)
         if laws.stride > 1:
             k = np.where(c % laws.stride == 0, k, 0)
         k1, k2 = laws.kids(c, k)
         laws.cover(int(max(k1.max(), k2.max())) + 1)
         w = laws.arrays()[0]
-        self.weight += float((w[k1] + w[k2] - w[c]).sum())
-        self.drawn += len(c)
-        self.events.append((t, c.astype(np.int32), k.astype(np.int32)))
+        self._log(t, c, k, float((w[k1] + w[k2] - w[c]).sum()))
         kids = np.stack((k1, k2), axis=1).ravel()
         live = w[kids] > 0
         return np.repeat(t, 2)[live], kids[live]
@@ -963,6 +1003,40 @@ class _Growth:
         self.weight += gain
         return births, kids
 
+    def _chains(self, birth: np.ndarray, c: np.ndarray):
+        """``_expand`` each individual with its whole chain, for a model
+        whose every split sheds a leaf: the vertex splits into a leaf and
+        itself one class up, so its split times are partial sums of
+        exponentials of rates ``w_c, w_{c+1}, ...``.  A block of
+        ``rng.standard_exponential((m, L))`` for ``m`` rows gives each row
+        ``L`` split times; the first past the horizon is parked, and the
+        rows that run past the block go on in one twice as long.  The first
+        block has ``L`` = 4, or 1 from ``_WIDE`` rows on.  Returns the leaves
+        born, the next generation."""
+        laws, horizon, L = self.laws, self.horizon, 1 if len(c) >= _WIDE else 4
+        times, classes = [], []
+        while len(c):
+            laws.cover(int(c.max()) + L + 1)    # the block's classes and the last kid
+            cls = c[:, None] + np.arange(L)
+            t = self.rng.standard_exponential((len(c), L)) * laws.arrays()[1][cls]
+            t[:, 0] += birth
+            np.cumsum(t, axis=1, out=t)
+            ev = t < horizon                    # the times grow, so a prefix
+            times.append(t[ev])
+            classes.append(cls[ev])
+            n = ev.sum(axis=1)
+            go = n == L
+            stop = np.flatnonzero(~go)
+            death, dc = t[stop, n[stop]], cls[stop, n[stop]]
+            live = death < math.inf             # a class of weight 0 never splits
+            self.parked.append((death[live], dc[live]))
+            birth, c, L = t[go, -1], c[go] + L, 2 * L
+        t, c = np.concatenate(times), np.concatenate(classes)
+        w, _, lo, hi, _, _ = laws.arrays()
+        self._log(t, c, np.where(hi[c] > lo[c], 1, -1),
+                  float(len(c) * w[0] + (w[c + 1] - w[c]).sum()))
+        return (t, np.zeros(len(t), np.int64)) if w[0] > 0 else ([], [])
+
     def grow(self) -> tuple[np.ndarray, np.ndarray]:
         """The classes and first child degrees of the next ``need`` events,
         in time order."""
@@ -970,7 +1044,9 @@ class _Growth:
         while True:
             if len(c):
                 self.rounds += 1
-                if len(c) >= _SMALL:
+                if self.laws.chains:
+                    birth, c = self._chains(birth, c)
+                elif len(c) >= _SMALL:
                     birth, c = self._expand(np.asarray(birth), np.asarray(c))
                 elif isinstance(c, np.ndarray):
                     birth, c = self._expand_small(birth.tolist(), c.tolist())
@@ -992,9 +1068,9 @@ class _Growth:
             # released in time order, which does not depend on the expansions
             first = np.argsort(death[ev])
             birth, c = self._record(death[ev][first], c[ev][first],
-                                    self.rng.random(len(first)))
+                                    None if self.laws.chains else self.rng.random(len(first)))
         t, c, k = (np.concatenate(a) for a in zip(*self.events))
-        first = np.argsort(t, kind="stable")[:self.need]
+        first = np.argsort(t)[:self.need]
         return c[first].astype(np.int64), k[first].astype(np.int64)
 
 
@@ -1005,11 +1081,14 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
     Returns each state's snapshots, as ``run`` records them, and the
     batch's counters: per state the ``events_drawn``, which are the events
     kept plus those drawn past the last kept one, and for the batch the
-    ``rounds`` (generations expanded).
+    ``rounds`` (generations expanded; under chains, leaf generations, each
+    with the whole chains of its members).
 
-    Each state grows as the branching process of ``_Growth``: the law of
-    ``state.step``, from other draws.  A state's outcome depends on its
-    generator alone, not on the other states.  A state draws at most
+    Each state grows as the branching process of ``_Growth``, expanded as
+    its ``kernel`` names: by chains when every split sheds a leaf, else by
+    generations.  Both have the law of ``state.step``, from other draws.  A
+    state's outcome depends on its generator alone, not on the other
+    states.  A state draws at most
     ``_EVENT_BUDGET`` events at a time; one that needs more grows in legs,
     and each leg's snapshots come from ``_advance_census``.
     """
@@ -1034,7 +1113,7 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
             k1, k2 = laws.kids(c, k)
             w = laws.arrays()[0]
             totals = np.cumsum(np.concatenate(([s.total_weight], w[k1] + w[k2] - w[c])))
-            snaps += _advance_census(s, clocks, totals, c, (k1, k2))
+            snaps += _advance_census(s, clocks, totals, c, (k1, k2), laws.w)
         trajectories.append(snaps + [s.census() for _ in clocks])
         drawn.append(n)
     return trajectories, {"events_drawn": drawn, "rounds": rounds}

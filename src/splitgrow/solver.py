@@ -513,17 +513,22 @@ def _update_step(B: UpdateMatrix, denom: np.ndarray, s: float):
 
 def _iterate(step, K, tol, max_iter):
     """From-below iteration ``a <- step(a)`` from zero; returns the last
-    iterate, the stacked history (zero vector first) and the last step."""
+    iterate, the stacked history (zero vector first) and the last step.
+    An iterate that is not finite ends it with NoConvergenceError."""
     a = np.zeros(K)
     history = [a]
     last_step = math.inf
-    for _ in range(max_iter):
-        a_new = step(a)
-        last_step = float(np.max(np.abs(a_new - a)))
-        a = a_new
-        history.append(a)
-        if last_step < tol:
-            return a, np.array(history), last_step
+    with np.errstate(over="ignore", invalid="ignore"):         # checked below
+        for n in range(1, max_iter + 1):
+            a_new = step(a)
+            last_step = float(np.max(np.abs(a_new - a)))
+            if not math.isfinite(last_step):
+                raise NoConvergenceError(
+                    f"iterate {n} of at most {max_iter} is not finite")
+            a = a_new
+            history.append(a)
+            if last_step < tol:
+                return a, np.array(history), last_step
     raise NoConvergenceError(
         f"no convergence after {max_iter} iterations (last step {last_step:.3e})")
 

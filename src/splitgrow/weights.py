@@ -312,6 +312,15 @@ class WeightModel:
         return i * self.partition(1, i + 1)
 
     @property
+    def sheds_leaves(self) -> bool:
+        """Whether every split sheds a leaf: a ``LinearTail`` from degree 1
+        with no second band and no degree bound, so a degree-``i`` vertex
+        always splits into degrees 1 and ``i + 1``."""
+        tail = self.partition.tail
+        return (tail is not None and tail.start == 1 and tail.ph == 0 and tail.qh == 0
+                and self.d_max is None)
+
+    @property
     def leaf_mass_limit(self) -> Optional[float]:
         if self._leaf_mass_limit is not None:
             return self._leaf_mass_limit

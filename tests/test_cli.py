@@ -275,14 +275,15 @@ class TestSimulate:
             assert sorted({t for r, t, _ in keys if r == rep}) == [2, 102, 202, 302]
 
     @pytest.mark.parametrize("engine,w,kernel", [
-        ("urn", "i", None), ("tree", "i", "leaf-block"), ("tree", "i-0.9", "scalar"),
+        ("urn", "i", "chains"), ("tree", "i", "leaf-block"), ("tree", "i-0.9", "scalar"),
     ], ids=["urn", "tree", "tree-scalar"])
     def test_manifest_growth_counters(self, tmp_path, monkeypatch, engine, w, kernel):
         # per replica the events kept, the events drawn (the branching
         # engine draws past the last kept one) and the largest degree; per
-        # batch the rounds (none for trees), the growth time and, for trees,
-        # the kernel: blocks of leaf splits for w = i, whose envelope is
-        # exact, the scalar kernel for w = i - 0.9, whose is not
+        # batch the rounds (none for trees), the growth time and the kernel:
+        # chains for the urn, whose every split sheds a leaf, and for trees
+        # blocks of leaf splits for w = i, whose envelope is exact, the
+        # scalar kernel for w = i - 0.9, whose is not
         monkeypatch.setenv("SPLITGROW_THREADS", "2")
         rc = main(["simulate", "--family", "preferential", "--w", w, "--engine", engine,
                    "--seed", "3", "--replicas", "3", "--t-final", "800",
@@ -312,7 +313,7 @@ class TestSimulate:
         # two legs of the event budget, and clocks on window edges
         (["--family", "preferential", "--w", "i", "--seed", "5", "--t-final", "70000",
           "--thin", "1024"],
-         "2751738bb043cb18dfa8bab67b464757716fc0d9307a5ea41aec20bac2ddce34"),
+         "e08836f8a2dc5e70d76b290b35586f1a02562acad7c790e785b044340034dd7f"),
     ], ids=["tree", "two-colour", "urn"])
     def test_census_bytes_pinned(self, tmp_path, flags, digest):
         # any change to these bytes must be explained in CHANGES.md
@@ -487,12 +488,12 @@ class TestCompare:
                    "--out", str(tmp_path)])
         assert rc == 0
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-        assert digest == ("85dc24e9685be337927060af47e995bf"
-                          "b2f0c00c2a1dacfb829becca702c8e30")
+        assert digest == ("8c1497d03da2d5899bc47221be11d546"
+                          "ca90490fe823548cace36eb9b07895a6")
 
     def test_printed_max_z_is_over_checked_degrees(self, tmp_path, capsys):
         # the run of test_urn_report_bytes_pinned: its largest |z| is at
-        # k = 7, beyond k_check = 4, so the printed maximum is smaller
+        # k = 5, beyond k_check = 4, so the printed maximum is smaller
         rc = main(["compare", "--family", "preferential", "--w", "i", "--seed", "2025",
                    "--replicas", "4", "--t-final", "5000", "--k-check", "4",
                    "--out", str(tmp_path)])

@@ -762,6 +762,52 @@ class TestCensusKernel:
         snaps = run(tree, 500, np.random.default_rng(1), thin=100)
         assert [s.t for s in snaps] == [2, 102, 202, 302, 402, 500]
 
+    @pytest.mark.parametrize("name,kernel", [
+        ("pref-i", "chains"), ("pref-i-0.9", "chains"), ("pref-i-untailed", "generations"),
+        ("uniform", "generations"), ("grafting", "generations"), ("dmax3", "generations"),
+        ("rna", "generations")])
+    def test_census_kernel_selection(self, name, kernel, monkeypatch):
+        # run_batch grows a one-colour census whose every split sheds a leaf
+        # (the tree's condition, whatever the envelope) by whole chains; the
+        # same law without the tail declaration, arc-moving splits, tables
+        # and two-colour models grow by generations
+        if name == "pref-i-untailed":
+            state = UrnState.single_edge(
+                WeightModel(PartitionWeights(_PREF_I.partition._fn), SplittingWeights(1.0, 0.0)))
+        elif name == "grafting":
+            state = UrnState.single_edge(_GRAFTING)
+        else:
+            state = KERNEL_ENGINES[name]()
+        assert state.kernel == kernel
+
+        def refused(*args):
+            raise AssertionError("wrong kernel")
+
+        for path in (("_expand", "_expand_small") if kernel == "chains" else ("_chains",)):
+            monkeypatch.setattr(growth._Growth, path, refused)
+        snaps = run(state, 500, np.random.default_rng(1), thin=100)
+        assert [s.t for s in snaps] == [2, 102, 202, 302, 402, 500]
+        assert all(s.identity_deviations() == (0, 0) for s in snaps)
+
+    @pytest.mark.parametrize("pg,qg,a,error,match", [
+        (-1.0, 3.0, 1.0, InvalidDegreeError, "degree 3 has no admissible split"),
+        (0.0, 0.0, 0.0, DegeneracyError, "not positive"),
+    ], ids=["no-split-at-degree-3", "zero-weights"])
+    def test_chains_refuse_like_step(self, pg, qg, a, error, match):
+        # the models of test_leaf_kernel_refuses_like_step on the urn: the
+        # chains draw no split law, yet raise step's error, and leave the
+        # census where it was
+        fn = _PREF_I.partition._fn
+        model = WeightModel(PartitionWeights(fn, tail=LinearTail(1, pg, qg)),
+                            SplittingWeights(a, 0.0))
+        ref, state = UrnState.single_edge(model), UrnState.single_edge(model)
+        assert state.kernel == "chains"
+        with pytest.raises(error, match=match):
+            stepped(ref, 500, np.random.default_rng(3))
+        with pytest.raises(error, match=match):
+            run(state, 500, np.random.default_rng(3), thin=50)
+        assert state.t == 2 and state.counts == [2]
+
     @pytest.mark.parametrize("pg,qg,a,error,match", [
         (-1.0, 3.0, 1.0, InvalidDegreeError, "degree 3 has no admissible split"),
         (0.0, 0.0, 0.0, DegeneracyError, "not positive"),

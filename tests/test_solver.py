@@ -122,6 +122,17 @@ class TestFixedPoint:
             fixed_point_densities(pref_i(), K=64, tol=1e-15, max_iter=3,
                                   record_iterates=True)
 
+    def test_non_finite_iterate_stops_the_iteration(self):
+        # the forced table with weights 1, 2, 9 overflows within a few
+        # thousand steps: the iteration stops at the first non-finite
+        # iterate, without warnings, instead of running every step on NaN
+        m = make_table(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 3.0)])
+        assert [m.w(d) for d in (1, 2, 3)] == [1.0, 2.0, 9.0]
+        with pytest.raises(NoConvergenceError, match="not finite") as err:
+            fixed_point_densities(m, record_iterates=True, force_unsupported=True,
+                                  max_iter=100_000)
+        assert int(str(err.value).split()[1]) < 10_000
+
     def test_nonlinear_table_warns(self):
         # derived weights 1, 2.2, 3.9 are not linear in the degree: refused
         # unless forced, and a forced solve is watermarked
