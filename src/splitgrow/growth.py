@@ -45,7 +45,10 @@ every vertex splits after its own exponential clock of rate ``w_d``, and
 the order in which the clocks ring is the urn's sequence of draws
 (Athreya and Karlin, Ann. Math. Statist. 39 (1968) 1801-1817; Janson,
 Stoch. Proc. Appl. 110 (2004) 177-245).  Its vertices are independent, so
-numpy expands them a generation at a time.  When every split of a
+numpy expands them a generation at a time, and so are its replicas:
+consecutive replicas of one model grow as a group, with one round of numpy
+calls per generation of the whole group, each replica still drawing from
+its own generator exactly what it would draw alone.  When every split of a
 one-colour model sheds a leaf (``WeightModel.sheds_leaves``, the tree's
 condition too), a vertex keeps its identity through its splits, one degree
 up each time, and its split times are partial sums of exponentials of
@@ -65,7 +68,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -767,20 +770,23 @@ def _leaf_kernel(tree: OrderedTree, clocks: list[int], rng) -> list[CensusSnapsh
     return snaps + [tree.census() for _ in clocks]
 
 
-# the most events one replica draws at a time; a replica that needs more
-# grows in legs, which is exact because the process is Markov
+# the most events in flight: consecutive replicas of one model grow as a
+# group while their events sum to at most this, and a replica that needs
+# more grows alone, in legs, which is exact because the process is Markov
 _EVENT_BUDGET = 1 << 16
-# generations smaller than this expand one individual at a time
-_SMALL = 64
-# chains of generations this large start with one draw per row, smaller ones
-# with four: a row averages about 0.6 splits, so the draws cost most in a
-# large generation and the blocks' fixed cost in a small one
+# chains of a replica's generation this large start with one draw per row,
+# smaller ones with four: a row averages about 0.6 splits, so the draws cost
+# most in a large generation and the blocks' fixed cost in a small one
 _WIDE = 512
+# the most rows a round or a release expands with one set of numpy calls,
+# unless one replica has more; more go in pieces, which bounds the memory
+_ROUND_ROWS = 8192
 
 
 class _ClassLaws:
-    """Death rates and split laws of the census classes ``0 .. n-1`` of one
-    layout, extended as the classes are reached.
+    """Death rates and split laws of the census classes of one layout,
+    extended as the classes are reached: ``cover`` the rates, which every
+    individual needs, ``cover_laws`` the split laws too, which events need.
 
     A class with its stride bit clear splits (every class for one colour,
     the white classes for two).  Its law is the run ``keys[lo:hi]``,
@@ -804,17 +810,20 @@ class _ClassLaws:
         self.ks: list[int] = []
         self._arrays = [np.zeros(1), np.empty(0), np.empty(0, np.int64),
                         np.empty(0, np.int64), np.empty(0), np.full(1, -1, np.int64)]
-        self._synced = 0, 0                     # classes and keys in the arrays
 
     def cover(self, n: int) -> None:
-        """Tables for every class below ``n``."""
-        while len(self.w) < n:
-            c = len(self.w)
+        """Rates of every class below ``n``."""
+        for c in range(len(self.w), n):
             wc = float(self._weight_of(c))
             self.w.append(wc)
             self.inv_w.append(1.0 / wc if wc > 0 else math.inf)
+
+    def cover_laws(self, n: int) -> None:
+        """Rates and split laws of every class below ``n``."""
+        self.cover(n)
+        for c in range(len(self.lo), n):
             self.lo.append(len(self.keys))
-            if wc > 0 and not c % self.stride:
+            if self.w[c] > 0 and not c % self.stride:
                 ks, cum, wsum = self.split_model.split_distribution(c // self.stride + 1)
                 if wsum > 0:
                     self.keys.extend(c + x / wsum for x in cum)
@@ -824,16 +833,15 @@ class _ClassLaws:
     def arrays(self) -> list[np.ndarray]:
         """``w, inv_w, lo, hi, keys, ks`` as arrays; ``w`` ends in a weight 0
         and ``ks`` in a degree -1, which index -1, "no class", reads."""
-        nc, nk = self._synced
-        if nc < len(self.w):
-            w, inv_w, lo, hi, keys, ks = self._arrays
-            self._arrays = [np.concatenate((w[:-1], self.w[nc:], [0.0])),
-                            np.concatenate((inv_w, self.inv_w[nc:])),
-                            np.concatenate((lo, np.array(self.lo[nc:], np.int64))),
-                            np.concatenate((hi, np.array(self.hi[nc:], np.int64))),
+        w, inv_w, lo, hi, keys, ks = self._arrays
+        n, m, nk = len(inv_w), len(lo), len(keys)
+        if n < len(self.w) or m < len(self.lo):
+            self._arrays = [np.concatenate((w[:-1], self.w[n:], [0.0])),
+                            np.concatenate((inv_w, self.inv_w[n:])),
+                            np.concatenate((lo, np.array(self.lo[m:], np.int64))),
+                            np.concatenate((hi, np.array(self.hi[m:], np.int64))),
                             np.concatenate((keys, np.array(self.keys[nk:], float))),
                             np.concatenate((ks[:-1], np.array(self.ks[nk:] + [-1], np.int64)))]
-            self._synced = len(self.w), len(self.keys)
         return self._arrays
 
     def kids(self, c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -848,28 +856,29 @@ class _ClassLaws:
 
 
 class _Growth:
-    """One replica's next ``need`` events, as the continuous-time branching
-    process that embeds the urn.
+    """The next ``need[r]`` events of each replica ``r`` of a group, as the
+    continuous-time branching processes that embed their urns.
 
-    Every member of the census is an individual of its class ``c``; it dies
+    Every member of a census is an individual of its class ``c``; it dies
     after an exponential time of rate ``w_c`` and leaves the children of a
-    split (or the recoloured vertex).  The individuals born before the
-    horizon are expanded one generation at a time: each draws its death
-    time and, if that falls before the horizon, is an event whose children
-    form the next generation; the others are parked with their death time.
-    When no generation is left but the events are too few, the horizon
-    moves on and the parked individuals that die before it are released.
-    The first ``need`` events in time order are the urn's next events; two
-    at the same time, which takes a death within an ulp of its birth, may
-    come in either order.
+    split (or the recoloured vertex).  The individuals born before their
+    replica's horizon are expanded one generation at a time: each draws its
+    death time and, if that falls before the horizon, is an event whose
+    children form the next generation; the others are parked with their
+    death time.  When no replica has a generation left, each replica whose
+    events are too few moves its horizon on and releases its parked
+    individuals that die before it.  A replica's first ``need`` events in
+    time order are its urn's next events; two at the same time, which takes
+    a death within an ulp of its birth, may come in either order.
 
-    A generation of ``m`` individuals draws ``rng.random((2, m))``: the
-    death uniforms, then the split uniforms; released individuals draw one
-    split uniform each, in time order.  Below ``_SMALL`` individuals a
-    generation is expanded in Python, else with numpy.  The two agree up to
-    the last bit of a logarithm, which changes the outcome only when two
-    times fall within an ulp or two, so the outcome depends on the
-    generator alone.
+    The replicas are independent, so a round expands the generations of the
+    whole group with one set of numpy calls: the rows carry their replica's
+    index ``rep``, grouped by replica, and each replica keeps its own
+    horizon, weight, events and parked individuals.  Replica ``r`` draws
+    from ``rngs[r]`` alone what it would draw grown alone: a generation of
+    ``m`` individuals draws ``random((2, m))``, the death uniforms then the
+    split uniforms, and released individuals one split uniform each, in
+    time order.  Its outcome thus depends on its generator alone.
 
     Under chains (``laws.chains``: one colour, every split sheds a leaf) a
     vertex keeps its identity through its splits, so ``_chains`` expands
@@ -880,62 +889,74 @@ class _Growth:
     an event whose chain goes on one class up, beside its new leaf.
     """
 
-    def __init__(self, laws: _ClassLaws, state, need: int, rng):
-        if not state.total_weight > 0.0:
+    def __init__(self, laws: _ClassLaws, states, need: list[int], rngs):
+        if not all(s.total_weight > 0.0 for s in states):
             raise DegeneracyError("total sampling weight is not positive")
-        self.laws, self.need, self.rng = laws, need, rng
-        self.w0 = self.weight = state.total_weight   # the weight at the horizon
-        self.drawn = self.rounds = 0
-        self.horizon = 0.0
-        self.events: list[tuple] = []           # (time, class, k) arrays
-        self.parked: list[tuple] = []           # (death, class) arrays
-        self._small = [], [], [], [], []        # time, class, k; death, class
-        laws.cover(len(state.counts))
-        c = np.repeat(np.arange(len(state.counts)), state.counts)
-        c = c[laws.arrays()[0][c] > 0]
-        self.frontier = np.zeros(len(c)), c
-        self.horizon = self._next_horizon()
+        n = len(states)
+        self.laws, self.need, self.rngs = laws, need, rngs
+        self.w0 = [s.total_weight for s in states]  # the weights at the horizons
+        self.weight, self.drawn, self.rounds = list(self.w0), [0] * n, 0
+        self.events: list[list] = [[] for _ in range(n)]    # (time, class, k) arrays
+        self.parked: list[list] = [[] for _ in range(n)]    # (death, class) arrays
+        self._edges = np.arange(n + 1)
+        laws.cover(max(len(s.counts) for s in states))
+        c = np.concatenate([np.repeat(np.arange(len(s.counts)), s.counts) for s in states])
+        rep = np.repeat(np.arange(n), [sum(s.counts) for s in states])
+        live = np.flatnonzero(laws.arrays()[0][c] > 0)
+        self.frontier = np.zeros(len(live)), c[live], rep[live]
+        self.horizon = np.zeros(n)
+        self.horizon[:] = [self._next_horizon(r) for r in range(n)]
 
-    def _next_horizon(self) -> float:
-        """A horizon at which the expected event count reaches a goal: eight
-        times the effective population ``W / g`` while that is small
-        against the events needed, else the events needed plus one standard
-        deviation.  The total weight ``W`` grows by ``g`` per event (exactly,
-        for linear weights), so the count is a linear birth process whose
-        spread over the rest of the run is about ``need / sqrt(W / g)``.
-        The rule only sets how much work is wasted, never the law."""
-        n, need, w = self.drawn, self.need, max(self.weight, 1e-300)
-        g = (w - self.w0) / n if n >= 16 else self.laws.gain
+    def _next_horizon(self, r: int) -> float:
+        """A horizon for replica ``r`` at which its expected event count
+        reaches a goal: eight times the effective population ``W / g`` while
+        that is small against the events needed, else the events needed plus
+        one standard deviation.  The total weight ``W`` grows by ``g`` per
+        event (exactly, for linear weights), so the count is a linear birth
+        process whose spread over the rest of the run is about ``need /
+        sqrt(W / g)``.  The rule only sets how much work is wasted, never the
+        law."""
+        n, need, w = self.drawn[r], self.need[r], max(self.weight[r], 1e-300)
+        g = (w - self.w0[r]) / n if n >= 16 else self.laws.gain
         if not g > 1e-12 * w:
-            return self.horizon + (need - n + 2.0 * math.sqrt(need) + 2.0) / w
+            return self.horizon[r] + (need - n + 2.0 * math.sqrt(need) + 2.0) / w
         pop = w / g
         goal = min(need + need / math.sqrt(pop) + 2.0, n + 7.0 * pop + 16.0)
-        return self.horizon + math.log1p(g * (goal - n) / w) / g
+        return self.horizon[r] + math.log1p(g * (goal - n) / w) / g
 
-    def _flush(self) -> None:
-        """Move the events and parked individuals of Python-expanded
-        generations into the arrays, keeping the events in causal order."""
-        t, c, k, dead, parked_c = self._small
-        if t:
-            self.events.append((np.array(t), np.array(c, np.int32), np.array(k, np.int32)))
-        if dead:
-            self.parked.append((np.array(dead), np.array(parked_c, np.int64)))
-        for part in self._small:
-            part.clear()
+    def _slices(self, rep: np.ndarray) -> list[tuple[int, int, int]]:
+        """``(r, start, stop)`` of each replica ``r`` with rows in ``rep``."""
+        ends = np.searchsorted(rep, self._edges).tolist()
+        return [(r, a, b) for r, (a, b) in enumerate(zip(ends, ends[1:])) if b > a]
 
-    def _log(self, t: np.ndarray, c: np.ndarray, k: np.ndarray, gain: float) -> None:
+    def _uniforms(self, rep: np.ndarray, *shape: int) -> np.ndarray:
+        """``rngs[r].random((*shape, m))`` for each replica ``r`` with ``m``
+        rows in ``rep``, joined along the last axis."""
+        return np.concatenate([self.rngs[r].random((*shape, b - a))
+                               for r, a, b in self._slices(rep)], axis=-1)
+
+    def _park(self, death, c, rep) -> None:
+        """Park individuals of classes ``c`` that die at ``death``."""
+        c = c.astype(np.int32)
+        for r, a, b in self._slices(rep):
+            self.parked[r].append((death[a:b], c[a:b]))
+
+    def _log(self, t, c, k, rep, dw, base=0.0) -> None:
         """Keep events of classes ``c`` at times ``t`` with first child
-        degrees ``k``, which change the total weight by ``gain``."""
-        self.weight += gain
-        self.drawn += len(c)
-        self.events.append((t, c.astype(np.int32), k.astype(np.int32)))
+        degrees ``k``: a replica's total weight changes by ``base`` per
+        event plus the sum of its events' ``dw``."""
+        c, k = c.astype(np.int32), k.astype(np.int32)
+        for r, a, b in self._slices(rep):
+            self.drawn[r] += b - a
+            self.weight[r] += float((b - a) * base + dw[a:b].sum())
+            self.events[r].append((t[a:b], c[a:b], k[a:b]))
 
-    def _record(self, t: np.ndarray, c: np.ndarray, u: Optional[np.ndarray]):
+    def _record(self, t, c, rep, u: Optional[np.ndarray] = None):
         """Events of classes ``c`` at times ``t`` with split uniforms ``u``,
         or, under chains, ``u = None`` and first child degree 1; returns
         their children that can die."""
-        self._flush()
         laws = self.laws
+        laws.cover_laws(int(c.max()) + 1)
         _, _, lo, hi, keys, ks = laws.arrays()
         a, b = lo[c], hi[c]
         if u is None:
@@ -948,130 +969,143 @@ class _Growth:
         k1, k2 = laws.kids(c, k)
         laws.cover(int(max(k1.max(), k2.max())) + 1)
         w = laws.arrays()[0]
-        self._log(t, c, k, float((w[k1] + w[k2] - w[c]).sum()))
+        self._log(t, c, k, rep, w[k1] + w[k2] - w[c])
         kids = np.stack((k1, k2), axis=1).ravel()
-        live = w[kids] > 0
-        return np.repeat(t, 2)[live], kids[live]
+        live = np.flatnonzero(w[kids] > 0)
+        return t[live >> 1], kids[live], rep[live >> 1]
 
-    def _expand(self, birth: np.ndarray, c: np.ndarray):
-        u = self.rng.random((2, len(c)))
+    def _expand(self, birth, c, rep):
+        """One generation of each replica; returns the next."""
+        u = self._uniforms(rep, 2)
         death = birth - np.log1p(-u[0]) * self.laws.arrays()[1][c]
-        ev = death < self.horizon
-        if not ev.all():
-            self.parked.append((death[~ev], c[~ev]))
-        if not ev.any():
-            return [], []
-        return self._record(death[ev], c[ev], u[1][ev])
+        ev = death < self.horizon[rep]
+        park, go = np.flatnonzero(~ev), np.flatnonzero(ev)
+        self._park(death[park], c[park], rep[park])
+        if not len(go):
+            return death[go], c[go], rep[go]
+        return self._record(death[go], c[go], rep[go], u[1][go])
 
-    def _expand_small(self, birth: list[float], c: list[int]):
-        """``_expand`` one individual at a time."""
-        laws = self.laws
-        w, inv_w, lo, hi, keys, ks, s = (laws.w, laws.inv_w, laws.lo, laws.hi,
-                                         laws.keys, laws.ks, laws.stride)
-        ev_t, ev_c, ev_k, dead, parked_c = self._small
-        m, horizon = len(c), self.horizon
-        u = self.rng.random(2 * m).tolist()
-        births, kids, events, gain = [], [], 0, 0.0
-        for i in range(m):
-            ci = c[i]
-            t = birth[i] - math.log1p(-u[i]) * inv_w[ci]
-            if not t < horizon:
-                dead.append(t)
-                parked_c.append(ci)
-                continue
-            if ci % s:                          # a black vertex recolours
-                k, pair = 0, (ci - 1,)
-            elif lo[ci] == hi[ci]:
-                k, pair = -1, ()
-            else:
-                j = bisect_right(keys, ci + u[m + i], lo[ci], hi[ci])
-                k = ks[min(j, hi[ci] - 1)]
-                pair = (s * k - 1, s * (ci // s + 3 - k) - 1)
-            ev_t.append(t)
-            ev_c.append(ci)
-            ev_k.append(k)
-            events += 1
-            gain -= w[ci]
-            for kc in pair:
-                if kc >= len(w):
-                    laws.cover(kc + 1)
-                gain += w[kc]
-                if w[kc] > 0:
-                    births.append(t)
-                    kids.append(kc)
-        self.drawn += events
-        self.weight += gain
-        return births, kids
-
-    def _chains(self, birth: np.ndarray, c: np.ndarray):
+    def _chains(self, birth, c, rep):
         """``_expand`` each individual with its whole chain, for a model
         whose every split sheds a leaf: the vertex splits into a leaf and
         itself one class up, so its split times are partial sums of
         exponentials of rates ``w_c, w_{c+1}, ...``.  A block of
-        ``rng.standard_exponential((m, L))`` for ``m`` rows gives each row
-        ``L`` split times; the first past the horizon is parked, and the
-        rows that run past the block go on in one twice as long.  The first
-        block has ``L`` = 4, or 1 from ``_WIDE`` rows on.  Returns the leaves
-        born, the next generation."""
-        laws, horizon, L = self.laws, self.horizon, 1 if len(c) >= _WIDE else 4
-        times, classes = [], []
-        while len(c):
-            laws.cover(int(c.max()) + L + 1)    # the block's classes and the last kid
-            cls = c[:, None] + np.arange(L)
-            t = self.rng.standard_exponential((len(c), L)) * laws.arrays()[1][cls]
-            t[:, 0] += birth
-            np.cumsum(t, axis=1, out=t)
-            ev = t < horizon                    # the times grow, so a prefix
-            times.append(t[ev])
-            classes.append(cls[ev])
-            n = ev.sum(axis=1)
-            go = n == L
-            stop = np.flatnonzero(~go)
-            death, dc = t[stop, n[stop]], cls[stop, n[stop]]
-            live = death < math.inf             # a class of weight 0 never splits
-            self.parked.append((death[live], dc[live]))
-            birth, c, L = t[go, -1], c[go] + L, 2 * L
-        t, c = np.concatenate(times), np.concatenate(classes)
+        ``standard_exponential((m, L))`` for a replica's ``m`` rows gives
+        each row ``L`` split times; the first past the horizon is parked,
+        and the rows that run past the block go on in one twice as long.  A
+        replica's first block has ``L`` = 4, or 1 from ``_WIDE`` rows on,
+        so the rows run in two lanes.  Returns the leaves born, the next
+        generation."""
+        laws = self.laws
+        wide = (np.diff(np.searchsorted(rep, self._edges)) >= _WIDE)[rep]
+        events, parked = [], []             # (time, class, replica) arrays
+        for lane, L in ((wide, 1), (~wide, 4)):
+            rows = slice(None) if lane.all() else np.flatnonzero(lane)
+            birth_l, c_l, rep_l = birth[rows], c[rows], rep[rows]
+            while len(c_l):
+                laws.cover(int(c_l.max()) + L + 1)  # the block's classes and the last kid
+                cls = c_l[:, None] + np.arange(L)
+                t = np.empty((len(c_l), L))
+                for r, a, b in self._slices(rep_l):
+                    self.rngs[r].standard_exponential((b - a, L), out=t[a:b])
+                t *= laws.arrays()[1][cls]
+                t[:, 0] += birth_l
+                np.cumsum(t, axis=1, out=t)
+                # the times grow, so each row's events are a prefix, n of its L
+                hit = np.flatnonzero(t < self.horizon[rep_l][:, None])
+                row = hit >> (L.bit_length() - 1)
+                n = np.bincount(row, minlength=len(c_l))
+                events.append((t.ravel()[hit], cls.ravel()[hit], rep_l[row]))
+                stop, go = np.flatnonzero(n < L), np.flatnonzero(n == L)
+                first = stop * L + n[stop]
+                death = t.ravel()[first]
+                live = np.flatnonzero(death < math.inf)     # a class of weight 0 never splits
+                parked.append((death[live], cls.ravel()[first[live]], rep_l[stop[live]]))
+                birth_l, c_l, rep_l, L = t[go, -1], c_l[go] + L, rep_l[go], 2 * L
+        # each replica's rows in block order, as it would draw them alone
+        self._park(*_by_replica(parked))
+        t, c, rep = _by_replica(events)
+        if not len(c):
+            return t, c, rep
+        laws.cover_laws(int(c.max()) + 1)
         w, _, lo, hi, _, _ = laws.arrays()
-        self._log(t, c, np.where(hi[c] > lo[c], 1, -1),
-                  float(len(c) * w[0] + (w[c + 1] - w[c]).sum()))
-        return (t, np.zeros(len(t), np.int64)) if w[0] > 0 else ([], [])
+        self._log(t, c, np.where(hi[c] > lo[c], 1, -1), rep, w[c + 1] - w[c], w[0])
+        keep = len(t) if w[0] > 0 else 0
+        return t[:keep], np.zeros(keep, np.int64), rep[:keep]
 
-    def grow(self) -> tuple[np.ndarray, np.ndarray]:
-        """The classes and first child degrees of the next ``need`` events,
-        in time order."""
-        birth, c = self.frontier
+    def _release(self, waiting: list[int]):
+        """Move the horizon of each replica in ``waiting`` past its first
+        parked death, so every move releases an event, and record the
+        parked individuals that die before it, per replica in time order,
+        which does not depend on the expansions.  The other replicas are
+        done, and their parked individuals are dropped."""
+        released, waiting = [], set(waiting)
+        for r, parked in enumerate(self.parked):
+            if r not in waiting:
+                parked.clear()
+                continue
+            if not parked:
+                raise DegeneracyError(
+                    "total sampling weight is not positive: no vertex can split "
+                    f"after {self.drawn[r]} of {self.need[r]} events")
+            death, c = (np.concatenate(a) for a in zip(*parked))
+            self.horizon[r] = max(self._next_horizon(r), np.nextafter(death.min(), math.inf))
+            ev = death < self.horizon[r]
+            self.parked[r] = [(death[~ev], c[~ev])] if not ev.all() else []
+            first = np.argsort(death[ev])
+            released.append((death[ev][first], c[ev][first].astype(np.int64),
+                             np.full(len(first), r)))
+        death, c, rep = (np.concatenate(a) for a in zip(*released))
+        u = () if self.laws.chains else (self._uniforms(rep),)
+        return self._pieces(self._record, death, c, rep, *u)
+
+    def _pieces(self, fn, *cols):
+        """``fn`` of the rows ``cols``, whose third is their replica, in
+        pieces of whole replicas of at most ``_ROUND_ROWS`` rows each
+        unless one replica has more, with the pieces' results joined."""
+        cuts = [0]
+        for _, a, b in self._slices(cols[2]):
+            if b - cuts[-1] > _ROUND_ROWS and a > cuts[-1]:
+                cuts.append(a)
+        if len(cuts) == 1:
+            return fn(*cols)
+        cuts.append(len(cols[2]))
+        parts = [fn(*(x[a:b] for x in cols)) for a, b in zip(cuts, cuts[1:])]
+        return tuple(map(np.concatenate, zip(*parts)))
+
+    def grow(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Grow the group, then yield, per replica, the classes and first
+        child degrees of its next ``need`` events, in time order."""
+        expand = self._chains if self.laws.chains else self._expand
+        (birth, c, rep), self.frontier = self.frontier, None
         while True:
             if len(c):
                 self.rounds += 1
-                if self.laws.chains:
-                    birth, c = self._chains(birth, c)
-                elif len(c) >= _SMALL:
-                    birth, c = self._expand(np.asarray(birth), np.asarray(c))
-                elif isinstance(c, np.ndarray):
-                    birth, c = self._expand_small(birth.tolist(), c.tolist())
-                else:
-                    birth, c = self._expand_small(birth, c)
+                birth, c, rep = self._pieces(expand, birth, c, rep)
                 continue
-            self._flush()
-            if self.drawn >= self.need:
+            waiting = [r for r, n in enumerate(self.drawn) if n < self.need[r]]
+            if not waiting:
                 break
-            if not self.parked:
-                raise DegeneracyError(
-                    "total sampling weight is not positive: no vertex can split "
-                    f"after {self.drawn} of {self.need} events")
-            death, c = (np.concatenate(a) for a in zip(*self.parked))
-            # past the first parked death, so every move releases an event
-            self.horizon = max(self._next_horizon(), np.nextafter(death.min(), np.inf))
-            ev = death < self.horizon
-            self.parked = [(death[~ev], c[~ev])] if not ev.all() else []
-            # released in time order, which does not depend on the expansions
-            first = np.argsort(death[ev])
-            birth, c = self._record(death[ev][first], c[ev][first],
-                                    None if self.laws.chains else self.rng.random(len(first)))
-        t, c, k = (np.concatenate(a) for a in zip(*self.events))
-        first = np.argsort(t)[:self.need]
-        return c[first].astype(np.int64), k[first].astype(np.int64)
+            birth, c, rep = self._release(waiting)
+        self.parked = []
+        for r, events in enumerate(self.events):
+            t, c, k = (np.concatenate(a) for a in zip(*events))
+            self.events[r] = []
+            first = np.argsort(t)[:self.need[r]]
+            yield c[first].astype(np.int64), k[first].astype(np.int64)
+
+
+def _by_replica(parts: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
+    """The rows of ``parts``, tuples of arrays whose last is the rows'
+    replica, joined and grouped by replica in their order; ``parts`` is
+    emptied."""
+    cols = [np.concatenate(a) for a in zip(*parts)]
+    parts.clear()
+    if len(cols[-1]) and cols[-1].min() < cols[-1].max():
+        order = np.argsort(cols[-1], kind="stable")
+        for j, col in enumerate(cols):
+            cols[j] = col[order]
+    return cols
 
 
 def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
@@ -1081,41 +1115,55 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
     Returns each state's snapshots, as ``run`` records them, and the
     batch's counters: per state the ``events_drawn``, which are the events
     kept plus those drawn past the last kept one, and for the batch the
-    ``rounds`` (generations expanded; under chains, leaf generations, each
-    with the whole chains of its members).
+    ``rounds``, one per generation expanded for a whole group (under
+    chains, a leaf generation with the whole chains of its members).
 
-    Each state grows as the branching process of ``_Growth``, expanded as
-    its ``kernel`` names: by chains when every split sheds a leaf, else by
-    generations.  Both have the law of ``state.step``, from other draws.  A
-    state's outcome depends on its generator alone, not on the other
-    states.  A state draws at most
-    ``_EVENT_BUDGET`` events at a time; one that needs more grows in legs,
-    and each leg's snapshots come from ``_advance_census``.
+    Consecutive states of one model grow as a group, one ``_Growth``, while
+    their events sum to at most ``_EVENT_BUDGET``; a state that needs more
+    grows alone, in legs.  Groups are expanded as their ``kernel`` names,
+    with the law of ``state.step`` from other draws, and a state's outcome
+    depends on its generator alone, not on the groups.  Each state's
+    snapshots come from ``_advance_census``.
     """
+    if len(rngs) != len(states):
+        raise InvalidParameterError(
+            f"{len(states)} states need as many generators, not {len(rngs)}")
     for s in states:
         if t_final < s.t:
             raise InvalidParameterError(f"t_final = {t_final} < current t = {s.t}")
-    laws = None
-    trajectories, drawn, rounds = [], [], 0
-    for s, rng in zip(states, rngs):
-        if laws is None or s.model is not laws.owner:
-            laws = _ClassLaws(s)
-        clocks = _clocks(s.t, t_final, thin)
-        snaps, n = [], 0
-        while s.t < t_final:
-            growth = _Growth(laws, s, min(t_final - s.t, _EVENT_BUDGET), rng)
-            c, k = growth.grow()
+    clocks = [_clocks(s.t, t_final, thin) for s in states]
+    snaps: list[list] = [[] for _ in states]
+    drawn, rounds, laws = [0] * len(states), 0, None
+    todo = [r for r, s in enumerate(states) if s.t < t_final]
+    while todo:
+        if laws is None or states[todo[0]].model is not laws.owner:
+            laws = _ClassLaws(states[todo[0]])
+        group, events = [], 0
+        for r in todo:
+            need = min(t_final - states[r].t, _EVENT_BUDGET)
+            if states[r].model is not laws.owner or (group and events + need > _EVENT_BUDGET):
+                break
+            group.append(r)
+            events += need
+        del todo[:len(group)]
+        while group:
+            growth = _Growth(laws, [states[r] for r in group],
+                             [min(t_final - states[r].t, _EVENT_BUDGET) for r in group],
+                             [rngs[r] for r in group])
+            for i, (c, k) in enumerate(growth.grow()):
+                r = group[i]
+                drawn[r] += growth.drawn[i]
+                if (k < 0).any():
+                    d = int(c[k < 0][0]) // laws.stride + 1
+                    raise InvalidDegreeError(f"degree {d} has no admissible split")
+                k1, k2 = laws.kids(c, k)
+                w = laws.arrays()[0]
+                totals = np.cumsum(np.concatenate(([states[r].total_weight],
+                                                   w[k1] + w[k2] - w[c])))
+                snaps[r] += _advance_census(states[r], clocks[r], totals, c, (k1, k2), laws.w)
             rounds += growth.rounds
-            n += growth.drawn
-            if (k < 0).any():
-                d = int(c[k < 0][0]) // laws.stride + 1
-                raise InvalidDegreeError(f"degree {d} has no admissible split")
-            k1, k2 = laws.kids(c, k)
-            w = laws.arrays()[0]
-            totals = np.cumsum(np.concatenate(([s.total_weight], w[k1] + w[k2] - w[c])))
-            snaps += _advance_census(s, clocks, totals, c, (k1, k2), laws.w)
-        trajectories.append(snaps + [s.census() for _ in clocks])
-        drawn.append(n)
+            group = [r for r in group if states[r].t < t_final]
+    trajectories = [sn + [s.census() for _ in cl] for sn, s, cl in zip(snaps, states, clocks)]
     return trajectories, {"events_drawn": drawn, "rounds": rounds}
 
 

@@ -676,21 +676,49 @@ class TestCensusKernel:
         with pytest.raises(InvalidDegreeError, match="degree 3"):
             run(UrnState.single_edge(model), 200, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("name", ["pref-i-0.9", "two-colour-grafting"])
+    @pytest.mark.parametrize("name", ["pref-i", "pref-i-0.9", "uniform", "rna",
+                                      "two-colour-grafting"])
     def test_batch_independence(self, name, monkeypatch):
-        # a replica's census depends on its generator alone: grown alone or
-        # inside a batch of 8, and in legs of a budget far below its events
-        make = KERNEL_ENGINES[name]
-        states = [make() for _ in range(8)]
-        together, _ = run_batch(states, 1500, [np.random.default_rng(s) for s in range(8)],
-                                thin=100)
-        for r in (0, 5):
-            alone = run(make(), 1500, np.random.default_rng(r), thin=100)
+        # a replica's census, running total and generator depend on its
+        # generator alone.  With a budget of 1200 events the batch of 8
+        # grows in groups {0}, {1, 2}, {3}, {4, 5, 6, 7}: replica 3 starts
+        # from a single edge and grows alone in legs, and group {1, 2}
+        # starts a chain of 400 rows beside a wide one of 1450
+        monkeypatch.setattr(growth, "_EVENT_BUDGET", 1200)
+        starts = [1200, 400, 1450, 2, 1250, 1400, 900, 1350]
+
+        def start(r):
+            state = KERNEL_ENGINES[name]()
+            run(state, starts[r], np.random.default_rng(100 + r))
+            return state, np.random.default_rng(r)
+
+        batch = [start(r) for r in range(8)]
+        together, _ = run_batch([s for s, _ in batch], 1500, [g for _, g in batch], thin=100)
+        for r, (state, rng) in enumerate(batch):
+            ref, ref_rng = start(r)
+            alone = run(ref, 1500, ref_rng, thin=100)
             assert same_snapshots(alone, together[r])
-        monkeypatch.setattr(growth, "_EVENT_BUDGET", 200)
-        legs = run(make(), 1500, np.random.default_rng(0), thin=100)
-        assert [s.t for s in legs] == [s.t for s in together[0]]
-        assert all(s.identity_deviations() == (0, 0) for s in legs)
+            assert all(s.identity_deviations() == (0, 0) for s in together[r])
+            assert ref.total_weight.hex() == state.total_weight.hex()
+            assert ref_rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["pref-i", "rna"])
+    def test_batch_shares_rounds(self, name):
+        # 8 replicas grown as one group expand their generations together:
+        # fewer than half the rounds of the 8 grown one by one
+        make = KERNEL_ENGINES[name]
+        _, together = run_batch([make() for _ in range(8)], 1500,
+                                [np.random.default_rng(s) for s in range(8)])
+        alone = sum(run_batch([make()], 1500, [np.random.default_rng(s)])[1]["rounds"]
+                    for s in range(8))
+        assert together["rounds"] < alone / 2
+
+    def test_batch_needs_a_generator_per_state(self):
+        # a short list of generators is refused before any state grows
+        states = [KERNEL_ENGINES["pref-i"]() for _ in range(3)]
+        with pytest.raises(InvalidParameterError, match="3 states need as many generators"):
+            run_batch(states, 100, [np.random.default_rng(0)])
+        assert [s.t for s in states] == [2, 2, 2]
 
     @pytest.mark.parametrize("name", ["tree-pref-i", "tree-pref-i-0.9", "tree-pref-i+0.5",
                                       "tree-pref-2i", "tree-grafting", "tree-dmax3"])
@@ -783,8 +811,8 @@ class TestCensusKernel:
         def refused(*args):
             raise AssertionError("wrong kernel")
 
-        for path in (("_expand", "_expand_small") if kernel == "chains" else ("_chains",)):
-            monkeypatch.setattr(growth._Growth, path, refused)
+        monkeypatch.setattr(growth._Growth, "_expand" if kernel == "chains" else "_chains",
+                            refused)
         snaps = run(state, 500, np.random.default_rng(1), thin=100)
         assert [s.t for s in snaps] == [2, 102, 202, 302, 402, 500]
         assert all(s.identity_deviations() == (0, 0) for s in snaps)
