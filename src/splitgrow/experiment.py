@@ -82,27 +82,33 @@ def build_model(spec: dict):
     """Model from a config mapping: ``{"family": ..., <parameters>}``.
 
     An unknown family, a key the family does not take, a missing or
-    malformed parameter, or weights that overflow a float raise
-    InvalidParameterError."""
+    malformed parameter (a value that is not a JSON number, or a table
+    ``d_max`` or index that is not an integer), or weights that overflow a
+    float raise InvalidParameterError."""
     fam = _family(spec)
+
+    def num(key: str, default: Optional[float] = None) -> float:
+        val = spec[key] if default is None else spec.get(key, default)
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise InvalidParameterError(
+                f"parameter {key!r} of family {fam!r} must be a number, got {val!r}")
+        return float(val)
+
     try:
         with np.errstate(over="raise"):
             if fam == "preferential":
-                return make_preferential(SplittingWeights(float(spec.get("a", 1.0)),
-                                                          float(spec.get("b", 0.0))))
+                return make_preferential(SplittingWeights(num("a", 1.0), num("b", 0.0)))
             if fam == "uniform":
-                return make_uniform(float(spec.get("x", 0.0)))
+                return make_uniform(num("x", 0.0))
             if fam == "grafting":
-                return make_grafting(float(spec["alpha"]), float(spec["gamma"]))
+                return make_grafting(num("alpha"), num("gamma"))
             if fam == "table":
-                return make_table(int(spec["d_max"]),
-                                  [(int(i), int(j), float(w)) for i, j, w in spec["entries"]])
+                return make_table(spec["d_max"], spec["entries"])
             if fam == "rna":
                 return make_rna()
             if fam == "two-colour-uniform":
-                return make_two_colour_uniform(float(spec["a"]), float(spec["b"]))
-            return make_two_colour_grafting(float(spec["a"]), float(spec["b"]),
-                                            float(spec.get("alpha0", 0.5)))
+                return make_two_colour_uniform(num("a"), num("b"))
+            return make_two_colour_grafting(num("a"), num("b"), num("alpha0", 0.5))
     except InvalidParameterError:
         raise
     except KeyError as exc:

@@ -56,10 +56,13 @@ rates ``w_d, w_{d+1}, ...``: the census's ``kernel`` is then ``"chains"``,
 which draws each vertex's whole chain up to the horizon at once, so a
 generation is the leaves born in the one before, not the children of every
 hub split.  Other census models grow by ``"generations"``.  Either way
-``run_batch`` has the law of ``step`` but other draws: for census engines
-``step`` is the reference in law, not bit for bit.  ``_leaf_kernel`` and
-``run_batch`` take their snapshots, at the clocks of ``_clocks``, through
-one census path, ``_advance_census``.
+``run_batch`` has the law of ``step`` but other draws (for census engines
+``step`` is the reference in law, not bit for bit), and the class table
+``_ClassLaws`` alone decides the classes an event creates.  A leaf split's
+pair ``(1, d + 1)`` is one census in either order, so neither the chains
+nor ``_leaf_kernel`` reads a split law.  ``_leaf_kernel`` and ``run_batch``
+take their snapshots, at the clocks of ``_clocks``, through one census
+path, ``_advance_census``.
 """
 
 from __future__ import annotations
@@ -688,6 +691,9 @@ def _leaf_kernel(tree: OrderedTree, clocks: list[int], rng) -> list[CensusSnapsh
       vertex ``t0 + s``, the even half to the vertex step ``s`` split;
     * a step's degree is the vertex's degree before the block plus its
       earlier picks in the block;
+    * the split uniform goes unread: a degree-``i`` split's only pair is
+      ``(1, i + 1)``, admissible when the leaf mass ``g(i)`` is positive,
+      and its two orders make the same tree;
     * the running totals are one ``cumsum`` of ``step``'s weight changes.
 
     The block raises ``step``'s DegeneracyError or InvalidDegreeError before
@@ -704,8 +710,6 @@ def _leaf_kernel(tree: OrderedTree, clocks: list[int], rng) -> list[CensusSnapsh
     deg = np.ones(t_final, np.int64)        # a vertex made later has degree 1
     deg[:t] = tree._deg[:t] if tree._log else np.fromiter(map(len, tree._adj), np.int64, t)
     tree._deg = deg                         # changed only by the blocks in the log
-    first: list[float] = []                 # per degree d at d-1: the leaf-first mass
-    total: list[float] = []                 # and w_d, of split_distribution(d)
     snaps: list[CensusSnapshot] = []
     while t < t_final:
         if not tree.total_weight > 0.0:
@@ -744,19 +748,11 @@ def _leaf_kernel(tree: OrderedTree, clocks: list[int], rng) -> list[CensusSnapsh
         _, start, picks = np.unique(vs, return_index=True, return_counts=True)
         i = np.empty(n, np.int64)
         i[order] = deg[vs] + s - np.repeat(start, picks)
-        top = int(i.max())
-        for d in range(len(total) + 1, top + 1):
-            _, cum, wsum = model.split_distribution(d)
-            first.append(cum[0] if cum else 0.0)
-            total.append(wsum)
         w = tree.weights
-        w = np.array(w + [model.w(d) for d in range(len(w) + 1, top + 2)])
-        wsum = np.array(total)[i - 1]
-        k = np.where(u[:, 1] * wsum < np.array(first)[i - 1], 1, i + 1)
-        totals = np.cumsum(np.concatenate(([tree.total_weight],
-                                           (w[k - 1] + w[i + 1 - k]) - w[i - 1])))
+        w = np.array(w + [model.w(d) for d in range(len(w) + 1, int(i.max()) + 2)])
+        totals = np.cumsum(np.concatenate(([tree.total_weight], (w[0] + w[i]) - w[i - 1])))
         bad_total = np.flatnonzero(~(totals[:n] > 0))
-        bad_law = np.flatnonzero(~(wsum > 0))
+        bad_law = np.flatnonzero(~(model.partition.tail.g(i) > 0))
         if len(bad_total) and (not len(bad_law) or bad_total[0] <= bad_law[0]):
             raise DegeneracyError("total sampling weight is not positive")
         if len(bad_law):
@@ -784,17 +780,22 @@ _ROUND_ROWS = 8192
 
 
 class _ClassLaws:
-    """Death rates and split laws of the census classes of one layout,
+    """Death rates and event laws of the census classes of one layout,
     extended as the classes are reached: ``cover`` the rates, which every
-    individual needs, ``cover_laws`` the split laws too, which events need.
+    individual needs, ``cover_laws`` the event laws too, which events need.
 
-    A class with its stride bit clear splits (every class for one colour,
-    the white classes for two).  Its law is the run ``keys[lo:hi]``,
-    ``ks[lo:hi]`` of first child degrees with ``keys = c + cum / w_d``, so a
-    search for ``c + u`` in the flat keys draws the child degree of any
-    class, and one ``searchsorted`` draws those of many.  A splitting class
-    of positive weight with an empty run has no admissible split.  The
-    tables are Python lists, with numpy copies made on demand.
+    The law of class ``c`` is its run of entries ``lo[c]:hi[c]``; an event
+    draws one, whose ``kid1`` and ``kid2`` are the classes it adds a member
+    to (-1 for none).  A splitting class (stride bit clear) of degree ``d``
+    has an entry per first child degree ``k`` of its split law, with kids
+    ``s*k - 1`` and ``s*(d+2-k) - 1`` for the stride ``s`` and ``keys = c +
+    cum / w_d``, so a search for ``c + u`` in the flat keys draws the entry
+    of any class, and one ``searchsorted`` draws those of many.  A
+    recolouring class has the one entry ``(c - 1, -1)``, and under chains a
+    splitting class of leaf mass ``g(d) > 0`` the one entry ``(0, c + 1)``,
+    read from no split law.  A class of positive weight with no entry has
+    no admissible split.  The tables are Python lists, with numpy copies
+    made on demand.
     """
 
     def __init__(self, state):
@@ -807,9 +808,9 @@ class _ClassLaws:
         self.lo: list[int] = []
         self.hi: list[int] = []
         self.keys: list[float] = []
-        self.ks: list[int] = []
-        self._arrays = [np.zeros(1), np.empty(0), np.empty(0, np.int64),
-                        np.empty(0, np.int64), np.empty(0), np.full(1, -1, np.int64)]
+        self.kid1, self.kid2 = [], []           # each entry's child classes, -1 for none
+        self._arrays = [np.zeros(1), np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64),
+                        np.empty(0), np.full(1, -1, np.int64), np.full(1, -1, np.int64)]
 
     def cover(self, n: int) -> None:
         """Rates of every class below ``n``."""
@@ -819,21 +820,32 @@ class _ClassLaws:
             self.inv_w.append(1.0 / wc if wc > 0 else math.inf)
 
     def cover_laws(self, n: int) -> None:
-        """Rates and split laws of every class below ``n``."""
+        """Rates and event laws of every class below ``n``."""
         self.cover(n)
+        s, model = self.stride, self.split_model
         for c in range(len(self.lo), n):
-            self.lo.append(len(self.keys))
-            if self.w[c] > 0 and not c % self.stride:
-                ks, cum, wsum = self.split_model.split_distribution(c // self.stride + 1)
+            d, run = c // s + 1, ()
+            if not self.w[c] > 0:
+                pass
+            elif c % s:                         # a recolour
+                run = ((1.0, c - 1, -1),)
+            elif self.chains:                   # a leaf split
+                run = ((1.0, 0, c + 1),) if model.partition.tail.g(d) > 0 else ()
+            else:
+                ks, cum, wsum = model.split_distribution(d)
                 if wsum > 0:
-                    self.keys.extend(c + x / wsum for x in cum)
-                    self.ks.extend(ks)
+                    run = [(x / wsum, s * k - 1, s * (d + 2 - k) - 1) for k, x in zip(ks, cum)]
+            self.lo.append(len(self.keys))
+            for x, k1, k2 in run:
+                self.keys.append(c + x)
+                self.kid1.append(k1)
+                self.kid2.append(k2)
             self.hi.append(len(self.keys))
 
     def arrays(self) -> list[np.ndarray]:
-        """``w, inv_w, lo, hi, keys, ks`` as arrays; ``w`` ends in a weight 0
-        and ``ks`` in a degree -1, which index -1, "no class", reads."""
-        w, inv_w, lo, hi, keys, ks = self._arrays
+        """``w, inv_w, lo, hi, keys, kid1, kid2`` as arrays; ``w`` ends in a
+        weight 0 and the kids in a class -1, which index -1, "none", reads."""
+        w, inv_w, lo, hi, keys, kid1, kid2 = self._arrays
         n, m, nk = len(inv_w), len(lo), len(keys)
         if n < len(self.w) or m < len(self.lo):
             self._arrays = [np.concatenate((w[:-1], self.w[n:], [0.0])),
@@ -841,18 +853,9 @@ class _ClassLaws:
                             np.concatenate((lo, np.array(self.lo[m:], np.int64))),
                             np.concatenate((hi, np.array(self.hi[m:], np.int64))),
                             np.concatenate((keys, np.array(self.keys[nk:], float))),
-                            np.concatenate((ks[:-1], np.array(self.ks[nk:] + [-1], np.int64)))]
+                            *(np.concatenate((old[:-1], np.array(new[nk:] + [-1], np.int64)))
+                              for old, new in ((kid1, self.kid1), (kid2, self.kid2)))]
         return self._arrays
-
-    def kids(self, c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Child classes of events of class ``c`` with first child degree
-        ``k``: a split (``k >= 1``) has two, a recolour (``k = 0``) one and a
-        split with no admissible law (``k = -1``) none; a missing child is
-        -1."""
-        s = self.stride
-        k1 = np.where(k > 0, s * k - 1, np.where(k == 0, c - 1, -1))
-        k2 = np.where(k > 0, s * (c // s + 3 - k) - 1, -1)
-        return k1, k2
 
 
 class _Growth:
@@ -882,11 +885,11 @@ class _Growth:
 
     Under chains (``laws.chains``: one colour, every split sheds a leaf) a
     vertex keeps its identity through its splits, so ``_chains`` expands
-    each individual with all its splits before the horizon and a generation
-    is the leaves born in the one before.  A split is recorded with first
-    child degree 1 and draws no split uniform: degree ``d`` splits into
-    ``(1, d + 1)`` or ``(d + 1, 1)``, the same census.  A released vertex is
-    an event whose chain goes on one class up, beside its new leaf.
+    each individual with all its splits before the horizon, drawing no split
+    uniform, and a generation is the leaves born in the one before.  A
+    released vertex is an event whose chain goes on one class up, beside
+    its new leaf.  Each event keeps the index of its entry in ``laws``, -1
+    when its class has no admissible split.
     """
 
     def __init__(self, laws: _ClassLaws, states, need: list[int], rngs):
@@ -896,7 +899,7 @@ class _Growth:
         self.laws, self.need, self.rngs = laws, need, rngs
         self.w0 = [s.total_weight for s in states]  # the weights at the horizons
         self.weight, self.drawn, self.rounds = list(self.w0), [0] * n, 0
-        self.events: list[list] = [[] for _ in range(n)]    # (time, class, k) arrays
+        self.events: list[list] = [[] for _ in range(n)]    # (time, class, entry) arrays
         self.parked: list[list] = [[] for _ in range(n)]    # (death, class) arrays
         self._edges = np.arange(n + 1)
         laws.cover(max(len(s.counts) for s in states))
@@ -941,35 +944,31 @@ class _Growth:
         for r, a, b in self._slices(rep):
             self.parked[r].append((death[a:b], c[a:b]))
 
-    def _log(self, t, c, k, rep, dw, base=0.0) -> None:
-        """Keep events of classes ``c`` at times ``t`` with first child
-        degrees ``k``: a replica's total weight changes by ``base`` per
-        event plus the sum of its events' ``dw``."""
-        c, k = c.astype(np.int32), k.astype(np.int32)
+    def _log(self, t, c, e, rep, dw, base=0.0) -> None:
+        """Keep events of classes ``c`` at times ``t`` with entries ``e``:
+        a replica's total weight changes by ``base`` per event plus the sum
+        of its events' ``dw``."""
+        c, e = c.astype(np.int32), e.astype(np.int32)
         for r, a, b in self._slices(rep):
             self.drawn[r] += b - a
             self.weight[r] += float((b - a) * base + dw[a:b].sum())
-            self.events[r].append((t[a:b], c[a:b], k[a:b]))
+            self.events[r].append((t[a:b], c[a:b], e[a:b]))
 
     def _record(self, t, c, rep, u: Optional[np.ndarray] = None):
-        """Events of classes ``c`` at times ``t`` with split uniforms ``u``,
-        or, under chains, ``u = None`` and first child degree 1; returns
-        their children that can die."""
+        """Events of classes ``c`` at times ``t``, each of the entry its
+        split uniform ``u`` draws or, under chains (``u = None``), of its
+        class's one entry; returns their children that can die."""
         laws = self.laws
         laws.cover_laws(int(c.max()) + 1)
-        _, _, lo, hi, keys, ks = laws.arrays()
+        _, _, lo, hi, keys, kid1, kid2 = laws.arrays()
         a, b = lo[c], hi[c]
-        if u is None:
-            k = np.where(b > a, 1, -1)
-        else:
-            pos = np.minimum(np.maximum(np.searchsorted(keys, c + u, side="right"), a), b - 1)
-            k = np.where(b > a, ks[pos], -1)
-        if laws.stride > 1:
-            k = np.where(c % laws.stride == 0, k, 0)
-        k1, k2 = laws.kids(c, k)
+        e = a if u is None else \
+            np.minimum(np.maximum(np.searchsorted(keys, c + u, side="right"), a), b - 1)
+        e = np.where(b > a, e, -1)
+        k1, k2 = kid1[e], kid2[e]
         laws.cover(int(max(k1.max(), k2.max())) + 1)
         w = laws.arrays()[0]
-        self._log(t, c, k, rep, w[k1] + w[k2] - w[c])
+        self._log(t, c, e, rep, w[k1] + w[k2] - w[c])
         kids = np.stack((k1, k2), axis=1).ravel()
         live = np.flatnonzero(w[kids] > 0)
         return t[live >> 1], kids[live], rep[live >> 1]
@@ -1028,8 +1027,8 @@ class _Growth:
         if not len(c):
             return t, c, rep
         laws.cover_laws(int(c.max()) + 1)
-        w, _, lo, hi, _, _ = laws.arrays()
-        self._log(t, c, np.where(hi[c] > lo[c], 1, -1), rep, w[c + 1] - w[c], w[0])
+        w, _, lo, hi, *_ = laws.arrays()
+        self._log(t, c, np.where(hi[c] > lo[c], lo[c], -1), rep, w[c + 1] - w[c], w[0])
         keep = len(t) if w[0] > 0 else 0
         return t[:keep], np.zeros(keep, np.int64), rep[:keep]
 
@@ -1074,8 +1073,8 @@ class _Growth:
         return tuple(map(np.concatenate, zip(*parts)))
 
     def grow(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Grow the group, then yield, per replica, the classes and first
-        child degrees of its next ``need`` events, in time order."""
+        """Grow the group, then yield, per replica, the classes and entries
+        of its next ``need`` events, in time order."""
         expand = self._chains if self.laws.chains else self._expand
         (birth, c, rep), self.frontier = self.frontier, None
         while True:
@@ -1089,10 +1088,10 @@ class _Growth:
             birth, c, rep = self._release(waiting)
         self.parked = []
         for r, events in enumerate(self.events):
-            t, c, k = (np.concatenate(a) for a in zip(*events))
+            t, c, e = (np.concatenate(a) for a in zip(*events))
             self.events[r] = []
             first = np.argsort(t)[:self.need[r]]
-            yield c[first].astype(np.int64), k[first].astype(np.int64)
+            yield c[first].astype(np.int64), e[first].astype(np.int64)
 
 
 def _by_replica(parts: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
@@ -1150,14 +1149,14 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
             growth = _Growth(laws, [states[r] for r in group],
                              [min(t_final - states[r].t, _EVENT_BUDGET) for r in group],
                              [rngs[r] for r in group])
-            for i, (c, k) in enumerate(growth.grow()):
+            for i, (c, e) in enumerate(growth.grow()):
                 r = group[i]
                 drawn[r] += growth.drawn[i]
-                if (k < 0).any():
-                    d = int(c[k < 0][0]) // laws.stride + 1
+                if (e < 0).any():
+                    d = int(c[e < 0][0]) // laws.stride + 1
                     raise InvalidDegreeError(f"degree {d} has no admissible split")
-                k1, k2 = laws.kids(c, k)
-                w = laws.arrays()[0]
+                w, *_, kid1, kid2 = laws.arrays()
+                k1, k2 = kid1[e], kid2[e]
                 totals = np.cumsum(np.concatenate(([states[r].total_weight],
                                                    w[k1] + w[k2] - w[c])))
                 snaps[r] += _advance_census(states[r], clocks[r], totals, c, (k1, k2), laws.w)

@@ -90,10 +90,6 @@ class TwoColourModel:
         return self.black(k)
 
     @property
-    def d_max(self) -> Optional[int]:
-        return self.white.partition.d_max
-
-    @property
     def weight_growth_rate(self) -> float:
         """a - b, which equals w_black(2)/2 and w_white(2)/3."""
         return self.a - self.b

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -180,14 +181,23 @@ class PartitionWeights:
     def from_table(cls, d_max: int, entries: Iterable[tuple[int, int, float]]) -> "PartitionWeights":
         """Build a bounded-degree table from ``(i, j, weight)`` triples.
 
-        Entries are symmetrised; omitted pairs are zero.  ``d_max`` is at
-        most ``MAX_DEGREE``.
+        Entries are symmetrised; omitted pairs are zero.  ``d_max`` is an
+        integer of at most ``MAX_DEGREE``, the indices are integers and the
+        weights numbers; a bool counts as neither.
         """
+        if not _is_a(d_max, numbers.Integral):
+            raise InvalidParameterError(f"d_max must be an integer, got {d_max!r}")
+        d_max = int(d_max)
         if d_max > MAX_DEGREE:
             raise InvalidParameterError(
                 f"d_max must be at most {MAX_DEGREE}, got {d_max}")
         table: dict[tuple[int, int], float] = {}
         for i, j, w in entries:
+            if not (_is_a(i, numbers.Integral) and _is_a(j, numbers.Integral)):
+                raise InvalidParameterError(
+                    f"table indices must be integers, got ({i!r}, {j!r})")
+            if not _is_a(w, numbers.Real):
+                raise InvalidParameterError(f"weight for ({i}, {j}) must be a number, got {w!r}")
             i, j = int(i), int(j)
             if i < 1 or j < 1:
                 raise InvalidParameterError(f"table indices must be >= 1, got ({i}, {j})")
@@ -205,6 +215,12 @@ class PartitionWeights:
         for (i, j), w in table.items():
             dense[i, j] = dense[j, i] = w
         return cls(lambda i, j: dense[i, j], d_max=d_max)
+
+
+def _is_a(value, kind: type) -> bool:
+    """Whether ``value`` is a number of ``kind``, ``numbers.Integral`` or
+    ``numbers.Real``, and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 # split degrees read per partition-weight call: wider blocks were no faster,
@@ -487,27 +503,23 @@ def classify_regime(m: WeightModel) -> tuple[Regime, float]:
 # -- family constructors ------------------------------------------------------
 
 
-def _check_splitting_valid(sw: SplittingWeights, d_max: Optional[int]) -> None:
+def _check_splitting_valid(sw: SplittingWeights) -> None:
+    """Refuse linear weights of an unbounded model that are not finite, turn
+    negative, or are constant and not positive."""
     if not (math.isfinite(sw.a) and math.isfinite(sw.b)):
         raise InvalidParameterError("splitting weight coefficients must be finite")
-    hi = d_max if d_max is not None else None
-    if hi is None:
-        if sw.a < 0:
-            raise InvalidParameterError("unbounded model needs a >= 0 (weights turn negative)")
-        if sw(1) < 0:
-            raise InvalidParameterError(f"w_1 = {sw(1):g} < 0")
-        if sw.a == 0 and sw.b <= 0:
-            raise InvalidParameterError("constant weights must be positive")
-    else:
-        for i in range(1, hi + 1):
-            if sw(i) < 0:
-                raise InvalidParameterError(f"w_{i} = {sw(i):g} < 0")
+    if sw.a < 0:
+        raise InvalidParameterError("unbounded model needs a >= 0 (weights turn negative)")
+    if sw(1) < 0:
+        raise InvalidParameterError(f"w_1 = {sw(1):g} < 0")
+    if sw.a == 0 and sw.b <= 0:
+        raise InvalidParameterError("constant weights must be positive")
 
 
 def make_preferential(sw: SplittingWeights) -> WeightModel:
     """Attachment-only model: the sole positive partitioning weights are
     ``w[1, i+1] = w[i+1, 1] = w_i / i``, so every split sheds a leaf."""
-    _check_splitting_valid(sw, None)
+    _check_splitting_valid(sw)
 
     def fn(i, j):  # i <= j guaranteed by the wrapper
         d = np.maximum(j - 1, 1)
@@ -585,7 +597,7 @@ def make_alpha_class(sw: SplittingWeights, alpha: Sequence[float], M: int = 2,
         raise InvalidParameterError("M must be >= 2")
     if M > 2 and head is None:
         raise InvalidParameterError("head table required when M > 2")
-    _check_splitting_valid(sw, None)
+    _check_splitting_valid(sw)
 
     seq = [float(v) for v in alpha]
     if not seq:

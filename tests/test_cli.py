@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,22 @@ class TestSolve:
         assert doc["e_black"][0] == pytest.approx(1 / E2, abs=1e-10)
         assert doc["rho_white"][0] + doc["rho_black"][0] == pytest.approx(
             0.4173804, abs=1e-7)
+
+    def test_two_colour_grafting_from_flags(self, tmp_path, capsys):
+        # the family's spec builds a model that solves and grows; its
+        # compare is not pinned here (the reduction has no tail closure)
+        model = ["--family", "two-colour-grafting", "--a", "1", "--b", "0.5",
+                 "--alpha0", "0.5"]
+        assert main(["solve", *model, "--out", str(tmp_path / "s")]) == 0
+        doc = json.loads((tmp_path / "s/solution.json").read_text())
+        assert doc["kind"] == "two-colour"
+        assert main(["simulate", *model, "--t-final", "500", "--replicas", "2",
+                     "--out", str(tmp_path / "g")]) == 0
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert summary.startswith("2 replicas to t=500 (urn); colour_identity_dev=0,")
+        manifest = json.loads((tmp_path / "g/manifest.json").read_text())
+        assert manifest["config"]["model"] == {"family": "two-colour-grafting",
+                                               "a": 1.0, "b": 0.5, "alpha0": 0.5}
 
     @pytest.mark.parametrize("flags,facts", [
         (["--family", "preferential", "--w", "i", "--K", "400"],
@@ -735,6 +752,33 @@ class TestBadInput:
             err = self.run([command, "--config", str(cfg), "--K", "16",
                             "--out", str(tmp_path / "o")], capsys)
             assert "takes no parameter" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("model,match", [
+        ({"family": "preferential", "a": True, "b": False}, "'a' of family 'preferential'"),
+        ({"family": "uniform", "x": "0"}, "'x' of family 'uniform' must be a number"),
+        ({"family": "table", "d_max": 3.9, "entries": DMAX3_ENTRIES},
+         "d_max must be an integer, got 3.9"),
+        ({"family": "table", "d_max": "3", "entries": DMAX3_ENTRIES},
+         "d_max must be an integer, got '3'"),
+        ({"family": "table", "d_max": 3,
+          "entries": [[1.9, 3, 0.5] if e[:2] == (1, 3) else e for e in DMAX3_ENTRIES]},
+         r"indices must be integers, got \(1.9, 3\)"),
+        ({"family": "table", "d_max": 3,
+          "entries": [[2.7, 3, 1.0] if e[:2] == (2, 3) else e for e in DMAX3_ENTRIES]},
+         r"indices must be integers, got \(2.7, 3\)"),
+        ({"family": "table", "d_max": 3,
+          "entries": [[i, j, True if w == 1.0 else w] for i, j, w in DMAX3_ENTRIES]},
+         r"weight for \(1, 2\) must be a number, got True"),
+    ], ids=["bool-parameters", "string-parameter", "float-d_max", "string-d_max",
+            "index-1.9", "index-2.7", "bool-weights"])
+    def test_parameter_not_a_json_number_refused(self, tmp_path, capsys, model, match):
+        # each of these once solved silently: as w_i = 1*i + 0, as x = 0, or
+        # as the integer d_max = 3 table the value truncates to
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        err = self.run(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+        assert re.search(match, err), err
         assert not (tmp_path / "o").exists()
 
     def test_weight_flag_for_uniform_refused(self, capsys):

@@ -14,7 +14,7 @@ from splitgrow import (DegeneracyError, InvalidDegreeError, InvalidParameterErro
                        make_uniform, run, run_batch, write_census_csv)
 from splitgrow.twocolour import (TwoColourSnapshot, TwoColourState, make_rna,
                                  make_two_colour_grafting)
-from conftest import DMAX3_ENTRIES
+from conftest import DMAX3_ENTRIES, random_linear_table
 
 
 def pref_i():
@@ -817,6 +817,34 @@ class TestCensusKernel:
         assert [s.t for s in snaps] == [2, 102, 202, 302, 402, 500]
         assert all(s.identity_deviations() == (0, 0) for s in snaps)
 
+    @pytest.mark.parametrize("b", [0.0, -0.9])
+    def test_leaf_shedding_growth_reads_no_split_law(self, b, monkeypatch):
+        # a leaf split's children are a leaf and the vertex one degree up,
+        # whichever order its split law draws: the chains and the leaf
+        # blocks (w = i only; the envelope of w = i - 0.9 is inexact) grow
+        # the same snapshots with the law made to raise
+        def grow(model):
+            urns = [UrnState.single_edge(model) for _ in range(4)]
+            assert urns[0].kernel == "chains"
+            grown, _ = run_batch(urns, 3000, [np.random.default_rng(s) for s in range(4)],
+                                 thin=500)
+            if b == 0.0:
+                tree = OrderedTree.single_edge(model)
+                assert tree.kernel == "leaf-block"
+                grown.append(run(tree, 9000, np.random.default_rng(7), thin=500))
+            return grown
+
+        want = grow(make_preferential(SplittingWeights(1.0, b)))
+        model = make_preferential(SplittingWeights(1.0, b))
+
+        def refused(i):
+            raise AssertionError(f"split law of degree {i} read")
+
+        monkeypatch.setattr(model, "split_distribution", refused)
+        got = grow(model)
+        assert len(got) == len(want)
+        assert all(same_snapshots(g, w) for g, w in zip(got, want))
+
     @pytest.mark.parametrize("pg,qg,a,error,match", [
         (-1.0, 3.0, 1.0, InvalidDegreeError, "degree 3 has no admissible split"),
         (0.0, 0.0, 0.0, DegeneracyError, "not positive"),
@@ -904,6 +932,43 @@ class TestCensusKernel:
             run(kernel, t + 1, Scripted(top))
             assert ev.parent_degree == 1 and ref.degree(t - 1) == 2
             assert same_tree(kernel, ref) and kernel.counts == ref.counts
+
+
+class TestClassLaws:
+    """``_ClassLaws`` decides the children of every event: its kid columns
+    against the split rule, entry by entry."""
+
+    @pytest.mark.parametrize("name", ["rna", "two-colour-grafting", "uniform", "table",
+                                      "pref-i", "pref-i-0.9"])
+    def test_kids_follow_the_split_rule(self, name):
+        # a split entry of first child degree k has kids s*k - 1 and
+        # s*(d+2-k) - 1, a recolour (c - 1, -1), and a leaf split under
+        # chains (0, c + 1); a class of weight 0 or without a split has none
+        state = (UrnState.single_edge(random_linear_table(np.random.default_rng(4), 7))
+                 if name == "table" else KERNEL_ENGINES[name]())
+        laws = growth._ClassLaws(state)
+        laws.cover_laws(40)
+        w, _, lo, hi, keys, kid1, kid2 = laws.arrays()
+        s, model = laws.stride, laws.split_model
+        assert laws.chains == name.startswith("pref-")
+        assert np.all(np.diff(keys) >= 0)
+        entries = 0
+        for c in range(40):
+            d = c // s + 1
+            got = list(zip(kid1[lo[c]:hi[c]].tolist(), kid2[lo[c]:hi[c]].tolist()))
+            if not w[c] > 0:
+                want = []
+            elif c % s:
+                want = [(c - 1, -1)]
+            elif laws.chains:
+                want = [(0, c + 1)]
+            else:
+                ks, _, wsum = model.split_distribution(d)
+                want = [(s * k - 1, s * (d + 2 - k) - 1) for k in ks] if wsum > 0 else []
+            assert got == want, c
+            assert all(c < x <= c + 1 for x in keys[lo[c]:hi[c]])
+            entries += len(want)
+        assert entries == len(keys) and kid1[-1] == kid2[-1] == -1
 
 
 def census_one_event_at_a_time(counts, t0, clocks, totals, removed, added):
