@@ -252,10 +252,12 @@ def cmd_simulate(args) -> int:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     trajectories = [res["snapshots"] for res in results]
+    t_write = time.monotonic()
     with open(out / "census.csv", "w") as fh:
         write_census_csv(fh, trajectories)
-    _write_json(out / "manifest.json",
-                _manifest(cfg, time.monotonic() - t0, growth_counters(results)))
+    write_s = time.monotonic() - t_write
+    manifest = _manifest(cfg, time.monotonic() - t0, growth_counters(results))
+    _write_json(out / "manifest.json", {**manifest, "write_s": write_s})
     worst = worst_checks(results)
     summary = ", ".join(f"{k}={v:.3g}" for k, v in worst.items())
     print(f"{cfg.replicas} replicas to t={cfg.t_final} ({cfg.engine}); {summary}",

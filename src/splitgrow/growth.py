@@ -109,6 +109,7 @@ class CensusSnapshot:
     total_weight: float
 
     CSV_COLUMNS = "n"
+    CSV_FIELDS = ("counts",)    # the arrays written as the CSV_COLUMNS
     KIND = "one-colour"
 
     def identity_deviations(self) -> tuple[int, int]:
@@ -117,22 +118,6 @@ class CensusSnapshot:
         n = self.counts
         ks = np.arange(1, len(n) + 1)
         return int(n.sum()) - self.t, int((ks * n).sum()) - (2 * self.t - 2)
-
-    def csv_rows(self, prefix: str) -> str:
-        """``prefix`` + ``k,n`` lines for the degrees with a vertex."""
-        occupied = np.flatnonzero(self.counts)
-        return _format_rows(prefix, (occupied + 1, self.counts[occupied]))
-
-
-def _format_rows(prefix: str, columns: tuple[np.ndarray, ...]) -> str:
-    """One line per row of the integer ``columns``: ``prefix`` and the row's
-    entries, comma-separated, formatted by one ``%``."""
-    cols, m = len(columns), len(columns[0])
-    rows = np.empty(m * cols, np.int64)     # the (m, cols) rows, flat
-    for j, col in enumerate(columns):
-        rows[j::cols] = col
-    line = prefix.replace("%", "%%") + ",".join(("%d",) * cols) + "\n"
-    return line * m % tuple(rows.tolist())
 
 
 class _CensusUrn:
@@ -1169,15 +1154,49 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
 # -- trajectory serialisation ---------------------------------------------------
 
 
+_CSV_CELLS = 32768      # count cells (snapshot degrees) per census.csv chunk
+
+
 def write_census_csv(fh, trajectories: list[list[CensusSnapshot]]) -> None:
     """Rows ``replica,t,k`` followed by the snapshots' count columns (``n``,
     or ``n_white,n_black`` for two-colour snapshots), where
-    ``trajectories[r]`` holds replica ``r``'s snapshots; degrees with no
-    vertex are omitted."""
-    columns = next((snap.CSV_COLUMNS for snaps in trajectories for snap in snaps),
-                   CensusSnapshot.CSV_COLUMNS)
-    fh.write(f"replica,t,k,{columns}\n")
+    ``trajectories[r]`` holds replica ``r``'s snapshots, all of one kind;
+    degrees with no vertex are omitted.  A replica's snapshots are written
+    in chunks of up to ``_CSV_CELLS`` count cells (or one snapshot)."""
+    headers = {snap.CSV_COLUMNS for snaps in trajectories for snap in snaps}
+    if len(headers) > 1:
+        raise InvalidParameterError("census.csv takes snapshots of one kind, got columns "
+                                    + " and ".join(sorted(headers)))
+    fh.write(f"replica,t,k,{headers.pop() if headers else CensusSnapshot.CSV_COLUMNS}\n")
     for rep, snaps in enumerate(trajectories):
-        for snap in snaps:
-            fh.write(snap.csv_rows(f"{rep},{snap.t},"))
+        bounds = np.cumsum([0, *(len(snap.counts) for snap in snaps)])
+        lo = 0
+        while lo < len(snaps):
+            hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + _CSV_CELLS, "right")) - 1)
+            fh.write(_csv_chunk(rep, snaps[lo:hi], bounds[lo:hi + 1] - bounds[lo]))
+            lo = hi
 
+
+def _csv_chunk(rep: int, snaps: list[CensusSnapshot], bounds: np.ndarray) -> str:
+    """The rows of ``snaps``, whose counts fill ``bounds[i]:bounds[i+1]`` of
+    their concatenation, as one ``uint8`` matrix whose NUL bytes (prefix
+    padding and leading zeros) are dropped from the text."""
+    cells = np.flatnonzero(np.concatenate([snap.counts for snap in snaps]))
+    occupied = np.diff(np.searchsorted(cells, bounds))      # rows per snapshot
+    prefixes = np.array([f"{rep},{snap.t},".encode() for snap in snaps])
+    columns = [cells + 1 - np.repeat(bounds[:-1], occupied)]
+    columns += [np.concatenate([getattr(snap, name) for snap in snaps])[cells]
+                for name in snaps[0].CSV_FIELDS]
+    widths = [len(str(values.max(initial=0))) for values in columns]
+    col = prefixes.itemsize      # the longest prefix; shorter ones end in NUL
+    rows = np.empty((len(cells), col + sum(widths) + len(widths)), np.uint8)
+    rows[:, :col] = np.repeat(prefixes.view(np.uint8).reshape(-1, col), occupied, axis=0)
+    for values, width in zip(columns, widths):
+        rest = values = values.astype(np.uint32 if width < 10 else np.int64)  # faster division
+        for e in range(width):      # ASCII digit of 10**e (48 is "0"); a leading zero is NUL
+            rest, digit = np.divmod(rest, 10)
+            rows[:, col + width - 1 - e] = (digit + 48) * (values >= (10 ** e if e else 0))
+        rows[:, col + width] = ord(",")
+        col += width + 1
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().replace(b"\0", b"").decode("ascii")

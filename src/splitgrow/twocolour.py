@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameterError, ReductionInvalidError
-from .growth import CensusSnapshot, _CensusUrn, _format_rows
+from .growth import CensusSnapshot, _CensusUrn
 from .solver import DensitySolution, UpdateMatrix, _update_matrix, fixed_point_densities
 from .weights import (LinearTail, PartitionWeights, SplittingWeights, WeightModel,
                       _two_banded_fn, _uniform_partition)
@@ -142,6 +142,7 @@ class TwoColourSnapshot(CensusSnapshot):
     black: np.ndarray
 
     CSV_COLUMNS = "n_white,n_black"
+    CSV_FIELDS = ("white", "black")
     KIND = "two-colour"
 
     def identity_deviations(self) -> tuple[int, int]:
@@ -150,12 +151,6 @@ class TwoColourSnapshot(CensusSnapshot):
         ks = np.arange(1, len(self.counts) + 1)
         colour = int(3 * self.white.sum() + 2 * self.black.sum()) - (self.t + 2)
         return colour, int((ks * self.counts).sum()) - (2 * int(self.counts.sum()) - 2)
-
-    def csv_rows(self, prefix: str) -> str:
-        """``prefix`` + ``k,n_white,n_black`` lines for the degrees with a
-        vertex."""
-        occupied = np.flatnonzero(self.counts)
-        return _format_rows(prefix, (occupied + 1, self.white[occupied], self.black[occupied]))
 
 
 class TwoColourState(_CensusUrn):

@@ -321,6 +321,15 @@ class TestSimulate:
         if engine == "urn":
             assert any(r["events_drawn"] > r["events"] for r in growth["replicas"])
 
+    def test_manifest_write_time(self, tmp_path):
+        # write_s, the census.csv write, is one part of runtime_s
+        rc = main(["simulate", "--family", "preferential", "--w", "i", "--engine", "tree",
+                   "--seed", "3", "--replicas", "2", "--t-final", "800",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert 0 <= manifest["write_s"] <= manifest["runtime_s"]
+
     @pytest.mark.parametrize("flags,digest", [
         (["--family", "preferential", "--w", "i", "--engine", "tree", "--seed", "5",
           "--t-final", "2000", "--thin", "500"],

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ import scipy.stats
 
 import splitgrow.growth as growth
 from splitgrow.experiment import _check_holds
-from splitgrow import (DegeneracyError, InvalidDegreeError, InvalidParameterError,
-                       LinearTail, OrderedTree, PartitionWeights, SplittingWeights,
-                       UrnState, WeightModel, make_grafting, make_preferential, make_table,
-                       make_uniform, run, run_batch, write_census_csv)
+from splitgrow import (CensusSnapshot, DegeneracyError, InvalidDegreeError,
+                       InvalidParameterError, LinearTail, OrderedTree, PartitionWeights,
+                       SplittingWeights, UrnState, WeightModel, make_grafting,
+                       make_preferential, make_table, make_uniform, run, run_batch,
+                       write_census_csv)
 from splitgrow.twocolour import (TwoColourSnapshot, TwoColourState, make_rna,
                                  make_two_colour_grafting)
 from conftest import DMAX3_ENTRIES, random_linear_table
@@ -1081,20 +1083,145 @@ class TestChecks:
         assert failed == {"weight_rel_drift", "weight_closed_form_rel_dev"}
 
 
+def naive_census_csv(trajectories) -> str:
+    """``census.csv`` written one row at a time by an f-string."""
+    snaps = [snap for traj in trajectories for snap in traj]
+    two = bool(snaps) and isinstance(snaps[0], TwoColourSnapshot)
+    lines = ["replica,t,k,n_white,n_black" if two else "replica,t,k,n"]
+    for rep, traj in enumerate(trajectories):
+        for snap in traj:
+            for d in range(len(snap.counts)):
+                if snap.counts[d]:
+                    cols = (f"{snap.white[d]},{snap.black[d]}" if two else f"{snap.counts[d]}")
+                    lines.append(f"{rep},{snap.t},{d + 1},{cols}")
+    return "".join(line + "\n" for line in lines)
+
+
+def census_csv(trajectories) -> str:
+    buf = io.StringIO()
+    write_census_csv(buf, trajectories)
+    return buf.getvalue()
+
+
+def two_colour(t, white, black):
+    white, black = np.array(white, np.int64), np.array(black, np.int64)
+    return TwoColourSnapshot(t, white + black, float("nan"), white, black)
+
+
+# every digit boundary 9/10 ... 999999999/1000000000 (ten digits, past the
+# formatter's uint32 division) and a count past 2**32
+BOUNDARIES = [v for e in range(1, 10) for v in (10 ** e - 1, 10 ** e)] + [2 ** 33 + 7]
+
+
+def random_trajectories(rng, replicas, colours):
+    trajectories = []
+    for _ in range(replicas):
+        traj = []
+        for _ in range(int(rng.integers(0, 12))):
+            width = int(rng.integers(0, 60))
+            cells = [rng.integers(0, 10 ** int(rng.integers(1, 8)), width)
+                     * (rng.random(width) < 0.4) for _ in range(colours)]
+            t = int(rng.choice(BOUNDARIES)) if rng.random() < 0.3 else int(rng.integers(2, 10**6))
+            traj.append(two_colour(t, *cells) if colours == 2
+                        else CensusSnapshot(t, cells[0].astype(np.int64), 0.0))
+        trajectories.append(traj)
+    return trajectories
+
+
 class TestSerialisation:
-    def test_csv_rows(self):
+    def test_census_csv_rows(self):
         snaps = run(UrnState.single_edge(pref_i()), 50, np.random.default_rng(3), thin=25)
-        buf = io.StringIO()
-        write_census_csv(buf, [snaps[:1], snaps])
-        lines = buf.getvalue().splitlines()
+        lines = census_csv([snaps[:1], snaps]).splitlines()
         assert lines[:3] == ["replica,t,k,n", "0,2,1,2", "1,2,1,2"]
         assert lines[-1].startswith("1,50,")
 
-    def test_two_colour_csv_rows(self):
+    def test_two_colour_census_csv_rows(self):
         # the header follows the snapshots: two-colour ones carry both colours
-        white, black = np.array([1, 0, 0]), np.array([2, 0, 3])
-        snap = TwoColourSnapshot(9, white + black, float("nan"), white, black)
-        buf = io.StringIO()
-        write_census_csv(buf, [[snap]])
-        assert buf.getvalue().splitlines() == [
+        assert census_csv([[two_colour(9, [1, 0, 0], [2, 0, 3])]]).splitlines() == [
             "replica,t,k,n_white,n_black", "0,9,1,1,2", "0,9,3,0,3"]
+
+    def test_mixed_kinds_refused(self):
+        # one header cannot name the columns of both kinds of snapshot
+        one = CensusSnapshot(2, np.array([2]), 1.0)
+        with pytest.raises(InvalidParameterError, match="one kind"):
+            census_csv([[one], [two_colour(9, [1, 0, 0], [2, 0, 3])]])
+
+    @pytest.mark.parametrize("trajectories", [[], [[]], [[], []]], ids=["none", "empty", "two-empty"])
+    def test_header_only(self, trajectories):
+        assert census_csv(trajectories) == "replica,t,k,n\n"
+
+    @pytest.mark.parametrize("cells", [1, None, 10 ** 12], ids=["one", "default", "huge"])
+    class TestAgainstNaiveWriter:
+        @pytest.fixture(autouse=True)
+        def chunk(self, monkeypatch, cells):
+            # None keeps the default chunk of count cells
+            if cells is not None:
+                monkeypatch.setattr(growth, "_CSV_CELLS", cells)
+
+        @pytest.mark.parametrize("seed", range(4))
+        @pytest.mark.parametrize("colours", [1, 2])
+        def test_random(self, seed, colours):
+            # 12 replicas, so that the replica index reaches two digits
+            trajectories = random_trajectories(np.random.default_rng(seed), 12, colours)
+            assert census_csv(trajectories) == naive_census_csv(trajectories)
+
+        def test_digit_boundaries(self):
+            # counts and clocks at every digit boundary, in one snapshot and
+            # one snapshot each; the zero-count degrees are left out
+            counts = np.array([0, *BOUNDARIES, 0, 1], np.int64)
+            one = [CensusSnapshot(t, counts[i:], 0.0) for i, t in enumerate(BOUNDARIES)]
+            trajectories = [[CensusSnapshot(2, counts, 0.0)], one]
+            assert census_csv(trajectories) == naive_census_csv(trajectories)
+
+        def test_two_colour_boundaries_and_zero_colours(self):
+            white = np.array([0, *BOUNDARIES, 0, 3])
+            black = np.array([*BOUNDARIES[::-1], 0, 0, 0])
+            trajectories = [[two_colour(9, [0, 0, 0], [0, 5, 3])],
+                            [two_colour(t, white, black) for t in BOUNDARIES]]
+            text = census_csv(trajectories)
+            assert text == naive_census_csv(trajectories)
+            assert "0,9,2,0,5\n0,9,3,0,3\n" in text
+
+        def test_single_snapshot(self):
+            snap = CensusSnapshot(2, np.array([2]), 2.0)
+            assert census_csv([[snap]]) == "replica,t,k,n\n0,2,1,2\n"
+
+    def test_chunks_bounded(self, monkeypatch):
+        # each chunk takes as many snapshots as fit in _CSV_CELLS count
+        # cells, and a wider snapshot alone
+        chunks, chunk = [], growth._csv_chunk
+
+        def spy(rep, snaps, bounds):
+            chunks.append((len(snaps), int(bounds[-1])))
+            return chunk(rep, snaps, bounds)
+
+        monkeypatch.setattr(growth, "_csv_chunk", spy)
+        monkeypatch.setattr(growth, "_CSV_CELLS", 100)
+        widths = [30, 40, 30, 150, 10, 90, 1]
+        census_csv([[CensusSnapshot(2, np.ones(w, np.int64), 0.0) for w in widths]])
+        assert chunks == [(3, 100), (1, 150), (2, 100), (1, 1)]
+
+    def test_write_memory_bounded(self):
+        # 20000 snapshots with 24 occupied degrees each: 480000 rows and
+        # 8.4 MB of text.  The writer formats a chunk of snapshots at a time,
+        # so its peak traced allocation, numpy buffers included, stays near
+        # one chunk's (3.1 MB); formatted whole, the rows took 44 MB.
+        counts = np.arange(1, 25, dtype=np.int64) * 4099
+        trajectory = [CensusSnapshot(t, counts, 0.0) for t in range(100_000, 120_000)]
+
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            write_census_csv(sink, [trajectory])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size == len("replica,t,k,n\n") + 20_000 * len(
+            "".join(f"0,100000,{k},{n}\n" for k, n in enumerate(counts, 1)))
+        assert peak < 6_000_000
