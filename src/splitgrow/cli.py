@@ -257,7 +257,9 @@ def cmd_simulate(args) -> int:
         write_census_csv(fh, trajectories)
     write_s = time.monotonic() - t_write
     manifest = _manifest(cfg, time.monotonic() - t0, growth_counters(results))
-    _write_json(out / "manifest.json", {**manifest, "write_s": write_s})
+    _write_json(out / "manifest.json", {
+        **manifest, "write_s": write_s, "snapshots": sum(map(len, trajectories)),
+        "census_bytes": (out / "census.csv").stat().st_size})
     worst = worst_checks(results)
     summary = ", ".join(f"{k}={v:.3g}" for k, v in worst.items())
     print(f"{cfg.replicas} replicas to t={cfg.t_final} ({cfg.engine}); {summary}",

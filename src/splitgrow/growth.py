@@ -71,6 +71,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -571,8 +572,10 @@ def _advance_census(state, clocks: list[int], totals: np.ndarray, removed: np.nd
     rows held, row ``r`` counts the events before the window's clock ``r``
     that no earlier row holds, by one ``bincount`` per column, and a
     ``cumsum`` makes it the census at that clock.  A snapshot is as wide as
-    the classes reached by its clock.  The weights of new classes are read
-    from ``weights``, the class weights, when given.
+    the classes reached by its clock.  The window's snapshot clocks, widths
+    and totals take one numpy operation each, and each snapshot owns a copy
+    of its row, so no later window or edit reaches it.  The weights of new
+    classes are read from ``weights``, the class weights, when given.
     """
     t0, n = state.t, len(removed)
     reach = bisect_right(clocks, t0 + n)
@@ -584,7 +587,7 @@ def _advance_census(state, clocks: list[int], totals: np.ndarray, removed: np.nd
         hi = min(lo + _BLOCK, n)
         # a clock on a window edge is the last of the window it ends
         last = int(np.searchsorted(cuts, hi, side="right"))
-        marks, first = (cuts[first:last] - lo).tolist(), last
+        marks, first = cuts[first:last] - lo, last
         reached = np.maximum.accumulate(np.max([a[lo:hi] for a in added], axis=0))
         size = max(len(counts), int(reached[-1]) + 1) + 1   # column 0 takes class -1
         cell = np.searchsorted(marks, np.arange(hi - lo), side="right") * size + 1
@@ -595,10 +598,12 @@ def _advance_census(state, clocks: list[int], totals: np.ndarray, removed: np.nd
         census = census.reshape(-1, size)
         census = np.cumsum(census, axis=0, out=census)[:, 1:]
         census[:, :len(counts)] += counts
-        for r, m in enumerate(marks):
-            width = max(len(counts), int(reached[m - 1]) + 1) if m else len(counts)
-            snaps.append(state._snapshot(t0 + lo + m, census[r, :width].copy(),
-                                         float(totals[lo + m])))
+        if len(marks):      # most windows of an unthinned run hold no clock
+            widths = np.where(marks > 0, np.maximum(reached[marks - 1] + 1, len(counts)),
+                              len(counts))
+            snaps += [state._snapshot(t, row[:width].copy(), total) for t, row, width, total
+                      in zip((t0 + lo + marks).tolist(), census, widths.tolist(),
+                             totals[lo + marks].tolist())]
         counts = census[-1].copy()
     state.t = t0 + n
     state.total_weight = float(totals[-1])
@@ -675,7 +680,8 @@ def _leaf_kernel(tree: OrderedTree, clocks: list[int], rng) -> list[CensusSnapsh
       pointer jumping: the odd half of step ``s``'s edge belongs to the new
       vertex ``t0 + s``, the even half to the vertex step ``s`` split;
     * a step's degree is the vertex's degree before the block plus its
-      earlier picks in the block;
+      earlier picks in the block, which ``_stable_order`` ranks by two
+      linear radix passes over the vertex ids, not a sort;
     * the split uniform goes unread: a degree-``i`` split's only pair is
       ``(1, i + 1)``, admissible when the leaf mass ``g(i)`` is positive,
       and its two orders make the same tree;
@@ -728,7 +734,7 @@ def _leaf_kernel(tree: OrderedTree, clocks: list[int], rng) -> list[CensusSnapsh
             src[pend[~done]] = jump[~done]
             pend = pend[~done]
         # the rank of each pick among the picks of its vertex, in step order
-        order = np.argsort(v, kind="stable")
+        order = _stable_order(v)
         vs = v[order]
         _, start, picks = np.unique(vs, return_index=True, return_counts=True)
         i = np.empty(n, np.int64)
@@ -749,6 +755,14 @@ def _leaf_kernel(tree: OrderedTree, clocks: list[int], rng) -> list[CensusSnapsh
         snaps += _advance_census(tree, clocks, totals, i - 1, (i, np.zeros(n, np.int64)))
         t = tree.t
     return snaps + [tree.census() for _ in clocks]
+
+
+def _stable_order(ids: np.ndarray) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for ids in ``[0, 2**32)``: two
+    stable passes over their 16-bit halves, the low half first, which numpy
+    sorts by radix, in linear time."""
+    order = np.argsort(ids.astype(np.uint16), kind="stable")
+    return order[np.argsort((ids[order] >> 16).astype(np.uint16), kind="stable")]
 
 
 # the most events in flight: consecutive replicas of one model grow as a
@@ -1180,13 +1194,17 @@ def write_census_csv(fh, trajectories: list[list[CensusSnapshot]]) -> None:
 def _csv_chunk(rep: int, snaps: list[CensusSnapshot], bounds: np.ndarray) -> str:
     """The rows of ``snaps``, whose counts fill ``bounds[i]:bounds[i+1]`` of
     their concatenation, as one ``uint8`` matrix whose NUL bytes (prefix
-    padding and leading zeros) are dropped from the text."""
-    cells = np.flatnonzero(np.concatenate([snap.counts for snap in snaps]))
+    padding and leading zeros) a boolean mask drops from the text.
+
+    Each ``CSV_FIELDS`` array is concatenated once, and the cells where any
+    of them is nonzero, the degrees some vertex has, are the rows."""
+    fields = [np.concatenate([getattr(snap, name) for snap in snaps])
+              for name in snaps[0].CSV_FIELDS]
+    cells = np.flatnonzero(reduce(np.bitwise_or, fields))
     occupied = np.diff(np.searchsorted(cells, bounds))      # rows per snapshot
     prefixes = np.array([f"{rep},{snap.t},".encode() for snap in snaps])
-    columns = [cells + 1 - np.repeat(bounds[:-1], occupied)]
-    columns += [np.concatenate([getattr(snap, name) for snap in snaps])[cells]
-                for name in snaps[0].CSV_FIELDS]
+    columns = [cells + 1 - np.repeat(bounds[:-1], occupied), *(f[cells] for f in fields)]
+    del fields      # freed before the row matrix, which sets the peak
     widths = [len(str(values.max(initial=0))) for values in columns]
     col = prefixes.itemsize      # the longest prefix; shorter ones end in NUL
     rows = np.empty((len(cells), col + sum(widths) + len(widths)), np.uint8)
@@ -1199,4 +1217,5 @@ def _csv_chunk(rep: int, snaps: list[CensusSnapshot], bounds: np.ndarray) -> str
         rows[:, col + width] = ord(",")
         col += width + 1
     rows[:, -1] = ord("\n")
-    return rows.tobytes().replace(b"\0", b"").decode("ascii")
+    rows = rows.ravel()
+    return rows[rows != 0].tobytes().decode("ascii")

@@ -330,6 +330,18 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert 0 <= manifest["write_s"] <= manifest["runtime_s"]
 
+    def test_manifest_census_size(self, tmp_path):
+        # snapshots counts the (replica, t) pairs census.csv holds, every
+        # snapshot having a nonzero count, and census_bytes is its size
+        rc = main(["simulate", "--family", "rna", "--seed", "11", "--replicas", "2",
+                   "--t-final", "302", "--thin", "100", "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        census = tmp_path / "census.csv"
+        keys = {tuple(line.split(",")[:2]) for line in census.read_text().splitlines()[1:]}
+        assert manifest["snapshots"] == len(keys) == 8
+        assert manifest["census_bytes"] == census.stat().st_size
+
     @pytest.mark.parametrize("flags,digest", [
         (["--family", "preferential", "--w", "i", "--engine", "tree", "--seed", "5",
           "--t-final", "2000", "--thin", "500"],
@@ -340,7 +352,11 @@ class TestSimulate:
         (["--family", "preferential", "--w", "i", "--seed", "5", "--t-final", "70000",
           "--thin", "1024"],
          "e08836f8a2dc5e70d76b290b35586f1a02562acad7c790e785b044340034dd7f"),
-    ], ids=["tree", "two-colour", "urn"])
+        # trees past 2**16 vertices, whose ids fill both 16-bit halves
+        (["--family", "preferential", "--w", "i", "--engine", "tree", "--seed", "5",
+          "--t-final", "70000", "--thin", "7000"],
+         "415cb5f3ceef845e40003f91df627c697ba2ce3d867dc1079cad3afe79e8752f"),
+    ], ids=["tree", "two-colour", "urn", "tree-70000"])
     def test_census_bytes_pinned(self, tmp_path, flags, digest):
         # any change to these bytes must be explained in CHANGES.md
         rc = main(["simulate", *flags, "--replicas", "2", "--out", str(tmp_path)])

@@ -885,6 +885,45 @@ class TestCensusKernel:
             run(tree, 500, np.random.default_rng(3), thin=50)
         assert tree.t == 2 and tree.counts == [2] and tree.is_tree()
 
+    def test_radix_ranking_matches_stable_argsort(self):
+        # _leaf_kernel ranks a block's picks with _stable_order: ids that
+        # repeat, straddle 2**16 and reach 2**31 - 1, the last two sets
+        # alike in one 16-bit half and unlike in the other
+        rng = np.random.default_rng(8)
+        edges = np.array([0, 1, 2**16 - 1, 2**16, 2**16 + 1, 2**31 - 2, 2**31 - 1])
+        for ids in (rng.integers(0, 2**31, 4096), rng.choice(edges, 4096),
+                    rng.integers(2**16 - 40, 2**16 + 40, 4096),
+                    rng.integers(0, 2**15, 4096) * 2**16 + 7, rng.integers(0, 9, 4096) + 2**30):
+            np.testing.assert_array_equal(growth._stable_order(ids),
+                                          np.argsort(ids, kind="stable"))
+
+    @pytest.mark.parametrize("name", ["tree-pref-i", "pref-i", "rna"])
+    def test_snapshots_own_their_counts(self, name):
+        # each snapshot of a thinned run over several census windows owns
+        # its count arrays: growing the same states further, then editing
+        # one snapshot in place, changes no other
+        states = [KERNEL_ENGINES[name]() for _ in range(2)]
+        rngs = [np.random.default_rng(s) for s in range(2)]
+
+        def grow(t_final):
+            if name.startswith("tree-"):
+                return [s for st, r in zip(states, rngs) for s in run(st, t_final, r, thin=700)]
+            return [s for traj in run_batch(states, t_final, rngs, thin=700)[0] for s in traj]
+
+        def arrays(snap):
+            return [getattr(snap, f) for f in dict.fromkeys(("counts", *snap.CSV_FIELDS))]
+
+        snaps = grow(3 * growth._BLOCK)
+        kept = [[a.copy() for a in arrays(s)] for s in snaps]
+        later = grow(5 * growth._BLOCK)
+        for a in arrays(snaps[4]):
+            a += 1
+        for j, snap in enumerate(snaps + later):
+            assert snap.identity_deviations() == (0, 0) or j == 4
+        for j, (snap, want) in enumerate(zip(snaps, kept)):
+            for a, b in zip(arrays(snap), want):
+                np.testing.assert_array_equal(a, b + (j == 4))
+
     def test_leaf_kernel_uniform_vertex_clamp(self):
         # w_i = i + 0.7 at t = 5 takes A = 0.7, B = 1: the proposal x = u *
         # span just below A*t divides to vertex index t, which must go to
@@ -1224,4 +1263,29 @@ class TestSerialisation:
             tracemalloc.stop()
         assert sink.size == len("replica,t,k,n\n") + 20_000 * len(
             "".join(f"0,100000,{k},{n}\n" for k, n in enumerate(counts, 1)))
+        assert peak < 6_000_000
+
+    def test_two_colour_write_memory_bounded(self):
+        # test_write_memory_bounded for two-colour snapshots, whose two
+        # count columns are each concatenated once per chunk: 480000 rows
+        # and the same bound; the peak reads 4.0 MB
+        white = np.arange(1, 25, dtype=np.int64) * 4099
+        black = white[::-1] + 1
+        trajectory = [two_colour(t, white, black) for t in range(100_000, 120_000)]
+
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            write_census_csv(sink, [trajectory])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size == len("replica,t,k,n_white,n_black\n") + 20_000 * len(
+            "".join(f"0,100000,{k},{w},{b}\n" for k, (w, b) in enumerate(zip(white, black), 1)))
         assert peak < 6_000_000
