@@ -22,9 +22,8 @@ from .solver import DensitySolution, ResidualReport, fixed_point_densities, resi
 from .closed_forms import (ClosedForm, bessel_i, closed_form_for,
                            constant_weight_density, grafting_asymptote,
                            grafting_density, pref_attachment_asymptote,
-                           pref_attachment_densities, pref_attachment_density,
-                           pref_attachment_gamma_form, uniform_density,
-                           uniform_norm_constant)
+                           pref_attachment_density, pref_attachment_gamma_form,
+                           uniform_density, uniform_norm_constant)
 from .twocolour import (TwoColourModel, TwoColourSnapshot, TwoColourSolution,
                         TwoColourState, densities_from_e, make_rna,
                         make_two_colour_grafting, make_two_colour_uniform,

@@ -151,12 +151,12 @@ def _solver_facts(sol) -> dict:
     (0 for a recurrence solve); a two-colour solve reports its reduced
     one-colour solve's closure."""
     if isinstance(sol, TwoColourSolution):
-        closure, max_residual = sol.one_colour.closure, sol.max_residual
+        one, max_residual = sol.one_colour, sol.max_residual
     else:
-        closure, max_residual = sol.closure, sol.residuals.max_abs
+        one, max_residual = sol, sol.residuals.max_abs
     return {"K": sol.K, "method": sol.method, "max_residual": max_residual,
-            "closure": closure.kind, "closure_reason": closure.reason or None,
-            "head_size": closure.head_size}
+            "closure": one.closure.kind, "closure_reason": one.closure.reason or None,
+            "head_size": one.head_size}
 
 
 def _write_json(path: Path, doc: dict) -> None:

@@ -24,7 +24,6 @@ from .weights import SplittingWeights, WeightModel
 __all__ = [
     "bessel_i",
     "pref_attachment_density",
-    "pref_attachment_densities",
     "pref_attachment_gamma_form",
     "pref_attachment_asymptote",
     "uniform_norm_constant",
@@ -83,17 +82,6 @@ def pref_attachment_density(sw: SplittingWeights, k: int) -> float:
             raise InvalidParameterError(f"w_{i} = {wi:g} must be positive")
         log_a += math.log(wi) - math.log(wi + w2)
     return math.exp(log_a)
-
-
-def pref_attachment_densities(sw: SplittingWeights, k_max: int) -> np.ndarray:
-    """Vector ``a_1 .. a_{k_max}`` via one cumulative pass."""
-    i = np.arange(1, k_max + 1)
-    w = sw.a * i + sw.b
-    if np.any(w <= 0):
-        raise InvalidParameterError("all splitting weights up to k_max must be positive")
-    w2 = sw(2)
-    log_prod = np.cumsum(np.log(w) - np.log(w + w2))
-    return np.exp(math.log(w2) - np.log(w) + log_prod)
 
 
 def pref_attachment_gamma_form(sw: SplittingWeights, k: int) -> float:

@@ -51,15 +51,18 @@ TWO_COLOUR_FAMILIES = ("rna", "two-colour-uniform", "two-colour-grafting")
 REPORT_DEGREES = 16
 
 
-# the parameters each family takes besides "family"; any other key is refused
-FAMILY_PARAMETERS = {
-    "preferential": ("a", "b"),
-    "uniform": ("x",),
-    "grafting": ("alpha", "gamma"),
-    "table": ("d_max", "entries"),
-    "rna": (),
-    "two-colour-uniform": ("a", "b"),
-    "two-colour-grafting": ("a", "b", "alpha0"),
+# each family's parameters besides "family", in its constructor's order, with
+# their defaults (None where one is required), and the constructor; any other
+# key is refused
+FAMILIES = {
+    "preferential": ({"a": 1.0, "b": 0.0},
+                     lambda a, b: make_preferential(SplittingWeights(a, b))),
+    "uniform": ({"x": 0.0}, make_uniform),
+    "grafting": ({"alpha": None, "gamma": None}, make_grafting),
+    "table": ({"d_max": None, "entries": None}, make_table),
+    "rna": ({}, make_rna),
+    "two-colour-uniform": ({"a": None, "b": None}, make_two_colour_uniform),
+    "two-colour-grafting": ({"a": None, "b": None, "alpha0": 0.5}, make_two_colour_grafting),
 }
 
 
@@ -67,9 +70,9 @@ def _family(spec: dict) -> str:
     """The family a config mapping names; an unknown family or a key the
     family does not take raises InvalidParameterError."""
     fam = spec.get("family")
-    if not isinstance(fam, str) or fam not in FAMILY_PARAMETERS:
+    if not isinstance(fam, str) or fam not in FAMILIES:
         raise InvalidParameterError(f"unknown family {fam!r}")
-    params = FAMILY_PARAMETERS[fam]
+    params = FAMILIES[fam][0]
     unknown = sorted(map(str, set(spec) - {"family", *params}))
     if unknown:
         raise InvalidParameterError(
@@ -86,9 +89,12 @@ def build_model(spec: dict):
     ``d_max`` or index that is not an integer), or weights that overflow a
     float raise InvalidParameterError."""
     fam = _family(spec)
+    defaults, make = FAMILIES[fam]
 
-    def num(key: str, default: Optional[float] = None) -> float:
+    def value(key: str, default):
         val = spec[key] if default is None else spec.get(key, default)
+        if fam == "table":              # make_table checks d_max and the entries
+            return val
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise InvalidParameterError(
                 f"parameter {key!r} of family {fam!r} must be a number, got {val!r}")
@@ -96,19 +102,7 @@ def build_model(spec: dict):
 
     try:
         with np.errstate(over="raise"):
-            if fam == "preferential":
-                return make_preferential(SplittingWeights(num("a", 1.0), num("b", 0.0)))
-            if fam == "uniform":
-                return make_uniform(num("x", 0.0))
-            if fam == "grafting":
-                return make_grafting(num("alpha"), num("gamma"))
-            if fam == "table":
-                return make_table(spec["d_max"], spec["entries"])
-            if fam == "rna":
-                return make_rna()
-            if fam == "two-colour-uniform":
-                return make_two_colour_uniform(num("a"), num("b"))
-            return make_two_colour_grafting(num("a"), num("b"), num("alpha0", 0.5))
+            return make(*[value(key, default) for key, default in defaults.items()])
     except InvalidParameterError:
         raise
     except KeyError as exc:

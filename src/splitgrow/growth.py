@@ -394,9 +394,6 @@ class OrderedTree(_CensusUrn):
         ends = self._ends
         return [ends[h ^ 1] for h in self._adj[v]]
 
-    def vertices(self) -> range:
-        return range(self.t)
-
     def is_tree(self) -> bool:
         """Half-edge consistency, edge count and connectivity (on demand;
         O(t))."""

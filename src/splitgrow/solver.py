@@ -92,7 +92,7 @@ from .weights import LinearTail, Regime, WeightModel, _band_blocks, classify_reg
 
 __all__ = [
     "ResidualReport",
-    "TailClosureFact",
+    "TailClosure",
     "DensitySolution",
     "UpdateMatrix",
     "fixed_point_densities",
@@ -116,20 +116,6 @@ class ResidualReport:
         return float(np.max(np.abs(self.per_k))) if len(self.per_k) else 0.0
 
 
-class TailClosureFact(NamedTuple):
-    """How a solve treated the degrees beyond its truncation.
-
-    ``kind`` is ``"gamma"`` (Gamma-ratio tail sums, ``pg > 0``),
-    ``"geometric"`` (``pg = 0 < qg``), ``"zero"`` (the tail carries no mass)
-    or ``"none"``, with ``reason`` saying why; ``head_size`` is the order of
-    the dense Hessenberg elimination, K when every column is dense and 0
-    when the solve is the recurrence of a ``by_split_degree`` partition."""
-
-    kind: str
-    head_size: int
-    reason: str = ""
-
-
 @dataclass
 class DensitySolution:
     densities: np.ndarray
@@ -145,7 +131,10 @@ class DensitySolution:
     unsupported: bool = False
     warnings: list[str] = field(default_factory=list)
     iterates: Optional[np.ndarray] = None
-    closure: Optional[TailClosureFact] = None
+    closure: Optional[TailClosure] = None
+    # the order of the dense Hessenberg elimination: K when every column is
+    # dense, 0 when the solve is the recurrence of a by_split_degree partition
+    head_size: int = 0
 
     @property
     def sum_a(self) -> float:
@@ -163,12 +152,16 @@ class DensitySolution:
 # -- tail closure ---------------------------------------------------------------
 
 
-class _TailClosure(NamedTuple):
-    """A solve's sums over the neglected degrees ``i > K``, all relative to
-    a_K: Q0 = sum R_i, Q0m = sum i*R_i, Qg = sum g(i)*R_i, Qh = sum h(i)*R_i,
+class TailClosure(NamedTuple):
+    """How a solve treats the degrees beyond its truncation K.
+
+    ``kind`` is ``"gamma"`` (Gamma-ratio tail sums, ``pg > 0``),
+    ``"geometric"`` (``pg = 0 < qg``), ``"zero"`` (the tail carries no mass)
+    or ``"none"``, with ``reason`` saying why and ``warnings`` for the
+    solution.  The sums over ``i > K`` are all relative to a_K:
+    Q0 = sum R_i, Q0m = sum i*R_i, Qg = sum g(i)*R_i, Qh = sum h(i)*R_i,
     where R_i = a_i/a_K under the two-term tail recursion, or zero for a
-    zero tail; ``kind``, ``reason`` as in ``TailClosureFact``, ``warnings``
-    for the solution."""
+    zero tail."""
 
     kind: str
     reason: str = ""
@@ -179,11 +172,11 @@ class _TailClosure(NamedTuple):
     Qh: float = 0.0
 
 
-def _tail_closure(tail: LinearTail, w2: float, K: int) -> _TailClosure:
+def _tail_closure(tail: LinearTail, w2: float, K: int) -> TailClosure:
     """The closure of a ``LinearTail`` at K."""
     def none(reason):
         note = "tail closure unavailable; zero-tail truncation used"
-        return _TailClosure("none", reason, (note,))
+        return TailClosure("none", reason, (note,))
 
     if K < max(tail.start, 2):
         return none("K below the tail start")
@@ -197,31 +190,31 @@ def _tail_closure(tail: LinearTail, w2: float, K: int) -> _TailClosure:
             return none("sum k*a_k diverges")
         con = (K + u) / (v - u)
         lin = (K + u) * (K + 1 + u) / (v - u - 1)
-        return _TailClosure("gamma", Q0=con, Q0m=lin - u * con, Qg=pg * lin,
-                            Qh=ph * lin + (qh - ph * u) * con)
+        return TailClosure("gamma", Q0=con, Q0m=lin - u * con, Qg=pg * lin,
+                           Qh=ph * lin + (qh - ph * u) * con)
     if qg == 0:
-        return _TailClosure("zero")
+        return TailClosure("zero")
     r = qg / (w2 + qg)
     geo = r / (1.0 - r)                      # = qg / w2
     q0m = K * geo + geo / (1.0 - r)
-    return _TailClosure("geometric", Q0=geo, Q0m=q0m, Qg=qg * geo, Qh=ph * q0m + qh * geo)
+    return TailClosure("geometric", Q0=geo, Q0m=q0m, Qg=qg * geo, Qh=ph * q0m + qh * geo)
 
 
-def _closure_for(model: WeightModel, K: int) -> _TailClosure:
+def _closure_for(model: WeightModel, K: int) -> TailClosure:
     """The model's tail closure at K, or a zero tail with its reason."""
     if model.d_max is not None:
-        return _TailClosure("none", "bounded model")
+        return TailClosure("none", "bounded model")
     pw = model.partition
     if pw.by_split_degree:
         # a_k/a_{k-1} is about beta_{k-1}/(w_2 + w_k), below 2/k for linear
         # weights: the degrees beyond K carry a negligible mass
         note = "super-exponential tail; zero-tail truncation used"
-        return _TailClosure("none", note, (note,))
+        return TailClosure("none", note, (note,))
     if pw.tail is not None:
         return _tail_closure(pw.tail, model.w2, K)
-    return _TailClosure("none", "no tail metadata",
-                        ("unbounded model without tail metadata; "
-                         "zero-tail truncation may bias low degrees",))
+    return TailClosure("none", "no tail metadata",
+                       ("unbounded model without tail metadata; "
+                        "zero-tail truncation may bias low degrees",))
 
 
 # -- the update matrix ------------------------------------------------------------
@@ -250,7 +243,7 @@ class UpdateMatrix:
     __slots__ = ("head", "g", "h", "beta", "closure")
 
     def __init__(self, head: np.ndarray, g: np.ndarray, h: np.ndarray,
-                 beta: Optional[np.ndarray] = None, closure=_TailClosure("none")):
+                 beta: Optional[np.ndarray] = None, closure=TailClosure("none")):
         self.head, self.g, self.h, self.beta, self.closure = head, g, h, beta, closure
 
     @property
@@ -423,7 +416,7 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
         iterations=0 if history is None else len(history) - 1, last_step=last_step,
         monotone_ok=violation <= 1e-15, monotone_violation=violation,
         unsupported=bool(why), warnings=warnings, iterates=history,
-        closure=TailClosureFact(B.closure.kind, B.head_size, B.closure.reason))
+        closure=B.closure, head_size=B.head_size)
 
 
 def _solve_stationary(B: UpdateMatrix, diag: np.ndarray, row1: np.ndarray, rhs1: float,
@@ -572,7 +565,7 @@ def _sum_normalised(model: WeightModel, B: UpdateMatrix) -> np.ndarray:
     model RankDeficientError."""
     K = B.K
     if model.d_max is None:
-        B.closure = _TailClosure("none", "forced solve truncates with a zero tail")
+        B.closure = TailClosure("none", "forced solve truncates with a zero tail")
     try:
         if (B.beta[0] if B.beta is not None else B.head[1, 0]) == 0.0:
             raise SingularSystemError(

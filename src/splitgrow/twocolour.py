@@ -83,12 +83,6 @@ class TwoColourModel:
                 "white partitioning weights are inconsistent with w_white "
                 f"(max residual {self.white.linear_fit_residual:.3g})")
 
-    def w_white(self, k):
-        return self.white.splitting(k)
-
-    def w_black(self, k):
-        return self.black(k)
-
     @property
     def weight_growth_rate(self) -> float:
         """a - b, which equals w_black(2)/2 and w_white(2)/3."""
@@ -188,7 +182,7 @@ class TwoColourState(_CensusUrn):
 
     def _class_weight(self, c: int) -> float:
         d = c // 2 + 1
-        return self.model.w_black(d) if c % 2 else self.model.w_white(d)
+        return self.model.black(d) if c % 2 else self.model.white.splitting(d)
 
     def _closed_total(self, exact: float) -> tuple[float, float]:
         """The closed-form total weight ``(a-b)*t + b`` and the total its
@@ -216,8 +210,8 @@ def reduce_to_one_colour(model2: TwoColourModel) -> WeightModel:
     carry no ``LinearTail``, even where the white partition has one, so
     their solve truncates with a zero tail."""
     white_pw = model2.white.partition
-    w_white = model2.w_white
-    w_black = model2.w_black
+    w_white = model2.white.splitting
+    w_black = model2.black
 
     def fn(i, j):
         d = i + j - 2
@@ -284,8 +278,8 @@ def _two_colour_residuals(m2: TwoColourModel, e_w: np.ndarray, e_b: np.ndarray,
     ks = np.arange(1, K + 1, dtype=float)
     w_w = m2.white.splitting(ks)
     w_b = m2.black(ks)
-    w2b_half = m2.w_black(2) / 2.0
-    w2w_third = m2.w_white(2) / 3.0
+    w2b_half = m2.black(2) / 2.0
+    w2w_third = m2.white.splitting(2) / 3.0
     res_sel = (w_b + w2b_half) * e_b - B @ e_w
     res_col = (w_w + w2w_third) * e_w - w_b * e_b
     colour_dev = abs(float((3.0 * e_w + 2.0 * e_b).sum()) - 1.0)
@@ -308,7 +302,8 @@ def solve_two_colour(model2: TwoColourModel, K: int = 512,
     red = reduce_to_one_colour(model2)
     one = fixed_point_densities(red, K=K, force_unsupported=force_unsupported)
     ks = np.arange(1, one.K + 1, dtype=float)
-    ratio = model2.black(ks) / (model2.white.splitting(ks) + model2.w_white(2) / 3.0)
+    w_white = model2.white.splitting
+    ratio = model2.black(ks) / (w_white(ks) + w_white(2) / 3.0)
     u = one.densities / (1.0 + ratio)
     lam = 1.0 / float((u * (2.0 + 3.0 * ratio)).sum())
     e_b = lam * u

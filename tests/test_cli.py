@@ -17,7 +17,7 @@ import splitgrow.solver
 import splitgrow.twocolour
 from splitgrow import InvalidParameterError
 from splitgrow.cli import main, parse_weight_expr
-from splitgrow.experiment import ExperimentConfig, ExperimentReport, worker_count
+from splitgrow.experiment import FAMILIES, ExperimentConfig, ExperimentReport, worker_count
 from splitgrow.weights import MAX_DEGREE
 from conftest import DMAX3_ENTRIES, doubled_split_entries, singular_update_matrix
 
@@ -922,6 +922,36 @@ class TestBadInput:
         assert "error:" in err and argv[1] in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("files,flags,match", [
+        ({"cfg.json": [1, 2]}, ["--config", "cfg.json"], "cfg.json must hold a JSON object"),
+        ({"cfg.json": {"K": 16}}, ["--config", "cfg.json"],
+         r"no model given \(use --config or --family/--table\)"),
+        ({}, ["--family", "preferential", "--w=-i"],
+         r"unbounded model needs a >= 0 \(weights turn negative\)"),
+        ({}, ["--family", "preferential", "--w=nan"],
+         "splitting weight coefficients must be finite"),
+        ({}, ["--family", "preferential", "--w=0*i+0"], "constant weights must be positive"),
+        ({}, ["--family", "two-colour-uniform", "--a", "1", "--b", "0.9"],
+         "unbounded model needs slope a - 3b/2 >= 0"),
+        ({}, ["--family", "two-colour-grafting", "--a", "1", "--b", "0", "--alpha0", "1"],
+         r"alpha0 must lie in \[0, 1\)"),
+        ({"t.json": {"d_max": 3, "entries": [[0, 2, 1.0]]}}, ["--table", "t.json"],
+         r"table indices must be >= 1, got \(0, 2\)"),
+        ({"t.json": {"d_max": 3, "entries": [[1, 2, 1.0], [2, 1, 0.5]]}}, ["--table", "t.json"],
+         r"conflicting entries for pair \(1, 2\)"),
+        ({"t.json": {"d_max": 1, "entries": [[1, 1, 1.0]]}}, ["--table", "t.json"],
+         "d_max must be at least 2"),
+    ], ids=["config-list", "config-without-model", "w-negative-slope", "w-nan",
+            "w-zero", "two-colour-negative-slope", "alpha0-1", "table-index-0",
+            "table-conflict", "table-d_max-1"])
+    def test_refusal_names_the_input(self, tmp_path, capsys, monkeypatch, files, flags,
+                                     match):
+        monkeypatch.chdir(tmp_path)
+        for name, doc in files.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        err = self.run(["solve", *flags, "--K", "16"], capsys)
+        assert re.search(match, err), err
+
     def test_singular_solve_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(splitgrow.solver, "_update_matrix", singular_update_matrix)
         err = self.run(["solve", "--family", "preferential", "--w", "i",
@@ -988,6 +1018,39 @@ class TestConfigPlumbing:
         for bad in (0, -3, 2.5, "4", True):
             with pytest.raises(InvalidParameterError):
                 ExperimentConfig.from_dict({"model": {"family": "rna"}, "replicas": bad})
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def schema_mismatches(readme: str) -> list[str]:
+    """Where the model objects of the README's config-schema block and
+    ``experiment.FAMILIES`` disagree: an object whose family is not in the
+    table or whose keys are not that family's parameters, and a family
+    that no object shows."""
+    block = readme.split("### Config schema", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+    shown = [json.loads(obj) for obj in re.findall(r'\{"family":[^{}]*\}', block)]
+    bad = [f"{m['family']} with {sorted(set(m) - {'family'})}" for m in shown
+           if m["family"] not in FAMILIES
+           or set(m) - {"family"} != set(FAMILIES[m["family"]][0])]
+    return bad + [f"{fam} not shown" for fam in FAMILIES
+                  if fam not in {m["family"] for m in shown}]
+
+
+def test_readme_schema_shows_every_family_with_its_parameters():
+    assert schema_mismatches(README.read_text()) == []
+
+
+def test_schema_scan_finds_a_drifted_family():
+    # negative control: a parameter dropped, a family left out and one that
+    # the table does not hold
+    text = README.read_text()
+    for old, new in (('"preferential", "a": 1.0, "b": 0.0}', '"preferential", "a": 1.0}'),
+                     ('{"family": "rna"}', '{"family": "rnaa"}')):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    assert schema_mismatches(text) == ["preferential with ['a']", "rnaa with []",
+                                       "rna not shown"]
 
 
 def test_import_leaves_scipy_linalg_unloaded():

@@ -9,9 +9,8 @@ from splitgrow import (InvalidParameterError, SplittingWeights, bessel_i,
                        fixed_point_densities, grafting_asymptote,
                        grafting_density, make_grafting, make_preferential,
                        make_uniform, pref_attachment_asymptote,
-                       pref_attachment_densities, pref_attachment_density,
-                       pref_attachment_gamma_form, uniform_density,
-                       uniform_norm_constant)
+                       pref_attachment_density, pref_attachment_gamma_form,
+                       rna_closed_form, uniform_density, uniform_norm_constant)
 
 E2 = math.e ** 2
 
@@ -64,12 +63,6 @@ class TestPreferential:
         for k in (1, 2, 5, 30, 120, 250):
             assert pref_attachment_density(sw, k) == pytest.approx(
                 pref_attachment_gamma_form(sw, k), rel=1e-12)
-
-    def test_vector_matches_scalar(self):
-        sw = SplittingWeights(1.0, 0.25)
-        vec = pref_attachment_densities(sw, 40)
-        assert vec == pytest.approx([pref_attachment_density(sw, k) for k in range(1, 41)],
-                                    rel=1e-13)
 
     def test_asymptote(self):
         sw = SplittingWeights(1.0, 0.0)
@@ -182,6 +175,17 @@ class TestGrafting:
             grafting_density(0.5, 0.0, 1)
         with pytest.raises(InvalidParameterError):
             grafting_density(1.0, 0.5, 1)
+
+
+@pytest.mark.parametrize("density", [
+    lambda k: pref_attachment_density(SplittingWeights(1.0, 0.0), k),
+    lambda k: uniform_density(0.0, k), lambda k: grafting_density(0.5, 0.5, k),
+    constant_weight_density, rna_closed_form,
+], ids=["preferential", "uniform", "grafting", "constant", "rna"])
+@pytest.mark.parametrize("k", [0, -3])
+def test_degree_below_one_refused(density, k):
+    with pytest.raises(InvalidParameterError, match="k must be >= 1"):
+        density(k)
 
 
 def test_constant_weight_solution():

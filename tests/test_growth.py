@@ -184,7 +184,7 @@ class TestSampleVertex:
         # degree and keeps it with probability w_d / d; the dmax3 table
         # (w_d = 1, 2, 3) proposes uniformly and keeps with probability w_d / 3
         tree = OrderedTree.from_edges(model, [(0, 1), (1, 2), (1, 3), (3, 4)])
-        assert [model.w(tree.degree(v)) for v in tree.vertices()] == pytest.approx(weights)
+        assert [model.w(tree.degree(v)) for v in range(tree.t)] == pytest.approx(weights)
         rng = np.random.default_rng(19)
         counts = np.zeros(5)
         n = 120_000
@@ -247,7 +247,7 @@ class TestTreeSplits:
         assert tree.degree(0) == 5
         ev = tree.split_vertex(0, 3, np.random.default_rng(1))
         assert ev.parent_degree == 5 and ev.child_degrees == (3, 4)
-        assert sorted(len(tree.neighbours(v)) for v in tree.vertices()
+        assert sorted(len(tree.neighbours(v)) for v in range(tree.t)
                       if len(tree.neighbours(v)) > 1) == [3, 4]
         assert tree.is_tree()
 
@@ -258,7 +258,7 @@ class TestTreeSplits:
         for seed in range(8):
             tree = OrderedTree.from_edges(m, [(0, i) for i in range(1, 6)])
             ev = tree.split_vertex(0, 3, np.random.default_rng(seed))
-            child = next(v for v in tree.vertices()
+            child = next(v for v in range(tree.t)
                          if len(tree.neighbours(v)) == 3)
             arc = [u for u in tree.neighbours(child) if 1 <= u <= 5]
             start = (ev.arrangement + 1)
@@ -286,14 +286,14 @@ class TestTreeSplits:
         rng = np.random.default_rng(9)
         for _ in range(2000):
             tree.step(rng)
-        assert max(len(tree.neighbours(v)) for v in tree.vertices()) <= 3
+        assert max(len(tree.neighbours(v)) for v in range(tree.t)) <= 3
 
     def test_adjacency_mutual(self):
         tree = OrderedTree.single_edge(make_uniform(0.0))
         rng = np.random.default_rng(13)
         for _ in range(300):
             tree.step(rng)
-        for v in tree.vertices():
+        for v in range(tree.t):
             for u in tree.neighbours(v):
                 assert tree.neighbours(u).count(v) == 1
 
@@ -320,7 +320,7 @@ class TestTreeSplits:
                 i = tree.degree(int(rng.integers(tree.t)))
                 tree.apply_to_degree(i, int(model.sample_split(i, rng)), rng)
                 tree.step(rng)
-            degrees = np.bincount([tree.degree(v) for v in tree.vertices()],
+            degrees = np.bincount([tree.degree(v) for v in range(tree.t)],
                                   minlength=len(tree.counts) + 1)
             assert tree.counts == degrees[1:].tolist()
             checks = tree.checks()
@@ -355,11 +355,27 @@ class TestTreeSplits:
         assert tree.t == 4 and tree.counts == [3, 0, 1]
 
 
+    @pytest.mark.parametrize("model,k,match", [
+        (pref_i(), 0, "child degree 0 out of range for degree 3"),
+        (pref_i(), 5, "child degree 5 out of range for degree 3"),
+        (make_table(3, DMAX3_ENTRIES), 1, "split into degrees 1, 4 exceeds d_max = 3"),
+    ], ids=["k-0", "k-5", "beyond-d_max"])
+    def test_bad_split_refused(self, model, k, match):
+        # refused before the arc is drawn, and the tree is left as it was
+        tree = OrderedTree.from_edges(model, [(0, 1), (0, 2), (0, 3)])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match=match):
+            tree.split_vertex(0, k, rng)
+        assert rng.bit_generator.state == state
+        assert tree.t == 4 and tree.counts == [3, 0, 1] and tree.is_tree()
+
+
 class TestTreeConstruction:
     def test_half_edges(self):
         # compact ids; each half-edge's twin is owned by the neighbour
         tree = OrderedTree.from_edges(pref_i(), [(0, 1), (1, 2), (1, 3)])
-        assert list(tree.vertices()) == [0, 1, 2, 3]
+        assert tree.t == 4
         assert tree.neighbours(1) == [0, 2, 3]
         assert tree.counts == [3, 0, 1] and tree.is_tree()
 
@@ -379,6 +395,16 @@ class TestTreeConstruction:
         with pytest.raises(InvalidParameterError):
             OrderedTree(pref_i(), adjacency)
 
+    def test_degree_above_bound_refused(self):
+        star = [(0, 1), (0, 2), (0, 3), (0, 4)]
+        with pytest.raises(InvalidParameterError, match="initial tree has degree 4 > d_max = 3"):
+            OrderedTree.from_edges(make_table(3, DMAX3_ENTRIES), star)
+
+    @pytest.mark.parametrize("v", [-1, 2])
+    def test_degree_of_a_missing_vertex_refused(self, v):
+        with pytest.raises(InvalidParameterError, match=f"no vertex {v}"):
+            OrderedTree.single_edge(pref_i()).degree(v)
+
     def test_unbounded_nonlinear_weights_refused(self):
         # w[i, j] = 1 gives w_i = i(i+1)/2: no envelope A + B*i bounds it
         pw = PartitionWeights(lambda i, j: np.ones(np.broadcast(i, j).shape))
@@ -387,6 +413,14 @@ class TestTreeConstruction:
 
 
 class TestUrnSplits:
+    @pytest.mark.parametrize("model,counts,match", [
+        (pref_i(), [], "initial census is empty"), (pref_i(), [0, 0], "initial census is empty"),
+        (make_table(3, DMAX3_ENTRIES), [1, 0, 0, 1], "initial census exceeds d_max"),
+    ], ids=["no-classes", "zero-counts", "beyond-d_max"])
+    def test_bad_census_refused(self, model, counts, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            UrnState(model, counts)
+
     def test_hand_updates(self):
         # 4-star census: 4 leaves and one degree-4 hub, under uniform
         # partitioning with w_i = i.  Each step takes the class uniform,
@@ -678,6 +712,16 @@ class TestCensusKernel:
         with pytest.raises(InvalidDegreeError, match="degree 3"):
             run(UrnState.single_edge(model), 200, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("grow", ["run", "step"])
+    def test_tree_degree_without_split_raises(self, grow):
+        # w_2 = 2 > 0, but the table has no pair for a degree-2 split: the
+        # scalar kernel and step both refuse the first degree-2 pick
+        pw = PartitionWeights.from_table(3, [(1, 2, 1.0)])
+        tree = OrderedTree.single_edge(WeightModel(pw, SplittingWeights(1.0, 0.0)))
+        assert tree.kernel == "scalar"
+        with pytest.raises(InvalidDegreeError, match="degree 2 has no admissible split"):
+            (run if grow == "run" else stepped)(tree, 200, np.random.default_rng(0))
+
     @pytest.mark.parametrize("name", ["pref-i", "pref-i-0.9", "uniform", "rna",
                                       "two-colour-grafting"])
     def test_batch_independence(self, name, monkeypatch):
@@ -721,6 +765,13 @@ class TestCensusKernel:
         with pytest.raises(InvalidParameterError, match="3 states need as many generators"):
             run_batch(states, 100, [np.random.default_rng(0)])
         assert [s.t for s in states] == [2, 2, 2]
+
+    def test_batch_horizon_behind_a_clock_refused(self):
+        # a t_final behind any state's clock is refused before any state grows
+        states = [UrnState.single_edge(pref_i()), UrnState(pref_i(), [2, 1])]
+        with pytest.raises(InvalidParameterError, match="t_final = 2 < current t = 3"):
+            run_batch(states, 2, [np.random.default_rng(s) for s in range(2)])
+        assert [s.t for s in states] == [2, 3]
 
     @pytest.mark.parametrize("name", ["tree-pref-i", "tree-pref-i-0.9", "tree-pref-i+0.5",
                                       "tree-pref-2i", "tree-grafting", "tree-dmax3"])

@@ -9,8 +9,8 @@ from splitgrow import (NoConvergenceError, NonPositiveError, PartitionWeights,
                        RankDeficientError, Regime, RegimeError, SingularSystemError,
                        SplittingWeights, WeightModel, constant_weight_density,
                        fixed_point_densities, make_alpha_class, make_grafting,
-                       make_preferential, make_table, make_uniform, residuals)
-from splitgrow import pref_attachment_densities
+                       make_preferential, make_table, make_uniform,
+                       pref_attachment_density, residuals)
 from splitgrow.solver import _hessenberg_solve, _update_matrix
 from splitgrow.twocolour import (make_rna, make_two_colour_grafting, make_two_colour_uniform,
                                  reduce_to_one_colour, solve_two_colour)
@@ -222,7 +222,7 @@ class TestSolveFinite:
 class TestResiduals:
     def test_exact_solution_small_residual(self):
         sw = SplittingWeights(1.0, 0.0)
-        exact = pref_attachment_densities(sw, 400)
+        exact = np.array([pref_attachment_density(sw, k) for k in range(1, 401)])
         rep = residuals(pref_i(), exact)
         assert rep.max_abs <= 1e-10
         assert rep.sum_dev <= 1e-10 and rep.moment_dev <= 1e-9
@@ -476,7 +476,7 @@ class TestUpdateMatrix:
         if sol.closure.kind != "none":       # zero-tail truncation at K = 16
             res = sol.residuals
             assert max(res.max_abs, res.sum_dev, res.moment_dev) <= 1e-14
-        assert sol.closure.head_size == _update_matrix(model, K).head_size
+        assert sol.head_size == _update_matrix(model, K).head_size
 
     @pytest.mark.parametrize("name,model", update_matrix_models(),
                              ids=[n for n, _ in update_matrix_models()])
@@ -512,7 +512,7 @@ class TestUpdateMatrix:
         sol = fixed_point_densities(model, K=K, force_unsupported=True)
         assert sol.unsupported and sol.method == "linear-truncated"
         assert np.max(np.abs(sol.densities - expect)) <= 1e-14
-        assert sol.closure == splitgrow.solver.TailClosureFact(
+        assert (sol.closure.kind, sol.head_size, sol.closure.reason) == (
             "none", 2, "forced solve truncates with a zero tail")
 
     def test_forced_solve_on_split_degree_partition(self):
@@ -526,7 +526,7 @@ class TestUpdateMatrix:
         sol = fixed_point_densities(model, K=K, force_unsupported=True)
         assert sol.unsupported and sol.method == "linear-truncated"
         assert np.max(np.abs(sol.densities - expect)) <= 1e-14
-        assert sol.closure == splitgrow.solver.TailClosureFact(
+        assert (sol.closure.kind, sol.head_size, sol.closure.reason) == (
             "none", 0, "forced solve truncates with a zero tail")
 
     def test_forced_split_degree_solve_memory_is_linear(self):
@@ -540,7 +540,7 @@ class TestUpdateMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 2 ** 20
-        assert sol.unsupported and sol.closure.head_size == 0
+        assert sol.unsupported and sol.head_size == 0
         assert abs(sol.sum_a - 1.0) <= 1e-15
 
     def test_tail_family_solve_memory_is_linear(self):
@@ -553,7 +553,7 @@ class TestUpdateMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2 ** 20
-        assert sol.closure.kind == "gamma" and sol.closure.head_size == 2
+        assert sol.closure.kind == "gamma" and sol.head_size == 2
         assert sol.residuals.max_abs <= 1e-14
 
     @pytest.mark.parametrize("model,kind", [
@@ -573,7 +573,7 @@ class TestUpdateMatrix:
         sol = fixed_point_densities(model, K=128)
         wide = fixed_point_densities(model, K=256).densities
         a = sol.densities
-        assert sol.closure == splitgrow.solver.TailClosureFact(
+        assert (sol.closure.kind, sol.head_size, sol.closure.reason) == (
             "none", 0, "super-exponential tail; zero-tail truncation used")
         assert sol.warnings == [sol.closure.reason]
         k = np.arange(2, 101)
@@ -585,7 +585,7 @@ class TestUpdateMatrix:
         model = WeightModel(PartitionWeights(make_uniform(0.0).partition),
                             SplittingWeights(1.0, 0.0), leaf_mass_limit=2.0)
         sol = fixed_point_densities(model, K=32)
-        assert sol.closure == splitgrow.solver.TailClosureFact(
+        assert (sol.closure.kind, sol.head_size, sol.closure.reason) == (
             "none", 32, "no tail metadata")
         expect = fixed_point_densities(make_uniform(0.0), K=32).densities
         assert np.max(np.abs(sol.densities - expect)) <= 1e-15
@@ -626,7 +626,7 @@ class TestUpdateMatrix:
         finally:
             tracemalloc.stop()
         assert max(peak, peak2) <= 2 ** 20
-        assert sol.closure.head_size == two.one_colour.closure.head_size == 0
+        assert sol.head_size == two.one_colour.head_size == 0
 
     @pytest.mark.parametrize("split,mass,K,match", [
         (5000, 0.0, 5001, "degree-5000 vertices never split"),
@@ -655,6 +655,19 @@ class TestUpdateMatrix:
         tail = LinearTail(start=2, pg=0.0, qg=0.0)
         clo = splitgrow.solver._tail_closure(tail, 2.0, 16)
         assert clo.kind == "zero" and clo.Q0 == clo.Qg == clo.Qh == 0.0
+
+    def test_divergent_moment_has_no_closure(self):
+        # w = i - 1: pg = 1 and w_2 = 1, so the tail ratio a_i/a_{i-1} =
+        # (i-2)/i makes a_i fall like i^-2 and sum k*a_k diverge
+        clo = _update_matrix(make_preferential(SplittingWeights(1.0, -1.0)), 64).closure
+        assert (clo.kind, clo.reason) == ("none", "sum k*a_k diverges")
+        assert clo.warnings == ("tail closure unavailable; zero-tail truncation used",)
+
+    @pytest.mark.parametrize("pg,qg", [(-0.5, 40.0), (0.0, -1.0)],
+                             ids=["pg-negative", "g-negative-past-K"])
+    def test_negative_leaf_mass_has_no_closure(self, pg, qg):
+        clo = splitgrow.solver._tail_closure(LinearTail(start=2, pg=pg, qg=qg), 2.0, 16)
+        assert (clo.kind, clo.reason) == ("none", "negative leaf mass beyond K")
 
     def test_tail_solve_raises_on_non_finite_products(self):
         # a tail row whose diagonal vanishes gives an infinite ratio

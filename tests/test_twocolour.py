@@ -14,16 +14,16 @@ E2 = math.e ** 2
 class TestModel:
     def test_rna_weights(self):
         m = make_rna()
-        assert [m.w_white(k) for k in (1, 2, 5)] == pytest.approx([2, 3, 6])
-        assert [m.w_black(k) for k in (1, 2, 5)] == pytest.approx([1, 2, 5])
+        assert [m.white.splitting(k) for k in (1, 2, 5)] == pytest.approx([2, 3, 6])
+        assert [m.black(k) for k in (1, 2, 5)] == pytest.approx([1, 2, 5])
 
     @pytest.mark.parametrize("a,b", [(1.0, 0.0), (2.0, 0.5), (1.0, 0.5)])
     def test_growth_rate_identity(self, a, b):
         # a - b = w_black(2)/2 = w_white(2)/3 holds exactly by construction
         m = make_two_colour_uniform(a, b)
         assert m.weight_growth_rate == pytest.approx(a - b)
-        assert m.w_black(2) / 2 == pytest.approx(a - b)
-        assert m.w_white(2) / 3 == pytest.approx(a - b)
+        assert m.black(2) / 2 == pytest.approx(a - b)
+        assert m.white.splitting(2) / 3 == pytest.approx(a - b)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -114,11 +114,9 @@ class TestReduction:
 
         import splitgrow.twocolour as tc
         stub = _Stub()
-        stub.white = tc.WeightModel(
+        stub.white = tc.WeightModel(                # w_white vanishes at degree 1
             tc.PartitionWeights.from_table(2, [(1, 2, 1.0)]),
-            tc.SplittingWeights(0.0, 1.0))
-        stub.w_white = lambda d: d - 1.0          # vanishes at the degree-1 class
-        stub.w_black = lambda d: d * 1.0
+            tc.SplittingWeights(1.0, -1.0))
         stub.black = tc.SplittingWeights(1.0, 0.0)
         stub.a, stub.b, stub.family = 1.0, 0.0, "stub"
         with pytest.raises(ZeroDivisionError):

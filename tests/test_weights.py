@@ -176,6 +176,14 @@ class TestConstructors:
         with pytest.raises(InvalidParameterError):
             make_alpha_class(SplittingWeights(1.0, 0.0), [1.5], M=2)
 
+    @pytest.mark.parametrize("alpha,M,match", [
+        ([0.5], 1, "M must be >= 2"), ([0.5], 3, "head table required when M > 2"),
+        ([], 2, "alpha sequence must be nonempty"),
+    ], ids=["M-1", "M-3-no-head", "empty-alpha"])
+    def test_alpha_class_refusals(self, alpha, M, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            make_alpha_class(SplittingWeights(1.0, 0.0), alpha, M=M)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("model", [
