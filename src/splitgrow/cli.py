@@ -1,7 +1,9 @@
 """Command-line harness: solve, simulate, compare, validate.
 
 Configuration is one JSON document (see README for the schema); individual
-flags override config fields.  Outputs are written to --out as
+flags override config fields, under the names of ``experiment.FAMILIES``
+parameters and ``ExperimentConfig`` fields.  Every refusal ends in one
+``error:`` line and exit code 2.  Outputs are written to --out as
 ``solution.json``, ``census.csv``, ``report.csv`` and ``manifest.json``;
 all numeric outputs are byte-reproducible given (config, seed), so wall
 time lives only in the manifest.
@@ -20,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidParameterError, SplitgrowError
-from .experiment import (ExperimentConfig, _check_holds, build_model, compare,
-                         growth_counters, is_two_colour_spec, run_replicated,
-                         solve_model, worst_checks)
+from .experiment import (FAMILIES, ExperimentConfig, _check_holds, build_model,
+                         compare, growth_counters, is_two_colour_spec,
+                         run_replicated, solve_model, worst_checks)
 from .growth import write_census_csv
 from .solver import DensitySolution
 from .twocolour import TwoColourModel, TwoColourSolution, densities_from_e, \
@@ -53,6 +55,13 @@ def parse_weight_expr(expr: str) -> SplittingWeights:
     return SplittingWeights(a, b)
 
 
+def _parameter_flags() -> dict[str, list[str]]:
+    """Each family parameter that a ``--<name>`` flag sets, with the families
+    that take it; a table's parameters come whole from ``--table``."""
+    return {key: [fam for fam, (params, _) in FAMILIES.items() if key in params]
+            for fam, (params, _) in FAMILIES.items() if fam != "table" for key in params}
+
+
 def _unique_keys(pairs: list) -> dict:
     """A JSON object, refusing a key given twice (json keeps the last)."""
     doc = {}
@@ -76,17 +85,18 @@ def _read_json(path: str) -> dict:
 def _model_spec_from_flags(args) -> dict | None:
     """The model the flags give, or None when they give none and the model
     is the config's; parameter flags without ``--family`` are refused."""
-    params = {key: val for key, val in (
-        ("x", args.x), ("alpha", args.alpha), ("gamma", args.gamma),
-        ("alpha0", args.alpha0), ("a", args.coef_a), ("b", args.coef_b)) if val is not None}
+    params = {key: getattr(args, key) for key in _parameter_flags()
+              if getattr(args, key) is not None}
     given = [f"--{key}" for key, val in (("family", args.family), ("w", args.w),
                                          *params.items()) if val is not None]
     if args.table:
         if given:
             raise InvalidParameterError(f"--table gives the whole model; drop {', '.join(given)}")
-        doc = _read_json(args.table)
-        return {"family": "table", "d_max": doc.get("d_max"),
-                "entries": doc.get("entries")}
+        spec = {"family": "table", **_read_json(args.table)}
+        if spec["family"] != "table":
+            raise InvalidParameterError(
+                f"{args.table} is a table: it takes 'd_max' and 'entries', not a family")
+        return spec
     if not args.family:
         if given:
             raise InvalidParameterError(
@@ -97,6 +107,10 @@ def _model_spec_from_flags(args) -> dict | None:
         if is_two_colour_spec(spec):      # a, b there are not w_i = a*i + b
             raise InvalidParameterError(
                 f"--w does not apply to family {args.family!r}; use --a and --b")
+        if "a" in params or "b" in params:
+            raise InvalidParameterError(
+                "--w sets both a and b of w_i = a*i + b; drop "
+                + ", ".join(f"--{key}" for key in ("a", "b") if key in params))
         sw = parse_weight_expr(args.w)
         spec.update(a=sw.a, b=sw.b)
     spec.update(params)
@@ -110,15 +124,10 @@ def _load_config(args) -> ExperimentConfig:
         doc["model"] = spec
     if "model" not in doc:
         raise InvalidParameterError("no model given (use --config or --family/--table)")
-    for flag, key in (("seed", "seed"), ("replicas", "replicas"),
-                      ("t_final", "t_final"), ("K", "K"), ("tol", "tol"),
-                      ("engine", "engine"), ("thin", "thin"),
-                      ("k_check", "k_check"), ("z_crit", "z_crit")):
-        val = getattr(args, flag, None)
+    for key in ExperimentConfig.__dataclass_fields__:      # flags carry field names
+        val = getattr(args, key, None)
         if val is not None:
             doc[key] = val
-    if getattr(args, "force_unsupported", False):
-        doc["force_unsupported"] = True
     return ExperimentConfig.from_dict(doc)
 
 
@@ -131,11 +140,8 @@ def _manifest(cfg: ExperimentConfig, runtime_s: float,
         "seed": cfg.seed,
         "config_digest": cfg.digest,
         "config": cfg.to_dict(),
-        "versions": {
-            "splitgrow": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
+        "versions": {"splitgrow": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
         "runtime_s": runtime_s,
     }
     if growth is not None:
@@ -166,7 +172,7 @@ def _write_json(path: Path, doc: dict) -> None:
 def _solution_doc(sol) -> dict:
     if isinstance(sol, TwoColourSolution):
         rho_w, rho_b = densities_from_e(sol)
-        doc = {
+        return {
             "kind": "two-colour",
             "method": sol.method,
             "K": sol.K,
@@ -180,7 +186,6 @@ def _solution_doc(sol) -> dict:
             "unsupported": sol.unsupported,
             "warnings": sol.warnings,
         }
-        return doc
     assert isinstance(sol, DensitySolution)
     return {
         "kind": "one-colour",
@@ -221,32 +226,8 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _validate_or_abort(cfg: ExperimentConfig) -> int:
-    """0 when the model passes validation (or the config forces on)."""
-    model = build_model(cfg.model)
-    if isinstance(model, TwoColourModel):
-        return 0      # consistency is enforced at construction
-    rep = validate_model(model)
-    if rep.ok or cfg.force_unsupported:
-        return 0
-    _print_validation(model, rep)
-    return 2
-
-
-def _print_validation(model, rep) -> None:
-    print(f"model: {model!r}")
-    for name, cond in (("linearity", rep.linearity),
-                       ("leaf_reachability", rep.leaf_reachability),
-                       ("top_splittable", rep.top_splittable)):
-        status = {True: "pass", False: "FAIL", None: "n/a"}[cond.ok]
-        print(f"  {name:<20} {status:<5} {cond.detail}")
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    rc = _validate_or_abort(cfg)
-    if rc:
-        return rc
     t0 = time.monotonic()
     results = run_replicated(cfg)
     out = Path(args.out or ".")
@@ -269,9 +250,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
-    rc = _validate_or_abort(cfg)
-    if rc:
-        return rc
     t0 = time.monotonic()
     report = compare(cfg)
     out = Path(args.out or ".")
@@ -298,16 +276,17 @@ def cmd_compare(args) -> int:
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
     model = build_model(cfg.model)
+    print(f"model: {model!r}")
     if isinstance(model, TwoColourModel):
-        print(f"model: {model!r}")
         print(f"  white consistency     pass  max residual "
               f"{model.white.linear_fit_residual:.3g}")
-        red = reduce_to_one_colour(model)
-        regime, s = classify_regime(red)
+        regime, s = classify_regime(reduce_to_one_colour(model))
         print(f"  reduced one-colour    regime {regime.value}, s = {s:g}")
         return 0
     rep = validate_model(model)
-    _print_validation(model, rep)
+    for name, cond in vars(rep).items():
+        status = {True: "pass", False: "FAIL", None: "n/a"}[cond.ok]
+        print(f"  {name:<20} {status:<5} {cond.detail}")
     try:
         regime, s = classify_regime(model)
         print(f"  regime {regime.value}, s = {s:g}")
@@ -322,18 +301,14 @@ def _add_flags(p: argparse.ArgumentParser, solves: bool, grows: bool, writes: bo
     p.add_argument("--config", help="JSON config document")
     p.add_argument("--family", help="model family name")
     p.add_argument("--w", help="splitting weights, e.g. 'i' or '2*i+1'")
-    p.add_argument("--x", type=float, help="uniform-family offset")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha0", type=float, help="two-colour white split parameter")
-    p.add_argument("--a", dest="coef_a", type=float, help="two-colour weight parameter a")
-    p.add_argument("--b", dest="coef_b", type=float, help="two-colour weight parameter b")
+    for key, families in _parameter_flags().items():
+        p.add_argument(f"--{key}", type=float, help=f"parameter of {', '.join(families)}")
     p.add_argument("--table", help="JSON table file {d_max, entries}")
     if solves:
         p.add_argument("--K", type=int, help="solver truncation")
         p.add_argument("--tol", type=float, help="solver tolerance")
     if writes:
-        p.add_argument("--force-unsupported", action="store_true",
+        p.add_argument("--force-unsupported", action="store_true", default=None,
                        help="run outside the guaranteed regime (results watermarked)")
         p.add_argument("--out", help="output directory")
     if grows:

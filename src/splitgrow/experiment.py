@@ -5,6 +5,9 @@ count and solver parameters.  Replicas run on independent, reproducibly
 derived random streams (children of one master seed); empirical per-degree
 means and standard errors are joined against the analytic densities and
 turned into z-scores, giving a CI-friendly pass/fail summary.
+
+``FAMILIES`` and ``ExperimentConfig`` are the input schema the CLI's flags
+come from; a model outside the paper's hypotheses is refused here.
 """
 
 from __future__ import annotations
@@ -13,20 +16,20 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .closed_forms import closed_form_for
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, RegimeError
 from .growth import OrderedTree, UrnState, run, run_batch
 from .solver import fixed_point_densities
 from .twocolour import (TwoColourModel, TwoColourState, densities_from_e,
                         make_rna, make_two_colour_grafting, make_two_colour_uniform,
                         solve_two_colour)
 from .weights import MAX_DEGREE, SplittingWeights, make_grafting, \
-    make_preferential, make_table, make_uniform
+    make_preferential, make_table, make_uniform, validate_model
 
 __all__ = [
     "ExperimentConfig",
@@ -132,8 +135,7 @@ class ExperimentConfig:
     reference_model: Optional[dict] = None   # analytic override (negative controls)
 
     def to_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if v is not None}
-        return d
+        return {k: v for k, v in self.__dict__.items() if v is not None}
 
     @property
     def digest(self) -> str:
@@ -144,8 +146,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Config from a mapping; also checks ``SPLITGROW_THREADS`` so a bad
         value is refused at load rather than when the replicas start."""
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**d)
@@ -252,12 +253,27 @@ def _simulate_block(payload):
     return results
 
 
+def _refuse_unsupported(cfg: ExperimentConfig) -> None:
+    """Unless ``force_unsupported``, RegimeError naming each failed
+    ``validate_model`` condition of the config's one-colour model; a
+    two-colour model is checked at construction."""
+    if cfg.force_unsupported or is_two_colour_spec(cfg.model):
+        return
+    failed = [f"{name} ({cond.detail})" for name, cond
+              in vars(validate_model(build_model(cfg.model))).items() if cond.ok is False]
+    if failed:
+        raise RegimeError(f"model fails {'; '.join(failed)}: no convergence guarantee; "
+                          "pass force_unsupported=True (--force-unsupported) to run it anyway")
+
+
 def run_replicated(cfg: ExperimentConfig) -> list[dict]:
     """All replicas, merged in replica-index order (deterministic given the
     config); each carries its final census, invariant checks and growth
     counters.  Each worker grows one contiguous block of replicas; a
     replica's stream is its own child seed, so the outcome does not depend
-    on the number of workers."""
+    on the number of workers.  An unsupported model is refused (see
+    ``_refuse_unsupported``)."""
+    _refuse_unsupported(cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)
     w = worker_count(cfg.replicas)
     cuts = [cfg.replicas * i // w for i in range(w + 1)]
@@ -400,16 +416,19 @@ def _stack(columns: list[np.ndarray]) -> np.ndarray:
 def compare(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the replicated experiment and join it against the analytic
     densities; the report's ``ok`` drives the CLI exit code.  Fewer than two
-    replicas give zero standard errors and hence no test, so are refused."""
+    replicas give zero standard errors and hence no test, so are refused,
+    and so is an unsupported model, before the solve."""
     if cfg.replicas < 2:
         raise InvalidParameterError(
             f"compare needs at least 2 replicas for standard errors, got {cfg.replicas}")
+    _refuse_unsupported(cfg)
     model = build_model(cfg.model)
     solution = solve_model(model, cfg)
     ref_model, ref_solution = model, solution
     if cfg.reference_model:
         ref_model, ref_solution = build_model(cfg.reference_model), None
-    results = run_replicated(cfg)
+    # refused above: the replicas do not validate the model a second time
+    results = run_replicated(replace(cfg, force_unsupported=True))
     checks = [(name, f"{val:.17g}") for name, val in worst_checks(results).items()]
     if solution.unsupported:
         checks.append(("forced_unsupported", "true"))

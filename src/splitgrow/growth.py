@@ -1104,8 +1104,8 @@ def _by_replica(parts: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
 
 
 def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
-    """Grow census engines (``UrnState``, ``TwoColourState``) to the clock
-    ``t_final``, state ``r`` from ``rngs[r]`` alone.
+    """Grow census engines (``UrnState``, ``TwoColourState``; a tree grows by
+    ``run``) to the clock ``t_final``, state ``r`` from ``rngs[r]`` alone.
 
     Returns each state's snapshots, as ``run`` records them, and the
     batch's counters: per state the ``events_drawn``, which are the events
@@ -1124,6 +1124,8 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
         raise InvalidParameterError(
             f"{len(states)} states need as many generators, not {len(rngs)}")
     for s in states:
+        if isinstance(s, OrderedTree):
+            raise InvalidParameterError("run_batch grows census engines; grow a tree with run")
         if t_final < s.t:
             raise InvalidParameterError(f"t_final = {t_final} < current t = {s.t}")
     clocks = [_clocks(s.t, t_final, thin) for s in states]

@@ -188,6 +188,8 @@ class PartitionWeights:
         if not _is_a(d_max, numbers.Integral):
             raise InvalidParameterError(f"d_max must be an integer, got {d_max!r}")
         d_max = int(d_max)
+        if d_max < 2:         # before the (d_max+1)^2 table is allocated
+            raise InvalidParameterError("d_max must be at least 2")
         if d_max > MAX_DEGREE:
             raise InvalidParameterError(
                 f"d_max must be at most {MAX_DEGREE}, got {d_max}")

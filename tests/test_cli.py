@@ -236,7 +236,9 @@ class TestSimulate:
         rc = main(["simulate", "--table", str(table), "--t-final", "100",
                    "--replicas", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "top_splittable" in capsys.readouterr().out
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "top_splittable (no i in 2..d_max-1 with w[i, d_max+2-i] > 0)" in err
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_nonlinear_table_needs_force(self, tmp_path, capsys, monkeypatch, command):
@@ -245,10 +247,36 @@ class TestSimulate:
         argv = [command, "--table", str(doubled_split_table_file(tmp_path)),
                 "--replicas", "2", "--t-final", "300", "--out", str(tmp_path / "o")]
         assert main(argv) == 2
-        assert "linearity            FAIL" in capsys.readouterr().out
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "linearity (max |w_i - (1*i+0)| = 250 over i <= 300)" in err
         assert not (tmp_path / "o").exists()
         assert main(argv + ["--force-unsupported"]) != 2
         assert (tmp_path / "o/manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_unsupported_refusal_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                   command):
+        # a non-linear 4-degree table once printed three condition rows on
+        # stdout and exited 2 with no error: line; a config's
+        # force_unsupported is not undone by the absent flag
+        monkeypatch.setenv("SPLITGROW_THREADS", "1")
+        monkeypatch.chdir(tmp_path)
+        table = {"d_max": 4, "entries": [[1, 2, 1.0], [1, 3, 1.0], [2, 2, 3.0],
+                                         [1, 4, 0.5], [2, 3, 2.0]]}
+        Path("t.json").write_text(json.dumps(table))
+        argv = [command, "--table", "t.json", "--replicas", "2", "--t-final", "200"]
+        assert main([*argv, "--out", "o"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: model fails linearity (max |w_i - (4*i-3)| = 13 "
+                              "over i <= 4); top_splittable (no i in 2..d_max-1 ")
+        assert not Path("o").exists()
+        Path("cfg.json").write_text(json.dumps({"model": {"family": "uniform"},
+                                                "force_unsupported": True}))
+        assert main([*argv, "--config", "cfg.json", "--out", "forced"]) != 2
+        assert json.loads(Path("forced/manifest.json").read_text())["config"][
+            "force_unsupported"] is True
 
     def test_failed_invariant_check_exits_1(self, tmp_path, monkeypatch, capsys):
         # the rule compare applies: a broken census identity fails the run
@@ -958,6 +986,48 @@ class TestBadInput:
                         "--K", "16"], capsys)
         assert "singular" in err
 
+    @pytest.mark.parametrize("doc,match", [
+        ({"d_max": 3}, "family 'table' needs parameter 'entries'"),
+        ({"entries": DMAX3_ENTRIES}, "family 'table' needs parameter 'd_max'"),
+        ({"d_max": 3, "entries": DMAX3_ENTRIES, "junk": 1},
+         "family 'table' takes no parameter 'junk'"),
+        ({"family": "preferential", "a": 1.0, "b": 0.0},
+         "t.json is a table: it takes 'd_max' and 'entries', not a family"),
+        ({"d_max": -5, "entries": []}, "d_max must be at least 2"),
+    ], ids=["no-entries", "no-d_max", "stray-key", "family-key", "d_max-negative"])
+    def test_table_file_judged_like_a_config_model(self, tmp_path, capsys, monkeypatch,
+                                                    doc, match):
+        # a missing key once ended in "'NoneType' object is not iterable", a
+        # stray key was ignored, and a negative d_max reached numpy's
+        # "negative dimensions are not allowed"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.json").write_text(json.dumps(doc))
+        for command in ("solve", "simulate", "compare"):
+            err = self.run([command, "--table", "t.json", "--out", "o"], capsys)
+            assert match in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [["--a", "2"], ["--b", "1"], ["--b", "1", "--a", "2"]],
+                             ids=["a", "b", "a-b"])
+    def test_weight_flag_with_a_or_b_refused(self, capsys, flags):
+        # --w and --a/--b both set w_i = a*i + b: --w i-0.5 --a 2 once solved
+        # a = 2, b = -0.5 without a word
+        err = self.run(["solve", "--family", "preferential", "--w", "i-0.5", *flags,
+                        "--K", "16"], capsys)
+        drop = ", ".join(f for f in ("--a", "--b") if f in flags)
+        assert f"--w sets both a and b of w_i = a*i + b; drop {drop}" in err
+
+    @pytest.mark.parametrize("flags,match", [
+        (["--family", "preferential", "--w", "i-2"], "w_1 = -1 < 0"),
+        (["--config", "cfg.json"], "force_unsupported must be true or false, got 'yes'"),
+    ], ids=["negative-leaf-weight", "force-not-a-bool"])
+    def test_refusal_of_model_and_force(self, tmp_path, capsys, monkeypatch, flags, match):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"model": {"family": "preferential"}, "force_unsupported": "yes"}))
+        err = self.run(["solve", *flags, "--K", "16"], capsys)
+        assert match in err
+
 
 class TestValidate:
     def test_table_passes(self, tmp_path, capsys):
@@ -1051,6 +1121,18 @@ def test_schema_scan_finds_a_drifted_family():
         text = text.replace(old, new)
     assert schema_mismatches(text) == ["preferential with ['a']", "rnaa with []",
                                        "rna not shown"]
+
+
+def test_parameter_flags_come_from_families(capsys):
+    # one float flag per parameter some family takes; a table comes whole
+    # from --table
+    keys = {key for fam, (params, _) in FAMILIES.items() if fam != "table" for key in params}
+    assert keys == {"a", "b", "x", "alpha", "gamma", "alpha0"}
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    out = capsys.readouterr().out
+    assert all(f"--{key} {key.upper()}" in out for key in keys)
+    assert "--d_max" not in out and "--entries" not in out
 
 
 def test_import_leaves_scipy_linalg_unloaded():

@@ -1,0 +1,147 @@
+"""Mutation controls: each mutant breaks one spot of the source, and the
+tests it names must catch it.
+
+    python3 tools/mutants.py            # the control, then every mutant
+    python3 tools/mutants.py NAME ...   # the control, then the named ones
+
+The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
+temporary directory.  It first runs every selection on the unmutated copy,
+which must pass.  It then applies one mutant at a time (a snippet that must
+occur exactly once in its file, replaced) and runs the mutant's selection
+with ``-x -q -p no:cacheprovider``, which must fail.  A known survivor
+names the ROADMAP item that will kill it; it is run and reported, and a
+survivor that is killed is reported too, so it can join the mutants.
+
+Exit code 0 when the control passes and every mutant is killed, 1 when not,
+2 when a snippet does not occur exactly once or a selection errs.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str                  # relative to the repository root
+    snippet: str               # occurs exactly once in the file
+    replacement: str
+    selection: tuple[str, ...]  # pytest arguments that must fail
+    survives: str = ""         # the ROADMAP item that will kill a known survivor
+
+
+MUTANTS = [
+    Mutant("chain-rates-one-class-high", "src/splitgrow/growth.py",
+           "t *= laws.arrays()[1][cls]", "t *= laws.arrays()[1][cls + 1]",
+           ("tests/test_growth.py", "-k", "TestCensusKernel or batch_independence")),
+    Mutant("radix-rank-low-half-only", "src/splitgrow/growth.py",
+           'return order[np.argsort((ids[order] >> 16).astype(np.uint16), kind="stable")]',
+           "return order",
+           ("tests/test_growth.py", "-k", "radix_ranking_matches_stable_argsort")),
+    Mutant("csv-leading-zeros-kept", "src/splitgrow/growth.py",
+           "(digit + 48) * (values >= (10 ** e if e else 0))", "(digit + 48)",
+           ("tests/test_growth.py", "-k", "TestSerialisation")),
+    Mutant("unsupported-model-not-refused", "src/splitgrow/experiment.py",
+           "    _refuse_unsupported(cfg)\n    children = ", "    children = ",
+           ("tests/test_refusals.py", "-k", "library_callers or forced_model_runs")),
+    Mutant("compare-skips-the-refusal", "src/splitgrow/experiment.py",
+           "    _refuse_unsupported(cfg)\n    model = ", "    model = ",
+           ("tests/test_refusals.py", "-k", "library_callers")),
+    Mutant("run-batch-grows-a-tree", "src/splitgrow/growth.py",
+           "        if isinstance(s, OrderedTree):\n"
+           '            raise InvalidParameterError("run_batch grows census engines; '
+           'grow a tree with run")\n', "",
+           ("tests/test_refusals.py", "-k", "run_batch_refuses_a_tree")),
+    Mutant("replicas-share-one-seed", "src/splitgrow/experiment.py",
+           "np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)",
+           "np.random.SeedSequence(cfg.seed).spawn(1) * cfg.replicas",
+           # two-replica compares: equal replicas give SE 0, and every z is 0
+           # or infinite, which the gate skips
+           ("tests/test_cli.py", "-k", "TestCompare and (reproducible or solves_once)"),
+           survives="item 8"),
+]
+
+
+def snippet_problems(root: Path = ROOT, mutants=MUTANTS) -> list[str]:
+    """Each mutant whose snippet does not occur exactly once in its file,
+    or whose selection names a test file that does not exist."""
+    bad = []
+    for m in mutants:
+        count = (root / m.file).read_text().count(m.snippet)
+        if count != 1:
+            bad.append(f"{m.name}: snippet occurs {count} times in {m.file}")
+        bad += [f"{m.name}: no test file {arg}" for arg in m.selection
+                if arg.endswith(".py") and not (root / arg).is_file()]
+    return bad
+
+
+def _pytest(copy: Path, selection: tuple[str, ...]) -> int:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "SPLITGROW_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *selection], cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main(argv: list[str]) -> int:
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    mutants = [m for m in MUTANTS if not argv or m.name in argv]
+    problems = snippet_problems(ROOT, mutants)
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 2
+    start, failed = time.monotonic(), False
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, copy / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(src, copy / name)
+        for selection in dict.fromkeys(m.selection for m in mutants):
+            rc = _pytest(copy, selection)
+            print(f"control  {'pass' if rc == 0 else f'FAIL (exit {rc})'}  {' '.join(selection)}")
+            failed |= rc != 0
+        if failed:
+            print("the unmutated copy fails a selection; no mutant was run", file=sys.stderr)
+            return 1
+        for m in mutants:
+            path = copy / m.file
+            text = path.read_text()
+            path.write_text(text.replace(m.snippet, m.replacement))
+            try:
+                rc = _pytest(copy, m.selection)
+            finally:
+                path.write_text(text)
+            if rc not in (0, 1):
+                print(f"{m.name}: pytest exit {rc}, not a test failure", file=sys.stderr)
+                return 2
+            if m.survives:
+                verdict = (f"survives ({m.survives})" if rc == 0
+                           else f"killed: list it as a mutant ({m.survives})")
+            else:
+                verdict = "killed" if rc == 1 else "SURVIVES"
+                failed |= rc == 0
+            print(f"mutant   {verdict:<9}  {m.name}")
+    print(f"{len(mutants)} mutants in {time.monotonic() - start:.0f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
