@@ -15,10 +15,11 @@ from .errors import (DegeneracyError, InvalidDegreeError, InvalidParameterError,
 from .weights import (LinearTail, PartitionWeights, Regime, SplittingWeights,
                       WeightModel, classify_regime, derive_splitting_weights,
                       make_alpha_class, make_grafting, make_preferential,
-                      make_table, make_uniform, validate_model)
+                      make_table, make_uniform)
 from .growth import (CensusSnapshot, OrderedTree, SplitEvent, UrnState, run,
                      run_batch, write_census_csv)
-from .solver import DensitySolution, ResidualReport, fixed_point_densities, residuals
+from .solver import (DensitySolution, ResidualReport, fixed_point_densities, residuals,
+                     validate_model)
 from .closed_forms import (ClosedForm, bessel_i, closed_form_for,
                            constant_weight_density, grafting_asymptote,
                            grafting_density, pref_attachment_asymptote,

@@ -23,13 +23,12 @@ import numpy as np
 from . import __version__
 from .errors import InvalidParameterError, SplitgrowError
 from .experiment import (FAMILIES, ExperimentConfig, _check_holds, build_model,
-                         compare, growth_counters, is_two_colour_spec,
+                         compare, growth_counters, is_two_colour_spec, judged_model,
                          run_replicated, solve_model, worst_checks)
 from .growth import write_census_csv
-from .solver import DensitySolution
-from .twocolour import TwoColourModel, TwoColourSolution, densities_from_e, \
-    reduce_to_one_colour
-from .weights import SplittingWeights, classify_regime, validate_model
+from .solver import DensitySolution, validate_model
+from .twocolour import TwoColourSolution, densities_from_e
+from .weights import SplittingWeights
 
 __all__ = ["main", "parse_weight_expr"]
 
@@ -277,21 +276,10 @@ def cmd_validate(args) -> int:
     cfg = _load_config(args)
     model = build_model(cfg.model)
     print(f"model: {model!r}")
-    if isinstance(model, TwoColourModel):
-        print(f"  white consistency     pass  max residual "
-              f"{model.white.linear_fit_residual:.3g}")
-        regime, s = classify_regime(reduce_to_one_colour(model))
-        print(f"  reduced one-colour    regime {regime.value}, s = {s:g}")
-        return 0
-    rep = validate_model(model)
-    for name, cond in vars(rep).items():
+    rep = validate_model(judged_model(model))
+    for name, cond in rep.conditions.items():
         status = {True: "pass", False: "FAIL", None: "n/a"}[cond.ok]
         print(f"  {name:<20} {status:<5} {cond.detail}")
-    try:
-        regime, s = classify_regime(model)
-        print(f"  regime {regime.value}, s = {s:g}")
-    except SplitgrowError as exc:
-        print(f"  regime unknown: {exc}")
     return 0 if rep.ok else 2
 
 

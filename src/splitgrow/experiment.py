@@ -7,7 +7,7 @@ means and standard errors are joined against the analytic densities and
 turned into z-scores, giving a CI-friendly pass/fail summary.
 
 ``FAMILIES`` and ``ExperimentConfig`` are the input schema the CLI's flags
-come from; a model outside the paper's hypotheses is refused here.
+come from; ``solver.check_support`` refuses an unsupported model.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ from typing import Optional
 import numpy as np
 
 from .closed_forms import closed_form_for
-from .errors import InvalidParameterError, RegimeError
+from .errors import InvalidParameterError
 from .growth import OrderedTree, UrnState, run, run_batch
-from .solver import fixed_point_densities
+from .solver import check_support, fixed_point_densities
 from .twocolour import (TwoColourModel, TwoColourState, densities_from_e,
                         make_rna, make_two_colour_grafting, make_two_colour_uniform,
-                        solve_two_colour)
+                        reduce_to_one_colour, solve_two_colour)
 from .weights import MAX_DEGREE, SplittingWeights, make_grafting, \
-    make_preferential, make_table, make_uniform, validate_model
+    make_preferential, make_table, make_uniform
 
 __all__ = [
     "ExperimentConfig",
@@ -37,6 +37,7 @@ __all__ = [
     "ExperimentReport",
     "build_model",
     "is_two_colour_spec",
+    "judged_model",
     "worker_count",
     "run_replicated",
     "growth_counters",
@@ -117,6 +118,11 @@ def build_model(spec: dict):
 
 def is_two_colour_spec(spec: dict) -> bool:
     return spec.get("family") in TWO_COLOUR_FAMILIES
+
+
+def judged_model(model):
+    """The model's judged one-colour model: a two-colour model's reduction."""
+    return reduce_to_one_colour(model) if isinstance(model, TwoColourModel) else model
 
 
 @dataclass
@@ -253,27 +259,15 @@ def _simulate_block(payload):
     return results
 
 
-def _refuse_unsupported(cfg: ExperimentConfig) -> None:
-    """Unless ``force_unsupported``, RegimeError naming each failed
-    ``validate_model`` condition of the config's one-colour model; a
-    two-colour model is checked at construction."""
-    if cfg.force_unsupported or is_two_colour_spec(cfg.model):
-        return
-    failed = [f"{name} ({cond.detail})" for name, cond
-              in vars(validate_model(build_model(cfg.model))).items() if cond.ok is False]
-    if failed:
-        raise RegimeError(f"model fails {'; '.join(failed)}: no convergence guarantee; "
-                          "pass force_unsupported=True (--force-unsupported) to run it anyway")
-
-
 def run_replicated(cfg: ExperimentConfig) -> list[dict]:
     """All replicas, merged in replica-index order (deterministic given the
     config); each carries its final census, invariant checks and growth
     counters.  Each worker grows one contiguous block of replicas; a
     replica's stream is its own child seed, so the outcome does not depend
-    on the number of workers.  An unsupported model is refused (see
-    ``_refuse_unsupported``)."""
-    _refuse_unsupported(cfg)
+    on the number of workers.  Unless ``force_unsupported``, an unsupported
+    model is refused before any replica grows."""
+    if not cfg.force_unsupported:
+        check_support(judged_model(build_model(cfg.model)))
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)
     w = worker_count(cfg.replicas)
     cuts = [cfg.replicas * i // w for i in range(w + 1)]
@@ -416,18 +410,17 @@ def _stack(columns: list[np.ndarray]) -> np.ndarray:
 def compare(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the replicated experiment and join it against the analytic
     densities; the report's ``ok`` drives the CLI exit code.  Fewer than two
-    replicas give zero standard errors and hence no test, so are refused,
-    and so is an unsupported model, before the solve."""
+    replicas give zero standard errors and hence no test, so are refused;
+    the solve refuses an unsupported model before any replica grows."""
     if cfg.replicas < 2:
         raise InvalidParameterError(
             f"compare needs at least 2 replicas for standard errors, got {cfg.replicas}")
-    _refuse_unsupported(cfg)
     model = build_model(cfg.model)
     solution = solve_model(model, cfg)
     ref_model, ref_solution = model, solution
     if cfg.reference_model:
         ref_model, ref_solution = build_model(cfg.reference_model), None
-    # refused above: the replicas do not validate the model a second time
+    # the solve judged the model: the replicas do not judge it again
     results = run_replicated(replace(cfg, force_unsupported=True))
     checks = [(name, f"{val:.17g}") for name, val in worst_checks(results).items()]
     if solution.unsupported:

@@ -1,9 +1,9 @@
 """Limiting degree densities from the stationary census equations.
 
-Every one-colour model has one solve, ``fixed_point_densities``, which
-also decides once whether the model is supported (linear splitting weights
-and, unbounded, ``s > 0`` outside CASE_II); it refuses an unsupported model
-unless forced, and marks a forced result ``unsupported``.
+Every one-colour model has one solve, ``fixed_point_densities``, and one
+verdict on its support, ``validate_model``.  The solve and ``experiment``
+refuse a failing verdict through ``check_support`` unless forced, and a
+forced solve is marked ``unsupported``.
 
 * An unbounded model gets the minimal solution of the fixed-point system
   ``a = M a + c``,
@@ -88,9 +88,14 @@ import numpy as np
 
 from .errors import (InvalidParameterError, NoConvergenceError, NonPositiveError,
                      RankDeficientError, RegimeError, SingularSystemError)
-from .weights import LinearTail, Regime, WeightModel, _band_blocks, classify_regime
+from .weights import (LinearTail, Regime, WeightModel, _band_blocks, _linear_fit,
+                      classify_regime)
 
 __all__ = [
+    "ConditionReport",
+    "ValidationReport",
+    "validate_model",
+    "check_support",
     "ResidualReport",
     "TailClosure",
     "DensitySolution",
@@ -344,6 +349,88 @@ def _update_matrix(model: WeightModel, K: int) -> UpdateMatrix:
     return UpdateMatrix(head, tail.g(cols), tail.h(cols), closure=closure)
 
 
+# -- the support verdict ---------------------------------------------------------
+
+
+@dataclass
+class ConditionReport:
+    ok: Optional[bool]      # None means not applicable
+    detail: str
+
+
+@dataclass
+class ValidationReport:
+    """The paper's conditions on a one-colour model, the one verdict on its
+    support: ``linearity`` (derived weights within 1e-9 of the model's line
+    over degrees 1..d_max, or 1..200 unbounded), ``leaf_reachability`` and
+    ``top_splittable`` (bounded only), and ``regime`` (unbounded only: ``s > 0``
+    outside CASE_II), with ``classify_regime``'s ``case`` and ``s``."""
+
+    linearity: ConditionReport
+    leaf_reachability: ConditionReport
+    top_splittable: ConditionReport
+    regime: ConditionReport
+    case: Regime
+    s: float
+
+    @property
+    def conditions(self) -> dict[str, ConditionReport]:
+        return {k: v for k, v in vars(self).items() if isinstance(v, ConditionReport)}
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok is not False for c in self.conditions.values())
+
+
+def validate_model(m: WeightModel) -> ValidationReport:
+    """Check the conditions, reporting violations rather than raising (an
+    unknown leaf-mass tail raises UnknownTailError).  Unbounded, ``w_i`` for
+    i <= 200 are the halved column sums of the update matrix at K = 201."""
+    case, s = classify_regime(m)
+    where = f"regime {case.value} with s = {s:g}"
+    if m.d_max is None:
+        span = 200
+        derived = _update_matrix(m, span + 1).to_dense().sum(axis=0)[:span] / 2.0
+        resid = _linear_fit(derived, m.splitting)[1]
+        reach = top = ConditionReport(None, "unbounded model; not applicable")
+        regime = ConditionReport(s > 0.0 and case is not Regime.CASE_II, where)
+    else:
+        D = span = m.d_max
+        resid = m.linear_fit_residual
+        ks = np.arange(2, D + 1)
+        bad = ks[m.partition(1, ks) <= 0].tolist()
+        reach = ConditionReport(not bad,
+                                "w[1,k] > 0 for all 2 <= k <= d_max" if not bad
+                                else f"w[1,k] = 0 for k in {_listed(bad)}")
+        ks = np.arange(2, D)
+        idx = ks[m.partition(ks, D + 2 - ks) > 0].tolist()
+        top = ConditionReport(bool(idx),
+                              f"w[i, d_max+2-i] > 0 for i in {_listed(idx)}" if idx
+                              else "no i in 2..d_max-1 with w[i, d_max+2-i] > 0")
+        regime = ConditionReport(None, f"{where}; bounded model, not applicable")
+    line = m.splitting
+    lin = ConditionReport(resid <= 1e-9, f"max |w_i - ({line.a:g}*i{line.b:+g})| = "
+                                         f"{resid:.3g} over i <= {span}")
+    return ValidationReport(lin, reach, top, regime, case, s)
+
+
+def _listed(values: list[int]) -> str:
+    """``values``, cut after five entries and counted."""
+    cut = f"{str(values[:5])[:-1]}, ...] ({len(values)} in all)"
+    return str(values) if len(values) <= 5 else cut
+
+
+def check_support(model: WeightModel, force_unsupported: bool = False) -> ValidationReport:
+    """``validate_model``'s report; unless ``force_unsupported``, a failing
+    report raises the one RegimeError naming each failed condition."""
+    rep = validate_model(model)
+    failed = [f"{name} ({c.detail})" for name, c in rep.conditions.items() if c.ok is False]
+    if failed and not force_unsupported:
+        raise RegimeError(f"model fails {'; '.join(failed)}: no convergence guarantee; "
+                          "pass force_unsupported=True (--force-unsupported) to run it anyway")
+    return rep
+
+
 def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
                           max_iter: int = 1_000_000, record_iterates: bool = False,
                           force_unsupported: bool = False) -> DensitySolution:
@@ -353,11 +440,10 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
     minimal solution of ``a = M a + c`` with its tail closure for an
     unbounded one (method ``fixed-point``).
 
-    A model is unsupported when ``not model.is_linear()`` or, unbounded,
-    when ``s <= 0`` or its regime is CASE_II.  It raises RegimeError unless
-    ``force_unsupported``; the forced result is marked ``unsupported``, and
-    an unbounded model then gets the normalised system truncated at K with
-    a zero tail (method ``linear-truncated``).
+    A model whose ``validate_model`` report fails is refused by
+    ``check_support`` unless ``force_unsupported``; the forced result is
+    marked ``unsupported``, and an unbounded model then gets the normalised
+    system truncated at K with a zero tail (method ``linear-truncated``).
 
     ``record_iterates`` reaches the fixed point of any model by the
     from-below iteration, which stops at a step below ``tol`` (or raises
@@ -366,22 +452,15 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
     """
     if K < 2:
         raise InvalidParameterError("K must be >= 2")
-    regime, s = classify_regime(model)
+    rep = check_support(model, force_unsupported)
+    regime, s, unsupported = rep.case, rep.s, not rep.ok
     bounded = model.d_max is not None
-    why = [] if model.is_linear() else [
-        "splitting weights not linear in the degree "
-        f"(max deviation {model.linear_fit_residual:.3g})"]
-    if not bounded and (s <= 0.0 or regime is Regime.CASE_II):
-        why.append(f"regime {regime.value} with s = {s:g}")
-    if why and not force_unsupported:
-        raise RegimeError(f"{'; '.join(why)}: no convergence guarantee; pass "
-                          "force_unsupported=True (--force-unsupported) to solve it anyway")
     warnings = ["forced solve outside the guaranteed regime; "
-                "no almost-sure census limit is claimed"] if why else []
+                "no almost-sure census limit is claimed"] if unsupported else []
     K = model.d_max or K
     B = _update_matrix(model, K)
     history, last_step, violation = None, 0.0, 0.0
-    if record_iterates or not (bounded or why):
+    if record_iterates or not (bounded or unsupported):
         warnings.extend(B.closure.warnings)
         wk = model.splitting_weights(K)
         denom = np.concatenate([[model.w2 + s], model.w2 + wk[1:]])
@@ -415,7 +494,7 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
         densities=a, K=K, method=method, regime=regime, s=s, residuals=res,
         iterations=0 if history is None else len(history) - 1, last_step=last_step,
         monotone_ok=violation <= 1e-15, monotone_violation=violation,
-        unsupported=bool(why), warnings=warnings, iterates=history,
+        unsupported=unsupported, warnings=warnings, iterates=history,
         closure=B.closure, head_size=B.head_size)
 
 

@@ -8,10 +8,8 @@ A model is a pair of weight families on degrees:
 * splitting weights ``w_i`` controlling which vertex splits; consistency
   demands ``w_i = (i/2) * sum_{j=1..i+1} w[j, i+2-j]``.
 
-The built-in families are constructed here, together with validation of the
-standard conditions (linear splitting weights, reachability of every degree
-up to the bound, splittability of the top degree) and classification of the
-convergence regime via ``s = inf {i * w[1, i+1]}``.
+The built-in families are built here, and the convergence regime is read
+from ``s = inf {i * w[1, i+1]}``; ``solver.validate_model`` judges support.
 """
 
 from __future__ import annotations
@@ -40,15 +38,12 @@ __all__ = [
     "PartitionWeights",
     "WeightModel",
     "derive_splitting_weights",
-    "validate_model",
     "classify_regime",
     "make_preferential",
     "make_uniform",
     "make_alpha_class",
     "make_grafting",
     "make_table",
-    "ConditionReport",
-    "ValidationReport",
 ]
 
 
@@ -414,67 +409,7 @@ def _tail_law(tail: LinearTail, i: int) -> tuple[list[int], list[float], float]:
     return [ks[j] for j in keep], [cum[j] for j in keep], cum[-1]
 
 
-# -- validation --------------------------------------------------------------
-
-
-@dataclass
-class ConditionReport:
-    ok: Optional[bool]      # None means not applicable / not checked
-    detail: str
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of the standard model checks.
-
-    ``linearity`` covers the agreement of the derived splitting weights with
-    the model's line ``a*i + b``: for a bounded model the model's own fit
-    (``splitting`` and ``linear_fit_residual``, over degrees 1..d_max), for an
-    unbounded one the line through ``w_1`` and ``w_2`` over degrees 1..200;
-    ``leaf_reachability`` that every degree up to the bound can be produced
-    by leaf splits; ``top_splittable`` that bound-degree vertices can split
-    at all.
-    """
-
-    linearity: ConditionReport
-    leaf_reachability: ConditionReport
-    top_splittable: ConditionReport
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok is not False
-                   for c in (self.linearity, self.leaf_reachability, self.top_splittable))
-
-
-def validate_model(m: WeightModel) -> ValidationReport:
-    """Check the standard conditions; reports violations instead of raising.
-    Linearity holds when no derived weight is more than 1e-9 off the line."""
-    if m.d_max is None:
-        span = 200
-        line, resid = _linear_fit(derive_splitting_weights(m.partition, span))
-        reach = top = ConditionReport(None, "unbounded model; not applicable")
-    else:
-        D = span = m.d_max
-        line, resid = m.splitting, m.linear_fit_residual
-        ks = np.arange(2, D + 1)
-        bad = ks[m.partition(1, ks) <= 0].tolist()
-        reach = ConditionReport(not bad,
-                                "w[1,k] > 0 for all 2 <= k <= d_max" if not bad
-                                else f"w[1,k] = 0 for k in {_listed(bad)}")
-        ks = np.arange(2, D)
-        idx = ks[m.partition(ks, D + 2 - ks) > 0].tolist()
-        top = ConditionReport(bool(idx),
-                              f"w[i, d_max+2-i] > 0 for i in {_listed(idx)}" if idx
-                              else "no i in 2..d_max-1 with w[i, d_max+2-i] > 0")
-    lin = ConditionReport(resid <= 1e-9, f"max |w_i - ({line.a:g}*i{line.b:+g})| = "
-                                         f"{resid:.3g} over i <= {span}")
-    return ValidationReport(lin, reach, top)
-
-
-def _listed(values: list[int]) -> str:
-    """``values``, cut after five entries and counted."""
-    cut = f"{str(values[:5])[:-1]}, ...] ({len(values)} in all)"
-    return str(values) if len(values) <= 5 else cut
+# -- regime ------------------------------------------------------------------
 
 
 def classify_regime(m: WeightModel) -> tuple[Regime, float]:

@@ -7,7 +7,7 @@ import pytest
 
 from splitgrow import (PartitionWeights, SplittingWeights,
                        derive_splitting_weights, make_alpha_class, make_table)
-from splitgrow.solver import UpdateMatrix
+from splitgrow.solver import UpdateMatrix, _update_matrix
 
 DMAX3_ENTRIES = [(1, 2, 1.0), (1, 3, 0.5), (2, 2, 1.0), (2, 3, 1.0)]
 
@@ -38,11 +38,16 @@ def constant_uniform_partition(b=1.0):
     return PartitionWeights(fn)
 
 
-def singular_update_matrix(model, K):
-    """Stand-in for the solver's update matrix whose rows k >= 2 give
-    M[k, k] = 1, so I - M is singular."""
-    return UpdateMatrix(np.diag(model.w2 + model.splitting_weights(K)),
-                        np.empty(0), np.empty(0))
+def singular_at(K_solve):
+    """Stand-in for the solver's update-matrix builder: at ``K_solve`` a
+    matrix whose rows k >= 2 give M[k, k] = 1, so I - M is singular; at any
+    other K (the support verdict's) the model's own matrix."""
+    def build(model, K):
+        if K != K_solve:
+            return _update_matrix(model, K)
+        return UpdateMatrix(np.diag(model.w2 + model.splitting_weights(K)),
+                            np.empty(0), np.empty(0))
+    return build
 
 
 def dense_band_sums(model, K):

@@ -19,7 +19,7 @@ from splitgrow import InvalidParameterError
 from splitgrow.cli import main, parse_weight_expr
 from splitgrow.experiment import FAMILIES, ExperimentConfig, ExperimentReport, worker_count
 from splitgrow.weights import MAX_DEGREE
-from conftest import DMAX3_ENTRIES, doubled_split_entries, singular_update_matrix
+from conftest import DMAX3_ENTRIES, doubled_split_entries, singular_at
 
 E2 = math.e ** 2
 SUPER_EXP = "super-exponential tail; zero-tail truncation used"
@@ -175,7 +175,8 @@ class TestSolve:
                    "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 2 and "error:" in err and "Traceback" not in err
-        assert "not linear" in err and "--force-unsupported" in err
+        assert "linearity (max |w_i - (1*i+0)| = 250 over i <= 300)" in err
+        assert "--force-unsupported" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flags", [
@@ -861,11 +862,12 @@ class TestBadInput:
 
     def test_degenerate_tree_refused(self, tmp_path, capsys):
         # w_i = i - 1 gives a single edge total weight 0: the tree's
-        # rejection sampler must refuse, not loop
-        err = self.run(["simulate", "--family", "preferential", "--w", "i-1",
-                        "--engine", "tree", "--replicas", "1", "--t-final", "100",
-                        "--out", str(tmp_path / "o")], capsys)
-        assert "not positive" in err
+        # rejection sampler must refuse, not loop.  With w_1 = 0 the model
+        # has s = 0, so only a forced run reaches the sampler
+        argv = ["simulate", "--family", "preferential", "--w", "i-1", "--engine", "tree",
+                "--replicas", "1", "--t-final", "100", "--out", str(tmp_path / "o")]
+        assert "regime (regime I with s = 0)" in self.run(argv, capsys)
+        assert "not positive" in self.run([*argv, "--force-unsupported"], capsys)
 
     @pytest.mark.parametrize("key,value", [
         ("engine", "foo"), ("engine", "tree"), ("t_final", "abc"), ("t_final", 1),
@@ -981,7 +983,7 @@ class TestBadInput:
         assert re.search(match, err), err
 
     def test_singular_solve_refused(self, capsys, monkeypatch):
-        monkeypatch.setattr(splitgrow.solver, "_update_matrix", singular_update_matrix)
+        monkeypatch.setattr(splitgrow.solver, "_update_matrix", singular_at(16))
         err = self.run(["solve", "--family", "preferential", "--w", "i",
                         "--K", "16"], capsys)
         assert "singular" in err
@@ -1055,9 +1057,11 @@ class TestValidate:
         assert main(["validate", "--table", str(table)]) == 2
 
     def test_two_colour(self, capsys):
+        # the rows are those of the reduced one-colour model, which the
+        # solve judges
         assert main(["validate", "--family", "rna"]) == 0
         out = capsys.readouterr().out
-        assert "reduced one-colour" in out and "regime III" in out
+        assert "  regime               pass  regime III with s = 1\n" in out
 
 
 class TestConfigPlumbing:

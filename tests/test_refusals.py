@@ -1,17 +1,22 @@
 """Refusals: each bad input names itself in its error, with its error type,
-and a model outside the paper's hypotheses is refused by ``experiment``
-itself, for library callers as for the command line."""
+and a model outside the paper's hypotheses is refused by its one verdict,
+``validate_model``, for library callers as for every command."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import splitgrow.experiment
+import splitgrow.solver
 from splitgrow import (ExperimentConfig, InvalidDegreeError, InvalidParameterError,
                        OrderedTree, PartitionWeights, RegimeError, SplittingWeights,
-                       TwoColourModel, compare, derive_splitting_weights,
+                       TwoColourModel, WeightModel, compare, derive_splitting_weights,
                        fixed_point_densities, grafting_density, make_alpha_class,
                        make_preferential, make_table, pref_attachment_density,
                        run_batch, run_replicated)
+from splitgrow.cli import main
 from splitgrow.experiment import _check_holds
 from conftest import DMAX3_ENTRIES, doubled_split_entries
 
@@ -76,8 +81,9 @@ def one_worker(monkeypatch):
 
 @pytest.mark.parametrize("run", [run_replicated, compare], ids=["run_replicated", "compare"])
 def test_unsupported_model_refused_for_library_callers(one_worker, monkeypatch, run):
-    # compare refuses before its solve: the message is validate_model's
-    monkeypatch.setattr(splitgrow.experiment, "solve_model", None)
+    # run_replicated refuses before it grows, compare in its solve: no
+    # replica grows either way
+    monkeypatch.setattr(splitgrow.experiment, "_simulate_block", None)
     cfg = ExperimentConfig.from_dict({"model": NONLINEAR, "replicas": 2, "t_final": 300})
     with pytest.raises(RegimeError, match="force_unsupported") as exc:
         run(cfg)
@@ -99,13 +105,97 @@ def test_forced_model_runs(one_worker, model, refused):
 
 
 def test_compare_validates_once(one_worker, monkeypatch):
-    # the refusal before the solve is the only validation; the replicas
-    # do not repeat it, and a two-colour model is not validated at all
+    # one verdict per command: compare's solve judges the model and its
+    # replicas do not judge it again, run_replicated judges it once, and a
+    # two-colour model is judged by its reduction
     calls = []
-    real = splitgrow.experiment.validate_model
-    monkeypatch.setattr(splitgrow.experiment, "validate_model",
-                        lambda model: calls.append(model) or real(model))
+    real = splitgrow.solver.validate_model
+    monkeypatch.setattr(splitgrow.solver, "validate_model",
+                        lambda model: calls.append(model.family) or real(model))
     for family in ("preferential", "rna"):
-        compare(ExperimentConfig.from_dict({"model": {"family": family}, "replicas": 2,
-                                            "t_final": 200}))
-    assert [m.family for m in calls] == ["preferential"]
+        cfg = ExperimentConfig.from_dict({"model": {"family": family}, "replicas": 2,
+                                          "t_final": 200})
+        compare(cfg)
+        run_replicated(cfg)
+    assert calls == ["preferential", "preferential", "reduced", "reduced"]
+
+
+def bent_at_100():
+    """``w_i = i`` under uniform partitioning with twice the mass at split
+    degree 100, so ``w_100 = 200``: linear over the degrees 1..16 of the
+    model's own fit, not over the verdict's 1..200."""
+    def fn(i, j):
+        d = i + j - 2
+        return np.where(d >= 1, np.where(d == 100, 4.0, 2.0) / (np.maximum(d, 1) + 1), 0.0)
+
+    return WeightModel(PartitionWeights(fn, by_split_degree=True), family="bent-at-100",
+                       leaf_mass_limit=2.0)
+
+
+# flags of each command besides the model's; compare's z gate is off, since
+# only the verdict is under test
+GROWS = ["--seed", "3", "--replicas", "2", "--t-final", "300"]
+COMMANDS = {"solve": ["--K", "64"], "simulate": GROWS,
+            "compare": [*GROWS, "--z-crit", "1e9"]}
+
+UNSUPPORTED = {
+    "grafting-s0": (["--family", "grafting", "--alpha", "1", "--gamma", "1"],
+                    "regime", "regime I with s = 0"),
+    "two-colour-uniform-s0": (["--family", "two-colour-uniform", "--a", "1.5", "--b", "1"],
+                              "regime", "regime II with s = 0"),
+    "table-300": (["--table", "t300.json"],
+                  "linearity", "max |w_i - (1*i+0)| = 250 over i <= 300"),
+    "bent-at-100": (["--family", "bent-at-100"],
+                    "linearity", "max |w_i - (1*i+0)| = 100 over i <= 200"),
+}
+
+SUPPORTED = {
+    "preferential": ["--family", "preferential"],
+    "uniform": ["--family", "uniform"],
+    "grafting": ["--family", "grafting", "--alpha", "0.5", "--gamma", "0.5"],
+    "table": ["--table", "dmax3.json"],
+    "rna": ["--family", "rna"],
+    "two-colour-uniform": ["--family", "two-colour-uniform", "--a", "1", "--b", "0.3"],
+    "two-colour-grafting": ["--family", "two-colour-grafting", "--a", "1", "--b", "0"],
+}
+
+
+@pytest.fixture
+def cli_models(one_worker, monkeypatch, tmp_path):
+    """The table files in the working directory, and ``bent_at_100`` as a
+    family the CLI can name."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(splitgrow.experiment.FAMILIES, "bent-at-100", ({}, bent_at_100))
+    for name, d_max, entries in (("t300", 300, doubled_split_entries()),
+                                 ("dmax3", 3, DMAX3_ENTRIES)):
+        Path(f"{name}.json").write_text(json.dumps({"d_max": d_max, "entries": entries}))
+
+
+@pytest.mark.parametrize("flags,name,detail", UNSUPPORTED.values(), ids=UNSUPPORTED)
+def test_commands_agree_on_unsupported_models(cli_models, capsys, flags, name, detail):
+    # validate fails the condition, and solve, simulate and compare each
+    # refuse the model with one error: line naming it, before --out exists
+    assert main(["validate", *flags]) == 2
+    assert f"  {name:<20} FAIL  {detail}\n" in capsys.readouterr().out
+    for command, extra in COMMANDS.items():
+        argv = [command, *flags, *extra, "--out", command]
+        assert main(argv) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model fails {name} ({detail})") and err.count("\n") == 1
+        assert not Path(command).exists()
+        assert main([*argv, "--force-unsupported"]) == 0, command
+        capsys.readouterr()
+
+
+def test_supported_points_cover_every_family():
+    assert set(SUPPORTED) == set(splitgrow.experiment.FAMILIES)
+
+
+@pytest.mark.parametrize("flags", SUPPORTED.values(), ids=SUPPORTED)
+def test_commands_agree_on_supported_models(cli_models, flags):
+    assert main(["validate", *flags]) == 0
+    for command, extra in COMMANDS.items():
+        # not a refusal: two-colour grafting's compare fails its colour-sum
+        # check, since its reduced model has no tail closure (ROADMAP item 3)
+        wrong_fail = command == "compare" and flags[1] == "two-colour-grafting"
+        assert main([command, *flags, *extra, "--out", command]) == int(wrong_fail), command

@@ -10,13 +10,13 @@ from splitgrow import (NoConvergenceError, NonPositiveError, PartitionWeights,
                        SplittingWeights, WeightModel, constant_weight_density,
                        fixed_point_densities, make_alpha_class, make_grafting,
                        make_preferential, make_table, make_uniform,
-                       pref_attachment_density, residuals)
+                       pref_attachment_density, residuals, validate_model)
 from splitgrow.solver import _hessenberg_solve, _update_matrix
 from splitgrow.twocolour import (make_rna, make_two_colour_grafting, make_two_colour_uniform,
                                  reduce_to_one_colour, solve_two_colour)
 from splitgrow.weights import MAX_DEGREE, LinearTail
 from conftest import (DMAX3_ENTRIES, constant_uniform_partition, dense_band_sums,
-                      random_case3_model, random_linear_table, singular_update_matrix)
+                      random_case3_model, random_linear_table, singular_at)
 
 
 def band_sums_reference(model, K):
@@ -113,7 +113,7 @@ class TestFixedPoint:
 
     def test_forced_singular_system_raises(self, monkeypatch):
         # lstsq used to return a minimum-norm vector for a singular system
-        monkeypatch.setattr(splitgrow.solver, "_update_matrix", singular_update_matrix)
+        monkeypatch.setattr(splitgrow.solver, "_update_matrix", singular_at(16))
         with pytest.raises(SingularSystemError):
             fixed_point_densities(constant_uniform(), K=16, force_unsupported=True)
 
@@ -137,7 +137,7 @@ class TestFixedPoint:
         # derived weights 1, 2.2, 3.9 are not linear in the degree: refused
         # unless forced, and a forced solve is watermarked
         m = make_table(3, [(1, 2, 1.0), (1, 3, 0.5), (2, 2, 1.0), (2, 3, 1.3)])
-        with pytest.raises(RegimeError, match="not linear"):
+        with pytest.raises(RegimeError, match=r"linearity \(max \|w_i - \(1\*i\+0\)\| = 0\.9 "):
             fixed_point_densities(m)
         sol = fixed_point_densities(m, force_unsupported=True)
         assert sol.unsupported and sol.method == "linear"
@@ -167,9 +167,12 @@ class TestSolveFinite:
         assert np.max(np.abs(lin - fp)) <= 1e-12
 
     def test_degenerate_dmax2_absorbing(self):
-        # degree-2 vertices never split, so all mass drifts into degree 2
+        # degree-2 vertices never split, so all mass drifts into degree 2;
+        # the verdict fails top_splittable, so only a forced solve gets there
         m = make_table(2, [(1, 2, 1.0)])
-        sol = fixed_point_densities(m)
+        with pytest.raises(RegimeError, match="top_splittable"):
+            fixed_point_densities(m)
+        sol = fixed_point_densities(m, force_unsupported=True)
         assert sol.densities == pytest.approx([0.0, 1.0], abs=1e-12)
         assert any("zero" in w for w in sol.warnings)
 
@@ -177,7 +180,7 @@ class TestSolveFinite:
         # derived weights 1, 0, 0 are not linear, so only a forced solve
         # reaches the rank-deficient system
         m = make_table(3, [(1, 2, 1.0)])
-        with pytest.raises(RegimeError, match="not linear"):
+        with pytest.raises(RegimeError, match=r"linearity \(max \|w_i - \(-1\*i\+2\)\| = 1 "):
             fixed_point_densities(m)
         with pytest.raises(RankDeficientError):
             fixed_point_densities(m, force_unsupported=True)
@@ -185,9 +188,13 @@ class TestSolveFinite:
     def test_degree_one_never_splitting_raises(self):
         # the stationary matrix has rank d_max - 1 = 1, and replacing its last
         # row by the normalisation gave the vacuous (0, 1); with the
-        # normalisation in row 0 the remaining row is zero
+        # normalisation in row 0 the remaining row is zero.  Degree 2 is
+        # not leaf-reachable, so only a forced solve gets there
+        m = make_table(2, [(2, 2, 1.0)])
+        with pytest.raises(RegimeError, match="leaf_reachability"):
+            fixed_point_densities(m)
         with pytest.raises(RankDeficientError, match="never split"):
-            fixed_point_densities(make_table(2, [(2, 2, 1.0)]))
+            fixed_point_densities(m, force_unsupported=True)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), d_max=st.integers(2, 8),
@@ -195,26 +202,35 @@ class TestSolveFinite:
     def test_refusal_matches_rank_oracle(self, seed, d_max, leaf_drop, stuck):
         # oracle: the rank of the stationary matrix, and the former solve
         # with the last row replaced by the normalisation; tables whose
-        # degree-1 vertices never split (b = -a) are refused at any rank
+        # degree-1 vertices never split (b = -a) are refused at any rank.
+        # A table the verdict fails is refused unless forced, so the rank
+        # oracle is checked on forced solves
         rng = np.random.default_rng(seed)
         a = float(rng.uniform(0.1, 2.0))
         m = random_linear_table(rng, d_max, a=a, b=-a if stuck else None,
                                 leaf_drop=leaf_drop)
+        if not validate_model(m).ok:
+            with pytest.raises(RegimeError):
+                fixed_point_densities(m)
         A = dense_band_sums(m, d_max) - np.diag(m.w2 + m.splitting_weights(d_max))
         if stuck or np.linalg.matrix_rank(A) < d_max - 1:
             with pytest.raises(RankDeficientError):
-                fixed_point_densities(m)
+                fixed_point_densities(m, force_unsupported=True)
             return
         A[-1, :] = 1.0
         former = np.linalg.solve(A, np.eye(d_max)[-1])
-        assert np.max(np.abs(fixed_point_densities(m).densities - former)) <= 1e-12
+        got = fixed_point_densities(m, force_unsupported=True).densities
+        assert np.max(np.abs(got - former)) <= 1e-12
 
     def test_random_linear_tables_cross_method(self):
         rng = np.random.default_rng(2024)
         for _ in range(25):
             m = random_linear_table(rng, int(rng.integers(2, 8)))
-            lin = fixed_point_densities(m)
-            fp = fixed_point_densities(m, tol=1e-14, max_iter=300_000, record_iterates=True)
+            # a 2-degree table fails top_splittable, so it is forced
+            force = m.d_max == 2
+            lin = fixed_point_densities(m, force_unsupported=force)
+            fp = fixed_point_densities(m, tol=1e-14, max_iter=300_000, record_iterates=True,
+                                       force_unsupported=force)
             assert np.max(np.abs(lin.densities - fp.densities)) <= 1e-10
             assert lin.sum_ka == pytest.approx(2.0, abs=1e-8)
 
@@ -346,11 +362,12 @@ class TestDirectSolve:
         for m in (pref_i(), make_uniform(0.0), make_grafting(0.5, 0.5)):
             calls.clear()
             sol = fixed_point_densities(m, K=64)
-            assert calls == [64], m.family
+            # the verdict's matrix at 201 (degrees 1..200), then the solve's
+            assert calls == [201, 64], m.family
             assert sol.iterations == 0 and sol.last_step == 0.0
 
     def test_singular_system_raises(self, monkeypatch):
-        monkeypatch.setattr(splitgrow.solver, "_update_matrix", singular_update_matrix)
+        monkeypatch.setattr(splitgrow.solver, "_update_matrix", singular_at(16))
         with pytest.raises(SingularSystemError, match="singular"):
             fixed_point_densities(pref_i(), K=16)
 
@@ -376,7 +393,7 @@ class TestDirectSolve:
         # weights 1, 2, 9 are not linear in the degree: refused unless
         # forced, and the forced solve is not a density either
         m = make_table(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 3.0)])
-        with pytest.raises(RegimeError, match="not linear"):
+        with pytest.raises(RegimeError, match=r"linearity \(max \|w_i - \(1\*i\+0\)\| = 6 "):
             fixed_point_densities(m)
         with pytest.raises(NonPositiveError, match="min rho = -3.333e-01"):
             fixed_point_densities(m, force_unsupported=True)

@@ -4,8 +4,8 @@ tests it names must catch it.
     python3 tools/mutants.py            # the control, then every mutant
     python3 tools/mutants.py NAME ...   # the control, then the named ones
 
-The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
-temporary directory.  It first runs every selection on the unmutated copy,
+The runner copies ``src/``, ``tests/``, ``perfbench/`` (a test imports its
+tracer) and ``pyproject.toml`` into a temporary directory.  It first runs every selection on the unmutated copy,
 which must pass.  It then applies one mutant at a time (a snippet that must
 occur exactly once in its file, replaced) and runs the mutant's selection
 with ``-x -q -p no:cacheprovider``, which must fail.  A known survivor
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,22 @@ MUTANTS = [
            "(digit + 48) * (values >= (10 ** e if e else 0))", "(digit + 48)",
            ("tests/test_growth.py", "-k", "TestSerialisation")),
     Mutant("unsupported-model-not-refused", "src/splitgrow/experiment.py",
-           "    _refuse_unsupported(cfg)\n    children = ", "    children = ",
+           "check_support(judged_model(build_model(cfg.model)))",
+           "judged_model(build_model(cfg.model))",
            ("tests/test_refusals.py", "-k", "library_callers or forced_model_runs")),
-    Mutant("compare-skips-the-refusal", "src/splitgrow/experiment.py",
-           "    _refuse_unsupported(cfg)\n    model = ", "    model = ",
-           ("tests/test_refusals.py", "-k", "library_callers")),
+    Mutant("regime-condition-dropped", "src/splitgrow/solver.py",
+           "s > 0.0 and case is not Regime.CASE_II", "True",
+           ("tests/test_refusals.py", "-k", "agree")),
+    Mutant("linearity-span-cut-to-16", "src/splitgrow/solver.py",
+           "span = 200", "span = 16",
+           ("tests/test_refusals.py", "-k", "agree")),
+    Mutant("batch-group-drops-a-replica", "src/splitgrow/growth.py",
+           "del todo[:len(group)]", "del todo[:len(group) + 1]",
+           ("tests/test_growth.py", "-k", "batch_independence")),
+    Mutant("uniforms-from-the-next-replica", "src/splitgrow/growth.py",
+           "self.rngs[r].random((*shape, b - a))",
+           "self.rngs[(r + 1) % len(self.rngs)].random((*shape, b - a))",
+           ("tests/test_growth.py", "-k", "batch_independence")),
     Mutant("run-batch-grows-a-tree", "src/splitgrow/growth.py",
            "        if isinstance(s, OrderedTree):\n"
            '            raise InvalidParameterError("run_batch grows census engines; '
