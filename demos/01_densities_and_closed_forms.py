@@ -12,7 +12,8 @@ the solver.
 import numpy as np
 
 from splitgrow import (SplittingWeights, fixed_point_densities, grafting_density,
-                       make_grafting, make_preferential, make_uniform, uniform_density)
+                       iterate_from_below, make_grafting, make_preferential, make_uniform,
+                       uniform_density)
 
 # ----------------------------------------------------------------------------
 # Attachment-only weights (w_i = i): every split sheds a leaf and the other
@@ -20,7 +21,7 @@ from splitgrow import (SplittingWeights, fixed_point_densities, grafting_density
 # attachment.  The exact law is a_k = 4/(k(k+1)(k+2)).
 
 model = make_preferential(SplittingWeights(1.0, 0.0))
-sol = fixed_point_densities(model, K=400, tol=1e-13)
+sol = fixed_point_densities(model, K=400)
 print("attachment-only, w_i = i")
 print(f"  regime {sol.regime.value}, s = {sol.s:g}, direct solve at K = {sol.K}, "
       f"max stationarity residual {sol.residuals.max_abs:.1e}")
@@ -36,9 +37,9 @@ print(f"  sum a_k = {sol.sum_a + sol.residuals.tail_mass:.12f}   "
 # this power-law family (tail ~ 4 k^-3) is solved to rounding level at K = 400.
 # The from-below iteration reaches the same fixed point step by step:
 
-it = fixed_point_densities(model, K=400, tol=1e-13, record_iterates=True)
-print(f"  from-below iteration: {it.iterations} sweeps, max |iterate - direct| "
-      f"= {np.max(np.abs(it.densities - sol.densities)):.1e}")
+it = iterate_from_below(model, K=400, tol=1e-13)
+print(f"  from-below iteration: {len(it) - 1} sweeps, max |iterate - direct| "
+      f"= {np.max(np.abs(it[-1] - sol.densities)):.1e}")
 
 # ----------------------------------------------------------------------------
 # Uniform partitioning (every ordered child pair equally likely), w_i = i + x.

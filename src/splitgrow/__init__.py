@@ -1,9 +1,9 @@
 """Vertex-splitting random trees.
 
 Growth simulation (planar-tree and urn engines), limiting degree densities
-(direct solve of the stationary system, with the fixed-point iteration as
-its oracle), exact closed forms for the solvable families, and the
-two-colour recolour-and-split variant.  Each exported name is imported from
+(direct solve of the stationary system, with the from-below iteration
+``iterate_from_below`` as its oracle), exact closed forms for the solvable
+families, and the two-colour recolour-and-split variant.  Each exported name is imported from
 its home module on first access (PEP 562): ``import splitgrow`` loads none.
 """
 
@@ -20,8 +20,8 @@ _EXPORTS = {
                 "make_grafting", "make_preferential", "make_table", "make_uniform"),
     "growth": ("CensusSnapshot", "OrderedTree", "SplitEvent", "UrnState", "TwoColourSnapshot",
                "TwoColourState", "run", "run_batch", "write_census_csv"),
-    "solver": ("DensitySolution", "ResidualReport", "fixed_point_densities", "residuals",
-               "validate_model"),
+    "solver": ("DensitySolution", "ResidualReport", "fixed_point_densities",
+               "iterate_from_below", "residuals", "validate_model"),
     "closed_forms": ("ClosedForm", "bessel_i", "closed_form_for", "constant_weight_density",
                      "grafting_asymptote", "grafting_density", "pref_attachment_asymptote",
                      "pref_attachment_density", "pref_attachment_gamma_form",

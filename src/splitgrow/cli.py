@@ -191,8 +191,6 @@ def _solution_doc(sol) -> dict:
         "K": sol.K,
         "regime": sol.regime.value,
         "s": sol.s,
-        "iterations": sol.iterations,
-        "last_step": sol.last_step,
         "sum_a": sol.sum_a,
         "sum_ka": sol.sum_ka,
         "max_residual": sol.residuals.max_abs,

@@ -25,7 +25,8 @@ class RegimeError(SplitgrowError):
 
 
 class NoConvergenceError(SplitgrowError):
-    """Iteration hit the step budget before reaching the tolerance."""
+    """``solver.iterate_from_below`` hit its step budget before a step fell
+    below the tolerance, or reached an iterate that is not finite."""
 
 
 class SingularSystemError(SplitgrowError):

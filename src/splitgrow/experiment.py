@@ -147,7 +147,7 @@ class ExperimentConfig:
     replicas: int = 32
     thin: int = 0                      # 0: final census only
     K: int = 512
-    tol: float = 1e-13
+    tol: float = 1e-13                 # read by no solve; in the digest only
     seed: int = 20240901
     engine: str = "urn"                # "urn" | "tree"
     k_check: int = 8
@@ -427,9 +427,12 @@ def _stack(columns: list[np.ndarray]) -> np.ndarray:
 
 def compare(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the replicated experiment and join it against the analytic
-    densities; the report's ``ok`` drives the CLI exit code.  Fewer than two
-    replicas give zero standard errors and hence no test, so are refused;
-    the solve refuses an unsupported model before any replica grows."""
+    densities; the report's ``ok`` drives the CLI exit code.  A degree on
+    which every replica has the same count has SE 0 and tests nothing, so
+    fewer than two replicas are refused, and so is a run with no checked
+    degree of SE > 0 (as up to t = 3) unless the solve was forced outside
+    the regime, which claims nothing.  The solve refuses an unsupported
+    model before any replica grows."""
     if cfg.replicas < 2:
         raise InvalidParameterError(
             f"compare needs at least 2 replicas for standard errors, got {cfg.replicas}")
@@ -457,10 +460,16 @@ def compare(cfg: ExperimentConfig) -> ExperimentReport:
         ana = _stack([analytic])[0]
         emp = _stack(counts) / cfg.t_final
         mean, se = emp.mean(axis=0), emp.std(axis=0, ddof=1) / np.sqrt(len(emp))
+        se[emp.max(axis=0) == emp.min(axis=0)] = 0.0    # not std's rounding residue
         z = _z_scores(mean, se, ana)
         rows.extend(DegreeRow(colour, k + 1, method, float(ana[k]),
                               float(mean[k]), float(se[k]), float(z[k]))
                     for k in range(REPORT_DEGREES))
+    if not solution.unsupported and not any(r.stderr > 0 for r in rows
+                                            if r.k <= cfg.k_check):
+        raise InvalidParameterError(
+            f"compare has nothing to test: all {cfg.replicas} replicas grow the same "
+            f"census at degrees 1..{cfg.k_check} by t_final {cfg.t_final}")
     if two_colour:
         # vertex-normalised colour sum against the reduced one-colour model
         rho_w, rho_b = densities_from_e(ref)

@@ -23,11 +23,11 @@ forced solve is marked ``unsupported``.
   turns every required tail sum into a closed expression.  The truncated
   system then has the *exact* restriction of the infinite solution as its
   fixed point, which is what lets power-law families meet tight tolerances
-  at moderate K.  By default the K x K system ``(I - M) a = c`` is solved
-  directly.  With ``record_iterates=True`` it is instead reached by the
-  from-below iteration ``a <- M a + c`` started from the zero vector, the
-  constructive route to the minimal solution; the iteration serves as the
-  oracle the direct solves are checked against, for bounded models too.
+  at moderate K.  The K x K system ``(I - M) a = c`` is solved directly.
+  ``iterate_from_below`` reaches it instead by the from-below iteration
+  ``a <- M a + c`` started from the zero vector, the constructive route to
+  the minimal solution; no command runs it, and it serves as the oracle
+  the direct solves are checked against, for bounded models too.
 
 * A bounded model gets the stationary system with its first row replaced
   by ``sum a = 1``; so does a forced unsupported model, truncated at K with
@@ -46,14 +46,6 @@ A degree-k vertex only feeds degrees up to k+1, so the system is upper
 Hessenberg, with the leaf-split masses ``(k-1)*w[k,1]`` on the subdiagonal.
 ``_hessenberg_solve`` solves it in O(K^2): partial pivoting only ever swaps
 adjacent rows (Golub & Van Loan, *Matrix Computations*, Hessenberg LU).
-
-The iterates of the from-below scheme are nondecreasing whenever every
-update coefficient is nonnegative, i.e. for unbounded models (all band
-masses sit at or above ``s``).  For bounded models the first row contains
-the coefficient ``-s`` at the top degree, the early iterates overshoot
-(``a_1^{(1)} = s/(w_2+s)`` may exceed the limit) and convergence is not
-monotone; the fixed point is still the normalised solution provided the
-splitting weights are linear in the degree.
 
 The update matrix ``B[k-1, i-1] = i*w[k, i-k+2]`` is assembled once per
 (model, K) as an ``UpdateMatrix`` and shared by the solve and its residual
@@ -101,6 +93,7 @@ __all__ = [
     "DensitySolution",
     "UpdateMatrix",
     "fixed_point_densities",
+    "iterate_from_below",
     "residuals",
 ]
 
@@ -129,17 +122,20 @@ class DensitySolution:
     regime: Regime
     s: float
     residuals: ResidualReport
-    iterations: int = 0
-    last_step: float = 0.0
-    monotone_ok: bool = True
-    monotone_violation: float = 0.0
     unsupported: bool = False
     warnings: list[str] = field(default_factory=list)
-    iterates: Optional[np.ndarray] = None
     closure: Optional[TailClosure] = None
     # the order of the dense Hessenberg elimination: K when every column is
     # dense, 0 when the solve is the recurrence of a by_split_degree partition
     head_size: int = 0
+    # not a field: the solve is direct.  The benchmark tracer
+    # (perfbench/tracing.py) reads it until ROADMAP item 18 deletes the tracer
+    iterations = 0
+
+    @property
+    def monotone_ok(self) -> bool:
+        """Every density >= -1e-15, as the minimal solution is nonnegative."""
+        return bool(self.densities.min() >= -1e-15)
 
     @property
     def sum_a(self) -> float:
@@ -431,8 +427,7 @@ def check_support(model: WeightModel, force_unsupported: bool = False) -> Valida
     return rep
 
 
-def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
-                          max_iter: int = 1_000_000, record_iterates: bool = False,
+def fixed_point_densities(model: WeightModel, K: int = 512,
                           force_unsupported: bool = False) -> DensitySolution:
     """The model's one solve: the normalised system at K = d_max for a
     bounded model (method ``linear``; RankDeficientError when a degree below
@@ -444,11 +439,6 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
     ``check_support`` unless ``force_unsupported``; the forced result is
     marked ``unsupported``, and an unbounded model then gets the normalised
     system truncated at K with a zero tail (method ``linear-truncated``).
-
-    ``record_iterates`` reaches the fixed point of any model by the
-    from-below iteration, which stops at a step below ``tol`` (or raises
-    NoConvergenceError after ``max_iter``), and keeps the iterate history:
-    the oracle of the direct solves, which ignore ``tol`` and ``max_iter``.
     """
     if K < 2:
         raise InvalidParameterError("K must be >= 2")
@@ -459,28 +449,18 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
                 "no almost-sure census limit is claimed"] if unsupported else []
     K = model.d_max or K
     B = _update_matrix(model, K)
-    history, last_step, violation = None, 0.0, 0.0
-    if record_iterates or not (bounded or unsupported):
-        warnings.extend(B.closure.warnings)
-        wk = model.splitting_weights(K)
-        denom = np.concatenate([[model.w2 + s], model.w2 + wk[1:]])
-        if np.any(denom <= 0):
-            raise RegimeError("nonpositive update denominator (w_2 + w_k <= 0)")
-        if record_iterates:
-            a, history, last_step = _iterate(_update_step(B, denom, s), K, tol, max_iter)
-            violation = max(0.0, -float(np.min(np.diff(history, axis=0))))
-        else:
-            # row 1 with the shifted coefficients -(i*w[1,i+1] - s), i >= 2
-            row1 = s - B.first_row()
-            row1[0] = denom[0]
-            a = _solve_stationary(B, denom, row1, s, B.closure.Qg - s * B.closure.Q0,
-                                  f"the fixed-point system at K = {K}")
-            # the minimal solution is nonnegative
-            violation = max(0.0, -float(a.min()))
-        method = "fixed-point"
-    else:
+    if bounded or unsupported:
         a = _sum_normalised(model, B)
         method = "linear" if bounded else "linear-truncated"
+    else:
+        warnings.extend(B.closure.warnings)
+        denom = _denominators(model, s, K)
+        # row 1 with the shifted coefficients -(i*w[1,i+1] - s), i >= 2
+        row1 = s - B.first_row()
+        row1[0] = denom[0]
+        a = _solve_stationary(B, denom, row1, s, B.closure.Qg - s * B.closure.Q0,
+                              f"the fixed-point system at K = {K}")
+        method = "fixed-point"
     res = _residual_report(model, a, B)
     if method == "linear":
         if np.any(a < -1e-12):
@@ -492,10 +472,60 @@ def fixed_point_densities(model: WeightModel, K: int = 512, tol: float = 1e-13,
                             "weights are likely inconsistent")
     return DensitySolution(
         densities=a, K=K, method=method, regime=regime, s=s, residuals=res,
-        iterations=0 if history is None else len(history) - 1, last_step=last_step,
-        monotone_ok=violation <= 1e-15, monotone_violation=violation,
-        unsupported=unsupported, warnings=warnings, iterates=history,
-        closure=B.closure, head_size=B.head_size)
+        unsupported=unsupported, warnings=warnings, closure=B.closure, head_size=B.head_size)
+
+
+def _denominators(model: WeightModel, s: float, K: int) -> np.ndarray:
+    """The row scales of the fixed-point system, ``w_2 + s`` for row 1 and
+    ``w_2 + w_k`` for k = 2..K; RegimeError unless all are positive."""
+    denom = np.concatenate([[model.w2 + s], model.w2 + model.splitting_weights(K)[1:]])
+    if np.any(denom <= 0):
+        raise RegimeError("nonpositive update denominator (w_2 + w_k <= 0)")
+    return denom
+
+
+def iterate_from_below(model: WeightModel, K: int = 512, tol: float = 1e-13,
+                       max_iter: int = 1_000_000) -> np.ndarray:
+    """The paper's from-below iteration ``a <- M a + c`` of the fixed-point
+    system, from the zero vector, at K (K = d_max for a bounded model), the
+    sums beyond K closed as in the solve.  It stops at the first step whose
+    largest change is below ``tol`` and returns the stacked iterates, the
+    zero vector first.  It judges no support: this is the oracle the direct
+    solves are tested against, which no command runs.
+
+    The iterates are nondecreasing when every coefficient of ``M`` is
+    nonnegative, i.e. for unbounded models (every band mass is at least
+    ``s``).  A bounded model's row 1 holds ``-s`` at the top degree, so its
+    early iterates overshoot (``a_1 = s/(w_2+s)`` after one step); the
+    limit is still the normalised solution when the splitting weights are
+    linear in the degree.  NoConvergenceError after ``max_iter`` steps, or
+    at the first iterate that is not finite."""
+    if K < 2:
+        raise InvalidParameterError("K must be >= 2")
+    s = classify_regime(model)[1]
+    K = model.d_max or K
+    B = _update_matrix(model, K)
+    denom = _denominators(model, s, K)
+    clo = B.closure
+    row0 = B.first_row() - s
+    row0[0] = 0.0
+    a = np.zeros(K)
+    history = [a]
+    step = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):         # checked below
+        for n in range(1, max_iter + 1):
+            y = (B @ a) / denom
+            y[0] = (row0 @ a + s + (clo.Qg - s * clo.Q0) * a[-1]) / denom[0]
+            y[1] += clo.Qh * a[-1] / denom[1]
+            step = float(np.max(np.abs(y - a)))
+            if not math.isfinite(step):
+                raise NoConvergenceError(f"iterate {n} of at most {max_iter} is not finite")
+            a = y
+            history.append(a)
+            if step < tol:
+                return np.array(history)
+    raise NoConvergenceError(
+        f"no convergence after {max_iter} iterations (last step {step:.3e})")
 
 
 def _solve_stationary(B: UpdateMatrix, diag: np.ndarray, row1: np.ndarray, rhs1: float,
@@ -564,45 +594,6 @@ def _recurrence_solve(beta: np.ndarray, diag: np.ndarray, what: str) -> np.ndarr
         raise SingularSystemError(
             f"{what}: the backward recurrence divides by zero at degree {k + 1}") from None
     return np.cumprod(r)
-
-
-def _update_step(B: UpdateMatrix, denom: np.ndarray, s: float):
-    """The map ``a -> M a + c`` of the fixed-point system, without forming M."""
-    row0 = B.first_row() - s
-    row0[0] = 0.0
-    w2s = denom[0]
-    clo = B.closure
-
-    def step(a):
-        y = (B @ a) / denom
-        y[0] = row0 @ a / w2s + s / w2s
-        y[0] += (clo.Qg - s * clo.Q0) * a[-1] / w2s
-        y[1] += clo.Qh * a[-1] / denom[1]
-        return y
-
-    return step
-
-
-def _iterate(step, K, tol, max_iter):
-    """From-below iteration ``a <- step(a)`` from zero; returns the last
-    iterate, the stacked history (zero vector first) and the last step.
-    An iterate that is not finite ends it with NoConvergenceError."""
-    a = np.zeros(K)
-    history = [a]
-    last_step = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):         # checked below
-        for n in range(1, max_iter + 1):
-            a_new = step(a)
-            last_step = float(np.max(np.abs(a_new - a)))
-            if not math.isfinite(last_step):
-                raise NoConvergenceError(
-                    f"iterate {n} of at most {max_iter} is not finite")
-            a = a_new
-            history.append(a)
-            if last_step < tol:
-                return a, np.array(history), last_step
-    raise NoConvergenceError(
-        f"no convergence after {max_iter} iterations (last step {last_step:.3e})")
 
 
 def _hessenberg_solve(H: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:

@@ -148,16 +148,16 @@ class TestSolve:
 
     @pytest.mark.parametrize("flags,digest", [
         (["--family", "preferential", "--w", "i", "--K", "512"],
-         "93ed957fe85e29189ef81c5fb392934333154a1b02572a9618f3f5e7481283e5"),
+         "b7878677c407f9eec5ce4d7a72d176f1512946c6dcb52be993cb865bb847f8ce"),
         (["--family", "uniform", "--x", "0", "--K", "1024"],
-         "5e63dbdca46a204740c5c4a5bc6618022f83b587c3fbe573e6d91ba5aa1424ba"),
+         "205adf53123ea7023999f7dd68c4e69d04197ac7d7dcebf6cf011b15061ae029"),
         (["--family", "grafting", "--alpha", "0.5", "--gamma", "0.5", "--K", "1024"],
-         "f0bf222caf4ce9ad8c07d0de659539596d0db85cfc1758b41bc7fbb62ea5d3e1"),
+         "439a21a831eb7c9850b3da9bdefecd32ff221d90cb5eab08f19bef9a706e0119"),
         (["--table"],
-         "8dd22fe54375c91eed53f7c54396583dd5f9c1d3534dee9407869ff442354cb4"),
+         "1e8e05e762d3f296ab9325bea36fc53e4b5dd8009277e3d2f64652ad92032857"),
         (["--family", "grafting", "--alpha", "1", "--gamma", "1", "--K", "64",
           "--force-unsupported"],
-         "f28f0d96c2ee0e4108ac622e9b24b1f4d390bb6c76de8803b5f5798836c7dbb9"),
+         "29039d848d17b8e81439813bbb2c6545b72d001b84e9bf5eb0f074b93f9f3298"),
         (["--family", "rna", "--K", "256"],
          "cce0c0a9b47fd620436600b09390f274cf70bb6561efb48db055c285c4e7b5b3"),
     ], ids=["preferential", "uniform", "grafting", "table", "grafting-forced", "rna"])
@@ -733,6 +733,29 @@ class TestBadInput:
                         "--out", str(tmp_path / "o")], capsys)
         assert "2 replicas" in err
         assert not (tmp_path / "o/report.csv").exists()
+
+    @pytest.mark.parametrize("model", [["--family", "preferential", "--w", "i"],
+                                       ["--family", "rna"]], ids=["one-colour", "two-colour"])
+    def test_compare_without_variation_refused(self, model, tmp_path, capsys, monkeypatch):
+        # every replica starts from one edge, and up to t = 3 every model
+        # grows the same census: every SE is 0 and nothing is tested.  At 16
+        # replicas std's rounding residue (~1e-17) once passed for an SE and
+        # FAILed these runs with |z| ~ 1e16
+        monkeypatch.setenv("SPLITGROW_THREADS", "1")
+        err = self.run(["compare", *model, "--replicas", "16", "--t-final", "3",
+                        "--out", str(tmp_path / "o")], capsys)
+        assert "nothing to test" in err
+        assert not (tmp_path / "o/report.csv").exists()
+        # at t = 4 some degrees vary; those on which all replicas agree have
+        # SE exactly 0
+        assert main(["compare", *model, "--replicas", "4", "--t-final", "4", "--seed", "1",
+                     "--out", str(tmp_path / "four")]) == 0
+        err = capsys.readouterr().err
+        assert "compare PASS" in err
+        assert float(err.split("max |z| = ")[1].split()[0]) < 3
+        rows = (tmp_path / "four/report.csv").read_text().splitlines()
+        stderrs = [float(r.split(",")[5]) for r in rows if not r.startswith(("#", "colour"))]
+        assert 0 in stderrs and min(x for x in stderrs if x > 0) > 1e-3
 
     def test_k_check_beyond_report_refused(self, tmp_path, capsys):
         # the report holds degrees 1..16, so k_check = 40 would gate only 16

@@ -229,6 +229,6 @@ ORACLE_CASES = [
 
 @pytest.mark.parametrize("name,model,oracle", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
 def test_solver_matches_closed_form(name, model, oracle):
-    sol = fixed_point_densities(model, K=400, tol=1e-13)
+    sol = fixed_point_densities(model, K=400)
     exact = np.array([oracle(k) for k in range(1, 51)])
     assert np.max(np.abs(sol.densities[:50] - exact)) <= 1e-8

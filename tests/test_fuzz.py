@@ -78,9 +78,9 @@ def configs(draw):
                                             "entries": DMAX3_ENTRIES},
                                   "t_final": 2, "replicas": 1, "K": 2})
 @example(command="compare", config={"model": {"family": "uniform", "x": float("inf")},
-                                    "t_final": 2, "replicas": 2, "K": 2})
+                                    "t_final": 4, "replicas": 2, "K": 2})
 @example(command="compare", config={"model": {"family": "uniform", "x": 1e300},
-                                    "t_final": 2, "replicas": 2, "K": 2})
+                                    "t_final": 4, "replicas": 2, "K": 2})
 @example(command="solve", config={"model": {"family": "table", "d_max": 1e300,
                                             "entries": DMAX3_ENTRIES},
                                   "t_final": 2, "replicas": 1, "K": 2})

@@ -8,7 +8,8 @@ import splitgrow.solver
 from splitgrow import (NoConvergenceError, NonPositiveError, PartitionWeights,
                        RankDeficientError, Regime, RegimeError, SingularSystemError,
                        SplittingWeights, WeightModel, constant_weight_density,
-                       fixed_point_densities, make_alpha_class, make_grafting,
+                       fixed_point_densities, iterate_from_below, make_alpha_class,
+                       make_grafting,
                        make_preferential, make_table, make_uniform,
                        pref_attachment_density, residuals, validate_model)
 from splitgrow.solver import _hessenberg_solve, _update_matrix
@@ -42,39 +43,37 @@ class TestFixedPoint:
     def test_hand_iterates(self):
         # first sweep: a_1 = s/(w_2+s) = 1/3, everything else 0;
         # second sweep: a_2 = (1/(w_2+w_2)) * 1 * w[2,1] * a_1 = 1/12
-        sol = fixed_point_densities(pref_i(), K=16, tol=1e-13, record_iterates=True)
-        hist = sol.iterates
+        hist = iterate_from_below(pref_i(), K=16, tol=1e-13)
         assert hist[0] == pytest.approx(np.zeros(16))
         assert hist[1][0] == pytest.approx(1 / 3, abs=1e-15)
         assert hist[1][1:] == pytest.approx(np.zeros(15))
         assert hist[2][1] == pytest.approx(1 / 12, abs=1e-15)
 
     def test_plane_recursive_densities(self):
-        sol = fixed_point_densities(pref_i(), K=400, tol=1e-14)
+        sol = fixed_point_densities(pref_i(), K=400)
         assert sol.regime is Regime.CASE_III and sol.s == pytest.approx(1.0)
         for k, expect in ((1, 2 / 3), (2, 1 / 6), (3, 1 / 15)):
             assert sol[k] == pytest.approx(expect, abs=1e-10)
 
     def test_recursive_tree_densities(self):
-        sol = fixed_point_densities(make_grafting(0.0, 1.0), K=128, tol=1e-14)
+        sol = fixed_point_densities(make_grafting(0.0, 1.0), K=128)
         expect = 2.0 ** -np.arange(1, 41)
         assert np.max(np.abs(sol.densities[:40] - expect)) <= 1e-10
 
     def test_monotone_for_unbounded_families(self):
         for m in (pref_i(), make_uniform(0.0), make_grafting(0.5, 0.5)):
-            sol = fixed_point_densities(m, K=128, tol=1e-12, record_iterates=True)
-            assert sol.iterations > 0
-            assert sol.monotone_ok, m.family
+            hist = iterate_from_below(m, K=128, tol=1e-12)
+            assert len(hist) > 1
+            assert np.diff(hist, axis=0).min() >= -1e-15, m.family
 
     def test_bounded_table_overshoots_then_settles(self, dmax3):
         # the shifted first row carries coefficient -s at the top degree, so
         # a_1 starts at s/(w_2+s) = 1/3 above its limit 1/4: convergence is
         # correct but not monotone
-        sol = fixed_point_densities(dmax3, K=3, tol=1e-14, record_iterates=True)
-        assert sol.densities == pytest.approx([0.25, 0.5, 0.25], abs=1e-11)
-        assert sol.iterates[1][0] == pytest.approx(1 / 3)
-        assert not sol.monotone_ok
-        assert sol.monotone_violation > 1e-6
+        hist = iterate_from_below(dmax3, K=3, tol=1e-14)
+        assert hist[-1] == pytest.approx([0.25, 0.5, 0.25], abs=1e-11)
+        assert hist[1][0] == pytest.approx(1 / 3)
+        assert -np.diff(hist, axis=0).min() > 1e-6
 
     def test_bounded_truncation_is_forced(self, dmax3):
         # K is the bound whatever K is asked for; it is the model's own
@@ -85,18 +84,18 @@ class TestFixedPoint:
 
     def test_iterate_sums_bounded(self):
         for m in (pref_i(), make_uniform(0.0), make_grafting(0.5, 0.5)):
-            sol = fixed_point_densities(m, K=64, tol=1e-10, record_iterates=True)
-            sums = sol.iterates.sum(axis=1)
-            moments = (sol.iterates * np.arange(1, 65)).sum(axis=1)
+            hist = iterate_from_below(m, K=64, tol=1e-10)
+            sums = hist.sum(axis=1)
+            moments = (hist * np.arange(1, 65)).sum(axis=1)
             assert (sums <= 1 + 1e-12).all()
             assert (moments <= 2 + 1e-12).all()
 
     def test_truncation_stability(self):
-        a = fixed_point_densities(pref_i(), K=256, tol=1e-13).densities
-        b = fixed_point_densities(pref_i(), K=512, tol=1e-13).densities
+        a = fixed_point_densities(pref_i(), K=256).densities
+        b = fixed_point_densities(pref_i(), K=512).densities
         assert np.max(np.abs(a[:128] - b[:128])) <= 1e-9
-        u = fixed_point_densities(make_uniform(0.0), K=64, tol=1e-13).densities
-        v = fixed_point_densities(make_uniform(0.0), K=128, tol=1e-13).densities
+        u = fixed_point_densities(make_uniform(0.0), K=64).densities
+        v = fixed_point_densities(make_uniform(0.0), K=128).densities
         assert np.max(np.abs(u[:32] - v[:32])) <= 1e-12
 
     def test_case2_raises_without_override(self):
@@ -119,18 +118,17 @@ class TestFixedPoint:
 
     def test_no_convergence_raises(self):
         with pytest.raises(NoConvergenceError):
-            fixed_point_densities(pref_i(), K=64, tol=1e-15, max_iter=3,
-                                  record_iterates=True)
+            iterate_from_below(pref_i(), K=64, tol=1e-15, max_iter=3)
 
     def test_non_finite_iterate_stops_the_iteration(self):
-        # the forced table with weights 1, 2, 9 overflows within a few
-        # thousand steps: the iteration stops at the first non-finite
-        # iterate, without warnings, instead of running every step on NaN
+        # the table with weights 1, 2, 9 (which the solve refuses unless
+        # forced) overflows within a few thousand steps: the iteration stops
+        # at the first non-finite iterate, without warnings, instead of
+        # running every step on NaN
         m = make_table(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 3.0)])
         assert [m.w(d) for d in (1, 2, 3)] == [1.0, 2.0, 9.0]
         with pytest.raises(NoConvergenceError, match="not finite") as err:
-            fixed_point_densities(m, record_iterates=True, force_unsupported=True,
-                                  max_iter=100_000)
+            iterate_from_below(m, max_iter=100_000)
         assert int(str(err.value).split()[1]) < 10_000
 
     def test_nonlinear_table_warns(self):
@@ -144,9 +142,8 @@ class TestFixedPoint:
         assert any("forced solve" in w for w in sol.warnings)
         assert any("sum k*rho deviates" in w for w in sol.warnings)
         # without linear weights the shifted fixed point is not normalised
-        fp = fixed_point_densities(m, max_iter=200_000, record_iterates=True,
-                                   force_unsupported=True)
-        assert fp.unsupported and abs(fp.sum_a - 1.0) > 0.1
+        fp = iterate_from_below(m, max_iter=200_000)[-1]
+        assert abs(fp.sum() - 1.0) > 0.1
 
 
 class TestSolveFinite:
@@ -163,7 +160,7 @@ class TestSolveFinite:
 
     def test_cross_method_agreement(self, dmax3):
         lin = fixed_point_densities(dmax3).densities
-        fp = fixed_point_densities(dmax3, K=3, tol=1e-14, record_iterates=True).densities
+        fp = iterate_from_below(dmax3, K=3, tol=1e-14)[-1]
         assert np.max(np.abs(lin - fp)) <= 1e-12
 
     def test_degenerate_dmax2_absorbing(self):
@@ -229,9 +226,8 @@ class TestSolveFinite:
             # a 2-degree table fails top_splittable, so it is forced
             force = m.d_max == 2
             lin = fixed_point_densities(m, force_unsupported=force)
-            fp = fixed_point_densities(m, tol=1e-14, max_iter=300_000, record_iterates=True,
-                                       force_unsupported=force)
-            assert np.max(np.abs(lin.densities - fp.densities)) <= 1e-10
+            fp = iterate_from_below(m, tol=1e-14, max_iter=300_000)[-1]
+            assert np.max(np.abs(lin.densities - fp)) <= 1e-10
             assert lin.sum_ka == pytest.approx(2.0, abs=1e-8)
 
 
@@ -261,7 +257,7 @@ class TestResiduals:
     def test_converged_residual_tracks_tolerance(self):
         tol = 1e-13
         for m in (pref_i(), make_uniform(0.0), make_grafting(0.5, 1.0)):
-            sol = fixed_point_densities(m, K=256, tol=tol)
+            sol = fixed_point_densities(m, K=256)
             assert sol.residuals.max_abs <= 10 * tol + sol.residuals.tail_mass + 1e-10
 
     def test_solution_bounds(self):
@@ -283,26 +279,22 @@ class TestMonotoneConstruction:
     def test_random_case3_models_monotone(self, seed):
         rng = np.random.default_rng(seed)
         m = random_case3_model(rng)
-        sol = fixed_point_densities(m, K=48, tol=1e-11, record_iterates=True,
-                                    max_iter=200_000)
-        diffs = np.diff(sol.iterates, axis=0)
-        assert diffs.min() >= -1e-15
-        assert sol.monotone_ok
+        hist = iterate_from_below(m, K=48, tol=1e-11, max_iter=200_000)
+        assert np.diff(hist, axis=0).min() >= -1e-15
 
 
 class TestDirectSolve:
-    """The default path solves (I - M) a = c in one call; the from-below
-    iteration (record_iterates=True) is its oracle."""
+    """The solve takes (I - M) a = c in one call; the from-below iteration
+    (iterate_from_below) is its oracle."""
 
     @pytest.mark.parametrize("model", [
         pref_i(), make_uniform(0.0), make_grafting(0.5, 0.5),
         make_table(3, DMAX3_ENTRIES)], ids=["pref", "uniform", "grafting", "dmax3"])
     def test_direct_matches_iteration(self, model):
-        direct = fixed_point_densities(model, K=256, tol=1e-14)
-        iterated = fixed_point_densities(model, K=256, tol=1e-14,
-                                         record_iterates=True, max_iter=300_000)
-        assert direct.iterations == 0 and iterated.iterations > 0
-        assert np.max(np.abs(direct.densities - iterated.densities)) <= 1e-10
+        direct = fixed_point_densities(model, K=256)
+        iterated = iterate_from_below(model, K=256, tol=1e-14, max_iter=300_000)
+        assert len(iterated) > 1
+        assert np.max(np.abs(direct.densities - iterated[-1])) <= 1e-10
         assert direct.residuals.max_abs <= 1e-13
         assert direct.monotone_ok
 
@@ -361,10 +353,9 @@ class TestDirectSolve:
         monkeypatch.setattr(splitgrow.solver, "_update_matrix", counting)
         for m in (pref_i(), make_uniform(0.0), make_grafting(0.5, 0.5)):
             calls.clear()
-            sol = fixed_point_densities(m, K=64)
+            fixed_point_densities(m, K=64)
             # the verdict's matrix at 201 (degrees 1..200), then the solve's
             assert calls == [201, 64], m.family
-            assert sol.iterations == 0 and sol.last_step == 0.0
 
     def test_singular_system_raises(self, monkeypatch):
         monkeypatch.setattr(splitgrow.solver, "_update_matrix", singular_at(16))
@@ -499,10 +490,9 @@ class TestUpdateMatrix:
                              ids=[n for n, _ in update_matrix_models()])
     def test_fixed_point_matches_iteration(self, name, model):
         direct = fixed_point_densities(model, K=64)
-        iterated = fixed_point_densities(model, K=64, tol=1e-15, max_iter=300_000,
-                                         record_iterates=True)
-        assert np.max(np.abs(direct.densities - iterated.densities)) <= 1e-12
-        assert iterated.monotone_ok
+        iterated = iterate_from_below(model, K=64, tol=1e-15, max_iter=300_000)
+        assert np.max(np.abs(direct.densities - iterated[-1])) <= 1e-12
+        assert np.diff(iterated, axis=0).min() >= -1e-15
 
     @pytest.mark.parametrize("model", [pref_i(), make_grafting(0.5, 0.5),
                                        make_grafting(0.0, 1.0)],
