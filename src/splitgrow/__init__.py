@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("DegeneracyError", "InvalidDegreeError", "InvalidParameterError",
                "NoConvergenceError", "NonPositiveError", "RankDeficientError",
-               "ReductionInvalidError", "RegimeError", "SingularSystemError", "SplitgrowError",
-               "UnknownTailError"),
+               "RegimeError", "SingularSystemError", "SplitgrowError", "UnknownTailError"),
     "weights": ("LinearTail", "PartitionWeights", "Regime", "SplittingWeights", "WeightModel",
                 "classify_regime", "derive_splitting_weights", "make_alpha_class",
                 "make_grafting", "make_preferential", "make_table", "make_uniform"),

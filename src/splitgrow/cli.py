@@ -45,7 +45,9 @@ def parse_weight_expr(expr: str) -> SplittingWeights:
             a = -1.0
         else:
             a = float(head[:-1] if head.endswith("*") else head)
-        b = float(rest) if rest else 0.0
+        if rest[:1] not in "+-":                # "i2" is not i + 2
+            raise ValueError(rest)
+        b = float(rest or 0.0)
     except ValueError:
         raise InvalidParameterError(
             f"cannot parse weight expression {expr!r}; expected a*i+b, "

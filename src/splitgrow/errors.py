@@ -2,8 +2,7 @@
 
 __all__ = ["SplitgrowError", "InvalidParameterError", "UnknownTailError", "RegimeError",
            "NoConvergenceError", "SingularSystemError", "RankDeficientError",
-           "NonPositiveError", "DegeneracyError", "InvalidDegreeError",
-           "ReductionInvalidError"]
+           "NonPositiveError", "DegeneracyError", "InvalidDegreeError"]
 
 
 class SplitgrowError(Exception):
@@ -53,7 +52,3 @@ class DegeneracyError(SplitgrowError):
 
 class InvalidDegreeError(SplitgrowError):
     """No admissible split exists for the requested degree."""
-
-
-class ReductionInvalidError(SplitgrowError):
-    """The two-colour to one-colour reduction produced an invalid model."""

@@ -638,7 +638,7 @@ _BLOCK = 4096
 
 def _advance_census(state, clocks: list[int], totals: np.ndarray, removed: np.ndarray,
                     added: tuple[np.ndarray, ...],
-                    weights: Optional[list[float]] = None) -> list[CensusSnapshot]:
+                    weights: Optional[np.ndarray] = None) -> list[CensusSnapshot]:
     """Move ``state``'s census, clock and running total past events and
     return its snapshots at the ``clocks`` they reach, which leave the list.
 
@@ -687,7 +687,7 @@ def _advance_census(state, clocks: list[int], totals: np.ndarray, removed: np.nd
     state.counts = counts.tolist()
     new = range(len(state.weights), len(state.counts))
     state.weights += (map(state._class_weight, new) if weights is None
-                      else weights[new.start:new.stop])
+                      else weights[new.start:new.stop].tolist())
     return snaps
 
 
@@ -870,8 +870,9 @@ class _ClassLaws:
     recolouring class has the one entry ``(c - 1, -1)``, and under chains a
     splitting class of leaf mass ``g(d) > 0`` the one entry ``(0, c + 1)``,
     read from no split law.  A class of positive weight with no entry has
-    no admissible split.  The tables are Python lists, with numpy copies
-    made on demand.
+    no admissible split.  The tables are numpy arrays, extended by one
+    ``concatenate`` each as classes are added: ``w`` ends in a weight 0 and
+    the kids in a class -1, which index -1, "none", reads.
     """
 
     def __init__(self, state):
@@ -879,26 +880,25 @@ class _ClassLaws:
         self.split_model, self.stride, self.gain = state._layout()
         self.chains = state.kernel == "chains"
         self._weight_of = state._class_weight
-        self.w: list[float] = []
-        self.inv_w: list[float] = []            # 1 / w_c; inf for a class that never dies
-        self.lo: list[int] = []
-        self.hi: list[int] = []
-        self.keys: list[float] = []
-        self.kid1, self.kid2 = [], []           # each entry's child classes, -1 for none
-        self._arrays = [np.zeros(1), np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64),
-                        np.empty(0), np.full(1, -1, np.int64), np.full(1, -1, np.int64)]
+        self.w = np.zeros(1)
+        self.inv_w = np.empty(0)                # 1 / w_c; inf for a class that never dies
+        self.lo = self.hi = np.empty(0, np.int64)
+        self.keys = np.empty(0)
+        self.kid1 = self.kid2 = np.full(1, -1, np.int64)    # each entry's child classes
 
     def cover(self, n: int) -> None:
         """Rates of every class below ``n``."""
-        for c in range(len(self.w), n):
-            wc = float(self._weight_of(c))
-            self.w.append(wc)
-            self.inv_w.append(1.0 / wc if wc > 0 else math.inf)
+        new = np.array([self._weight_of(c) for c in range(len(self.inv_w), n)], float)
+        if len(new):
+            self.w = np.concatenate((self.w[:-1], new, [0.0]))
+            with np.errstate(divide="ignore"):
+                self.inv_w = np.concatenate((self.inv_w, np.where(new > 0, 1.0 / new, math.inf)))
 
     def cover_laws(self, n: int) -> None:
         """Rates and event laws of every class below ``n``."""
         self.cover(n)
         s, model = self.stride, self.split_model
+        lo, keys, kid1, kid2 = [], [], [], []
         for c in range(len(self.lo), n):
             d, run = c // s + 1, ()
             if not self.w[c] > 0:
@@ -911,27 +911,18 @@ class _ClassLaws:
                 ks, cum, wsum = model.split_distribution(d)
                 if wsum > 0:
                     run = [(x / wsum, s * k - 1, s * (d + 2 - k) - 1) for k, x in zip(ks, cum)]
-            self.lo.append(len(self.keys))
+            lo.append(len(self.keys) + len(keys))
             for x, k1, k2 in run:
-                self.keys.append(c + x)
-                self.kid1.append(k1)
-                self.kid2.append(k2)
-            self.hi.append(len(self.keys))
-
-    def arrays(self) -> list[np.ndarray]:
-        """``w, inv_w, lo, hi, keys, kid1, kid2`` as arrays; ``w`` ends in a
-        weight 0 and the kids in a class -1, which index -1, "none", reads."""
-        w, inv_w, lo, hi, keys, kid1, kid2 = self._arrays
-        n, m, nk = len(inv_w), len(lo), len(keys)
-        if n < len(self.w) or m < len(self.lo):
-            self._arrays = [np.concatenate((w[:-1], self.w[n:], [0.0])),
-                            np.concatenate((inv_w, self.inv_w[n:])),
-                            np.concatenate((lo, np.array(self.lo[m:], np.int64))),
-                            np.concatenate((hi, np.array(self.hi[m:], np.int64))),
-                            np.concatenate((keys, np.array(self.keys[nk:], float))),
-                            *(np.concatenate((old[:-1], np.array(new[nk:] + [-1], np.int64)))
-                              for old, new in ((kid1, self.kid1), (kid2, self.kid2)))]
-        return self._arrays
+                keys.append(c + x)
+                kid1.append(k1)
+                kid2.append(k2)
+        if lo:
+            hi = lo[1:] + [len(self.keys) + len(keys)]
+            self.lo, self.hi = (np.concatenate((old, np.array(new, np.int64)))
+                                for old, new in ((self.lo, lo), (self.hi, hi)))
+            self.keys = np.concatenate((self.keys, keys))
+            self.kid1, self.kid2 = (np.concatenate((old[:-1], np.array(new + [-1], np.int64)))
+                                    for old, new in ((self.kid1, kid1), (self.kid2, kid2)))
 
 
 class _Growth:
@@ -981,7 +972,7 @@ class _Growth:
         laws.cover(max(len(s.counts) for s in states))
         c = np.concatenate([np.repeat(np.arange(len(s.counts)), s.counts) for s in states])
         rep = np.repeat(np.arange(n), [sum(s.counts) for s in states])
-        live = np.flatnonzero(laws.arrays()[0][c] > 0)
+        live = np.flatnonzero(laws.w[c] > 0)
         self.frontier = np.zeros(len(live)), c[live], rep[live]
         self.horizon = np.zeros(n)
         self.horizon[:] = [self._next_horizon(r) for r in range(n)]
@@ -1036,14 +1027,14 @@ class _Growth:
         class's one entry; returns their children that can die."""
         laws = self.laws
         laws.cover_laws(int(c.max()) + 1)
-        _, _, lo, hi, keys, kid1, kid2 = laws.arrays()
+        lo, hi, keys = laws.lo, laws.hi, laws.keys
         a, b = lo[c], hi[c]
         e = a if u is None else \
             np.minimum(np.maximum(np.searchsorted(keys, c + u, side="right"), a), b - 1)
         e = np.where(b > a, e, -1)
-        k1, k2 = kid1[e], kid2[e]
+        k1, k2 = laws.kid1[e], laws.kid2[e]
         laws.cover(int(max(k1.max(), k2.max())) + 1)
-        w = laws.arrays()[0]
+        w = laws.w
         self._log(t, c, e, rep, w[k1] + w[k2] - w[c])
         kids = np.stack((k1, k2), axis=1).ravel()
         live = np.flatnonzero(w[kids] > 0)
@@ -1052,7 +1043,7 @@ class _Growth:
     def _expand(self, birth, c, rep):
         """One generation of each replica; returns the next."""
         u = self._uniforms(rep, 2)
-        death = birth - np.log1p(-u[0]) * self.laws.arrays()[1][c]
+        death = birth - np.log1p(-u[0]) * self.laws.inv_w[c]
         ev = death < self.horizon[rep]
         park, go = np.flatnonzero(~ev), np.flatnonzero(ev)
         self._park(death[park], c[park], rep[park])
@@ -1083,7 +1074,7 @@ class _Growth:
                 t = np.empty((len(c_l), L))
                 for r, a, b in self._slices(rep_l):
                     self.rngs[r].standard_exponential((b - a, L), out=t[a:b])
-                t *= laws.arrays()[1][cls]
+                t *= laws.inv_w[cls]
                 t[:, 0] += birth_l
                 np.cumsum(t, axis=1, out=t)
                 # the times grow, so each row's events are a prefix, n of its L
@@ -1103,7 +1094,7 @@ class _Growth:
         if not len(c):
             return t, c, rep
         laws.cover_laws(int(c.max()) + 1)
-        w, _, lo, hi, *_ = laws.arrays()
+        w, lo, hi = laws.w, laws.lo, laws.hi
         self._log(t, c, np.where(hi[c] > lo[c], lo[c], -1), rep, w[c + 1] - w[c], w[0])
         keep = len(t) if w[0] > 0 else 0
         return t[:keep], np.zeros(keep, np.int64), rep[:keep]
@@ -1233,11 +1224,10 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
                 if (e < 0).any():
                     d = int(c[e < 0][0]) // laws.stride + 1
                     raise InvalidDegreeError(f"degree {d} has no admissible split")
-                w, *_, kid1, kid2 = laws.arrays()
-                k1, k2 = kid1[e], kid2[e]
+                w, k1, k2 = laws.w, laws.kid1[e], laws.kid2[e]
                 totals = np.cumsum(np.concatenate(([states[r].total_weight],
                                                    w[k1] + w[k2] - w[c])))
-                snaps[r] += _advance_census(states[r], clocks[r], totals, c, (k1, k2), laws.w)
+                snaps[r] += _advance_census(states[r], clocks[r], totals, c, (k1, k2), w)
             rounds += growth.rounds
             group = [r for r in group if states[r].t < t_final]
     trajectories = [sn + [s.census() for _ in cl] for sn, s, cl in zip(snaps, states, clocks)]

@@ -1,7 +1,8 @@
 """Limiting degree densities from the stationary census equations.
 
 Every one-colour model has one solve, ``fixed_point_densities``, and one
-verdict on its support, ``validate_model``.  The solve and ``experiment``
+verdict on its support, ``validate_model``, which reads the derived splitting
+weights from the update matrix's ``column_sums``.  The solve and ``experiment``
 refuse a failing verdict through ``check_support`` unless forced, and a
 forced solve is marked ``unsupported``.
 
@@ -305,19 +306,16 @@ class UpdateMatrix:
         y[1] += self.h @ xt                 # (2, i)
         return y
 
-    def to_dense(self) -> np.ndarray:
+    def column_sums(self) -> np.ndarray:
+        """The K column sums of B, read from the layout: the head's column
+        sums, ``2*(g + h)`` for a tail column (``g + 2*h`` for column K,
+        which has no subdiagonal), and ``beta_i * min(i+1, K)``."""
         K = self.K
         if self.beta is not None:
-            return np.triu(np.broadcast_to(self.beta, (K, K)), -1)
-        m, n = self.head.shape
-        B = np.zeros((K, K))
-        B[:m, :n] = self.head
-        j = np.arange(n, K)
-        B[0, j] = self.g
-        B[j[:-1] + 1, j[:-1]] = self.g[:-1]
-        B[1, j] = self.h
-        B[j, j] += self.h
-        return B
+            return self.beta * np.minimum(np.arange(2, K + 2), K)
+        tail = 2.0 * (self.g + self.h)
+        tail[-1:] -= self.g[-1:]
+        return np.concatenate([self.head.sum(axis=0), tail])
 
 
 def _update_matrix(model: WeightModel, K: int) -> UpdateMatrix:
@@ -359,8 +357,8 @@ class ValidationReport:
     """The paper's conditions on a one-colour model, the one verdict on its
     support: ``linearity`` (derived weights within 1e-9 of the model's line
     over degrees 1..d_max, or 1..200 unbounded), ``leaf_reachability`` and
-    ``top_splittable`` (bounded only), and ``regime`` (unbounded only: ``s > 0``
-    outside CASE_II), with ``classify_regime``'s ``case`` and ``s``."""
+    ``top_splittable`` (bounded only), and ``regime`` (unbounded only: ``s > 0``,
+    which ``classify_regime`` gives in CASE_III alone), with its ``case`` and ``s``."""
 
     linearity: ConditionReport
     leaf_reachability: ConditionReport
@@ -381,15 +379,15 @@ class ValidationReport:
 def validate_model(m: WeightModel) -> ValidationReport:
     """Check the conditions, reporting violations rather than raising (an
     unknown leaf-mass tail raises UnknownTailError).  Unbounded, ``w_i`` for
-    i <= 200 are the halved column sums of the update matrix at K = 201."""
+    i <= 200 are the halved ``UpdateMatrix.column_sums`` at K = 201."""
     case, s = classify_regime(m)
     where = f"regime {case.value} with s = {s:g}"
     if m.d_max is None:
         span = 200
-        derived = _update_matrix(m, span + 1).to_dense().sum(axis=0)[:span] / 2.0
+        derived = _update_matrix(m, span + 1).column_sums()[:span] / 2.0
         resid = _linear_fit(derived, m.splitting)[1]
         reach = top = ConditionReport(None, "unbounded model; not applicable")
-        regime = ConditionReport(s > 0.0 and case is not Regime.CASE_II, where)
+        regime = ConditionReport(s > 0.0, where)
     else:
         D = span = m.d_max
         resid = m.linear_fit_residual

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, ReductionInvalidError
+from .errors import InvalidParameterError
 from .solver import DensitySolution, UpdateMatrix, _update_matrix, fixed_point_densities
 from .weights import (LinearTail, PartitionWeights, SplittingWeights, WeightModel,
                       _two_banded_fn, _uniform_partition)
@@ -162,12 +162,8 @@ def reduce_to_one_colour(model2: TwoColourModel) -> WeightModel:
         limit = 2.0 * c if c > 0 else 0.0
     pw = PartitionWeights(fn, d_max=white_pw.d_max,
                           by_split_degree=white_pw.by_split_degree)
-    red = WeightModel(pw, model2.black, family="reduced",
-                      params={"from": model2.family}, leaf_mass_limit=limit)
-    if not red.is_linear():
-        raise ReductionInvalidError(
-            f"reduced model inconsistent (residual {red.linear_fit_residual:.3g})")
-    return red
+    return WeightModel(pw, model2.black, family="reduced",
+                       params={"from": model2.family}, leaf_mass_limit=limit)
 
 
 @dataclass

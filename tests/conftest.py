@@ -72,6 +72,12 @@ def dense_band_sums(model, K):
     return B
 
 
+def dense_view(B):
+    """The dense K x K matrix of an ``UpdateMatrix``, column j being
+    ``B @ e_j``: each product reads one column, so the view is exact."""
+    return np.stack([B @ e for e in np.eye(B.K)], axis=1)
+
+
 def derived_weights_by_degree(pw, i_max):
     """``w_i = (i/2) * fsum_k w[k, i+2-k]``, one partition-weight call per
     degree: the oracle for the blocked ``derive_splitting_weights``."""

@@ -35,7 +35,7 @@ class TestParseWeightExpr:
         sw = parse_weight_expr(expr)
         assert (sw.a, sw.b) == (a, b)
 
-    @pytest.mark.parametrize("expr", ["i*2", "", "2*i+", "x"])
+    @pytest.mark.parametrize("expr", ["i*2", "", "2*i+", "x", "i2", "i 2", "i1e3"])
     def test_unparsable_raises(self, expr):
         with pytest.raises(InvalidParameterError, match="weight expression"):
             parse_weight_expr(expr)

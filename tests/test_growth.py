@@ -1040,7 +1040,7 @@ class TestClassLaws:
                  if name == "table" else KERNEL_ENGINES[name]())
         laws = growth._ClassLaws(state)
         laws.cover_laws(40)
-        w, _, lo, hi, keys, kid1, kid2 = laws.arrays()
+        w, lo, hi, keys, kid1, kid2 = laws.w, laws.lo, laws.hi, laws.keys, laws.kid1, laws.kid2
         s, model = laws.stride, laws.split_model
         assert laws.chains == name.startswith("pref-")
         assert np.all(np.diff(keys) >= 0)

@@ -14,8 +14,8 @@ from splitgrow import (ExperimentConfig, InvalidDegreeError, InvalidParameterErr
                        OrderedTree, PartitionWeights, RegimeError, SplittingWeights,
                        TwoColourModel, WeightModel, compare, derive_splitting_weights,
                        fixed_point_densities, grafting_density, make_alpha_class,
-                       make_preferential, make_table, pref_attachment_density,
-                       run_batch, run_replicated)
+                       make_preferential, make_table, make_two_colour_uniform,
+                       pref_attachment_density, run_batch, run_replicated, solve_two_colour)
 from splitgrow.cli import main
 from splitgrow.experiment import _check_holds
 from conftest import DMAX3_ENTRIES, doubled_split_entries
@@ -199,3 +199,27 @@ def test_commands_agree_on_supported_models(cli_models, flags):
         # check, since its reduced model has no tail closure (ROADMAP item 3)
         wrong_fail = command == "compare" and flags[1] == "two-colour-grafting"
         assert main([command, *flags, *extra, "--out", command]) == int(wrong_fail), command
+
+
+def kinked_at_50():
+    """Two-colour uniform (1, 0) with the white pairs doubled at split degree
+    50: its white fit over degrees 1..16 holds, and so does its reduction's,
+    so only the verdict's degrees 1..200 see the kink."""
+    uniform = make_two_colour_uniform(1.0, 0.0).white.partition
+
+    def fn(i, j):
+        return np.where(i + j - 2 == 50, 2.0, 1.0) * uniform(i, j)
+
+    return TwoColourModel(1.0, 0.0, PartitionWeights(fn, by_split_degree=True),
+                          family="kinked-at-50")
+
+
+def test_two_colour_reduction_is_judged_by_the_verdict(one_worker, monkeypatch, capsys):
+    detail = "max |w_i - (1*i+0)| = 50 over i <= 200"
+    with pytest.raises(RegimeError, match="force_unsupported") as exc:
+        solve_two_colour(kinked_at_50(), K=64)
+    assert f"linearity ({detail})" in str(exc.value)
+    monkeypatch.setitem(splitgrow.experiment.FAMILIES, "kinked-at-50", ({}, kinked_at_50))
+    assert main(["validate", "--family", "kinked-at-50"]) == 2
+    assert f"  {'linearity':<20} FAIL  {detail}\n" in capsys.readouterr().out
+    assert solve_two_colour(kinked_at_50(), K=64, force_unsupported=True).unsupported

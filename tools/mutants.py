@@ -40,7 +40,7 @@ class Mutant:
 
 MUTANTS = [
     Mutant("chain-rates-one-class-high", "src/splitgrow/growth.py",
-           "t *= laws.arrays()[1][cls]", "t *= laws.arrays()[1][cls + 1]",
+           "t *= laws.inv_w[cls]", "t *= laws.inv_w[cls + 1]",
            ("tests/test_growth.py", "-k", "TestCensusKernel or batch_independence")),
     Mutant("radix-rank-low-half-only", "src/splitgrow/growth.py",
            'return order[np.argsort((ids[order] >> 16).astype(np.uint16), kind="stable")]',
@@ -54,8 +54,11 @@ MUTANTS = [
            "judged_model(build_model(cfg.model))",
            ("tests/test_refusals.py", "-k", "library_callers or forced_model_runs")),
     Mutant("regime-condition-dropped", "src/splitgrow/solver.py",
-           "s > 0.0 and case is not Regime.CASE_II", "True",
+           "regime = ConditionReport(s > 0.0, where)", "regime = ConditionReport(True, where)",
            ("tests/test_refusals.py", "-k", "agree")),
+    Mutant("column-sums-drop-g", "src/splitgrow/solver.py",
+           "tail = 2.0 * (self.g + self.h)", "tail = 2.0 * self.h",
+           ("tests/test_solver.py", "tests/test_refusals.py", "-k", "column_sums or agree")),
     Mutant("linearity-span-cut-to-16", "src/splitgrow/solver.py",
            "span = 200", "span = 16",
            ("tests/test_refusals.py", "-k", "agree")),
@@ -80,8 +83,8 @@ MUTANTS = [
            "_CSV_CELLS = 32768", "_CSV_CELLS = 10**12",
            ("tests/test_growth.py", "-k", "test_write_memory_bounded")),
     Mutant("twocolour-imports-growth", "src/splitgrow/twocolour.py",
-           "from .errors import InvalidParameterError, ReductionInvalidError\n",
-           "from .errors import InvalidParameterError, ReductionInvalidError\n"
+           "from .errors import InvalidParameterError\n",
+           "from .errors import InvalidParameterError\n"
            "from .growth import _CensusUrn  # noqa: F401\n",
            ("tests/test_imports.py", "-k", "load_no_engine")),
     Mutant("deferred-import-drops-a-rebinding", "src/splitgrow/experiment.py",
