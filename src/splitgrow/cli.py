@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -165,6 +166,16 @@ def _solver_facts(sol) -> dict:
             "head_size": one.head_size}
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory, judged before any solve or growth; it is made
+    only when the outputs are written, so a refused command leaves none."""
+    out = Path(path)
+    base = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise InvalidParameterError(f"--out {path}: {base} is not a writable directory")
+    return out
+
+
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -208,11 +219,11 @@ def _solution_doc(sol) -> dict:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
+    out = _out_dir(args.out) if args.out else None
     t0 = time.monotonic()
     sol = solve_model(build_model(cfg.model), cfg)
     doc = _solution_doc(sol)
-    if args.out:
-        out = Path(args.out)
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "solution.json", doc)
         _write_json(out / "manifest.json",
@@ -227,9 +238,9 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     from .growth import write_census_csv   # solve and validate load no engine
     cfg = _load_config(args)
+    out = _out_dir(args.out or ".")
     t0 = time.monotonic()
     results = run_replicated(cfg)
-    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     trajectories = [res["snapshots"] for res in results]
     t_write = time.monotonic()
@@ -249,9 +260,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
+    out = _out_dir(args.out or ".")
     t0 = time.monotonic()
     report = compare(cfg)
-    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.csv", "w") as fh:
         report.write_csv(fh)

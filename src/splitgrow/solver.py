@@ -6,42 +6,36 @@ weights from the update matrix's ``column_sums``.  The solve and ``experiment``
 refuse a failing verdict through ``check_support`` unless forced, and a
 forced solve is marked ``unsupported``.
 
-* An unbounded model gets the minimal solution of the fixed-point system
-  ``a = M a + c``,
+Every model gets one system, solved by ``_solve_stationary``: rows
+k = 2..K read ``(w_2 + w_k) a_k = sum_{i>=k-1} i*w[k,i-k+2] * a_i`` and
+row 1 reads ``sum a + (mass beyond K) = 1``.  For linear weights with
+``s = inf {i*w[1,i+1]} > 0``, the models the paper covers, its solution is
+also the minimal solution of the fixed-point system ``a = M a + c``, whose
+row 1 is ``a_1 = (s + sum_{i>=2} (i*w[1,i+1] - s) a_i) / (w_2 + s)``.
+Truncated, that row drops ``sum_{i>K} (i*w[1,i+1] - s) a_i``, which grows
+with the degree, where the normalised row drops only the mass beyond K.
+``iterate_from_below`` keeps the fixed-point form and reaches its minimal
+solution from the zero vector, the paper's constructive route; no command
+runs it, and it is the oracle the solve is checked against.
 
-      a_1  = (s + sum_{i>=2} (i*w[1,i+1] - s) * a_i) / (w_2 + s)
-      a_k  = (sum_{i>=k-1} i*w[k,i-k+2] * a_i) / (w_2 + w_k),    k >= 2
+For unbounded models whose tail is two-banded with linear band masses
+(``i*w[1,i+1] = pg*i+qg``, ``i*w[2,i] = ph*i+qh`` beyond some degree), the
+sums over ``i > K`` are closed exactly: beyond the truncation the stationary
+equations collapse to the two-term recursion
+``a_i = a_{i-1} * g(i-1) / (w_2 + g(i))``, whose ratio products are Gamma
+ratios, and the telescoping identity
 
-  with ``s = inf {i*w[1,i+1]}``.  For unbounded models whose tail is
-  two-banded with linear band masses (``i*w[1,i+1] = pg*i+qg``,
-  ``i*w[2,i] = ph*i+qh`` beyond some degree), the sums over ``i > K`` are
-  closed exactly: beyond the truncation the stationary equations collapse to
-  the two-term recursion ``a_i = a_{i-1} * g(i-1) / (w_2 + g(i))``, whose
-  ratio products are Gamma ratios, and the telescoping identity
+    sum_{i>=N} Gamma(i+u)/Gamma(i+w) = Gamma(N+u) / ((w-1-u)*Gamma(N+w-1))
 
-      sum_{i>=N} Gamma(i+u)/Gamma(i+w) = Gamma(N+u) / ((w-1-u)*Gamma(N+w-1))
-
-  turns every required tail sum into a closed expression.  The truncated
-  system then has the *exact* restriction of the infinite solution as its
-  fixed point, which is what lets power-law families meet tight tolerances
-  at moderate K.  The K x K system ``(I - M) a = c`` is solved directly.
-  ``iterate_from_below`` reaches it instead by the from-below iteration
-  ``a <- M a + c`` started from the zero vector, the constructive route to
-  the minimal solution; no command runs it, and it serves as the oracle
-  the direct solves are checked against, for bounded models too.
-
-* A bounded model gets the stationary system with its first row replaced
-  by ``sum a = 1``; so does a forced unsupported model, truncated at K with
-  a zero tail.
-
-Every direct solve is one system, solved by ``_solve_stationary``: rows
-k = 2..K read ``(w_2 + w_k) a_k = (B a)_k`` and only row 1 differs.  The
-fixed point's row 1 is ``(w_2+s) a_1 - sum_{i>=2} (i*w[1,i+1]-s) a_i = s``,
-the normalised row 1 is ``sum a = 1``, and a tail closure adds one
-coefficient on ``a_K`` to row 1 and one to row 2.  The closure travels
-with the update matrix (``UpdateMatrix.closure``), so the solve, the
-iteration and the residual report read the same sums.  Two-colour models
-reach this solve through ``twocolour.solve_two_colour``.
+turns every required tail sum into a closed expression: the tail mass
+``Q0 a_K`` in row 1 and ``Qh a_K`` in row 2.  The truncated system then
+has the *exact* restriction of the infinite solution as its solution,
+which lets power-law families meet tight tolerances at moderate K.  A
+bounded model is solved at K = d_max, and a forced unsupported model is
+truncated at K with a zero tail.  The closure travels with the update
+matrix (``UpdateMatrix.closure``), so the solve, the iteration and the
+residual report read the same sums.  Two-colour models reach this solve
+through ``twocolour.solve_two_colour``.
 
 A degree-k vertex only feeds degrees up to k+1, so the system is upper
 Hessenberg, with the leaf-split masses ``(k-1)*w[k,1]`` on the subdiagonal.
@@ -427,16 +421,20 @@ def check_support(model: WeightModel, force_unsupported: bool = False) -> Valida
 
 def fixed_point_densities(model: WeightModel, K: int = 512,
                           force_unsupported: bool = False) -> DensitySolution:
-    """The model's one solve: the normalised system at K = d_max for a
-    bounded model (method ``linear``; RankDeficientError when a degree below
-    the bound is unreachable, NonPositiveError on a negative density), the
-    minimal solution of ``a = M a + c`` with its tail closure for an
-    unbounded one (method ``fixed-point``).
+    """The model's one solve: rows k = 2..K of the stationary system and
+    row 1 ``sum a + Q0 a_K = 1``, ``Q0 a_K`` being the closed tail mass, at
+    K = d_max for a bounded model (method ``linear``; RankDeficientError
+    when a degree below the bound is unreachable, NonPositiveError on a
+    negative density) and at K with the model's tail closure for an
+    unbounded one (method ``fixed-point``, the minimal solution of
+    ``a = M a + c``).  Row 1 is redundant for linear weights unless
+    degree-1 vertices never split, a case that rounding can hide, so it is
+    refused by name.
 
     A model whose ``validate_model`` report fails is refused by
     ``check_support`` unless ``force_unsupported``; the forced result is
-    marked ``unsupported``, and an unbounded model then gets the normalised
-    system truncated at K with a zero tail (method ``linear-truncated``).
+    marked ``unsupported``, and an unbounded model is then truncated at K
+    with a zero tail (method ``linear-truncated``).
     """
     if K < 2:
         raise InvalidParameterError("K must be >= 2")
@@ -447,18 +445,22 @@ def fixed_point_densities(model: WeightModel, K: int = 512,
                 "no almost-sure census limit is claimed"] if unsupported else []
     K = model.d_max or K
     B = _update_matrix(model, K)
-    if bounded or unsupported:
-        a = _sum_normalised(model, B)
-        method = "linear" if bounded else "linear-truncated"
-    else:
-        warnings.extend(B.closure.warnings)
-        denom = _denominators(model, s, K)
-        # row 1 with the shifted coefficients -(i*w[1,i+1] - s), i >= 2
-        row1 = s - B.first_row()
-        row1[0] = denom[0]
-        a = _solve_stationary(B, denom, row1, s, B.closure.Qg - s * B.closure.Q0,
-                              f"the fixed-point system at K = {K}")
-        method = "fixed-point"
+    if unsupported and not bounded:
+        B.closure = TailClosure("none", "forced solve truncates with a zero tail")
+    warnings.extend(B.closure.warnings)
+    method = "linear" if bounded else "linear-truncated" if unsupported else "fixed-point"
+    try:
+        if (B.beta[0] if B.beta is not None else B.head[1, 0]) == 0.0:
+            raise SingularSystemError(
+                "degree-1 vertices never split, so no degree above 1 is reachable")
+        a = _solve_stationary(B, model.w2 + model.splitting_weights(K),
+                              f"the stationary system at K = {K}")
+    except SingularSystemError as exc:
+        if not bounded:
+            raise
+        raise RankDeficientError(
+            f"stationary system without row 0 has rank < d_max-1 = {K - 1} ({exc}); "
+            "some degree below the bound is unreachable") from None
     res = _residual_report(model, a, B)
     if method == "linear":
         if np.any(a < -1e-12):
@@ -473,23 +475,15 @@ def fixed_point_densities(model: WeightModel, K: int = 512,
         unsupported=unsupported, warnings=warnings, closure=B.closure, head_size=B.head_size)
 
 
-def _denominators(model: WeightModel, s: float, K: int) -> np.ndarray:
-    """The row scales of the fixed-point system, ``w_2 + s`` for row 1 and
-    ``w_2 + w_k`` for k = 2..K; RegimeError unless all are positive."""
-    denom = np.concatenate([[model.w2 + s], model.w2 + model.splitting_weights(K)[1:]])
-    if np.any(denom <= 0):
-        raise RegimeError("nonpositive update denominator (w_2 + w_k <= 0)")
-    return denom
-
-
 def iterate_from_below(model: WeightModel, K: int = 512, tol: float = 1e-13,
                        max_iter: int = 1_000_000) -> np.ndarray:
     """The paper's from-below iteration ``a <- M a + c`` of the fixed-point
     system, from the zero vector, at K (K = d_max for a bounded model), the
     sums beyond K closed as in the solve.  It stops at the first step whose
     largest change is below ``tol`` and returns the stacked iterates, the
-    zero vector first.  It judges no support: this is the oracle the direct
-    solves are tested against, which no command runs.
+    zero vector first.  It judges no support: it is the oracle, with the
+    s-shifted row 1, that the normalised solve is tested against.  Its row
+    scales are ``w_2 + s`` and ``w_2 + w_k``; RegimeError unless all are > 0.
 
     The iterates are nondecreasing when every coefficient of ``M`` is
     nonnegative, i.e. for unbounded models (every band mass is at least
@@ -503,7 +497,9 @@ def iterate_from_below(model: WeightModel, K: int = 512, tol: float = 1e-13,
     s = classify_regime(model)[1]
     K = model.d_max or K
     B = _update_matrix(model, K)
-    denom = _denominators(model, s, K)
+    denom = np.concatenate([[model.w2 + s], model.w2 + model.splitting_weights(K)[1:]])
+    if np.any(denom <= 0):
+        raise RegimeError("nonpositive update denominator (w_2 + w_k <= 0)")
     clo = B.closure
     row0 = B.first_row() - s
     row0[0] = 0.0
@@ -526,12 +522,11 @@ def iterate_from_below(model: WeightModel, K: int = 512, tol: float = 1e-13,
         f"no convergence after {max_iter} iterations (last step {step:.3e})")
 
 
-def _solve_stationary(B: UpdateMatrix, diag: np.ndarray, row1: np.ndarray, rhs1: float,
-                      q1: float, what: str) -> np.ndarray:
+def _solve_stationary(B: UpdateMatrix, diag: np.ndarray, what: str) -> np.ndarray:
     """The one stationary solve at K = B.K.  Rows k = 2..K read
     ``(B a)_k - diag_k a_k = 0``, row 2 gaining ``B.closure.Qh a_K``; row 1
-    reads ``row1 @ a - q1 a_K = rhs1``, ``q1`` being the closure's gain in
-    row 1 (0 for a zero tail); ``diag[0]`` is not read.
+    reads ``sum a + B.closure.Q0 a_K = 1``, the densities and the closed
+    tail mass summing to 1; ``diag[0]`` is not read.
 
     For ``beta`` the backward recurrence takes ``a`` with ``a_1 = 1`` from
     rows 2..K and row 1 fixes the scale; that layout's closure is a zero
@@ -543,20 +538,20 @@ def _solve_stationary(B: UpdateMatrix, diag: np.ndarray, row1: np.ndarray, rhs1:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # checked below
         if B.beta is not None:
             a = _recurrence_solve(B.beta, diag, what)
-            a *= rhs1 / (row1[0] + row1[1:] @ a[1:] - q1 * a[-1])
+            a /= a.sum()
         else:
             m = B.head_size
             A = B.square_head().copy()
             A[np.diag_indices(m)] -= diag[:m]
-            A[0] = row1[:m]
+            A[0] = 1.0
             P = B.tail_products(diag)
             last = P[-1] if len(P) else 1.0          # a_K / a_{m-1}
             # rows 1 and 2 reach every tail column and the closure: fold
             # them into column m-1
-            A[0, m - 1] += (row1[m:] * P).sum() - q1 * last
+            A[0, m - 1] += P.sum() + B.closure.Q0 * last
             A[1, m - 1] += B.h[1:] @ P + B.closure.Qh * last
             rhs = np.zeros(m)
-            rhs[0] = rhs1
+            rhs[0] = 1.0
             x = _hessenberg_solve(A, rhs, what)
             a = np.concatenate([x, x[-1] * P])
     if not np.all(np.isfinite(a)):
@@ -619,33 +614,6 @@ def _hessenberg_solve(H: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"{what} gave a non-finite solution")
     return x
-
-
-# -- the normalised system ---------------------------------------------------------
-
-
-def _sum_normalised(model: WeightModel, B: UpdateMatrix) -> np.ndarray:
-    """Solve ``a_k*(w_2+w_k) = sum_i i*w[k,i-k+2]*a_i`` at K = B.K with a
-    zero tail, which ``B.closure`` then carries, and row 1 replaced by
-    ``sum a = 1``.  Row 1 is redundant for linear weights unless degree-1
-    vertices never split, a case that rounding can hide, so it is refused
-    by name.  A singular system raises SingularSystemError, for a bounded
-    model RankDeficientError."""
-    K = B.K
-    if model.d_max is None:
-        B.closure = TailClosure("none", "forced solve truncates with a zero tail")
-    try:
-        if (B.beta[0] if B.beta is not None else B.head[1, 0]) == 0.0:
-            raise SingularSystemError(
-                "degree-1 vertices never split, so no degree above 1 is reachable")
-        return _solve_stationary(B, model.w2 + model.splitting_weights(K), np.ones(K),
-                                 1.0, 0.0, f"the normalised stationary system at K = {K}")
-    except SingularSystemError as exc:
-        if model.d_max is None:
-            raise
-        raise RankDeficientError(
-            f"stationary system without row 0 has rank < d_max-1 = {K - 1} ({exc}); "
-            "some degree below the bound is unreachable") from None
 
 
 # -- residuals ---------------------------------------------------------------------

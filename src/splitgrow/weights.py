@@ -457,13 +457,8 @@ def make_preferential(sw: SplittingWeights) -> WeightModel:
     """Attachment-only model: the sole positive partitioning weights are
     ``w[1, i+1] = w[i+1, 1] = w_i / i``, so every split sheds a leaf."""
     _check_splitting_valid(sw)
-
-    def fn(i, j):  # i <= j guaranteed by the wrapper
-        d = np.maximum(j - 1, 1)
-        return np.where((i == 1) & (j >= 2), sw(d) / d, 0.0)
-
     tail = LinearTail(start=1, pg=sw.a, qg=sw.b)
-    pw = PartitionWeights(fn, d_max=None, tail=tail)
+    pw = PartitionWeights(_two_banded_fn(sw, None, 1, None, tail), d_max=None, tail=tail)
     return WeightModel(pw, sw, family="preferential", params={"a": sw.a, "b": sw.b})
 
 

@@ -40,13 +40,16 @@ def constant_uniform_partition(b=1.0):
 
 def singular_at(K_solve):
     """Stand-in for the solver's update-matrix builder: at ``K_solve`` a
-    matrix whose rows k >= 2 give M[k, k] = 1, so I - M is singular; at any
-    other K (the support verdict's) the model's own matrix."""
+    matrix whose rows k >= 2 give M[k, k] = 1, with degree-1 vertices
+    splitting (B[1, 0] = 1) so that the elimination, not the degree-1
+    check, meets the zero pivot; at any other K (the support verdict's) the
+    model's own matrix."""
     def build(model, K):
         if K != K_solve:
             return _update_matrix(model, K)
-        return UpdateMatrix(np.diag(model.w2 + model.splitting_weights(K)),
-                            np.empty(0), np.empty(0))
+        B = np.diag(model.w2 + model.splitting_weights(K))
+        B[1, 0] = 1.0
+        return UpdateMatrix(B, np.empty(0), np.empty(0))
     return build
 
 

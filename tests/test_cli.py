@@ -148,18 +148,18 @@ class TestSolve:
 
     @pytest.mark.parametrize("flags,digest", [
         (["--family", "preferential", "--w", "i", "--K", "512"],
-         "b7878677c407f9eec5ce4d7a72d176f1512946c6dcb52be993cb865bb847f8ce"),
+         "6785b8a1c22f9217ad5f0eb63c695bf22cf580140e89b175262dceb9867ebe4a"),
         (["--family", "uniform", "--x", "0", "--K", "1024"],
-         "205adf53123ea7023999f7dd68c4e69d04197ac7d7dcebf6cf011b15061ae029"),
+         "e9c7d29a0b50144ceff475cd246325935d38c66b9f2b8a215a78c646b1d6f6f4"),
         (["--family", "grafting", "--alpha", "0.5", "--gamma", "0.5", "--K", "1024"],
-         "439a21a831eb7c9850b3da9bdefecd32ff221d90cb5eab08f19bef9a706e0119"),
+         "5b00254facdc45317af3238c4c3375d5bdde8dbe1a23f365d08567c086b9ea8c"),
         (["--table"],
          "1e8e05e762d3f296ab9325bea36fc53e4b5dd8009277e3d2f64652ad92032857"),
         (["--family", "grafting", "--alpha", "1", "--gamma", "1", "--K", "64",
           "--force-unsupported"],
          "29039d848d17b8e81439813bbb2c6545b72d001b84e9bf5eb0f074b93f9f3298"),
         (["--family", "rna", "--K", "256"],
-         "cce0c0a9b47fd620436600b09390f274cf70bb6561efb48db055c285c4e7b5b3"),
+         "e7924088761dfa6176df7d712a88c69bfccebb233ebfb1463bec9aabcaf32481"),
     ], ids=["preferential", "uniform", "grafting", "table", "grafting-forced", "rna"])
     def test_solution_bytes_pinned(self, tmp_path, flags, digest):
         # any change to these bytes must be explained in CHANGES.md
@@ -554,8 +554,8 @@ class TestCompare:
                    "--out", str(tmp_path)])
         assert rc == 0
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-        assert digest == ("2b8d7efb363771beda35e9bb3f896c2c"
-                          "94039757effb05a9a1219c601a1c9a02")
+        assert digest == ("5c5033c9fcf3207fcc43e806263ffe2a"
+                          "5a8f9432f4a6bb3335cfcf62690a22cb")
 
     def test_urn_report_bytes_pinned(self, tmp_path):
         # pinned for the branching-process engine; the worker count must not
@@ -1010,6 +1010,25 @@ class TestBadInput:
             (tmp_path / name).write_text(json.dumps(doc))
         err = self.run(["solve", *flags, "--K", "16"], capsys)
         assert re.search(match, err), err
+
+    @pytest.mark.parametrize("command,extra", [
+        ("solve", ["--K", "16"]), ("simulate", ["--replicas", "2", "--t-final", "50"]),
+        ("compare", ["--replicas", "2", "--t-final", "50"])])
+    def test_out_naming_a_file_refused_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                       command, extra):
+        # --out is judged before any solve or growth: a file there used to
+        # end in a traceback, and simulate's only after every replica grew
+        def work(*args):
+            raise AssertionError(f"{command} solved or grew before judging --out")
+
+        for name in ("solve_model", "run_replicated", "compare"):
+            monkeypatch.setattr(splitgrow.cli, name, work)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        err = self.run([command, "--family", "preferential", "--w", "i", *extra,
+                        "--out", str(taken)], capsys)
+        assert err == f"error: --out {taken}: {taken} is not a writable directory\n"
+        assert taken.read_text() == "kept"
 
     def test_singular_solve_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(splitgrow.solver, "_update_matrix", singular_at(16))

@@ -195,10 +195,7 @@ def test_supported_points_cover_every_family():
 def test_commands_agree_on_supported_models(cli_models, flags):
     assert main(["validate", *flags]) == 0
     for command, extra in COMMANDS.items():
-        # not a refusal: two-colour grafting's compare fails its colour-sum
-        # check, since its reduced model has no tail closure (ROADMAP item 3)
-        wrong_fail = command == "compare" and flags[1] == "two-colour-grafting"
-        assert main([command, *flags, *extra, "--out", command]) == int(wrong_fail), command
+        assert main([command, *flags, *extra, "--out", command]) == 0, command
 
 
 def kinked_at_50():

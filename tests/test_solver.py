@@ -12,7 +12,7 @@ from splitgrow import (NoConvergenceError, NonPositiveError, PartitionWeights,
                        make_grafting,
                        make_preferential, make_table, make_uniform,
                        pref_attachment_density, residuals, validate_model)
-from splitgrow.solver import _hessenberg_solve, _update_matrix
+from splitgrow.solver import TailClosure, _hessenberg_solve, _update_matrix
 from splitgrow.twocolour import (make_rna, make_two_colour_grafting, make_two_colour_uniform,
                                  reduce_to_one_colour, solve_two_colour)
 from splitgrow.weights import MAX_DEGREE, LinearTail
@@ -284,8 +284,20 @@ class TestMonotoneConstruction:
 
 
 class TestDirectSolve:
-    """The solve takes (I - M) a = c in one call; the from-below iteration
-    (iterate_from_below) is its oracle."""
+    """The solve takes the normalised stationary system in one call; the
+    from-below iteration of the fixed-point system (iterate_from_below) is
+    its oracle."""
+
+    def test_normalised_row_meets_the_closed_form(self):
+        # w = i - 0.9 puts most of the tail's leaf mass i*w[1,i+1] - s far
+        # beyond the head: the s-shifted fixed-point row 1 missed the closed
+        # form by 1.5e-13 at K = 1024, the normalised row with the closed
+        # tail mass misses it by rounding only
+        sw = SplittingWeights(1.0, -0.9)
+        sol = fixed_point_densities(make_preferential(sw), K=1024)
+        exact = np.array([pref_attachment_density(sw, k) for k in range(1, 31)])
+        assert np.max(np.abs(sol.densities[:30] - exact)) <= 1e-15
+        assert sol.residuals.sum_dev <= 1e-15
 
     @pytest.mark.parametrize("model", [
         pref_i(), make_uniform(0.0), make_grafting(0.5, 0.5),
@@ -421,22 +433,15 @@ def split_degree_models():
     ]
 
 
-def dense_fixed_point_system(model, K):
-    """``I - M`` and ``c`` of the fixed-point system at K from the dense
-    oracle matrix, with the closure in the last column of rows 0 and 1."""
-    regime, s = splitgrow.solver.classify_regime(model)
-    B = dense_band_sums(model, K)
-    wk = model.splitting_weights(K)
-    denom = np.concatenate([[model.w2 + s], model.w2 + wk[1:]])
-    M = B / denom[:, None]
-    M[0, :] = (B[0, :] - s) / (model.w2 + s)
-    M[0, 0] = 0.0
-    clo = splitgrow.solver._closure_for(model, K)
-    M[0, K - 1] += (clo.Qg - s * clo.Q0) / (model.w2 + s)
-    M[1, K - 1] += clo.Qh / denom[1]
-    c = np.zeros(K)
-    c[0] = s / (model.w2 + s)
-    return np.eye(K) - M, c
+def dense_stationary_system(model, K, clo):
+    """The solve's system at K from the dense oracle matrix: rows 2..K of
+    ``(B - diag(w_2 + w_k)) a = 0`` and row 1 ``sum a = 1``, with the
+    closure ``clo`` in the last column of rows 1 (``Q0``) and 2 (``Qh``)."""
+    A = dense_band_sums(model, K) - np.diag(model.w2 + model.splitting_weights(K))
+    A[0, :] = 1.0
+    A[0, K - 1] += clo.Q0
+    A[1, K - 1] += clo.Qh
+    return A, np.eye(K)[0]
 
 
 class TestUpdateMatrix:
@@ -488,7 +493,7 @@ class TestUpdateMatrix:
     @pytest.mark.parametrize("name,model", update_matrix_models(),
                              ids=[n for n, _ in update_matrix_models()])
     def test_fixed_point_matches_dense_solve(self, name, model, K):
-        A, c = dense_fixed_point_system(model, K)
+        A, c = dense_stationary_system(model, K, splitgrow.solver._closure_for(model, K))
         expect = np.linalg.solve(A, c)
         sol = fixed_point_densities(model, K=K)
         assert np.max(np.abs(sol.densities - expect)) <= 1e-14
@@ -510,13 +515,14 @@ class TestUpdateMatrix:
                              ids=["pref", "grafting", "recursive-tree"])
     def test_normalised_solve_matches_dense_solve(self, model):
         # the system of the forced solve, on tail families with s > 0 so
-        # that the tail rows carry mass: row 0 sums the tail products and
-        # row 1 folds the h band
+        # that the tail rows carry mass: row 1 sums the tail products and
+        # row 2 folds the h band
         K = 200
-        A = dense_band_sums(model, K) - np.diag(model.w2 + model.splitting_weights(K))
-        A[0, :] = 1.0
-        expect = np.linalg.solve(A, np.eye(K)[0])
-        got = splitgrow.solver._sum_normalised(model, _update_matrix(model, K))
+        expect = np.linalg.solve(*dense_stationary_system(model, K, TailClosure("none")))
+        B = _update_matrix(model, K)
+        B.closure = TailClosure("none")
+        got = splitgrow.solver._solve_stationary(
+            B, model.w2 + model.splitting_weights(K), "H")
         assert np.max(np.abs(got - expect)) <= 1e-14
 
     def test_forced_solve_with_tail(self):
@@ -524,9 +530,7 @@ class TestUpdateMatrix:
         # s = 0; the forced solve folds the tail columns, which carry no mass
         model = make_grafting(1.0, 0.75)
         K = 64
-        A = dense_band_sums(model, K) - np.diag(model.w2 + model.splitting_weights(K))
-        A[0, :] = 1.0
-        expect = np.linalg.solve(A, np.eye(K)[0])
+        expect = np.linalg.solve(*dense_stationary_system(model, K, TailClosure("none")))
         sol = fixed_point_densities(model, K=K, force_unsupported=True)
         assert sol.unsupported and sol.method == "linear-truncated"
         assert np.max(np.abs(sol.densities - expect)) <= 1e-14
@@ -538,9 +542,7 @@ class TestUpdateMatrix:
         # the forced solve runs the backward recurrence, normalised
         model = reduce_to_one_colour(make_two_colour_uniform(1.5, 1.0))
         K = 64
-        A = dense_band_sums(model, K) - np.diag(model.w2 + model.splitting_weights(K))
-        A[0, :] = 1.0
-        expect = np.linalg.solve(A, np.eye(K)[0])
+        expect = np.linalg.solve(*dense_stationary_system(model, K, TailClosure("none")))
         sol = fixed_point_densities(model, K=K, force_unsupported=True)
         assert sol.unsupported and sol.method == "linear-truncated"
         assert np.max(np.abs(sol.densities - expect)) <= 1e-14
@@ -694,13 +696,4 @@ class TestUpdateMatrix:
         P = B.tail_products(diag)
         assert not np.all(np.isfinite(P))
         with pytest.raises(SingularSystemError, match="non-finite"):
-            splitgrow.solver._solve_stationary(B, diag, np.ones(8), 1.0, 0.0, "H")
-
-    def test_recurrence_scale_raises_on_a_vanishing_row1(self):
-        # the recurrence fixes a up to scale; a row 1 that vanishes on it
-        # leaves the scale undetermined
-        model = make_uniform(0.0)
-        B = _update_matrix(model, 8)
-        diag = model.w2 + model.splitting_weights(8)
-        with pytest.raises(SingularSystemError, match="non-finite"):
-            splitgrow.solver._solve_stationary(B, diag, np.zeros(8), 1.0, 0.0, "H")
+            splitgrow.solver._solve_stationary(B, diag, "H")
