@@ -60,7 +60,7 @@ snaps = run(UrnState.single_edge(model), 10_000, rng, thin=2000)
 print(f"\ntrajectory snapshots at t = {[s.t for s in snaps]}")
 print("fraction of leaves n_1/t over time:",
       [f"{s.counts[0] / s.t:.4f}" for s in snaps], "-> 2/3")
-buf = io.StringIO()
+buf = io.BytesIO()
 write_census_csv(buf, [snaps[-1:]])
 print("last snapshot as CSV rows:")
-print("\n".join(buf.getvalue().splitlines()[:6]), "...")
+print("\n".join(buf.getvalue().decode().splitlines()[:6]), "...")

@@ -132,11 +132,12 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
-def _manifest(cfg: ExperimentConfig, runtime_s: float,
+def _manifest(cfg: ExperimentConfig, runtime_s: float, write_s: float,
               growth: dict | None = None, solution=None) -> dict:
-    """Run facts that are not byte-stable: wall time and, for runs that
-    grow replicas, the growth counters of ``experiment.growth_counters``;
-    for runs that solve, the solver facts of ``_solver_facts``."""
+    """Run facts that are not byte-stable: wall time, the part of it spent
+    writing the byte-stable outputs and, for runs that grow replicas, the
+    growth counters of ``experiment.growth_counters``; for runs that solve,
+    the solver facts of ``_solver_facts``."""
     doc = {
         "seed": cfg.seed,
         "config_digest": cfg.digest,
@@ -144,6 +145,7 @@ def _manifest(cfg: ExperimentConfig, runtime_s: float,
         "versions": {"splitgrow": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
         "runtime_s": runtime_s,
+        "write_s": write_s,
     }
     if growth is not None:
         doc["growth"] = growth
@@ -176,8 +178,29 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for a
+    value whose lines after the first start with ``pad``.  ``indent`` holds
+    json to its pure-Python encoder, so a list of plain numbers (no bools)
+    goes through the C encoder in one call, its ``", "`` separators
+    re-indented, and a str-keyed object that holds a list is walked here.
+    json writes every other value whole: a scalar without ``indent``, whose
+    text has no line to indent."""
+    inner = pad + "  "
+    if isinstance(obj, list) and obj and {*map(type, obj)} <= {float, int}:
+        return f"[{inner}{json.dumps(obj)[1:-1].replace(', ', ',' + inner)}{pad}]"
+    if (isinstance(obj, dict) and all(type(k) is str for k in obj)
+            and any(isinstance(v, list) for v in obj.values())):
+        items = (f"{inner}{json.dumps(key)}: {_json_text(val, inner)}"
+                 for key, val in sorted(obj.items()))
+        return f"{{{','.join(items)}{pad}}}"
+    if isinstance(obj, (list, tuple, dict)):
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+    return json.dumps(obj)
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(doc) + "\n")
 
 
 def _solution_doc(sol) -> dict:
@@ -225,13 +248,14 @@ def cmd_solve(args) -> int:
     doc = _solution_doc(sol)
     if out:
         out.mkdir(parents=True, exist_ok=True)
+        t_write = time.monotonic()
         _write_json(out / "solution.json", doc)
+        write_s = time.monotonic() - t_write
         _write_json(out / "manifest.json",
-                    _manifest(cfg, time.monotonic() - t0, solution=sol))
+                    _manifest(cfg, time.monotonic() - t0, write_s, solution=sol))
         print(f"solution.json written to {out}", file=sys.stderr)
     else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        print()
+        sys.stdout.write(_json_text(doc) + "\n")
     return 0
 
 
@@ -244,12 +268,12 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     trajectories = [res["snapshots"] for res in results]
     t_write = time.monotonic()
-    with open(out / "census.csv", "w") as fh:
+    with open(out / "census.csv", "wb") as fh:
         write_census_csv(fh, trajectories)
     write_s = time.monotonic() - t_write
-    manifest = _manifest(cfg, time.monotonic() - t0, growth_counters(results))
+    manifest = _manifest(cfg, time.monotonic() - t0, write_s, growth_counters(results))
     _write_json(out / "manifest.json", {
-        **manifest, "write_s": write_s, "snapshots": sum(map(len, trajectories)),
+        **manifest, "snapshots": sum(map(len, trajectories)),
         "census_bytes": (out / "census.csv").stat().st_size})
     worst = worst_checks(results)
     summary = ", ".join(f"{k}={v:.3g}" for k, v in worst.items())
@@ -264,11 +288,13 @@ def cmd_compare(args) -> int:
     t0 = time.monotonic()
     report = compare(cfg)
     out.mkdir(parents=True, exist_ok=True)
+    t_write = time.monotonic()
     with open(out / "report.csv", "w") as fh:
         report.write_csv(fh)
     _write_json(out / "solution.json", _solution_doc(report.solution))
+    write_s = time.monotonic() - t_write
     _write_json(out / "manifest.json",
-                _manifest(cfg, time.monotonic() - t0, report.growth, report.solution))
+                _manifest(cfg, time.monotonic() - t0, write_s, report.growth, report.solution))
     bad, failed = report.violations(), report.failed_checks()
     checked = [r for r in report.rows if r.k <= cfg.k_check]
     worst = max((abs(r.z) for r in checked if np.isfinite(r.z)), default=0.0)
@@ -294,57 +320,62 @@ def cmd_validate(args) -> int:
     return 0 if rep.ok else 2
 
 
-def _add_flags(p: argparse.ArgumentParser, solves: bool, grows: bool, writes: bool) -> None:
-    """The model flags, which every command reads, and the solver, growth
-    and output flags of a command that solves, grows or writes files."""
+# each command's help line, handler and the flag groups ``_add_flags`` adds
+_COMMANDS = {
+    "solve": ("analytic degree densities", cmd_solve, {"solves", "writes"}),
+    "simulate": ("replicated growth trajectories", cmd_simulate, {"grows", "writes"}),
+    "compare": ("simulation vs analytic, with z-scores", cmd_compare,
+                {"solves", "grows", "writes", "judges"}),
+    "validate": ("model condition checks and regime", cmd_validate, set()),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, groups: set[str]) -> None:
+    """The model flags, which every command reads, and the solver, growth,
+    output and z-gate flags of a command that solves, grows, writes files
+    or judges a simulation against the solve."""
     p.add_argument("--config", help="JSON config document")
     p.add_argument("--family", help="model family name")
     p.add_argument("--w", help="splitting weights, e.g. 'i' or '2*i+1'")
     for key, families in _parameter_flags().items():
         p.add_argument(f"--{key}", type=float, help=f"parameter of {', '.join(families)}")
     p.add_argument("--table", help="JSON table file {d_max, entries}")
-    if solves:
+    if "solves" in groups:
         p.add_argument("--K", type=int, help="solver truncation")
         p.add_argument("--tol", type=float, help="solver tolerance")
-    if writes:
+    if "writes" in groups:
         p.add_argument("--force-unsupported", action="store_true", default=None,
                        help="run outside the guaranteed regime (results watermarked)")
         p.add_argument("--out", help="output directory")
-    if grows:
+    if "grows" in groups:
         p.add_argument("--seed", type=int)
         p.add_argument("--replicas", type=int)
         p.add_argument("--t-final", dest="t_final", type=int)
         p.add_argument("--thin", type=int, help="snapshot every N steps")
         p.add_argument("--engine", choices=("urn", "tree"))
+    if "judges" in groups:
+        p.add_argument("--k-check", dest="k_check", type=int)
+        p.add_argument("--z-crit", dest="z_crit", type=float)
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="splitgrow",
-        description="Vertex-splitting random trees: solve, simulate, compare, validate")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="analytic degree densities")
-    _add_flags(p, solves=True, grows=False, writes=True)
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("simulate", help="replicated growth trajectories")
-    _add_flags(p, solves=False, grows=True, writes=True)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("compare", help="simulation vs analytic, with z-scores")
-    _add_flags(p, solves=True, grows=True, writes=True)
-    p.add_argument("--k-check", dest="k_check", type=int)
-    p.add_argument("--z-crit", dest="z_crit", type=float)
-    p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("validate", help="model condition checks and regime")
-    _add_flags(p, solves=False, grows=False, writes=False)
-    p.set_defaults(fn=cmd_validate)
-
-    args = ap.parse_args(argv)
+    """Run one command.  Only its parser is built: the flags of all four
+    took longer to build than a ``--K 1024`` solve."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _COMMANDS:    # help, or a usage error: either exits
+        ap = argparse.ArgumentParser(
+            prog="splitgrow",
+            description="Vertex-splitting random trees: solve, simulate, compare, validate")
+        sub = ap.add_subparsers(dest="command", required=True)
+        for name, (help_line, _, _) in _COMMANDS.items():
+            sub.add_parser(name, help=help_line)
+        ap.parse_args(argv)
+    _, handler, groups = _COMMANDS[argv[0]]
+    p = argparse.ArgumentParser(prog=f"splitgrow {argv[0]}")
+    _add_flags(p, groups)
+    args = p.parse_args(argv[1:])
     try:
-        return args.fn(args)
+        return handler(args)
     except SplitgrowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

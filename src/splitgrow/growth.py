@@ -1027,11 +1027,12 @@ class _Growth:
         class's one entry; returns their children that can die."""
         laws = self.laws
         laws.cover_laws(int(c.max()) + 1)
-        lo, hi, keys = laws.lo, laws.hi, laws.keys
-        a, b = lo[c], hi[c]
-        e = a if u is None else \
-            np.minimum(np.maximum(np.searchsorted(keys, c + u, side="right"), a), b - 1)
-        e = np.where(b > a, e, -1)
+        a, b = laws.lo[c], laws.hi[c]
+        e = np.where(b > a, a, -1)      # a class's one entry, or -1 for none
+        if u is not None:               # the rows whose class has a choice draw
+            pick = np.flatnonzero(b - a > 1)
+            e[pick] = np.minimum(np.maximum(np.searchsorted(
+                laws.keys, c[pick] + u[pick], side="right"), a[pick]), b[pick] - 1)
         k1, k2 = laws.kid1[e], laws.kid2[e]
         laws.cover(int(max(k1.max(), k2.max())) + 1)
         w = laws.w
@@ -1241,16 +1242,17 @@ _CSV_CELLS = 32768      # count cells (snapshot degrees) per census.csv chunk
 
 
 def write_census_csv(fh, trajectories: list[list[CensusSnapshot]]) -> None:
-    """Rows ``replica,t,k`` followed by the snapshots' count columns (``n``,
-    or ``n_white,n_black`` for two-colour snapshots), where
-    ``trajectories[r]`` holds replica ``r``'s snapshots, all of one kind;
-    degrees with no vertex are omitted.  A replica's snapshots are written
-    in chunks of up to ``_CSV_CELLS`` count cells (or one snapshot)."""
+    """Write to the binary file ``fh`` the ASCII rows ``replica,t,k``
+    followed by the snapshots' count columns (``n``, or ``n_white,n_black``
+    for two-colour snapshots), where ``trajectories[r]`` holds replica
+    ``r``'s snapshots, all of one kind; degrees with no vertex are omitted.
+    A replica's snapshots are written in chunks of up to ``_CSV_CELLS``
+    count cells (or one snapshot)."""
     headers = {snap.CSV_COLUMNS for snaps in trajectories for snap in snaps}
     if len(headers) > 1:
         raise InvalidParameterError("census.csv takes snapshots of one kind, got columns "
                                     + " and ".join(sorted(headers)))
-    fh.write(f"replica,t,k,{headers.pop() if headers else CensusSnapshot.CSV_COLUMNS}\n")
+    fh.write(f"replica,t,k,{headers.pop() if headers else CensusSnapshot.CSV_COLUMNS}\n".encode())
     for rep, snaps in enumerate(trajectories):
         bounds = np.cumsum([0, *(len(snap.counts) for snap in snaps)])
         lo = 0
@@ -1260,10 +1262,10 @@ def write_census_csv(fh, trajectories: list[list[CensusSnapshot]]) -> None:
             lo = hi
 
 
-def _csv_chunk(rep: int, snaps: list[CensusSnapshot], bounds: np.ndarray) -> str:
+def _csv_chunk(rep: int, snaps: list[CensusSnapshot], bounds: np.ndarray) -> bytes:
     """The rows of ``snaps``, whose counts fill ``bounds[i]:bounds[i+1]`` of
     their concatenation, as one ``uint8`` matrix whose NUL bytes (prefix
-    padding and leading zeros) a boolean mask drops from the text.
+    padding and leading zeros) a boolean mask drops from the bytes.
 
     Each ``CSV_FIELDS`` array is concatenated once, and the cells where any
     of them is nonzero, the degrees some vertex has, are the rows."""
@@ -1287,4 +1289,4 @@ def _csv_chunk(rep: int, snaps: list[CensusSnapshot], bounds: np.ndarray) -> str
         col += width + 1
     rows[:, -1] = ord("\n")
     rows = rows.ravel()
-    return rows[rows != 0].tobytes().decode("ascii")
+    return rows[rows != 0].tobytes()

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import splitgrow
 import splitgrow.cli
@@ -131,7 +132,9 @@ class TestSolve:
             flags = ["--table", str(dmax3_table_file(tmp_path))]
         out = tmp_path / "out"
         assert main(["solve", *flags, "--out", str(out)]) == 0
-        solver = json.loads((out / "manifest.json").read_text())["solver"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert 0 <= manifest["write_s"] <= manifest["runtime_s"]   # the solution.json write
+        solver = manifest["solver"]
         doc = json.loads((out / "solution.json").read_text())
         assert solver.pop("max_residual") == doc["max_residual"]
         assert solver == facts
@@ -141,7 +144,10 @@ class TestSolve:
         # the rna reduction is solved by the recurrence: no dense head
         assert main(["compare", "--family", "rna", "--replicas", "2", "--t-final", "300",
                      "--z-crit", "1e9", "--K", "64", "--out", str(tmp_path)]) == 0
-        solver = json.loads((tmp_path / "manifest.json").read_text())["solver"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        # the report.csv and solution.json writes
+        assert 0 <= manifest["write_s"] <= manifest["runtime_s"]
+        solver = manifest["solver"]
         del solver["max_residual"]
         assert solver == {"K": 64, "method": "reduction", "closure": "none",
                           "closure_reason": SUPER_EXP, "head_size": 0}
@@ -1214,3 +1220,97 @@ def test_import_leaves_process_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr or "concurrent.futures.process was imported"
+
+
+# -- the front door: one parser for the command that runs, and the JSON writer
+
+
+MODEL_FLAGS = ["--config", "--family", "--w", "--a", "--b", "--x", "--alpha", "--gamma",
+               "--alpha0", "--table"]
+SOLVE_FLAGS = ["--K", "--tol"]
+WRITE_FLAGS = ["--force-unsupported", "--out"]
+GROW_FLAGS = ["--seed", "--replicas", "--t-final", "--thin", "--engine"]
+COMMAND_FLAGS = {
+    "solve": [*MODEL_FLAGS, *SOLVE_FLAGS, *WRITE_FLAGS],
+    "simulate": [*MODEL_FLAGS, *WRITE_FLAGS, *GROW_FLAGS],
+    "compare": [*MODEL_FLAGS, *SOLVE_FLAGS, *WRITE_FLAGS, *GROW_FLAGS, "--k-check", "--z-crit"],
+    "validate": MODEL_FLAGS,
+}
+HELP_LINES = {
+    "solve": "analytic degree densities",
+    "simulate": "replicated growth trajectories",
+    "compare": "simulation vs analytic, with z-scores",
+    "validate": "model condition checks and regime",
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_command_flags(capsys, command):
+    # each command's parser takes exactly its own flags, in this order
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.partition("\n\n")[0]
+    assert usage.startswith(f"usage: splitgrow {command} [-h] ")
+    assert re.findall(r"\[(--[\w-]+)", usage) == COMMAND_FLAGS[command]
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: splitgrow [-h] {solve,simulate,compare,validate} ...")
+    for command, line in HELP_LINES.items():
+        assert re.search(rf"^ +{command} +{re.escape(line)}$", out, re.M), command
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["solve", "--bogus"], ["--bogus", "solve"]],
+                         ids=["none", "unknown", "unknown-flag", "flag-first"])
+def test_no_or_unknown_command_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: splitgrow") and "error:" in err
+
+
+def test_shell_invocation_without_command_refused():
+    # main() reads sys.argv, as the console script calls it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "splitgrow.cli"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: splitgrow")
+    assert "the following arguments are required: command" in proc.stderr
+
+
+def test_solve_prints_the_solution_file_bytes(tmp_path, capsys):
+    flags = ["solve", "--family", "grafting", "--alpha", "0.5", "--gamma", "0.5", "--K", "64"]
+    assert main(flags) == 0
+    printed = capsys.readouterr().out
+    assert main([*flags, "--out", str(tmp_path)]) == 0
+    assert printed.encode() == (tmp_path / "solution.json").read_bytes()
+
+
+NUMBERS = st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), NUMBERS, st.text(),
+              st.lists(NUMBERS), st.lists(st.one_of(NUMBERS, st.booleans()))),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+@example({"densities": [0.5, -0.0, math.nan, math.inf, -math.inf, 2 ** 53 + 1, 7],
+          "flags": [1, True, 2.0, False], "empty": [], "none": {}, "warnings": ["ü ☃"],
+          "rows": [{"e": [1.0, 2e-300]}, []], "nested": {"x": [[0.25], [1, 2]]}})
+@example([[]])
+@example({"a": 1.0})
+def test_json_text_is_json_dumps(doc):
+    # the writer of solution.json and manifest.json, byte for byte
+    assert splitgrow.cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)

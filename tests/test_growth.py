@@ -1188,9 +1188,9 @@ def naive_census_csv(trajectories) -> str:
 
 
 def census_csv(trajectories) -> str:
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_census_csv(buf, trajectories)
-    return buf.getvalue()
+    return buf.getvalue().decode("ascii")
 
 
 def two_colour(t, white, black):
@@ -1302,8 +1302,8 @@ class TestSerialisation:
         class Sink:
             size = 0
 
-            def write(self, text):
-                self.size += len(text)
+            def write(self, data):
+                self.size += len(data)
 
         sink = Sink()
         tracemalloc.start()
@@ -1327,8 +1327,8 @@ class TestSerialisation:
         class Sink:
             size = 0
 
-            def write(self, text):
-                self.size += len(text)
+            def write(self, data):
+                self.size += len(data)
 
         sink = Sink()
         tracemalloc.start()

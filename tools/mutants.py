@@ -72,6 +72,11 @@ MUTANTS = [
            # the densities alone then sum to 1, missing the closed tail
            # mass (6.5e-3 of it for preferential w = i at K = 16)
            ("tests/test_solver.py", "-k", "dense_solve or closed_form")),
+    Mutant("split-draw-only-past-three-entries", "src/splitgrow/growth.py",
+           "pick = np.flatnonzero(b - a > 1)", "pick = np.flatnonzero(b - a > 3)",
+           # a class of two or three entries then always takes its first:
+           # a degree-2 white split is always (1, 3)
+           ("tests/test_growth.py", "-k", "matches_step_reference")),
     Mutant("batch-group-drops-a-replica", "src/splitgrow/growth.py",
            "del todo[:len(group)]", "del todo[:len(group) + 1]",
            ("tests/test_growth.py", "-k", "batch_independence")),
@@ -96,6 +101,9 @@ MUTANTS = [
            "globals().setdefault(other, getattr(home, other))",
            "globals()[other] = getattr(home, other)",
            ("tests/test_cli.py", "-k", "spans_recorded")),
+    Mutant("json-number-list-indent-one-short", "src/splitgrow/cli.py",
+           "replace(', ', ',' + inner)", "replace(', ', ',' + pad)",
+           ("tests/test_cli.py", "-k", "json_text_is_json_dumps")),
     Mutant("replicas-share-one-seed", "src/splitgrow/experiment.py",
            "np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)",
            "np.random.SeedSequence(cfg.seed).spawn(1) * cfg.replicas",
