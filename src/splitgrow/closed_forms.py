@@ -38,7 +38,7 @@ __all__ = [
 
 def bessel_i(nu: float, z: float) -> float:
     """Modified Bessel function of the first kind ``I_nu(z)``, the exponential
-    of the log-space power series ``_log_bessel_i``; ``nu >= 0``, ``0 < z <= 4``."""
+    of the log-space power series ``_log_bessel_i``; ``nu > -1``, ``0 < z <= 4``."""
     return math.exp(_log_bessel_i(nu, z))
 
 
@@ -48,10 +48,10 @@ def _log_bessel_i(nu: float, z: float) -> float:
 
     Terms ``(z/2)^(2m+nu) / (m! * Gamma(m+nu+1))`` are taken relative to the
     first and accumulated until one falls below 1e-18 of the running sum.
-    Intended range: ``nu >= 0`` and ``0 < z <= 4``.
+    Intended range: ``nu > -1``, where every term is positive, and ``0 < z <= 4``.
     """
-    if nu < 0 or z <= 0:
-        raise InvalidParameterError(f"series valid for nu >= 0, z > 0; got nu={nu}, z={z}")
+    if nu <= -1 or z <= 0:
+        raise InvalidParameterError(f"series valid for nu > -1, z > 0; got nu={nu}, z={z}")
     log_half_z = math.log(z / 2.0)
 
     def log_term(m):

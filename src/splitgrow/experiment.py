@@ -232,44 +232,42 @@ def worker_count(replicas: int) -> int:
     return max(1, min(_thread_cap(), replicas))
 
 
-def _simulate_replica(payload):
-    """One grown replica's result: its snapshots, its invariant checks and
-    its growth counters."""
-    state, snaps, growth = payload
-    occupied = np.flatnonzero(snaps[-1].counts)
-    growth["max_degree"] = int(occupied[-1]) + 1 if len(occupied) else 0
-    return {"kind": snaps[-1].KIND, "t": snaps[-1].t, "snapshots": snaps,
-            "checks": state.checks(), "growth": growth}
+def _simulate_replica(state, snaps, events_drawn):
+    """One grown replica's record: its snapshots, its invariant checks and
+    its growth counters, ``events`` kept (every replica starts from one
+    edge, at clock 2), ``events_drawn`` and ``max_degree``."""
+    final = snaps[-1]
+    occupied = np.flatnonzero(final.counts)
+    return {"kind": final.KIND, "t": final.t, "snapshots": snaps, "checks": state.checks(),
+            "growth": {"events": final.t - 2, "events_drawn": events_drawn,
+                       "max_degree": int(occupied[-1]) + 1 if len(occupied) else 0}}
 
 
 def _simulate_block(payload):
     """Replicas ``first ..`` of one worker, grown from their child seeds:
     census engines in one ``run_batch`` call, trees one ``run`` each (one
-    tree alive at a time).  The block's first result also carries the
-    batch's ``rounds`` (None for trees), ``growth_s`` and the ``kernel``
-    that grew it."""
+    tree alive at a time, which draws just the events it keeps).  The
+    block's first result also carries the batch's ``rounds`` (None for
+    trees), ``growth_s`` and the ``kernel`` that grew it."""
     spec, engine, t_final, thin, first, seeds = payload
     __getattr__("run")              # growth's names become globals, a spawned worker's too
     model = build_model(spec)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     start = time.perf_counter()
-    events = t_final - 2                    # every replica starts from one edge
     if engine == "tree" and not isinstance(model, TwoColourModel):
         results, rounds = [], None
         for rng in rngs:
             tree = OrderedTree.single_edge(model)
             kernel = tree.kernel
-            snaps = run(tree, t_final, rng, thin=thin or None)
-            results.append(_simulate_replica(
-                (tree, snaps, {"events": events, "events_drawn": events})))
+            results.append(_simulate_replica(tree, run(tree, t_final, rng, thin), t_final - 2))
     else:
         make = (TwoColourState if isinstance(model, TwoColourModel) else UrnState).single_edge
         states = [make(model) for _ in seeds]
         kernel = states[0].kernel
-        trajectories, stats = run_batch(states, t_final, rngs, thin=thin or None)
+        trajectories, stats = run_batch(states, t_final, rngs, thin)
         rounds = stats["rounds"]
-        results = [_simulate_replica((s, snaps, {"events": events, "events_drawn": d}))
-                   for s, snaps, d in zip(states, trajectories, stats["events_drawn"])]
+        results = [_simulate_replica(*replica)
+                   for replica in zip(states, trajectories, stats["events_drawn"])]
     results[0]["batch"] = {"first": first, "replicas": len(seeds), "rounds": rounds,
                            "kernel": kernel, "growth_s": time.perf_counter() - start}
     return results

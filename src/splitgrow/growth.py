@@ -61,12 +61,13 @@ which draws each vertex's whole chain up to the horizon at once, so a
 generation is the leaves born in the one before, not the children of every
 hub split.  Other census models grow by ``"generations"``.  Either way
 ``run_batch`` has the law of ``step`` but other draws (for census engines
-``step`` is the reference in law, not bit for bit), and the class table
-``_ClassLaws`` alone decides the classes an event creates.  A leaf split's
-pair ``(1, d + 1)`` is one census in either order, so neither the chains
-nor ``_leaf_kernel`` reads a split law.  ``_leaf_kernel`` and ``run_batch``
-take their snapshots, at the clocks of ``_clocks``, through one census
-path, ``_advance_census``.
+``step``, with its own kid rule, is the independent reference in law, not
+bit for bit), and in ``run_batch`` the class table ``_ClassLaws`` alone
+decides the classes an event creates.  A leaf split's pair ``(1, d + 1)``
+is one census in either order, so neither the chains nor ``_leaf_kernel``
+reads a split law.  ``_leaf_kernel`` and ``run_batch`` take their
+snapshots, at the clocks of ``_clocks``, through one census path,
+``_advance_census``.
 """
 
 from __future__ import annotations
@@ -600,9 +601,9 @@ def run(state, t_final: int, rng, thin: Optional[int] = None) -> list[CensusSnap
     of a one-colour engine, the event clock of a two-colour one), returning
     census snapshots.
 
-    ``thin=m`` records the state before every m-th step and at
-    ``t_final``, each clock once; ``thin=None`` records only the final
-    state.  Deterministic given the state, the model and the generator state.
+    ``thin=m`` records the state before every m-th step and at ``t_final``,
+    each clock once; a ``thin`` of 0 or None records only ``t_final``.
+    Deterministic given the state, the model and the generator state.
 
     ``OrderedTree`` grows through the kernel its ``kernel`` property
     names: ``_leaf_kernel`` for a tree whose every split sheds a leaf,
@@ -637,8 +638,7 @@ _BLOCK = 4096
 
 
 def _advance_census(state, clocks: list[int], totals: np.ndarray, removed: np.ndarray,
-                    added: tuple[np.ndarray, ...],
-                    weights: Optional[np.ndarray] = None) -> list[CensusSnapshot]:
+                    added: tuple[np.ndarray, ...], weights: np.ndarray) -> list[CensusSnapshot]:
     """Move ``state``'s census, clock and running total past events and
     return its snapshots at the ``clocks`` they reach, which leave the list.
 
@@ -652,7 +652,7 @@ def _advance_census(state, clocks: list[int], totals: np.ndarray, removed: np.nd
     the classes reached by its clock.  The window's snapshot clocks, widths
     and totals take one numpy operation each, and each snapshot owns a copy
     of its row, so no later window or edit reaches it.  The weights of new
-    classes are read from ``weights``, the class weights, when given.
+    classes are read from ``weights``, the class weights.
     """
     t0, n = state.t, len(removed)
     reach = bisect_right(clocks, t0 + n)
@@ -686,8 +686,7 @@ def _advance_census(state, clocks: list[int], totals: np.ndarray, removed: np.nd
     state.total_weight = float(totals[-1])
     state.counts = counts.tolist()
     new = range(len(state.weights), len(state.counts))
-    state.weights += (map(state._class_weight, new) if weights is None
-                      else weights[new.start:new.stop].tolist())
+    state.weights += weights[new.start:new.stop].tolist()
     return snaps
 
 
@@ -829,7 +828,7 @@ def _leaf_kernel(tree: OrderedTree, clocks: list[int], rng) -> list[CensusSnapsh
         p = (u[:, 2] * i).astype(np.intc)
         tree._log.append(((e0 + 2 * s).astype(np.intc), v.astype(np.intc), p))
         ends.frombytes(np.stack((v, clock), axis=1).astype(np.intc).tobytes())
-        snaps += _advance_census(tree, clocks, totals, i - 1, (i, np.zeros(n, np.int64)))
+        snaps += _advance_census(tree, clocks, totals, i - 1, (i, np.zeros(n, np.int64)), w)
         t = tree.t
     return snaps + [tree.census() for _ in clocks]
 
@@ -1179,11 +1178,12 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
     """Grow census engines (``UrnState``, ``TwoColourState``; a tree grows by
     ``run``) to the clock ``t_final``, state ``r`` from ``rngs[r]`` alone.
 
-    Returns each state's snapshots, as ``run`` records them, and the
-    batch's counters: per state the ``events_drawn``, which are the events
-    kept plus those drawn past the last kept one, and for the batch the
-    ``rounds``, one per generation expanded for a whole group (under
-    chains, a leaf generation with the whole chains of its members).
+    Returns each state's snapshots, as ``run`` records them (a ``thin`` of
+    0 or None records only ``t_final``), and the batch's counters: per
+    state the ``events_drawn``, which are the events kept plus those drawn
+    past the last kept one, and for the batch the ``rounds``, one per
+    generation expanded for a whole group (under chains, a leaf generation
+    with the whole chains of its members).
 
     Consecutive states of one model grow as a group, one ``_Growth``, while
     their events sum to at most ``_EVENT_BUDGET``; a state that needs more

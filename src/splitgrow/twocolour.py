@@ -129,9 +129,10 @@ def reduce_to_one_colour(model2: TwoColourModel) -> WeightModel:
     ``w_black``, partitioning weights scaled by ``w_black/w_white`` on each
     split-degree class.  The scale factor depends on the split degree
     alone, so a white partition declared ``by_split_degree`` gives a reduced
-    one declared so too, with leaf-mass limit ``2c``.  The reduced weights
-    carry no ``LinearTail``, even where the white partition has one, so
-    their solve truncates with a zero tail."""
+    one declared so too, and tends to 1 (``b/a`` when ``c = 0``), which scales
+    the white leaf-mass limit.  The reduced weights carry no ``LinearTail``,
+    even where the white partition has one, so their solve truncates with a
+    zero tail."""
     white_pw = model2.white.partition
     w_white = model2.white.splitting
     w_black = model2.black
@@ -149,17 +150,9 @@ def reduce_to_one_colour(model2: TwoColourModel) -> WeightModel:
                 "where partition mass exists")
         return np.where(mass, w_black(dd) / np.where(ww == 0.0, 1.0, ww) * base, 0.0)
 
-    c = model2.black.a
-    limit = None
-    if white_pw.tail is not None:
-        glim = white_pw.tail.g_limit
-        if math.isinf(glim):
-            limit = math.inf
-        else:
-            ratio = 1.0 if c > 0 else (model2.b / model2.a if model2.a else None)
-            limit = None if ratio is None else glim * ratio
-    elif white_pw.by_split_degree:      # i*w[1, i+1] = 2*w_black(i)/(i+1)
-        limit = 2.0 * c if c > 0 else 0.0
+    limit = model2.white.leaf_mass_limit
+    if limit is not None and w_black.a <= 0:    # c = a - 3b/2 <= 0 forces a > b > 0
+        limit *= model2.b / model2.a
     pw = PartitionWeights(fn, d_max=white_pw.d_max,
                           by_split_degree=white_pw.by_split_degree)
     return WeightModel(pw, model2.black, family="reduced",

@@ -335,10 +335,13 @@ class WeightModel:
 
     @property
     def leaf_mass_limit(self) -> Optional[float]:
+        """Limit of ``i * w[1, i+1]``, or None when the model does not know it."""
         if self._leaf_mass_limit is not None:
             return self._leaf_mass_limit
         if self.partition.tail is not None:
             return self.partition.tail.g_limit
+        if self.d_max is None and self.partition.by_split_degree:
+            return 2.0 * self.splitting.a     # i * w[1, i+1] = 2*w_i/(i+1)
         return None
 
     # -- split-size law ----------------------------------------------------
@@ -418,8 +421,8 @@ def classify_regime(m: WeightModel) -> tuple[Regime, float]:
     For bounded models the infimum runs over ``1 <= i < d_max`` and the bound
     itself forces CASE_I.  For unbounded models the minimum over
     ``1 <= i <= 4096`` is folded with the model's ``leaf_mass_limit``, the
-    limit of ``i * w[1, i+1]``; if the model knows none (no declared limit
-    and no tail) an UnknownTailError is raised rather than extrapolating.
+    limit of ``i * w[1, i+1]``; if the model knows none, an UnknownTailError
+    is raised rather than extrapolating.
     """
     i = np.arange(1, m.d_max if m.d_max is not None else 4097)
     s_scan = float(np.min(i * m.partition(1, i + 1)))
@@ -430,7 +433,7 @@ def classify_regime(m: WeightModel) -> tuple[Regime, float]:
     if m.leaf_mass_limit is None:
         raise UnknownTailError(
             "unbounded model with unknown tail of i*w[1,i+1]; construct the "
-            "model with a leaf_mass_limit or a LinearTail")
+            "model with a leaf_mass_limit, a LinearTail or a by_split_degree partition")
     s = min(s_scan, m.leaf_mass_limit)
     if s <= 0.0:
         return Regime.CASE_II, 0.0
@@ -468,9 +471,7 @@ def make_uniform(x: float) -> WeightModel:
     if not (x > -1 and math.isfinite(x)):
         raise InvalidParameterError(f"uniform family needs a finite x > -1, got {x}")
     sw = SplittingWeights(1.0, float(x))
-    # i * w[1, i+1] = 2(i+x)/(i+1) is monotone with limit 2
-    return WeightModel(_uniform_partition(sw), sw, family="uniform",
-                       params={"x": float(x)}, leaf_mass_limit=2.0)
+    return WeightModel(_uniform_partition(sw), sw, family="uniform", params={"x": float(x)})
 
 
 def _uniform_partition(sw: SplittingWeights) -> PartitionWeights:

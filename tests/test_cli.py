@@ -631,6 +631,15 @@ class TestCompare:
         assert rc == 0
         assert ",1,closed-form,0.3683350198" in (tmp_path / "report.csv").read_text()
 
+    def test_uniform_negative_x_compares(self, tmp_path, monkeypatch, capsys):
+        # x = -0.7 puts the Bessel order 1/2 + x of the closed form below 0
+        monkeypatch.setenv("SPLITGROW_THREADS", "1")
+        rc = main(["compare", "--family", "uniform", "--x", "-0.7", "--replicas", "16",
+                   "--t-final", "5000", "--out", str(tmp_path)])
+        assert rc == 0
+        assert "compare PASS: max |z| = 2.94 " in capsys.readouterr().err
+        assert ",1,closed-form," in (tmp_path / "report.csv").read_text()
+
     def test_forced_nonlinear_table_watermarked(self, tmp_path, monkeypatch):
         # the report's forced row and solution.json carry the solve's verdict
         monkeypatch.setenv("SPLITGROW_THREADS", "1")
@@ -682,8 +691,8 @@ class TestCompare:
         monkeypatch.setenv("SPLITGROW_THREADS", "1")
         real = splitgrow.experiment._simulate_replica
 
-        def broken(payload):
-            res = real(payload)
+        def broken(*args):
+            res = real(*args)
             res["checks"]["census_sum_dev"] = 1
             return res
 

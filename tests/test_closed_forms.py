@@ -27,7 +27,7 @@ class TestBessel:
         assert bessel_i(0.5, 1.0) == pytest.approx(0.9376748, abs=1e-7)
         assert bessel_i(1.5, 1.0) == pytest.approx(0.2935253, abs=5e-8)
 
-    @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.0, 1.5, 2.5])
+    @pytest.mark.parametrize("nu", [-0.75, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5, 2.5])
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 4.0])
     def test_against_scipy(self, nu, z):
         assert bessel_i(nu, z) == pytest.approx(scipy.special.iv(nu, z), rel=1e-13)
@@ -38,8 +38,9 @@ class TestBessel:
                 assert bessel_i(nu, z) > 0
 
     def test_domain(self):
+        # the series needs Gamma(nu + 1) finite: every nu > -1
         with pytest.raises(InvalidParameterError):
-            bessel_i(-0.5, 1.0)
+            bessel_i(-1.0, 1.0)
         with pytest.raises(InvalidParameterError):
             bessel_i(0.5, 0.0)
 
@@ -114,6 +115,13 @@ class TestUniform:
         solved = fixed_point_densities(make_uniform(x), K=256).densities[:16]
         assert np.max(np.abs(exact / solved - 1.0)) <= 1e-10
         assert np.array_equal(exact, [uniform_density(x, k) for k in range(1, 17)])
+
+    @pytest.mark.parametrize("x", [-0.9, -0.7])
+    def test_negative_order_matches_solver(self, x):
+        # x < -0.5 takes the Bessel order 1/2 + x below 0
+        exact = closed_form_for(make_uniform(x)).densities(30)
+        solved = fixed_point_densities(make_uniform(x), K=1024).densities[:30]
+        assert np.max(np.abs(exact - solved)) <= 1e-12
 
     def test_x_beyond_accuracy_bound(self):
         with pytest.raises(InvalidParameterError, match="underflows"):

@@ -1113,13 +1113,14 @@ class TestAdvanceCensus:
         # the census with pref-i's class weights, at the stream's clock and total
         state = UrnState(_PREF_I, counts)
         state.t, state.total_weight = t0, totals[0]
+        weights = _PREF_I.splitting_weights(len(after))
         snaps = []
         # two legs meet at a clock on a window edge, as run_batch's legs and
         # _leaf_kernel's blocks do
         for lo, hi in ((0, n),) if legs == 1 else ((0, b), (b, n)):
             assert state.t == t0 + lo and state.total_weight == totals[lo]
             snaps += growth._advance_census(state, clocks, totals[lo:hi + 1], removed[lo:hi],
-                                            tuple(a[lo:hi] for a in added))
+                                            tuple(a[lo:hi] for a in added), weights)
         assert [(s.t, s.counts.tolist(), s.total_weight) for s in snaps] == want
         assert state.counts == after and state.t == t0 + n
         assert state.total_weight == totals[-1]

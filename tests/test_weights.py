@@ -1,4 +1,5 @@
 import bisect
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from splitgrow import (InvalidParameterError, PartitionWeights, Regime,
                        validate_model)
 from splitgrow.twocolour import (make_rna, make_two_colour_grafting,
                                  make_two_colour_uniform, reduce_to_one_colour)
+from splitgrow.weights import _uniform_partition
 from conftest import (DMAX3_ENTRIES, constant_uniform_partition, derived_weights_by_degree,
                       doubled_split_entries, random_linear_table)
 
@@ -125,6 +127,44 @@ class TestClassifyRegime:
                         leaf_mass_limit=0.0)
         regime, s = classify_regime(m)
         assert regime is Regime.CASE_II and s == 0.0
+
+
+# (case, s) and leaf_mass_limit of models whose limit the partition's
+# by_split_degree declaration or tail decides, to the bit
+LIMIT_CASES = [
+    ("uniform -0.9", lambda: make_uniform(-0.9), Regime.CASE_III, 0.09999999999999998, 2.0),
+    ("uniform 0", lambda: make_uniform(0.0), Regime.CASE_III, 1.0, 2.0),
+    ("uniform 3", lambda: make_uniform(3.0), Regime.CASE_III, 2.0, 2.0),
+    ("rna", lambda: reduce_to_one_colour(make_rna()), Regime.CASE_III, 1.0, 2.0),
+    ("2c-uniform 1,0.3", lambda: reduce_to_one_colour(make_two_colour_uniform(1.0, 0.3)),
+     Regime.CASE_III, 0.8500000000000001, 1.1),
+    ("2c-uniform c=0", lambda: reduce_to_one_colour(make_two_colour_uniform(1.5, 1.0)),
+     Regime.CASE_II, 0.0, 0.0),
+    ("2c-grafting 1,0,0.5",
+     lambda: reduce_to_one_colour(make_two_colour_grafting(1.0, 0.0, 0.5)),
+     Regime.CASE_III, 1.0, math.inf),
+    ("2c-grafting 2,1,0", lambda: reduce_to_one_colour(make_two_colour_grafting(2.0, 1.0, 0.0)),
+     Regime.CASE_III, 1.5, math.inf),
+    ("2c-grafting c=0", lambda: reduce_to_one_colour(make_two_colour_grafting(1.5, 1.0, 0.0)),
+     Regime.CASE_III, 0.9999999999999998, 1.0),
+]
+
+
+class TestLeafMassLimit:
+    @pytest.mark.parametrize("name,build,case,s,limit", LIMIT_CASES,
+                             ids=[c[0] for c in LIMIT_CASES])
+    def test_regime_parity(self, name, build, case, s, limit):
+        m = build()
+        assert classify_regime(m) == (case, s)
+        assert m.leaf_mass_limit == limit
+
+    def test_by_split_degree_declaration_gives_2a(self):
+        # w_i = 2i + 3: i*w[1,i+1] = 2(2i+3)/(i+1) falls towards its limit 4;
+        # an undeclared partition raises (test_unknown_tail_names_the_model_fact)
+        sw = SplittingWeights(2.0, 3.0)
+        m = WeightModel(_uniform_partition(sw), sw)
+        assert m.leaf_mass_limit == 4.0
+        assert classify_regime(m) == (Regime.CASE_III, 4.0)
 
 
 class TestConstructors:

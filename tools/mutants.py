@@ -110,6 +110,14 @@ MUTANTS = [
            # two-replica compares: equal replicas give SE 0 at every degree,
            # which compare refuses as a run with nothing to test
            ("tests/test_cli.py", "-k", "TestCompare and (reproducible or solves_once)")),
+    Mutant("bessel-domain-from-zero", "src/splitgrow/closed_forms.py",
+           "if nu <= -1 or z <= 0:", "if nu < 0 or z <= 0:",
+           # uniform x < -0.5 takes the Bessel order 1/2 + x below 0
+           ("tests/test_closed_forms.py", "-k", "negative_order or against_scipy")),
+    Mutant("by-split-degree-limit-halved", "src/splitgrow/weights.py",
+           "return 2.0 * self.splitting.a", "return self.splitting.a",
+           # uniform x = 3 then classifies with s = 1, not 2
+           ("tests/test_weights.py", "-k", "TestLeafMassLimit")),
     Mutant("se-keeps-rounding-residue", "src/splitgrow/experiment.py",
            "        se[emp.max(axis=0) == emp.min(axis=0)] = 0.0", "        pass",
            # 16 equal replicas at t = 3: std leaves ~1e-17, which FAILs the
