@@ -49,7 +49,9 @@ every vertex splits after its own exponential clock of rate ``w_d``, and
 the order in which the clocks ring is the urn's sequence of draws
 (Athreya and Karlin, Ann. Math. Statist. 39 (1968) 1801-1817; Janson,
 Stoch. Proc. Appl. 110 (2004) 177-245).  Its vertices are independent, so
-numpy expands them a generation at a time, and so are its replicas:
+numpy expands them a generation at a time, and a clock that has not rung
+by the horizon is memoryless there, so a replica between horizons is its
+census, a count per class.  Its replicas are independent too:
 consecutive replicas of one model grow as a group, with one round of numpy
 calls per generation of the whole group, each replica still drawing from
 its own generator exactly what it would draw alone.  When every split of a
@@ -930,24 +932,29 @@ class _Growth:
 
     Every member of a census is an individual of its class ``c``; it dies
     after an exponential time of rate ``w_c`` and leaves the children of a
-    split (or the recoloured vertex).  The individuals born before their
-    replica's horizon are expanded one generation at a time: each draws its
-    death time and, if that falls before the horizon, is an event whose
-    children form the next generation; the others are parked with their
-    death time.  When no replica has a generation left, each replica whose
-    events are too few moves its horizon on and releases its parked
-    individuals that die before it.  A replica's first ``need`` events in
-    time order are its urn's next events; two at the same time, which takes
-    a death within an ulp of its birth, may come in either order.
+    split (or the recoloured vertex).  A replica's state at its horizon is
+    its census ``alive[r]`` of the members whose clocks have not rung,
+    which are memoryless there; it starts as the replica's census, at
+    horizon 0.  While its events are too few, the horizon moves on from
+    ``lo`` to ``hi`` and ``Binomial(alive_c, q_c)`` members of each
+    occupied class of weight ``w_c > 0`` ring, ``q_c = -expm1(-w_c (hi -
+    lo))``, each at ``lo - log1p(-u q_c) / w_c`` (its clock's law given
+    that it rings; a move may ring none).  The children of every event
+    before the horizon are expanded a generation at a time: each draws its
+    death time and is an event if that falls before the horizon, else it
+    is counted back into ``alive``.  A replica's first ``need`` events in
+    time order are its urn's next events; two at the same time, which
+    takes a death within an ulp of its birth, may come in either order.
 
     The replicas are independent, so a round expands the generations of the
     whole group with one set of numpy calls: the rows carry their replica's
     index ``rep``, grouped by replica, and each replica keeps its own
-    horizon, weight, events and parked individuals.  Replica ``r`` draws
-    from ``rngs[r]`` alone what it would draw grown alone: a generation of
-    ``m`` individuals draws ``random((2, m))``, the death uniforms then the
-    split uniforms, and released individuals one split uniform each, in
-    time order.  Its outcome thus depends on its generator alone.
+    horizon, weight, events and census.  Replica ``r`` draws from
+    ``rngs[r]`` alone what it would draw grown alone: a move draws its
+    binomials, then one ring uniform per released member, then, in time
+    order, one split uniform each; a generation of ``m`` individuals draws
+    ``random((2, m))``, the death uniforms then the split uniforms.  Its
+    outcome thus depends on its generator alone.
 
     Under chains (``laws.chains``: one colour, every split sheds a leaf) a
     vertex keeps its identity through its splits, so ``_chains`` expands
@@ -959,22 +966,16 @@ class _Growth:
     """
 
     def __init__(self, laws: _ClassLaws, states, need: list[int], rngs):
-        if not all(s.total_weight > 0.0 for s in states):
-            raise DegeneracyError("total sampling weight is not positive")
         n = len(states)
         self.laws, self.need, self.rngs = laws, need, rngs
-        self.w0 = [s.total_weight for s in states]  # the weights at the horizons
+        self.w0 = [s.total_weight for s in states]  # the weights at horizon 0
         self.weight, self.drawn, self.rounds = list(self.w0), [0] * n, 0
         self.events: list[list] = [[] for _ in range(n)]    # (time, class, entry) arrays
-        self.parked: list[list] = [[] for _ in range(n)]    # (death, class) arrays
+        width = max(len(s.counts) for s in states)  # alive[r, c]: unrung members of class c
+        self.alive = np.array([s.counts + [0] * (width - len(s.counts)) for s in states], np.int64)
         self._edges = np.arange(n + 1)
-        laws.cover(max(len(s.counts) for s in states))
-        c = np.concatenate([np.repeat(np.arange(len(s.counts)), s.counts) for s in states])
-        rep = np.repeat(np.arange(n), [sum(s.counts) for s in states])
-        live = np.flatnonzero(laws.w[c] > 0)
-        self.frontier = np.zeros(len(live)), c[live], rep[live]
+        laws.cover(width)
         self.horizon = np.zeros(n)
-        self.horizon[:] = [self._next_horizon(r) for r in range(n)]
 
     def _next_horizon(self, r: int) -> float:
         """A horizon for replica ``r`` at which its expected event count
@@ -1004,11 +1005,12 @@ class _Growth:
         return np.concatenate([self.rngs[r].random((*shape, b - a))
                                for r, a, b in self._slices(rep)], axis=-1)
 
-    def _park(self, death, c, rep) -> None:
-        """Park individuals of classes ``c`` that die at ``death``."""
-        c = c.astype(np.int32)
-        for r, a, b in self._slices(rep):
-            self.parked[r].append((death[a:b], c[a:b]))
+    def _outlive(self, c, rep) -> None:
+        """Count individuals of classes ``c`` whose clocks ring past their
+        replica's horizon back into its census."""
+        if self.alive.shape[1] < len(self.laws.inv_w):     # widen past the covered classes
+            self.alive = np.pad(self.alive, ((0, 0), (0, len(self.laws.inv_w))))
+        np.add.at(self.alive.reshape(-1), rep * self.alive.shape[1] + c, 1)
 
     def _log(self, t, c, e, rep, dw, base=0.0) -> None:
         """Keep events of classes ``c`` at times ``t`` with entries ``e``:
@@ -1045,8 +1047,8 @@ class _Growth:
         u = self._uniforms(rep, 2)
         death = birth - np.log1p(-u[0]) * self.laws.inv_w[c]
         ev = death < self.horizon[rep]
-        park, go = np.flatnonzero(~ev), np.flatnonzero(ev)
-        self._park(death[park], c[park], rep[park])
+        self._outlive(c[~ev], rep[~ev])
+        go = np.flatnonzero(ev)
         if not len(go):
             return death[go], c[go], rep[go]
         return self._record(death[go], c[go], rep[go], u[1][go])
@@ -1057,14 +1059,14 @@ class _Growth:
         itself one class up, so its split times are partial sums of
         exponentials of rates ``w_c, w_{c+1}, ...``.  A block of
         ``standard_exponential((m, L))`` for a replica's ``m`` rows gives
-        each row ``L`` split times; the first past the horizon is parked,
-        and the rows that run past the block go on in one twice as long.  A
-        replica's first block has ``L`` = 4, or 1 from ``_WIDE`` rows on,
-        so the rows run in two lanes.  Returns the leaves born, the next
-        generation."""
+        each row ``L`` split times; a row with a split past the horizon is
+        counted back into the census at its class there, and the rows that
+        run past the block go on in one twice as long.  A replica's first
+        block has ``L`` = 4, or 1 from ``_WIDE`` rows on, so the rows run in
+        two lanes.  Returns the leaves born, the next generation."""
         laws = self.laws
         wide = (np.diff(np.searchsorted(rep, self._edges)) >= _WIDE)[rep]
-        events, parked = [], []             # (time, class, replica) arrays
+        events = []                         # (time, class, replica) arrays
         for lane, L in ((wide, 1), (~wide, 4)):
             rows = slice(None) if lane.all() else np.flatnonzero(lane)
             birth_l, c_l, rep_l = birth[rows], c[rows], rep[rows]
@@ -1083,13 +1085,9 @@ class _Growth:
                 n = np.bincount(row, minlength=len(c_l))
                 events.append((t.ravel()[hit], cls.ravel()[hit], rep_l[row]))
                 stop, go = np.flatnonzero(n < L), np.flatnonzero(n == L)
-                first = stop * L + n[stop]
-                death = t.ravel()[first]
-                live = np.flatnonzero(death < math.inf)     # a class of weight 0 never splits
-                parked.append((death[live], cls.ravel()[first[live]], rep_l[stop[live]]))
+                self._outlive(c_l[stop] + n[stop], rep_l[stop])
                 birth_l, c_l, rep_l, L = t[go, -1], c_l[go] + L, rep_l[go], 2 * L
-        # each replica's rows in block order, as it would draw them alone
-        self._park(*_by_replica(parked))
+        # each replica's events in block order, as it would draw them alone
         t, c, rep = _by_replica(events)
         if not len(c):
             return t, c, rep
@@ -1100,30 +1098,32 @@ class _Growth:
         return t[:keep], np.zeros(keep, np.int64), rep[:keep]
 
     def _release(self, waiting: list[int]):
-        """Move the horizon of each replica in ``waiting`` past its first
-        parked death, so every move releases an event, and record the
-        parked individuals that die before it, per replica in time order,
-        which does not depend on the expansions.  The other replicas are
-        done, and their parked individuals are dropped."""
-        released, waiting = [], set(waiting)
-        for r, parked in enumerate(self.parked):
-            if r not in waiting:
-                parked.clear()
-                continue
-            if not parked:
+        """Move the horizon of each replica in ``waiting`` on and record the
+        members of its census that ring before it, per replica in time
+        order; the census keeps the others."""
+        laws, released = self.laws, []
+        for r in waiting:
+            alive, rng = self.alive[r], self.rngs[r]
+            occupied = np.flatnonzero(alive)
+            occupied = occupied[laws.w[occupied] > 0]
+            if not len(occupied):
                 raise DegeneracyError(
                     "total sampling weight is not positive: no vertex can split "
                     f"after {self.drawn[r]} of {self.need[r]} events")
-            death, c = (np.concatenate(a) for a in zip(*parked))
-            self.horizon[r] = max(self._next_horizon(r), np.nextafter(death.min(), math.inf))
-            ev = death < self.horizon[r]
-            self.parked[r] = [(death[~ev], c[~ev])] if not ev.all() else []
-            first = np.argsort(death[ev])
-            released.append((death[ev][first], c[ev][first].astype(np.int64),
-                             np.full(len(first), r)))
-        death, c, rep = (np.concatenate(a) for a in zip(*released))
-        u = () if self.laws.chains else (self._uniforms(rep),)
-        return self._pieces(self._record, death, c, rep, *u)
+            lo, hi = self.horizon[r], self._next_horizon(r)
+            self.horizon[r] = hi
+            q = -np.expm1(-laws.w[occupied] * (hi - lo))
+            m = rng.binomial(alive[occupied], q)
+            alive[occupied] -= m
+            c, q = np.repeat(occupied, m), np.repeat(q, m)
+            t = lo - np.log1p(-rng.random(len(c)) * q) * laws.inv_w[c]
+            first = np.argsort(t)
+            released.append((t[first], c[first], np.full(len(c), r)))
+        t, c, rep = (np.concatenate(a) for a in zip(*released))
+        if not len(c):
+            return t, c, rep
+        u = () if laws.chains else (self._uniforms(rep),)
+        return self._pieces(self._record, t, c, rep, *u)
 
     def _pieces(self, fn, *cols):
         """``fn`` of the rows ``cols``, whose third is their replica, in
@@ -1143,17 +1143,14 @@ class _Growth:
         """Grow the group, then yield, per replica, the classes and entries
         of its next ``need`` events, in time order."""
         expand = self._chains if self.laws.chains else self._expand
-        (birth, c, rep), self.frontier = self.frontier, None
         while True:
-            if len(c):
-                self.rounds += 1
-                birth, c, rep = self._pieces(expand, birth, c, rep)
-                continue
             waiting = [r for r, n in enumerate(self.drawn) if n < self.need[r]]
             if not waiting:
                 break
             birth, c, rep = self._release(waiting)
-        self.parked = []
+            while len(c):
+                self.rounds += 1
+                birth, c, rep = self._pieces(expand, birth, c, rep)
         for r, events in enumerate(self.events):
             t, c, e = (np.concatenate(a) for a in zip(*events))
             self.events[r] = []
@@ -1187,10 +1184,12 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
 
     Consecutive states of one model grow as a group, one ``_Growth``, while
     their events sum to at most ``_EVENT_BUDGET``; a state that needs more
-    grows alone, in legs.  Groups are expanded as their ``kernel`` names,
-    with the law of ``state.step`` from other draws, and a state's outcome
-    depends on its generator alone, not on the groups.  Each state's
-    snapshots come from ``_advance_census``.
+    grows alone, in legs.  A group starts from its states' class counts,
+    which binomial releases draw members from, so a leg costs O(classes) to
+    start, not a row per vertex.  Groups are expanded as their ``kernel``
+    names, with the law of ``state.step`` from other draws, and a state's
+    outcome depends on its generator alone, not on the groups.  Each
+    state's snapshots come from ``_advance_census``.
     """
     if len(rngs) != len(states):
         raise InvalidParameterError(

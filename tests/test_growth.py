@@ -523,10 +523,14 @@ _TC_GRAFTING = make_two_colour_grafting(1.0, 0.5, 0.5)
 _GRAFTING = make_grafting(0.5, 0.5)
 _PREF_I05 = make_preferential(SplittingWeights(1.0, 0.5))
 _PREF_2I = make_preferential(SplittingWeights(2.0, 0.0))
+_PREF_I_SLOW = make_preferential(SplittingWeights(1.0 / 64, 0.0))
 
 KERNEL_ENGINES = {
     "pref-i": lambda: UrnState.single_edge(_PREF_I),
     "pref-i-0.9": lambda: UrnState.single_edge(_PREF_09),
+    # w = i's urn on a clock 64 times slower: a horizon move spans many
+    # lifetimes, so a release that ignored the move's length would show
+    "pref-i-slow": lambda: UrnState.single_edge(_PREF_I_SLOW),
     "uniform": lambda: UrnState.single_edge(_UNIFORM),
     "dmax3": lambda: UrnState.single_edge(_DMAX3),
     "rna": lambda: TwoColourState.single_edge(_RNA),
@@ -611,6 +615,12 @@ def stepped_law(name):
     return _STEPPED_LAWS[name]
 
 
+# every engine at thin None and 37, and the census engines once more with an
+# event budget small enough that their replicas grow in legs
+LAW_CASES = [(name, thin, None) for name in sorted(KERNEL_ENGINES) for thin in (None, 37)] \
+    + [(name, 37, 64) for name in sorted(KERNEL_ENGINES) if not name.startswith("tree-")]
+
+
 class TestCensusKernel:
     """``run`` hands trees to ``_leaf_kernel`` or ``_tree_kernel``, which
     must leave the tree, the running total's bits, the snapshots and the
@@ -618,10 +628,15 @@ class TestCensusKernel:
     states go to ``run_batch``, which draws differently from ``state.step``
     but must have its law and keep the census identities exactly."""
 
-    @pytest.mark.parametrize("thin", [None, 37])
-    @pytest.mark.parametrize("name", sorted(KERNEL_ENGINES))
-    def test_matches_step_reference(self, name, thin):
+    @pytest.mark.parametrize("name,thin,budget", LAW_CASES,
+                             ids=[f"{n}-{t}" + (f"-budget{b}" if b else "")
+                                  for n, t, b in LAW_CASES])
+    def test_matches_step_reference(self, name, thin, budget, monkeypatch):
         make = KERNEL_ENGINES[name]
+        if budget:
+            # each replica grows alone in legs of `budget` events: every leg
+            # starts from its census and moves its horizon many times
+            monkeypatch.setattr(growth, "_EVENT_BUDGET", budget)
         if not name.startswith("tree-"):
             # census engines: the same law as the stepped references, and
             # snapshots at the same clocks with exact identities
@@ -747,6 +762,21 @@ class TestCensusKernel:
             assert all(s.identity_deviations() == (0, 0) for s in together[r])
             assert ref.total_weight.hex() == state.total_weight.hex()
             assert ref_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_leg_start_expands_only_what_rings(self, monkeypatch):
+        # a census of 10**6 vertices grown by 2000 events: the members that
+        # ring and their descendants reach the expansions, O(events) rows,
+        # and the members that do not stay class counts
+        rows = []
+        for name in ("_chains", "_expand"):
+            def spy(self, birth, c, rep, real=getattr(growth._Growth, name)):
+                rows.append(len(c))
+                return real(self, birth, c, rep)
+            monkeypatch.setattr(growth._Growth, name, spy)
+        state = UrnState(pref_i(), [2, 10**6 - 2])
+        run(state, 10**6 + 2000, np.random.default_rng(0))
+        assert state.census().identity_deviations() == (0, 0)
+        assert 0 < sum(rows) < 20000, sum(rows)
 
     @pytest.mark.parametrize("name", ["pref-i", "rna"])
     def test_batch_shares_rounds(self, name):

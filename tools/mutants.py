@@ -77,6 +77,17 @@ MUTANTS = [
            # a class of two or three entries then always takes its first:
            # a degree-2 white split is always (1, 3)
            ("tests/test_growth.py", "-k", "matches_step_reference")),
+    Mutant("release-rings-uniform-in-move", "src/splitgrow/growth.py",
+           "t = lo - np.log1p(-rng.random(len(c)) * q) * laws.inv_w[c]",
+           "t = hi - rng.random(len(c)) * (hi - lo)",
+           # a released member rings uniformly on (lo, hi], not as its clock:
+           # w = i - 0.9's leaves ring too late in long moves
+           ("tests/test_growth.py", "-k", "matches_step_reference and budget64")),
+    Mutant("release-ignores-move-length", "src/splitgrow/growth.py",
+           "q = -np.expm1(-laws.w[occupied] * (hi - lo))", "q = -np.expm1(-laws.w[occupied])",
+           # a move rings members as if it lasted one time unit: on w = i's
+           # clock slowed 64 times too few old members ring
+           ("tests/test_growth.py", "-k", "matches_step_reference and budget64")),
     Mutant("batch-group-drops-a-replica", "src/splitgrow/growth.py",
            "del todo[:len(group)]", "del todo[:len(group) + 1]",
            ("tests/test_growth.py", "-k", "batch_independence")),
