@@ -51,10 +51,11 @@ the order in which the clocks ring is the urn's sequence of draws
 Stoch. Proc. Appl. 110 (2004) 177-245).  Its vertices are independent, so
 numpy expands them a generation at a time, and a clock that has not rung
 by the horizon is memoryless there, so a replica between horizons is its
-census, a count per class.  Its replicas are independent too:
-consecutive replicas of one model grow as a group, with one round of numpy
-calls per generation of the whole group, each replica still drawing from
-its own generator exactly what it would draw alone.  When every split of a
+census, a count per class.  Its replicas are independent too: the
+replicas of one model release their windows in sets, with one round of
+numpy calls per generation of the whole set, each replica still drawing
+from its own generator exactly what it would draw alone, and the events of
+closed windows are applied to the census.  When every split of a
 one-colour model sheds a leaf (``WeightModel.sheds_leaves``, the tree's
 condition too), a vertex keeps its identity through its splits, one degree
 up each time, and its split times are partial sums of exponentials of
@@ -843,16 +844,17 @@ def _stable_order(ids: np.ndarray) -> np.ndarray:
     return order[np.argsort((ids[order] >> 16).astype(np.uint16), kind="stable")]
 
 
-# the most events in flight: consecutive replicas of one model grow as a
-# group while their events sum to at most this, and a replica that needs
-# more grows alone, in legs, which is exact because the process is Markov
+# the most events in flight: a replica grows in legs of at most this many
+# events, which is exact because the process is Markov, and a release set's
+# expected events and the events held fit in it
 _EVENT_BUDGET = 1 << 16
 # chains of a replica's generation this large start with one draw per row,
 # smaller ones with four: a row averages about 0.6 splits, so the draws cost
 # most in a large generation and the blocks' fixed cost in a small one
 _WIDE = 512
 # the most rows a round or a release expands with one set of numpy calls,
-# unless one replica has more; more go in pieces, which bounds the memory
+# unless one replica has more; more go in pieces, and a round's results stay
+# in pieces, which bounds the memory
 _ROUND_ROWS = 8192
 
 
@@ -927,34 +929,40 @@ class _ClassLaws:
 
 
 class _Growth:
-    """The next ``need[r]`` events of each replica ``r`` of a group, as the
-    continuous-time branching processes that embed their urns.
+    """The events of census states of one model up to the clock
+    ``t_final``, as the continuous-time branching processes that embed
+    their urns, grown in legs of at most ``_EVENT_BUDGET`` events.
 
     Every member of a census is an individual of its class ``c``; it dies
     after an exponential time of rate ``w_c`` and leaves the children of a
     split (or the recoloured vertex).  A replica's state at its horizon is
     its census ``alive[r]`` of the members whose clocks have not rung,
-    which are memoryless there; it starts as the replica's census, at
-    horizon 0.  While its events are too few, the horizon moves on from
-    ``lo`` to ``hi`` and ``Binomial(alive_c, q_c)`` members of each
-    occupied class of weight ``w_c > 0`` ring, ``q_c = -expm1(-w_c (hi -
-    lo))``, each at ``lo - log1p(-u q_c) / w_c`` (its clock's law given
-    that it rings; a move may ring none).  The children of every event
-    before the horizon are expanded a generation at a time: each draws its
-    death time and is an event if that falls before the horizon, else it
-    is counted back into ``alive``.  A replica's first ``need`` events in
-    time order are its urn's next events; two at the same time, which
-    takes a death within an ulp of its birth, may come in either order.
+    which are memoryless there; a leg starts it as the replica's census, at
+    horizon 0, and needs its next ``need[r]`` events.  While they are too
+    few, a release moves the horizon on from ``lo`` to ``hi`` and
+    ``Binomial(alive_c, q_c)`` members of each occupied class of weight
+    ``w_c > 0`` ring, ``q_c = -expm1(-w_c (hi - lo))``, each at ``lo -
+    log1p(-u q_c) / w_c`` (its clock's law given that it rings; a move may
+    ring none).  The children of every event before the horizon are
+    expanded a generation at a time: each draws its death time and is an
+    event if that falls before the horizon, else it is counted back into
+    ``alive``.  Once they are all expanded, the window ``(lo, hi]`` is
+    closed: every event before ``hi`` has been drawn, so the window's
+    events, sorted, follow those of the windows before it.  A leg's first
+    ``need`` events in time order are its urn's next events; two at the
+    same time, which takes a death within an ulp of its birth, may come in
+    either order.
 
-    The replicas are independent, so a round expands the generations of the
-    whole group with one set of numpy calls: the rows carry their replica's
-    index ``rep``, grouped by replica, and each replica keeps its own
-    horizon, weight, events and census.  Replica ``r`` draws from
-    ``rngs[r]`` alone what it would draw grown alone: a move draws its
-    binomials, then one ring uniform per released member, then, in time
-    order, one split uniform each; a generation of ``m`` individuals draws
-    ``random((2, m))``, the death uniforms then the split uniforms.  Its
-    outcome thus depends on its generator alone.
+    The replicas are independent, so a release moves the horizons of a
+    set of replicas, and a round expands the generations of the whole set
+    with one set of numpy calls: the rows carry their replica's index
+    ``rep``, grouped by replica, and each replica keeps its own horizon,
+    weight, events and census.  Replica ``r`` draws from ``rngs[r]`` alone
+    what it would draw grown alone: a move draws its binomials, then one
+    ring uniform per released member, then, in time order, one split
+    uniform each; a generation of ``m`` individuals draws ``random((2,
+    m))``, the death uniforms then the split uniforms.  Its outcome thus
+    depends on its generator alone, not on the sets it is released in.
 
     Under chains (``laws.chains``: one colour, every split sheds a leaf) a
     vertex keeps its identity through its splits, so ``_chains`` expands
@@ -965,34 +973,55 @@ class _Growth:
     when its class has no admissible split.
     """
 
-    def __init__(self, laws: _ClassLaws, states, need: list[int], rngs):
+    def __init__(self, laws: _ClassLaws, states, t_final: int, rngs):
         n = len(states)
-        self.laws, self.need, self.rngs = laws, need, rngs
-        self.w0 = [s.total_weight for s in states]  # the weights at horizon 0
-        self.weight, self.drawn, self.rounds = list(self.w0), [0] * n, 0
-        self.events: list[list] = [[] for _ in range(n)]    # (time, class, entry) arrays
-        width = max(len(s.counts) for s in states)  # alive[r, c]: unrung members of class c
-        self.alive = np.array([s.counts + [0] * (width - len(s.counts)) for s in states], np.int64)
-        self._edges = np.arange(n + 1)
-        laws.cover(width)
+        self.laws, self.states, self.t_final, self.rngs = laws, states, t_final, rngs
+        self.need, self.kept, self.drawn, self.rounds = [0] * n, [0] * n, [0] * n, 0
+        self.events_drawn = [0] * n     # over all legs
+        self.w0 = [0.0] * n             # the weights at horizon 0
+        self.weight = [0.0] * n
+        self.open: list[list] = [[] for _ in range(n)]    # (time, class, entry) arrays
+        self.closed: list[list] = [[] for _ in range(n)]    # (class, entry) arrays in time order
+        self.alive = np.zeros((n, 0), np.int64)     # alive[r, c]: unrung members of class c
         self.horizon = np.zeros(n)
+        self._edges = np.arange(n + 1)
+        for r in range(n):
+            self._start_leg(r)
 
-    def _next_horizon(self, r: int) -> float:
+    def _start_leg(self, r: int) -> None:
+        """Start replica ``r``'s next leg from its state, or end its growth
+        at ``t_final``."""
+        s = self.states[r]
+        self.need[r], self.kept[r], self.drawn[r] = min(self.t_final - s.t, _EVENT_BUDGET), 0, 0
+        self.w0[r] = self.weight[r] = s.total_weight
+        self.horizon[r] = 0.0
+        self.laws.cover(len(s.counts))
+        self._widen()
+        self.alive[r] = 0
+        self.alive[r, :len(s.counts)] = s.counts
+
+    def _widen(self) -> None:
+        """Widen ``alive`` past the covered classes."""
+        if self.alive.shape[1] < len(self.laws.inv_w):
+            self.alive = np.pad(self.alive, ((0, 0), (0, len(self.laws.inv_w))))
+
+    def _next_horizon(self, r: int) -> tuple[float, float]:
         """A horizon for replica ``r`` at which its expected event count
-        reaches a goal: eight times the effective population ``W / g`` while
-        that is small against the events needed, else the events needed plus
-        one standard deviation.  The total weight ``W`` grows by ``g`` per
-        event (exactly, for linear weights), so the count is a linear birth
-        process whose spread over the rest of the run is about ``need /
-        sqrt(W / g)``.  The rule only sets how much work is wasted, never the
-        law."""
+        reaches a goal, and the events expected before it: eight times the
+        effective population ``W / g`` while that is small against the
+        events needed, else the events needed plus one standard deviation.
+        The total weight ``W`` grows by ``g`` per event (exactly, for linear
+        weights), so the count is a linear birth process whose spread over
+        the rest of the run is about ``need / sqrt(W / g)``.  The rule only
+        sets how much work is wasted, never the law."""
         n, need, w = self.drawn[r], self.need[r], max(self.weight[r], 1e-300)
         g = (w - self.w0[r]) / n if n >= 16 else self.laws.gain
         if not g > 1e-12 * w:
-            return self.horizon[r] + (need - n + 2.0 * math.sqrt(need) + 2.0) / w
+            more = need - n + 2.0 * math.sqrt(need) + 2.0
+            return self.horizon[r] + more / w, more
         pop = w / g
         goal = min(need + need / math.sqrt(pop) + 2.0, n + 7.0 * pop + 16.0)
-        return self.horizon[r] + math.log1p(g * (goal - n) / w) / g
+        return self.horizon[r] + math.log1p(g * (goal - n) / w) / g, goal - n
 
     def _slices(self, rep: np.ndarray) -> list[tuple[int, int, int]]:
         """``(r, start, stop)`` of each replica ``r`` with rows in ``rep``."""
@@ -1008,19 +1037,18 @@ class _Growth:
     def _outlive(self, c, rep) -> None:
         """Count individuals of classes ``c`` whose clocks ring past their
         replica's horizon back into its census."""
-        if self.alive.shape[1] < len(self.laws.inv_w):     # widen past the covered classes
-            self.alive = np.pad(self.alive, ((0, 0), (0, len(self.laws.inv_w))))
+        self._widen()
         np.add.at(self.alive.reshape(-1), rep * self.alive.shape[1] + c, 1)
 
     def _log(self, t, c, e, rep, dw, base=0.0) -> None:
-        """Keep events of classes ``c`` at times ``t`` with entries ``e``:
-        a replica's total weight changes by ``base`` per event plus the sum
-        of its events' ``dw``."""
+        """Keep events of classes ``c`` at times ``t`` with entries ``e`` in
+        their replicas' open windows: a replica's total weight changes by
+        ``base`` per event plus the sum of its events' ``dw``."""
         c, e = c.astype(np.int32), e.astype(np.int32)
         for r, a, b in self._slices(rep):
             self.drawn[r] += b - a
             self.weight[r] += float((b - a) * base + dw[a:b].sum())
-            self.events[r].append((t[a:b], c[a:b], e[a:b]))
+            self.open[r].append((t[a:b], c[a:b], e[a:b]))
 
     def _record(self, t, c, rep, u: Optional[np.ndarray] = None):
         """Events of classes ``c`` at times ``t``, each of the entry its
@@ -1097,12 +1125,13 @@ class _Growth:
         keep = len(t) if w[0] > 0 else 0
         return t[:keep], np.zeros(keep, np.int64), rep[:keep]
 
-    def _release(self, waiting: list[int]):
-        """Move the horizon of each replica in ``waiting`` on and record the
-        members of its census that ring before it, per replica in time
-        order; the census keeps the others."""
+    def _release(self, ready: list[int], horizons: list[float]):
+        """Move the horizon of each replica in ``ready`` on to its one in
+        ``horizons`` and record the members of its census that ring before
+        it, per replica in time order; the census keeps the others.  Returns
+        their children that can die, the first generation, in pieces."""
         laws, released = self.laws, []
-        for r in waiting:
+        for r, hi in zip(ready, horizons):
             alive, rng = self.alive[r], self.rngs[r]
             occupied = np.flatnonzero(alive)
             occupied = occupied[laws.w[occupied] > 0]
@@ -1110,52 +1139,116 @@ class _Growth:
                 raise DegeneracyError(
                     "total sampling weight is not positive: no vertex can split "
                     f"after {self.drawn[r]} of {self.need[r]} events")
-            lo, hi = self.horizon[r], self._next_horizon(r)
-            self.horizon[r] = hi
+            lo, self.horizon[r] = self.horizon[r], hi
             q = -np.expm1(-laws.w[occupied] * (hi - lo))
             m = rng.binomial(alive[occupied], q)
             alive[occupied] -= m
             c, q = np.repeat(occupied, m), np.repeat(q, m)
             t = lo - np.log1p(-rng.random(len(c)) * q) * laws.inv_w[c]
             first = np.argsort(t)
-            released.append((t[first], c[first], np.full(len(c), r)))
-        t, c, rep = (np.concatenate(a) for a in zip(*released))
-        if not len(c):
-            return t, c, rep
-        u = () if laws.chains else (self._uniforms(rep),)
-        return self._pieces(self._record, t, c, rep, *u)
+            u = () if laws.chains else (rng.random(len(c)),)
+            released.append((t[first], c[first], np.full(len(c), r), *u))
+        return self._pieces(self._record, released)
 
-    def _pieces(self, fn, *cols):
-        """``fn`` of the rows ``cols``, whose third is their replica, in
-        pieces of whole replicas of at most ``_ROUND_ROWS`` rows each
-        unless one replica has more, with the pieces' results joined."""
-        cuts = [0]
-        for _, a, b in self._slices(cols[2]):
-            if b - cuts[-1] > _ROUND_ROWS and a > cuts[-1]:
-                cuts.append(a)
-        if len(cuts) == 1:
-            return fn(*cols)
-        cuts.append(len(cols[2]))
-        parts = [fn(*(x[a:b] for x in cols)) for a, b in zip(cuts, cuts[1:])]
-        return tuple(map(np.concatenate, zip(*parts)))
+    def _pieces(self, fn, parts: list[tuple]) -> list[tuple]:
+        """``fn`` of the rows of ``parts``, tuples of arrays whose third is
+        the rows' replica, each of whole replicas in replica order, and the
+        results that have rows, parts like those.  ``fn`` takes pieces of
+        whole replicas of at most ``_ROUND_ROWS`` rows each, unless one
+        replica has more: small parts are joined and large ones cut.  The
+        parts leave ``parts`` as they go, and the results are never joined
+        whole, which bounds the memory of a round."""
+        results, run, size = [], [], 0
+        while parts:
+            part = parts.pop(0)
+            n = len(part[2])
+            cuts = [0]
+            if n > _ROUND_ROWS:
+                for _, a, b in self._slices(part[2]):
+                    if b - cuts[-1] > _ROUND_ROWS and a > cuts[-1]:
+                        cuts.append(a)
+            for a, b in zip(cuts, cuts[1:] + [n]):
+                if run and size + b - a > _ROUND_ROWS:
+                    results.append(fn(*_joined(run)))
+                    run, size = [], 0
+                if b > a:
+                    run.append(tuple(x[a:b] for x in part))
+                    size += b - a
+        if run:
+            results.append(fn(*_joined(run)))
+        return [res for res in results if len(res[1])]
 
-    def grow(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Grow the group, then yield, per replica, the classes and entries
-        of its next ``need`` events, in time order."""
+    def grow(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Grow every replica to ``t_final``, yielding ``(r, classes,
+        entries)`` of replica ``r``'s next events, in time order, from its
+        closed windows: together once its leg has its events, cut to what
+        the leg needs, or earlier to make room.  The caller applies them to
+        ``states[r]`` before it resumes, and a leg that has its events starts
+        the next from that state.
+
+        A release set takes the replicas short of their leg's events, in
+        index order, while the events expected in their windows and the
+        events held, drawn but not yet yielded, fit in ``_EVENT_BUDGET``.
+        When the next does not fit, the closed windows held are yielded to
+        make room if they take half the budget (a yield costs the caller a
+        census update) or if it would be the first; the first always goes.  The small
+        early windows of many replicas thus share rounds, and the events
+        held stay within the budget plus one replica's window.  A replica's
+        next horizon is set once per release."""
         expand = self._chains if self.laws.chains else self._expand
+        ahead = {}      # replica: its next horizon and the events expected before it
         while True:
             waiting = [r for r, n in enumerate(self.drawn) if n < self.need[r]]
             if not waiting:
-                break
-            birth, c, rep = self._release(waiting)
-            while len(c):
+                return
+            held = sum(self.drawn) - sum(self.kept)
+            room, ready = _EVENT_BUDGET - held, []
+            for r in waiting:
+                if r not in ahead:
+                    ahead[r] = self._next_horizon(r)
+                if ahead[r][1] > room and (not ready or 2 * held >= _EVENT_BUDGET):
+                    for h, windows in enumerate(self.closed):   # make room
+                        if windows:
+                            yield h, *self._take(h)
+                    room, held = room + held, 0
+                if ready and ahead[r][1] > room:
+                    break
+                ready.append(r)
+                room -= ahead[r][1]
+            generation = self._release(ready, [ahead.pop(r)[0] for r in ready])
+            while generation:
                 self.rounds += 1
-                birth, c, rep = self._pieces(expand, birth, c, rep)
-        for r, events in enumerate(self.events):
-            t, c, e = (np.concatenate(a) for a in zip(*events))
-            self.events[r] = []
-            first = np.argsort(t)[:self.need[r]]
-            yield c[first].astype(np.int64), e[first].astype(np.int64)
+                generation = self._pieces(expand, generation)
+            self._close()
+            for r in ready:
+                if self.drawn[r] >= self.need[r]:
+                    yield r, *self._take(r)
+                    self.events_drawn[r] += self.drawn[r]
+                    self._start_leg(r)
+
+    def _close(self) -> None:
+        """Close the open windows: each replica's events, sorted by time,
+        join its closed windows."""
+        for r, events in enumerate(self.open):
+            if events:
+                t, c, e = (np.concatenate(a) for a in zip(*events))
+                first = np.argsort(t)
+                self.closed[r].append((c[first], e[first]))
+                events.clear()
+
+    def _take(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """The classes and entries of the events of replica ``r``'s closed
+        windows, which it no longer holds, in time order and up to what
+        its leg still needs."""
+        c, e = (np.concatenate(a)[:self.need[r] - self.kept[r]] for a in zip(*self.closed[r]))
+        self.closed[r] = []
+        self.kept[r] += len(c)
+        return c, e
+
+
+def _joined(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The columns of ``parts``, tuples of arrays, each joined."""
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 def _by_replica(parts: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
@@ -1171,6 +1264,19 @@ def _by_replica(parts: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
     return cols
 
 
+def _apply(state, clocks: list[int], laws: _ClassLaws, c: np.ndarray,
+           e: np.ndarray) -> list[CensusSnapshot]:
+    """Apply to ``state`` its next events, of classes ``c`` and entries
+    ``e`` of ``laws``, with the running total chained on from its own, and
+    return its snapshots at the ``clocks`` they reach."""
+    if (e < 0).any():
+        d = int(c[e < 0][0]) // laws.stride + 1
+        raise InvalidDegreeError(f"degree {d} has no admissible split")
+    w, k1, k2 = laws.w, laws.kid1[e], laws.kid2[e]
+    totals = np.cumsum(np.concatenate(([state.total_weight], w[k1] + w[k2] - w[c])))
+    return _advance_census(state, clocks, totals, c, (k1, k2), w)
+
+
 def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
     """Grow census engines (``UrnState``, ``TwoColourState``; a tree grows by
     ``run``) to the clock ``t_final``, state ``r`` from ``rngs[r]`` alone.
@@ -1179,17 +1285,20 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
     0 or None records only ``t_final``), and the batch's counters: per
     state the ``events_drawn``, which are the events kept plus those drawn
     past the last kept one, and for the batch the ``rounds``, one per
-    generation expanded for a whole group (under chains, a leaf generation
-    with the whole chains of its members).
+    generation expanded for a whole release set (under chains, a leaf
+    generation with the whole chains of its members).
 
-    Consecutive states of one model grow as a group, one ``_Growth``, while
-    their events sum to at most ``_EVENT_BUDGET``; a state that needs more
-    grows alone, in legs.  A group starts from its states' class counts,
-    which binomial releases draw members from, so a leg costs O(classes) to
-    start, not a row per vertex.  Groups are expanded as their ``kernel``
-    names, with the law of ``state.step`` from other draws, and a state's
-    outcome depends on its generator alone, not on the groups.  Each
-    state's snapshots come from ``_advance_census``.
+    The states of one model grow in one ``_Growth``, each in legs of at
+    most ``_EVENT_BUDGET`` events, through release sets of replicas whose
+    windows share rounds.  A leg starts from its state's class counts,
+    which binomial releases draw members from, so it costs O(classes) to
+    start, not a row per vertex.  The windows are expanded as the states'
+    ``kernel`` names, with the law of ``state.step`` from other draws, and
+    a state's outcome depends on its generator alone, not on the sets.
+    A state's events are applied once their windows close, a leg's at its
+    end or earlier to make room, with the running total chained from one
+    ``cumsum`` to the next, and its snapshots come from
+    ``_advance_census``.
     """
     if len(rngs) != len(states):
         raise InvalidParameterError(
@@ -1201,35 +1310,20 @@ def run_batch(states, t_final: int, rngs, thin: Optional[int] = None):
             raise InvalidParameterError(f"t_final = {t_final} < current t = {s.t}")
     clocks = [_clocks(s.t, t_final, thin) for s in states]
     snaps: list[list] = [[] for _ in states]
-    drawn, rounds, laws = [0] * len(states), 0, None
+    drawn, rounds = [0] * len(states), 0
     todo = [r for r, s in enumerate(states) if s.t < t_final]
     while todo:
-        if laws is None or states[todo[0]].model is not laws.owner:
-            laws = _ClassLaws(states[todo[0]])
-        group, events = [], 0
-        for r in todo:
-            need = min(t_final - states[r].t, _EVENT_BUDGET)
-            if states[r].model is not laws.owner or (group and events + need > _EVENT_BUDGET):
-                break
-            group.append(r)
-            events += need
-        del todo[:len(group)]
-        while group:
-            growth = _Growth(laws, [states[r] for r in group],
-                             [min(t_final - states[r].t, _EVENT_BUDGET) for r in group],
-                             [rngs[r] for r in group])
-            for i, (c, e) in enumerate(growth.grow()):
-                r = group[i]
-                drawn[r] += growth.drawn[i]
-                if (e < 0).any():
-                    d = int(c[e < 0][0]) // laws.stride + 1
-                    raise InvalidDegreeError(f"degree {d} has no admissible split")
-                w, k1, k2 = laws.w, laws.kid1[e], laws.kid2[e]
-                totals = np.cumsum(np.concatenate(([states[r].total_weight],
-                                                   w[k1] + w[k2] - w[c])))
-                snaps[r] += _advance_census(states[r], clocks[r], totals, c, (k1, k2), w)
-            rounds += growth.rounds
-            group = [r for r in group if states[r].t < t_final]
+        model = states[todo[0]].model
+        block = [r for r in todo if states[r].model is model]
+        todo = [r for r in todo if states[r].model is not model]
+        growth = _Growth(_ClassLaws(states[block[0]]), [states[r] for r in block], t_final,
+                         [rngs[r] for r in block])
+        for i, c, e in growth.grow():
+            r = block[i]
+            snaps[r] += _apply(states[r], clocks[r], growth.laws, c, e)
+        rounds += growth.rounds
+        for i, r in enumerate(block):
+            drawn[r] = growth.events_drawn[i]
     trajectories = [sn + [s.census() for _ in cl] for sn, s, cl in zip(snaps, states, clocks)]
     return trajectories, {"events_drawn": drawn, "rounds": rounds}
 

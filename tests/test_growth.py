@@ -621,6 +621,15 @@ LAW_CASES = [(name, thin, None) for name in sorted(KERNEL_ENGINES) for thin in (
     + [(name, 37, 64) for name in sorted(KERNEL_ENGINES) if not name.startswith("tree-")]
 
 
+INDEPENDENCE_CASES = [(name, budget) for budget in (1200, 300) for name in (
+    "pref-i", "pref-i-0.9", "uniform", "rna", "two-colour-grafting")]
+# (engine, replicas, budget); None keeps the default budget
+SHARED_ROUNDS_CASES = [(name, replicas, budget) for replicas, budget in ((8, None), (32, 8192))
+                       for name in ("pref-i", "rna")]
+# (engine, replicas, t_final, budget)
+HELD_CASES = [("rna", 32, 10_000, None), ("pref-i", 8, 6000, 2048)]
+
+
 class TestCensusKernel:
     """``run`` hands trees to ``_leaf_kernel`` or ``_tree_kernel``, which
     must leave the tree, the running total's bits, the snapshots and the
@@ -737,15 +746,25 @@ class TestCensusKernel:
         with pytest.raises(InvalidDegreeError, match="degree 2 has no admissible split"):
             (run if grow == "run" else stepped)(tree, 200, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("name", ["pref-i", "pref-i-0.9", "uniform", "rna",
-                                      "two-colour-grafting"])
-    def test_batch_independence(self, name, monkeypatch):
+    @pytest.mark.parametrize("name,budget", INDEPENDENCE_CASES,
+                             ids=[n + (f"-budget{b}" if b != 1200 else "")
+                                  for n, b in INDEPENDENCE_CASES])
+    def test_batch_independence(self, name, budget, monkeypatch):
         # a replica's census, running total and generator depend on its
-        # generator alone.  With a budget of 1200 events the batch of 8
-        # grows in groups {0}, {1, 2}, {3}, {4, 5, 6, 7}: replica 3 starts
-        # from a single edge and grows alone in legs, and group {1, 2}
-        # starts a chain of 400 rows beside a wide one of 1450
-        monkeypatch.setattr(growth, "_EVENT_BUDGET", 1200)
+        # generator alone, not on the release sets its windows share.  The
+        # batch of 8 needs 50 to 1498 events each: replica 3 starts from a
+        # single edge and grows in legs, and a set may take a chain of 400
+        # rows beside a wide one of 1450.  At a budget of 1200 events the
+        # sets take up to five replicas; at 300 replicas 1, 3 and 6 grow in
+        # legs too, and their windows meet others' in sets of two or three
+        monkeypatch.setattr(growth, "_EVENT_BUDGET", budget)
+        sets = []
+
+        def release(self, ready, horizons, real=growth._Growth._release):
+            sets.append(list(ready))
+            return real(self, ready, horizons)
+
+        monkeypatch.setattr(growth._Growth, "_release", release)
         starts = [1200, 400, 1450, 2, 1250, 1400, 900, 1350]
 
         def start(r):
@@ -755,6 +774,8 @@ class TestCensusKernel:
 
         batch = [start(r) for r in range(8)]
         together, _ = run_batch([s for s, _ in batch], 1500, [g for _, g in batch], thin=100)
+        # windows split over several sets, some shared by several replicas
+        assert any(1 < len(s) < 8 for s in sets), sets
         for r, (state, rng) in enumerate(batch):
             ref, ref_rng = start(r)
             alone = run(ref, 1500, ref_rng, thin=100)
@@ -778,16 +799,64 @@ class TestCensusKernel:
         assert state.census().identity_deviations() == (0, 0)
         assert 0 < sum(rows) < 20000, sum(rows)
 
-    @pytest.mark.parametrize("name", ["pref-i", "rna"])
-    def test_batch_shares_rounds(self, name):
-        # 8 replicas grown as one group expand their generations together:
-        # fewer than half the rounds of the 8 grown one by one
+    @pytest.mark.parametrize("name,replicas,budget", SHARED_ROUNDS_CASES,
+                             ids=[n + (f"-{r}-budget{b}" if b else "")
+                                  for n, r, b in SHARED_ROUNDS_CASES])
+    def test_batch_shares_rounds(self, name, replicas, budget, monkeypatch):
+        # replicas grown in one batch expand their generations together:
+        # fewer than half the rounds of the same replicas grown in groups of
+        # consecutive replicas whose events sum to at most the budget, each
+        # group a batch of its own.  8 replicas of 1498 events at the default
+        # budget against the 8 grown one by one; 32 at a budget of 8192
+        # against 7 groups of at most 5, whose small early windows do not
+        # share rounds across groups
+        if budget:
+            monkeypatch.setattr(growth, "_EVENT_BUDGET", budget)
         make = KERNEL_ENGINES[name]
-        _, together = run_batch([make() for _ in range(8)], 1500,
-                                [np.random.default_rng(s) for s in range(8)])
-        alone = sum(run_batch([make()], 1500, [np.random.default_rng(s)])[1]["rounds"]
-                    for s in range(8))
-        assert together["rounds"] < alone / 2
+        size = growth._EVENT_BUDGET // (1500 - make().t) if budget else 1
+        groups = [range(g, min(g + size, replicas)) for g in range(0, replicas, size)]
+        assert len(groups) >= 5
+        _, together = run_batch([make() for _ in range(replicas)], 1500,
+                                [np.random.default_rng(s) for s in range(replicas)])
+        apart = sum(run_batch([make() for _ in g], 1500,
+                              [np.random.default_rng(s) for s in g])[1]["rounds"]
+                    for g in groups)
+        assert together["rounds"] < apart / 2, (together["rounds"], apart)
+
+    @pytest.mark.parametrize("name,replicas,t_final,budget", HELD_CASES,
+                             ids=[f"{n}-{r}" + (f"-budget{b}" if b else "")
+                                  for n, r, _, b in HELD_CASES])
+    def test_events_held_within_budget(self, name, replicas, t_final, budget, monkeypatch):
+        # the events one growth holds at once, drawn but not yet applied,
+        # stay within the budget plus one replica's largest window, though
+        # the batch draws many times the budget: 32 rna replicas of 10**4
+        # events, and 8 w = i replicas of 6000 events in legs of 2048
+        if budget:
+            monkeypatch.setattr(growth, "_EVENT_BUDGET", budget)
+        window = {}                 # events drawn in each replica's open window
+        seen = {"held": 0, "largest": 0, "drawn": 0}
+
+        def release(self, ready, horizons, real=growth._Growth._release):
+            window.update(dict.fromkeys(ready, 0))
+            return real(self, ready, horizons)
+
+        def log(self, t, c, e, rep, *rest, real=growth._Growth._log):
+            real(self, t, c, e, rep, *rest)
+            for r, n in zip(*np.unique(rep, return_counts=True)):
+                window[r] += int(n)
+                seen["largest"] = max(seen["largest"], window[r])
+            seen["drawn"] += len(rep)
+            held = sum(len(x[0]) for events in self.open + self.closed for x in events)
+            seen["held"] = max(seen["held"], held)
+
+        monkeypatch.setattr(growth._Growth, "_release", release)
+        monkeypatch.setattr(growth._Growth, "_log", log)
+        make = KERNEL_ENGINES[name]
+        states = [make() for _ in range(replicas)]
+        run_batch(states, t_final, [np.random.default_rng(s) for s in range(replicas)])
+        assert all(s.t == t_final for s in states)
+        assert seen["drawn"] > 4 * (growth._EVENT_BUDGET + seen["largest"]), seen
+        assert 0 < seen["held"] <= growth._EVENT_BUDGET + seen["largest"], seen
 
     def test_batch_needs_a_generator_per_state(self):
         # a short list of generators is refused before any state grows

@@ -88,9 +88,21 @@ MUTANTS = [
            # a move rings members as if it lasted one time unit: on w = i's
            # clock slowed 64 times too few old members ring
            ("tests/test_growth.py", "-k", "matches_step_reference and budget64")),
-    Mutant("batch-group-drops-a-replica", "src/splitgrow/growth.py",
-           "del todo[:len(group)]", "del todo[:len(group) + 1]",
+    Mutant("batch-block-drops-a-replica", "src/splitgrow/growth.py",
+           "block = [r for r in todo if states[r].model is model]",
+           "block = [r for r in todo if states[r].model is model][1:]",
            ("tests/test_growth.py", "-k", "batch_independence")),
+    Mutant("release-set-ignores-budget", "src/splitgrow/growth.py",
+           "                if ready and ahead[r][1] > room:\n                    break\n", "",
+           # every waiting replica joins every set: the outputs stay, but
+           # 32 rna replicas then hold all their final windows at once
+           ("tests/test_growth.py", "-k", "events_held_within_budget")),
+    Mutant("last-window-not-cut-to-leg", "src/splitgrow/growth.py",
+           "(np.concatenate(a)[:self.need[r] - self.kept[r]] for a in zip(*self.closed[r]))",
+           "(np.concatenate(a) for a in zip(*self.closed[r]))",
+           # a leg keeps the events drawn past its need, so its state runs
+           # past the clock it was grown to
+           ("tests/test_growth.py", "-k", "TestCensusKernel")),
     Mutant("uniforms-from-the-next-replica", "src/splitgrow/growth.py",
            "self.rngs[r].random((*shape, b - a))",
            "self.rngs[(r + 1) % len(self.rngs)].random((*shape, b - a))",
